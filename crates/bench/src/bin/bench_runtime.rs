@@ -91,8 +91,8 @@ fn median_ci95(samples: &mut [f64]) -> OverheadEstimate {
 /// overhead: the minimum of 200 noisy "on" samples can undercut the
 /// minimum of 200 noisy "off" samples even when "on" is truly slower.)
 /// The reported figure is the median paired delta with a 95% CI on the
-/// median; verify.sh gates the *upper* CI bound, so the <2% check
-/// cannot pass on noise alone.
+/// median; the committed baseline gates the *upper* CI bound, so the
+/// check cannot pass on noise alone.
 fn measure_overhead(offsets: &[f64]) -> (OverheadEstimate, OverheadEstimate) {
     const ROUNDS: usize = 200;
     let run = || black_box(peak_gain_cdf_threads(offsets, 16, GRID, SEED, 1));
@@ -399,8 +399,8 @@ fn main() -> std::process::ExitCode {
     for &t in &THREAD_SWEEP {
         if t > cores {
             // Timing an oversubscribed width only measures contention,
-            // not the pool. Record the skip explicitly so downstream
-            // gates can tell "deliberately skipped" from "missing".
+            // not the pool. Record the skip explicitly so a reader can
+            // tell "deliberately skipped" from "missing".
             println!("threads {t}: skipped (oversubscribed, {cores} cores)");
             sweep_entries.push(Json::obj([
                 ("threads", t.into()),
@@ -418,6 +418,11 @@ fn main() -> std::process::ExitCode {
         };
         let speedup = serial_ns / ns;
         println!("threads {t}: median {ns:.0} ns, speedup {speedup:.2}x");
+        // Only reached with >= 8 cores: a timed 8-wide sweep must scale.
+        assert!(
+            t != 8 || speedup >= 4.0,
+            "8-thread parallel_sweep speedup {speedup:.2}x is below 4x on {cores} cores"
+        );
         sweep_entries.push(Json::obj([
             ("threads", t.into()),
             ("median_ns", ns.into()),

@@ -22,7 +22,7 @@
 //! whole-buffer path ([`outputs_batch`]) is kept for cross-checking:
 //! both produce identical [`PathOutputs`] — including a bit-exact
 //! FNV-1a hash of every received sample — at any block size or worker
-//! count (`tests/streaming_equivalence.rs`, and the `verify.sh` gate).
+//! count (`tests/streaming_equivalence.rs`).
 
 use ivn_core::freqsel::expected_peak;
 use ivn_core::PAPER_OFFSETS_HZ;
@@ -247,8 +247,8 @@ pub fn outputs_streaming(quick: bool, opts: &StreamOptions) -> StreamReport {
             s.superposer.superpose_block(streamer.blocks(), &mut rx);
             let t2 = Instant::now();
             // Harness bookkeeping, not a pipeline stage: the rx digest
-            // feeds the streaming-vs-batch verify gate only, so it is
-            // excluded from every stage's timing window.
+            // feeds the streaming-vs-batch equivalence check only, so it
+            // is excluded from every stage's timing window.
             hasher.update_complex(&rx);
             let t2b = Instant::now();
             // |rx|²·scale fused into the integrator: identical op order
@@ -479,7 +479,7 @@ pub fn run_with(quick: bool, opts: &StreamOptions) -> String {
 }
 
 /// Runs the whole-buffer oracle and renders it, appending its `rx_hash`
-/// so `verify.sh` can compare it against the streaming path.
+/// so it can be compared against the streaming path.
 pub fn run_batch(quick: bool, sample_rate: Option<f64>, stats: bool) -> String {
     let o = outputs_batch(quick, sample_rate);
     let mut out = render(&o);

@@ -3,63 +3,10 @@
 //! The in-vivo decoder of the paper declares a communication successful when
 //! the received waveform's correlation against the tag's known 12-bit FM0
 //! preamble exceeds 0.8 (§6.2). This module provides the normalized
-//! correlation used for that decision, plus general cross-correlation and a
-//! coherent averager that models the reader's 1-second integration.
+//! correlation used for that decision and a coherent averager that models
+//! the reader's 1-second integration.
 
 use crate::complex::Complex64;
-
-/// Full cross-correlation of complex sequences `x ⋆ y` evaluated at lags
-/// `0..=x.len()-y.len()` (i.e. `y` slid fully inside `x`).
-///
-/// Returns an empty vector when `y` is longer than `x` or either is empty.
-pub fn xcorr(x: &[Complex64], y: &[Complex64]) -> Vec<Complex64> {
-    if y.is_empty() || x.len() < y.len() {
-        return Vec::new();
-    }
-    let lags = x.len() - y.len() + 1;
-    (0..lags)
-        .map(|lag| {
-            x[lag..lag + y.len()]
-                .iter()
-                .zip(y)
-                .map(|(a, b)| *a * b.conj())
-                .sum()
-        })
-        .collect()
-}
-
-/// Normalized correlation coefficient at each lag, each in `[0, 1]`.
-///
-/// `|⟨x_window, y⟩| / (‖x_window‖·‖y‖)`; windows with zero energy yield 0.
-pub fn normalized_xcorr(x: &[Complex64], y: &[Complex64]) -> Vec<f64> {
-    if y.is_empty() || x.len() < y.len() {
-        return Vec::new();
-    }
-    let ey: f64 = y.iter().map(|s| s.norm_sqr()).sum::<f64>().sqrt();
-    if ey == 0.0 {
-        return vec![0.0; x.len() - y.len() + 1];
-    }
-    let lags = x.len() - y.len() + 1;
-    (0..lags)
-        .map(|lag| {
-            let window = &x[lag..lag + y.len()];
-            let ex: f64 = window.iter().map(|s| s.norm_sqr()).sum::<f64>().sqrt();
-            if ex == 0.0 {
-                return 0.0;
-            }
-            let dot: Complex64 = window.iter().zip(y).map(|(a, b)| *a * b.conj()).sum();
-            dot.norm() / (ex * ey)
-        })
-        .collect()
-}
-
-/// Best normalized correlation over all lags and the lag achieving it.
-///
-/// Returns `(lag, coefficient)`; `None` when no valid lag exists.
-pub fn best_match(x: &[Complex64], y: &[Complex64]) -> Option<(usize, f64)> {
-    let c = normalized_xcorr(x, y);
-    c.into_iter().enumerate().max_by(|a, b| a.1.total_cmp(&b.1))
-}
 
 /// Normalized correlation of *real* sequences (e.g. an envelope against a
 /// bit template), with means removed — Pearson-style, in `[-1, 1]`.
@@ -131,66 +78,6 @@ mod tests {
 
     fn c(re: f64) -> Complex64 {
         Complex64::from_real(re)
-    }
-
-    #[test]
-    fn xcorr_finds_embedded_pattern() {
-        let pat = vec![c(1.0), c(-1.0), c(1.0)];
-        let mut x = vec![c(0.0); 10];
-        x[4] = c(1.0);
-        x[5] = c(-1.0);
-        x[6] = c(1.0);
-        let r = xcorr(&x, &pat);
-        let (lag, _) = r
-            .iter()
-            .enumerate()
-            .max_by(|a, b| a.1.norm().total_cmp(&b.1.norm()))
-            .unwrap();
-        assert_eq!(lag, 4);
-    }
-
-    #[test]
-    fn xcorr_edge_cases() {
-        assert!(xcorr(&[c(1.0)], &[]).is_empty());
-        assert!(xcorr(&[c(1.0)], &[c(1.0), c(1.0)]).is_empty());
-    }
-
-    #[test]
-    fn normalized_is_one_for_exact_match() {
-        let pat = vec![c(0.3), c(-0.7), c(0.2), c(0.9)];
-        let r = normalized_xcorr(&pat, &pat);
-        assert_eq!(r.len(), 1);
-        assert!((r[0] - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn normalized_invariant_to_scale_and_phase() {
-        let pat = vec![c(1.0), c(-1.0), c(1.0), c(1.0)];
-        let scaled: Vec<Complex64> = pat
-            .iter()
-            .map(|s| *s * Complex64::from_polar(3.7, 1.1))
-            .collect();
-        let r = normalized_xcorr(&scaled, &pat);
-        assert!((r[0] - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn best_match_locates_pattern_in_noise() {
-        let mut rng = StdRng::seed_from_u64(7);
-        let mut noise = AwgnSource::new(0.01);
-        let pat: Vec<Complex64> = (0..32)
-            .map(|i| c(if (i / 4) % 2 == 0 { 1.0 } else { -1.0 }))
-            .collect();
-        let mut x = vec![Complex64::ZERO; 200];
-        for (i, p) in pat.iter().enumerate() {
-            x[77 + i] = *p;
-        }
-        for s in &mut x {
-            *s += noise.sample(&mut rng);
-        }
-        let (lag, coeff) = best_match(&x, &pat).unwrap();
-        assert_eq!(lag, 77);
-        assert!(coeff > 0.9);
     }
 
     #[test]

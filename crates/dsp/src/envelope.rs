@@ -1,25 +1,9 @@
-//! Envelope detection and peak analysis.
+//! Envelope peak analysis.
 //!
-//! Battery-free tags decode reader commands by watching the *envelope* of
-//! the incident RF (paper §3.6 "query amplitude flatness"), and the entire
-//! CIB idea revolves around the time-varying envelope of a multi-tone sum.
-//! This module supplies envelope extraction, smoothing, peak search, and
-//! the flatness metric `(A_max − A_min)/A_max` from the paper's Eq. 7.
-
-use crate::complex::Complex64;
-use crate::filter::SinglePole;
-
-/// Extracts the instantaneous magnitude envelope of a complex signal.
-pub fn magnitude(signal: &[Complex64]) -> Vec<f64> {
-    signal.iter().map(|s| s.norm()).collect()
-}
-
-/// Extracts the envelope and smooths it with a single-pole RC model of
-/// time constant `tau_s`.
-pub fn smoothed(signal: &[Complex64], sample_rate: f64, tau_s: f64) -> Vec<f64> {
-    let mut sp = SinglePole::from_time_constant(tau_s, sample_rate);
-    signal.iter().map(|s| sp.process(s.norm())).collect()
-}
+//! The entire CIB idea revolves around the time-varying envelope of a
+//! multi-tone sum: what the harvester sees is its peak. This module
+//! supplies the peak search and the parabolic refinement the envelope
+//! kernels use to locate that peak between grid points.
 
 /// Global maximum of a real sequence with its index; `None` if empty.
 pub fn peak(env: &[f64]) -> Option<(usize, f64)> {
@@ -50,101 +34,14 @@ pub fn parabolic_peak(ym: f64, y0: f64, yp: f64) -> (f64, f64) {
     (dx, y0 - 0.25 * (ym - yp) * dx)
 }
 
-/// Global minimum of a real sequence with its index; `None` if empty.
-pub fn trough(env: &[f64]) -> Option<(usize, f64)> {
-    env.iter()
-        .copied()
-        .enumerate()
-        .min_by(|a, b| a.1.total_cmp(&b.1))
-}
-
-/// The paper's percentage-fluctuation metric (Eq. 7):
-/// `(A_max − A_min) / A_max` over the given window.
-///
-/// Returns 0 for empty or all-zero input.
-pub fn fluctuation(env: &[f64]) -> f64 {
-    let Some((_, max)) = peak(env) else {
-        return 0.0;
-    };
-    if max <= 0.0 {
-        return 0.0;
-    }
-    let (_, min) = trough(env).expect("non-empty by construction");
-    (max - min) / max
-}
-
-/// Detects local maxima above `threshold`, separated by at least
-/// `min_distance` samples. Returns indices in ascending order.
-///
-/// Used by the experiment harness to find per-period CIB envelope peaks.
-pub fn local_peaks(env: &[f64], threshold: f64, min_distance: usize) -> Vec<usize> {
-    let mut peaks = Vec::new();
-    let n = env.len();
-    let mut i = 1;
-    while i + 1 < n {
-        if env[i] >= threshold && env[i] >= env[i - 1] && env[i] > env[i + 1] {
-            if let Some(&last) = peaks.last() {
-                if i - last < min_distance.max(1) {
-                    // Keep the taller of the two competing peaks.
-                    if env[i] > env[last] {
-                        *peaks.last_mut().expect("non-empty") = i;
-                    }
-                    i += 1;
-                    continue;
-                }
-            }
-            peaks.push(i);
-        }
-        i += 1;
-    }
-    peaks
-}
-
-/// Fraction of samples whose envelope exceeds `threshold` — a discrete
-/// stand-in for the diode conduction duty factor at envelope resolution.
-pub fn fraction_above(env: &[f64], threshold: f64) -> f64 {
-    if env.is_empty() {
-        return 0.0;
-    }
-    env.iter().filter(|&&v| v > threshold).count() as f64 / env.len() as f64
-}
-
-/// Simple hysteresis comparator turning an envelope into bits: output goes
-/// high when the envelope exceeds `high`, low when it drops below `low`.
-///
-/// This models the tag's ASK demodulator slicing the PIE waveform. The
-/// initial state is `false` (low).
-pub fn slice_hysteresis(env: &[f64], low: f64, high: f64) -> Vec<bool> {
-    assert!(low <= high, "hysteresis thresholds inverted");
-    let mut state = false;
-    env.iter()
-        .map(|&v| {
-            if state && v < low {
-                state = false;
-            } else if !state && v > high {
-                state = true;
-            }
-            state
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::osc::MultiTone;
 
     #[test]
-    fn magnitude_basic() {
-        let sig = vec![Complex64::new(3.0, 4.0), Complex64::ZERO];
-        assert_eq!(magnitude(&sig), vec![5.0, 0.0]);
-    }
-
-    #[test]
-    fn peak_and_trough() {
+    fn peak_finds_the_maximum() {
         let env = [0.1, 0.9, 0.3, 0.05, 0.4];
         assert_eq!(peak(&env), Some((1, 0.9)));
-        assert_eq!(trough(&env), Some((3, 0.05)));
         assert_eq!(peak(&[] as &[f64]), None);
     }
 
@@ -161,65 +58,5 @@ mod tests {
         // The offset is clamped to the bracketing cell.
         let (dx, _) = parabolic_peak(0.999999, 1.0, 0.0);
         assert!(dx >= -0.5 && dx <= 0.5);
-    }
-
-    #[test]
-    fn fluctuation_metric() {
-        let env = [1.0, 0.5, 1.0];
-        assert!((fluctuation(&env) - 0.5).abs() < 1e-12);
-        assert_eq!(fluctuation(&[]), 0.0);
-        assert_eq!(fluctuation(&[0.0, 0.0]), 0.0);
-        // Perfectly flat envelope → zero fluctuation.
-        assert_eq!(fluctuation(&[2.0, 2.0, 2.0]), 0.0);
-    }
-
-    #[test]
-    fn multitone_envelope_fluctuates_single_tone_does_not() {
-        let mt = MultiTone::from_freqs_phases(&[0.0, 7.0], &[0.0, 1.0]);
-        let env: Vec<f64> = (0..1000).map(|k| mt.envelope(k as f64 / 1000.0)).collect();
-        assert!(fluctuation(&env) > 0.5);
-
-        let single = MultiTone::from_freqs_phases(&[5.0], &[0.3]);
-        let env1: Vec<f64> = (0..1000)
-            .map(|k| single.envelope(k as f64 / 1000.0))
-            .collect();
-        assert!(fluctuation(&env1) < 1e-9);
-    }
-
-    #[test]
-    fn local_peaks_respects_distance_and_threshold() {
-        //                 0    1    2    3    4    5    6    7    8
-        let env = [0.0, 1.0, 0.0, 0.2, 0.0, 2.0, 0.0, 0.9, 0.0];
-        let p = local_peaks(&env, 0.5, 1);
-        assert_eq!(p, vec![1, 5, 7]);
-        // Larger min-distance keeps the taller of close peaks.
-        let p2 = local_peaks(&env, 0.5, 4);
-        assert_eq!(p2, vec![1, 5]);
-        // Threshold excludes the small bump.
-        let p3 = local_peaks(&env, 1.5, 1);
-        assert_eq!(p3, vec![5]);
-    }
-
-    #[test]
-    fn fraction_above_counts() {
-        let env = [0.0, 1.0, 2.0, 3.0];
-        assert!((fraction_above(&env, 1.5) - 0.5).abs() < 1e-12);
-        assert_eq!(fraction_above(&[], 1.0), 0.0);
-    }
-
-    #[test]
-    fn hysteresis_slicer() {
-        let env = [0.0, 0.2, 0.8, 0.6, 0.4, 0.1, 0.9];
-        let bits = slice_hysteresis(&env, 0.3, 0.7);
-        assert_eq!(bits, vec![false, false, true, true, true, false, true]);
-    }
-
-    #[test]
-    fn smoothing_reduces_ripple() {
-        let mt = MultiTone::from_freqs_phases(&[0.0, 50.0], &[0.0, 0.0]);
-        let sig: Vec<Complex64> = (0..4000).map(|k| mt.sample(k as f64 / 4000.0)).collect();
-        let raw = magnitude(&sig);
-        let smooth = smoothed(&sig, 4000.0, 0.05);
-        assert!(fluctuation(&smooth[2000..]) < fluctuation(&raw[2000..]));
     }
 }

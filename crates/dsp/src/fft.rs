@@ -1,33 +1,12 @@
-//! Radix-2 Cooley–Tukey FFT and helpers.
+//! Radix-2 Cooley–Tukey inverse FFT.
 //!
-//! The spectrum analysis used by the out-of-band reader (locating the
-//! backscatter subcarrier next to the CIB jam) and by several benches needs
-//! only power-of-two transforms, so a classic iterative radix-2 FFT keeps
-//! the substrate self-contained — no external FFT crate.
+//! The CIB envelope kernels synthesize a sparse multi-tone spectrum into
+//! its time series; that needs only a power-of-two inverse transform, so a
+//! classic iterative radix-2 FFT keeps the substrate self-contained — no
+//! external FFT crate.
 
 use crate::complex::Complex64;
-use crate::window::Window;
 use std::f64::consts::PI;
-
-/// In-place decimation-in-time FFT.
-///
-/// # Panics
-/// Panics if `data.len()` is not a power of two (or is zero).
-pub fn fft(data: &mut [Complex64]) {
-    transform(data, false);
-}
-
-/// In-place inverse FFT, normalized by 1/N so `ifft(fft(x)) == x`.
-///
-/// # Panics
-/// Panics if `data.len()` is not a power of two (or is zero).
-pub fn ifft(data: &mut [Complex64]) {
-    transform(data, true);
-    let n = data.len() as f64;
-    for d in data.iter_mut() {
-        *d = *d / n;
-    }
-}
 
 /// In-place inverse FFT *without* the 1/N normalization:
 /// `ifft_unnormalized(X)[k] = Σₙ X[n]·e^{+j2πnk/N}`.
@@ -40,10 +19,6 @@ pub fn ifft(data: &mut [Complex64]) {
 /// # Panics
 /// Panics if `data.len()` is not a power of two (or is zero).
 pub fn ifft_unnormalized(data: &mut [Complex64]) {
-    transform(data, true);
-}
-
-fn transform(data: &mut [Complex64], inverse: bool) {
     let n = data.len();
     assert!(
         n.is_power_of_two() && n > 0,
@@ -63,10 +38,9 @@ fn transform(data: &mut [Complex64], inverse: bool) {
     }
 
     // Butterflies.
-    let sign = if inverse { 1.0 } else { -1.0 };
     let mut len = 2;
     while len <= n {
-        let ang = sign * 2.0 * PI / len as f64;
+        let ang = 2.0 * PI / len as f64;
         let wlen = Complex64::cis(ang);
         for chunk in data.chunks_mut(len) {
             let mut w = Complex64::ONE;
@@ -83,97 +57,24 @@ fn transform(data: &mut [Complex64], inverse: bool) {
     }
 }
 
-/// Next power of two at or above `n` (minimum 1).
-pub fn next_pow2(n: usize) -> usize {
-    n.max(1).next_power_of_two()
-}
-
-/// Windowed power spectrum of a complex signal.
-///
-/// Pads (or truncates) to `nfft` (a power of two), applies `window`, and
-/// returns `|X[k]|²` normalized by the window energy. Bin `k` corresponds
-/// to frequency `k/nfft · sample_rate` (wrapping to negative frequencies in
-/// the upper half).
-pub fn power_spectrum(signal: &[Complex64], nfft: usize, window: Window) -> Vec<f64> {
-    assert!(nfft.is_power_of_two(), "nfft must be a power of two");
-    let mut buf = vec![Complex64::ZERO; nfft];
-    let take = signal.len().min(nfft);
-    let w = window.generate(take.max(1));
-    let wsum: f64 = w.iter().map(|x| x * x).sum::<f64>().max(f64::MIN_POSITIVE);
-    for i in 0..take {
-        buf[i] = signal[i] * w[i];
-    }
-    fft(&mut buf);
-    buf.iter().map(|x| x.norm_sqr() / wsum).collect()
-}
-
-/// Frequency (Hz) of spectrum bin `k` for an `nfft`-point transform at
-/// `sample_rate`, mapping the upper half to negative frequencies.
-pub fn bin_frequency(k: usize, nfft: usize, sample_rate: f64) -> f64 {
-    let k = k % nfft;
-    if k <= nfft / 2 {
-        k as f64 * sample_rate / nfft as f64
-    } else {
-        (k as f64 - nfft as f64) * sample_rate / nfft as f64
-    }
-}
-
-/// Finds the bin with maximal power and returns `(bin, frequency_hz, power)`.
-pub fn dominant_tone(spectrum: &[f64], sample_rate: f64) -> (usize, f64, f64) {
-    let nfft = spectrum.len();
-    let (k, &p) = spectrum
-        .iter()
-        .enumerate()
-        .max_by(|a, b| a.1.total_cmp(b.1))
-        .expect("spectrum must be non-empty");
-    (k, bin_frequency(k, nfft, sample_rate), p)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::osc::Oscillator;
 
     #[test]
     #[should_panic(expected = "power of two")]
     fn rejects_non_pow2() {
         let mut d = vec![Complex64::ZERO; 3];
-        fft(&mut d);
+        ifft_unnormalized(&mut d);
     }
 
     #[test]
     fn impulse_transforms_to_flat() {
         let mut d = vec![Complex64::ZERO; 8];
         d[0] = Complex64::ONE;
-        fft(&mut d);
+        ifft_unnormalized(&mut d);
         for x in &d {
             assert!((*x - Complex64::ONE).norm() < 1e-12);
-        }
-    }
-
-    #[test]
-    fn dc_transforms_to_bin_zero() {
-        let mut d = vec![Complex64::ONE; 16];
-        fft(&mut d);
-        assert!((d[0] - Complex64::new(16.0, 0.0)).norm() < 1e-9);
-        for x in &d[1..] {
-            assert!(x.norm() < 1e-9);
-        }
-    }
-
-    #[test]
-    fn tone_lands_in_expected_bin() {
-        // f = 3/16 of the sample rate → bin 3.
-        let n = 16;
-        let mut d: Vec<Complex64> = (0..n)
-            .map(|i| Complex64::cis(2.0 * PI * 3.0 * i as f64 / n as f64))
-            .collect();
-        fft(&mut d);
-        assert!((d[3].norm() - n as f64).abs() < 1e-9);
-        for (k, x) in d.iter().enumerate() {
-            if k != 3 {
-                assert!(x.norm() < 1e-9, "leakage at bin {k}");
-            }
         }
     }
 
@@ -194,60 +95,5 @@ mod tests {
                 a * Complex64::cis(2.0 * PI * 3.0 * t) + b * Complex64::cis(-2.0 * PI * 3.0 * t);
             assert!((d[k] - want).norm() < 1e-9, "bin {k}");
         }
-    }
-
-    #[test]
-    fn roundtrip_identity() {
-        let mut rng_state = 0x9E37_79B9u64;
-        let mut next = || {
-            rng_state = rng_state.wrapping_mul(6364136223846793005).wrapping_add(1);
-            ((rng_state >> 33) as f64 / (1u64 << 31) as f64) - 1.0
-        };
-        let orig: Vec<Complex64> = (0..64).map(|_| Complex64::new(next(), next())).collect();
-        let mut d = orig.clone();
-        fft(&mut d);
-        ifft(&mut d);
-        for (a, b) in d.iter().zip(&orig) {
-            assert!((*a - *b).norm() < 1e-9);
-        }
-    }
-
-    #[test]
-    fn parseval_energy_conservation() {
-        let sig: Vec<Complex64> = (0..32)
-            .map(|i| Complex64::new((i as f64).sin(), (i as f64 * 0.7).cos()))
-            .collect();
-        let time_energy: f64 = sig.iter().map(|s| s.norm_sqr()).sum();
-        let mut d = sig.clone();
-        fft(&mut d);
-        let freq_energy: f64 = d.iter().map(|s| s.norm_sqr()).sum::<f64>() / 32.0;
-        assert!((time_energy - freq_energy).abs() < 1e-9);
-    }
-
-    #[test]
-    fn power_spectrum_finds_tone() {
-        let fs = 1000.0;
-        let mut osc = Oscillator::new(125.0, fs);
-        let sig = osc.generate(256);
-        let spec = power_spectrum(sig.samples(), 256, Window::Hann);
-        let (_, freq, _) = dominant_tone(&spec, fs);
-        assert!((freq - 125.0).abs() < fs / 256.0);
-    }
-
-    #[test]
-    fn negative_frequency_mapping() {
-        assert_eq!(bin_frequency(0, 8, 800.0), 0.0);
-        assert_eq!(bin_frequency(4, 8, 800.0), 400.0);
-        assert_eq!(bin_frequency(7, 8, 800.0), -100.0);
-        // wraps modulo nfft
-        assert_eq!(bin_frequency(8, 8, 800.0), 0.0);
-    }
-
-    #[test]
-    fn next_pow2_behaviour() {
-        assert_eq!(next_pow2(0), 1);
-        assert_eq!(next_pow2(1), 1);
-        assert_eq!(next_pow2(5), 8);
-        assert_eq!(next_pow2(1024), 1024);
     }
 }

@@ -2,9 +2,9 @@
 //!
 //! This crate provides every signal-processing primitive used by the IVN
 //! (In-Vivo Networking) reproduction: complex arithmetic, unit conversions,
-//! IQ sample buffers, oscillators, FFTs, FIR/IIR filters, envelope
-//! detection, correlation, noise generation, amplitude modulation,
-//! resampling, and the descriptive statistics used by every experiment.
+//! IQ sample buffers, oscillators, phasor rotors, the inverse FFT, envelope
+//! peak search, correlation, noise generation, streaming block stages, and
+//! the descriptive statistics used by every experiment.
 //!
 //! Design follows the event-driven, allocation-conscious style of embedded
 //! networking stacks: plain data types, no `unsafe`, no hidden global state,
@@ -23,24 +23,17 @@
 //! assert!((samples[0].norm() - 1.0).abs() < 1e-12);
 //! ```
 
-pub mod agc;
 pub mod block;
 pub mod buffer;
 pub mod complex;
 pub mod correlate;
 pub mod envelope;
 pub mod fft;
-pub mod filter;
-pub mod goertzel;
-pub mod iir;
-pub mod modulation;
 pub mod noise;
 pub mod osc;
-pub mod resample;
 pub mod rotor;
 pub mod stats;
 pub mod units;
-pub mod window;
 
 pub use complex::Complex64;
 pub use units::{db_to_linear, dbm_to_watts, linear_to_db, watts_to_dbm};

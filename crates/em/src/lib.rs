@@ -21,7 +21,6 @@ pub mod antenna;
 pub mod boundary;
 pub mod channel;
 pub mod coupling;
-pub mod geometry;
 pub mod layered;
 pub mod medium;
 pub mod multipath;

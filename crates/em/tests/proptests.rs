@@ -5,7 +5,6 @@ use ivn_dsp::complex::Complex64;
 use ivn_em::antenna::{received_power, Antenna};
 use ivn_em::boundary::{power_transmittance, reflection};
 use ivn_em::coupling::CouplingModel;
-use ivn_em::geometry::Point3;
 use ivn_em::layered::{single_medium_path, Layer, LayeredPath};
 use ivn_em::medium::Medium;
 use ivn_em::multipath::MultipathChannel;
@@ -77,16 +76,6 @@ props! {
         let p1 = received_power(e, eta, a);
         let pk = received_power(e, eta, a * k);
         prop_assert!((pk / p1 - k).abs() < 1e-9);
-    }
-
-    fn geometry_distance_symmetric_triangle(ax in -5.0f64..5.0, ay in -5.0f64..5.0,
-                                            bx in -5.0f64..5.0, by in -5.0f64..5.0,
-                                            cx in -5.0f64..5.0, cy in -5.0f64..5.0) {
-        let a = Point3::new(ax, ay, 0.0);
-        let b = Point3::new(bx, by, 0.0);
-        let c = Point3::new(cx, cy, 0.0);
-        prop_assert!((a.distance(b) - b.distance(a)).abs() < 1e-12);
-        prop_assert!(a.distance(c) <= a.distance(b) + b.distance(c) + 1e-9);
     }
 
     fn sar_nonnegative_and_duty_bounded(m in medium(), e in 0.0f64..200.0,

@@ -7,9 +7,6 @@
 //!   conducts ([`conduction`], paper Fig. 4),
 //! * the N-stage Dickson voltage multiplier with its output law
 //!   `V_DC = N(V_s − V_th)` ([`rectifier`], paper Eq. 1),
-//! * storage-capacitor charge/discharge dynamics and duty cycling
-//!   ([`storage`]),
-//! * RF→DC conversion efficiency curves ([`efficiency`]),
 //! * and the end-to-end power-up decision for a tag exposed to a received
 //!   envelope ([`powerup`]).
 //!
@@ -21,10 +18,8 @@
 
 pub mod conduction;
 pub mod diode;
-pub mod efficiency;
 pub mod powerup;
 pub mod rectifier;
-pub mod storage;
 
 pub use diode::DiodeModel;
 pub use powerup::{PowerUpOutcome, TagPowerProfile};

@@ -2,10 +2,8 @@
 
 use ivn_harvester::conduction::{conduction_angle, conduction_duty, cycle_average_current};
 use ivn_harvester::diode::DiodeModel;
-use ivn_harvester::efficiency::EfficiencyModel;
 use ivn_harvester::powerup::TagPowerProfile;
 use ivn_harvester::rectifier::Rectifier;
-use ivn_harvester::storage::StorageCap;
 use ivn_runtime::prop::{any, Just, Strategy};
 use ivn_runtime::rng::{Rng, StdRng};
 use ivn_runtime::{prop_assert, prop_assert_eq, prop_oneof, props};
@@ -71,30 +69,6 @@ props! {
         for v in trace {
             prop_assert!(v <= target + 1e-9);
         }
-    }
-
-    fn efficiency_in_unit_range_monotone(vth in 0.05f64..0.4, eta in 0.05f64..1.0,
-                                         vs in 0.0f64..5.0, dv in 0.0f64..5.0) {
-        let m = EfficiencyModel::new(vth, eta);
-        let e1 = m.efficiency(vs);
-        let e2 = m.efficiency(vs + dv);
-        prop_assert!((0.0..=eta + 1e-12).contains(&e1));
-        prop_assert!(e2 >= e1 - 1e-12);
-    }
-
-    fn storage_energy_conserved_without_flows(c in 1e-9f64..1e-5, v in 0.0f64..5.0,
-                                              dt in 1e-6f64..1.0) {
-        let cap = StorageCap::new(c, f64::INFINITY);
-        let v2 = cap.step(v, 0.0, 0.0, dt);
-        prop_assert!((v2 - v).abs() < 1e-9);
-    }
-
-    fn storage_charging_monotone(c in 1e-9f64..1e-6, p in 0.0f64..1e-3,
-                                 extra in 0.0f64..1e-3, dt in 1e-6f64..0.01) {
-        let cap = StorageCap::new(c, f64::INFINITY);
-        let v1 = cap.step(0.1, p, 0.0, dt);
-        let v2 = cap.step(0.1, p + extra, 0.0, dt);
-        prop_assert!(v2 >= v1 - 1e-12);
     }
 
     fn powerup_requires_threshold(p_dbm in -40.0f64..20.0) {

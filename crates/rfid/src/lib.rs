@@ -10,7 +10,6 @@
 //!   codecs,
 //! * [`fm0`] — tag→reader FM0 baseband coding, including the 12-bit
 //!   extended preamble `110100100011` the paper correlates against (§6.2),
-//! * [`miller`] — Miller subcarrier coding (M = 2/4/8),
 //! * [`tag`] — the tag-side state machine with power-loss semantics,
 //! * [`reader`] — inventory-round logic driven through the
 //!   anti-collision seam,
@@ -31,7 +30,6 @@ pub mod crc;
 pub mod epc;
 pub mod fm0;
 pub mod link;
-pub mod miller;
 pub mod pie;
 pub mod population;
 pub mod reader;

@@ -5,7 +5,6 @@ use ivn_rfid::commands::{Command, DivideRatio, Session, TagEncoding};
 use ivn_rfid::crc::{append_crc16, append_crc5, check_crc16, check_crc5};
 use ivn_rfid::epc::Sgtin96;
 use ivn_rfid::fm0::Fm0;
-use ivn_rfid::miller::Miller;
 use ivn_rfid::pie::{decode_frame, encode_frame, rasterize, PieParams};
 use ivn_rfid::stream::{Fm0Decoder, PieStreamDecoder, RunRasterizer};
 use ivn_rfid::tag::{Tag, TagReply};
@@ -95,13 +94,6 @@ props! {
                      sph in 1usize..8) {
         let fm0 = Fm0::new(sph);
         prop_assert_eq!(fm0.decode(&fm0.encode(&bits)), bits);
-    }
-
-    fn miller_roundtrip(bits in pvec(any::<bool>(), 1..64),
-                        m_idx in 0usize..3, spq in 1usize..4) {
-        let m = [2, 4, 8][m_idx];
-        let codec = Miller::new(m, spq);
-        prop_assert_eq!(codec.decode(&codec.encode(&bits)), bits);
     }
 
     fn pie_roundtrip(bits in pvec(any::<bool>(), 0..48),

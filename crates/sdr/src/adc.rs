@@ -28,11 +28,6 @@ impl Adc {
         Adc { full_scale, bits }
     }
 
-    /// A USRP N210-class 14-bit converter.
-    pub fn n210_class() -> Self {
-        Adc::new(1.0, 14)
-    }
-
     /// Quantization step.
     pub fn lsb(&self) -> f64 {
         2.0 * self.full_scale / (1u64 << self.bits) as f64
@@ -45,11 +40,6 @@ impl Adc {
             (clipped / self.lsb()).round() * self.lsb()
         };
         Complex64::new(q(x.re), q(x.im))
-    }
-
-    /// Converts a block.
-    pub fn convert_block(&self, data: &[Complex64]) -> Vec<Complex64> {
-        data.iter().map(|&x| self.convert(x)).collect()
     }
 
     /// Whether a sample amplitude saturates the converter.
@@ -102,11 +92,6 @@ impl SawFilter {
         };
         ivn_dsp::units::db_to_amplitude(db)
     }
-
-    /// Applies the filter to a component at a known frequency.
-    pub fn apply(&self, x: Complex64, freq_hz: f64) -> Complex64 {
-        x * self.gain_at(freq_hz)
-    }
 }
 
 #[cfg(test)]
@@ -134,7 +119,7 @@ mod tests {
 
     #[test]
     fn quantization_noise_small_at_14_bits() {
-        let adc = Adc::n210_class();
+        let adc = Adc::new(1.0, 14);
         let x = Complex64::new(0.123_456_7, -0.765_432_1);
         let y = adc.convert(x);
         assert!((y - x).norm() < 2.0 * adc.lsb());
@@ -174,9 +159,9 @@ mod tests {
         let jam = Complex64::from_real(10.0); // at 915 MHz
         let signal = Complex64::from_real(0.1); // at 880 MHz
         assert!(adc.saturates(jam + signal));
-        let filtered = saw.apply(jam, 915e6) + saw.apply(signal, 880e6);
-        assert!(!adc.saturates(filtered));
+        let (jam_out, signal_out) = (jam * saw.gain_at(915e6), signal * saw.gain_at(880e6));
+        assert!(!adc.saturates(jam_out + signal_out));
         // The surviving jam is far below the surviving signal.
-        assert!(saw.apply(jam, 915e6).norm() < saw.apply(signal, 880e6).norm());
+        assert!(jam_out.norm() < signal_out.norm());
     }
 }

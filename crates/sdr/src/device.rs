@@ -1,25 +1,21 @@
 //! A single software-radio device (USRP N210 class).
 //!
-//! Bundles the synthesizer, power amplifier and converter models into one
-//! TX/RX unit with a sample clock. The transmit path is
-//! `baseband → PA → antenna` and the carrier it rides on has the PLL's
-//! random phase; the receive path is `antenna → (SAW) → ADC`.
+//! Bundles the synthesizer and power amplifier models into one transmit
+//! unit with a sample clock. The transmit path is `baseband → PA →
+//! antenna` and the carrier it rides on has the PLL's random phase.
 
-use crate::adc::Adc;
 use crate::pa::PowerAmp;
 use crate::pll::Pll;
 use ivn_dsp::buffer::IqBuffer;
 use ivn_runtime::rng::Rng;
 
-/// A TX/RX software radio.
+/// A transmitting software radio.
 #[derive(Debug, Clone)]
 pub struct SdrDevice {
     /// Frequency synthesizer.
     pub pll: Pll,
     /// Transmit power amplifier.
     pub pa: PowerAmp,
-    /// Receive converter.
-    pub adc: Adc,
     /// Sample rate, S/s.
     pub sample_rate: f64,
     /// Trigger (PPS) offset of this device relative to nominal, seconds.
@@ -36,7 +32,6 @@ impl SdrDevice {
         SdrDevice {
             pll: Pll::sbx_class(),
             pa: PowerAmp::hmc453_class(),
-            adc: Adc::n210_class(),
             sample_rate,
             trigger_offset_s: 0.0,
         }
@@ -60,11 +55,6 @@ impl SdrDevice {
             *s = self.pa.process(*s * drive) * phase;
         }
         out
-    }
-
-    /// Receive chain: converts incoming samples through the ADC.
-    pub fn receive(&self, input: &IqBuffer) -> IqBuffer {
-        IqBuffer::new(self.adc.convert_block(input.samples()), input.sample_rate())
     }
 
     /// Transmit amplitude (volts) for a unit baseband at a given drive —
@@ -111,14 +101,6 @@ mod tests {
         let fb = b.tune(&mut rng, 915e6);
         assert_eq!(fa, fb); // shared reference: same frequency
         assert_ne!(a.pll.initial_phase(), b.pll.initial_phase()); // but blind phases
-    }
-
-    #[test]
-    fn receive_quantizes() {
-        let dev = SdrDevice::n210(1e6);
-        let input = IqBuffer::new(vec![Complex64::new(0.1234567, 0.0); 4], 1e6);
-        let out = dev.receive(&input);
-        assert!((out.samples()[0].re - 0.1234567).abs() < 2.0 * dev.adc.lsb());
     }
 
     #[test]

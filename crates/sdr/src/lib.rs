@@ -25,7 +25,6 @@ pub mod adc;
 pub mod bank;
 pub mod clock;
 pub mod device;
-pub mod frontend;
 pub mod pa;
 pub mod pll;
 pub mod stream;

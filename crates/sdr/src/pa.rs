@@ -73,13 +73,6 @@ impl PowerAmp {
         x * (self.am_am(r) / r)
     }
 
-    /// Processes a block in place.
-    pub fn process_block(&self, data: &mut [Complex64]) {
-        for d in data {
-            *d = self.process(*d);
-        }
-    }
-
     /// Gain compression in dB at a given input amplitude (0 in the linear
     /// region, growing toward saturation).
     pub fn compression_db(&self, v_in: f64) -> f64 {
@@ -166,8 +159,7 @@ mod tests {
         let tone: Vec<Complex64> = (0..100)
             .map(|k| Complex64::from_polar(drive, k as f64 * 0.3))
             .collect();
-        let mut clean = tone.clone();
-        pa.process_block(&mut clean);
+        let clean: Vec<Complex64> = tone.iter().map(|&x| pa.process(x)).collect();
         let gain_err: f64 = clean
             .iter()
             .zip(&tone)

@@ -2,7 +2,7 @@
 //! adverse conditions the design must tolerate (or fail predictably
 //! under) — noise sweeps, brownouts, timing slop, corrupted frames.
 
-use ivn::core::oob::{OobReader, OobReaderConfig};
+use ivn::core::oob::{JamTone, OobReader, OobReaderConfig};
 use ivn::dsp::complex::Complex64;
 use ivn::dsp::noise::{AwgnSource, PhaseNoise};
 use ivn::rfid::commands::Command;
@@ -191,18 +191,22 @@ fn trigger_slop_breaks_command_synchrony_predictably() {
 
 #[test]
 fn saturated_frontend_flagged() {
-    use ivn::sdr::frontend::RxChain;
-    let chain = RxChain::without_saw();
-    let mut rng = StdRng::seed_from_u64(7);
-    let len = 256;
-    // A blocker with occasional 10× peaks: AGC targets the RMS, so the
-    // peaks clip and the chain must report saturation.
-    let jam: Vec<Complex64> = (0..len)
-        .map(|k| {
-            let amp = if k % 50 == 0 { 1.0 } else { 0.1 };
-            Complex64::from_polar(amp, k as f64 * 0.7)
+    // The in-band reader without its SAW, facing CIB tones that sum in
+    // phase at its antenna (§4's self-jamming case). The AGC sets the RMS
+    // to a quarter of the ADC full scale, so a blocker with a crest factor
+    // above 4 (32 equal in-phase tones: √32 ≈ 5.7) clips at its peaks and
+    // the decode must report saturation.
+    let reader = OobReader::new(OobReaderConfig::in_band_ablation());
+    assert!(!reader.config.use_saw);
+    let jam: Vec<JamTone> = (0..32)
+        .map(|i| JamTone {
+            freq_hz: reader.config.carrier_hz + 7.0 * i as f64,
+            amplitude: 0.05,
+            phase: 0.0,
         })
         .collect();
-    let (_, _, saturation) = chain.capture(&mut rng, &[(915e6, jam)], len);
-    assert!(saturation > 0.0, "clipping not reported");
+    let msg: Vec<bool> = (0..16).map(|i| i % 3 == 0).collect();
+    let mut rng = StdRng::seed_from_u64(7);
+    let r = reader.receive_and_decode(&mut rng, 1e-4, &msg, 4, &jam, 2000);
+    assert!(r.adc_saturation > 0.0, "clipping not reported");
 }

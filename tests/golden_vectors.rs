@@ -10,7 +10,6 @@
 use ivn::rfid::commands::{Command, DivideRatio, Session, TagEncoding};
 use ivn::rfid::crc::{append_crc5, bits_to_u64, check_crc16, check_crc5, crc16, crc5, u16_to_bits};
 use ivn::rfid::fm0::Fm0;
-use ivn::rfid::miller::Miller;
 use ivn::rfid::pie::{decode_frame, encode_frame, rasterize, PieParams};
 
 fn approx(a: f64, b: f64) -> bool {
@@ -139,35 +138,6 @@ fn fm0_paper_preamble_half_levels() {
         1.0, 1.0, // 1
     ];
     assert_eq!(halves, expected);
-}
-
-// ---------------------------------------------------------------------
-// Miller subcarrier coding.
-// ---------------------------------------------------------------------
-
-/// M = 2, one sample per quarter cycle: 8 samples per symbol, hand-walked
-/// from "baseband (invert mid-symbol on data-1, invert at the boundary
-/// between consecutive data-0s) × square subcarrier".
-#[test]
-fn miller_m2_hand_computed_sequences() {
-    let codec = Miller::new(2, 1);
-    assert_eq!(codec.samples_per_symbol(), 8);
-    assert_eq!(
-        codec.encode(&bits(&[1])),
-        vec![1.0, 1.0, -1.0, -1.0, -1.0, -1.0, 1.0, 1.0]
-    );
-    assert_eq!(
-        codec.encode(&bits(&[0])),
-        vec![1.0, 1.0, -1.0, -1.0, 1.0, 1.0, -1.0, -1.0]
-    );
-    // Consecutive zeros flip the baseband at the symbol boundary.
-    assert_eq!(
-        codec.encode(&bits(&[0, 0])),
-        vec![
-            1.0, 1.0, -1.0, -1.0, 1.0, 1.0, -1.0, -1.0, // first 0
-            -1.0, -1.0, 1.0, 1.0, -1.0, -1.0, 1.0, 1.0, // second 0, inverted
-        ]
-    );
 }
 
 // ---------------------------------------------------------------------

@@ -52,8 +52,13 @@ fn streaming_is_deterministic_across_thread_counts() {
 
 #[test]
 fn per_stage_footprint_is_bounded_by_block_size() {
-    for block in BLOCK_SIZES {
+    let quick_rate = BLOCK_SIZES.map(|block| (None, block));
+    // A full 1 MS/s period: a million samples through every stage in
+    // the default block size, and the tag must still power.
+    let full_rate = [(Some(1e6), StreamOptions::default().block)];
+    for (sample_rate, block) in quick_rate.into_iter().chain(full_rate) {
         let opts = StreamOptions {
+            sample_rate,
             block,
             ..Default::default()
         };
@@ -62,7 +67,14 @@ fn per_stage_footprint_is_bounded_by_block_size() {
         for &(stage, peak) in &report.footprint {
             assert!(
                 peak <= 2 * block,
-                "block={block}: stage '{stage}' peak footprint {peak} exceeds 2x block"
+                "rate={sample_rate:?} block={block}: stage '{stage}' peak footprint {peak} exceeds 2x block"
+            );
+        }
+        if sample_rate.is_some() {
+            assert_eq!(report.outputs.n_samples, 1_000_000);
+            assert!(
+                report.outputs.outcome.powered,
+                "1 MS/s run did not power the tag"
             );
         }
     }
