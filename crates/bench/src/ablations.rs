@@ -131,12 +131,7 @@ pub fn flatness_constraint(_quick: bool) -> String {
             let env = CibEnvelope::new(&offsets, &phases);
             let (t_peak, peak) = env.peak_over_period(4096);
             peak_acc += peak * peak;
-            let t0 = t_peak - profile.len() as f64 / rate / 2.0;
-            let tag_env: Vec<f64> = profile
-                .iter()
-                .enumerate()
-                .map(|(k, &p)| p * env.envelope(t0 + k as f64 / rate))
-                .collect();
+            let tag_env = env.keyed_window(&profile, t_peak, rate);
             if pie::decode_frame(&tag_env, rate)
                 .map(|d| d == bits)
                 .unwrap_or(false)

@@ -25,6 +25,26 @@
 //!    automatically when `N·grid > grid·log₂(grid)`, i.e. when the tone
 //!    count exceeds `log₂(grid)`.
 //!
+//! Two more kernels serve the per-trial session path (a campaign's hot
+//! loop: find the envelope peak, key a Query on it, decode it):
+//!
+//! * [`envelope_window`] — `Y(t0 + k/rate)` over a keyed downlink
+//!   window with the same four-rotator scheme, behind
+//!   [`crate::waveform::CibEnvelope::keyed_window`]. Only the decoded
+//!   bit string depends on these values, and they differ from the
+//!   pointwise sum by a few hundred ulps, so decode outcomes are
+//!   unchanged.
+//! * [`grid_argmax`] — the grid argmax of
+//!   [`crate::waveform::CibEnvelope::peak_over_period`], ranked on
+//!   `|z|²` with `hypot` taken only for the near-maximal candidates; it
+//!   returns exactly the index a full `hypot` scan would.
+//!
+//! Two `hypot`/trig paths stay deliberately exact, because their values
+//! feed bit-hashed outputs (campaign `gains_db`, `times_to_power_s`):
+//! the per-sample `hypot` of [`crate::waveform::CibEnvelope::sample_period`]
+//! (the harvester's power-up envelope) and the pointwise `envelope()`
+//! calls of `peak_over_period`'s ternary refinement.
+//!
 //! All paths agree with [`crate::waveform::CibEnvelope::envelope`]
 //! pointwise to well under 1e-9 (property-tested in
 //! `crates/core/tests/kernel_props.rs`). Incremental phasor rotation is
@@ -42,8 +62,9 @@ use std::f64::consts::TAU;
 /// `ph *= step` to ~256 ulps regardless of grid size.
 pub const RENORM_INTERVAL: usize = 256;
 
-/// One tone pass over the grid: `WRITE = true` assigns (initializing the
-/// buffer without a separate zeroing pass), `WRITE = false` accumulates.
+/// One tone pass over `acc`, sample `k` at time `t0 + k·dt`:
+/// `WRITE = true` assigns (initializing the buffer without a separate
+/// zeroing pass), `WRITE = false` accumulates.
 ///
 /// The incremental rotation runs as **four interleaved rotators**, each
 /// advancing by `4ω·dt`: a single rotator is a serial dependency chain —
@@ -51,17 +72,23 @@ pub const RENORM_INTERVAL: usize = 256;
 /// four independent chains keep the multiplier pipeline full, ~3× the
 /// throughput of the textbook loop. Each [`RENORM_INTERVAL`] chunk
 /// re-derives its rotators from exact trig, bounding compounded rounding
-/// to a few hundred ulps regardless of grid size.
-fn tone_pass<const WRITE: bool>(acc: &mut [Complex64], offset_hz: f64, phase: f64, amp: f64) {
-    let grid = acc.len();
-    let dt = 1.0 / grid as f64;
+/// to a few hundred ulps regardless of grid size. With `t0 = 0.0` the
+/// chunk bases are bit-identical to the grid form `2πf·k·dt + φ`.
+fn tone_pass<const WRITE: bool>(
+    acc: &mut [Complex64],
+    offset_hz: f64,
+    phase: f64,
+    amp: f64,
+    t0: f64,
+    dt: f64,
+) {
     let w = TAU * offset_hz * dt;
     let step1 = Complex64::cis(w);
     let step4 = Complex64::cis(4.0 * w);
     let mut start = 0usize;
     for chunk in acc.chunks_mut(RENORM_INTERVAL) {
         let len = chunk.len();
-        let base = TAU * offset_hz * (start as f64 * dt) + phase;
+        let base = TAU * offset_hz * (t0 + start as f64 * dt) + phase;
         let p0 = Complex64::from_polar(amp, base);
         let mut p = [
             p0,
@@ -103,13 +130,13 @@ fn tone_pass<const WRITE: bool>(acc: &mut [Complex64], offset_hz: f64, phase: f6
 /// of `from_polar(a, θ)`), which is how [`CrnKernel`] removes a perturbed
 /// tone from a cached grid.
 pub fn accumulate_tone(acc: &mut [Complex64], offset_hz: f64, phase: f64, amp: f64) {
-    tone_pass::<false>(acc, offset_hz, phase, amp);
+    tone_pass::<false>(acc, offset_hz, phase, amp, 0.0, 1.0 / acc.len() as f64);
 }
 
 /// [`accumulate_tone`] that *assigns* instead of accumulating — the first
 /// tone of a fill initializes the buffer, saving the zeroing pass.
 pub fn write_tone(acc: &mut [Complex64], offset_hz: f64, phase: f64, amp: f64) {
-    tone_pass::<true>(acc, offset_hz, phase, amp);
+    tone_pass::<true>(acc, offset_hz, phase, amp, 0.0, 1.0 / acc.len() as f64);
 }
 
 /// Direct evaluation of the envelope `Y(t)` from raw tone parameters —
@@ -122,6 +149,86 @@ pub fn envelope_value(offsets_hz: &[f64], phases: &[f64], amps: Option<&[f64]>, 
         acc += Complex64::from_polar(a, TAU * offsets_hz[i] * t + phases[i]);
     }
     acc.norm()
+}
+
+/// The envelope over a sample window: `out[k] = Y(t0 + k/rate)` for
+/// `k < out.len()` — the keyed-downlink path, where a command rides the
+/// envelope at `rate` samples/s from an arbitrary start instant.
+///
+/// Allocation-free: the window is processed in [`RENORM_INTERVAL`]-sample
+/// chunks, each accumulated tone by tone into one stack buffer with the
+/// same four-rotator scheme as the grid sampler (`tone_pass`), so every
+/// chunk starts from exact trig. One `hypot` per sample; no trig in the
+/// inner loop. Agrees with [`envelope_value`] pointwise to a few hundred
+/// ulps of `Σ|aᵢ|` (property-tested in `crates/core/tests/kernel_props.rs`).
+///
+/// # Panics
+/// Panics if `offsets_hz` and `phases` differ in length.
+pub fn envelope_window(
+    offsets_hz: &[f64],
+    phases: &[f64],
+    amps: Option<&[f64]>,
+    t0: f64,
+    rate: f64,
+    out: &mut [f64],
+) {
+    assert_eq!(offsets_hz.len(), phases.len(), "offsets/phases mismatch");
+    let dt = 1.0 / rate;
+    let mut buf = [Complex64::ZERO; RENORM_INTERVAL];
+    for (c, chunk) in out.chunks_mut(RENORM_INTERVAL).enumerate() {
+        let acc = &mut buf[..chunk.len()];
+        let t_chunk = t0 + (c * RENORM_INTERVAL) as f64 * dt;
+        acc.fill(Complex64::ZERO);
+        for i in 0..offsets_hz.len() {
+            let a = amps.map_or(1.0, |a| a[i]);
+            tone_pass::<false>(acc, offsets_hz[i], phases[i], a, t_chunk, dt);
+        }
+        for (o, z) in chunk.iter_mut().zip(acc.iter()) {
+            *o = z.norm();
+        }
+    }
+}
+
+/// Relative `|z|²` band below the grid maximum inside which
+/// [`grid_argmax`] takes the exact `hypot`. `norm_sqr` and `hypot` each
+/// round within a few ulps, so any point whose `hypot` could tie or beat
+/// the `|z|²` winner lies well inside this band.
+const ARGMAX_BAND: f64 = 1e-9;
+
+/// Index of the largest `|z|` on a complex grid, `None` when empty.
+///
+/// Returns exactly the index
+/// `grid.iter().map(|z| z.norm()).enumerate().max_by(total_cmp)` would —
+/// including its rule that the last of equal maxima wins — but takes the
+/// `hypot` only for the candidates with `|z|² ≥ max|z|²·(1 − 1e-9)`
+/// instead of for every point. When the `|z|²` scan cannot vouch for
+/// that (a NaN or infinite `|z|²`, or a maximum below
+/// `f64::MIN_POSITIVE` where subnormal squares lose their relative
+/// precision) it falls back to the full `hypot` scan.
+pub fn grid_argmax(grid: &[Complex64]) -> Option<usize> {
+    let mut max_sqr = 0.0f64;
+    let mut nan = false;
+    for z in grid {
+        let p = z.norm_sqr();
+        nan |= p.is_nan();
+        max_sqr = max_sqr.max(p);
+    }
+    let by_value = |a: &(usize, f64), b: &(usize, f64)| a.1.total_cmp(&b.1);
+    if nan || !(max_sqr.is_finite() && max_sqr >= f64::MIN_POSITIVE) {
+        return grid
+            .iter()
+            .map(|z| z.norm())
+            .enumerate()
+            .max_by(by_value)
+            .map(|(k, _)| k);
+    }
+    let floor = max_sqr * (1.0 - ARGMAX_BAND);
+    grid.iter()
+        .enumerate()
+        .filter(|(_, z)| z.norm_sqr() >= floor)
+        .map(|(k, z)| (k, z.norm()))
+        .max_by(by_value)
+        .map(|(k, _)| k)
 }
 
 /// Whether the sparse-spectrum FFT synthesis beats direct accumulation:

@@ -197,12 +197,7 @@ pub fn evaluate(s: &Scenario, quick: bool) -> Result<ScenarioMetrics, String> {
         // Downlink Query keyed on the envelope peak, decoded through the
         // CIB ripple (only meaningful once powered).
         let decoded = up.powered && {
-            let t_start = t_peak - profile.len() as f64 / command_rate / 2.0;
-            let tag_env: Vec<f64> = profile
-                .iter()
-                .enumerate()
-                .map(|(k, &p)| p * envelope.envelope(t_start + k as f64 / command_rate))
-                .collect();
+            let tag_env = envelope.keyed_window(&profile, t_peak, command_rate);
             pie::decode_frame(&tag_env, command_rate)
                 .map(|d| d == bits)
                 .unwrap_or(false)

@@ -442,6 +442,16 @@ impl FromJson for FreqPlan {
     }
 }
 
+/// Largest `array.grid` a scenario accepts: the analytic peak search
+/// holds one complex sample per grid point (2²⁴ points ≈ 270 MB).
+pub const MAX_GRID: usize = 1 << 24;
+
+/// Largest `power_session` envelope rate, samples/s. `powerup_rate`
+/// sizes a one-period envelope grid of that many samples and
+/// `command_rate` the keyed Query window, so the cap bounds both
+/// allocations (10 MS/s ≈ 240 MB of one-period grid).
+pub const MAX_ENVELOPE_RATE: f64 = 1e7;
+
 /// Antenna-array geometry: how many antennas, which frequency plan they
 /// emit, and the analytic peak-search resolution.
 #[derive(Debug, Clone, PartialEq)]
@@ -1015,6 +1025,38 @@ impl Scenario {
         Scenario::from_json(&Json::parse(text)?)
     }
 
+    /// Boundary checks on the fields the evaluation path sizes buffers
+    /// with or divides by, so a hostile value is rejected here with the
+    /// field's dot path instead of panicking deep inside a kernel.
+    /// [`FromJson`] runs it on every parsed (and so every generated)
+    /// scenario.
+    pub fn validate(&self) -> Result<(), JsonError> {
+        if !(1..=MAX_GRID).contains(&self.array.grid) {
+            return err(format!(
+                "array.grid must be in 1..={MAX_GRID}, got {}",
+                self.array.grid
+            ));
+        }
+        if let ScenarioKind::PowerSession {
+            powerup_rate,
+            command_rate,
+        } = self.kind
+        {
+            let cap = MAX_ENVELOPE_RATE;
+            if !(powerup_rate >= 1.0 && powerup_rate <= cap) {
+                return err(format!(
+                    "kind.powerup_rate must be in [1, {cap:e}] S/s, got {powerup_rate}"
+                ));
+            }
+            if !(command_rate > 0.0 && command_rate <= cap) {
+                return err(format!(
+                    "kind.command_rate must be in (0, {cap:e}] S/s, got {command_rate}"
+                ));
+            }
+        }
+        Ok(())
+    }
+
     /// Canonical JSON text (stable under parse → dump).
     pub fn dump(&self) -> String {
         self.to_json().dump()
@@ -1041,7 +1083,7 @@ impl FromJson for Scenario {
         if !matches!(value, Json::Obj(_)) {
             return err("scenario must be a JSON object");
         }
-        Ok(Scenario {
+        let scenario = Scenario {
             name: opt_field(value, "name")?.unwrap_or_else(|| "scenario".to_string()),
             seed: opt_field::<f64>(value, "seed")?.unwrap_or(1.0) as u64,
             trials: opt_field(value, "trials")?.unwrap_or(QuickFull { quick: 8, full: 50 }),
@@ -1051,7 +1093,9 @@ impl FromJson for Scenario {
                 .unwrap_or(PlacementSpec::FreeSpace { range_m: 2.0 }),
             eirp_dbm: opt_field(value, "eirp_dbm")?.unwrap_or(PAPER_EIRP_DBM),
             kind: field(value, "kind")?,
-        })
+        };
+        scenario.validate()?;
+        Ok(scenario)
     }
 }
 

@@ -188,12 +188,7 @@ impl IvnSystem {
         let runs = pie::encode_frame(&bits, &cfg.link.pie, query.needs_trcal());
         let profile = pie::rasterize(&runs, cfg.command_rate, 0.0);
         // Key the command so its centre rides the envelope peak.
-        let t_start = t_peak - profile.len() as f64 / cfg.command_rate / 2.0;
-        let tag_env: Vec<f64> = profile
-            .iter()
-            .enumerate()
-            .map(|(k, &p)| p * envelope.envelope(t_start + k as f64 / cfg.command_rate))
-            .collect();
+        let tag_env = envelope.keyed_window(&profile, t_peak, cfg.command_rate);
         let decoded = pie::decode_frame(&tag_env, cfg.command_rate);
         outcome.command_decoded = decoded.as_ref().map(|d| *d == bits).unwrap_or(false);
         if !outcome.command_decoded {

@@ -100,13 +100,15 @@ impl CibEnvelope {
     /// Peak of the envelope over one period: `(t_peak, Y_peak)`.
     ///
     /// Grid search at `grid` points followed by local ternary refinement.
+    /// The grid argmax runs on [`crate::kernels::grid_argmax`]: it ranks
+    /// the grid on `|z|²` and takes `hypot` only for the near-maximal
+    /// candidates, yet picks exactly the index a full `hypot` scan would
+    /// (last of equal maxima wins). The refinement evaluates the envelope
+    /// pointwise, so `(t, y)` are the same bits as a full scan gives.
     pub fn peak_over_period(&self, grid: usize) -> (f64, f64) {
-        let env = self.sample_period(grid);
-        let (k, _) = env
-            .iter()
-            .enumerate()
-            .max_by(|a, b| a.1.total_cmp(b.1))
-            .expect("non-empty grid");
+        let mut scratch = crate::kernels::EnvelopeScratch::new();
+        scratch.fill(&self.offsets_hz, &self.phases, Some(&self.amplitudes), grid);
+        let k = crate::kernels::grid_argmax(scratch.grid()).expect("non-empty grid");
         // Ternary-search refinement on the bracketing interval.
         let dt = 1.0 / grid as f64;
         let mut lo = (k as f64 - 1.0) * dt;
@@ -133,6 +135,32 @@ impl CibEnvelope {
             }
         }
         (t.rem_euclid(1.0), y)
+    }
+
+    /// A rasterized command profile keyed so its centre rides the
+    /// instant `t_peak`: returns `profile[k]·Y(t_start + k/rate)` with
+    /// `t_start = t_peak − profile.len()/rate/2` — what the tag's
+    /// envelope detector sees when a downlink command is sent on the
+    /// CIB peak (paper §3.3–§3.6).
+    ///
+    /// Runs on [`crate::kernels::envelope_window`] (no trig per sample);
+    /// agrees with `profile[k]·envelope(t)` to a few hundred ulps of the
+    /// ceiling, and zero-level samples come out as exact `0.0`.
+    pub fn keyed_window(&self, profile: &[f64], t_peak: f64, rate: f64) -> Vec<f64> {
+        let t_start = t_peak - profile.len() as f64 / rate / 2.0;
+        let mut out = vec![0.0; profile.len()];
+        crate::kernels::envelope_window(
+            &self.offsets_hz,
+            &self.phases,
+            Some(&self.amplitudes),
+            t_start,
+            rate,
+            &mut out,
+        );
+        for (y, &p) in out.iter_mut().zip(profile) {
+            *y *= p;
+        }
+        out
     }
 
     /// Peak *power* gain over a single reference antenna of amplitude

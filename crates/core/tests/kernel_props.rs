@@ -1,14 +1,16 @@
 //! Property tests for the envelope kernels (`ivn_core::kernels`): every
 //! fast path — batched scratch fill, FFT synthesis, incremental CRN
-//! swap — must agree with the reference `CibEnvelope::envelope` sum to
-//! 1e-9, and the optimizer built on them must stay deterministic per
-//! seed.
+//! swap, the keyed downlink window — must agree with the reference
+//! `CibEnvelope::envelope` sum to 1e-9, the prefiltered grid argmax must
+//! pick exactly the index of a full `hypot` scan, and the optimizer
+//! built on them must stay deterministic per seed.
 
 use ivn_core::freqsel::{optimize, pessimize, FreqSelConfig};
-use ivn_core::kernels::{CrnKernel, EnvelopeScratch};
+use ivn_core::kernels::{envelope_value, envelope_window, grid_argmax, CrnKernel, EnvelopeScratch};
 use ivn_core::waveform::CibEnvelope;
+use ivn_dsp::complex::Complex64;
 use ivn_runtime::prop::{any, btree_set, vec as pvec, Just, Strategy};
-use ivn_runtime::rng::StdRng;
+use ivn_runtime::rng::{Rng, StdRng};
 use ivn_runtime::{prop_assert, prop_assert_eq, prop_assume, props};
 
 fn offsets() -> impl Strategy<Value = Vec<f64>> {
@@ -33,6 +35,52 @@ fn offsets_and_phases() -> impl Strategy<Value = (Vec<f64>, Vec<f64>)> {
 /// Power-of-two grids large enough to resolve the offset range.
 fn pow2_grid() -> impl Strategy<Value = usize> {
     (9u32..12).prop_map(|p| 1usize << p)
+}
+
+/// Window lengths around the four-rotator remainder (`len mod 4`) and
+/// the [`ivn_core::kernels::RENORM_INTERVAL`] resync boundary.
+const WINDOW_LENS: [usize; 8] = [0, 1, 3, 4, 255, 256, 257, 1000];
+
+fn window_len() -> impl Strategy<Value = usize> {
+    (0..WINDOW_LENS.len()).prop_map(|i| WINDOW_LENS[i])
+}
+
+/// Non-integer, possibly negative offsets with per-tone amplitudes.
+fn free_tones() -> impl Strategy<Value = (Vec<f64>, Vec<f64>, Vec<f64>)> {
+    (1usize..=10).prop_flat_map(|n| {
+        (
+            pvec(-400.0f64..400.0, n..=n),
+            phases(n),
+            pvec(0.05f64..2.0, n..=n),
+        )
+    })
+}
+
+/// Window start instants on both sides of the `[0, 1)` period.
+fn window_start() -> impl Strategy<Value = f64> {
+    (0u32..3, 0.0f64..1.0).prop_map(|(side, u)| match side {
+        0 => -3.0 * u,
+        1 => u,
+        _ => 1.0 + 4.0 * u,
+    })
+}
+
+/// Command rates, including non-integer ones.
+fn window_rate() -> impl Strategy<Value = f64> {
+    (0u32..4, 0.0f64..1.0).prop_map(|(which, u)| match which {
+        0 => 400e3,
+        1 => 2048.0,
+        _ => 1e3 + 2e6 * u,
+    })
+}
+
+/// The `hypot`-scan argmax the prefiltered kernel must reproduce.
+fn reference_argmax(grid: &[Complex64]) -> Option<usize> {
+    grid.iter()
+        .map(|z| z.norm())
+        .enumerate()
+        .max_by(|a, b| a.1.total_cmp(&b.1))
+        .map(|(k, _)| k)
 }
 
 props! {
@@ -164,4 +212,166 @@ props! {
         prop_assert_eq!(p.offsets_hz, q.offsets_hz);
         prop_assert_eq!(p.expected_peak, q.expected_peak);
     }
+
+    fn envelope_window_matches_pointwise(
+        (offs, ph, amps) in free_tones(),
+        len in window_len(),
+        t0 in window_start(),
+        rate in window_rate()
+    ) {
+        let mut out = vec![f64::NAN; len];
+        envelope_window(&offs, &ph, Some(&amps), t0, rate, &mut out);
+        let ceiling: f64 = amps.iter().sum();
+        for (k, y) in out.iter().enumerate() {
+            let direct = envelope_value(&offs, &ph, Some(&amps), t0 + k as f64 / rate);
+            prop_assert!(
+                (y - direct).abs() <= 1e-9 * ceiling,
+                "sample {k}/{len} at t0 {t0}, rate {rate}: {y} vs {direct}"
+            );
+        }
+    }
+
+    fn keyed_window_matches_pointwise_profile(
+        (offs, ph, amps) in free_tones(),
+        levels in pvec(0u32..4, 0..1100),
+        t_peak in window_start()
+    ) {
+        // Rasterized command profiles mix zero-level (PIE low) samples
+        // with partial and full levels.
+        let profile: Vec<f64> = levels.iter().map(|&l| l as f64 / 3.0).collect();
+        let rate = 400e3;
+        let env = CibEnvelope::with_amplitudes(&offs, &ph, &amps);
+        let keyed = env.keyed_window(&profile, t_peak, rate);
+        prop_assert_eq!(keyed.len(), profile.len());
+        let t_start = t_peak - profile.len() as f64 / rate / 2.0;
+        for (k, (&y, &p)) in keyed.iter().zip(&profile).enumerate() {
+            if p == 0.0 {
+                prop_assert!(y.to_bits() == 0, "zero-level sample {k} came out {y}");
+                continue;
+            }
+            let direct = p * env.envelope(t_start + k as f64 / rate);
+            prop_assert!(
+                (y - direct).abs() <= 1e-9 * p * env.ceiling(),
+                "sample {k}: {y} vs {direct}"
+            );
+        }
+    }
+
+    fn grid_argmax_matches_hypot_scan_on_random_grids(
+        parts in pvec((-1.0f64..1.0, -1.0f64..1.0), 1..600)
+    ) {
+        let grid: Vec<Complex64> = parts.iter().map(|&(re, im)| Complex64::new(re, im)).collect();
+        prop_assert_eq!(grid_argmax(&grid), reference_argmax(&grid));
+    }
+
+    fn grid_argmax_matches_hypot_scan_on_near_ties(
+        base in (0.1f64..1.0, 0.0f64..std::f64::consts::TAU),
+        nudges in pvec(0u32..6, 1..300)
+    ) {
+        // Every point within a few ulps of the same magnitude: `|z|²`
+        // cannot separate them, only the `hypot` of the candidates can.
+        let z = Complex64::from_polar(base.0, base.1);
+        let grid: Vec<Complex64> = nudges
+            .iter()
+            .map(|&n| z * (1.0 + n as f64 * f64::EPSILON))
+            .collect();
+        prop_assert_eq!(grid_argmax(&grid), reference_argmax(&grid));
+    }
+
+    fn grid_argmax_matches_hypot_scan_on_envelopes(
+        (offs, ph) in offsets_and_phases(), grid in pow2_grid()
+    ) {
+        let mut s = EnvelopeScratch::new();
+        s.fill(&offs, &ph, None, grid);
+        prop_assert_eq!(grid_argmax(s.grid()), reference_argmax(s.grid()));
+    }
+}
+
+#[test]
+fn grid_argmax_constant_envelope() {
+    // Equal offsets never scan: the envelope is flat (here ~0 by balanced
+    // phases) and every grid point is a candidate.
+    let phases = [
+        0.0,
+        std::f64::consts::TAU / 3.0,
+        2.0 * std::f64::consts::TAU / 3.0,
+    ];
+    let mut s = EnvelopeScratch::new();
+    s.fill(&[50.0; 3], &phases, None, 4096);
+    assert_eq!(grid_argmax(s.grid()), reference_argmax(s.grid()));
+    let mut aligned = EnvelopeScratch::new();
+    aligned.fill(&[50.0; 3], &[0.0; 3], None, 4096);
+    assert_eq!(
+        grid_argmax(aligned.grid()),
+        reference_argmax(aligned.grid())
+    );
+}
+
+#[test]
+fn grid_argmax_last_of_duplicate_maxima_wins() {
+    let peak = Complex64::new(0.6, -0.8);
+    let mut grid = vec![Complex64::new(0.1, 0.2); 64];
+    for k in [3, 17, 40] {
+        grid[k] = peak;
+    }
+    assert_eq!(grid_argmax(&grid), Some(40));
+    assert_eq!(grid_argmax(&grid), reference_argmax(&grid));
+}
+
+#[test]
+fn grid_argmax_separates_values_one_ulp_apart() {
+    // Two points whose `hypot`s are one ulp apart while their `|z|²`
+    // round to the same square. The larger sits *before* the tie, so a
+    // last-wins `|z|²` ranking alone would pick the wrong one.
+    let (lo, hi) = (0..100_000)
+        .find_map(|i| {
+            let a = 0.3 + i as f64 * 1e-9;
+            let lo = Complex64::new(a, 0.8);
+            let mut re = a;
+            for _ in 0..16 {
+                re = re.next_up();
+                let hi = Complex64::new(re, 0.8);
+                if hi.norm() == lo.norm().next_up() && hi.norm_sqr() == lo.norm_sqr() {
+                    return Some((lo, hi));
+                }
+            }
+            None
+        })
+        .expect("a |z|²-tied pair one hypot ulp apart");
+    let grid = [Complex64::new(0.1, 0.0), hi, lo, Complex64::new(0.2, 0.0)];
+    assert_eq!(grid_argmax(&grid), Some(1));
+    assert_eq!(grid_argmax(&grid), reference_argmax(&grid));
+    let reversed = [lo, hi];
+    assert_eq!(grid_argmax(&reversed), Some(1));
+}
+
+#[test]
+fn grid_argmax_degenerate_grids() {
+    assert_eq!(grid_argmax(&[]), None);
+    let zeros = vec![Complex64::ZERO; 100];
+    assert_eq!(grid_argmax(&zeros), Some(99));
+    // Magnitudes whose squares underflow to (sub)normals fall back to the
+    // full scan.
+    let tiny: Vec<Complex64> = (1..50)
+        .map(|k| Complex64::new(1e-170 * (1.0 + (k % 7) as f64), 3e-171))
+        .collect();
+    assert_eq!(grid_argmax(&tiny), reference_argmax(&tiny));
+    // Squares that overflow, too.
+    let huge: Vec<Complex64> = (1..50)
+        .map(|k| Complex64::new(1e160 * (1.0 + (k % 5) as f64), -1e159))
+        .collect();
+    assert_eq!(grid_argmax(&huge), reference_argmax(&huge));
+}
+
+#[test]
+fn grid_argmax_with_nan_matches_hypot_scan() {
+    let mut rng = StdRng::seed_from_u64(3);
+    let mut grid: Vec<Complex64> = (0..200)
+        .map(|_| Complex64::new(rng.random::<f64>(), rng.random::<f64>()))
+        .collect();
+    grid[57] = Complex64::new(f64::NAN, 0.5);
+    assert_eq!(grid_argmax(&grid), reference_argmax(&grid));
+    // hypot(inf, NaN) = inf while |z|² is NaN.
+    grid[120] = Complex64::new(f64::INFINITY, f64::NAN);
+    assert_eq!(grid_argmax(&grid), reference_argmax(&grid));
 }

@@ -73,7 +73,13 @@ grep -q '"errors":0' target/verify_campaign.json || {
     echo "verify: FAIL — campaign reported scenario errors" >&2
     exit 1
 }
-echo "campaign smoke run OK (25 scenarios)"
+# The report bytes are pinned in the repo: every gain, time-to-power and
+# decode count of the 25 sessions must match the committed golden.
+cmp target/verify_campaign.json tests/golden/campaign/session25.quick.json || {
+    echo "verify: FAIL — session campaign report diverged from tests/golden/campaign/session25.quick.json" >&2
+    exit 1
+}
+echo "campaign smoke run OK (25 scenarios, report matches golden)"
 
 echo "==> 64-tag inventory campaign: byte-identical at 1/2/8 threads"
 INV_DIR=target/verify_inventory_fleet

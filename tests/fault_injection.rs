@@ -1,14 +1,17 @@
 //! Fault-injection integration tests: drive the full stack through the
 //! adverse conditions the design must tolerate (or fail predictably
-//! under) — noise sweeps, brownouts, timing slop, corrupted frames.
+//! under) — noise sweeps, brownouts, timing slop, corrupted frames,
+//! hostile scenario values.
 
 use ivn::core::oob::{JamTone, OobReader, OobReaderConfig};
+use ivn::core::scenario::{builtin, gen, Scenario};
 use ivn::dsp::complex::Complex64;
 use ivn::dsp::noise::{AwgnSource, PhaseNoise};
 use ivn::rfid::commands::Command;
 use ivn::rfid::pie::decode_frame;
 use ivn::rfid::tag::{Tag, TagReply, TagState};
 use ivn::sdr::clock::ClockDistribution;
+use ivn_runtime::json::{FromJson, Json};
 use ivn_runtime::rng::StdRng;
 
 mod common;
@@ -209,4 +212,53 @@ fn saturated_frontend_flagged() {
     let mut rng = StdRng::seed_from_u64(7);
     let r = reader.receive_and_decode(&mut rng, 1e-4, &msg, 4, &jam, 2000);
     assert!(r.adc_saturation > 0.0, "clipping not reported");
+}
+
+/// The builtin `power_session` scenario with one field replaced, parsed
+/// back from its JSON value (so NaN and infinities reach the parser too).
+fn session_with(path: &str, value: f64) -> Result<Scenario, String> {
+    let mut json = Json::parse(&builtin("session").expect("builtin").dump()).expect("json");
+    gen::set_path(&mut json, path, Json::Num(value)).expect("field exists");
+    Scenario::from_json(&json).map_err(|e| e.reason)
+}
+
+#[test]
+fn hostile_session_sizes_are_rejected_at_parse() {
+    // Each value used to panic (grid 0, rate 0) or attempt a huge
+    // allocation (1e308) deep in the envelope kernels; parsing must now
+    // return an error naming the field.
+    let cases: &[(&str, &[f64])] = &[
+        (
+            "kind.powerup_rate",
+            &[0.0, -4096.0, 0.5, 1e308, f64::NAN, f64::INFINITY],
+        ),
+        (
+            "kind.command_rate",
+            &[0.0, -400e3, 1e308, f64::NAN, f64::NEG_INFINITY],
+        ),
+        ("array.grid", &[0.0]),
+    ];
+    for &(path, values) in cases {
+        for &v in values {
+            match session_with(path, v) {
+                Ok(_) => panic!("{path} = {v} parsed"),
+                Err(reason) => assert!(
+                    reason.contains(path),
+                    "{path} = {v}: reason '{reason}' does not name the field"
+                ),
+            }
+        }
+    }
+    // The same values through JSON text (finite ones only — JSON has no
+    // NaN): `Scenario::parse` is the path campaign files take.
+    let text = builtin("session")
+        .expect("builtin")
+        .dump()
+        .replace("\"powerup_rate\":2048", "\"powerup_rate\":1e308");
+    let reason = Scenario::parse(&text).expect_err("1e308 parsed").reason;
+    assert!(reason.contains("kind.powerup_rate"), "{reason}");
+    // In-range edges still parse.
+    assert!(session_with("kind.powerup_rate", 1.0).is_ok());
+    assert!(session_with("kind.command_rate", 1e7).is_ok());
+    assert!(session_with("array.grid", 1.0).is_ok());
 }
