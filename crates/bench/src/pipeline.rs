@@ -15,18 +15,27 @@
 //! The default driver is the **block-streaming** one: samples flow
 //! through the chain in fixed-size blocks via the `ivn_dsp::block`
 //! traits, so per-stage memory is O(block) rather than O(fs) — a full
-//! 1-second CIB period at 1 MS/s runs in a few MB. Two passes are made
-//! over the (regenerable, deterministic) sample stream: a calibration
-//! pass that measures the running envelope peaks, then a power pass
-//! that drives the harvester and hashes the received stream. The
-//! whole-buffer path ([`outputs_batch`]) is kept for cross-checking:
-//! both produce identical [`PathOutputs`] — including a bit-exact
-//! FNV-1a hash of every received sample — at any block size or worker
-//! count (`tests/streaming_equivalence.rs`).
+//! 1-second CIB period at 1 MS/s runs in a few MB.
+//!
+//! The harvester's input is scaled so the received peak sits at
+//! `POWER_MARGIN` × the tag's wake power, so the exact peak of `|rx|`
+//! must be known before the power pass starts. [`calibrate_peak`] finds
+//! it without synthesizing the period: the emitters' rotors resync from
+//! the closed-form phase every 1024 samples, so any such window can be
+//! regenerated on its own, bit for bit ([`CarrierWindows`]), and a
+//! cheap closed-form bound on `|rx|` per window rules out all but the
+//! few windows near the CIB envelope peaks (11 of 977 at 1 MS/s). Then
+//! one full pass drives the harvester, hashes the received stream and
+//! takes device 0's running peak. The whole-buffer path
+//! ([`outputs_batch`]) is kept for cross-checking: both produce
+//! identical [`PathOutputs`] — including a bit-exact FNV-1a hash of
+//! every received sample — at any block size or worker count
+//! (`tests/streaming_equivalence.rs`).
 
 use ivn_core::freqsel::expected_peak;
 use ivn_core::PAPER_OFFSETS_HZ;
 use ivn_dsp::block::{BlockSource, ConstSource, Footprint, PeakMeter, StreamHasher, DEFAULT_BLOCK};
+use ivn_dsp::complex::Complex64;
 use ivn_dsp::envelope;
 use ivn_em::channel::ChannelEnsemble;
 use ivn_em::stream::BlockSuperposer;
@@ -38,6 +47,7 @@ use ivn_rfid::stream::{Fm0Decoder, PieStreamDecoder, RunRasterizer};
 use ivn_runtime::rng::{Rng, StdRng};
 use ivn_sdr::bank::TxBank;
 use ivn_sdr::clock::ClockDistribution;
+use ivn_sdr::stream::CarrierWindows;
 use std::time::Instant;
 
 const SEED: u64 = 42;
@@ -109,6 +119,9 @@ pub struct StreamReport {
     pub block: usize,
     /// Worker threads used.
     pub threads: usize,
+    /// Calibration resync windows regenerated, of all windows in the
+    /// period: `(visited, total)`.
+    pub calibration_windows: (usize, usize),
     /// Peak per-stage scratch sizes, samples.
     pub footprint: Vec<(&'static str, usize)>,
     /// Wall-clock per stage over the power pass, (stage, ns, samples).
@@ -180,6 +193,139 @@ fn query_bits() -> Vec<bool> {
     .encode()
 }
 
+/// Outcome of [`calibrate_peak`].
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Calibration {
+    /// Exact running peak of `|rx|` over the period.
+    pub peak: f64,
+    /// Resync windows regenerated.
+    pub visited: usize,
+    /// Resync windows in the period.
+    pub total: usize,
+}
+
+/// Rounding slack of the window bound, relative to `Σ|cᵢ|`: far above
+/// the rotor's in-window drift (≤ 1e-9, pinned by `rotor_props`) and the
+/// few-ulp rounding of the phase, superposition and `hypot`.
+const BOUND_ROUNDING: f64 = 1e-6;
+
+/// Upper bound on `|rx[k]|` over each resync window of the carrier-on
+/// stream. With `cᵢ = hᵢ·gᵢ` (channel gain times PA gain) and window
+/// centre `k_c`, `rx[k] = Σ cᵢ·cis(θᵢ(k_c) + (k − k_c)Δᵢ)`; factoring out
+/// the common rotation `(k − k_c)Δ_mid` gives
+/// `|rx[k]| ≤ |Σ cᵢ·cis(θᵢ(k_c))| + Σ|cᵢ|·|Δᵢ − Δ_mid|·|k − k_c|`.
+struct WindowBound {
+    coef: Vec<Complex64>,
+    /// `Σ|cᵢ|·|Δᵢ − Δ_mid|`, per sample of distance from the centre.
+    slope: f64,
+    rounding: f64,
+}
+
+impl WindowBound {
+    fn new(win: &CarrierWindows, channel: &[Complex64]) -> Self {
+        assert_eq!(channel.len(), win.lanes(), "one channel gain per lane");
+        let coef: Vec<Complex64> = channel
+            .iter()
+            .enumerate()
+            .map(|(i, &h)| h * win.gain(i))
+            .collect();
+        let incs = (0..win.lanes()).map(|i| win.rotor(i).increment());
+        let (lo, hi) = incs
+            .clone()
+            .fold((f64::INFINITY, f64::NEG_INFINITY), |(lo, hi), d| {
+                (lo.min(d), hi.max(d))
+            });
+        let mid = 0.5 * (lo + hi);
+        let slope = coef
+            .iter()
+            .zip(incs)
+            .map(|(c, d)| c.norm() * (d - mid).abs())
+            .sum();
+        let rounding = BOUND_ROUNDING * coef.iter().map(|c| c.norm()).sum::<f64>();
+        WindowBound {
+            coef,
+            slope,
+            rounding,
+        }
+    }
+
+    /// The bound on window `w` (NaN if any input is NaN).
+    fn at(&self, win: &CarrierWindows, w: usize) -> f64 {
+        let r = win.range(w);
+        let half = r.len() / 2;
+        let centre = (r.start + half) as u64;
+        let mut sum = Complex64::ZERO;
+        for (i, &c) in self.coef.iter().enumerate() {
+            sum += c * Complex64::cis(win.rotor(i).ideal_phase(centre));
+        }
+        sum.norm() + self.slope * (half + 1) as f64 + self.rounding
+    }
+}
+
+/// The exact running peak of `|rx|` over `n_samples` of the carrier-on
+/// stream (`bank` at PA drive `drive` through `superposer`) —
+/// bit-identical to a [`PeakMeter`] over the whole streamed period —
+/// regenerating only the resync windows whose closed-form bound on
+/// `|rx|` can reach it.
+///
+/// Two sweeps, O(1) extra memory: the first seeds `best` from the
+/// window with the largest bound, the second regenerates every other
+/// window whose bound is not below `best` (or is NaN). A skipped window
+/// has every `|rx[k]|` below its bound, hence below a peak already seen,
+/// so the maximum is unchanged. Windows are regenerated in sub-blocks of
+/// at most `block` samples, so the search's buffers stay O(block).
+pub fn calibrate_peak(
+    bank: &TxBank,
+    superposer: &BlockSuperposer,
+    drive: f64,
+    n_samples: usize,
+    block: usize,
+    footprint: &mut Footprint,
+) -> Calibration {
+    let mut win = CarrierWindows::new(bank, drive, n_samples);
+    let bound = WindowBound::new(&win, superposer.gains());
+    let total = win.count();
+    let mut meter = PeakMeter::new();
+    let mut rx = Vec::new();
+    // Regenerates window `w` into the meter; returns the peak so far.
+    let mut visit = |win: &mut CarrierWindows, w: usize| {
+        let mut left = win.seek(w).len();
+        while left > 0 {
+            let take = block.max(1).min(left);
+            win.emit(take);
+            superposer.superpose_block(win.blocks(), &mut rx);
+            meter.observe_block(&rx);
+            footprint.observe("sdr", win.peak_lane_footprint());
+            footprint.observe("em", rx.len());
+            left -= take;
+        }
+        meter.peak()
+    };
+    let (mut best, mut visited) = (0.0, 0);
+    if total > 0 {
+        let mut top = (0, bound.at(&win, 0));
+        for w in 1..total {
+            let b = bound.at(&win, w);
+            if b > top.1 {
+                top = (w, b);
+            }
+        }
+        best = visit(&mut win, top.0);
+        visited = 1;
+        for w in (0..total).filter(|&w| w != top.0) {
+            if !(bound.at(&win, w) < best) {
+                best = visit(&mut win, w);
+                visited += 1;
+            }
+        }
+    }
+    Calibration {
+        peak: best,
+        visited,
+        total,
+    }
+}
+
 /// Runs the sample path with the **block-streaming** driver: per-stage
 /// memory stays O(`opts.block`) regardless of `n_samples`.
 pub fn outputs_streaming(quick: bool, opts: &StreamOptions) -> StreamReport {
@@ -187,42 +333,27 @@ pub fn outputs_streaming(quick: bool, opts: &StreamOptions) -> StreamReport {
     let p_req = s.tag.required_peak_power_watts();
     let mut footprint = Footprint::new();
 
-    // Pass A — calibration: stream sdr→em and take running peaks. The
-    // sample stream is deterministic, so pass B simply regenerates it.
-    let mut single_meter = PeakMeter::new();
-    let mut peak_meter = PeakMeter::new();
-    {
-        let mut streamer = s.bank.streamer(DRIVE, opts.threads);
-        let mut src = ConstSource::new(1.0, s.n_samples);
-        let mut profile = Vec::new();
-        let mut rx = Vec::new();
-        loop {
-            profile.clear();
-            let got = src.fill(&mut profile, opts.block);
-            let done = got == 0;
-            if done {
-                streamer.flush();
-            } else {
-                streamer.push(&profile);
-            }
-            s.superposer.superpose_block(streamer.blocks(), &mut rx);
-            single_meter.observe_block(streamer.block(0));
-            peak_meter.observe_block(&rx);
-            if done {
-                break;
-            }
-        }
-    }
-    let single_amp = single_meter.peak();
-    let peak_amp = peak_meter.peak();
+    // Calibration: the exact running peak of |rx|, from the few resync
+    // windows whose bound can reach it (see [`calibrate_peak`]).
+    let calibration = calibrate_peak(
+        &s.bank,
+        &s.superposer,
+        DRIVE,
+        s.n_samples,
+        opts.block,
+        &mut footprint,
+    );
+    let peak_amp = calibration.peak;
 
     // harvester calibration: the received level is scaled so the peak
     // sits at POWER_MARGIN × the tag's wake threshold.
     let scale = POWER_MARGIN * p_req / (peak_amp * peak_amp);
 
-    // Pass B — power + hash: regenerate the stream, drive the pump
-    // incrementally, and digest every received sample.
+    // The one full pass — power + hash: stream the period, drive the
+    // pump incrementally, digest every received sample, and take device
+    // 0's running peak for the single-antenna reference.
     let mut hasher = StreamHasher::new();
+    let mut single_meter = PeakMeter::new();
     let mut state = s
         .tag
         .begin_power_up(s.sample_rate)
@@ -247,9 +378,11 @@ pub fn outputs_streaming(quick: bool, opts: &StreamOptions) -> StreamReport {
             s.superposer.superpose_block(streamer.blocks(), &mut rx);
             let t2 = Instant::now();
             // Harness bookkeeping, not a pipeline stage: the rx digest
-            // feeds the streaming-vs-batch equivalence check only, so it
-            // is excluded from every stage's timing window.
+            // feeds the streaming-vs-batch equivalence check only and the
+            // single-antenna peak only the rendered gain, so both are
+            // excluded from every stage's timing window.
             hasher.update_complex(&rx);
+            single_meter.observe_block(streamer.block(0));
             let t2b = Instant::now();
             // |rx|²·scale fused into the integrator: identical op order
             // to materializing the power vector first (the whole-buffer
@@ -268,6 +401,7 @@ pub fn outputs_streaming(quick: bool, opts: &StreamOptions) -> StreamReport {
         }
     }
     let outcome = state.finish();
+    let single_amp = single_meter.peak();
 
     // rfid: stream-rasterize PIE Query frames and edge-decode them
     // block by block, each followed by an FM0 RN16 uplink — a
@@ -332,6 +466,7 @@ pub fn outputs_streaming(quick: bool, opts: &StreamOptions) -> StreamReport {
         },
         block: opts.block,
         threads: opts.threads,
+        calibration_windows: (calibration.visited, calibration.total),
         footprint: footprint.entries().to_vec(),
         stage_ns: vec![
             ("sdr", sdr_ns, s.n_samples),
@@ -459,6 +594,8 @@ fn render_stats(r: &StreamReport) -> String {
         out += &format!(" {stage}={msps:.2}");
     }
     out += " MS/s\n";
+    let (visited, total) = r.calibration_windows;
+    out += &format!("stream     calibration windows visited={visited} of {total}\n");
     out
 }
 

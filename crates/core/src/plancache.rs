@@ -26,10 +26,12 @@
 //! `optimize` is a pure function of `(config, seed)`, so a cache hit
 //! returns the byte-identical offsets a cold computation would produce
 //! — pinned by `plan_cache_semantics` tests and the campaign
-//! cold-vs-warm bench. Concurrent misses on the same key may race to
+//! cold-vs-warm bench. Concurrent lookups of an absent key may race to
 //! compute, but both compute the same value; the cache keeps the first
-//! insert. Computation happens *outside* the lock so a slow search
-//! never serializes unrelated lookups.
+//! insert, which alone counts as the miss (the loser counts a hit), so
+//! `misses` equals the number of keys inserted at any pool width.
+//! Computation happens *outside* the lock so a slow search never
+//! serializes unrelated lookups.
 //!
 //! [`FreqSelConfig`]: crate::freqsel::FreqSelConfig
 //! [`ArraySpec`]: crate::scenario::ArraySpec
@@ -103,12 +105,18 @@ impl PlanCache {
             ivn_runtime::obs_count!("freqsel.plan_cache_hits", 1);
             return hit;
         }
-        // Miss: compute outside the lock. A concurrent miss on the same
-        // key computes the same deterministic value; first insert wins.
+        // Compute outside the lock. A concurrent lookup of the same key
+        // computes the same deterministic value; the first insert wins
+        // and counts the miss, so a racing loser counts as a hit and the
+        // counters repeat exactly run to run.
         let offsets = compute();
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        ivn_runtime::obs_count!("freqsel.plan_cache_misses", 1);
-        self.insert(key, &offsets);
+        if self.insert(key, &offsets) {
+            self.misses.fetch_add(1, Ordering::Relaxed);
+            ivn_runtime::obs_count!("freqsel.plan_cache_misses", 1);
+        } else {
+            self.hits.fetch_add(1, Ordering::Relaxed);
+            ivn_runtime::obs_count!("freqsel.plan_cache_hits", 1);
+        }
         offsets
     }
 
@@ -121,11 +129,16 @@ impl PlanCache {
         Some(entry.offsets_hz.clone())
     }
 
-    fn insert(&self, key: &str, offsets_hz: &[f64]) {
+    /// Stores `offsets_hz` under `key` unless it is already there;
+    /// returns whether this call added the key.
+    fn insert(&self, key: &str, offsets_hz: &[f64]) -> bool {
         let mut inner = self.inner.lock().expect("plan cache poisoned");
         inner.stamp += 1;
         let stamp = inner.stamp;
-        if !inner.map.contains_key(key) && inner.map.len() >= self.capacity {
+        if inner.map.contains_key(key) {
+            return false;
+        }
+        if inner.map.len() >= self.capacity {
             // Evict the least-recently-used entry.
             if let Some(victim) = inner
                 .map
@@ -137,10 +150,14 @@ impl PlanCache {
                 ivn_runtime::obs_count!("freqsel.plan_cache_evictions", 1);
             }
         }
-        inner.map.entry(key.to_owned()).or_insert(Entry {
-            offsets_hz: offsets_hz.to_vec(),
-            last_used: stamp,
-        });
+        inner.map.insert(
+            key.to_owned(),
+            Entry {
+                offsets_hz: offsets_hz.to_vec(),
+                last_used: stamp,
+            },
+        );
+        true
     }
 
     /// Plans currently held.

@@ -452,6 +452,15 @@ pub const MAX_GRID: usize = 1 << 24;
 /// allocations (10 MS/s ≈ 240 MB of one-period grid).
 pub const MAX_ENVELOPE_RATE: f64 = 1e7;
 
+/// Highest per-antenna `eirp_dbm` a scenario accepts: 60 dBm (1 kW). It
+/// sits 24 dB above the FCC limit the paper's §7 argues against
+/// (`ivn_em::safety::FCC_EIRP_LIMIT_DBM`, 36 dBm), so over-limit
+/// what-if sweeps still run, and above every in-tree sweep (37 dBm
+/// builtins, 38 dBm in `verify.sh`'s inventory fleet, 38.85 dBm under
+/// the benchmark's ±5 % jitter), while keeping the link-budget powers
+/// far from overflow.
+pub const MAX_EIRP_DBM: f64 = 60.0;
+
 /// Antenna-array geometry: how many antennas, which frequency plan they
 /// emit, and the analytic peak-search resolution.
 #[derive(Debug, Clone, PartialEq)]
@@ -504,6 +513,35 @@ impl ArraySpec {
         }
     }
 
+    /// Checks that `n_antennas` lies in the plan's range: 1..=10 for the
+    /// paper plan, the tone count for explicit offsets, and for an Eq. 10
+    /// search the spec's own count, which must be in
+    /// `2..=max_offset_hz + 1` (one reference tone plus distinct nonzero
+    /// integer offsets).
+    fn validate(&self) -> Result<(), JsonError> {
+        let n = self.n_antennas;
+        let (lo, hi) = match &self.plan {
+            FreqPlan::Paper => (1, crate::PAPER_OFFSETS_HZ.len()),
+            FreqPlan::Offsets(v) => (v.len().max(1), v.len()),
+            FreqPlan::Optimize { spec, .. } => {
+                let max = spec.max_offset_hz.saturating_add(1);
+                if !(2..=max).contains(&spec.n_antennas) {
+                    return err(format!(
+                        "array.plan.freqsel.n_antennas must be in 2..={max}, got {}",
+                        spec.n_antennas
+                    ));
+                }
+                (spec.n_antennas, spec.n_antennas)
+            }
+        };
+        if !(lo..=hi).contains(&n) {
+            return err(format!(
+                "array.n_antennas must be in {lo}..={hi} for this plan, got {n}"
+            ));
+        }
+        Ok(())
+    }
+
     /// The canonical [`PlanCache`](crate::plancache::PlanCache) key for
     /// this array at the given resolution: the array's canonical JSON
     /// (fixed field order) plus the quick flag — exactly the inputs
@@ -533,7 +571,10 @@ impl FromJson for ArraySpec {
             (FreqPlan::Offsets(v), None) => v.len(),
             (FreqPlan::Offsets(v), Some(n)) => {
                 if n != v.len() {
-                    return err(format!("n_antennas {n} != {} explicit offsets", v.len()));
+                    return err(format!(
+                        "array.n_antennas {n} != {} explicit offsets",
+                        v.len()
+                    ));
                 }
                 n
             }
@@ -541,7 +582,7 @@ impl FromJson for ArraySpec {
             (_, None) => return err("missing field 'n_antennas'"),
         };
         if n_antennas == 0 {
-            return err("n_antennas must be positive");
+            return err("array.n_antennas must be positive");
         }
         Ok(ArraySpec {
             n_antennas,
@@ -1031,6 +1072,54 @@ impl Scenario {
     /// [`FromJson`] runs it on every parsed (and so every generated)
     /// scenario.
     pub fn validate(&self) -> Result<(), JsonError> {
+        for (mode, n) in [("quick", self.trials.quick), ("full", self.trials.full)] {
+            if n == 0 {
+                return err(format!("trials.{mode} must be positive, got 0"));
+            }
+        }
+        if !(self.eirp_dbm.is_finite() && self.eirp_dbm <= MAX_EIRP_DBM) {
+            return err(format!(
+                "eirp_dbm must be finite and at most {MAX_EIRP_DBM} dBm, got {}",
+                self.eirp_dbm
+            ));
+        }
+        self.array.validate()?;
+        // Every length that places a sensor: a negative or non-finite
+        // one reaches the layered-media model as an impossible depth.
+        let length = |path: &str, v: f64| {
+            if v.is_finite() && v >= 0.0 {
+                Ok(())
+            } else {
+                err(format!("{path} must be a finite length >= 0 m, got {v}"))
+            }
+        };
+        match &self.placement {
+            // The free-space range is the air gap, the 1/r reference of
+            // the layered path, so 0 is as impossible as a negative one.
+            PlacementSpec::FreeSpace { range_m } => {
+                if !(range_m.is_finite() && *range_m > 0.0) {
+                    return err(format!(
+                        "placement.range_m must be a finite length > 0 m, got {range_m}"
+                    ));
+                }
+            }
+            PlacementSpec::WaterTank { depth_m } | PlacementSpec::MediaBox { depth_m, .. } => {
+                length("placement.depth_m", *depth_m)?
+            }
+            PlacementSpec::SwineGastric | PlacementSpec::SwineSubcutaneous => {}
+        }
+        match &self.kind {
+            ScenarioKind::GainStability { depths_m, .. } => {
+                for &d in depths_m {
+                    length("kind.depths_m", d)?
+                }
+            }
+            ScenarioKind::MultiSensor { spacing_m, .. } => length("kind.spacing_m", *spacing_m)?,
+            ScenarioKind::Inventory { population, .. } => {
+                length("kind.population.spacing_m", population.spacing_m)?
+            }
+            _ => {}
+        }
         if !(1..=MAX_GRID).contains(&self.array.grid) {
             return err(format!(
                 "array.grid must be in 1..={MAX_GRID}, got {}",

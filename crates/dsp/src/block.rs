@@ -119,6 +119,8 @@ pub fn accumulate_scaled(acc: &mut [Complex64], block: &[Complex64], gain: Compl
 #[derive(Debug, Clone, Copy, Default)]
 pub struct PeakMeter {
     peak: f64,
+    /// Bits `(re, im)` of the last complex sample folded in.
+    last: Option<(u64, u64)>,
 }
 
 impl PeakMeter {
@@ -134,9 +136,18 @@ impl PeakMeter {
     }
 
     /// Folds a block of complex samples (by magnitude).
+    ///
+    /// Bit-identical to folding `s.norm()` for every sample. A sample
+    /// with the same bits as the previous one is skipped, because `hypot`
+    /// is pure and the max fold idempotent: a constant block costs one
+    /// `hypot`.
     pub fn observe_block(&mut self, block: &[Complex64]) {
         for s in block {
-            self.observe(s.norm());
+            let bits = (s.re.to_bits(), s.im.to_bits());
+            if self.last != Some(bits) {
+                self.last = Some(bits);
+                self.observe(s.norm());
+            }
         }
     }
 

@@ -35,6 +35,18 @@
 //! never of how the stream was sliced into blocks. Streaming callers
 //! can therefore split `fill` calls anywhere and stay bit-identical to
 //! a single whole-buffer call (`fill_is_split_invariant` below).
+//!
+//! ## Seeking
+//!
+//! The same fact makes every resync window regenerable on its own:
+//! [`PhasorRotor::seek`] jumps to any window start and recomputes the
+//! lanes there from the closed-form phase, exactly as a stream arriving
+//! at that boundary would. The samples that follow are bit-identical to
+//! the ones a rotor run from sample 0 emits at those indices
+//! (`seek_reproduces_streamed_windows` below), so a caller can revisit
+//! a few windows of a long stream without synthesizing the rest. Seeking
+//! to any other index would start a window off the fixed grid and is
+//! rejected.
 
 use crate::complex::Complex64;
 use std::f64::consts::TAU;
@@ -125,6 +137,23 @@ impl PhasorRotor {
     #[inline]
     pub fn ideal_phase(&self, k: u64) -> f64 {
         (self.phase0 + k as f64 * self.inc).rem_euclid(TAU)
+    }
+
+    /// Repositions the rotor at absolute sample `pos`, which must be a
+    /// resync boundary (a multiple of [`PhasorRotor::resync`]): the
+    /// lanes are recomputed there exactly as a streaming `fill` does on
+    /// reaching that boundary, so what follows is bit-identical to the
+    /// stream.
+    ///
+    /// # Panics
+    /// Panics if `pos` is not a multiple of the resync window.
+    pub fn seek(&mut self, pos: u64) {
+        assert!(
+            pos.is_multiple_of(self.resync as u64),
+            "seek target {pos} is not a resync boundary"
+        );
+        self.pos = pos;
+        self.resync_lanes();
     }
 
     /// Recomputes every lane exactly from the closed-form phase at the
@@ -256,6 +285,37 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn seek_reproduces_streamed_windows() {
+        let mut a = PhasorRotor::with_resync(137.0, 1e4, 2.5, 96);
+        let mut whole = vec![Complex64::ZERO; 96 * 7 + 13];
+        a.fill(&mut whole);
+        let mut b = PhasorRotor::with_resync(137.0, 1e4, 2.5, 96);
+        for w in [5usize, 0, 7, 2] {
+            b.seek((w * 96) as u64);
+            let end = whole.len().min((w + 1) * 96);
+            let mut win = vec![Complex64::ZERO; end - w * 96];
+            // Split mid-row so the partial-row paths run after a seek too.
+            let split = win.len().min(11);
+            let (head, tail) = win.split_at_mut(split);
+            b.fill(head);
+            b.fill(tail);
+            for (k, (x, y)) in win.iter().zip(&whole[w * 96..end]).enumerate() {
+                assert!(
+                    x.re.to_bits() == y.re.to_bits() && x.im.to_bits() == y.im.to_bits(),
+                    "window {w} sample {k}"
+                );
+            }
+            assert_eq!(b.position(), end as u64);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "not a resync boundary")]
+    fn seek_rejects_mid_window() {
+        PhasorRotor::with_resync(1.0, 10.0, 0.0, 8).seek(12);
     }
 
     #[test]

@@ -31,9 +31,15 @@
 //! [`PhasorRotor`] — the carrier phase and the soft offset fold into
 //! one lane-batched rotator with periodic exact resync — and the PA
 //! collapses to a memoized real gain: command profiles are long runs
-//! of constant amplitude (1.0 with 0.0 notches), so `am_am` is
-//! recomputed only when the profile level actually changes. No libm
-//! call survives on the per-sample path.
+//! of constant amplitude (1.0 with 0.0 notches), so the lane walks the
+//! block run by run, looks the gain up once per run, and scales the
+//! run's phasors in one vectorizable loop. No libm call survives on
+//! the per-sample path.
+//!
+//! [`CarrierWindows`] regenerates any resync window of the carrier-on
+//! (constant 1.0) stream in isolation, through the same rotor fill and
+//! the same `phasor · gain` multiply, so a caller can revisit a few
+//! windows of a long stream bit for bit without emitting the rest.
 //!
 //! The rotator output differs from the old scalar path only by the
 //! recurrence's bounded rounding (≤ 1e-12 per resync window);
@@ -47,6 +53,7 @@ use ivn_dsp::complex::Complex64;
 use ivn_dsp::osc::Oscillator;
 use ivn_dsp::rotor::PhasorRotor;
 use ivn_runtime::pool::WorkerPool;
+use std::ops::Range;
 use std::sync::Arc;
 
 /// Per-lane scratch block length: bounds rotor scratch at O(block) even
@@ -131,9 +138,10 @@ impl EmitterLane {
     /// as 1.0 — outside the command the carrier stays on.
     ///
     /// Hot path: the rotor fills a phasor scratch block (one complex
-    /// multiply per sample, auto-vectorized rows), and the PA reduces
-    /// to a real gain memoized on the profile level, so a run of equal
-    /// amplitudes costs one multiply per sample and zero libm calls.
+    /// multiply per sample, auto-vectorized rows), and the block is
+    /// walked in runs of equal profile bits. The PA reduces to a real
+    /// gain memoized on the profile level, looked up once per run, and
+    /// each run is one `phasor · gain` loop with no libm call.
     fn emit_samples(&mut self, count: usize, total: Option<usize>, out: &mut Vec<Complex64>) {
         if count == 0 {
             return;
@@ -147,30 +155,41 @@ impl EmitterLane {
             self.phasors.clear();
             self.phasors.resize(take, Complex64::ZERO);
             self.rotor.fill(&mut self.phasors);
-            for j in 0..take {
-                let k = self.next + j;
-                let idx = k as i64 - self.shift;
-                let amp = if idx < 0 || total.is_some_and(|n| idx as usize >= n) {
-                    // Outside the command: carrier stays on at full level.
-                    1.0
-                } else {
-                    let idx = idx as usize;
-                    debug_assert!(
-                        idx >= self.hist_start && idx < self.hist_start + self.hist.len(),
-                        "profile index {idx} outside history window"
-                    );
-                    self.hist[idx - self.hist_start]
-                };
+            let mut j = 0;
+            while j < take {
+                let (amp, run) = self.profile_run(self.next + j, take - j, total);
                 if amp.to_bits() != self.memo_amp.to_bits() {
                     self.memo_amp = amp;
-                    let a = amp * self.drive;
-                    let g = self.pa.am_am(a.abs());
-                    self.memo_gain = if a.is_sign_negative() { -g } else { g };
+                    self.memo_gain = pa_gain(&self.pa, amp, self.drive);
                 }
-                out.push(self.phasors[j] * self.memo_gain);
+                scale_into(&self.phasors[j..j + run], self.memo_gain, out);
+                j += run;
             }
             self.next += take;
         }
+    }
+
+    /// The profile level output sample `k` reads, and how many of the
+    /// next `max` samples (≥ 1) read the same bits. Before the command
+    /// and, once `total` is known, after it, the level is 1.0.
+    fn profile_run(&self, k: usize, max: usize, total: Option<usize>) -> (f64, usize) {
+        let idx = k as i64 - self.shift;
+        if idx < 0 {
+            return (1.0, max.min(idx.unsigned_abs() as usize));
+        }
+        let idx = idx as usize;
+        let end = total.unwrap_or(usize::MAX);
+        if idx >= end {
+            return (1.0, max);
+        }
+        debug_assert!(
+            idx >= self.hist_start && idx < self.hist_start + self.hist.len(),
+            "profile index {idx} outside history window"
+        );
+        let h = &self.hist[idx - self.hist_start..];
+        let h = &h[..h.len().min(max).min(end - idx)];
+        let bits = h[0].to_bits();
+        (h[0], h.iter().take_while(|v| v.to_bits() == bits).count())
     }
 
     /// Drops history the emission point has moved past.
@@ -201,6 +220,144 @@ impl BlockStage for EmitterLane {
         let count = total - self.next;
         self.emit_samples(count, Some(total), out);
         self.compact();
+    }
+}
+
+/// The PA's signed real gain for profile level `amp` at `drive`: a
+/// unit phasor times this is the emitted sample.
+fn pa_gain(pa: &PowerAmp, amp: f64, drive: f64) -> f64 {
+    let a = amp * drive;
+    let g = pa.am_am(a.abs());
+    if a.is_sign_negative() {
+        -g
+    } else {
+        g
+    }
+}
+
+/// Appends `phasors[k] · gain` to `out` — the one emission multiply,
+/// shared by the streaming lane and [`CarrierWindows`].
+fn scale_into(phasors: &[Complex64], gain: f64, out: &mut Vec<Complex64>) {
+    out.extend(phasors.iter().map(|&p| p * gain));
+}
+
+/// The bank's carrier-on emission — the constant-1.0 profile a
+/// [`BankStreamer`] is fed — regenerated one resync window at a time,
+/// in isolation and bit for bit.
+///
+/// With a constant profile every lane reads level 1.0 at every output
+/// sample, inside the command and outside it alike, so the trigger
+/// shift and latency drop out: lane `i`'s sample `k` is
+/// `rotorᵢ(k) · gᵢ`, with `gᵢ` the memoized PA gain of level 1.0. The
+/// rotor resyncs at fixed absolute indices, so [`PhasorRotor::seek`]
+/// to a window start followed by the same `fill` and the same
+/// `phasor · gain` multiply reproduces the streamed samples of that
+/// window exactly, in any order and any split. Memory is one phasor and
+/// one output block per lane, sized by the caller's `emit` lengths.
+#[derive(Debug, Clone)]
+pub struct CarrierWindows {
+    lanes: Vec<WindowLane>,
+    len: usize,
+    window: usize,
+}
+
+#[derive(Debug, Clone)]
+struct WindowLane {
+    rotor: PhasorRotor,
+    gain: f64,
+    phasors: Vec<Complex64>,
+    buf: Vec<Complex64>,
+}
+
+impl CarrierWindows {
+    /// The carrier-on emission of every device of `bank` at PA drive
+    /// `drive`, `len` samples long.
+    pub fn new(bank: &TxBank, drive: f64, len: usize) -> Self {
+        let lanes: Vec<WindowLane> = (0..bank.len())
+            .map(|i| {
+                let lane = EmitterLane::new(bank, i, drive);
+                WindowLane {
+                    gain: pa_gain(&lane.pa, 1.0, drive),
+                    rotor: lane.rotor,
+                    phasors: Vec::new(),
+                    buf: Vec::new(),
+                }
+            })
+            .collect();
+        let window = lanes.first().map_or(1, |l| l.rotor.resync());
+        assert!(
+            lanes.iter().all(|l| l.rotor.resync() == window),
+            "lanes disagree on the resync window"
+        );
+        CarrierWindows { lanes, len, window }
+    }
+
+    /// Number of windows covering the `len` samples (the last may be
+    /// short).
+    pub fn count(&self) -> usize {
+        self.len.div_ceil(self.window)
+    }
+
+    /// The absolute sample indices of window `w`.
+    pub fn range(&self, w: usize) -> Range<usize> {
+        let start = w * self.window;
+        start..self.len.min(start + self.window)
+    }
+
+    /// Number of lanes (devices).
+    pub fn lanes(&self) -> usize {
+        self.lanes.len()
+    }
+
+    /// Lane `i`'s rotor (its closed-form phase and increment).
+    pub fn rotor(&self, i: usize) -> &PhasorRotor {
+        &self.lanes[i].rotor
+    }
+
+    /// Lane `i`'s real PA gain at level 1.0.
+    pub fn gain(&self, i: usize) -> f64 {
+        self.lanes[i].gain
+    }
+
+    /// Positions every lane at the start of window `w` and returns the
+    /// window's sample range.
+    ///
+    /// # Panics
+    /// Panics if `w` is past the last window.
+    pub fn seek(&mut self, w: usize) -> Range<usize> {
+        assert!(w < self.count(), "window {w} out of range");
+        let range = self.range(w);
+        for lane in &mut self.lanes {
+            lane.rotor.seek(range.start as u64);
+        }
+        range
+    }
+
+    /// Emits the next `n` samples of every lane into its block (cleared
+    /// first), continuing from the last [`CarrierWindows::seek`] or
+    /// `emit`.
+    pub fn emit(&mut self, n: usize) {
+        for lane in &mut self.lanes {
+            lane.phasors.clear();
+            lane.phasors.resize(n, Complex64::ZERO);
+            lane.rotor.fill(&mut lane.phasors);
+            lane.buf.clear();
+            scale_into(&lane.phasors, lane.gain, &mut lane.buf);
+        }
+    }
+
+    /// Every lane's current block, in device order.
+    pub fn blocks(&self) -> impl ExactSizeIterator<Item = &[Complex64]> {
+        self.lanes.iter().map(|l| l.buf.as_slice())
+    }
+
+    /// Largest per-lane buffer currently held, in samples.
+    pub fn peak_lane_footprint(&self) -> usize {
+        self.lanes
+            .iter()
+            .map(|l| l.buf.len().max(l.phasors.len()))
+            .max()
+            .unwrap_or(0)
     }
 }
 

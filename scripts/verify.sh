@@ -28,6 +28,19 @@ for span in sdr.emit_ns em.ensemble_responses_ns harvester.power_up_ns rfid.pie_
     }
 done
 
+echo "==> streaming vs batch: 1 MS/s pipeline summaries are byte-identical"
+# At 1 MS/s the streaming path's calibration skips most of the period
+# (only windows whose bound can reach the peak are regenerated); the
+# rendered gain, power-up time and decode results must still match the
+# whole-buffer oracle byte for byte.
+cargo run --release --offline -p ivn-bench --bin reproduce -- pipeline --sample-rate 1e6 > target/verify_pipeline_stream.txt
+cargo run --release --offline -p ivn-bench --bin reproduce -- pipeline --sample-rate 1e6 --batch > target/verify_pipeline_batch.txt
+cmp target/verify_pipeline_stream.txt target/verify_pipeline_batch.txt || {
+    echo "verify: FAIL — 1 MS/s streaming pipeline summary differs from the --batch oracle" >&2
+    exit 1
+}
+echo "1 MS/s streaming == batch summary OK"
+
 echo "==> runtime bench with observability (BENCH_runtime.json)"
 IVN_BENCH_FAST="${IVN_BENCH_FAST:-1}" cargo run --release --offline -p ivn-bench --bin bench_runtime -- --obs
 

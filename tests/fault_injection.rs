@@ -214,10 +214,105 @@ fn saturated_frontend_flagged() {
     assert!(r.adc_saturation > 0.0, "clipping not reported");
 }
 
+#[test]
+fn hostile_boundary_values_are_rejected_at_parse() {
+    // Each value used to panic deep in the stack (negative depth or a
+    // zero air gap in the layered-media model, 1e308 dBm in the
+    // harvester, 100 000 antennas in the paper plan) or silently run one
+    // trial; parsing must now return an error naming the field's dot path.
+    let inf = f64::INFINITY;
+    let cases: &[(&str, &str, &[f64])] = &[
+        (
+            "session",
+            "placement.depth_m",
+            &[-5.0, -1e-9, f64::NAN, inf],
+        ),
+        ("fig3", "placement.depth_m", &[-0.1, f64::NEG_INFINITY]),
+        ("fig2", "placement.range_m", &[0.0, -2.0, f64::NAN, inf]),
+        ("multisensor", "kind.spacing_m", &[-0.03, f64::NAN]),
+        ("inventory", "kind.population.spacing_m", &[-0.001, inf]),
+        (
+            "session",
+            "eirp_dbm",
+            &[1e308, 60.5, f64::NAN, inf, f64::NEG_INFINITY],
+        ),
+        ("session", "array.n_antennas", &[100000.0, 11.0, 0.0]),
+        ("session", "trials.quick", &[0.0]),
+        ("session", "trials.full", &[0.0]),
+    ];
+    for &(name, path, values) in cases {
+        for &v in values {
+            match scenario_with(name, path, v) {
+                Ok(_) => panic!("{name}: {path} = {v} parsed"),
+                Err(reason) => assert!(
+                    reason.contains(path),
+                    "{name}: {path} = {v}: reason '{reason}' does not name the field"
+                ),
+            }
+        }
+    }
+    // Through JSON text too, the path campaign files take.
+    let text = builtin("session")
+        .expect("builtin")
+        .dump()
+        .replace("\"depth_m\":0.08", "\"depth_m\":-5");
+    let reason = Scenario::parse(&text).expect_err("-5 m parsed").reason;
+    assert!(reason.contains("placement.depth_m"), "{reason}");
+    // In-range edges still parse: the sweeps in `verify.sh` (38 dBm) and
+    // the benchmark's ±5 % EIRP jitter (up to 38.85 dBm) sit far below
+    // the cap.
+    for (name, path, v) in [
+        ("session", "placement.depth_m", 0.0),
+        ("fig2", "placement.range_m", 1e-3),
+        ("session", "eirp_dbm", 38.85),
+        ("session", "eirp_dbm", 60.0),
+        ("session", "eirp_dbm", -30.0),
+        ("session", "array.n_antennas", 1.0),
+        ("session", "array.n_antennas", 10.0),
+        ("session", "trials.quick", 1.0),
+    ] {
+        if let Err(reason) = scenario_with(name, path, v) {
+            panic!("{name}: {path} = {v} rejected: {reason}");
+        }
+    }
+}
+
+#[test]
+fn every_builtin_and_benchmark_shaped_fleet_validates() {
+    for name in ivn::core::scenario::BUILTIN_NAMES {
+        let s = builtin(name).expect("builtin");
+        if let Err(e) = s.validate() {
+            panic!("builtin {name} rejected: {}", e.reason);
+        }
+    }
+    // The benchmark's campaign shape: session swept over depths with
+    // ±5 % EIRP jitter; every generated scenario must pass the schema.
+    let spec = gen::GenSpec {
+        base: builtin("session").expect("builtin"),
+        count: 64,
+        seed: 3,
+        sweeps: vec![gen::SweepAxis {
+            path: "placement.depth_m".into(),
+            values: [0.02, 0.05, 0.08, 0.11].map(Json::Num).to_vec(),
+        }],
+        jitters: vec![gen::JitterSpec {
+            path: "eirp_dbm".into(),
+            frac: 0.05,
+        }],
+    };
+    assert_eq!(gen::generate(&spec).expect("fleet validates").len(), 64);
+}
+
 /// The builtin `power_session` scenario with one field replaced, parsed
 /// back from its JSON value (so NaN and infinities reach the parser too).
 fn session_with(path: &str, value: f64) -> Result<Scenario, String> {
-    let mut json = Json::parse(&builtin("session").expect("builtin").dump()).expect("json");
+    scenario_with("session", path, value)
+}
+
+/// Builtin `name` with one field replaced, parsed back from its JSON
+/// value.
+fn scenario_with(name: &str, path: &str, value: f64) -> Result<Scenario, String> {
+    let mut json = Json::parse(&builtin(name).expect("builtin").dump()).expect("json");
     gen::set_path(&mut json, path, Json::Num(value)).expect("field exists");
     Scenario::from_json(&json).map_err(|e| e.reason)
 }

@@ -9,6 +9,7 @@ use ivn::core::freqsel::optimize;
 use ivn::core::plancache::PlanCache;
 use ivn::core::scenario::{ArraySpec, FreqPlan, FreqSelSpec, QuickFull};
 use ivn::runtime::obs;
+use ivn::runtime::pool::WorkerPool;
 use std::sync::Mutex;
 
 static GLOBAL_CACHE_LOCK: Mutex<()> = Mutex::new(());
@@ -136,4 +137,43 @@ fn thousand_scenario_fleet_respects_capacity_and_stays_correct() {
         cache.len()
     );
     cache.clear();
+}
+
+#[test]
+fn shared_key_fleet_counts_one_miss_per_key_at_any_width() {
+    let _guard = GLOBAL_CACHE_LOCK.lock().unwrap();
+    let cache = PlanCache::global();
+    cache.set_enabled(true);
+    // 48 consultations over 4 keys, interleaved so every pool chunk
+    // opens on a key the other workers are also about to miss. A search
+    // a little heavier than `tiny_spec` widens the window in which two
+    // workers both miss the same key and race to insert it.
+    const KEYS: u64 = 4;
+    let fleet: Vec<ArraySpec> = (0..48)
+        .map(|i| {
+            let mut array = optimizing_array(3, 1000 + i % KEYS);
+            if let FreqPlan::Optimize { spec, .. } = &mut array.plan {
+                spec.mc_draws = QuickFull::same(8);
+                spec.grid = QuickFull::same(128);
+                spec.iterations = QuickFull::same(20);
+            }
+            array
+        })
+        .collect();
+    for width in [2usize, 8] {
+        for run in 0..5 {
+            cache.clear();
+            cache.reset_counters();
+            let plans = WorkerPool::global().map_move(fleet.clone(), width, |_, a| a.cib(true));
+            assert_eq!(plans.len(), fleet.len());
+            let (hits, misses) = cache.counters();
+            assert_eq!(
+                (hits, misses),
+                (fleet.len() as u64 - KEYS, KEYS),
+                "width {width} run {run}: one miss per distinct key"
+            );
+        }
+    }
+    cache.clear();
+    cache.reset_counters();
 }

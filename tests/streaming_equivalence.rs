@@ -8,9 +8,14 @@
 //! determinism of the parallel lane driver and the constant-memory
 //! guarantee (per-stage peak footprint bounded by the block size).
 
-use ivn_bench::pipeline::{outputs_batch, outputs_streaming, StreamOptions};
+use ivn_bench::pipeline::{calibrate_peak, outputs_batch, outputs_streaming, StreamOptions};
+use ivn_dsp::block::Footprint;
 use ivn_dsp::complex::Complex64;
+use ivn_em::channel::ChannelEnsemble;
+use ivn_em::stream::BlockSuperposer;
+use ivn_runtime::prop::any;
 use ivn_runtime::rng::StdRng;
+use ivn_runtime::{prop_assert, prop_assert_eq, props};
 use ivn_sdr::bank::TxBank;
 use ivn_sdr::clock::ClockDistribution;
 use ivn_sdr::stream::{emit_oracle, BankStreamer};
@@ -160,4 +165,90 @@ fn sample_rate_override_scales_the_run() {
     assert_eq!(report.outputs.sample_rate, 32_000.0);
     let batch = outputs_batch(true, Some(32_000.0));
     assert_eq!(report.outputs, batch, "override diverged from oracle");
+}
+
+/// The sample path at rates where the calibration search actually
+/// skips windows (at the quick rate every window is visited): streaming
+/// must still equal the whole-buffer oracle, and at 1 MS/s the search
+/// must regenerate at most a twentieth of the period — the pin that
+/// keeps a loosened bound from silently dropping the gain.
+#[test]
+fn streaming_equals_batch_where_calibration_prunes() {
+    for rate in [1e5, 1e6] {
+        let opts = StreamOptions {
+            sample_rate: Some(rate),
+            ..Default::default()
+        };
+        let report = outputs_streaming(true, &opts);
+        assert_eq!(
+            report.outputs,
+            outputs_batch(true, Some(rate)),
+            "rate {rate}: streaming diverged from the oracle"
+        );
+        let (visited, total) = report.calibration_windows;
+        assert_eq!(total, (rate as usize).div_ceil(1024), "rate {rate}");
+        assert!(visited < total, "rate {rate}: nothing pruned");
+        if rate == 1e6 {
+            assert!(
+                visited <= total / 20,
+                "1 MS/s calibration visited {visited} of {total} windows"
+            );
+        }
+    }
+}
+
+const PAPER_OFFSETS: [f64; 10] = [0., 7., 20., 49., 68., 73., 90., 113., 121., 137.];
+const CALIBRATION_RATES: [f64; 7] = [4096.0, 16384.0, 32e3, 100e3, 300e3, 777_777.0, 1e6];
+
+/// `|rx|`'s peak over the whole carrier-on stream, every sample through
+/// `hypot` — the full scan the windowed search replaces.
+fn full_scan_peak(bank: &TxBank, sp: &BlockSuperposer, drive: f64, n: usize, block: usize) -> f64 {
+    let mut st = BankStreamer::new(bank, drive, 1);
+    let profile = vec![1.0; block];
+    let (mut rx, mut pushed, mut peak) = (Vec::new(), 0, 0.0f64);
+    loop {
+        let take = block.min(n - pushed);
+        if take == 0 {
+            st.flush();
+        } else {
+            st.push(&profile[..take]);
+        }
+        pushed += take;
+        sp.superpose_block(st.blocks(), &mut rx);
+        peak = rx.iter().map(|z| z.norm()).fold(peak, f64::max);
+        if take == 0 {
+            return peak;
+        }
+    }
+}
+
+props! {
+    cases = 20;
+
+    fn windowed_calibration_peak_equals_full_scan(
+        seed in any::<u64>(), n_ant in 2usize..11, free_running in any::<bool>(),
+        rate_sel in 0usize..7, trim in 0usize..1024, block_sel in 0usize..3,
+    ) {
+        let rate = CALIBRATION_RATES[rate_sel];
+        // Lengths off the 1024-sample window grid as well as on it.
+        let n = rate as usize - trim;
+        let block = [1000usize, 4096, 7][block_sel].min(n);
+        let clock = if free_running {
+            ClockDistribution::free_running()
+        } else {
+            ClockDistribution::octoclock()
+        };
+        let mut rng = StdRng::seed_from_u64(seed);
+        let bank = TxBank::new(&mut rng, n_ant, 915e6, rate, &PAPER_OFFSETS[..n_ant], &clock);
+        let ens = ChannelEnsemble::blind(&mut rng, n_ant, 0.3, 915e6);
+        let sp = BlockSuperposer::from_ensemble(&ens, |i| bank.emission_hz(i));
+        let mut footprint = Footprint::new();
+        let cal = calibrate_peak(&bank, &sp, 0.05, n, block, &mut footprint);
+        let want = full_scan_peak(&bank, &sp, 0.05, n, 4096);
+        prop_assert!(cal.peak.to_bits() == want.to_bits(),
+            "rate {} n {} antennas {}: {:e} vs {:e}", rate, n, n_ant, cal.peak, want);
+        prop_assert_eq!(cal.total, n.div_ceil(1024));
+        prop_assert!(cal.visited >= 1 && cal.visited <= cal.total);
+        prop_assert!(footprint.max_stage() <= block.max(1), "footprint {:?}", footprint.entries());
+    }
 }
