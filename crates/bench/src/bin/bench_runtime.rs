@@ -1,19 +1,21 @@
-//! Runtime-layer benchmark: serial vs parallel Monte-Carlo wall-clock,
-//! plus a per-stage breakdown of the pipeline.
+//! Runtime-layer benchmark: the worker-pool thread sweep and dispatch
+//! cost, the instrumentation overhead, one workload per pipeline stage,
+//! streaming sample-path throughput, and campaign and inventory rates,
+//! written to `BENCH_runtime.json` (via the in-tree JSON layer) in the
+//! current directory.
 //!
-//! Sweeps `peak_gain_cdf` across worker-pool widths 1/2/4/8, verifies
-//! every width produces bit-identical results, records per-width
-//! speedups (`"parallel_sweep"` in the JSON), times one representative
-//! workload per pipeline stage (sdr, em, harvester, rfid, freqsel) and
-//! per envelope kernel (fill_direct, fill_fft, swap_eval, climb), and
-//! writes `BENCH_runtime.json` (machine-readable, via the in-tree JSON
-//! layer) to the current directory.
+//! Every gated number is taken one way: [`sentinel::measure`] runs the
+//! workload for a fixed number of rounds and records the median with an
+//! order-statistic 95% CI, written as `<name>` and `<name>_ci95`.
+//! The determinism checks run alongside: the sweep asserts serial ==
+//! parallel at every width, the dispatch bench pooled == inline, every
+//! plan-share round cold == warm report bytes, and the inventory fleet
+//! 1/2/8-thread identity.
 //!
 //! With `--obs`, observability (`ivn_runtime::obs`) is enabled for the
-//! stage runs and the resulting metric `Report` is embedded in the JSON
-//! under `"obs_report"` — counters and span histograms from inside every
-//! instrumented crate. With `--trace <path>`, a `ivn_runtime::trace`
-//! timeline of the stage runs is exported as Chrome Trace Event JSON.
+//! stage, streaming, campaign and inventory runs and the resulting metric
+//! `Report` is embedded in the JSON under `"obs_report"` — counters and
+//! span histograms from inside every instrumented crate.
 //!
 //! The instrumentation *overhead* is always measured: the `peak_gain_cdf`
 //! workload runs with everything off, with obs on, and with obs+trace on,
@@ -30,16 +32,17 @@
 //!
 //! Set `IVN_BENCH_FAST=1` for a quick smoke run.
 
-use ivn_bench::sentinel;
+use ivn_bench::sentinel::{self, measure, time_ns, Estimate, MIN_ROUNDS};
 use ivn_core::experiment::peak_gain_cdf_threads;
+use ivn_core::scenario::{gen, Scenario};
 use ivn_core::PAPER_OFFSETS_HZ;
-use ivn_runtime::bench::{black_box, Bench};
 use ivn_runtime::json::{Json, ToJson};
 use ivn_runtime::obs;
 use ivn_runtime::par;
 use ivn_runtime::rng::StdRng;
 use ivn_runtime::telemetry;
 use ivn_runtime::trace;
+use std::hint::black_box;
 
 const SEED: u64 = 42;
 const GRID: usize = 1024;
@@ -49,35 +52,48 @@ const GRID: usize = 1024;
 /// so oversubscribed widths still produce honest (if flat) speedups.
 const THREAD_SWEEP: [usize; 4] = [1, 2, 4, 8];
 
-/// A confidence-aware overhead estimate: the median paired relative
-/// delta plus a 95% confidence interval on that median.
-struct OverheadEstimate {
-    /// Median of the per-round relative deltas, percent.
-    pct: f64,
-    /// 95% CI bounds on the median, percent.
-    ci_lo: f64,
-    ci_hi: f64,
+/// Rounds for the sub-millisecond workloads: the stage workloads and
+/// `swap_eval`.
+const STAGE_ROUNDS: usize = 101;
+/// Rounds for the millisecond-scale workloads: the thread sweep, pool
+/// dispatch, the streaming period and the session campaign.
+const ROUNDS: usize = 21;
+/// Back-to-back dispatches one pool-dispatch round times.
+const DISPATCH_BATCH: usize = 16;
+/// Paired off/on rounds behind the instrumentation-overhead CI.
+const OVERHEAD_ROUNDS: usize = 200;
+/// Bodies per inventory round: each policy's fleet is split into rounds
+/// of this many bodies, one seed per round.
+const INVENTORY_ROUND_BODIES: usize = 64;
+
+/// A JSON object from `(key, value)` pairs plus the median/CI fields of
+/// each named estimate.
+fn obj_with(pairs: Vec<(&str, Json)>, estimates: &[(&str, Estimate)]) -> Json {
+    let mut fields: Vec<(String, Json)> =
+        pairs.into_iter().map(|(k, v)| (k.to_string(), v)).collect();
+    for (name, est) in estimates {
+        fields.extend(est.fields(name));
+    }
+    Json::Obj(fields)
 }
 
-/// Median and a distribution-free 95% CI for the median via order
-/// statistics: ranks `n/2 ± 1.96·√n/2` of the sorted samples.
-fn median_ci95(samples: &mut [f64]) -> OverheadEstimate {
-    samples.sort_by(f64::total_cmp);
-    let n = samples.len();
-    assert!(n >= 8, "too few rounds for a CI");
-    let pct = if n % 2 == 1 {
-        samples[n / 2]
-    } else {
-        0.5 * (samples[n / 2 - 1] + samples[n / 2])
-    };
-    let half = 1.96 * (n as f64).sqrt() / 2.0;
-    let lo = ((n as f64 / 2.0 - half).floor().max(0.0)) as usize;
-    let hi = ((n as f64 / 2.0 + half).ceil() as usize).min(n - 1);
-    OverheadEstimate {
-        pct,
-        ci_lo: samples[lo],
-        ci_hi: samples[hi],
-    }
+/// `count` scenarios generated from `base`, swept over four depths
+/// with ±5 % EIRP jitter — the campaign benches' fleet shape.
+fn session_fleet(base: Scenario, count: usize, seed: u64) -> Vec<Scenario> {
+    gen::generate(&gen::GenSpec {
+        base,
+        count,
+        seed,
+        sweeps: vec![gen::SweepAxis {
+            path: "placement.depth_m".into(),
+            values: [0.02, 0.05, 0.08, 0.11].map(Json::from).to_vec(),
+        }],
+        jitters: vec![gen::JitterSpec {
+            path: "eirp_dbm".into(),
+            frac: 0.05,
+        }],
+    })
+    .expect("generate fleet")
 }
 
 /// Overhead of turning instrumentation on, as a percentage of the
@@ -87,38 +103,26 @@ fn median_ci95(samples: &mut [f64]) -> OverheadEstimate {
 /// on) back to back and records the two *paired relative deltas* for
 /// that round: scheduling noise and thermal drift hit the adjacent runs
 /// alike and cancel inside a pair instead of biasing the estimate.
-/// (The previous min-of-mins scheme could — and did — report negative
-/// overhead: the minimum of 200 noisy "on" samples can undercut the
-/// minimum of 200 noisy "off" samples even when "on" is truly slower.)
 /// The reported figure is the median paired delta with a 95% CI on the
 /// median; the committed baseline gates the *upper* CI bound, so the
 /// check cannot pass on noise alone.
-fn measure_overhead(offsets: &[f64]) -> (OverheadEstimate, OverheadEstimate) {
-    const ROUNDS: usize = 200;
-    let run = || black_box(peak_gain_cdf_threads(offsets, 16, GRID, SEED, 1));
-    let time_one = || {
-        let t0 = std::time::Instant::now();
-        run();
-        t0.elapsed().as_nanos() as f64
-    };
+fn measure_overhead(offsets: &[f64]) -> [Estimate; 2] {
+    let run = || peak_gain_cdf_threads(offsets, 16, GRID, SEED, 1);
     run(); // warm-up
-    let mut obs_deltas = Vec::with_capacity(ROUNDS);
-    let mut trace_deltas = Vec::with_capacity(ROUNDS);
-    for _ in 0..ROUNDS {
+    let deltas = measure(OVERHEAD_ROUNDS, || {
         obs::set_enabled(false);
         trace::set_enabled(false);
-        let off = time_one();
+        let off = time_ns(run).0;
         obs::set_enabled(true);
-        let obs_on = time_one();
+        let obs_on = time_ns(run).0;
         trace::set_enabled(true);
-        let both_on = time_one();
-        obs_deltas.push(100.0 * (obs_on - off) / off);
-        trace_deltas.push(100.0 * (both_on - off) / off);
-    }
+        let both_on = time_ns(run).0;
+        [100.0 * (obs_on - off) / off, 100.0 * (both_on - off) / off]
+    });
     obs::set_enabled(false);
     trace::set_enabled(false);
     trace::reset();
-    (median_ci95(&mut obs_deltas), median_ci95(&mut trace_deltas))
+    deltas
 }
 
 /// A deterministic ~µs-scale compute kernel for the dispatch bench:
@@ -133,6 +137,18 @@ fn dispatch_workload(i: usize) -> u64 {
         x ^= x << 17;
     }
     x
+}
+
+/// Mean wall-clock ns of one `dispatch` over [`DISPATCH_BATCH`]
+/// back-to-back calls.
+fn batch_ns<T>(dispatch: impl Fn() -> T) -> f64 {
+    let ns = time_ns(|| {
+        for _ in 0..DISPATCH_BATCH {
+            black_box(dispatch());
+        }
+    })
+    .0;
+    ns / DISPATCH_BATCH as f64
 }
 
 /// One representative, seeded workload per pipeline stage. Each returns a
@@ -215,47 +231,6 @@ fn stage_workload(stage: &str, fast: bool) -> f64 {
             expected_peak(&PAPER_OFFSETS_HZ, draws, GRID, &mut rng)
         }
         other => unreachable!("unknown stage {other}"),
-    }
-}
-
-/// One micro-workload per envelope kernel (`ivn_core::kernels`). These
-/// run with the same obs/trace state as the stage benches, so with
-/// `--obs` the incremental-climb span `freqsel.kernel_incr_ns` lands in
-/// the embedded report alongside the batched-eval spans.
-fn kernel_workload(kernel: &str, fast: bool) -> f64 {
-    use ivn_core::freqsel::{optimize, FreqSelConfig};
-    use ivn_core::kernels::EnvelopeScratch;
-    // Fixed, arbitrary per-tone phases: the kernels are deterministic
-    // given phases, so the micro-benches need no RNG in the hot loop.
-    let phases: Vec<f64> = (0..PAPER_OFFSETS_HZ.len())
-        .map(|i| 0.37 * (i as f64 + 1.0))
-        .collect();
-    match kernel {
-        "fill_direct" => {
-            let mut s = EnvelopeScratch::new();
-            s.fill_direct(&PAPER_OFFSETS_HZ, &phases, None, GRID);
-            s.peak(&PAPER_OFFSETS_HZ, &phases, None)
-        }
-        "fill_fft" => {
-            let mut s = EnvelopeScratch::new();
-            s.fill_fft(&PAPER_OFFSETS_HZ, &phases, None, GRID);
-            s.peak(&PAPER_OFFSETS_HZ, &phases, None)
-        }
-        "climb" => {
-            // A miniature end-to-end optimize() so the incremental span
-            // shows up in the obs report with realistic call counts.
-            let cfg = FreqSelConfig {
-                n_antennas: 4,
-                rms_limit_hz: 199.0,
-                max_offset_hz: 96,
-                mc_draws: if fast { 8 } else { 24 },
-                grid: 256,
-                restarts: 2,
-                iterations: if fast { 24 } else { 60 },
-            };
-            optimize(&cfg, SEED).expected_peak
-        }
-        other => unreachable!("unknown kernel {other}"),
     }
 }
 
@@ -366,34 +341,26 @@ fn main() -> std::process::ExitCode {
         return run_check_ndjson(&ndjson_path);
     }
     let with_obs = argv.iter().any(|a| a == "--obs");
-    let trace_path = argv
-        .iter()
-        .position(|a| a == "--trace")
-        .and_then(|i| argv.get(i + 1))
-        .cloned();
     let fast = std::env::var("IVN_BENCH_FAST").is_ok_and(|v| v == "1");
     let trials = if fast { 64 } else { 400 };
     let threads = par::num_threads();
     let offsets = &PAPER_OFFSETS_HZ[..5];
+    let sweep = |t: usize| peak_gain_cdf_threads(offsets, trials, GRID, SEED, t);
 
     // The parallel path must change only how fast the answer arrives:
     // every sweep width has to be bit-identical to the serial run.
-    let serial = peak_gain_cdf_threads(offsets, trials, GRID, SEED, 1);
+    let serial = sweep(1);
     for &t in &THREAD_SWEEP[1..] {
-        let parallel = peak_gain_cdf_threads(offsets, trials, GRID, SEED, t);
         assert_eq!(
-            serial, parallel,
+            serial,
+            sweep(t),
             "peak_gain_cdf at {t} threads diverged from serial"
         );
     }
 
-    let mut b = Bench::new();
     let cores = std::thread::available_parallelism().map_or(1, usize::from);
-    let serial_ns = b
-        .bench("peak_gain_cdf/serial", || {
-            black_box(peak_gain_cdf_threads(offsets, trials, GRID, SEED, 1))
-        })
-        .median_ns;
+    let [serial_est] = measure(ROUNDS, || [time_ns(|| sweep(1)).0]);
+    let serial_ns = serial_est.median;
     let mut sweep_entries = Vec::new();
     let mut parallel_ns = serial_ns;
     for &t in &THREAD_SWEEP {
@@ -408,27 +375,23 @@ fn main() -> std::process::ExitCode {
             ]));
             continue;
         }
-        let ns = if t == 1 {
-            serial_ns
+        let est = if t == 1 {
+            serial_est
         } else {
-            b.bench(&format!("peak_gain_cdf/parallel_x{t}"), || {
-                black_box(peak_gain_cdf_threads(offsets, trials, GRID, SEED, t))
-            })
-            .median_ns
+            measure(ROUNDS, || [time_ns(|| sweep(t)).0])[0]
         };
-        let speedup = serial_ns / ns;
-        println!("threads {t}: median {ns:.0} ns, speedup {speedup:.2}x");
+        let speedup = serial_ns / est.median;
+        println!("threads {t}: median {est:.0} ns, speedup {speedup:.2}x");
         // Only reached with >= 8 cores: a timed 8-wide sweep must scale.
         assert!(
             t != 8 || speedup >= 4.0,
             "8-thread parallel_sweep speedup {speedup:.2}x is below 4x on {cores} cores"
         );
-        sweep_entries.push(Json::obj([
-            ("threads", t.into()),
-            ("median_ns", ns.into()),
-            ("speedup", speedup.into()),
-        ]));
-        parallel_ns = ns;
+        sweep_entries.push(obj_with(
+            vec![("threads", t.into()), ("speedup", speedup.into())],
+            &[("median_ns", est)],
+        ));
+        parallel_ns = est.median;
     }
     let speedup = serial_ns / parallel_ns;
     println!("worker pool width: {threads}, widest-sweep speedup: {speedup:.2}x");
@@ -437,7 +400,8 @@ fn main() -> std::process::ExitCode {
     // spawned scoped threads vs the persistent pool. This isolates the
     // fixed cost the pool exists to remove — on a single-core host the
     // wall-clock sweep above cannot show parallel speedup, but the
-    // dispatch delta is real on any machine.
+    // dispatch delta is real on any machine. Each round times the two
+    // back to back, so the speedup is a paired ratio.
     let pool_json = {
         use ivn_runtime::pool::WorkerPool;
         let items: Vec<usize> = (0..64).collect();
@@ -448,39 +412,34 @@ fn main() -> std::process::ExitCode {
             expect,
             "pooled dispatch diverged from inline"
         );
-        let spawn_ns = b
-            .bench("pool/spawn_dispatch_x8", || {
-                black_box(par::par_map_threads(8, &items, |_, &i| {
-                    dispatch_workload(i)
-                }))
-            })
-            .median_ns;
-        let pooled_ns = b
-            .bench("pool/pool_dispatch_x8", || {
-                black_box(pool.map_indexed(64, 8, dispatch_workload))
-            })
-            .median_ns;
-        let dispatch_speedup = spawn_ns / pooled_ns;
+        // A round times a batch of back-to-back dispatches each way, so
+        // the pool is measured warm, as a mass campaign drives it.
+        let [spawn, pooled, dispatch_speedup] = measure(ROUNDS, || {
+            let spawn = batch_ns(|| par::par_map_threads(8, &items, |_, &i| dispatch_workload(i)));
+            let pooled = batch_ns(|| pool.map_indexed(64, 8, dispatch_workload));
+            [spawn, pooled, spawn / pooled]
+        });
         println!(
-            "pool dispatch x8: spawn {spawn_ns:.0} ns vs pooled {pooled_ns:.0} ns \
-             ({dispatch_speedup:.2}x, {} workers on {cores} cores)",
+            "pool dispatch x8: spawn {:.0} ns vs pooled {:.0} ns, speedup {dispatch_speedup:.2} \
+             ({} workers on {cores} cores)",
+            spawn.median,
+            pooled.median,
             pool.workers()
         );
-        Json::obj([
-            ("workers", pool.workers().into()),
-            ("cores", cores.into()),
-            ("spawn_dispatch_ns", spawn_ns.into()),
-            ("pool_dispatch_ns", pooled_ns.into()),
-            ("dispatch_speedup_x8", dispatch_speedup.into()),
-        ])
+        obj_with(
+            vec![("workers", pool.workers().into()), ("cores", cores.into())],
+            &[
+                ("spawn_dispatch_ns", spawn),
+                ("pool_dispatch_ns", pooled),
+                ("dispatch_speedup_x8", dispatch_speedup),
+            ],
+        )
     };
 
     // What does flipping the instrumentation on actually cost?
-    let (obs_oh, trace_oh) = measure_overhead(offsets);
+    let [obs_oh, trace_oh] = measure_overhead(offsets);
     println!(
-        "instrumentation overhead on peak_gain_cdf: obs {:+.2}% [95% CI {:+.2}..{:+.2}], \
-         obs+trace {:+.2}% [95% CI {:+.2}..{:+.2}]",
-        obs_oh.pct, obs_oh.ci_lo, obs_oh.ci_hi, trace_oh.pct, trace_oh.ci_lo, trace_oh.ci_hi
+        "instrumentation overhead on peak_gain_cdf, %: obs {obs_oh:.2}, obs+trace {trace_oh:.2}"
     );
 
     // Per-stage wall-clock breakdown. With --obs the stage runs also feed
@@ -490,40 +449,16 @@ fn main() -> std::process::ExitCode {
         obs::reset();
         obs::set_enabled(true);
     }
-    if trace_path.is_some() {
-        trace::reset();
-        trace::set_enabled(true);
-    }
     let mut stage_entries = Vec::new();
     for stage in STAGES {
-        let r = b.bench(&format!("stage/{stage}"), || {
-            black_box(stage_workload(stage, fast))
-        });
-        println!("stage {stage:<10} median {:>12.0} ns", r.median_ns);
-        stage_entries.push(Json::obj([
-            ("stage", stage.into()),
-            ("median_ns", r.median_ns.into()),
-            ("mean_ns", r.mean_ns.into()),
-            ("min_ns", r.min_ns.into()),
-        ]));
+        let [est] = measure(STAGE_ROUNDS, || [time_ns(|| stage_workload(stage, fast)).0]);
+        println!("stage {stage:<10} median {est:.0} ns");
+        stage_entries.push(obj_with(
+            vec![("stage", stage.into())],
+            &[("median_ns", est)],
+        ));
     }
-    // Envelope-kernel micro-benches, under the same obs/trace state so
-    // their spans feed the same report.
-    const KERNELS: [&str; 3] = ["fill_direct", "fill_fft", "climb"];
-    let mut kernel_entries = Vec::new();
-    for kernel in KERNELS {
-        let r = b.bench(&format!("kernel/{kernel}"), || {
-            black_box(kernel_workload(kernel, fast))
-        });
-        println!("kernel {kernel:<12} median {:>12.0} ns", r.median_ns);
-        kernel_entries.push(Json::obj([
-            ("kernel", kernel.into()),
-            ("median_ns", r.median_ns.into()),
-            ("mean_ns", r.mean_ns.into()),
-            ("min_ns", r.min_ns.into()),
-        ]));
-    }
-    {
+    let swap_eval_json = {
         // The hill climber's inner step: one incremental candidate
         // evaluation over cached per-draw grids (kernel built once, so
         // the bench isolates the swap itself).
@@ -531,44 +466,40 @@ fn main() -> std::process::ExitCode {
         let mut rng = StdRng::seed_from_u64(SEED);
         let draws = if fast { 16 } else { 96 };
         let mut ck = CrnKernel::new(&PAPER_OFFSETS_HZ, draws, GRID, &mut rng);
-        let r = b.bench("kernel/swap_eval", || black_box(ck.score_swap(3, 55.0)));
-        println!("kernel {:<12} median {:>12.0} ns", "swap_eval", r.median_ns);
-        kernel_entries.push(Json::obj([
-            ("kernel", "swap_eval".into()),
-            ("median_ns", r.median_ns.into()),
-            ("mean_ns", r.mean_ns.into()),
-            ("min_ns", r.min_ns.into()),
-        ]));
-    }
+        let [est] = measure(STAGE_ROUNDS, || [time_ns(|| ck.score_swap(3, 55.0)).0]);
+        println!("kernel swap_eval median {est:.0} ns");
+        obj_with(vec![("kernel", "swap_eval".into())], &[("median_ns", est)])
+    };
+
     // Streaming sample-path throughput: one full 1-second CIB period
     // through the block driver (100 kS/s in fast mode, 1 MS/s in full),
-    // timed per stage. Runs under the same obs/trace state so the
-    // streaming spans land in the embedded report too.
+    // per stage. Runs under the same obs state so the streaming spans
+    // land in the embedded report too.
     let streaming_json = {
         let opts = ivn_bench::pipeline::StreamOptions {
             sample_rate: Some(if fast { 1e5 } else { 1e6 }),
             ..Default::default()
         };
-        let report = ivn_bench::pipeline::outputs_streaming(true, &opts);
+        let first = ivn_bench::pipeline::outputs_streaming(true, &opts);
+        let names: Vec<&str> = first.stage_ns.iter().map(|&(stage, ..)| stage).collect();
+        let msps = measure(ROUNDS, || {
+            let report = ivn_bench::pipeline::outputs_streaming(true, &opts);
+            let rates: Vec<f64> = report
+                .stage_ns
+                .iter()
+                .map(|&(_, ns, samples)| samples as f64 * 1e3 / (ns as f64).max(1.0))
+                .collect();
+            <[f64; 4]>::try_from(rates).expect("four streaming stages")
+        });
         let mut entries = Vec::new();
-        for &(stage, ns, samples) in &report.stage_ns {
-            let msps = if ns > 0 {
-                samples as f64 * 1e3 / ns as f64
-            } else {
-                0.0
-            };
-            println!("streaming {stage:<10} {msps:>10.2} MS/s");
-            entries.push(Json::obj([
-                ("stage", stage.into()),
-                ("msps", msps.into()),
-                ("ns", (ns as f64).into()),
-                ("samples", samples.into()),
-            ]));
+        for (stage, est) in names.iter().zip(msps) {
+            println!("streaming {stage:<10} {est:.2} MS/s");
+            entries.push(obj_with(vec![("stage", (*stage).into())], &[("msps", est)]));
         }
         Json::obj([
-            ("sample_rate", report.outputs.sample_rate.into()),
-            ("block", report.block.into()),
-            ("threads", report.threads.into()),
+            ("sample_rate", first.outputs.sample_rate.into()),
+            ("block", first.block.into()),
+            ("threads", first.threads.into()),
             ("stages", Json::Arr(entries)),
         ])
     };
@@ -576,52 +507,35 @@ fn main() -> std::process::ExitCode {
     // Mass-campaign throughput: a generated fleet of power-session
     // scenarios through the campaign driver at full pool width.
     let campaign_json = {
-        use ivn_core::scenario::{builtin, gen};
+        use ivn_core::scenario::builtin;
         let n_scenarios = if fast { 64 } else { 256 };
-        let spec = gen::GenSpec {
-            base: builtin("session").expect("builtin"),
-            count: n_scenarios,
-            seed: SEED,
-            sweeps: vec![gen::SweepAxis {
-                path: "placement.depth_m".into(),
-                values: [0.02, 0.05, 0.08, 0.11]
-                    .iter()
-                    .map(|&d| Json::from(d))
-                    .collect(),
-            }],
-            jitters: vec![gen::JitterSpec {
-                path: "eirp_dbm".into(),
-                frac: 0.05,
-            }],
-        };
-        let fleet = gen::generate(&spec).expect("generate fleet");
-        let t0 = std::time::Instant::now();
-        let outcome = ivn_bench::campaign::run(&fleet, true, threads);
-        let seconds = t0.elapsed().as_secs_f64();
-        assert!(outcome.errors.is_empty(), "campaign errors: {outcome:?}");
-        let per_sec = n_scenarios as f64 / seconds;
-        println!(
-            "campaign: {n_scenarios} scenarios in {seconds:.2} s ({per_sec:.1} scenarios/sec)"
-        );
-        Json::obj([
-            ("scenarios", n_scenarios.into()),
-            ("threads", threads.into()),
-            ("seconds", seconds.into()),
-            ("scenarios_per_sec", per_sec.into()),
-        ])
+        let fleet = session_fleet(builtin("session").expect("builtin"), n_scenarios, SEED);
+        let [per_sec] = measure(ROUNDS, || {
+            let (ns, outcome) = time_ns(|| ivn_bench::campaign::run(&fleet, true, threads));
+            assert!(outcome.errors.is_empty(), "campaign errors: {outcome:?}");
+            [n_scenarios as f64 * 1e9 / ns]
+        });
+        println!("campaign: {n_scenarios} scenarios, {per_sec:.1} scenarios/sec");
+        obj_with(
+            vec![
+                ("scenarios", n_scenarios.into()),
+                ("threads", threads.into()),
+            ],
+            &[("scenarios_per_sec", per_sec)],
+        )
     };
 
     // Plan-sharing campaign: the same session fleet but with an
     // `Optimize` frequency plan, so every scenario runs the Eq. 10
-    // search unless the PlanCache intervenes. Cold = cache disabled
-    // (every scenario pays the search), warm = cache enabled from
-    // empty (first miss computes, the rest of the fleet hits — depth
-    // sweeps and EIRP jitters don't touch the plan key). The two
-    // reports must be byte-identical: a cache hit returns exactly what
-    // the cold path computes.
+    // search unless the PlanCache intervenes. Each round runs it cold
+    // (cache disabled: every scenario pays the search) and then warm
+    // (cache enabled from empty: the first miss computes, the rest of
+    // the fleet hits — depth sweeps and EIRP jitters don't touch the
+    // plan key). The two reports must be byte-identical: a cache hit
+    // returns exactly what the cold path computes.
     let campaign_planshare_json = {
         use ivn_core::plancache::PlanCache;
-        use ivn_core::scenario::{builtin, gen, FreqPlan, FreqSelSpec, QuickFull};
+        use ivn_core::scenario::{builtin, FreqPlan, FreqSelSpec, QuickFull};
         let n_scenarios = if fast { 128 } else { 256 };
         let mut base = builtin("session").expect("builtin");
         base.array.plan = FreqPlan::Optimize {
@@ -636,78 +550,64 @@ fn main() -> std::process::ExitCode {
             },
             seed: SEED,
         };
-        let spec = gen::GenSpec {
-            base,
-            count: n_scenarios,
-            seed: SEED + 1,
-            sweeps: vec![gen::SweepAxis {
-                path: "placement.depth_m".into(),
-                values: [0.02, 0.05, 0.08, 0.11]
-                    .iter()
-                    .map(|&d| Json::from(d))
-                    .collect(),
-            }],
-            jitters: vec![gen::JitterSpec {
-                path: "eirp_dbm".into(),
-                frac: 0.05,
-            }],
-        };
-        let fleet = gen::generate(&spec).expect("generate planshare fleet");
+        let fleet = session_fleet(base, n_scenarios, SEED + 1);
         let cache = PlanCache::global();
+        let (mut hits, mut misses) = (0, 0);
+        let [cold_per_sec, warm_per_sec, speedup] = measure(MIN_ROUNDS, || {
+            cache.clear();
+            cache.set_enabled(false);
+            let (cold_ns, cold) = time_ns(|| ivn_bench::campaign::run(&fleet, true, threads));
+            assert!(cold.errors.is_empty(), "cold planshare errors: {cold:?}");
 
-        cache.clear();
-        cache.set_enabled(false);
-        let t0 = std::time::Instant::now();
-        let cold = ivn_bench::campaign::run(&fleet, true, threads);
-        let cold_seconds = t0.elapsed().as_secs_f64();
-        assert!(cold.errors.is_empty(), "cold planshare errors: {cold:?}");
-
-        cache.set_enabled(true);
-        cache.clear();
-        cache.reset_counters();
-        let t0 = std::time::Instant::now();
-        let warm = ivn_bench::campaign::run(&fleet, true, threads);
-        let warm_seconds = t0.elapsed().as_secs_f64();
-        assert!(warm.errors.is_empty(), "warm planshare errors: {warm:?}");
-        let (hits, misses) = cache.counters();
-        assert!(hits > 0, "plan-sharing fleet produced no cache hits");
-        assert!(
-            (misses as usize) < n_scenarios,
-            "every scenario missed the plan cache"
-        );
-        let byte_identical = cold.report().dump() == warm.report().dump();
-        assert!(byte_identical, "cache hits diverged from cold computation");
-
-        let cold_per_sec = n_scenarios as f64 / cold_seconds;
-        let warm_per_sec = n_scenarios as f64 / warm_seconds;
-        let speedup = cold_seconds / warm_seconds;
+            cache.set_enabled(true);
+            cache.clear();
+            cache.reset_counters();
+            let (warm_ns, warm) = time_ns(|| ivn_bench::campaign::run(&fleet, true, threads));
+            assert!(warm.errors.is_empty(), "warm planshare errors: {warm:?}");
+            (hits, misses) = cache.counters();
+            assert!(hits > 0, "plan-sharing fleet produced no cache hits");
+            assert!(
+                (misses as usize) < n_scenarios,
+                "every scenario missed the plan cache"
+            );
+            assert!(
+                cold.report().dump() == warm.report().dump(),
+                "cache hits diverged from cold computation"
+            );
+            let per_sec = |ns: f64| n_scenarios as f64 * 1e9 / ns;
+            [per_sec(cold_ns), per_sec(warm_ns), cold_ns / warm_ns]
+        });
         let hit_rate = hits as f64 / (hits + misses) as f64;
         println!(
-            "campaign planshare: {n_scenarios} scenarios cold {cold_per_sec:.1}/s \
-             warm {warm_per_sec:.1}/s ({speedup:.1}x, hit rate {hit_rate:.2})"
+            "campaign planshare: {n_scenarios} scenarios cold {:.1}/s warm {:.1}/s, \
+             speedup {speedup:.1} (hit rate {hit_rate:.2})",
+            cold_per_sec.median, warm_per_sec.median
         );
-        Json::obj([
-            ("scenarios", n_scenarios.into()),
-            ("threads", threads.into()),
-            ("cold_seconds", cold_seconds.into()),
-            ("warm_seconds", warm_seconds.into()),
-            ("cold_per_sec", cold_per_sec.into()),
-            ("warm_per_sec", warm_per_sec.into()),
-            ("speedup", speedup.into()),
-            ("cache_hits", (hits as f64).into()),
-            ("cache_misses", (misses as f64).into()),
-            ("hit_rate", hit_rate.into()),
-            ("byte_identical", byte_identical.into()),
-        ])
+        obj_with(
+            vec![
+                ("scenarios", n_scenarios.into()),
+                ("threads", threads.into()),
+                ("cache_hits", (hits as f64).into()),
+                ("cache_misses", (misses as f64).into()),
+                ("hit_rate", hit_rate.into()),
+                ("byte_identical", true.into()),
+            ],
+            &[
+                ("cold_per_sec", cold_per_sec),
+                ("warm_per_sec", warm_per_sec),
+                ("speedup", speedup),
+            ],
+        )
     };
 
     // Population-scale inventory fleet: three anti-collision policies,
     // each inventorying a fleet of bodies carrying 512 tags through the
-    // worker pool. Per-body state is a few counters, so the run holds
-    // constant memory while pushing over a million tag-sessions; a
-    // 64-body probe re-run at 1/2/8 workers pins pool-width invariance.
+    // worker pool, in rounds of 64 bodies with one seed per round.
+    // Per-body state is a few counters, so the run holds constant memory
+    // while pushing over a million tag-sessions; a 64-body probe re-run
+    // at 1/2/8 workers pins pool-width invariance.
     let inventory_json = {
-        use ivn_bench::inventory::{fleet_experiment, run_fleet};
+        use ivn_bench::inventory::{fleet_experiment, run_fleet, FleetStats};
         use ivn_core::scenario::PolicySpec;
         let tags_per_body = 512;
         let bodies = if fast { 768 } else { 1024 };
@@ -728,33 +628,42 @@ fn main() -> std::process::ExitCode {
             PolicySpec::Fixed { q: 9 },
             PolicySpec::Schoute { q0: 6 },
         ];
+        let rounds = bodies / INVENTORY_ROUND_BODIES;
         let mut total_sessions = 0usize;
         let mut policy_entries = Vec::new();
         for policy in policies {
             let name = policy.name();
-            let t0 = std::time::Instant::now();
-            let stats = run_fleet(&exp, policy, bodies, SEED, threads);
-            let seconds = t0.elapsed().as_secs_f64();
-            let per_sec = stats.tag_sessions as f64 / seconds;
+            let mut per_body = Vec::with_capacity(bodies);
+            let mut seed = SEED;
+            let [per_sec] = measure(rounds, || {
+                seed += 1;
+                let (ns, stats) = time_ns(|| {
+                    run_fleet(&exp, policy.clone(), INVENTORY_ROUND_BODIES, seed, threads)
+                });
+                per_body.extend(stats.per_body);
+                [stats.tag_sessions as f64 * 1e9 / ns]
+            });
+            let stats = FleetStats::of_bodies(tags_per_body, per_body);
             total_sessions += stats.tag_sessions;
             println!(
-                "inventory {name:<9} {bodies} bodies x {tags_per_body} tags in {seconds:.2} s \
-                 ({per_sec:.0} tag-sessions/sec, rounds-to-full median {:.0})",
+                "inventory {name:<9} {bodies} bodies x {tags_per_body} tags, \
+                 {per_sec:.0} tag-sessions/sec, rounds-to-full median {:.0}",
                 stats.rounds_to_full_median
             );
-            policy_entries.push(Json::obj([
-                ("policy", name.into()),
-                ("tag_sessions", stats.tag_sessions.into()),
-                ("seconds", seconds.into()),
-                ("tag_sessions_per_sec", per_sec.into()),
-                ("rounds_to_full_median", stats.rounds_to_full_median.into()),
-                (
-                    "terminated_frac",
-                    (stats.terminated as f64 / bodies as f64).into(),
-                ),
-                ("slots_per_tag", stats.slots_per_tag.into()),
-                ("captures", (stats.captures as usize).into()),
-            ]));
+            policy_entries.push(obj_with(
+                vec![
+                    ("policy", name.into()),
+                    ("tag_sessions", stats.tag_sessions.into()),
+                    ("rounds_to_full_median", stats.rounds_to_full_median.into()),
+                    (
+                        "terminated_frac",
+                        (stats.terminated as f64 / stats.bodies as f64).into(),
+                    ),
+                    ("slots_per_tag", stats.slots_per_tag.into()),
+                    ("captures", (stats.captures as usize).into()),
+                ],
+                &[("tag_sessions_per_sec", per_sec)],
+            ));
         }
         assert!(
             total_sessions >= 1_000_000,
@@ -763,6 +672,7 @@ fn main() -> std::process::ExitCode {
         Json::obj([
             ("tags_per_body", tags_per_body.into()),
             ("bodies_per_policy", bodies.into()),
+            ("bodies_per_round", INVENTORY_ROUND_BODIES.into()),
             ("total_tag_sessions", total_sessions.into()),
             ("thread_invariant", true.into()),
             ("policies", Json::Arr(policy_entries)),
@@ -803,12 +713,6 @@ fn main() -> std::process::ExitCode {
         print!("{}", report.render());
         report.to_json()
     });
-    if let Some(path) = &trace_path {
-        trace::set_enabled(false);
-        let t = trace::snapshot();
-        std::fs::write(path, t.to_chrome_json().dump() + "\n").expect("write trace");
-        println!("wrote trace to {path} ({} events)", t.events.len());
-    }
 
     let mut fields = vec![
         ("bench", Json::from("peak_gain_cdf")),
@@ -819,39 +723,32 @@ fn main() -> std::process::ExitCode {
         ("seed", (SEED as f64).into()),
         ("worker_threads", threads.into()),
         ("cores", cores.into()),
-        ("serial_median_ns", serial_ns.into()),
         ("parallel_median_ns", parallel_ns.into()),
         ("speedup", speedup.into()),
         ("parallel_sweep", Json::Arr(sweep_entries)),
         ("pool", pool_json),
-        ("obs_overhead_pct", obs_oh.pct.into()),
+        ("obs_overhead_pct", obs_oh.median.into()),
         (
             "obs_overhead_ci95_pct",
-            Json::Arr(vec![obs_oh.ci_lo.into(), obs_oh.ci_hi.into()]),
+            Json::Arr(vec![obs_oh.ci95[0].into(), obs_oh.ci95[1].into()]),
         ),
-        ("trace_overhead_pct", trace_oh.pct.into()),
+        ("trace_overhead_pct", trace_oh.median.into()),
         (
             "trace_overhead_ci95_pct",
-            Json::Arr(vec![trace_oh.ci_lo.into(), trace_oh.ci_hi.into()]),
+            Json::Arr(vec![trace_oh.ci95[0].into(), trace_oh.ci95[1].into()]),
         ),
         ("stages", Json::Arr(stage_entries)),
-        ("kernels", Json::Arr(kernel_entries)),
+        ("kernels", Json::Arr(vec![swap_eval_json])),
         ("streaming", streaming_json),
         ("campaign", campaign_json),
         ("campaign_planshare", campaign_planshare_json),
         ("inventory", inventory_json),
         ("pool_workers", pool_workers_json),
-        ("results", b.to_json()),
     ];
     if let Some(report) = obs_report {
         fields.push(("obs_report", report));
     }
-    let doc = Json::Obj(
-        fields
-            .into_iter()
-            .map(|(k, v)| (k.to_string(), v))
-            .collect(),
-    );
+    let doc = obj_with(fields, &[("serial_median_ns", serial_est)]);
     std::fs::write("BENCH_runtime.json", doc.dump() + "\n").expect("write BENCH_runtime.json");
     println!("wrote BENCH_runtime.json");
     std::process::ExitCode::SUCCESS

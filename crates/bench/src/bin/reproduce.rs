@@ -379,7 +379,7 @@ fn cmd_campaign(args: &Args) -> Result<(), String> {
         None => None,
     };
 
-    let outcome = campaign::run(&scenarios, args.quick, threads);
+    let outcome = campaign::run_loaded(scenarios, args.quick, threads);
 
     if let Some(rec) = recorder {
         rec.stop()

@@ -1,8 +1,8 @@
 //! `trace_report` — offline analyzer for Chrome Trace Event JSON written
-//! by `reproduce --trace` / `bench_runtime --trace`.
+//! by `reproduce --trace`.
 //!
 //! ```text
-//! trace_report <trace.json> [--check] [--top <k>] [--attribute] [--bench <BENCH_runtime.json>]
+//! trace_report <trace.json> [--check] [--top <k>] [--attribute]
 //! ```
 //!
 //! Prints the profiler view (self-vs-total per span name, per-track
@@ -12,19 +12,16 @@
 //! matching `E` for every `B` — and exits non-zero on violation
 //! (`scripts/verify.sh` runs this as the trace round-trip gate).
 //! With `--attribute` it prints the bottleneck attribution report
-//! instead: span self time grouped and ranked by pipeline stage,
-//! pool-lane (`pool.job`) utilization and imbalance, and — when
-//! `--bench` points at a BENCH_runtime.json — the per-stage streaming
-//! MS/s spread, so the 8-thread ~1x sweep and the sdr-vs-em gap get an
-//! explanation instead of a number.
+//! instead: span self time grouped and ranked by pipeline stage, and
+//! pool-lane (`pool.job`) utilization and imbalance, so a flat thread
+//! sweep gets an explanation instead of a number.
 
 use ivn_bench::trace_analysis::{analyze, attribute};
 use ivn_runtime::json::Json;
 use ivn_runtime::trace::Trace;
 use std::process::ExitCode;
 
-const USAGE: &str =
-    "usage: trace_report <trace.json> [--check] [--top <k>] [--attribute] [--bench <bench.json>]";
+const USAGE: &str = "usage: trace_report <trace.json> [--check] [--top <k>] [--attribute]";
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -36,11 +33,6 @@ fn main() -> ExitCode {
         .and_then(|i| args.get(i + 1))
         .and_then(|v| v.parse::<usize>().ok())
         .unwrap_or(5);
-    let bench_path = args
-        .iter()
-        .position(|a| a == "--bench")
-        .and_then(|i| args.get(i + 1))
-        .cloned();
     let path = {
         let mut paths = Vec::new();
         let mut skip = false;
@@ -50,7 +42,7 @@ fn main() -> ExitCode {
                 continue;
             }
             match a.as_str() {
-                "--top" | "--bench" => skip = true,
+                "--top" => skip = true,
                 "--check" | "--attribute" => {}
                 _ => paths.push(a.clone()),
             }
@@ -106,20 +98,7 @@ fn main() -> ExitCode {
     }
 
     if with_attribution {
-        let bench = match &bench_path {
-            Some(bp) => match std::fs::read_to_string(bp)
-                .map_err(|e| e.to_string())
-                .and_then(|t| Json::parse(&t).map_err(|e| format!("{e}")))
-            {
-                Ok(d) => Some(d),
-                Err(e) => {
-                    eprintln!("trace_report: cannot use --bench {bp}: {e}");
-                    return ExitCode::FAILURE;
-                }
-            },
-            None => None,
-        };
-        print!("{}", attribute(&analyze(&trace), bench.as_ref()).render());
+        print!("{}", attribute(&analyze(&trace)).render());
         return ExitCode::SUCCESS;
     }
 

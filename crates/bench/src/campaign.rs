@@ -18,13 +18,21 @@ use std::path::Path;
 pub struct CampaignOutcome {
     /// Evaluated metrics, one per scenario that ran.
     pub metrics: Vec<ScenarioMetrics>,
-    /// Scenarios that failed to evaluate: (name, reason).
+    /// Entries that failed to load or evaluate, in load order:
+    /// (scenario name, or file name for a file that did not load; reason).
     pub errors: Vec<(String, String)>,
 }
 
+/// One campaign entry as loaded from disk: the scenario, or the file's
+/// name and why it could not be read, parsed or validated.
+pub type Loaded = Result<Scenario, (String, String)>;
+
 /// Loads every `*.json` scenario in `dir`, sorted by filename so the
-/// campaign order is reproducible across filesystems.
-pub fn load_dir(dir: &Path) -> Result<Vec<Scenario>, String> {
+/// campaign order is reproducible across filesystems. A bad file does
+/// not stop the load: it stays in its filename slot as an `Err`, which
+/// [`run_loaded`] reports under `errors`. Only an unreadable directory,
+/// or one without any `*.json` file, is an error here.
+pub fn load_dir(dir: &Path) -> Result<Vec<Loaded>, String> {
     let mut files: Vec<_> = std::fs::read_dir(dir)
         .map_err(|e| format!("cannot read {}: {e}", dir.display()))?
         .filter_map(|entry| entry.ok().map(|e| e.path()))
@@ -34,13 +42,17 @@ pub fn load_dir(dir: &Path) -> Result<Vec<Scenario>, String> {
     if files.is_empty() {
         return Err(format!("no *.json scenarios in {}", dir.display()));
     }
-    files
+    Ok(files
         .iter()
         .map(|p| {
-            let text = std::fs::read_to_string(p).map_err(|e| format!("{}: {e}", p.display()))?;
-            Scenario::parse(&text).map_err(|e| format!("{}: {}", p.display(), e.reason))
+            let file = p.file_name().map_or_else(
+                || p.display().to_string(),
+                |f| f.to_string_lossy().into_owned(),
+            );
+            let text = std::fs::read_to_string(p).map_err(|e| (file.clone(), e.to_string()))?;
+            Scenario::parse(&text).map_err(|e| (file, e.reason))
         })
-        .collect()
+        .collect())
 }
 
 /// Runs every scenario on `threads` workers. Deterministic: the result
@@ -51,12 +63,20 @@ pub fn load_dir(dir: &Path) -> Result<Vec<Scenario>, String> {
 /// evaluation bumps the `campaign.scenarios_done` counter, which is what
 /// the `--live` flight recorder diffs into a scenarios/sec rate.
 pub fn run(scenarios: &[Scenario], quick: bool, threads: usize) -> CampaignOutcome {
-    ivn_runtime::obs_gauge!("campaign.scenarios_total", scenarios.len());
-    // Pool jobs must own their data, so scenarios are cloned in; the
-    // clone is parsing-scale cheap next to a scenario evaluation.
-    let owned: Vec<Scenario> = scenarios.to_vec();
-    let results = WorkerPool::global().map_move(owned, threads, move |_, s| {
-        let out = (s.name.clone(), evaluate(&s, quick));
+    run_loaded(scenarios.iter().cloned().map(Ok).collect(), quick, threads)
+}
+
+/// [`run`] over a loaded directory: files that failed to load land in
+/// `errors` next to the scenarios that failed to evaluate, all in
+/// filename order, so the report stays byte-identical at any width.
+pub fn run_loaded(entries: Vec<Loaded>, quick: bool, threads: usize) -> CampaignOutcome {
+    ivn_runtime::obs_gauge!("campaign.scenarios_total", entries.len());
+    // Pool jobs must own their data, so scenarios are moved in.
+    let results = WorkerPool::global().map_move(entries, threads, move |_, entry| {
+        let out = match entry {
+            Ok(s) => (s.name.clone(), evaluate(&s, quick)),
+            Err((file, reason)) => (file, Err(reason)),
+        };
         ivn_runtime::obs_count!("campaign.scenarios_done", 1);
         out
     });
@@ -245,7 +265,7 @@ mod tests {
         let loaded = load_dir(&dir).unwrap();
         assert_eq!(loaded.len(), fleet.len());
         for (l, s) in loaded.iter().zip(&fleet) {
-            assert_eq!(l.name, s.name);
+            assert_eq!(l.as_ref().unwrap().name, s.name);
         }
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -197,24 +197,31 @@ pub fn run_fleet(
             captures: run.captures as u64,
         }
     });
+    FleetStats::of_bodies(tags_per_body, per_body)
+}
 
-    let rounds: Vec<f64> = per_body
-        .iter()
-        .filter(|b| b.terminated)
-        .map(|b| b.rounds as f64)
-        .collect();
-    let inventoried: u64 = per_body.iter().map(|b| b.inventoried as u64).sum();
-    let slots: u64 = per_body.iter().map(|b| b.slots).sum();
-    FleetStats {
-        bodies,
-        tags_per_body,
-        tag_sessions: bodies * tags_per_body,
-        inventoried,
-        terminated: per_body.iter().filter(|b| b.terminated).count(),
-        rounds_to_full_median: Summary::of(&rounds).map(|s| s.median).unwrap_or(f64::NAN),
-        slots_per_tag: slots as f64 / inventoried.max(1) as f64,
-        captures: per_body.iter().map(|b| b.captures).sum(),
-        per_body,
+impl FleetStats {
+    /// Aggregates per-body outcomes of `tags_per_body`-tag populations —
+    /// one [`run_fleet`] call's, or several calls' concatenated.
+    pub fn of_bodies(tags_per_body: usize, per_body: Vec<BodyStats>) -> FleetStats {
+        let rounds: Vec<f64> = per_body
+            .iter()
+            .filter(|b| b.terminated)
+            .map(|b| b.rounds as f64)
+            .collect();
+        let inventoried: u64 = per_body.iter().map(|b| b.inventoried as u64).sum();
+        let slots: u64 = per_body.iter().map(|b| b.slots).sum();
+        FleetStats {
+            bodies: per_body.len(),
+            tags_per_body,
+            tag_sessions: per_body.len() * tags_per_body,
+            inventoried,
+            terminated: per_body.iter().filter(|b| b.terminated).count(),
+            rounds_to_full_median: Summary::of(&rounds).map(|s| s.median).unwrap_or(f64::NAN),
+            slots_per_tag: slots as f64 / inventoried.max(1) as f64,
+            captures: per_body.iter().map(|b| b.captures).sum(),
+            per_body,
+        }
     }
 }
 

@@ -1,14 +1,24 @@
-//! Perf-regression sentinel: machine-checkable tolerance bands over
-//! BENCH_runtime.json.
+//! Perf-regression sentinel: how a gated BENCH_runtime.json number is
+//! measured, and the tolerance bands it is checked against.
 //!
-//! The committed `BENCH_baseline.json` is the one place a bench number is
-//! gated: stage medians, streaming MS/s, pool dispatch speedup, overhead
-//! CIs, campaign and inventory throughput, and the presence of the obs
-//! report's spans. Each metric has a direction and a tolerance factor —
-//! wide enough to absorb shared-runner noise where the value is a
-//! timing, exactly 1 where it is an absolute floor or ceiling.
-//! `bench_runtime --check-baseline` evaluates the bands after a bench
-//! run; `scripts/verify.sh` makes it a PR gate.
+//! **Measuring.** Every gated number goes through one path:
+//! [`measure`] runs a round closure a fixed number of times (at least
+//! [`MIN_ROUNDS`]) and summarises each value the rounds return by
+//! [`median_ci95`] — the median plus a distribution-free 95% confidence
+//! interval from order statistics. A round that needs a wall-clock time
+//! takes it with [`time_ns`] (one call between two `Instant` reads). The bench
+//! writes the median under the metric's name and the CI as a
+//! `<name>_ci95` sibling, e.g. `{"median_ns": …, "median_ns_ci95": [lo, hi]}`,
+//! so a band reads a median, never a single pass.
+//!
+//! **Checking.** The committed `BENCH_baseline.json` is the one place a
+//! bench number is gated: stage medians, streaming MS/s, pool dispatch
+//! speedup, overhead CIs, campaign and inventory throughput, and the
+//! presence of the obs report's spans. Each metric has a direction and
+//! a tolerance factor — wide enough to absorb shared-runner noise where
+//! the value is a timing, exactly 1 where it is an absolute floor or
+//! ceiling. `bench_runtime --check-baseline` evaluates the bands after a
+//! bench run; `scripts/verify.sh` makes it a PR gate.
 //!
 //! Baseline format:
 //!
@@ -34,6 +44,98 @@
 //! `factor: 1.0` makes the value an absolute ceiling or floor.
 
 use ivn_runtime::json::Json;
+use std::time::Instant;
+
+/// Fewest rounds [`median_ci95`] accepts: below this the order-statistic
+/// CI collapses onto the extremes.
+pub const MIN_ROUNDS: usize = 8;
+
+/// A repeated measurement: the median over rounds and a 95% CI on it.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Estimate {
+    /// Median of the rounds.
+    pub median: f64,
+    /// 95% confidence interval on the median, `[lo, hi]`.
+    pub ci95: [f64; 2],
+}
+
+impl Estimate {
+    /// The bench-document fields for a metric called `name`: the median
+    /// under `name` and the CI under `<name>_ci95`.
+    pub fn fields(&self, name: &str) -> [(String, Json); 2] {
+        [
+            (name.to_string(), self.median.into()),
+            (
+                format!("{name}_ci95"),
+                Json::Arr(vec![self.ci95[0].into(), self.ci95[1].into()]),
+            ),
+        ]
+    }
+}
+
+/// `median [95% CI lo..hi]`, all three at the formatter's precision
+/// (`{:.2}`), so every bench line prints an estimate the same way.
+impl std::fmt::Display for Estimate {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let p = f.precision().unwrap_or(0);
+        let [lo, hi] = self.ci95;
+        write!(f, "{:.p$} [95% CI {lo:.p$}..{hi:.p$}]", self.median)
+    }
+}
+
+/// Median and a distribution-free 95% CI for the median via order
+/// statistics: ranks `n/2 ± 1.96·√n/2` of the sorted samples.
+///
+/// # Panics
+/// With fewer than [`MIN_ROUNDS`] samples.
+pub fn median_ci95(samples: &mut [f64]) -> Estimate {
+    let n = samples.len();
+    assert!(
+        n >= MIN_ROUNDS,
+        "{n} rounds are too few for a CI (need {MIN_ROUNDS})"
+    );
+    samples.sort_by(f64::total_cmp);
+    let median = if n % 2 == 1 {
+        samples[n / 2]
+    } else {
+        0.5 * (samples[n / 2 - 1] + samples[n / 2])
+    };
+    let half = 1.96 * (n as f64).sqrt() / 2.0;
+    let lo = ((n as f64 / 2.0 - half).floor().max(0.0)) as usize;
+    let hi = ((n as f64 / 2.0 + half).ceil() as usize).min(n - 1);
+    Estimate {
+        median,
+        ci95: [samples[lo], samples[hi]],
+    }
+}
+
+/// Runs `round` `rounds` times and summarises each of the `K` values it
+/// returns per round by its [`median_ci95`]. Values measured in the same
+/// round (a paired ratio, say) stay paired.
+///
+/// # Panics
+/// With fewer than [`MIN_ROUNDS`] rounds.
+pub fn measure<const K: usize>(
+    rounds: usize,
+    mut round: impl FnMut() -> [f64; K],
+) -> [Estimate; K] {
+    let mut samples = vec![Vec::with_capacity(rounds); K];
+    for _ in 0..rounds {
+        for (column, v) in samples.iter_mut().zip(round()) {
+            column.push(v);
+        }
+    }
+    std::array::from_fn(|k| median_ci95(&mut samples[k]))
+}
+
+/// Wall-clock nanoseconds of one call of `f`, with its result. The
+/// result passes through `black_box`, so the call cannot be optimised
+/// away even when the caller drops it.
+pub fn time_ns<T>(f: impl FnOnce() -> T) -> (f64, T) {
+    let t0 = Instant::now();
+    let out = std::hint::black_box(f());
+    (t0.elapsed().as_nanos() as f64, out)
+}
 
 /// Resolves a dotted `path` (with `key=value` array selectors, bare
 /// integer indices and dotted object keys) to a number inside `doc`.
@@ -307,6 +409,61 @@ mod tests {
     }
 
     #[test]
+    fn median_and_ci_ranks_are_exact() {
+        // Samples 0..n in reverse: the sort is exercised and each
+        // order statistic equals its rank.
+        let est = |n: usize| median_ci95(&mut (0..n).rev().map(|i| i as f64).collect::<Vec<_>>());
+        // n = 8: half-width 1.96·√8/2 = 2.77 → ranks 1 and 7.
+        assert_eq!(
+            est(8),
+            Estimate {
+                median: 3.5,
+                ci95: [1.0, 7.0]
+            }
+        );
+        // n = 200: half-width 13.86 → ranks 86 and 114.
+        assert_eq!(
+            est(200),
+            Estimate {
+                median: 99.5,
+                ci95: [86.0, 114.0]
+            }
+        );
+        // Odd n takes the middle sample.
+        assert_eq!(est(9).median, 4.0);
+    }
+
+    #[test]
+    fn measure_keeps_round_values_paired() {
+        let mut r = 0.0;
+        let [a, b] = measure(MIN_ROUNDS, || {
+            r += 1.0;
+            [r, 10.0 * r]
+        });
+        assert_eq!(a.median, 4.5);
+        assert_eq!(b.median, 45.0);
+        assert_eq!(b.ci95, [20.0, 80.0]);
+        assert_eq!(time_ns(|| (0..1000u64).sum::<u64>()).1, 499_500);
+    }
+
+    #[test]
+    #[should_panic(expected = "too few")]
+    fn fewer_than_eight_rounds_are_rejected() {
+        measure(MIN_ROUNDS - 1, || [0.0]);
+    }
+
+    #[test]
+    fn estimate_fields_name_the_ci_sibling() {
+        let e = Estimate {
+            median: 2.0,
+            ci95: [1.0, 3.0],
+        };
+        let doc = Json::Obj(e.fields("median_ns").to_vec());
+        assert_eq!(doc.dump(), r#"{"median_ns":2,"median_ns_ci95":[1,3]}"#);
+        assert_eq!(format!("{e:.1}"), "2.0 [95% CI 1.0..3.0]");
+    }
+
+    #[test]
     fn committed_baseline_is_well_formed() {
         let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_baseline.json");
         let text = std::fs::read_to_string(path).expect("committed baseline is readable");
@@ -314,5 +471,30 @@ mod tests {
         assert_eq!(baseline_mode(&baseline), Some("fast"));
         let checks = check(&Json::obj([]), &baseline).expect("every band is well formed");
         assert!(!checks.is_empty());
+    }
+
+    #[test]
+    fn committed_bench_document_resolves_every_baseline_path() {
+        let read = |name: &str| {
+            let path = format!("{}/../../{name}", env!("CARGO_MANIFEST_DIR"));
+            Json::parse(&std::fs::read_to_string(&path).expect("readable")).expect("valid JSON")
+        };
+        let (bench, baseline) = (read("BENCH_runtime.json"), read("BENCH_baseline.json"));
+        let checks = check(&bench, &baseline).expect("baseline is well formed");
+        let mut timed = 0;
+        for c in &checks {
+            let m = c
+                .measured
+                .unwrap_or_else(|| panic!("{} is missing", c.path));
+            // A number measured over rounds carries its CI as a sibling.
+            if let Some(lo) = lookup(&bench, &format!("{}_ci95.0", c.path)) {
+                let hi = lookup(&bench, &format!("{}_ci95.1", c.path)).expect("CI has two ends");
+                assert!(lo <= m && m <= hi, "{}: {m} outside [{lo}, {hi}]", c.path);
+                timed += 1;
+            }
+        }
+        // serial, 5 stages, swap_eval, 4 streaming stages, dispatch,
+        // campaign, plan-share and 3 inventory policies.
+        assert_eq!(timed, 17, "every timed band reads a median with a CI");
     }
 }

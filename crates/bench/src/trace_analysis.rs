@@ -7,7 +7,6 @@
 //! The `trace_report` binary is a thin shell over [`analyze`] +
 //! [`Analysis::render`]; keeping the logic here makes it unit-testable.
 
-use ivn_runtime::json::Json;
 use ivn_runtime::trace::{EventKind, Trace};
 
 /// One matched begin/end pair, nested via `depth`/`parent`.
@@ -376,8 +375,6 @@ pub struct StageShare {
     pub count: usize,
     /// `self_ns` over the total self time of all stages.
     pub share: f64,
-    /// Streaming throughput from BENCH_runtime.json, when provided.
-    pub msps: Option<f64>,
 }
 
 /// One trace track that executed `pool.job` spans — a worker lane (or a
@@ -394,8 +391,8 @@ pub struct PoolLane {
     pub utilization: f64,
 }
 
-/// The ranked imbalance report combining span self-time by stage,
-/// pool-lane utilization, and (optionally) per-stage streaming MS/s.
+/// The ranked imbalance report combining span self-time by stage and
+/// pool-lane utilization.
 #[derive(Debug, Clone, Default)]
 pub struct Attribution {
     /// Trace wall time.
@@ -406,36 +403,10 @@ pub struct Attribution {
     pub pool_lanes: Vec<PoolLane>,
     /// Busiest over least-busy pool lane (`None` with < 2 lanes).
     pub lane_imbalance: Option<f64>,
-    /// `(slowest stage, fastest stage, ratio)` by streaming MS/s
-    /// (`None` without bench data).
-    pub throughput_imbalance: Option<(String, String, f64)>,
 }
 
-/// Extracts `(stage, msps)` pairs from a BENCH_runtime.json document's
-/// `streaming.stages` section.
-fn streaming_msps(bench: &Json) -> Vec<(String, f64)> {
-    let Some(stages) = bench
-        .get("streaming")
-        .and_then(|s| s.get("stages"))
-        .and_then(Json::as_array)
-    else {
-        return Vec::new();
-    };
-    stages
-        .iter()
-        .filter_map(|e| {
-            let stage = e.get("stage")?.as_str()?.to_string();
-            let msps = e.get("msps")?.as_f64()?;
-            Some((stage, msps))
-        })
-        .collect()
-}
-
-/// Builds the attribution view from an [`Analysis`], optionally joining
-/// per-stage streaming throughput from a parsed BENCH_runtime.json.
-pub fn attribute(a: &Analysis, bench: Option<&Json>) -> Attribution {
-    let msps = bench.map(streaming_msps).unwrap_or_default();
-
+/// Builds the attribution view from an [`Analysis`].
+pub fn attribute(a: &Analysis) -> Attribution {
     // Group span self time by stage prefix.
     let mut stages: Vec<StageShare> = Vec::new();
     for s in &a.by_name {
@@ -446,7 +417,6 @@ pub fn attribute(a: &Analysis, bench: Option<&Json>) -> Attribution {
                 g.count += s.count;
             }
             None => stages.push(StageShare {
-                msps: msps.iter().find(|(n, _)| *n == stage).map(|&(_, v)| v),
                 stage,
                 self_ns: s.self_ns,
                 count: s.count,
@@ -495,25 +465,11 @@ pub fn attribute(a: &Analysis, bench: Option<&Json>) -> Attribution {
         _ => None,
     };
 
-    // Throughput imbalance from the streaming section (the 10x
-    // sdr-vs-em spread shows up here regardless of what was traced).
-    let throughput_imbalance = {
-        let mut rated: Vec<&(String, f64)> = msps.iter().filter(|(_, v)| *v > 0.0).collect();
-        rated.sort_by(|x, y| x.1.total_cmp(&y.1));
-        match (rated.first(), rated.last()) {
-            (Some(slow), Some(fast)) if rated.len() >= 2 => {
-                Some((slow.0.clone(), fast.0.clone(), fast.1 / slow.1))
-            }
-            _ => None,
-        }
-    };
-
     Attribution {
         wall_ns: a.wall_ns,
         stages,
         pool_lanes,
         lane_imbalance,
-        throughput_imbalance,
     }
 }
 
@@ -524,18 +480,15 @@ impl Attribution {
         out += &format!("bottleneck attribution — {} wall\n", fmt_ns(self.wall_ns));
 
         out += "\nstage ranking (summed span self time):\n";
-        out += "stage        self time      share   spans   streaming MS/s\n";
-        out += "--------------------------------------------------------\n";
+        out += "stage        self time      share   spans\n";
+        out += "-------------------------------------------\n";
         for g in &self.stages {
             out += &format!(
-                "{:<12} {:>11} {:>8.1}% {:>7}   {}\n",
+                "{:<12} {:>11} {:>8.1}% {:>7}\n",
                 g.stage,
                 fmt_ns(g.self_ns),
                 100.0 * g.share,
                 g.count,
-                g.msps
-                    .map(|v| format!("{v:.1}"))
-                    .unwrap_or_else(|| "-".into()),
             );
         }
 
@@ -561,13 +514,6 @@ impl Attribution {
             out += &format!(
                 "  aggregate lane utilization: {:.2} lane-equivalents over the trace\n",
                 covered
-            );
-        }
-
-        if let Some((slow, fast, ratio)) = &self.throughput_imbalance {
-            out += &format!(
-                "\nstreaming throughput spread: {slow} is {ratio:.1}x slower than \
-                 {fast} — the pipeline drains at the slowest stage's rate\n"
             );
         }
         out
@@ -693,20 +639,10 @@ mod tests {
 
     #[test]
     fn attribution_ranks_stages_and_lanes() {
-        let a = analyze(&pool_trace());
-        let bench = Json::parse(
-            r#"{"streaming":{"stages":[
-                {"stage":"sdr","msps":27.6},
-                {"stage":"em","msps":140.9},
-                {"stage":"harvester","msps":23.3}
-            ]}}"#,
-        )
-        .unwrap();
-        let attr = attribute(&a, Some(&bench));
+        let attr = attribute(&analyze(&pool_trace()));
 
-        // sdr has the widest self time and joins its streaming rate.
+        // sdr has the widest self time.
         assert_eq!(attr.stages[0].stage, "sdr");
-        assert_eq!(attr.stages[0].msps, Some(27.6));
         let shares: f64 = attr.stages.iter().map(|g| g.share).sum();
         assert!((shares - 1.0).abs() < 1e-9, "shares sum to {shares}");
 
@@ -718,25 +654,18 @@ mod tests {
         let imbalance = attr.lane_imbalance.unwrap();
         assert!((imbalance - 3.0).abs() < 1e-9, "imbalance {imbalance}");
 
-        // harvester (23.3) is the slowest streaming stage vs em (140.9).
-        let (slow, fast, ratio) = attr.throughput_imbalance.clone().unwrap();
-        assert_eq!((slow.as_str(), fast.as_str()), ("harvester", "em"));
-        assert!((ratio - 140.9 / 23.3).abs() < 1e-9);
-
         let text = attr.render();
         assert!(text.contains("bottleneck attribution"));
         assert!(text.contains("stage ranking"));
         assert!(text.contains("pool lanes"));
         assert!(text.contains("lane imbalance"));
-        assert!(text.contains("slower than"));
     }
 
     #[test]
-    fn attribution_without_pool_or_bench_degrades_gracefully() {
-        let attr = attribute(&analyze(&sample_trace()), None);
+    fn attribution_without_pool_degrades_gracefully() {
+        let attr = attribute(&analyze(&sample_trace()));
         assert!(attr.pool_lanes.is_empty());
         assert!(attr.lane_imbalance.is_none());
-        assert!(attr.throughput_imbalance.is_none());
         let text = attr.render();
         assert!(text.contains("no pool.job spans"));
         assert!(text.contains("ran inline"));

@@ -615,16 +615,6 @@ pub struct TagPopulation {
 }
 
 impl TagPopulation {
-    /// A population with the coupling knobs off.
-    pub fn uncoupled(count: usize, spacing_m: f64) -> Self {
-        TagPopulation {
-            count,
-            spacing_m,
-            detuning: 0.0,
-            shadow_db: 0.0,
-        }
-    }
-
     /// The population's coupling model (2 cm reference spacing).
     pub fn coupling(&self) -> ivn_em::coupling::CouplingModel {
         ivn_em::coupling::CouplingModel::new(self.detuning, 0.02, self.shadow_db)
@@ -1045,22 +1035,6 @@ impl Scenario {
         }
     }
 
-    /// Same scenario with a different name.
-    pub fn with_name(&self, name: &str) -> Scenario {
-        Scenario {
-            name: name.to_string(),
-            ..self.clone()
-        }
-    }
-
-    /// Same scenario with a different seed.
-    pub fn with_seed(&self, seed: u64) -> Scenario {
-        Scenario {
-            seed,
-            ..self.clone()
-        }
-    }
-
     /// Parses a scenario from JSON text.
     pub fn parse(text: &str) -> Result<Scenario, JsonError> {
         Scenario::from_json(&Json::parse(text)?)
@@ -1070,7 +1044,8 @@ impl Scenario {
     /// with or divides by, so a hostile value is rejected here with the
     /// field's dot path instead of panicking deep inside a kernel.
     /// [`FromJson`] runs it on every parsed (and so every generated)
-    /// scenario.
+    /// scenario. Rejected `f64`s print in their shortest round-trip form
+    /// (`{:?}`), so `1e308` reads as `1e308`, not as a 309-digit integer.
     pub fn validate(&self) -> Result<(), JsonError> {
         for (mode, n) in [("quick", self.trials.quick), ("full", self.trials.full)] {
             if n == 0 {
@@ -1079,7 +1054,7 @@ impl Scenario {
         }
         if !(self.eirp_dbm.is_finite() && self.eirp_dbm <= MAX_EIRP_DBM) {
             return err(format!(
-                "eirp_dbm must be finite and at most {MAX_EIRP_DBM} dBm, got {}",
+                "eirp_dbm must be finite and at most {MAX_EIRP_DBM} dBm, got {:?}",
                 self.eirp_dbm
             ));
         }
@@ -1090,7 +1065,7 @@ impl Scenario {
             if v.is_finite() && v >= 0.0 {
                 Ok(())
             } else {
-                err(format!("{path} must be a finite length >= 0 m, got {v}"))
+                err(format!("{path} must be a finite length >= 0 m, got {v:?}"))
             }
         };
         match &self.placement {
@@ -1099,7 +1074,7 @@ impl Scenario {
             PlacementSpec::FreeSpace { range_m } => {
                 if !(range_m.is_finite() && *range_m > 0.0) {
                     return err(format!(
-                        "placement.range_m must be a finite length > 0 m, got {range_m}"
+                        "placement.range_m must be a finite length > 0 m, got {range_m:?}"
                     ));
                 }
             }
@@ -1134,12 +1109,12 @@ impl Scenario {
             let cap = MAX_ENVELOPE_RATE;
             if !(powerup_rate >= 1.0 && powerup_rate <= cap) {
                 return err(format!(
-                    "kind.powerup_rate must be in [1, {cap:e}] S/s, got {powerup_rate}"
+                    "kind.powerup_rate must be in [1, {cap:e}] S/s, got {powerup_rate:?}"
                 ));
             }
             if !(command_rate > 0.0 && command_rate <= cap) {
                 return err(format!(
-                    "kind.command_rate must be in (0, {cap:e}] S/s, got {command_rate}"
+                    "kind.command_rate must be in (0, {cap:e}] S/s, got {command_rate:?}"
                 ));
             }
         }

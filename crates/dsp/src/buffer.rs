@@ -86,12 +86,6 @@ impl IqBuffer {
         &mut self.samples
     }
 
-    /// Consumes the buffer, returning the sample vector.
-    #[inline]
-    pub fn into_samples(self) -> Vec<Complex64> {
-        self.samples
-    }
-
     /// Mean power (average |x|²) of the buffer; 0 for an empty buffer.
     pub fn mean_power(&self) -> f64 {
         if self.samples.is_empty() {

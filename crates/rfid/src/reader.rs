@@ -134,11 +134,6 @@ impl Reader {
         self.capture = Some(capture);
     }
 
-    /// The active policy's name.
-    pub fn policy_name(&self) -> &'static str {
-        self.policy.name()
-    }
-
     /// Current integer Q.
     pub fn q(&self) -> u8 {
         self.policy.choose_q()

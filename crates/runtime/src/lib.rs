@@ -20,8 +20,6 @@
 //!   machine-readable figure output from the bench harness.
 //! * [`prop`] — a seeded, shrink-free property-test harness (the
 //!   [`props!`] macro) replacing `proptest`.
-//! * [`bench`] — a tiny timing harness replacing `criterion` for the
-//!   `cargo bench` targets.
 //! * [`obs`] — pipeline observability: [`span!`] tracing, counters,
 //!   gauges and power-of-two histograms behind one global enable flag,
 //!   snapshotted into an [`obs::Report`] that serializes through
@@ -40,7 +38,6 @@
 //!
 //! Design notes live in DESIGN.md §"Runtime layer".
 
-pub mod bench;
 pub mod json;
 pub mod obs;
 pub mod par;

@@ -84,12 +84,6 @@ impl Obs {
         Obs { on: false }
     }
 
-    /// Whether this handle records.
-    #[inline]
-    pub fn is_on(&self) -> bool {
-        self.on
-    }
-
     /// Adds `n` to `c` if this handle records.
     #[inline]
     pub fn add(&self, c: &Counter, n: u64) {

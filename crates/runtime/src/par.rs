@@ -82,52 +82,6 @@ where
         .collect()
 }
 
-/// Runs `f` over `items` **in place** on `threads` workers.
-///
-/// The streaming sample path uses this to advance per-device block
-/// emitters concurrently: each item owns independent mutable state
-/// (oscillator phase, scratch buffer), the slice is split into
-/// contiguous chunks — one worker per chunk — and every worker mutates
-/// only its own chunk. Because `f(i, item)` touches nothing shared, the
-/// result is identical at any thread count (streaming determinism is
-/// pinned by `tests/streaming_equivalence.rs`).
-///
-/// With `threads <= 1` (or one item) the loop runs inline.
-///
-/// # Panics
-/// Re-raises the first panic from any worker.
-pub fn par_for_each_mut_threads<T, F>(threads: usize, items: &mut [T], f: F)
-where
-    T: Send,
-    F: Fn(usize, &mut T) + Sync,
-{
-    let n = items.len();
-    if threads <= 1 || n <= 1 {
-        for (i, item) in items.iter_mut().enumerate() {
-            f(i, item);
-        }
-        return;
-    }
-    let workers = threads.min(n);
-    let chunk = n.div_ceil(workers);
-    std::thread::scope(|scope| {
-        let f = &f;
-        let mut handles = Vec::with_capacity(workers);
-        for (ci, chunk_items) in items.chunks_mut(chunk).enumerate() {
-            handles.push(scope.spawn(move || {
-                for (j, item) in chunk_items.iter_mut().enumerate() {
-                    f(ci * chunk + j, item);
-                }
-            }));
-        }
-        for h in handles {
-            if let Err(payload) = h.join() {
-                std::panic::resume_unwind(payload);
-            }
-        }
-    });
-}
-
 /// [`par_map_threads`] with the default worker count ([`num_threads`]).
 pub fn par_map<T, U, F>(items: &[T], f: F) -> Vec<U>
 where

@@ -93,11 +93,6 @@ impl TxBank {
         &self.devices[i]
     }
 
-    /// Mutable device access.
-    pub fn device_mut(&mut self, i: usize) -> &mut SdrDevice {
-        &mut self.devices[i]
-    }
-
     /// The hidden carrier phases θᵢ (test/oracle use only).
     pub fn hidden_phases(&self) -> Vec<f64> {
         let mut out = vec![0.0; self.len()];

@@ -28,19 +28,6 @@ for span in sdr.emit_ns em.ensemble_responses_ns harvester.power_up_ns rfid.pie_
     }
 done
 
-echo "==> streaming vs batch: 1 MS/s pipeline summaries are byte-identical"
-# At 1 MS/s the streaming path's calibration skips most of the period
-# (only windows whose bound can reach the peak are regenerated); the
-# rendered gain, power-up time and decode results must still match the
-# whole-buffer oracle byte for byte.
-cargo run --release --offline -p ivn-bench --bin reproduce -- pipeline --sample-rate 1e6 > target/verify_pipeline_stream.txt
-cargo run --release --offline -p ivn-bench --bin reproduce -- pipeline --sample-rate 1e6 --batch > target/verify_pipeline_batch.txt
-cmp target/verify_pipeline_stream.txt target/verify_pipeline_batch.txt || {
-    echo "verify: FAIL — 1 MS/s streaming pipeline summary differs from the --batch oracle" >&2
-    exit 1
-}
-echo "1 MS/s streaming == batch summary OK"
-
 echo "==> runtime bench with observability (BENCH_runtime.json)"
 IVN_BENCH_FAST="${IVN_BENCH_FAST:-1}" cargo run --release --offline -p ivn-bench --bin bench_runtime -- --obs
 
@@ -150,7 +137,7 @@ cmp target/verify_live_on.txt target/verify_live_off.txt || {
 echo "live telemetry OK ($(wc -l < "$LIVE_OUT") snapshots, stdout byte-identical)"
 
 echo "==> bottleneck attribution from the verify trace"
-cargo run --release --offline -p ivn-bench --bin trace_report -- "$TRACE_OUT" --attribute --bench BENCH_runtime.json > target/verify_attr.txt
+cargo run --release --offline -p ivn-bench --bin trace_report -- "$TRACE_OUT" --attribute > target/verify_attr.txt
 grep -q 'bottleneck attribution' target/verify_attr.txt && grep -q 'stage ranking' target/verify_attr.txt || {
     echo "verify: FAIL — trace_report --attribute did not produce an attribution report" >&2
     exit 1
@@ -160,7 +147,8 @@ echo "attribution report OK"
 echo "==> perf-regression sentinel: BENCH_runtime.json vs committed baseline"
 # BENCH_baseline.json holds the one gate for every number in
 # BENCH_runtime.json: stage medians, throughput floors, the overhead CI
-# ceiling, obs spans and pool-lane counters. The check skips itself
+# ceiling, obs spans and pool-lane counters. Every timed number is the
+# median of repeated rounds, written with its 95% CI. The check skips itself
 # (exit 0 with a notice) when the bench ran in a different mode than the
 # baseline was recorded under. bench_runtime itself asserts the
 # thread-sweep, plan-cache and inventory invariants before it writes the

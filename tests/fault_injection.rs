@@ -258,6 +258,14 @@ fn hostile_boundary_values_are_rejected_at_parse() {
         .replace("\"depth_m\":0.08", "\"depth_m\":-5");
     let reason = Scenario::parse(&text).expect_err("-5 m parsed").reason;
     assert!(reason.contains("placement.depth_m"), "{reason}");
+    // A rejected value prints in its shortest round-trip form, not as
+    // `{}`'s 309-digit integer.
+    let reason = scenario_with("session", "eirp_dbm", 1e308).expect_err("1e308 dBm parsed");
+    assert!(
+        reason.contains("eirp_dbm") && reason.contains("got 1e308"),
+        "{reason}"
+    );
+    assert!(reason.len() < 100, "unreadable reason: {reason}");
     // In-range edges still parse: the sweeps in `verify.sh` (38 dBm) and
     // the benchmark's ±5 % EIRP jitter (up to 38.85 dBm) sit far below
     // the cap.

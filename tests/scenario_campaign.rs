@@ -50,7 +50,11 @@ fn thousand_scenario_campaign_is_thread_invariant() {
     for s in &fleet {
         std::fs::write(dir.join(format!("{}.json", s.name)), s.dump() + "\n").unwrap();
     }
-    let loaded = campaign::load_dir(&dir).expect("load_dir");
+    let loaded: Vec<Scenario> = campaign::load_dir(&dir)
+        .expect("load_dir")
+        .into_iter()
+        .map(|e| e.expect("every generated file loads"))
+        .collect();
     assert_eq!(loaded.len(), fleet.len());
 
     let reports: Vec<String> = [1, 2, 8]
@@ -75,6 +79,57 @@ fn thousand_scenario_campaign_is_thread_invariant() {
     assert!(matches!(agg.get("powered_frac"), Some(Json::Obj(_))));
 
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn one_bad_file_is_an_error_not_an_abort() {
+    // N-1 good files and one bad one, for each way a file can be bad:
+    // not JSON at all, or JSON that fails `Scenario::validate`.
+    let good = builtin("session").expect("builtin");
+    let mut invalid = Json::parse(&good.dump()).unwrap();
+    gen::set_path(&mut invalid, "eirp_dbm", Json::Num(1e308)).unwrap();
+    for (label, bad) in [
+        ("malformed", "{\"name\": ".to_string()),
+        ("invalid", invalid.dump()),
+    ] {
+        let dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join(format!("campaign-bad-{label}"));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        const N: usize = 6;
+        for i in 0..N {
+            let text = if i == 2 {
+                bad.clone()
+            } else {
+                let mut s = good.clone();
+                s.name = format!("s{i}");
+                s.seed = 100 + i as u64;
+                s.dump()
+            };
+            std::fs::write(dir.join(format!("{i:02}.json")), text).unwrap();
+        }
+
+        let reports: Vec<String> = [1, 2, 8]
+            .iter()
+            .map(|&t| {
+                let entries = campaign::load_dir(&dir).expect("directory loads");
+                let outcome = campaign::run_loaded(entries, true, t);
+                assert_eq!(outcome.metrics.len(), N - 1, "{label}");
+                assert_eq!(outcome.errors.len(), 1, "{label}");
+                assert_eq!(outcome.errors[0].0, "02.json", "{label}");
+                outcome.report().dump()
+            })
+            .collect();
+        assert_eq!(reports[0], reports[1], "{label}: 1 vs 2 threads diverged");
+        assert_eq!(reports[1], reports[2], "{label}: 2 vs 8 threads diverged");
+        let report = Json::parse(&reports[0]).unwrap();
+        let agg = report.get("aggregate").unwrap();
+        assert_eq!(agg.get("evaluated"), Some(&Json::Num((N - 1) as f64)));
+        assert_eq!(agg.get("errors"), Some(&Json::Num(1.0)));
+        if label == "invalid" {
+            assert!(reports[0].contains("eirp_dbm"), "{}", reports[0]);
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }
 
 #[test]

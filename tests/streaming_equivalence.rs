@@ -171,27 +171,31 @@ fn sample_rate_override_scales_the_run() {
 /// skips windows (at the quick rate every window is visited): streaming
 /// must still equal the whole-buffer oracle, and at 1 MS/s the search
 /// must regenerate at most a twentieth of the period — the pin that
-/// keeps a loosened bound from silently dropping the gain.
+/// keeps a loosened bound from silently dropping the gain. The full
+/// preset draws a different RNG stream from the quick one, so
+/// `(full, 1e6)` is covered on its own: it is exactly what
+/// `reproduce pipeline --sample-rate 1e6` renders, with and without
+/// `--batch`, from these `PathOutputs`.
 #[test]
 fn streaming_equals_batch_where_calibration_prunes() {
-    for rate in [1e5, 1e6] {
+    for (quick, rate) in [(true, 1e5), (true, 1e6), (false, 1e6)] {
         let opts = StreamOptions {
             sample_rate: Some(rate),
             ..Default::default()
         };
-        let report = outputs_streaming(true, &opts);
+        let report = outputs_streaming(quick, &opts);
         assert_eq!(
             report.outputs,
-            outputs_batch(true, Some(rate)),
-            "rate {rate}: streaming diverged from the oracle"
+            outputs_batch(quick, Some(rate)),
+            "quick={quick} rate {rate}: streaming diverged from the oracle"
         );
         let (visited, total) = report.calibration_windows;
         assert_eq!(total, (rate as usize).div_ceil(1024), "rate {rate}");
-        assert!(visited < total, "rate {rate}: nothing pruned");
+        assert!(visited < total, "quick={quick} rate {rate}: nothing pruned");
         if rate == 1e6 {
             assert!(
                 visited <= total / 20,
-                "1 MS/s calibration visited {visited} of {total} windows"
+                "quick={quick}: 1 MS/s calibration visited {visited} of {total} windows"
             );
         }
     }
