@@ -26,14 +26,16 @@
 //!    count exceeds `log₂(grid)`.
 //!
 //! Two more kernels serve the per-trial session path (a campaign's hot
-//! loop: find the envelope peak, key a Query on it, decode it):
+//! loop: find the envelope peak, power the tag up, key a Query on the
+//! peak, decode it):
 //!
-//! * [`envelope_window`] — `Y(t0 + k/rate)` over a keyed downlink
-//!   window with the same four-rotator scheme, behind
-//!   [`crate::waveform::CibEnvelope::keyed_window`]. Only the decoded
-//!   bit string depends on these values, and they differ from the
-//!   pointwise sum by a few hundred ulps, so decode outcomes are
-//!   unchanged.
+//! * [`envelope_window`] — `Y(t0 + k/rate)` over a window with the
+//!   same four-rotator scheme, behind
+//!   [`crate::waveform::CibEnvelope::keyed_window`] (the keyed downlink,
+//!   whose values differ from the pointwise sum by a few hundred ulps;
+//!   only the decoded bit string depends on them) and
+//!   [`crate::waveform::CibEnvelope::period_chunks`] (the power-up
+//!   envelope, below).
 //! * [`grid_argmax`] — the grid argmax of
 //!   [`crate::waveform::CibEnvelope::peak_over_period`], ranked on
 //!   `|z|²` with `hypot` taken only for the near-maximal candidates; it
@@ -41,9 +43,19 @@
 //!
 //! Two `hypot`/trig paths stay deliberately exact, because their values
 //! feed bit-hashed outputs (campaign `gains_db`, `times_to_power_s`):
-//! the per-sample `hypot` of [`crate::waveform::CibEnvelope::sample_period`]
-//! (the harvester's power-up envelope) and the pointwise `envelope()`
-//! calls of `peak_over_period`'s ternary refinement.
+//!
+//! * The harvester's power-up envelope streams the period grid one
+//!   [`RENORM_INTERVAL`] chunk at a time
+//!   ([`crate::waveform::CibEnvelope::period_chunks`]): each chunk is an
+//!   [`envelope_window`] at `t0 = start/grid`, `rate = grid`, so it has
+//!   the whole-grid direct fill's chunk bases, tone order and per-sample
+//!   `hypot`, and its bits (where the FFT synthesis pays off, the chunks
+//!   are slices of that fill). `sample_period` collects the stream;
+//!   [`crate::system::power_up_over_period`] pulls it only until the
+//!   chip wakes, so a trial that powers in its first chunk synthesizes
+//!   and integrates 256 samples instead of the whole period.
+//! * `peak_over_period`'s ternary refinement evaluates `envelope()`
+//!   pointwise.
 //!
 //! All paths agree with [`crate::waveform::CibEnvelope::envelope`]
 //! pointwise to well under 1e-9 (property-tested in

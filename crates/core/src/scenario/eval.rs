@@ -14,6 +14,7 @@
 
 use super::{Scenario, ScenarioKind};
 use crate::multisensor::{run_campaign, scenario_deployment};
+use crate::system::power_up_over_period;
 use ivn_dsp::stats::Summary;
 use ivn_dsp::units::dbm_to_watts;
 use ivn_rfid::commands::{Command, DivideRatio, Session, TagEncoding};
@@ -21,9 +22,6 @@ use ivn_rfid::link::LinkParams;
 use ivn_rfid::pie;
 use ivn_runtime::json::{Json, ToJson};
 use ivn_runtime::par;
-
-/// Block size for the streaming harvester transient.
-const POWER_BLOCK: usize = 1024;
 
 /// Campaign metrics for one evaluated scenario.
 #[derive(Debug, Clone, PartialEq)]
@@ -171,7 +169,6 @@ pub fn evaluate(s: &Scenario, quick: bool) -> Result<ScenarioMetrics, String> {
 
     struct TrialOut {
         gain_db: f64,
-        powered: bool,
         time_to_power_s: Option<f64>,
         decoded: bool,
     }
@@ -180,32 +177,29 @@ pub fn evaluate(s: &Scenario, quick: bool) -> Result<ScenarioMetrics, String> {
         let trial = placement.draw_trial(rng, cib.n(), &tag, eirp_w, cib.carrier_hz);
         let envelope = cib.envelope_at(&trial.channels);
         let single_w = trial.channels[0].norm_sqr();
-        let (t_peak, peak_amp) = envelope.peak_over_period(cib.grid);
+        let (t_peak, peak_amp) = {
+            let _span = ivn_runtime::span!("experiment.trial.peak_ns");
+            envelope.peak_over_period(cib.grid)
+        };
         let gain_db = 10.0 * (peak_amp * peak_amp / single_w).log10();
 
-        // Harvester transient over one CIB period, streamed block-wise.
-        let amp = envelope.sample_period(powerup_rate as usize);
-        let mut state = tag.power.begin_power_up(powerup_rate);
-        let mut power_block = Vec::with_capacity(POWER_BLOCK);
-        for chunk in amp.chunks(POWER_BLOCK) {
-            power_block.clear();
-            power_block.extend(chunk.iter().map(|a| a * a));
-            state.step_block(&power_block);
-        }
-        let up = state.finish();
+        // Harvester transient over one CIB period, up to the wake sample.
+        let time_to_power_s = power_up_over_period(&tag.power, &envelope, powerup_rate);
 
         // Downlink Query keyed on the envelope peak, decoded through the
         // CIB ripple (only meaningful once powered).
-        let decoded = up.powered && {
-            let tag_env = envelope.keyed_window(&profile, t_peak, command_rate);
+        let decoded = time_to_power_s.is_some() && {
+            let tag_env = {
+                let _span = ivn_runtime::span!("experiment.trial.keyed_ns");
+                envelope.keyed_window(&profile, t_peak, command_rate)
+            };
             pie::decode_frame(&tag_env, command_rate)
                 .map(|d| d == bits)
                 .unwrap_or(false)
         };
         TrialOut {
             gain_db,
-            powered: up.powered,
-            time_to_power_s: up.time_to_power_s,
+            time_to_power_s,
             decoded,
         }
     });
@@ -222,8 +216,8 @@ pub fn evaluate(s: &Scenario, quick: bool) -> Result<ScenarioMetrics, String> {
         metrics.gains_db.push(o.gain_db);
         if let Some(t) = o.time_to_power_s {
             metrics.times_to_power_s.push(t);
+            metrics.powered += 1;
         }
-        metrics.powered += o.powered as usize;
         metrics.decoded += o.decoded as usize;
     }
     Ok(metrics)

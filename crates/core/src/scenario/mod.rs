@@ -446,6 +446,12 @@ impl FromJson for FreqPlan {
 /// holds one complex sample per grid point (2²⁴ points ≈ 270 MB).
 pub const MAX_GRID: usize = 1 << 24;
 
+/// The `array.carrier_hz` band a scenario accepts, Hz: 1 MHz to
+/// 100 GHz, the RF range the tissue and antenna models describe. A zero
+/// or near-zero carrier makes the wavelength infinite, and one far above
+/// it underflows the path loss to NaN received power.
+pub const CARRIER_RANGE_HZ: (f64, f64) = (1e6, 1e11);
+
 /// Largest `power_session` envelope rate, samples/s. `powerup_rate`
 /// sizes a one-period envelope grid of that many samples and
 /// `command_rate` the keyed Query window, so the cap bounds both
@@ -460,6 +466,11 @@ pub const MAX_ENVELOPE_RATE: f64 = 1e7;
 /// the benchmark's ±5 % jitter), while keeping the link-budget powers
 /// far from overflow.
 pub const MAX_EIRP_DBM: f64 = 60.0;
+
+/// Longest sensor-placing length a scenario accepts (range, depth,
+/// spacing), m: 1 km, far past every in-tree sweep. At 1e308 m the
+/// layered-path model returns NaN received power.
+pub const MAX_LENGTH_M: f64 = 1e3;
 
 /// Antenna-array geometry: how many antennas, which frequency plan they
 /// emit, and the analytic peak-search resolution.
@@ -537,6 +548,13 @@ impl ArraySpec {
         if !(lo..=hi).contains(&n) {
             return err(format!(
                 "array.n_antennas must be in {lo}..={hi} for this plan, got {n}"
+            ));
+        }
+        let (lo, hi) = CARRIER_RANGE_HZ;
+        if !(self.carrier_hz >= lo && self.carrier_hz <= hi) {
+            return err(format!(
+                "array.carrier_hz must be in [{lo:e}, {hi:e}] Hz, got {:?}",
+                self.carrier_hz
             ));
         }
         Ok(())
@@ -1059,22 +1077,24 @@ impl Scenario {
             ));
         }
         self.array.validate()?;
-        // Every length that places a sensor: a negative or non-finite
-        // one reaches the layered-media model as an impossible depth.
+        // Every length that places a sensor: a negative, non-finite or
+        // huge one reaches the layered-media model as an impossible depth.
         let length = |path: &str, v: f64| {
-            if v.is_finite() && v >= 0.0 {
+            if (0.0..=MAX_LENGTH_M).contains(&v) {
                 Ok(())
             } else {
-                err(format!("{path} must be a finite length >= 0 m, got {v:?}"))
+                err(format!(
+                    "{path} must be a length in [0, {MAX_LENGTH_M}] m, got {v:?}"
+                ))
             }
         };
         match &self.placement {
             // The free-space range is the air gap, the 1/r reference of
             // the layered path, so 0 is as impossible as a negative one.
             PlacementSpec::FreeSpace { range_m } => {
-                if !(range_m.is_finite() && *range_m > 0.0) {
+                if !(*range_m > 0.0 && *range_m <= MAX_LENGTH_M) {
                     return err(format!(
-                        "placement.range_m must be a finite length > 0 m, got {range_m:?}"
+                        "placement.range_m must be a length in (0, {MAX_LENGTH_M}] m, got {range_m:?}"
                     ));
                 }
             }
@@ -1110,6 +1130,14 @@ impl Scenario {
             if !(powerup_rate >= 1.0 && powerup_rate <= cap) {
                 return err(format!(
                     "kind.powerup_rate must be in [1, {cap:e}] S/s, got {powerup_rate:?}"
+                ));
+            }
+            // The power-up grid has `rate as usize` points and the
+            // harvester steps at dt = 1/rate: only a whole rate keeps
+            // the two on one clock.
+            if powerup_rate.fract() != 0.0 {
+                return err(format!(
+                    "kind.powerup_rate must be a whole number of S/s, got {powerup_rate:?}"
                 ));
             }
             if !(command_rate > 0.0 && command_rate <= cap) {

@@ -22,7 +22,9 @@ use crate::body::{Placement, TagSpec, PAPER_EIRP_DBM};
 use crate::cib::CibConfig;
 use crate::oob::{DecodeResult, JamTone, OobReader, OobReaderConfig};
 use crate::scenario::{Scenario, ScenarioKind};
+use crate::waveform::CibEnvelope;
 use ivn_dsp::units::dbm_to_watts;
+use ivn_harvester::TagPowerProfile;
 use ivn_rfid::backscatter::BackscatterModulator;
 use ivn_rfid::commands::{Command, Session};
 use ivn_rfid::link::LinkParams;
@@ -113,6 +115,42 @@ impl SessionOutcome {
     }
 }
 
+/// When the harvester first wakes under one CIB period of `envelope`
+/// (√W at the tag), sampled at `rate` S/s on a `rate`-point grid;
+/// `None` when it never does.
+///
+/// The answer is fixed at the wake sample, so the envelope is pulled
+/// one [`CibEnvelope::period_chunks`] chunk at a time and integration
+/// stops at the first chunk that wakes the chip. Chunked
+/// [`ivn_harvester::powerup::PowerUpState::step_block`] is
+/// split-invariant and the chunks are `sample_period`'s bits, so the
+/// result equals a whole-period `power_up` over
+/// `sample_period(rate)²` exactly. The `physics.harvested_charge_j`
+/// probe keeps that whole-period call's ~32-point stride.
+pub fn power_up_over_period(
+    power: &TagPowerProfile,
+    envelope: &CibEnvelope,
+    rate: f64,
+) -> Option<f64> {
+    let grid = rate as usize;
+    let mut state = power
+        .begin_power_up(rate)
+        .with_trace_stride((grid / 32).max(1));
+    let mut chunks = envelope.period_chunks(grid);
+    let mut watts = [0.0; crate::kernels::RENORM_INTERVAL];
+    while let Some(amp) = chunks.next_chunk() {
+        let watts = &mut watts[..amp.len()];
+        for (w, a) in watts.iter_mut().zip(amp) {
+            *w = a * a;
+        }
+        state.step_block(watts);
+        if state.outcome().powered {
+            break;
+        }
+    }
+    state.finish().time_to_power_s
+}
+
 /// The assembled system.
 #[derive(Debug, Clone)]
 pub struct IvnSystem {
@@ -156,23 +194,20 @@ impl IvnSystem {
         let envelope = cfg.cib.envelope_at(&trial.channels);
 
         // ---- Stage 1: power-up over one CIB period. ------------------
-        let grid = cfg.powerup_rate as usize;
-        let amp_env = envelope.sample_period(grid); // √W
-        let power_env: Vec<f64> = amp_env.iter().map(|a| a * a).collect();
-        let powerup = cfg.tag.power.power_up(&power_env, cfg.powerup_rate);
+        let time_to_power_s = power_up_over_period(&cfg.tag.power, &envelope, cfg.powerup_rate);
         let (t_peak, peak_amp) = envelope.peak_over_period(cfg.cib.grid);
         let peak_power_w = peak_amp * peak_amp;
 
         let mut outcome = SessionOutcome {
-            powered: powerup.powered,
-            time_to_power_s: powerup.time_to_power_s,
+            powered: time_to_power_s.is_some(),
+            time_to_power_s,
             command_decoded: false,
             rn16_decoded: false,
             correlation: 0.0,
             peak_power_w,
             orientation: trial.orientation,
         };
-        if !powerup.powered {
+        if !outcome.powered {
             return outcome;
         }
 

@@ -71,17 +71,44 @@ impl CibEnvelope {
         self.amplitudes.iter().sum()
     }
 
-    /// Samples one period (1 s for integer offsets) on a uniform grid.
-    ///
-    /// Runs on the [`crate::kernels`] layer: incremental rotation with
-    /// periodic exact resynchronization (no unbounded rounding drift),
-    /// switching to the sparse-spectrum FFT synthesis when that is
-    /// cheaper ([`crate::kernels::fft_pays_off`]).
+    /// Samples one period (1 s for integer offsets) on a uniform grid:
+    /// the [`Self::period_chunks`] stream, collected.
     pub fn sample_period(&self, grid: usize) -> Vec<f64> {
+        let mut chunks = self.period_chunks(grid);
+        let mut out = Vec::with_capacity(grid);
+        while let Some(chunk) = chunks.next_chunk() {
+            out.extend_from_slice(chunk);
+        }
+        out
+    }
+
+    /// The `grid`-point period `Y(k/grid)` as a stream of
+    /// [`RENORM_INTERVAL`](crate::kernels::RENORM_INTERVAL)-sample
+    /// chunks, synthesized only as far as the reader pulls.
+    ///
+    /// Each chunk is one [`crate::kernels::envelope_window`] call at
+    /// `t0 = start·dt`, `rate = grid`: the same chunk bases, tone order
+    /// and per-sample `hypot` as the whole-grid direct fill, so the
+    /// values are its bits. Where the sparse-spectrum FFT synthesis is
+    /// cheaper ([`crate::kernels::fft_pays_off`]) the whole grid is
+    /// filled that way up front and the chunks are slices of it.
+    ///
+    /// # Panics
+    /// Panics if `grid` is zero.
+    pub fn period_chunks(&self, grid: usize) -> PeriodChunks<'_> {
         assert!(grid > 0);
-        let mut scratch = crate::kernels::EnvelopeScratch::new();
-        scratch.fill(&self.offsets_hz, &self.phases, Some(&self.amplitudes), grid);
-        scratch.grid().iter().map(|z| z.norm()).collect()
+        let fft = crate::kernels::fft_pays_off(self.n(), grid, &self.offsets_hz);
+        PeriodChunks {
+            env: self,
+            grid,
+            start: 0,
+            fft,
+            buf: if fft {
+                self.sample_period_fft(grid)
+            } else {
+                Vec::new()
+            },
+        }
     }
 
     /// [`Self::sample_period`] forced through the sparse-spectrum FFT
@@ -202,6 +229,48 @@ impl CibEnvelope {
     /// RMS of the frequency offsets, Hz (the Eq. 9 quantity).
     pub fn rms_offset(&self) -> f64 {
         rms_offset(&self.offsets_hz)
+    }
+}
+
+/// A period grid streamed chunk by chunk; see
+/// [`CibEnvelope::period_chunks`].
+#[derive(Debug)]
+pub struct PeriodChunks<'a> {
+    env: &'a CibEnvelope,
+    grid: usize,
+    /// Grid index of the next chunk's first sample.
+    start: usize,
+    /// Whether the whole grid came from one FFT fill up front.
+    fft: bool,
+    /// The current chunk, or the whole FFT-filled grid.
+    buf: Vec<f64>,
+}
+
+impl PeriodChunks<'_> {
+    /// The next chunk of at most
+    /// [`RENORM_INTERVAL`](crate::kernels::RENORM_INTERVAL) samples, or
+    /// `None` once the period is exhausted.
+    pub fn next_chunk(&mut self) -> Option<&[f64]> {
+        let start = self.start;
+        if start == self.grid {
+            return None;
+        }
+        let len = crate::kernels::RENORM_INTERVAL.min(self.grid - start);
+        self.start += len;
+        if self.fft {
+            return Some(&self.buf[start..start + len]);
+        }
+        let env = self.env;
+        self.buf.resize(len, 0.0);
+        crate::kernels::envelope_window(
+            &env.offsets_hz,
+            &env.phases,
+            Some(&env.amplitudes),
+            start as f64 * (1.0 / self.grid as f64),
+            self.grid as f64,
+            &mut self.buf,
+        );
+        Some(&self.buf)
     }
 }
 

@@ -2,13 +2,23 @@
 //! fast path — batched scratch fill, FFT synthesis, incremental CRN
 //! swap, the keyed downlink window — must agree with the reference
 //! `CibEnvelope::envelope` sum to 1e-9, the prefiltered grid argmax must
-//! pick exactly the index of a full `hypot` scan, and the optimizer
-//! built on them must stay deterministic per seed.
+//! pick exactly the index of a full `hypot` scan, the chunked period
+//! stream and the early-stopping power-up must reproduce the whole-grid
+//! fill bit for bit, and the optimizer built on them must stay
+//! deterministic per seed.
 
+use ivn_core::body::{Placement, TagSpec};
+use ivn_core::cib::CibConfig;
 use ivn_core::freqsel::{optimize, pessimize, FreqSelConfig};
-use ivn_core::kernels::{envelope_value, envelope_window, grid_argmax, CrnKernel, EnvelopeScratch};
+use ivn_core::kernels::{
+    envelope_value, envelope_window, fft_pays_off, grid_argmax, CrnKernel, EnvelopeScratch,
+    RENORM_INTERVAL,
+};
+use ivn_core::system::power_up_over_period;
 use ivn_core::waveform::CibEnvelope;
 use ivn_dsp::complex::Complex64;
+use ivn_dsp::units::dbm_to_watts;
+use ivn_harvester::TagPowerProfile;
 use ivn_runtime::prop::{any, btree_set, vec as pvec, Just, Strategy};
 use ivn_runtime::rng::{Rng, StdRng};
 use ivn_runtime::{prop_assert, prop_assert_eq, prop_assume, props};
@@ -72,6 +82,73 @@ fn window_rate() -> impl Strategy<Value = f64> {
         1 => 2048.0,
         _ => 1e3 + 2e6 * u,
     })
+}
+
+/// Period grids around the chunk boundary, plus the session sizes.
+const STREAM_GRIDS: [usize; 8] = [1, 3, 255, 256, 257, 1000, 2048, 4096];
+
+fn stream_grid() -> impl Strategy<Value = usize> {
+    (0..STREAM_GRIDS.len()).prop_map(|i| STREAM_GRIDS[i])
+}
+
+/// Integer offsets (one-period periodic) or free ones, with amplitudes.
+fn stream_tones() -> impl Strategy<Value = (Vec<f64>, Vec<f64>, Vec<f64>)> {
+    (any::<bool>(), free_tones()).prop_map(|(integer, (offs, ph, amps))| {
+        let offs = if integer {
+            offs.iter().map(|f| f.round()).collect()
+        } else {
+            offs
+        };
+        (offs, ph, amps)
+    })
+}
+
+/// The whole-grid fill `sample_period` used before it streamed: one
+/// `EnvelopeScratch::fill` and a `hypot` per sample.
+fn whole_grid_period(offs: &[f64], ph: &[f64], amps: &[f64], grid: usize) -> Vec<f64> {
+    let mut s = EnvelopeScratch::new();
+    s.fill(offs, ph, Some(amps), grid);
+    s.grid().iter().map(|z| z.norm()).collect()
+}
+
+/// The concatenated chunk stream, checking every chunk but the last is
+/// exactly `RENORM_INTERVAL` long.
+fn streamed_period(env: &CibEnvelope, grid: usize) -> Vec<f64> {
+    let mut chunks = env.period_chunks(grid);
+    let mut out = Vec::new();
+    while let Some(chunk) = chunks.next_chunk() {
+        assert!(!chunk.is_empty() && chunk.len() <= RENORM_INTERVAL);
+        assert!(
+            out.len() % RENORM_INTERVAL == 0,
+            "short chunk before the last"
+        );
+        out.extend_from_slice(chunk);
+    }
+    assert!(
+        chunks.next_chunk().is_none(),
+        "stream restarted after its end"
+    );
+    out
+}
+
+fn bits(v: &[f64]) -> Vec<u64> {
+    v.iter().map(|y| y.to_bits()).collect()
+}
+
+/// The whole-period power-up loop the campaign trial and
+/// `IvnSystem::run_session` ran before the early stop: the full
+/// `rate`-point envelope, squared, integrated to the end.
+fn whole_period_power_up(
+    power: &TagPowerProfile,
+    (offs, ph, amps): (&[f64], &[f64], &[f64]),
+    rate: f64,
+) -> (bool, Option<f64>) {
+    let watts: Vec<f64> = whole_grid_period(offs, ph, amps, rate as usize)
+        .iter()
+        .map(|a| a * a)
+        .collect();
+    let up = power.power_up(&watts, rate);
+    (up.powered, up.time_to_power_s)
 }
 
 /// The `hypot`-scan argmax the prefiltered kernel must reproduce.
@@ -278,6 +355,28 @@ props! {
         prop_assert_eq!(grid_argmax(&grid), reference_argmax(&grid));
     }
 
+    fn period_chunks_concatenate_to_the_whole_grid_fill(
+        (offs, ph, amps) in stream_tones(), grid in stream_grid()
+    ) {
+        let env = CibEnvelope::with_amplitudes(&offs, &ph, &amps);
+        let whole = bits(&whole_grid_period(&offs, &ph, &amps, grid));
+        prop_assert_eq!(bits(&streamed_period(&env, grid)), whole.clone());
+        prop_assert_eq!(bits(&env.sample_period(grid)), whole);
+    }
+
+    fn period_chunks_slice_the_fft_fill(
+        offs in btree_set(1u32..2000, 11..=11), ph in phases(12), amps in pvec(0.05f64..2.0, 12..=12)
+    ) {
+        // Twelve integer tones on 2048 points: the FFT synthesis pays
+        // off, so the stream must yield slices of that fill.
+        let offs: Vec<f64> = std::iter::once(0.0).chain(offs.into_iter().map(f64::from)).collect();
+        prop_assert!(fft_pays_off(offs.len(), 2048, &offs));
+        let env = CibEnvelope::with_amplitudes(&offs, &ph, &amps);
+        let whole = bits(&whole_grid_period(&offs, &ph, &amps, 2048));
+        prop_assert_eq!(bits(&streamed_period(&env, 2048)), whole.clone());
+        prop_assert_eq!(bits(&env.sample_period(2048)), whole);
+    }
+
     fn grid_argmax_matches_hypot_scan_on_envelopes(
         (offs, ph) in offsets_and_phases(), grid in pow2_grid()
     ) {
@@ -374,4 +473,62 @@ fn grid_argmax_with_nan_matches_hypot_scan() {
     // hypot(inf, NaN) = inf while |z|² is NaN.
     grid[120] = Complex64::new(f64::INFINITY, f64::NAN);
     assert_eq!(grid_argmax(&grid), reference_argmax(&grid));
+}
+
+#[test]
+fn early_stop_power_up_matches_whole_period_loop() {
+    // Random placements from shallow to hopelessly deep, at EIRPs from
+    // far below to well above the wake threshold. Every other draw is
+    // rescaled so its envelope peak sits near the threshold, where the
+    // chip can only wake around the peak, late in the period, or not at
+    // all.
+    let mut rng = StdRng::seed_from_u64(17);
+    let (mut never, mut late, mut first_chunk) = (0, 0, 0);
+    for case in 0..600 {
+        let rate = [1.0, 3.0, 255.0, 256.0, 257.0, 1000.0, 2048.0, 4096.0][case % 8];
+        let n = 1 + rng.random_range(0..10usize);
+        let tag = if rng.random::<bool>() {
+            TagSpec::standard()
+        } else {
+            TagSpec::miniature()
+        };
+        let placement = if rng.random::<bool>() {
+            Placement::water_tank(0.15 * rng.random::<f64>())
+        } else {
+            Placement::free_space(0.5 + 20.0 * rng.random::<f64>())
+        };
+        let eirp_w = dbm_to_watts(20.0 + 25.0 * rng.random::<f64>());
+        let cib = CibConfig::paper_prototype_n(n);
+        let mut channels = placement
+            .draw_trial(&mut rng, n, &tag, eirp_w, cib.carrier_hz)
+            .channels;
+        if case % 2 == 1 {
+            let (_, peak) = cib.received_peak(&channels);
+            let want_w = tag.power.required_peak_power_watts() * (0.8 + 1.5 * rng.random::<f64>());
+            let scale = want_w.sqrt() / peak;
+            channels.iter_mut().for_each(|h| *h *= scale);
+        }
+        let env = cib.envelope_at(&channels);
+        let ph: Vec<f64> = channels.iter().map(|h| h.arg()).collect();
+        let amps: Vec<f64> = channels.iter().map(|h| h.norm()).collect();
+
+        let tones = (&cib.offsets_hz[..], &ph[..], &amps[..]);
+        let (powered, want) = whole_period_power_up(&tag.power, tones, rate);
+        let got = power_up_over_period(&tag.power, &env, rate);
+        assert_eq!(got.is_some(), powered, "case {case}: powered");
+        assert_eq!(
+            got.map(f64::to_bits),
+            want.map(f64::to_bits),
+            "case {case}: time_to_power_s {got:?} vs {want:?}"
+        );
+        match want {
+            None => never += 1,
+            Some(t) if t * rate >= RENORM_INTERVAL as f64 => late += 1,
+            Some(_) => first_chunk += 1,
+        }
+    }
+    assert!(
+        never >= 20 && late >= 20 && first_chunk >= 20,
+        "coverage: {never} never, {late} late, {first_chunk} in the first chunk"
+    );
 }

@@ -81,6 +81,22 @@ cmp target/verify_campaign.json tests/golden/campaign/session25.quick.json || {
 }
 echo "campaign smoke run OK (25 scenarios, report matches golden)"
 
+echo "==> perfbench witness smoke: every workload still matches perfbench/witnesses.json"
+# One short untraced run per workload; perfbench checks every run's
+# output against its committed witness and counts mismatches as failed.
+# Its own target dir keeps the build out of perfbench/.
+for workload in pipeline campaign inventory; do
+    last=$(cargo run --quiet --release --offline --manifest-path perfbench/Cargo.toml --target-dir target/perfbench -- \
+        --workload "$workload" --seed 0 --seconds 1 --trace 0 | tail -n 1)
+    case "$last" in
+        *'"failed": 0,'*) echo "perfbench $workload: 0 failed" ;;
+        *)
+            echo "verify: FAIL — perfbench $workload: $last" >&2
+            exit 1
+            ;;
+    esac
+done
+
 echo "==> 64-tag inventory campaign: byte-identical at 1/2/8 threads"
 INV_DIR=target/verify_inventory_fleet
 rm -rf "$INV_DIR"

@@ -365,3 +365,58 @@ fn hostile_session_sizes_are_rejected_at_parse() {
     assert!(session_with("kind.command_rate", 1e7).is_ok());
     assert!(session_with("array.grid", 1.0).is_ok());
 }
+
+#[test]
+fn out_of_band_carriers_and_huge_lengths_are_rejected_at_parse() {
+    // A zero carrier makes the wavelength infinite and a 1e308 m depth
+    // turns the received power into NaN; both used to panic in the
+    // harvester. The caps' own edges must still parse and evaluate.
+    let inf = f64::INFINITY;
+    let cases: &[(&str, &str, &[f64])] = &[
+        (
+            "session",
+            "array.carrier_hz",
+            &[0.0, -915e6, 1e-300, 999_999.0, 1.1e11, 1e308, f64::NAN, inf],
+        ),
+        ("session", "placement.depth_m", &[1000.5, 1e308]),
+        ("fig2", "placement.range_m", &[1e308]),
+        ("multisensor", "kind.spacing_m", &[1e308]),
+    ];
+    for &(name, path, values) in cases {
+        for &v in values {
+            let reason = scenario_with(name, path, v).expect_err("out-of-range value parsed");
+            assert!(reason.contains(path), "{name}: {path} = {v}: {reason}");
+        }
+    }
+    for (path, v) in [
+        ("array.carrier_hz", 1e6),
+        ("array.carrier_hz", 1e11),
+        ("placement.depth_m", 1e3),
+    ] {
+        let s = session_with(path, v).unwrap_or_else(|e| panic!("{path} = {v} rejected: {e}"));
+        let m = ivn::core::scenario::evaluate(&s, true).expect("evaluates");
+        assert_eq!(m.trials, 4);
+    }
+}
+
+#[test]
+fn fractional_powerup_rate_is_rejected_at_parse() {
+    // The power-up grid has `rate as usize` points while the harvester
+    // steps at dt = 1/rate, so a fractional rate would report
+    // `time_to_power_s` on the wrong clock.
+    for v in [2048.5, 1.5, 4096.000001] {
+        let reason = session_with("kind.powerup_rate", v).expect_err("fractional rate parsed");
+        assert!(reason.contains("kind.powerup_rate"), "{reason}");
+        assert!(reason.contains(&format!("{v:?}")), "{reason}");
+    }
+    let text = builtin("session")
+        .expect("builtin")
+        .dump()
+        .replace("\"powerup_rate\":2048", "\"powerup_rate\":2048.5");
+    let reason = Scenario::parse(&text).expect_err("2048.5 parsed").reason;
+    assert!(
+        reason.contains("kind.powerup_rate") && reason.contains("2048.5"),
+        "{reason}"
+    );
+    assert!(session_with("kind.powerup_rate", 2049.0).is_ok());
+}
