@@ -39,6 +39,15 @@ pub trait AntiCollision: std::fmt::Debug + Send {
     /// Per-slot feedback during a round.
     fn on_slot_outcome(&mut self, outcome: &SlotOutcome);
 
+    /// Feedback for a run of `n` consecutive empty slots. Must leave the
+    /// policy exactly as `n` calls of `on_slot_outcome(&Empty)` would;
+    /// the default is that loop, so overriding is only a speed-up.
+    fn on_empty_slots(&mut self, n: usize) {
+        for _ in 0..n {
+            self.on_slot_outcome(&SlotOutcome::Empty);
+        }
+    }
+
     /// End-of-round feedback with the frame's tallies.
     fn on_round_end(&mut self, stats: &RoundStats);
 
@@ -86,6 +95,19 @@ impl AntiCollision for AdaptiveQ {
         }
     }
 
+    fn on_empty_slots(&mut self, n: usize) {
+        // The empty step is a fixed function of qfp's bits: once a step
+        // leaves them unchanged (clamped at 0, or c too small to move
+        // qfp), every further step does too.
+        for _ in 0..n {
+            let next = (self.qfp - self.params.c).max(0.0);
+            if next.to_bits() == self.qfp.to_bits() {
+                break;
+            }
+            self.qfp = next;
+        }
+    }
+
     fn on_round_end(&mut self, _stats: &RoundStats) {}
 
     fn name(&self) -> &'static str {
@@ -114,6 +136,8 @@ impl AntiCollision for FixedQ {
     }
 
     fn on_slot_outcome(&mut self, _outcome: &SlotOutcome) {}
+
+    fn on_empty_slots(&mut self, _n: usize) {}
 
     fn on_round_end(&mut self, _stats: &RoundStats) {}
 
@@ -149,6 +173,8 @@ impl AntiCollision for SchouteQ {
     }
 
     fn on_slot_outcome(&mut self, _outcome: &SlotOutcome) {}
+
+    fn on_empty_slots(&mut self, _n: usize) {}
 
     fn on_round_end(&mut self, stats: &RoundStats) {
         let backlog = SCHOUTE_BACKLOG_PER_COLLISION * stats.collisions as f64;
@@ -271,6 +297,47 @@ mod tests {
         let mut zero = SchouteQ::new(0);
         zero.on_round_end(&RoundStats::default());
         assert_eq!(zero.choose_q(), 0);
+    }
+
+    #[test]
+    fn empty_runs_equal_repeated_empty_slots() {
+        let runs = [0usize, 1, 2, 7, 16, 51, 400, 100_000];
+        for &q0 in &[0u8, 1, 4, 9, 15] {
+            for &c in &[0.0, 1e-300, 0.1, 0.3, 0.5, 0.7, 1.0, 4.0] {
+                for (&n, collide_first) in runs.iter().flat_map(|n| [(n, false), (n, true)]) {
+                    let mut run = AdaptiveQ::new(QAlgorithm { q0, c });
+                    // A leading collision starts the run off the integer grid.
+                    if collide_first {
+                        run.on_slot_outcome(&SlotOutcome::Collision);
+                    }
+                    let mut slotwise = run.clone();
+                    run.on_empty_slots(n);
+                    for _ in 0..n {
+                        slotwise.on_slot_outcome(&SlotOutcome::Empty);
+                    }
+                    assert_eq!(
+                        run.qfp().to_bits(),
+                        slotwise.qfp().to_bits(),
+                        "q0={q0} c={c} n={n} collide_first={collide_first}"
+                    );
+                    assert_eq!(run, slotwise);
+                }
+            }
+        }
+        for &q in &[0u8, 6, 15] {
+            for &n in &runs {
+                let (mut fixed, mut schoute) = (FixedQ::new(q), SchouteQ::new(q));
+                let (fixed0, schoute0) = (fixed, schoute);
+                fixed.on_empty_slots(n);
+                schoute.on_empty_slots(n);
+                let (mut fixed1, mut schoute1) = (fixed0, schoute0);
+                for _ in 0..n {
+                    fixed1.on_slot_outcome(&SlotOutcome::Empty);
+                    schoute1.on_slot_outcome(&SlotOutcome::Empty);
+                }
+                assert_eq!((fixed, schoute), (fixed1, schoute1), "q={q} n={n}");
+            }
+        }
     }
 
     #[test]

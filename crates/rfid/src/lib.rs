@@ -16,7 +16,7 @@
 //! * [`anticollision`] — the pluggable frame-sizing policies (adaptive
 //!   Q, fixed Q, Schoute backlog estimation) and the capture-effect
 //!   arbitration model,
-//! * [`population`] — an O(tags + slots) inventory driver for
+//! * [`population`] — an O(active tags)-per-round inventory driver for
 //!   population-scale experiments, bit-identical to the broadcast reader,
 //! * [`backscatter`] — the physical reflection-coefficient model whose
 //!   frequency-agnosticism makes the paper's out-of-band reader possible,

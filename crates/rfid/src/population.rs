@@ -1,4 +1,4 @@
-//! Population-scale inventory driver: O(tags + slots) per round.
+//! Population-scale inventory driver: O(active tags) per round.
 //!
 //! [`crate::reader::Reader::run_round`] broadcasts every command to every
 //! tag, which is O(tags × slots) per round — faithful, but hopeless for
@@ -10,13 +10,40 @@
 //! tag's own draw order is bit-identical to the broadcast loop.
 //!
 //! [`inventory_population`] therefore draws every active tag's slot up
-//! front, buckets tags by slot with a stable counting sort (repliers
-//! stay in ascending tag order, which is the order the broadcast loop
-//! would have them reply in — this is what keeps the *reader-side*
-//! capture RNG byte-identical too), and then walks the frame slot by
-//! slot: empty, single (ACK + EPC), or collision (optionally arbitrated
-//! by the [`CaptureModel`]). The anti-collision policy sees exactly the
-//! same outcome sequence as it would from the broadcast reader.
+//! front and packs it with the tag index into one key, `slot << 32 |
+//! tag`. A stable LSD radix sort over the slot bits (8-bit digits,
+//! `ceil(Q/8)` passes) groups the keys by slot; within a slot the tags
+//! stay in ascending index order, the order the broadcast loop would
+//! have them reply in — this is what keeps the *reader-side* capture RNG
+//! byte-identical too. The round then walks only the occupied slots:
+//! single (ACK + EPC) or collision (optionally arbitrated by the
+//! [`CaptureModel`]). The empty slots between them are never visited:
+//! each run of them, read off the gap between consecutive occupied
+//! slots, is reported in one [`AntiCollision::on_empty_slots`] call and
+//! one add to [`RoundStats::empty`]. The policy sees exactly the outcome
+//! sequence the broadcast reader would give it.
+//!
+//! A round over `A` active tags at frame size `2^Q` costs
+//! O(A · ceil(Q/8)) for the draws and the sort, O(A) for the walk, plus
+//! the policy's empty runs: O(1) each for [`FixedQ`] and [`SchouteQ`];
+//! [`AdaptiveQ`] stops stepping as soon as Qfp reaches its floor, so
+//! its empty steps are bounded by `Qfp/C` plus the collisions that
+//! raised it. Each piece is exact, not approximate:
+//!
+//! * the EPC is read as [`Tag::epc`] — the broadcast reader's
+//!   `PC ‖ EPC ‖ CRC-16` reply with the PC and the (valid by
+//!   construction) CRC sliced off again;
+//! * the slot draw is the top `Q` bits of one RNG word, which is what
+//!   the bounded draw over a power-of-two span returns (see
+//!   `Tag::fast_draw_slot`);
+//! * an empty run reaches the policy as `on_empty_slots(n)`, which every
+//!   policy implements as, or by default is, `n` single empty slots;
+//! * the sort is stable in tag order within a slot, so replies, RN16
+//!   draws and capture contests happen in broadcast order.
+//!
+//! [`FixedQ`]: crate::anticollision::FixedQ
+//! [`SchouteQ`]: crate::anticollision::SchouteQ
+//! [`AdaptiveQ`]: crate::anticollision::AdaptiveQ
 //!
 //! The driver requires single-read tags
 //! ([`Tag::set_single_read`](crate::tag::Tag::set_single_read)): without
@@ -35,12 +62,16 @@ use crate::tag::Tag;
 /// Bit-identical to driving [`crate::reader::Reader`] (with the same
 /// policy and capture state) over the same tags, provided the tags are
 /// in single-read mode — see the module docs for why.
+///
+/// # Panics
+/// Panics if the population has 2^32 tags or more.
 pub fn inventory_population(
     policy: &mut dyn AntiCollision,
     mut capture: Option<&mut CaptureModel>,
     tags: &mut [Tag],
     max_rounds: usize,
 ) -> InventoryOutcome {
+    assert!(u32::try_from(tags.len()).is_ok(), "population too large");
     let target = tags.iter().filter(|t| t.fast_active()).count();
     let mut out = InventoryOutcome {
         epcs: Vec::new(),
@@ -48,13 +79,10 @@ pub fn inventory_population(
         terminated: target == 0,
     };
 
-    // Scratch reused across rounds: active tag indices, their drawn
-    // slots, counting-sort boundaries, and the slot-ordered permutation.
-    let mut active: Vec<u32> = Vec::new();
-    let mut slots: Vec<u32> = Vec::new();
-    let mut starts: Vec<u32> = Vec::new();
-    let mut cursor: Vec<u32> = Vec::new();
-    let mut order: Vec<u32> = Vec::new();
+    // Scratch reused across rounds: the `slot << 32 | tag` keys, the
+    // radix sort's second buffer, and one slot's repliers for capture.
+    let mut keys: Vec<u64> = Vec::new();
+    let mut spare: Vec<u64> = Vec::new();
     let mut repliers: Vec<usize> = Vec::new();
 
     for _ in 0..max_rounds {
@@ -62,68 +90,54 @@ pub fn inventory_population(
             break;
         }
         let q = policy.choose_q();
-        let n_slots = 1usize << q;
 
-        active.clear();
-        for (i, t) in tags.iter().enumerate() {
+        keys.clear();
+        for (i, t) in tags.iter_mut().enumerate() {
             if t.fast_active() {
-                active.push(i as u32);
+                keys.push(u64::from(t.fast_draw_slot(q)) << 32 | i as u64);
             }
         }
-        slots.clear();
-        for &i in &active {
-            slots.push(tags[i as usize].fast_draw_slot(q));
-        }
-
-        // Stable counting sort of active tags by slot.
-        starts.clear();
-        starts.resize(n_slots + 1, 0);
-        for &s in &slots {
-            starts[s as usize + 1] += 1;
-        }
-        for s in 0..n_slots {
-            starts[s + 1] += starts[s];
-        }
-        cursor.clear();
-        cursor.extend_from_slice(&starts[..n_slots]);
-        order.clear();
-        order.resize(active.len(), 0);
-        for (k, &s) in slots.iter().enumerate() {
-            order[cursor[s as usize] as usize] = active[k];
-            cursor[s as usize] += 1;
-        }
+        sort_by_slot(&mut keys, &mut spare, q);
 
         let mut stats = RoundStats::default();
-        for s in 0..n_slots {
-            let (lo, hi) = (starts[s] as usize, starts[s + 1] as usize);
-            let outcome = match hi - lo {
-                0 => SlotOutcome::Empty,
-                1 => {
-                    let idx = order[lo] as usize;
-                    let _rn = tags[idx].fast_draw_rn16();
-                    read_tag(tags, idx)
+        // First slot of the frame not yet reported to the policy.
+        let mut next_slot = 0u64;
+        let mut lo = 0;
+        while lo < keys.len() {
+            let slot = keys[lo] >> 32;
+            let mut hi = lo + 1;
+            while hi < keys.len() && keys[hi] >> 32 == slot {
+                hi += 1;
+            }
+            report_empty_run(policy, &mut stats, slot - next_slot);
+            next_slot = slot + 1;
+
+            let group = &keys[lo..hi];
+            lo = hi;
+            let outcome = if let [key] = group {
+                let idx = tag_of(*key);
+                tags[idx].fast_draw_rn16();
+                read_tag(tags, idx)
+            } else {
+                // Every replier in the slot draws its RN16 (index
+                // order — their RNGs are private, but this mirrors the
+                // broadcast schedule exactly).
+                for &key in group {
+                    tags[tag_of(key)].fast_draw_rn16();
                 }
-                _ => {
-                    // Every replier in the slot draws its RN16 (index
-                    // order — their RNGs are private, but this mirrors
-                    // the broadcast schedule exactly).
-                    for &ti in &order[lo..hi] {
-                        tags[ti as usize].fast_draw_rn16();
-                    }
-                    match capture.as_deref_mut() {
-                        Some(cap) => {
-                            repliers.clear();
-                            repliers.extend(order[lo..hi].iter().map(|&i| i as usize));
-                            match cap.arbitrate(&repliers) {
-                                Some(k) => {
-                                    stats.captures += 1;
-                                    read_tag(tags, repliers[k])
-                                }
-                                None => SlotOutcome::Collision,
+                match capture.as_deref_mut() {
+                    Some(cap) => {
+                        repliers.clear();
+                        repliers.extend(group.iter().map(|&key| tag_of(key)));
+                        match cap.arbitrate(&repliers) {
+                            Some(k) => {
+                                stats.captures += 1;
+                                read_tag(tags, repliers[k])
                             }
+                            None => SlotOutcome::Collision,
                         }
-                        None => SlotOutcome::Collision,
                     }
+                    None => SlotOutcome::Collision,
                 }
             };
             policy.on_slot_outcome(&outcome);
@@ -132,6 +146,7 @@ pub fn inventory_population(
                 out.epcs.push(epc);
             }
         }
+        report_empty_run(policy, &mut stats, (1u64 << q) - next_slot);
         policy.on_round_end(&stats);
         out.rounds.push(stats);
         if out.epcs.len() == target {
@@ -141,12 +156,49 @@ pub fn inventory_population(
     out
 }
 
+/// The tag index packed in the low half of a `slot << 32 | tag` key.
+fn tag_of(key: u64) -> usize {
+    key as u32 as usize
+}
+
+/// Stable LSD radix sort of `slot << 32 | tag` keys by their q slot
+/// bits, one 8-bit digit per pass (no pass at q = 0). Keys arrive in
+/// ascending tag order, so each slot's tags stay ascending.
+fn sort_by_slot(keys: &mut Vec<u64>, spare: &mut Vec<u64>, q: u8) {
+    for shift in (32..32 + u32::from(q)).step_by(8) {
+        let mut starts = [0usize; 256];
+        for &k in keys.iter() {
+            starts[(k >> shift) as usize & 0xFF] += 1;
+        }
+        let mut sum = 0;
+        for s in starts.iter_mut() {
+            (*s, sum) = (sum, sum + *s);
+        }
+        spare.clear();
+        spare.resize(keys.len(), 0);
+        for &k in keys.iter() {
+            let digit = (k >> shift) as usize & 0xFF;
+            spare[starts[digit]] = k;
+            starts[digit] += 1;
+        }
+        std::mem::swap(keys, spare);
+    }
+}
+
+/// Reports `n` consecutive empty slots to the policy and the tallies.
+fn report_empty_run(policy: &mut dyn AntiCollision, stats: &mut RoundStats, n: u64) {
+    if n > 0 {
+        policy.on_empty_slots(n as usize);
+        stats.empty += n as usize;
+    }
+}
+
 /// ACKs a replier: the EPC reply is CRC-valid by construction, so this
-/// is the Inventoried arm of the broadcast reader's `resolve_slot`.
+/// is the Inventoried arm of the broadcast reader's `resolve_slot` —
+/// the EPC bits of the `PC ‖ EPC ‖ CRC-16` reply, read directly.
 fn read_tag(tags: &mut [Tag], idx: usize) -> SlotOutcome {
-    let bits = tags[idx].epc_reply_bits();
     tags[idx].fast_mark_inventoried();
-    SlotOutcome::Inventoried(bits[16..bits.len() - 16].to_vec())
+    SlotOutcome::Inventoried(tags[idx].epc().to_vec())
 }
 
 #[cfg(test)]

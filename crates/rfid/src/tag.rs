@@ -241,7 +241,7 @@ impl Tag {
 
     // ---- population fast-path hooks ---------------------------------
     //
-    // `crate::population` runs rounds in O(tags + slots) by bucketing
+    // `crate::population` runs rounds in O(active tags) by bucketing
     // drawn slots instead of broadcasting every command to every tag.
     // These helpers replay *exactly* the RNG draw sequence `process`
     // would perform for an eligible tag in a collision-free protocol
@@ -255,11 +255,15 @@ impl Tag {
     }
 
     /// Mirrors the Query slot draw (no draw at q == 0).
+    ///
+    /// `random_range(0..2^q)` is Lemire's multiply-shift, `(x · 2^q) >> 64`,
+    /// whose rejection zone `2^64 mod 2^q` is 0 for a power-of-two span:
+    /// the first word is always accepted and the value is its top q bits.
     pub(crate) fn fast_draw_slot(&mut self, q: u8) -> u32 {
         if q == 0 {
             0
         } else {
-            self.rng.random_range(0..(1u32 << q))
+            (self.rng.next_u64() >> (64 - q)) as u32
         }
     }
 
@@ -454,6 +458,25 @@ mod tests {
         assert!(t.is_inventoried());
         // Without single-read the flag is advisory only.
         assert!(matches!(t.process(&query(0)), TagReply::Rn16(_)));
+    }
+
+    #[test]
+    fn fast_slot_draw_equals_query_range_draw() {
+        for q in 1..=15u8 {
+            for seed in 0..64u64 {
+                let mut t = Tag::with_epc96(1, seed * 7919 + q as u64);
+                // Advance a little so the draw is not always a stream's first.
+                for _ in 0..seed % 5 {
+                    t.rng.next_u64();
+                }
+                let mut reference = t.rng.clone();
+                for _ in 0..4 {
+                    let want = reference.random_range(0..(1u32 << q));
+                    assert_eq!(t.fast_draw_slot(q), want, "q={q} seed={seed}");
+                }
+                assert!(t.rng == reference, "q={q} seed={seed}: RNG states diverged");
+            }
+        }
     }
 
     #[test]

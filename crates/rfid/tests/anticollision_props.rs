@@ -1,11 +1,14 @@
-//! Property-based tests for the anti-collision seam: every policy must
-//! converge with slot spend proportional to the tag count, the capture
-//! model must be bit-deterministic under fork-per-trial RNG at any
-//! thread count, and collision pressure must grow with the population.
+//! Property-based tests for the anti-collision seam: the population
+//! driver must equal the broadcast reader for every arm, every policy
+//! must converge with slot spend proportional to the tag count, the
+//! capture model must be bit-deterministic under fork-per-trial RNG at
+//! any thread count, and collision pressure must grow with the
+//! population.
 
 use ivn_rfid::anticollision::{AdaptiveQ, AntiCollision, CaptureModel, FixedQ, SchouteQ};
+use ivn_rfid::commands::Session;
 use ivn_rfid::population::inventory_population;
-use ivn_rfid::reader::QAlgorithm;
+use ivn_rfid::reader::{QAlgorithm, Reader};
 use ivn_rfid::tag::Tag;
 use ivn_runtime::par;
 use ivn_runtime::rng::{Rng, StdRng};
@@ -98,5 +101,65 @@ props! {
         prop_assert!(large >= small,
                      "collisions fell from {small} to {large} when {n} tags became {}",
                      4 * n + 8);
+    }
+}
+
+/// Every arm at frame size `q`, plus the largest frames: an adaptive
+/// start at Q = 15 and a fixed Q of 9..=15 (two radix digits).
+fn arms_at(q: u8, c: f64) -> Vec<Box<dyn AntiCollision>> {
+    vec![
+        Box::new(AdaptiveQ::new(QAlgorithm { q0: q, c })),
+        Box::new(AdaptiveQ::new(QAlgorithm { q0: 15, c })),
+        Box::new(FixedQ::new(q)),
+        Box::new(FixedQ::new(9 + q % 7)),
+        Box::new(SchouteQ::new(q)),
+    ]
+}
+
+props! {
+    cases = 24;
+
+    // Identity: the population driver's whole outcome equals the
+    // broadcast reader's for every arm, with and without capture. The
+    // reader gets the powered tags only — unpowered ones never reply,
+    // but it would count them as unread — with capture powers
+    // re-indexed to match, so replier order and fades line up.
+    fn population_driver_equals_broadcast_reader(
+        n in 1usize..129, q in 0u8..16, c in 0.0f64..1.0,
+        unpowered_in_8 in 0u32..4, seed in 0u64..1 << 48) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut tags = population(n, &mut rng);
+        for t in tags.iter_mut() {
+            t.set_powered(rng.random_range(0..8u32) >= unpowered_in_8);
+        }
+        let powers: Vec<f64> = (0..n).map(|_| rng.random_range(0.5..8.0)).collect();
+        let (powered_tags, powered_powers): (Vec<Tag>, Vec<f64>) = tags
+            .iter()
+            .zip(&powers)
+            .filter(|(t, _)| t.is_powered())
+            .map(|(t, &p)| (t.clone(), p))
+            .unzip();
+        let capture_seed = rng.random::<u64>();
+        let capture = |powers: &[f64]| {
+            CaptureModel::new(powers.to_vec(), 3.0, 6.0, StdRng::seed_from_u64(capture_seed))
+        };
+        for with_capture in [false, true] {
+            for (mut fast_policy, slow_policy) in arms_at(q, c).into_iter().zip(arms_at(q, c)) {
+                let mut fast_tags = tags.clone();
+                let mut fast_capture = with_capture.then(|| capture(&powers));
+                let fast = inventory_population(
+                    fast_policy.as_mut(), fast_capture.as_mut(), &mut fast_tags, 64);
+
+                let name = slow_policy.name();
+                let mut reader = Reader::with_policy(Session::S0, slow_policy);
+                if with_capture {
+                    reader.set_capture(capture(&powered_powers));
+                }
+                let slow = reader.inventory_all(&mut powered_tags.clone(), 64);
+                prop_assert!(fast == slow,
+                             "{name} (capture {with_capture}) diverged: {:?} vs {:?} rounds",
+                             fast.rounds, slow.rounds);
+            }
+        }
     }
 }
