@@ -72,7 +72,7 @@ const ALL_TARGETS: [&str; 13] = [
     "pipeline",
 ];
 
-const USAGE: &str = "usage: reproduce <target|all> [--quick] [--obs] [--obs-json <path>] [--trace <path>] [--sample-rate <hz>] [--block <n>] [--batch] [--stream-stats]
+const USAGE: &str = "usage: reproduce <target|all> [--quick] [--obs] [--obs-json <path>] [--trace <path>] [--sample-rate <hz>] [--block <n>] [--stream-stats]
        reproduce --scenario <file.json> [--quick]
        reproduce list
        reproduce export <name> [--out <path>]
@@ -109,8 +109,6 @@ struct Args {
     sample_rate: Option<f64>,
     /// Pipeline-only: streaming block size.
     block: Option<usize>,
-    /// Pipeline-only: run the whole-buffer oracle instead of streaming.
-    batch: bool,
     /// Pipeline-only: append footprint/throughput/hash diagnostics.
     stream_stats: bool,
 }
@@ -134,7 +132,6 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
         live_interval_ms: 200,
         sample_rate: None,
         block: None,
-        batch: false,
         stream_stats: false,
     };
     let mut it = argv.iter();
@@ -212,7 +209,6 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
                 }
                 args.block = Some(n);
             }
-            "--batch" => args.batch = true,
             "--stream-stats" => args.stream_stats = true,
             flag if flag.starts_with('-') => return Err(format!("unknown flag '{flag}'")),
             word => {
@@ -496,19 +492,15 @@ fn main() -> ExitCode {
     // substrate; everything else resolves through the registry.
     let render = |name: &str| -> Option<Result<String, String>> {
         if name == "pipeline" {
-            return Some(Ok(if args.batch {
-                ivn_bench::pipeline::run_batch(quick, args.sample_rate, args.stream_stats)
-            } else {
-                let mut opts = ivn_bench::pipeline::StreamOptions {
-                    sample_rate: args.sample_rate,
-                    stats: args.stream_stats,
-                    ..Default::default()
-                };
-                if let Some(b) = args.block {
-                    opts.block = b;
-                }
-                ivn_bench::pipeline::run_with(quick, &opts)
-            }));
+            let mut opts = ivn_bench::pipeline::StreamOptions {
+                sample_rate: args.sample_rate,
+                stats: args.stream_stats,
+                ..Default::default()
+            };
+            if let Some(b) = args.block {
+                opts.block = b;
+            }
+            return Some(Ok(ivn_bench::pipeline::run_with(quick, &opts)));
         }
         let s = registry::builtin(name)?;
         Some(registry::render(&s, quick))

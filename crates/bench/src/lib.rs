@@ -22,30 +22,13 @@ pub mod fig13_range;
 pub mod fig15_invivo;
 pub mod tbl_freqs;
 
-/// Ablation studies for the design choices DESIGN.md calls out.
 pub mod ablations;
-
-/// Scenario registry: dispatches any [`ivn_core::scenario::Scenario`]
-/// to the figure module that renders its kind.
-pub mod registry;
-
-/// Mass-campaign driver: directories of scenario files through the
-/// worker pool, with a deterministic aggregate.
 pub mod campaign;
-
-/// End-to-end sample-path chain (freqsel → sdr → em → harvester → rfid).
-pub mod pipeline;
-
-/// Population-scale inventory: the `inventory` reproduce target and the
-/// worker-pool fleet behind the runtime bench's throughput numbers.
 pub mod inventory;
-
-/// Offline analyzer for Chrome Trace Event JSON produced under `--trace`.
-pub mod trace_analysis;
-
-/// Perf-regression sentinel: compares BENCH_runtime.json against the
-/// committed BENCH_baseline.json with per-metric tolerance bands.
+pub mod pipeline;
+pub mod registry;
 pub mod sentinel;
+pub mod trace_analysis;
 
 /// Formats a row of columns with fixed widths for terminal tables.
 pub fn row(cells: &[String], width: usize) -> String {

@@ -615,17 +615,6 @@ pub fn run_with(quick: bool, opts: &StreamOptions) -> String {
     out
 }
 
-/// Runs the whole-buffer oracle and renders it, appending its `rx_hash`
-/// so it can be compared against the streaming path.
-pub fn run_batch(quick: bool, sample_rate: Option<f64>, stats: bool) -> String {
-    let o = outputs_batch(quick, sample_rate);
-    let mut out = render(&o);
-    if stats {
-        out += &format!("batch      rx_hash={:016x}\n", o.rx_hash);
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -5,7 +5,7 @@
 //! whole band lands in a frequency-selective fade, every tone fades
 //! together and the delivered power drops — the gain survives, the
 //! absolute level doesn't. The paper's suggested extension "adaptively
-//! hop[s] the center frequency to a different band": probe candidate
+//! hop\[s\] the center frequency to a different band": probe candidate
 //! centres across the ISM band, measure delivered peak power, and camp on
 //! the best.
 

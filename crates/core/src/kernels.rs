@@ -136,7 +136,7 @@ fn tone_pass<const WRITE: bool>(
 /// Accumulates one tone `amp·e^{j(2πf·k/grid + phase)}` into `acc`
 /// (`grid = acc.len()` samples spanning one 1-second period).
 ///
-/// No trig in the inner loop (see [`tone_pass`]); resynchronized from
+/// No trig in the inner loop (see `tone_pass`); resynchronized from
 /// exact trig every [`RENORM_INTERVAL`] samples. A negative `amp`
 /// subtracts the tone exactly (`from_polar(-a, θ)` is the exact negation
 /// of `from_polar(a, θ)`), which is how [`CrnKernel`] removes a perturbed
@@ -373,7 +373,7 @@ impl EnvelopeScratch {
         }
     }
 
-    /// Refined peak amplitude of the current grid (see [`refined_peak`]).
+    /// Refined peak amplitude of the current grid (see `refined_peak`).
     pub fn peak(&self, offsets_hz: &[f64], phases: &[f64], amps: Option<&[f64]>) -> f64 {
         refined_peak(&self.acc, offsets_hz, phases, amps)
     }
@@ -539,7 +539,7 @@ impl CrnKernel {
     /// Commits the swap of tone `idx` to `new_hz`: applies the same
     /// `−old + new` delta [`score_swap`](Self::score_swap) evaluated to
     /// the cached grids, rebuilding from scratch every
-    /// [`REBUILD_INTERVAL`] commits to bound delta-rounding drift.
+    /// `REBUILD_INTERVAL` commits to bound delta-rounding drift.
     pub fn commit_swap(&mut self, idx: usize, new_hz: f64) {
         let n = self.offsets_hz.len();
         let old_hz = self.offsets_hz[idx];

@@ -5,12 +5,14 @@
 //! materialize a full 1-second CIB period (`O(fs)` memory per stage)
 //! instead. This module defines the constant-memory alternative: a
 //! sample path is a [`BlockSource`] feeding one or more [`BlockStage`]s
-//! into a [`BlockSink`], all exchanging fixed-size blocks through
-//! reusable scratch `Vec`s. State that must survive a block boundary
-//! (oscillator phase, delay-line history, charge-pump voltage, partial
-//! FM0 symbols) lives inside the stage, so pushing the same samples in
-//! blocks of 1 or 4096 produces **bit-identical** output — the property
-//! `tests/streaming_equivalence.rs` pins across the whole pipeline.
+//! into a consumer (a [`PeakMeter`], the harvester's power-up
+//! integrator, the RFID decoders), all exchanging fixed-size blocks
+//! through reusable scratch `Vec`s. State that must survive a block
+//! boundary (oscillator phase, delay-line history, charge-pump voltage,
+//! partial FM0 symbols) lives inside the stage, so pushing the same
+//! samples in blocks of 1 or 4096 produces **bit-identical** output —
+//! the property `tests/streaming_equivalence.rs` pins across the whole
+//! pipeline.
 //!
 //! Conventions:
 //! - stages **append** to their output scratch and never clear it; the
@@ -58,18 +60,6 @@ pub trait BlockStage {
     }
 }
 
-/// Consumes sample blocks (the tail of a streaming chain).
-pub trait BlockSink {
-    /// Input sample type.
-    type In: Copy;
-
-    /// Consumes one block.
-    fn consume(&mut self, input: &[Self::In]);
-
-    /// Ends the stream (e.g. final bookkeeping on an integrator).
-    fn finish(&mut self) {}
-}
-
 /// A constant-amplitude [`BlockSource`] of known length — the "carrier
 /// on" drive profile of the pipeline's power-delivery phase.
 #[derive(Debug, Clone)]
@@ -101,7 +91,7 @@ impl BlockSource for ConstSource {
 
 /// Accumulates `block[k] · gain` into `acc[k]` — the per-antenna flat
 /// channel application + superposition step shared by the streaming
-/// mixer ([`ivn-em`]'s `BlockSuperposer`) and the whole-buffer
+/// mixer (`ivn-em`'s `BlockSuperposer`) and the whole-buffer
 /// `TxBank::superpose` wrapper. Both paths run this exact loop, so they
 /// agree bit for bit.
 ///
@@ -157,21 +147,11 @@ impl PeakMeter {
     }
 }
 
-impl BlockSink for PeakMeter {
-    type In = f64;
-
-    fn consume(&mut self, input: &[f64]) {
-        for &v in input {
-            self.observe(v);
-        }
-    }
-}
-
 /// Order-sensitive FNV-1a digest of a sample stream's exact bit
 /// patterns: two paths produce the same digest iff they produce the
 /// same samples in the same order. Splitting a stream into blocks does
-/// not change the digest, so `verify.sh` compares the streaming and
-/// batch pipelines through this.
+/// not change the digest, so the streaming pipeline's `rx_hash` equals
+/// the whole-buffer oracle's (`tests/streaming_equivalence.rs`).
 #[derive(Debug, Clone, Copy)]
 pub struct StreamHasher {
     state: u64,
@@ -287,7 +267,9 @@ mod tests {
     fn peak_meter_matches_batch_peak() {
         let env = [0.3, 1.7, 0.2, 1.69];
         let mut m = PeakMeter::new();
-        m.consume(&env);
+        for v in env {
+            m.observe(v);
+        }
         assert_eq!(m.peak(), 1.7);
     }
 

@@ -155,7 +155,7 @@ impl IqBuffer {
         self.samples.extend_from_slice(&other.samples);
     }
 
-    /// Magnitude envelope |x[n]| of the buffer.
+    /// Magnitude envelope `|x[n]|` of the buffer.
     pub fn envelope(&self) -> Vec<f64> {
         self.samples.iter().map(|s| s.norm()).collect()
     }

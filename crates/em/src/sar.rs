@@ -1,7 +1,7 @@
 //! Specific absorption rate (SAR) estimation.
 //!
 //! Human-exposure compliance is the paper's other safety leg (§7 cites
-//! [57], a 915 MHz SAR analysis): tissue absorbs `σ|E|²/ρ` watts per
+//! \[57\], a 915 MHz SAR analysis): tissue absorbs `σ|E|²/ρ` watts per
 //! kilogram. CIB helps here exactly as with FCC limits — SAR limits bind
 //! on *time-averaged* fields (FCC/ICNIRP average over 6–30 minutes), and
 //! CIB's average power is N·P₀ regardless of its N²·P₀ peaks.

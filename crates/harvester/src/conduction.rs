@@ -32,18 +32,6 @@ pub fn conduction_duty(vs: f64, vth: f64) -> f64 {
     conduction_angle(vs, vth) / std::f64::consts::TAU
 }
 
-/// Mean conduction duty over a time-varying envelope.
-pub fn mean_duty(envelope: &[f64], vth: f64) -> f64 {
-    if envelope.is_empty() {
-        return 0.0;
-    }
-    envelope
-        .iter()
-        .map(|&v| conduction_duty(v, vth))
-        .sum::<f64>()
-        / envelope.len() as f64
-}
-
 /// Average rectified current (relative units) delivered by a diode over
 /// one RF cycle at envelope amplitude `vs`: the cycle integral of the
 /// diode current for a cosine drive, computed by numerical quadrature.
@@ -120,15 +108,6 @@ mod tests {
         // Vs = 2·Vth → ω = 2·acos(0.5) = 2π/3 → duty = 1/3.
         let d = conduction_duty(0.5, 0.25);
         assert!((d - 1.0 / 3.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn mean_duty_over_envelope() {
-        let env = [0.0, 0.5, 0.0, 0.5];
-        let d = mean_duty(&env, 0.25);
-        // Two samples at duty 1/3, two at 0 → mean 1/6.
-        assert!((d - 1.0 / 6.0).abs() < 1e-9);
-        assert_eq!(mean_duty(&[], 0.25), 0.0);
     }
 
     #[test]

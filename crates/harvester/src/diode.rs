@@ -90,25 +90,6 @@ impl DiodeModel {
             }
         }
     }
-
-    /// Voltage drop across the diode when conducting current `i` (the loss
-    /// a rectifier stage pays), volts.
-    pub fn forward_drop(&self, i: f64) -> f64 {
-        assert!(i >= 0.0, "current must be non-negative");
-        match *self {
-            DiodeModel::Ideal => 0.0,
-            DiodeModel::Threshold { vth, r_on } => {
-                if i == 0.0 {
-                    0.0
-                } else {
-                    vth + i * r_on
-                }
-            }
-            DiodeModel::Shockley { i_sat, ideality } => {
-                ideality * THERMAL_VOLTAGE * (i / i_sat + 1.0).ln()
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -122,7 +103,6 @@ mod tests {
         assert!(!d.conducts(0.0));
         assert!(!d.conducts(-1.0));
         assert_eq!(d.threshold(), 0.0);
-        assert_eq!(d.forward_drop(0.1), 0.0);
     }
 
     #[test]
@@ -133,16 +113,6 @@ mod tests {
         assert_eq!(d.current(0.2), 0.0);
         assert!((d.current(0.35) - 0.002).abs() < 1e-12); // (0.35-0.25)/50
         assert_eq!(d.threshold(), 0.25);
-    }
-
-    #[test]
-    fn threshold_forward_drop() {
-        let d = DiodeModel::Threshold {
-            vth: 0.3,
-            r_on: 100.0,
-        };
-        assert_eq!(d.forward_drop(0.0), 0.0);
-        assert!((d.forward_drop(0.001) - 0.4).abs() < 1e-12);
     }
 
     #[test]
@@ -169,16 +139,6 @@ mod tests {
         assert!(vth > 0.1 && vth < 0.4, "vth {vth}");
         assert!(!d.conducts(vth * 0.95));
         assert!(d.conducts(vth * 1.05));
-    }
-
-    #[test]
-    fn shockley_forward_drop_inverts_current() {
-        let d = DiodeModel::Shockley {
-            i_sat: 1e-9,
-            ideality: 1.0,
-        };
-        let i = d.current(0.35);
-        assert!((d.forward_drop(i) - 0.35).abs() < 1e-9);
     }
 
     #[test]

@@ -26,18 +26,13 @@
 //!
 //! The pump step is an exact first-order recurrence
 //! `v' = target + (v − target)·α` with `α = exp(−dt/RC)` *constant per
-//! stream*, so [`PowerUpState::step_block`] hoists the exponential out
-//! of the per-sample loop — bit-identical to stepping
+//! stream*, so one per-sample loop (`PowerUpState::step_samples`)
+//! hoists the exponential and the load term out of the iteration and
+//! makes the charge decision a branchless select. [`PowerUpState::step_block`]
+//! (received power) and [`PowerUpState::step_rx_block`] (complex rx,
+//! `|v|²·scale` fused inline) both run it, bit-identical to stepping
 //! [`Rectifier::step`] every sample (the preserved
-//! [`TagPowerProfile::power_up_oracle`]). On top of that,
-//! [`PowerUpState::step_run`] fast-forwards a *run* of `m` equal-power
-//! samples in closed form, `v_{k+m} = target + (v_k − target)·α^m`
-//! (wake index recovered with one log), so piecewise-constant PIE/CW
-//! envelopes integrate in O(runs) instead of O(samples). The
-//! fast-forward is bit-identical under any split of a run into sub-runs
-//! (segments are anchored at data-determined absolute indices, never at
-//! call boundaries) and stays within ≤1e-9 of the oracle; a length-1
-//! run degenerates to exactly the scalar ops.
+//! [`TagPowerProfile::power_up_oracle`]) at any block split.
 
 use crate::diode::DiodeModel;
 use crate::rectifier::Rectifier;
@@ -100,11 +95,6 @@ impl TagPowerProfile {
         vth * vth / (2.0 * self.r_in)
     }
 
-    /// Static sensitivity in dBm.
-    pub fn static_sensitivity_dbm(&self) -> f64 {
-        ivn_dsp::units::watts_to_dbm(self.static_sensitivity_watts())
-    }
-
     /// Runs the power-up simulation over a received-power envelope
     /// (watts per sample at `sample_rate`). Returns the outcome.
     ///
@@ -119,29 +109,9 @@ impl TagPowerProfile {
         state.finish()
     }
 
-    /// Runs the power-up simulation over a run-length encoded envelope:
-    /// `(power_watts, samples)` pairs at `sample_rate`. Each run is
-    /// integrated in closed form ([`PowerUpState::step_run`]), so the
-    /// cost is O(runs) regardless of the sample count — the fast path
-    /// for the piecewise-constant PIE/CW envelopes a
-    /// [`RunRasterizer`](../../ivn_rfid/stream/struct.RunRasterizer.html)
-    /// produces.
-    pub fn power_up_runs(&self, runs: &[(f64, usize)], sample_rate: f64) -> PowerUpOutcome {
-        let total: usize = runs.iter().map(|&(_, m)| m).sum();
-        let mut state = self
-            .begin_power_up(sample_rate)
-            .with_trace_stride((total / 32).max(1));
-        for &(p, m) in runs {
-            state.step_run(p, m);
-        }
-        state.finish()
-    }
-
-    /// The pre-fast-forward reference integrator: steps
-    /// [`Rectifier::step`] (with its per-sample exponential) for every
-    /// sample. [`Self::power_up`] is bit-identical to this; the O(runs)
-    /// fast-forward ([`Self::power_up_runs`]) is pinned to ≤1e-9 of it
-    /// by the property suite.
+    /// The reference integrator: steps [`Rectifier::step`] (with its
+    /// per-sample exponential) for every sample. [`Self::power_up`] and
+    /// every [`PowerUpState`] feeding are bit-identical to this.
     pub fn power_up_oracle(&self, power_envelope: &[f64], sample_rate: f64) -> PowerUpOutcome {
         assert!(sample_rate > 0.0, "sample rate must be positive");
         let dt = 1.0 / sample_rate;
@@ -167,7 +137,7 @@ impl TagPowerProfile {
 
     /// Starts a resumable power-up integration at `sample_rate`: feed
     /// received-power blocks through [`PowerUpState::step_block`] (or
-    /// equal-power runs through [`PowerUpState::step_run`]), then read
+    /// complex rx through [`PowerUpState::step_rx_block`]), then read
     /// [`PowerUpState::finish`]. Pump voltage, peak tracking and the
     /// wake timestamp all carry across block boundaries, so any block
     /// split produces the same outcome as [`Self::power_up`].
@@ -188,7 +158,6 @@ impl TagPowerProfile {
             n: 0,
             trace_stride: 1,
             crossing_counted: false,
-            run: None,
         }
     }
 
@@ -210,65 +179,6 @@ impl TagPowerProfile {
     }
 }
 
-/// `base^e` by binary exponentiation — a deterministic function of
-/// `(base, e)`, which is what makes the run fast-forward split-invariant
-/// (any sub-run split re-evaluates the same `α^k` at the same anchored
-/// `k`). `pow_int(α, 1) == α` exactly, so a length-1 run reproduces the
-/// scalar step bit for bit.
-fn pow_int(base: f64, mut e: u64) -> f64 {
-    let mut acc = 1.0f64;
-    let mut b = base;
-    while e > 0 {
-        if e & 1 == 1 {
-            acc *= b;
-        }
-        b *= b;
-        e >>= 1;
-    }
-    acc
-}
-
-/// Dynamics of the open run segment. With constant drive the oracle's
-/// per-sample branches are constant until a data-determined event (wake,
-/// or the drain trajectory falling below the charge target), so a run
-/// decomposes into at most a handful of closed-form segments.
-#[derive(Debug, Clone, Copy, PartialEq)]
-enum Regime {
-    /// Diodes block, chip asleep: `v` constant.
-    Hold,
-    /// Asleep, charging toward `target`: `v(k) = t + (v₀−t)·α^k`.
-    Charge,
-    /// Awake, charging against the chip draw:
-    /// `v(k) = t + (v₀−t)·α^k − drain·(1−α^k)/(1−α)`, clamped at 0.
-    AwakeCharge,
-    /// Awake, diodes blocked: `v(k) = v₀ − k·drain`, clamped at 0.
-    AwakeDrain,
-    /// Degenerate parameters (non-positive fixed point): integrate this
-    /// run sample by sample with the exact oracle ops.
-    Scalar,
-}
-
-/// The open constant-power run segment of a [`PowerUpState`]. Anchored
-/// at the absolute sample index where its regime began — never at a
-/// `step_run` call boundary — so any split of a run into sub-runs
-/// evaluates the identical closed forms.
-#[derive(Debug, Clone, Copy)]
-struct RunSeg {
-    /// Bit pattern of the run's power value (runs are exact-equality).
-    p_bits: u64,
-    /// Steady-state pump target for this drive.
-    target: f64,
-    /// Pump voltage entering the segment (before its first sample).
-    v0: f64,
-    /// Absolute index of the segment's first sample.
-    start_n: usize,
-    /// Samples consumed so far.
-    k: u64,
-    /// Sample count at which a regime transition fires (`u64::MAX`: none).
-    event_k: u64,
-    regime: Regime,
-}
-
 /// Resumable Dickson-pump charge integration — the streaming core
 /// behind [`TagPowerProfile::power_up`].
 ///
@@ -277,8 +187,6 @@ struct RunSeg {
 /// carrying `v`, the running peak and the wake index across block
 /// boundaries reproduces the whole-buffer loop exactly: pushing the
 /// same envelope in blocks of 1 or 4096 yields bit-identical outcomes.
-/// Equal-power runs can additionally be fast-forwarded in closed form
-/// via [`Self::step_run`].
 #[derive(Debug, Clone)]
 pub struct PowerUpState<'a> {
     profile: &'a TagPowerProfile,
@@ -297,8 +205,6 @@ pub struct PowerUpState<'a> {
     n: usize,
     trace_stride: usize,
     crossing_counted: bool,
-    /// Open equal-power run, if the last call was a `step_run`.
-    run: Option<RunSeg>,
 }
 
 impl PowerUpState<'_> {
@@ -324,7 +230,6 @@ impl PowerUpState<'_> {
     pub fn step_block(&mut self, power_block: &[f64]) {
         let _span = ivn_runtime::span!("harvester.power_up_ns");
         ivn_runtime::obs_count!("harvester.charge_steps", power_block.len());
-        self.close_run();
         self.step_samples(power_block.iter().copied());
     }
 
@@ -339,7 +244,6 @@ impl PowerUpState<'_> {
     pub fn step_rx_block(&mut self, rx: &[ivn_dsp::Complex64], scale: f64) {
         let _span = ivn_runtime::span!("harvester.power_up_ns");
         ivn_runtime::obs_count!("harvester.charge_steps", rx.len());
-        self.close_run();
         self.step_samples(rx.iter().map(|&v| v.norm_sqr() * scale));
     }
 
@@ -393,284 +297,6 @@ impl PowerUpState<'_> {
         self.n = n;
     }
 
-    /// Fast-forwards `m` samples of constant received power `p` in
-    /// closed form: O(regime transitions) per call instead of O(m).
-    ///
-    /// Consecutive calls with the same `p` continue the same anchored
-    /// run, so any split of a run into sub-runs is bit-identical; a
-    /// length-1 run performs exactly the scalar ops. Relative to the
-    /// per-sample path the closed form drifts only by accumulated
-    /// rounding (pinned ≤1e-9 by `tests/powerup_props.rs`).
-    pub fn step_run(&mut self, p: f64, m: usize) {
-        let _span = ivn_runtime::span!("harvester.power_up_ns");
-        ivn_runtime::obs_count!("harvester.charge_steps", m);
-        assert!(p >= 0.0, "power must be non-negative");
-        if self.alpha >= 1.0 {
-            // Degenerate RC (dt ≪ τ underflows the exponent): the charge
-            // step is a near-no-op and the geometric-series form divides
-            // by 1−α = 0. Integrate sample-wise.
-            self.close_run();
-            for _ in 0..m {
-                self.scalar_sample(p);
-            }
-            return;
-        }
-        let tracing = ivn_runtime::trace::enabled();
-        let mut m = m as u64;
-        while m > 0 {
-            let cont = matches!(&self.run, Some(seg) if seg.p_bits == p.to_bits());
-            if !cont {
-                self.close_run();
-                let seg = self.open_seg(p, self.v, self.n);
-                self.run = Some(seg);
-            }
-            let seg = *self.run.as_ref().expect("open run segment");
-            if seg.regime == Regime::Scalar {
-                // Degenerate fixed point: finish the run sample by
-                // sample (still split-invariant — sequential stepping
-                // never depends on call boundaries).
-                self.run = None;
-                for _ in 0..m {
-                    self.scalar_sample(p);
-                }
-                return;
-            }
-            let take = m.min(seg.event_k - seg.k);
-            if tracing {
-                self.emit_trace_runs(&seg, take);
-            }
-            {
-                let open = self.run.as_mut().expect("open run segment");
-                open.k += take;
-            }
-            self.n += take as usize;
-            m -= take;
-            let fire = {
-                let open = self.run.as_ref().expect("open run segment");
-                open.k == open.event_k
-            };
-            if fire {
-                self.fire_event();
-            }
-        }
-    }
-
-    /// One sample of the exact oracle ops (cold path: degenerate
-    /// parameters inside `step_run`).
-    fn scalar_sample(&mut self, p: f64) {
-        let amp = (2.0 * p * self.profile.r_in).sqrt();
-        let target = (self.stages_f * (amp - self.vth)).max(0.0);
-        if target > self.v {
-            self.v = target + (self.v - target) * self.alpha;
-        }
-        if self.awake_at.is_some() {
-            self.v = (self.v - self.drain).max(0.0);
-        }
-        self.v_peak = self.v_peak.max(self.v);
-        if self.awake_at.is_none() && self.v >= self.profile.v_operate {
-            self.awake_at = Some(self.n);
-        }
-        if ivn_runtime::trace::enabled() && self.n % self.trace_stride == 0 {
-            ivn_runtime::trace_counter!(
-                "physics.harvested_charge_j",
-                0.5 * self.profile.c_storage * self.v * self.v
-            );
-        }
-        self.n += 1;
-    }
-
-    /// Opens a regime segment for drive `p` entering at voltage `v0`,
-    /// first sample at absolute index `start_n`, and precomputes its
-    /// transition event. Decisions depend only on `(p, v0, awake)` —
-    /// data-determined, never on call boundaries.
-    fn open_seg(&self, p: f64, v0: f64, start_n: usize) -> RunSeg {
-        let amp = (2.0 * p * self.profile.r_in).sqrt();
-        let target = (self.stages_f * (amp - self.vth)).max(0.0);
-        let awake = self.awake_at.is_some();
-        let mut seg = RunSeg {
-            p_bits: p.to_bits(),
-            target,
-            v0,
-            start_n,
-            k: 0,
-            event_k: u64::MAX,
-            regime: Regime::Hold,
-        };
-        if !awake {
-            if target > v0 {
-                seg.regime = Regime::Charge;
-                seg.event_k = self.wake_event(&seg);
-            }
-            // else Hold: v constant, and v < v_operate (otherwise the
-            // previous sample's check would have woken the chip).
-        } else if target > v0 {
-            // Fixed point of v' = t + (v−t)α − drain.
-            let v_inf = target - self.drain / (1.0 - self.alpha);
-            if v_inf > 0.0 {
-                seg.regime = Regime::AwakeCharge;
-            } else {
-                seg.regime = Regime::Scalar;
-            }
-        } else {
-            seg.regime = Regime::AwakeDrain;
-            seg.event_k = self.drain_event(&seg);
-        }
-        seg
-    }
-
-    /// Voltage after `k` samples of the segment (k = 0 → entry voltage).
-    fn seg_v(&self, seg: &RunSeg, k: u64) -> f64 {
-        if k == 0 {
-            return seg.v0;
-        }
-        match seg.regime {
-            Regime::Hold | Regime::Scalar => seg.v0,
-            Regime::Charge => seg.target + (seg.v0 - seg.target) * pow_int(self.alpha, k),
-            Regime::AwakeCharge => {
-                let pk = pow_int(self.alpha, k);
-                (seg.target + (seg.v0 - seg.target) * pk
-                    - self.drain * ((1.0 - pk) / (1.0 - self.alpha)))
-                    .max(0.0)
-            }
-            Regime::AwakeDrain => (seg.v0 - (k as f64) * self.drain).max(0.0),
-        }
-    }
-
-    /// First `k ≥ 1` with `v(k) ≥ v_operate` in a [`Regime::Charge`]
-    /// segment, or `u64::MAX` if the run can never wake. One logarithm
-    /// seeds the index; a short walk absorbs rounding (with a binary
-    /// search fallback for the asymptotic `target == v_op` edge).
-    fn wake_event(&self, seg: &RunSeg) -> u64 {
-        let v_op = self.profile.v_operate;
-        if seg.target < v_op {
-            return u64::MAX; // v(k) < target < v_op for all k
-        }
-        // α^k underflows to 0 past k_cap, where v(k) evaluates exactly
-        // to target — the search horizon.
-        let x = -self.alpha.ln(); // dt/RC
-        let k_cap = if x > 0.0 {
-            ((745.0 / x).ceil() as u64).saturating_add(2)
-        } else {
-            return u64::MAX;
-        };
-        let crossed = |k: u64| self.seg_v(seg, k) >= v_op;
-        if !crossed(k_cap) {
-            return u64::MAX;
-        }
-        let ratio = (v_op - seg.target) / (seg.v0 - seg.target);
-        let guess = if ratio > 0.0 {
-            (ratio.ln() / self.alpha.ln()).ceil()
-        } else {
-            1.0
-        };
-        let mut g = if guess.is_finite() && guess >= 1.0 {
-            (guess as u64).min(k_cap)
-        } else {
-            k_cap
-        };
-        // Local fixup: rounding moves the crossing by at most a step or
-        // two in practice. Cap the walk and fall back to bisection so a
-        // pathological seed still terminates in O(log k).
-        let mut walked = 0;
-        if crossed(g) {
-            while g > 1 && crossed(g - 1) && walked < 32 {
-                g -= 1;
-                walked += 1;
-            }
-            if g > 1 && crossed(g - 1) {
-                return first_true(1, g, crossed);
-            }
-        } else {
-            while !crossed(g) && walked < 32 {
-                g += 1;
-                walked += 1;
-            }
-            if !crossed(g) {
-                return first_true(g, k_cap, crossed);
-            }
-        }
-        g
-    }
-
-    /// First `k ≥ 1` where the [`Regime::AwakeDrain`] trajectory falls
-    /// below the charge target (flipping the diode branch back on), or
-    /// `u64::MAX` if it never does (`target == 0` or no draw).
-    fn drain_event(&self, seg: &RunSeg) -> u64 {
-        if seg.target <= 0.0 || self.drain <= 0.0 {
-            return u64::MAX;
-        }
-        let below = |k: u64| self.seg_v(seg, k) < seg.target;
-        // v0 − k·drain < target  ⇔  k > (v0 − target)/drain.
-        let mut g = (((seg.v0 - seg.target) / self.drain).floor() as u64).saturating_add(1);
-        let mut walked = 0;
-        if below(g) {
-            while g > 1 && below(g - 1) && walked < 32 {
-                g -= 1;
-                walked += 1;
-            }
-        } else {
-            while !below(g) && walked < 32 {
-                g += 1;
-                walked += 1;
-            }
-            if !below(g) {
-                // Linear trajectory: the crossing is bounded; bisect.
-                let hi = g + ((seg.v0 / self.drain).ceil() as u64).saturating_add(2);
-                return first_true(g, hi, below);
-            }
-        }
-        g
-    }
-
-    /// Closes the segment at its event index and opens the follow-up
-    /// regime at the same data-determined anchor.
-    fn fire_event(&mut self) {
-        let seg = self.run.take().expect("segment with pending event");
-        let v_e = self.seg_v(&seg, seg.event_k);
-        self.v_peak = self.v_peak.max(v_e);
-        let next_start = seg.start_n + seg.event_k as usize;
-        match seg.regime {
-            Regime::Charge => {
-                // The event is the wake crossing at sample event_k − 1.
-                self.awake_at = Some(next_start - 1);
-            }
-            Regime::AwakeDrain => {} // fell below target: charging resumes
-            r => unreachable!("regime {r:?} has no events"),
-        }
-        let p = f64::from_bits(seg.p_bits);
-        let next = self.open_seg(p, v_e, next_start);
-        self.run = Some(next);
-    }
-
-    /// Flushes the open run segment: collapses it to its end voltage so
-    /// per-sample integration (or a different run value) can continue.
-    fn close_run(&mut self) {
-        if let Some(seg) = self.run.take() {
-            let v_end = self.seg_v(&seg, seg.k);
-            self.v = v_end;
-            self.v_peak = self.v_peak.max(v_end);
-        }
-    }
-
-    /// Emits the stride-aligned `physics.harvested_charge_j` probes a
-    /// scalar integration of the next `take` segment samples would have
-    /// emitted (tracing-only path; evaluates the closed form at each
-    /// stride point without touching integration state).
-    fn emit_trace_runs(&self, seg: &RunSeg, take: u64) {
-        let stride = self.trace_stride;
-        let lo = seg.start_n + seg.k as usize; // absolute index of next sample
-        let hi = lo + take as usize;
-        let mut idx = lo.div_ceil(stride) * stride;
-        while idx < hi {
-            let v = self.seg_v(seg, (idx - seg.start_n) as u64 + 1);
-            ivn_runtime::trace_counter!(
-                "physics.harvested_charge_j",
-                0.5 * self.profile.c_storage * v * v
-            );
-            idx += stride;
-        }
-    }
-
     /// Ends the stream (books the threshold-crossing observation once)
     /// and returns the outcome. Idempotent; the state can keep
     /// integrating afterwards if more samples arrive.
@@ -684,21 +310,11 @@ impl PowerUpState<'_> {
 
     /// The outcome as of the samples integrated so far.
     pub fn outcome(&self) -> PowerUpOutcome {
-        // An open run segment is evaluated in place (every regime is
-        // monotone, so the running max over segment endpoints is the
-        // true peak).
-        let (v_now, peak_now) = match &self.run {
-            Some(seg) => {
-                let v = self.seg_v(seg, seg.k);
-                (v, self.v_peak.max(v))
-            }
-            None => (self.v, self.v_peak),
-        };
         PowerUpOutcome {
             powered: self.awake_at.is_some(),
             time_to_power_s: self.awake_at.map(|n| n as f64 / self.sample_rate),
-            peak_vdc: peak_now,
-            final_vdc: v_now,
+            peak_vdc: self.v_peak,
+            final_vdc: self.v,
         }
     }
 
@@ -706,33 +322,6 @@ impl PowerUpState<'_> {
     pub fn samples_seen(&self) -> usize {
         self.n
     }
-}
-
-impl ivn_dsp::block::BlockSink for PowerUpState<'_> {
-    type In = f64;
-
-    fn consume(&mut self, input: &[f64]) {
-        self.step_block(input);
-    }
-
-    fn finish(&mut self) {
-        PowerUpState::finish(self);
-    }
-}
-
-/// First `k` in `[lo, hi]` where `pred(k)` holds, assuming `pred` is
-/// monotone (false…false true…true); returns `hi` if only `hi` holds.
-fn first_true(lo: u64, hi: u64, pred: impl Fn(u64) -> bool) -> u64 {
-    let (mut lo, mut hi) = (lo, hi);
-    while lo < hi {
-        let mid = lo + (hi - lo) / 2;
-        if pred(mid) {
-            hi = mid;
-        } else {
-            lo = mid + 1;
-        }
-    }
-    lo
 }
 
 /// Result of a power-up attempt.
@@ -763,8 +352,8 @@ mod tests {
         let mini_req = ivn_dsp::units::watts_to_dbm(mini.required_peak_power_watts());
         assert!((std_req + 10.0).abs() < 0.3, "std {std_req}");
         assert!(mini_req.abs() < 0.3, "mini {mini_req}");
-        assert!(std_tag.static_sensitivity_dbm() < std_req);
-        assert!(mini.static_sensitivity_dbm() < mini_req);
+        assert!(std_tag.static_sensitivity_watts() < std_tag.required_peak_power_watts());
+        assert!(mini.static_sensitivity_watts() < mini.required_peak_power_watts());
     }
 
     #[test]
@@ -908,126 +497,6 @@ mod tests {
         );
         assert_eq!(fast.peak_vdc.to_bits(), oracle.peak_vdc.to_bits());
         assert_eq!(fast.final_vdc.to_bits(), oracle.final_vdc.to_bits());
-    }
-
-    #[test]
-    fn run_fast_forward_tracks_oracle() {
-        // PIE-like duty-cycled envelope: strong bursts with gaps, then a
-        // long dark tail draining the awake chip.
-        let tag = TagPowerProfile::standard_tag();
-        let runs: &[(f64, usize)] = &[
-            (1e-3, 400),
-            (0.0, 1_500),
-            (2e-3, 2_000),
-            (0.0, 5_000),
-            (5e-4, 30_000),
-            (0.0, 200_000),
-        ];
-        let mut env = Vec::new();
-        for &(p, m) in runs {
-            env.extend(std::iter::repeat(p).take(m));
-        }
-        let oracle = tag.power_up_oracle(&env, 1e6);
-        let ff = tag.power_up_runs(runs, 1e6);
-        assert!(oracle.powered, "fixture should power");
-        assert_eq!(ff.powered, oracle.powered);
-        assert_eq!(
-            ff.time_to_power_s.map(f64::to_bits),
-            oracle.time_to_power_s.map(f64::to_bits),
-            "wake index"
-        );
-        assert!((ff.peak_vdc - oracle.peak_vdc).abs() <= 1e-9, "peak drift");
-        assert!(
-            (ff.final_vdc - oracle.final_vdc).abs() <= 1e-9,
-            "final drift {} vs {}",
-            ff.final_vdc,
-            oracle.final_vdc
-        );
-    }
-
-    #[test]
-    fn run_split_bit_identity() {
-        // Splitting a run into sub-runs must not change a bit: segments
-        // anchor at data-determined indices, not call boundaries.
-        let tag = TagPowerProfile::standard_tag();
-        let runs: &[(f64, usize)] = &[(1.5e-3, 7_000), (0.0, 9_000), (6e-4, 50_000)];
-        let whole = tag.power_up_runs(runs, 1e6);
-        let mut st = tag.begin_power_up(1e6);
-        for &(p, m) in runs {
-            // Feed each run as many ragged sub-runs.
-            let mut left = m;
-            let mut piece = 1usize;
-            while left > 0 {
-                let take = piece.min(left);
-                st.step_run(p, take);
-                left -= take;
-                piece = piece * 3 + 1;
-            }
-        }
-        let split = st.finish();
-        assert_eq!(split.powered, whole.powered);
-        assert_eq!(
-            split.time_to_power_s.map(f64::to_bits),
-            whole.time_to_power_s.map(f64::to_bits)
-        );
-        assert_eq!(split.peak_vdc.to_bits(), whole.peak_vdc.to_bits());
-        assert_eq!(split.final_vdc.to_bits(), whole.final_vdc.to_bits());
-    }
-
-    #[test]
-    fn length_one_runs_with_distinct_powers_match_step_block_bitwise() {
-        // A fresh segment of length 1 performs exactly the scalar ops
-        // (`pow_int(α, 1) == α`, the geometric series collapses to
-        // `drain`), so an all-distinct stream fed through `step_run`
-        // one sample at a time is bit-identical to `step_block`.
-        let tag = TagPowerProfile::standard_tag();
-        let env: Vec<f64> = (0..20_000)
-            .map(|k| dbm_to_watts(8.0) * (k as f64 / 20_000.0))
-            .collect();
-        let batch = tag.power_up(&env, 1e6);
-        assert!(batch.powered);
-        let mut st = tag
-            .begin_power_up(1e6)
-            .with_trace_stride((env.len() / 32).max(1));
-        for &p in &env {
-            st.step_run(p, 1);
-        }
-        let out = st.finish();
-        assert_eq!(out.powered, batch.powered);
-        assert_eq!(
-            out.time_to_power_s.map(f64::to_bits),
-            batch.time_to_power_s.map(f64::to_bits)
-        );
-        assert_eq!(out.peak_vdc.to_bits(), batch.peak_vdc.to_bits());
-        assert_eq!(out.final_vdc.to_bits(), batch.final_vdc.to_bits());
-    }
-
-    #[test]
-    fn rx_block_integration_matches_power_block_bitwise() {
-        let tag = TagPowerProfile::standard_tag();
-        let mut rng = ivn_runtime::rng::StdRng::seed_from_u64(9);
-        use ivn_runtime::rng::Rng;
-        let rx: Vec<ivn_dsp::Complex64> = (0..50_000)
-            .map(|_| ivn_dsp::Complex64 {
-                re: rng.random::<f64>() - 0.5,
-                im: rng.random::<f64>() - 0.5,
-            })
-            .collect();
-        let scale = 3.7e-3;
-        let power: Vec<f64> = rx.iter().map(|&v| v.norm_sqr() * scale).collect();
-        let mut a = tag.begin_power_up(1e6);
-        let mut b = tag.begin_power_up(1e6);
-        for (rxc, pc) in rx.chunks(777).zip(power.chunks(777)) {
-            a.step_rx_block(rxc, scale);
-            b.step_block(pc);
-        }
-        let (oa, ob) = (a.finish(), b.finish());
-        assert_eq!(oa.final_vdc.to_bits(), ob.final_vdc.to_bits());
-        assert_eq!(oa.peak_vdc.to_bits(), ob.peak_vdc.to_bits());
-        assert_eq!(
-            oa.time_to_power_s.map(f64::to_bits),
-            ob.time_to_power_s.map(f64::to_bits)
-        );
     }
 
     #[test]

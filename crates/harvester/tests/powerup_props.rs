@@ -1,20 +1,14 @@
-//! Property pins for the power-up integrator's fast paths.
-//!
-//! Three contracts, PR-7 style:
-//!
-//! 1. `step_block` (the α-hoisted scalar loop) is **bit-identical** to
-//!    `power_up_oracle` (the per-sample `Rectifier::step` loop) on any
-//!    envelope, at any block split.
-//! 2. `step_run` (the closed-form O(runs) fast-forward) tracks the
-//!    oracle within ≤1e-9 on voltages and reproduces the wake index
-//!    exactly.
-//! 3. `step_run` is **bit-identical** under any split of a run into
-//!    sub-runs (segments anchor at data-determined indices).
+//! Property pin for the power-up integrator: both streaming entry
+//! points are **bit-identical** to `power_up_oracle` (the per-sample
+//! `Rectifier::step` loop) on any envelope, at any block split —
+//! `step_block` on received power, and `step_rx_block` on complex rx
+//! against the oracle run on `|rx|²·scale`.
 
+use ivn_dsp::Complex64;
 use ivn_harvester::powerup::{PowerUpOutcome, TagPowerProfile};
 use ivn_runtime::prop::any;
 use ivn_runtime::rng::{Rng, StdRng};
-use ivn_runtime::{prop_assert, prop_assert_eq, props};
+use ivn_runtime::{prop_assert_eq, props};
 
 const FS: f64 = 1e6;
 
@@ -52,9 +46,21 @@ fn runs_from_seed(seed: u64) -> Vec<(f64, usize)> {
 fn expand(runs: &[(f64, usize)]) -> Vec<f64> {
     let mut env = Vec::new();
     for &(p, m) in runs {
-        env.extend(std::iter::repeat(p).take(m));
+        env.extend(std::iter::repeat_n(p, m));
     }
     env
+}
+
+/// Consecutive `(start, end)` blocks of 1..=5000 samples covering `0..len`.
+fn random_splits(rng: &mut StdRng, len: usize) -> Vec<(usize, usize)> {
+    let mut splits = Vec::new();
+    let mut i = 0usize;
+    while i < len {
+        let end = (i + 1 + (rng.next_u64() % 5000) as usize).min(len);
+        splits.push((i, end));
+        i = end;
+    }
+    splits
 }
 
 fn assert_bitwise(a: &PowerUpOutcome, b: &PowerUpOutcome, what: &str) {
@@ -75,8 +81,8 @@ fn assert_bitwise(a: &PowerUpOutcome, b: &PowerUpOutcome, what: &str) {
 props! {
     cases = 48;
 
-    /// Contract 1: the hoisted scalar loop IS the oracle, bit for bit,
-    /// under any block split.
+    /// The hoisted loop IS the oracle, bit for bit, under any block
+    /// split, through either entry point.
     fn step_block_bitwise_equals_oracle(seed in any::<u64>(), mini in any::<bool>()) {
         let tag = profile(mini);
         let env = expand(&runs_from_seed(seed));
@@ -87,85 +93,31 @@ props! {
         let mut st = tag
             .begin_power_up(FS)
             .with_trace_stride((env.len() / 32).max(1));
-        let mut i = 0usize;
-        while i < env.len() {
-            let block = 1 + (rng.next_u64() % 5000) as usize;
-            let end = (i + block).min(env.len());
+        for (i, end) in random_splits(&mut rng, env.len()) {
             st.step_block(&env[i..end]);
-            i = end;
         }
         assert_bitwise(&st.finish(), &oracle, "split blocks vs oracle");
         prop_assert_eq!(st.samples_seen(), env.len());
-    }
 
-    /// Contract 2: the closed-form fast-forward drifts ≤1e-9 from the
-    /// oracle and wakes at exactly the same sample.
-    fn fast_forward_tracks_oracle(seed in any::<u64>(), mini in any::<bool>()) {
-        let tag = profile(mini);
-        let runs = runs_from_seed(seed);
-        let env = expand(&runs);
-        let oracle = tag.power_up_oracle(&env, FS);
-        let ff = tag.power_up_runs(&runs, FS);
-        prop_assert_eq!(ff.powered, oracle.powered);
-        prop_assert_eq!(
-            ff.time_to_power_s.map(f64::to_bits),
-            oracle.time_to_power_s.map(f64::to_bits)
-        );
-        prop_assert!(
-            (ff.peak_vdc - oracle.peak_vdc).abs() <= 1e-9,
-            "peak drift {} vs {}", ff.peak_vdc, oracle.peak_vdc
-        );
-        prop_assert!(
-            (ff.final_vdc - oracle.final_vdc).abs() <= 1e-9,
-            "final drift {} vs {}", ff.final_vdc, oracle.final_vdc
-        );
-    }
-
-    /// Contract 3: splitting runs into arbitrary sub-runs changes no
-    /// bit of the fast-forward result.
-    fn fast_forward_split_invariant(seed in any::<u64>(), mini in any::<bool>()) {
-        let tag = profile(mini);
-        let runs = runs_from_seed(seed);
-        let whole = tag.power_up_runs(&runs, FS);
-        let mut rng = StdRng::seed_from_u64(seed ^ 0xab1e);
+        // Complex rx whose |rx|²·scale follows the same envelope with a
+        // random per-sample amplitude jitter and phase: the same dead air,
+        // wake and drain, but no two samples equal.
+        let scale = 1e-3 + 1e-2 * rng.random::<f64>();
+        let rx: Vec<Complex64> = env
+            .iter()
+            .map(|&p| {
+                let amp = (p / scale).sqrt() * (0.5 + rng.random::<f64>());
+                let (s, c) = (std::f64::consts::TAU * rng.random::<f64>()).sin_cos();
+                Complex64::new(amp * c, amp * s)
+            })
+            .collect();
+        let power: Vec<f64> = rx.iter().map(|v| v.norm_sqr() * scale).collect();
+        let oracle = tag.power_up_oracle(&power, FS);
         let mut st = tag.begin_power_up(FS);
-        for &(p, m) in &runs {
-            let mut left = m;
-            while left > 0 {
-                let take = (1 + (rng.next_u64() % 1_000) as usize).min(left);
-                st.step_run(p, take);
-                left -= take;
-            }
+        for (i, end) in random_splits(&mut rng, rx.len()) {
+            st.step_rx_block(&rx[i..end], scale);
         }
-        // Trace stride differs from power_up_runs' choice, but tracing
-        // is off here and must not affect numerics anyway.
-        let split = st.finish();
-        assert_bitwise(&split, &whole, "split runs vs whole runs");
-    }
-
-    /// Mixed feeding: runs interleaved with per-sample blocks still
-    /// tracks the oracle (the state machine flushes segments cleanly).
-    fn mixed_run_and_block_feeding(seed in any::<u64>()) {
-        let tag = profile(false);
-        let runs = runs_from_seed(seed);
-        let env = expand(&runs);
-        let oracle = tag.power_up_oracle(&env, FS);
-        let mut st = tag.begin_power_up(FS);
-        for (i, &(p, m)) in runs.iter().enumerate() {
-            if i % 2 == 0 {
-                st.step_run(p, m);
-            } else {
-                let block = vec![p; m];
-                st.step_block(&block);
-            }
-        }
-        let out = st.finish();
-        prop_assert_eq!(out.powered, oracle.powered);
-        prop_assert_eq!(
-            out.time_to_power_s.map(f64::to_bits),
-            oracle.time_to_power_s.map(f64::to_bits)
-        );
-        prop_assert!((out.final_vdc - oracle.final_vdc).abs() <= 1e-9);
-        prop_assert!((out.peak_vdc - oracle.peak_vdc).abs() <= 1e-9);
+        assert_bitwise(&st.finish(), &oracle, "split rx blocks vs oracle");
+        prop_assert_eq!(st.samples_seen(), rx.len());
     }
 }

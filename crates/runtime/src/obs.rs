@@ -18,9 +18,10 @@
 //!    per-thread slot, so the workers of
 //!    [`par::par_map`](crate::par::par_map) never contend on one line;
 //!    histograms and gauges are plain atomics. Only *creating* a metric
-//!    (first use of a name) takes a mutex, and the [`obs_count!`],
-//!    [`span!`](crate::span) and [`obs_gauge!`] macros cache that lookup
-//!    per call site.
+//!    (first use of a name) takes a mutex, and the
+//!    [`obs_count!`](crate::obs_count), [`span!`](crate::span) and
+//!    [`obs_gauge!`](crate::obs_gauge) macros cache that lookup per call
+//!    site.
 //! 3. **Observability must never change results.** Metrics are
 //!    write-only from the simulation's perspective: nothing in the
 //!    workspace reads a metric to make a decision, and
@@ -531,8 +532,9 @@ fn find_or_create<T>(
 
 /// The counter registered under `name`, created on first use.
 ///
-/// Call sites should cache the returned handle (the [`obs_count!`] macro
-/// does) — lookup takes the registry mutex; recording never does.
+/// Call sites should cache the returned handle (the
+/// [`obs_count!`](crate::obs_count) macro does) — lookup takes the
+/// registry mutex; recording never does.
 pub fn counter(name: &str) -> &'static Counter {
     find_or_create(&registry().counters, name, Counter::name, Counter::new)
 }

@@ -228,7 +228,7 @@ impl WorkerPool {
     /// The process-wide pool, created on first use with
     /// [`num_threads`](crate::par::num_threads) workers. Its lane stats
     /// are published as `pool.*` gauges on every
-    /// [`obs::report`](crate::obs::report) via a registered collector.
+    /// [`obs::report`] via a registered collector.
     pub fn global() -> &'static WorkerPool {
         static GLOBAL: OnceLock<WorkerPool> = OnceLock::new();
         GLOBAL.get_or_init(|| {
@@ -449,7 +449,7 @@ impl WorkerPool {
     }
 }
 
-/// Exported view of one lane's [`LaneStats`]; see
+/// Exported view of one lane's `LaneStats`; see
 /// [`WorkerPool::stats`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct LaneSnapshot {

@@ -146,7 +146,7 @@ where
     }
 }
 
-/// A collection-size specification accepted by [`vec`] and [`btree_set`]:
+/// A collection-size specification accepted by [`vec()`] and [`btree_set`]:
 /// built from `lo..hi`, `lo..=hi` or an exact `usize`.
 #[derive(Debug, Clone, Copy)]
 pub struct SizeRange {
@@ -190,7 +190,7 @@ impl From<usize> for SizeRange {
     }
 }
 
-/// See [`vec`].
+/// See [`vec()`].
 pub struct VecStrategy<S> {
     elem: S,
     len: SizeRange,

@@ -1,4 +1,4 @@
-//! Flight recorder: live heartbeats over the [`obs`](crate::obs) layer.
+//! Flight recorder: live heartbeats over the [`obs`] layer.
 //!
 //! `obs` and `trace` only answer questions *after* a run finishes. The
 //! flight recorder closes that gap for long campaigns and resident

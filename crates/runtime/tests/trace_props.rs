@@ -7,7 +7,7 @@
 //! test-unique event names.
 
 use ivn_runtime::json::Json;
-use ivn_runtime::trace::{self, EventKind, Trace, TraceEvent};
+use ivn_runtime::trace::{self, Trace, TraceEvent};
 use std::sync::{Mutex, MutexGuard};
 
 fn serial() -> MutexGuard<'static, ()> {

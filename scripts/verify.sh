@@ -15,6 +15,9 @@ cargo test -q --offline --workspace
 echo "==> cargo fmt --check"
 cargo fmt --check
 
+echo "==> rustdoc: no broken or ambiguous intra-doc links"
+RUSTDOCFLAGS="-D warnings" cargo doc --offline --no-deps --workspace
+
 echo "==> trace round trip: reproduce --trace → in-tree JSON parse → balance check"
 TRACE_OUT=target/verify_trace.json
 cargo run --release --offline -p ivn-bench --bin reproduce -- pipeline --quick --trace "$TRACE_OUT" > /dev/null

@@ -85,16 +85,6 @@ fn per_stage_footprint_is_bounded_by_block_size() {
     }
 }
 
-#[test]
-fn rendered_report_matches_batch_renderer() {
-    // The human-readable pipeline report must not change shape between the
-    // streaming driver and the batch oracle (modulo the diagnostic lines,
-    // which are off by default).
-    let streamed = ivn_bench::pipeline::run_with(true, &StreamOptions::default());
-    let batch = ivn_bench::pipeline::run_batch(true, None, false);
-    assert_eq!(streamed, batch);
-}
-
 /// The lane-batched rotator path (ISSUE 7) against the pre-change scalar
 /// emission math, preserved verbatim as [`emit_oracle`]: accumulating
 /// trig oscillator, polar PA (`atan2` + `sin_cos`), carrier phasor. The
@@ -174,8 +164,8 @@ fn sample_rate_override_scales_the_run() {
 /// keeps a loosened bound from silently dropping the gain. The full
 /// preset draws a different RNG stream from the quick one, so
 /// `(full, 1e6)` is covered on its own: it is exactly what
-/// `reproduce pipeline --sample-rate 1e6` renders, with and without
-/// `--batch`, from these `PathOutputs`.
+/// `reproduce pipeline --sample-rate 1e6` renders from these
+/// `PathOutputs`.
 #[test]
 fn streaming_equals_batch_where_calibration_prunes() {
     for (quick, rate) in [(true, 1e5), (true, 1e6), (false, 1e6)] {
