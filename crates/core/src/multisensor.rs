@@ -15,6 +15,7 @@ use crate::scenario::{Scenario, ScenarioKind};
 use crate::waveform::eq9_rms_bound;
 use ivn_dsp::units::dbm_to_watts;
 use ivn_rfid::commands::Command;
+use ivn_rfid::epc::Epc;
 use ivn_rfid::link::LinkParams;
 use ivn_rfid::reader::{QAlgorithm, Reader, SlotOutcome};
 use ivn_rfid::tag::Tag;
@@ -151,7 +152,7 @@ pub fn run_campaign<R: Rng + ?Sized>(
         ivn_rfid::commands::Session::S0,
         QAlgorithm { q0: 2, c: 0.3 },
     );
-    let mut inventoried: Vec<Vec<bool>> = Vec::new();
+    let mut inventoried: Vec<Epc> = Vec::new();
     for _ in 0..max_rounds {
         let (outcomes, _) = reader.run_round(&mut tags);
         for o in outcomes {
@@ -169,13 +170,10 @@ pub fn run_campaign<R: Rng + ?Sized>(
     sensors
         .iter()
         .enumerate()
-        .map(|(i, s)| {
-            let epc_bits: Vec<bool> = (0..96).rev().map(|b| (s.epc >> b) & 1 == 1).collect();
-            SensorOutcome {
-                epc: s.epc,
-                powered: powered_flags[i],
-                inventoried: inventoried.contains(&epc_bits),
-            }
+        .map(|(i, s)| SensorOutcome {
+            epc: s.epc,
+            powered: powered_flags[i],
+            inventoried: inventoried.contains(&Epc::from_u96(s.epc)),
         })
         .collect()
 }

@@ -50,7 +50,7 @@ impl Fm0 {
     pub fn encode(&self, bits: &[bool]) -> Vec<f64> {
         self.encode_halves(bits)
             .into_iter()
-            .flat_map(|l| std::iter::repeat(l).take(self.samples_per_half))
+            .flat_map(|l| std::iter::repeat_n(l, self.samples_per_half))
             .collect()
     }
 

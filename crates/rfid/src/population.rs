@@ -30,9 +30,9 @@
 //! its empty steps are bounded by `Qfp/C` plus the collisions that
 //! raised it. Each piece is exact, not approximate:
 //!
-//! * the EPC is read as [`Tag::epc`] — the broadcast reader's
-//!   `PC ‖ EPC ‖ CRC-16` reply with the PC and the (valid by
-//!   construction) CRC sliced off again;
+//! * a read copies the tag's packed [`Tag::epc`] — the EPC the
+//!   broadcast reader packs back out of the `PC ‖ EPC ‖ CRC-16` reply,
+//!   whose CRC is valid by construction — so it allocates nothing;
 //! * the slot draw is the top `Q` bits of one RNG word, which is what
 //!   the bounded draw over a power-of-two span returns (see
 //!   `Tag::fast_draw_slot`);
@@ -195,10 +195,10 @@ fn report_empty_run(policy: &mut dyn AntiCollision, stats: &mut RoundStats, n: u
 
 /// ACKs a replier: the EPC reply is CRC-valid by construction, so this
 /// is the Inventoried arm of the broadcast reader's `resolve_slot` —
-/// the EPC bits of the `PC ‖ EPC ‖ CRC-16` reply, read directly.
+/// the EPC of the `PC ‖ EPC ‖ CRC-16` reply, copied from the tag.
 fn read_tag(tags: &mut [Tag], idx: usize) -> SlotOutcome {
     tags[idx].fast_mark_inventoried();
-    SlotOutcome::Inventoried(tags[idx].epc().to_vec())
+    SlotOutcome::Inventoried(tags[idx].epc())
 }
 
 #[cfg(test)]

@@ -14,15 +14,16 @@
 
 use crate::anticollision::{AdaptiveQ, AntiCollision, CaptureModel};
 use crate::commands::{Command, DivideRatio, Session, TagEncoding};
+use crate::epc::Epc;
 use crate::tag::{Tag, TagReply};
 
 /// Outcome of one slot.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SlotOutcome {
     /// No tag replied.
     Empty,
-    /// Exactly one tag replied and was inventoried: its EPC bits.
-    Inventoried(Vec<bool>),
+    /// Exactly one tag replied and was inventoried: its EPC.
+    Inventoried(Epc),
     /// Multiple tags collided.
     Collision,
 }
@@ -75,7 +76,7 @@ impl RoundStats {
 #[derive(Debug, Clone, PartialEq)]
 pub struct InventoryOutcome {
     /// Unique EPCs read, in first-read order.
-    pub epcs: Vec<Vec<bool>>,
+    pub epcs: Vec<Epc>,
     /// Per-round slot tallies, one entry per executed round.
     pub rounds: Vec<RoundStats>,
     /// `true` when every target tag was read; `false` means the round
@@ -227,12 +228,13 @@ impl Reader {
         out
     }
 
-    /// ACKs a single replier and checks the EPC reply's CRC.
+    /// ACKs a single replier, checks the EPC reply's CRC and packs the
+    /// EPC between the PC word and the CRC.
     fn ack_one(idx: usize, rn: u16, tags: &mut [Tag]) -> SlotOutcome {
         match tags[idx].process(&Command::Ack { rn16: rn }) {
             TagReply::Epc(bits) => {
                 if crate::crc::check_crc16(&bits) {
-                    SlotOutcome::Inventoried(bits[16..bits.len() - 16].to_vec())
+                    SlotOutcome::Inventoried(Epc::from_bits(&bits[16..bits.len() - 16]))
                 } else {
                     SlotOutcome::Empty
                 }
@@ -309,7 +311,7 @@ mod tests {
     fn inventoried_epc_matches_tag() {
         let mut reader = Reader::new(Session::S0, QAlgorithm { q0: 0, c: 0.3 });
         let mut tags = make_tags(1);
-        let expected = tags[0].epc().to_vec();
+        let expected = tags[0].epc();
         let (outcomes, _) = reader.run_round(&mut tags);
         match &outcomes[0] {
             SlotOutcome::Inventoried(epc) => assert_eq!(*epc, expected),
@@ -336,7 +338,7 @@ mod tests {
             StdRng::seed_from_u64(1),
         ));
         let mut tags = make_tags(2);
-        let expected = tags[0].epc().to_vec();
+        let expected = tags[0].epc();
         let (outcomes, stats) = reader.run_round(&mut tags);
         assert_eq!(outcomes[0], SlotOutcome::Inventoried(expected));
         assert_eq!(stats.captures, 1);
@@ -421,13 +423,13 @@ mod tests {
         // Park one of two tags via Select, then only the other is read.
         let mut reader = Reader::new(Session::S0, QAlgorithm { q0: 2, c: 0.3 });
         let mut tags = make_tags(2);
-        let keep_epc = tags[0].epc().to_vec();
-        let mask = keep_epc[..16].to_vec();
+        let keep_epc = tags[0].epc();
+        let mask: Vec<bool> = keep_epc.bits().take(16).collect();
         // EPCs 0x1000 and 0x1001 share a 16-bit prefix? They differ only in
         // low bits, so the 16-bit prefix (all zeros) matches both — use a
         // full-length mask instead.
-        let mask = if tags[1].epc()[..mask.len()] == mask[..] {
-            keep_epc.clone()
+        let mask = if tags[1].epc().starts_with(&mask) {
+            keep_epc.bits().collect()
         } else {
             mask
         };

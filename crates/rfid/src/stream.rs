@@ -68,7 +68,7 @@ impl BlockSource for RunRasterizer {
         while produced < max {
             if self.emitted < self.target {
                 let n = (self.target - self.emitted).min(max - produced);
-                out.extend(std::iter::repeat(self.level).take(n));
+                out.extend(std::iter::repeat_n(self.level, n));
                 self.emitted += n;
                 produced += n;
             } else if self.run_idx < self.runs.len() {
@@ -147,7 +147,10 @@ impl PieStreamDecoder {
         while i < block.len() {
             if high {
                 // Falling edge: first sample at or below threshold.
-                match block[i..].iter().position(|&v| !(v > thr)) {
+                // The exact complement of the rising test, so NaN is low.
+                #[allow(clippy::neg_cmp_op_on_partial_ord)]
+                let fall = block[i..].iter().position(|&v| !(v > thr));
+                match fall {
                     Some(off) => {
                         self.edges.push(self.n + i + off);
                         high = false;

@@ -13,6 +13,7 @@
 //!   command with a non-matching EPC prefix parks the tag for the round.
 
 use crate::commands::{Command, Session};
+use crate::epc::Epc;
 use ivn_runtime::rng::{Rng, StdRng};
 
 /// Inventory state of a powered tag.
@@ -46,8 +47,8 @@ pub enum TagReply {
 /// A simulated Gen2 tag.
 #[derive(Debug, Clone)]
 pub struct Tag {
-    /// 96-bit EPC identity (stored MSB-first).
-    epc: Vec<bool>,
+    /// EPC identity, packed inline.
+    epc: Epc,
     state: TagState,
     powered: bool,
     slot: u32,
@@ -62,12 +63,8 @@ pub struct Tag {
 }
 
 impl Tag {
-    /// Creates an unpowered tag with the given EPC bits and RNG seed.
-    ///
-    /// # Panics
-    /// Panics if the EPC is empty or longer than 496 bits.
-    pub fn new(epc: Vec<bool>, seed: u64) -> Self {
-        assert!(!epc.is_empty() && epc.len() <= 496, "EPC length invalid");
+    /// Creates an unpowered tag with the given EPC and RNG seed.
+    pub fn new(epc: Epc, seed: u64) -> Self {
         Tag {
             epc,
             state: TagState::Ready,
@@ -84,13 +81,12 @@ impl Tag {
     /// Creates a tag from a 96-bit EPC expressed as a u128 (top 32 bits
     /// ignored).
     pub fn with_epc96(epc: u128, seed: u64) -> Self {
-        let bits = (0..96).rev().map(|i| (epc >> i) & 1 == 1).collect();
-        Self::new(bits, seed)
+        Self::new(Epc::from_u96(epc), seed)
     }
 
-    /// The tag's EPC bits.
-    pub fn epc(&self) -> &[bool] {
-        &self.epc
+    /// The tag's EPC.
+    pub fn epc(&self) -> Epc {
+        self.epc
     }
 
     /// Current state (meaningful only while powered).
@@ -148,8 +144,7 @@ impl Tag {
             Command::Select { mask } => {
                 // Non-matching prefix parks the tag; matching (or empty)
                 // un-parks it.
-                let matches = mask.len() <= self.epc.len() && self.epc[..mask.len()] == mask[..];
-                self.state = if matches {
+                self.state = if self.epc.starts_with(mask) {
                     TagState::Ready
                 } else {
                     TagState::Parked
@@ -175,14 +170,11 @@ impl Tag {
                     TagReply::Silent
                 }
             }
+            // QueryAdjust is handled exactly like QueryRep: the slot
+            // counter steps down and no new slot is drawn (ROADMAP item 6).
             Command::QueryRep { session } | Command::QueryAdjust { session, .. } => {
                 if *session != self.session || self.state == TagState::Parked {
                     return TagReply::Silent;
-                }
-                if let Command::QueryAdjust { updn, .. } = cmd {
-                    // Q changes re-randomize the slot around the new size;
-                    // we model it as a fresh draw scaled by 2^updn.
-                    let _ = updn;
                 }
                 match self.state {
                     TagState::Arbitrate => {
@@ -234,7 +226,7 @@ impl Tag {
         let words = self.epc.len().div_ceil(16) as u16;
         let pc: u16 = words << 11;
         let mut bits = crate::crc::u16_to_bits(pc);
-        bits.extend_from_slice(&self.epc);
+        bits.extend(self.epc.bits());
         crate::crc::append_crc16(&mut bits);
         bits
     }
@@ -332,7 +324,7 @@ mod tests {
         // Reply = PC(16) + EPC(96) + CRC(16).
         assert_eq!(epc_bits.len(), 128);
         assert!(crate::crc::check_crc16(&epc_bits));
-        assert_eq!(&epc_bits[16..112], t.epc());
+        assert_eq!(Epc::from_bits(&epc_bits[16..112]), t.epc());
         // Handle request.
         match t.process(&Command::ReqRn { rn16: rn }) {
             TagReply::Handle(h) => assert_ne!(h, rn),
@@ -407,10 +399,42 @@ mod tests {
     #[test]
     fn select_matching_prefix_keeps_tag() {
         let mut t = powered_tag();
-        let mask = t.epc()[..8].to_vec();
+        let mask = t.epc().bits().take(8).collect();
         t.process(&Command::Select { mask });
         assert_eq!(t.state(), TagState::Ready);
         assert!(matches!(t.process(&query(0)), TagReply::Rn16(_)));
+    }
+
+    #[test]
+    fn query_adjust_steps_the_slot_like_query_rep() {
+        // Seed 7 at Q = 4 draws a slot above 1, so the first step leaves
+        // the tag arbitrating.
+        let mut rep = powered_tag();
+        let _ = rep.process(&query(4));
+        assert!(rep.slot() > 1);
+        let mut adjust = rep.clone();
+        let before = adjust.rng.clone();
+        let slot = adjust.slot();
+        let adj = Command::QueryAdjust {
+            session: Session::S0,
+            updn: 1,
+        };
+        assert_eq!(adjust.process(&adj), TagReply::Silent);
+        assert_eq!(adjust.slot(), slot - 1);
+        assert_eq!(adjust.state(), TagState::Arbitrate);
+        assert!(adjust.rng == before, "QueryAdjust drew from the tag RNG");
+        let _ = rep.process(&Command::QueryRep {
+            session: Session::S0,
+        });
+        // From here on the two tags answer every step alike.
+        for _ in 0..16 {
+            let a = adjust.process(&adj);
+            let r = rep.process(&Command::QueryRep {
+                session: Session::S0,
+            });
+            assert_eq!(a, r);
+            assert_eq!((adjust.slot(), adjust.state()), (rep.slot(), rep.state()));
+        }
     }
 
     #[test]

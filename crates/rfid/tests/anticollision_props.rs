@@ -7,10 +7,12 @@
 
 use ivn_rfid::anticollision::{AdaptiveQ, AntiCollision, CaptureModel, FixedQ, SchouteQ};
 use ivn_rfid::commands::Session;
+use ivn_rfid::epc::Epc;
 use ivn_rfid::population::inventory_population;
 use ivn_rfid::reader::{QAlgorithm, Reader};
 use ivn_rfid::tag::Tag;
 use ivn_runtime::par;
+use ivn_runtime::prop::any;
 use ivn_runtime::rng::{Rng, StdRng};
 use ivn_runtime::{prop_assert, prop_assert_eq, props};
 
@@ -19,6 +21,23 @@ fn population(n: usize, rng: &mut StdRng) -> Vec<Tag> {
     (0..n)
         .map(|i| {
             let mut t = Tag::with_epc96(0x7000_0000 + i as u128, rng.random());
+            t.set_powered(true);
+            t.set_single_read(true);
+            t
+        })
+        .collect()
+}
+
+/// Like [`population`], but each tag's EPC is 16, 96, 128 or 496 bits
+/// long (drawn per tag): random bits, then the tag index in the last
+/// 16, so EPCs stay unique for up to 2^16 tags.
+fn mixed_population(n: usize, rng: &mut StdRng) -> Vec<Tag> {
+    (0..n)
+        .map(|i| {
+            let len = [16, 96, 128, 496][rng.random_range(0..4usize)];
+            let mut bits: Vec<bool> = (0..len - 16).map(|_| rng.random()).collect();
+            bits.extend((0..16).rev().map(|k| (i >> k) & 1 == 1));
+            let mut t = Tag::new(Epc::from_bits(&bits), rng.random());
             t.set_powered(true);
             t.set_single_read(true);
             t
@@ -123,12 +142,17 @@ props! {
     // broadcast reader's for every arm, with and without capture. The
     // reader gets the powered tags only — unpowered ones never reply,
     // but it would count them as unread — with capture powers
-    // re-indexed to match, so replier order and fades line up.
+    // re-indexed to match, so replier order and fades line up. Mixed
+    // EPC lengths make the reader pack replies other than 96 bits.
     fn population_driver_equals_broadcast_reader(
         n in 1usize..129, q in 0u8..16, c in 0.0f64..1.0,
-        unpowered_in_8 in 0u32..4, seed in 0u64..1 << 48) {
+        unpowered_in_8 in 0u32..4, seed in 0u64..1 << 48, mixed_lengths in any::<bool>()) {
         let mut rng = StdRng::seed_from_u64(seed);
-        let mut tags = population(n, &mut rng);
+        let mut tags = if mixed_lengths {
+            mixed_population(n, &mut rng)
+        } else {
+            population(n, &mut rng)
+        };
         for t in tags.iter_mut() {
             t.set_powered(rng.random_range(0..8u32) >= unpowered_in_8);
         }

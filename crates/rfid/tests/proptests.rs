@@ -175,7 +175,7 @@ props! {
         let fm0 = Fm0::new(spb);
         let mut wave = fm0.encode(&bits);
         // A trailing partial symbol must be discarded by both paths.
-        wave.extend(std::iter::repeat(1.0).take(extra % fm0.samples_per_symbol()));
+        wave.extend(std::iter::repeat_n(1.0, extra % fm0.samples_per_symbol()));
         let batch = fm0.decode(&wave);
         let mut dec = Fm0Decoder::new(fm0);
         for chunk in wave.chunks(block) {

@@ -18,6 +18,9 @@ cargo fmt --check
 echo "==> rustdoc: no broken or ambiguous intra-doc links"
 RUSTDOCFLAGS="-D warnings" cargo doc --offline --no-deps --workspace
 
+echo "==> clippy: ivn-rfid lints clean"
+cargo clippy --offline -p ivn-rfid --all-targets --no-deps -- -D warnings
+
 echo "==> trace round trip: reproduce --trace → in-tree JSON parse → balance check"
 TRACE_OUT=target/verify_trace.json
 cargo run --release --offline -p ivn-bench --bin reproduce -- pipeline --quick --trace "$TRACE_OUT" > /dev/null
