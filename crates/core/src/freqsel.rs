@@ -169,7 +169,7 @@ fn climb(cfg: &FreqSelConfig, seed: u64, maximize: bool) -> FrequencyPlan {
             .get(rng.random_range(0..10usize))
             .expect("in range");
         let newv = (current[idx] as i64 + delta).clamp(1, cfg.max_offset_hz as i64) as u32;
-        if current.iter().any(|&v| v == newv) {
+        if current.contains(&newv) {
             continue; // collision with an existing tone
         }
         let old = current[idx] as f64;

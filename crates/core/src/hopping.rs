@@ -151,7 +151,7 @@ mod tests {
         impl ChannelModel for Comb {
             fn response(&self, f: f64) -> Complex64 {
                 // 1 on even-hertz, 0.1 on odd-hertz frequencies.
-                if (f as u64) % 2 == 0 {
+                if (f as u64).is_multiple_of(2) {
                     Complex64::from_real(1.0)
                 } else {
                     Complex64::from_real(0.1)

@@ -1,72 +1,43 @@
 //! Allocation-free CIB envelope kernels.
 //!
 //! The Eq. 10 frequency-plan search evaluates the envelope
-//! `Y(t) = |Σᵢ aᵢ·e^{j(2πΔfᵢt + βᵢ)}|` millions of times; this module is
-//! the kernel layer [`crate::freqsel`] (and [`crate::waveform`]'s grid
-//! sampler) run on. Three stacked optimizations over the naive
-//! per-evaluation path:
+//! `Y(t) = |Σᵢ aᵢ·e^{j(2πΔfᵢt + βᵢ)}|` millions of times, and every
+//! campaign trial searches it for its peak; this module is the kernel
+//! layer [`crate::freqsel`] and [`crate::waveform`] run on.
 //!
-//! 1. **Batched, allocation-free evaluation** — [`EnvelopeScratch`] owns
-//!    the complex accumulator grid, the FFT buffer, and the phase-draw
-//!    buffer, so a Monte-Carlo objective touches the allocator once per
-//!    *call* instead of five times per *draw*. The peak search compares
-//!    `|z|²` and takes the single `sqrt` at the winner instead of `grid`
-//!    times per draw, and the iterative ternary refinement is replaced by
-//!    one parabolic interpolation plus one direct evaluation.
-//! 2. **Incremental one-tone re-evaluation** — the Eq. 10 hill climber
-//!    perturbs exactly one offset per candidate under common random
-//!    numbers. [`CrnKernel`] caches the per-draw complex grid of the
-//!    current set and scores a candidate by subtracting the old tone and
-//!    adding the new one: O(grid·draws) per candidate instead of
-//!    O(N·grid·draws) — an ~N/3× algorithmic win at paper scale (N = 10).
-//! 3. **An FFT path** — integer-hertz offsets on a uniform 1 s grid make
-//!    the sampled period exactly an unnormalized inverse DFT of a sparse
-//!    spectrum ([`ivn_dsp::fft::ifft_unnormalized`]); selected
-//!    automatically when `N·grid > grid·log₂(grid)`, i.e. when the tone
-//!    count exceeds `log₂(grid)`.
+//! * **One tone bank** — [`tone_bank`], sample-major with four rotators
+//!   per tone and no trig in the inner loop, is every multi-tone
+//!   synthesis: the grid fill, [`envelope_window`] and [`CrnKernel`]'s
+//!   cache rebuilds and `−old + new` swap deltas.
+//! * **Batched, allocation-free evaluation** — [`EnvelopeScratch`] owns
+//!   the complex grid and the phase-draw buffer. The Monte-Carlo objective
+//!   ranks the grid on `|z|²` in one four-lane scan ([`max_norm_sqr`]),
+//!   then takes one parabolic step and one direct evaluation.
+//! * **Incremental one-tone re-evaluation** — [`CrnKernel`] caches the
+//!   per-draw grid of the current offset set and scores a one-tone swap by
+//!   subtracting the old tone and adding the new one: O(grid·draws) per
+//!   candidate instead of O(N·grid·draws).
+//! * **An FFT path** — integer-hertz offsets on a uniform 1 s grid make
+//!   the sampled period an unnormalized inverse DFT of a sparse spectrum
+//!   ([`ivn_dsp::fft::ifft_unnormalized`]), selected when the tone count
+//!   exceeds `log₂(grid)` ([`fft_pays_off`]).
+//! * **The grid argmax** — [`grid_argmax`] takes `hypot` only for the
+//!   near-maximal `|z|²`, yet returns exactly a full `hypot` scan's index.
 //!
-//! Two more kernels serve the per-trial session path (a campaign's hot
-//! loop: find the envelope peak, power the tag up, key a Query on the
-//! peak, decode it):
-//!
-//! * [`envelope_window`] — `Y(t0 + k/rate)` over a window with the
-//!   same four-rotator scheme, behind
-//!   [`crate::waveform::CibEnvelope::keyed_window`] (the keyed downlink,
-//!   whose values differ from the pointwise sum by a few hundred ulps;
-//!   only the decoded bit string depends on them) and
-//!   [`crate::waveform::CibEnvelope::period_chunks`] (the power-up
-//!   envelope, below).
-//! * [`grid_argmax`] — the grid argmax of
-//!   [`crate::waveform::CibEnvelope::peak_over_period`], ranked on
-//!   `|z|²` with `hypot` taken only for the near-maximal candidates; it
-//!   returns exactly the index a full `hypot` scan would.
-//!
-//! Two `hypot`/trig paths stay deliberately exact, because their values
-//! feed bit-hashed outputs (campaign `gains_db`, `times_to_power_s`):
-//!
-//! * The harvester's power-up envelope streams the period grid one
-//!   [`RENORM_INTERVAL`] chunk at a time
-//!   ([`crate::waveform::CibEnvelope::period_chunks`]): each chunk is an
-//!   [`envelope_window`] at `t0 = start/grid`, `rate = grid`, so it has
-//!   the whole-grid direct fill's chunk bases, tone order and per-sample
-//!   `hypot`, and its bits (where the FFT synthesis pays off, the chunks
-//!   are slices of that fill). `sample_period` collects the stream;
-//!   [`crate::system::power_up_over_period`] pulls it only until the
-//!   chip wakes, so a trial that powers in its first chunk synthesizes
-//!   and integrates 256 samples instead of the whole period.
-//! * `peak_over_period`'s ternary refinement evaluates `envelope()`
-//!   pointwise.
-//!
-//! All paths agree with [`crate::waveform::CibEnvelope::envelope`]
-//! pointwise to well under 1e-9 (property-tested in
-//! `crates/core/tests/kernel_props.rs`). Incremental phasor rotation is
-//! resynchronized from exact trig every [`RENORM_INTERVAL`] samples so
-//! rounding drift cannot compound across the grid.
+//! The session trial's paths are exact, as their values feed bit-hashed
+//! outputs (campaign `gains_db`, `times_to_power_s`): the power-up stream
+//! ([`crate::waveform::CibEnvelope::period_chunks`]) is one
+//! [`envelope_window`] per chunk, with the whole-grid fill's bits, and
+//! [`crate::waveform::CibEnvelope::peak_over_period`] refines on pointwise
+//! [`tone_sum`]s. The bank reproduces one tone-at-a-time pass per tone bit
+//! for bit; every path agrees with `CibEnvelope::envelope` to well under
+//! 1e-9 (property-tested in `crates/core/tests/kernel_props.rs`).
 
 use ivn_dsp::complex::Complex64;
 use ivn_dsp::envelope::parabolic_peak;
 use ivn_dsp::fft;
 use ivn_runtime::rng::Rng;
+use std::array::from_fn;
 use std::f64::consts::TAU;
 
 /// The incremental-rotation loop re-derives its phasor from exact trig
@@ -74,108 +45,144 @@ use std::f64::consts::TAU;
 /// `ph *= step` to ~256 ulps regardless of grid size.
 pub const RENORM_INTERVAL: usize = 256;
 
-/// One tone pass over `acc`, sample `k` at time `t0 + k·dt`:
-/// `WRITE = true` assigns (initializing the buffer without a separate
-/// zeroing pass), `WRITE = false` accumulates.
+/// The tone bank: sample `k` of `acc` gets
+/// `Σᵢ aᵢ·e^{j(2πfᵢ(t0 + k·dt) + βᵢ)}` (`amps == None`: unit amplitudes),
+/// summed in tone order. `write = true` assigns (the first tone
+/// initializes the buffer, no zeroing pass); `write = false` accumulates.
 ///
-/// The incremental rotation runs as **four interleaved rotators**, each
-/// advancing by `4ω·dt`: a single rotator is a serial dependency chain —
-/// every sample waits one complex-multiply latency on the previous — so
-/// four independent chains keep the multiplier pipeline full, ~3× the
-/// throughput of the textbook loop. Each [`RENORM_INTERVAL`] chunk
-/// re-derives its rotators from exact trig, bounding compounded rounding
-/// to a few hundred ulps regardless of grid size. With `t0 = 0.0` the
-/// chunk bases are bit-identical to the grid form `2πf·k·dt + φ`.
-fn tone_pass<const WRITE: bool>(
+/// Each [`RENORM_INTERVAL`] chunk is walked quad by quad. A tone has
+/// **four rotators**, one per quad lane, each advancing by `4ω·dt` and
+/// re-derived from exact trig at every chunk start, which bounds
+/// compounded rounding to a few hundred ulps; a chunk's last `len mod 4`
+/// samples take exact trig. Tones go in blocks of 8, then of 4, 2 or 1:
+/// a block keeps its rotators in SoA re/im arrays and sums them into
+/// register accumulators, storing each sample once. Every sample sees the
+/// float ops, in order, of one tone-at-a-time pass per tone, so the bits
+/// do not depend on the blocking.
+///
+/// # Panics
+/// Panics if `offsets_hz` and `phases` differ in length.
+pub fn tone_bank(
     acc: &mut [Complex64],
-    offset_hz: f64,
-    phase: f64,
-    amp: f64,
+    offsets_hz: &[f64],
+    phases: &[f64],
+    amps: Option<&[f64]>,
     t0: f64,
     dt: f64,
+    write: bool,
 ) {
-    let w = TAU * offset_hz * dt;
-    let step1 = Complex64::cis(w);
-    let step4 = Complex64::cis(4.0 * w);
-    let mut start = 0usize;
-    for chunk in acc.chunks_mut(RENORM_INTERVAL) {
-        let len = chunk.len();
-        let base = TAU * offset_hz * (t0 + start as f64 * dt) + phase;
-        let p0 = Complex64::from_polar(amp, base);
-        let mut p = [
-            p0,
-            p0 * step1,
-            p0 * step1 * step1,
-            p0 * step1 * step1 * step1,
-        ];
-        let mut quads = chunk.chunks_exact_mut(4);
-        for quad in &mut quads {
-            for j in 0..4 {
-                if WRITE {
-                    quad[j] = p[j];
-                } else {
-                    quad[j] += p[j];
-                }
-                p[j] *= step4;
-            }
-        }
-        let rem = quads.into_remainder();
-        let done = len - rem.len();
-        for (j, a) in rem.iter_mut().enumerate() {
-            let v = Complex64::from_polar(amp, base + w * (done + j) as f64);
-            if WRITE {
-                *a = v;
-            } else {
-                *a += v;
-            }
-        }
-        start += len;
+    assert_eq!(offsets_hz.len(), phases.len(), "offsets/phases mismatch");
+    if write && offsets_hz.is_empty() {
+        acc.fill(Complex64::ZERO);
+    }
+    let mut lo = 0;
+    while lo < offsets_hz.len() {
+        let (f, p, a) = (&offsets_hz[lo..], &phases[lo..], amps.map(|a| &a[lo..]));
+        let first = write && lo == 0;
+        lo += match f.len() {
+            8.. => bank_block::<8>(acc, f, p, a, t0, dt, first),
+            4..=7 => bank_block::<4>(acc, f, p, a, t0, dt, first),
+            2 | 3 => bank_block::<2>(acc, f, p, a, t0, dt, first),
+            _ => bank_block::<1>(acc, f, p, a, t0, dt, first),
+        };
     }
 }
 
-/// Accumulates one tone `amp·e^{j(2πf·k/grid + phase)}` into `acc`
-/// (`grid = acc.len()` samples spanning one 1-second period).
-///
-/// No trig in the inner loop (see `tone_pass`); resynchronized from
-/// exact trig every [`RENORM_INTERVAL`] samples. A negative `amp`
-/// subtracts the tone exactly (`from_polar(-a, θ)` is the exact negation
-/// of `from_polar(a, θ)`), which is how [`CrnKernel`] removes a perturbed
-/// tone from a cached grid.
-pub fn accumulate_tone(acc: &mut [Complex64], offset_hz: f64, phase: f64, amp: f64) {
-    tone_pass::<false>(acc, offset_hz, phase, amp, 0.0, 1.0 / acc.len() as f64);
+/// One [`tone_bank`] pass of the first `N` tones, the first one writing
+/// when `first`; returns `N`.
+fn bank_block<const N: usize>(
+    acc: &mut [Complex64],
+    offsets_hz: &[f64],
+    phases: &[f64],
+    amps: Option<&[f64]>,
+    t0: f64,
+    dt: f64,
+    first: bool,
+) -> usize {
+    let (mut w, mut step1, mut step4) = ([0.0; N], [Complex64::ZERO; N], [Complex64::ZERO; N]);
+    for b in 0..N {
+        w[b] = TAU * offsets_hz[b] * dt;
+        (step1[b], step4[b]) = (Complex64::cis(w[b]), Complex64::cis(4.0 * w[b]));
+    }
+    for (c, chunk) in acc.chunks_mut(RENORM_INTERVAL).enumerate() {
+        let (mut base, mut amp) = ([0.0; N], [0.0; N]);
+        let (mut re, mut im) = ([[0.0; 4]; N], [[0.0; 4]; N]);
+        for b in 0..N {
+            amp[b] = amps.map_or(1.0, |a| a[b]);
+            base[b] = TAU * offsets_hz[b] * (t0 + (c * RENORM_INTERVAL) as f64 * dt) + phases[b];
+            let mut p = Complex64::from_polar(amp[b], base[b]);
+            for j in 0..4 {
+                (re[b][j], im[b][j]) = (p.re, p.im);
+                p *= step1[b];
+            }
+        }
+        let done = chunk.len() / 4 * 4;
+        let mut quads = chunk.chunks_exact_mut(4);
+        for quad in &mut quads {
+            let (mut ar, mut ai) = if first {
+                (re[0], im[0])
+            } else {
+                (from_fn(|j| quad[j].re), from_fn(|j| quad[j].im))
+            };
+            for b in 0..N {
+                for j in 0..4 {
+                    let (r, m) = (re[b][j], im[b][j]);
+                    if b >= usize::from(first) {
+                        ar[j] += r;
+                        ai[j] += m;
+                    }
+                    re[b][j] = r * step4[b].re - m * step4[b].im;
+                    im[b][j] = r * step4[b].im + m * step4[b].re;
+                }
+            }
+            for j in 0..4 {
+                quad[j] = Complex64::new(ar[j], ai[j]);
+            }
+        }
+        for (j, a) in quads.into_remainder().iter_mut().enumerate() {
+            for b in 0..N {
+                let v = Complex64::from_polar(amp[b], base[b] + w[b] * (done + j) as f64);
+                *a = if first && b == 0 { v } else { *a + v };
+            }
+        }
+    }
+    N
 }
 
-/// [`accumulate_tone`] that *assigns* instead of accumulating — the first
-/// tone of a fill initializes the buffer, saving the zeroing pass.
-pub fn write_tone(acc: &mut [Complex64], offset_hz: f64, phase: f64, amp: f64) {
-    tone_pass::<true>(acc, offset_hz, phase, amp, 0.0, 1.0 / acc.len() as f64);
+/// Swaps one tone of the 1 s grid `acc` from `old_hz` to `new_hz` at
+/// `phase`: one accumulating two-tone [`tone_bank`] of amplitudes −1, +1,
+/// the bits of subtracting the old tone and then adding the new one
+/// (`from_polar(-1, θ)` is the exact negation of `from_polar(1, θ)`).
+fn swap_tone(acc: &mut [Complex64], old_hz: f64, new_hz: f64, phase: f64) {
+    let (dt, offs) = (1.0 / acc.len() as f64, [old_hz, new_hz]);
+    tone_bank(acc, &offs, &[phase; 2], Some(&[-1.0, 1.0]), 0.0, dt, false);
 }
 
-/// Direct evaluation of the envelope `Y(t)` from raw tone parameters —
-/// no intermediate struct, no allocation. `amps == None` means unit
-/// amplitudes.
-pub fn envelope_value(offsets_hz: &[f64], phases: &[f64], amps: Option<&[f64]>, t: f64) -> f64 {
+/// The complex sum `Σᵢ aᵢ·e^{j(2πfᵢt + βᵢ)}` at one instant, in tone
+/// order (`amps == None`: unit amplitudes) — the pointwise reference
+/// behind [`crate::waveform::CibEnvelope::envelope`].
+pub fn tone_sum(offsets_hz: &[f64], phases: &[f64], amps: Option<&[f64]>, t: f64) -> Complex64 {
     let mut acc = Complex64::ZERO;
     for i in 0..offsets_hz.len() {
         let a = amps.map_or(1.0, |a| a[i]);
         acc += Complex64::from_polar(a, TAU * offsets_hz[i] * t + phases[i]);
     }
-    acc.norm()
+    acc
 }
 
 /// The envelope over a sample window: `out[k] = Y(t0 + k/rate)` for
 /// `k < out.len()` — the keyed-downlink path, where a command rides the
 /// envelope at `rate` samples/s from an arbitrary start instant.
 ///
-/// Allocation-free: the window is processed in [`RENORM_INTERVAL`]-sample
-/// chunks, each accumulated tone by tone into one stack buffer with the
-/// same four-rotator scheme as the grid sampler (`tone_pass`), so every
-/// chunk starts from exact trig. One `hypot` per sample; no trig in the
-/// inner loop. Agrees with [`envelope_value`] pointwise to a few hundred
-/// ulps of `Σ|aᵢ|` (property-tested in `crates/core/tests/kernel_props.rs`).
+/// Allocation-free: each [`RENORM_INTERVAL`]-sample chunk is one
+/// [`tone_bank`] write into a stack buffer, so every chunk starts from
+/// exact trig, then one `hypot` per sample. Agrees with [`tone_sum`]
+/// pointwise to a few hundred ulps of `Σ|aᵢ|` (property-tested in
+/// `crates/core/tests/kernel_props.rs`).
 ///
 /// # Panics
-/// Panics if `offsets_hz` and `phases` differ in length.
+/// Panics if `offsets_hz` and `phases` differ in length and `out` is
+/// not empty.
 pub fn envelope_window(
     offsets_hz: &[f64],
     phases: &[f64],
@@ -184,17 +191,12 @@ pub fn envelope_window(
     rate: f64,
     out: &mut [f64],
 ) {
-    assert_eq!(offsets_hz.len(), phases.len(), "offsets/phases mismatch");
     let dt = 1.0 / rate;
     let mut buf = [Complex64::ZERO; RENORM_INTERVAL];
     for (c, chunk) in out.chunks_mut(RENORM_INTERVAL).enumerate() {
         let acc = &mut buf[..chunk.len()];
         let t_chunk = t0 + (c * RENORM_INTERVAL) as f64 * dt;
-        acc.fill(Complex64::ZERO);
-        for i in 0..offsets_hz.len() {
-            let a = amps.map_or(1.0, |a| a[i]);
-            tone_pass::<false>(acc, offsets_hz[i], phases[i], a, t_chunk, dt);
-        }
+        tone_bank(acc, offsets_hz, phases, amps, t_chunk, dt, true);
         for (o, z) in chunk.iter_mut().zip(acc.iter()) {
             *o = z.norm();
         }
@@ -218,29 +220,46 @@ const ARGMAX_BAND: f64 = 1e-9;
 /// `f64::MIN_POSITIVE` where subnormal squares lose their relative
 /// precision) it falls back to the full `hypot` scan.
 pub fn grid_argmax(grid: &[Complex64]) -> Option<usize> {
-    let mut max_sqr = 0.0f64;
-    let mut nan = false;
-    for z in grid {
-        let p = z.norm_sqr();
-        nan |= p.is_nan();
-        max_sqr = max_sqr.max(p);
-    }
-    let by_value = |a: &(usize, f64), b: &(usize, f64)| a.1.total_cmp(&b.1);
-    if nan || !(max_sqr.is_finite() && max_sqr >= f64::MIN_POSITIVE) {
-        return grid
-            .iter()
-            .map(|z| z.norm())
-            .enumerate()
-            .max_by(by_value)
-            .map(|(k, _)| k);
-    }
+    let (_, max_sqr, nan) = max_norm_sqr(grid);
+    let prefilter = !nan && max_sqr.is_finite() && max_sqr >= f64::MIN_POSITIVE;
     let floor = max_sqr * (1.0 - ARGMAX_BAND);
     grid.iter()
         .enumerate()
-        .filter(|(_, z)| z.norm_sqr() >= floor)
+        .filter(|(_, z)| !prefilter || z.norm_sqr() >= floor)
         .map(|(k, z)| (k, z.norm()))
-        .max_by(by_value)
+        .max_by(|a, b| a.1.total_cmp(&b.1))
         .map(|(k, _)| k)
+}
+
+/// One four-lane pass over a grid's `|z|²`: `(k, max, nan)`, with `k` the
+/// lowest index of the largest non-NaN `|z|²` (`(0, f64::MIN)` when there
+/// is none) and `nan` whether any `|z|²` is NaN — what a serial
+/// `if p > best` scan gives. Lane `j` keeps the first maximum among the
+/// indices `≡ j (mod 4)`; the lanes merge on the larger value, then the
+/// lower index.
+pub fn max_norm_sqr(grid: &[Complex64]) -> (usize, f64, bool) {
+    let (mut best, mut idx, mut nan) = ([f64::MIN; 4], [0usize; 4], [false; 4]);
+    let mut lane = |j: usize, i: usize, z: &Complex64| {
+        let p = z.norm_sqr();
+        nan[j] |= p.is_nan();
+        if p > best[j] {
+            (best[j], idx[j]) = (p, i);
+        }
+    };
+    let quads = grid.chunks_exact(4);
+    let (rem, done) = (quads.remainder(), grid.len() / 4 * 4);
+    for (q, quad) in quads.enumerate() {
+        for (j, z) in quad.iter().enumerate() {
+            lane(j, 4 * q + j, z);
+        }
+    }
+    for (j, z) in rem.iter().enumerate() {
+        lane(j, done + j, z);
+    }
+    let by_max_then_first =
+        |&a: &usize, &b: &usize| best[a].total_cmp(&best[b]).then(idx[b].cmp(&idx[a]));
+    let j = (0..4).max_by(by_max_then_first).unwrap_or(0);
+    (idx[j], best[j], nan.contains(&true))
 }
 
 /// Whether the sparse-spectrum FFT synthesis beats direct accumulation:
@@ -266,19 +285,14 @@ fn refined_peak(
     amps: Option<&[f64]>,
 ) -> f64 {
     let grid = acc.len();
-    let (mut k, mut best_sqr) = (0usize, f64::MIN);
-    for (i, z) in acc.iter().enumerate() {
-        let p = z.norm_sqr();
-        if p > best_sqr {
-            best_sqr = p;
-            k = i;
-        }
-    }
+    let (k, best_sqr, _) = max_norm_sqr(acc);
     let ym = acc[(k + grid - 1) % grid].norm_sqr();
     let yp = acc[(k + 1) % grid].norm_sqr();
     let (dx, _) = parabolic_peak(ym, best_sqr, yp);
     let t = (k as f64 + dx) / grid as f64;
-    envelope_value(offsets_hz, phases, amps, t).max(best_sqr.sqrt())
+    tone_sum(offsets_hz, phases, amps, t)
+        .norm()
+        .max(best_sqr.sqrt())
 }
 
 /// Reusable workspace for batched envelope evaluation: the complex
@@ -303,7 +317,8 @@ impl EnvelopeScratch {
         &self.acc
     }
 
-    /// Fills the grid by direct per-tone accumulation: O(N·grid).
+    /// Fills the grid by direct synthesis, one [`tone_bank`] write:
+    /// O(N·grid).
     pub fn fill_direct(
         &mut self,
         offsets_hz: &[f64],
@@ -312,25 +327,9 @@ impl EnvelopeScratch {
         grid: usize,
     ) {
         assert!(grid > 0);
-        assert_eq!(offsets_hz.len(), phases.len(), "offsets/phases mismatch");
-        if self.acc.len() != grid {
-            self.acc.clear();
-            self.acc.resize(grid, Complex64::ZERO);
-        }
-        if offsets_hz.is_empty() {
-            self.acc.fill(Complex64::ZERO);
-            return;
-        }
-        for i in 0..offsets_hz.len() {
-            let a = amps.map_or(1.0, |a| a[i]);
-            if i == 0 {
-                // The first tone writes, initializing the grid without a
-                // separate zeroing pass.
-                write_tone(&mut self.acc, offsets_hz[i], phases[i], a);
-            } else {
-                accumulate_tone(&mut self.acc, offsets_hz[i], phases[i], a);
-            }
-        }
+        self.acc.resize(grid, Complex64::ZERO);
+        let dt = 1.0 / grid as f64;
+        tone_bank(&mut self.acc, offsets_hz, phases, amps, 0.0, dt, true);
     }
 
     /// Fills the grid by sparse-spectrum inverse FFT: O(grid·log grid).
@@ -485,13 +484,11 @@ impl CrnKernel {
     }
 
     fn rebuild(&mut self) {
-        let n = self.offsets_hz.len();
-        self.grids.fill(Complex64::ZERO);
+        let (n, dt) = (self.offsets_hz.len(), 1.0 / self.grid as f64);
         for d in 0..self.draws {
             let acc = &mut self.grids[d * self.grid..(d + 1) * self.grid];
-            for i in 0..n {
-                accumulate_tone(acc, self.offsets_hz[i], self.phases[d * n + i], 1.0);
-            }
+            let phases = &self.phases[d * n..(d + 1) * n];
+            tone_bank(acc, &self.offsets_hz, phases, None, 0.0, dt, true);
         }
         self.commits_since_rebuild = 0;
     }
@@ -524,8 +521,7 @@ impl CrnKernel {
             let phase = self.phases[d * n + idx];
             self.scratch
                 .copy_from_slice(&self.grids[d * self.grid..(d + 1) * self.grid]);
-            accumulate_tone(&mut self.scratch, old_hz, phase, -1.0);
-            accumulate_tone(&mut self.scratch, new_hz, phase, 1.0);
+            swap_tone(&mut self.scratch, old_hz, new_hz, phase);
             acc += refined_peak(
                 &self.scratch,
                 &self.cand,
@@ -552,8 +548,7 @@ impl CrnKernel {
         for d in 0..self.draws {
             let phase = self.phases[d * n + idx];
             let acc = &mut self.grids[d * self.grid..(d + 1) * self.grid];
-            accumulate_tone(acc, old_hz, phase, -1.0);
-            accumulate_tone(acc, new_hz, phase, 1.0);
+            swap_tone(acc, old_hz, new_hz, phase);
         }
     }
 }
@@ -567,7 +562,15 @@ mod tests {
     #[test]
     fn accumulate_matches_direct_trig_across_renorm_boundaries() {
         let mut acc = vec![Complex64::ZERO; 1024];
-        accumulate_tone(&mut acc, 137.0, 0.9, 0.7);
+        tone_bank(
+            &mut acc,
+            &[137.0],
+            &[0.9],
+            Some(&[0.7]),
+            0.0,
+            1.0 / 1024.0,
+            false,
+        );
         for k in (0..1024).step_by(41) {
             let t = k as f64 / 1024.0;
             let want = Complex64::from_polar(0.7, TAU * 137.0 * t + 0.9);
@@ -578,8 +581,16 @@ mod tests {
     #[test]
     fn negative_amplitude_subtracts_exactly() {
         let mut acc = vec![Complex64::ZERO; 512];
-        accumulate_tone(&mut acc, 49.0, 1.2, 1.0);
-        accumulate_tone(&mut acc, 49.0, 1.2, -1.0);
+        tone_bank(&mut acc, &[49.0], &[1.2], None, 0.0, 1.0 / 512.0, false);
+        tone_bank(
+            &mut acc,
+            &[49.0],
+            &[1.2],
+            Some(&[-1.0]),
+            0.0,
+            1.0 / 512.0,
+            false,
+        );
         for z in &acc {
             assert_eq!(*z, Complex64::ZERO);
         }

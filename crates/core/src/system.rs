@@ -294,12 +294,12 @@ impl IvnSystem {
         hi_m: f64,
         repeats: usize,
     ) -> f64 {
-        self.bisect(rng, lo_m, hi_m, repeats, |r| Placement::free_space(r))
+        self.bisect(rng, lo_m, hi_m, repeats, Placement::free_space)
     }
 
     /// Largest water depth (m) at which a session still succeeds.
     pub fn max_depth_water<R: Rng + ?Sized>(&self, rng: &mut R, hi_m: f64, repeats: usize) -> f64 {
-        self.bisect(rng, 0.0, hi_m, repeats, |d| Placement::water_tank(d))
+        self.bisect(rng, 0.0, hi_m, repeats, Placement::water_tank)
     }
 
     fn bisect<R: Rng + ?Sized>(

@@ -79,7 +79,7 @@ pub fn optimize_duty(cfg: &FreqSelConfig, threshold: f64, seed: u64) -> SteadyPl
                 .expect("in range");
             let mut cand = current.clone();
             let newv = (cand[idx] as i64 + delta).clamp(1, cfg.max_offset_hz as i64) as u32;
-            if cand.iter().any(|&v| v == newv) {
+            if cand.contains(&newv) {
                 continue;
             }
             cand[idx] = newv;
@@ -134,7 +134,7 @@ impl TwoStageCib {
 
     /// Stage-2 transition: given the *measured* link margin (ratio of the
     /// discovery peak amplitude to the harvester threshold amplitude,
-    /// > 1 once the tag wakes), returns the steady plan tuned to keep the
+    /// above 1 once the tag wakes), returns the steady plan tuned to keep the
     /// envelope above threshold as long as possible.
     ///
     /// # Panics
@@ -213,7 +213,7 @@ mod tests {
     fn steady_plan_feasible_and_deterministic() {
         let c = cfg();
         let discovery = optimize(&c, 21);
-        let controller = TwoStageCib::new(discovery.clone(), c.clone(), 22);
+        let controller = TwoStageCib::new(discovery.clone(), c, 22);
         let a = controller.steady_plan(2.0);
         let b = controller.steady_plan(2.0);
         assert_eq!(a, b);

@@ -6,8 +6,16 @@
 //! the first-order droop bound (Eq. 8) that yields the RMS-offset
 //! constraint (Eq. 9).
 
+use crate::kernels::{grid_argmax, tone_sum, EnvelopeScratch};
 use ivn_dsp::complex::Complex64;
 use std::f64::consts::TAU;
+
+thread_local! {
+    /// [`CibEnvelope::peak_over_period`]'s grid and hoisted phasors, reused
+    /// by a campaign's trials instead of allocating a fresh grid each.
+    static PEAK_SCRATCH: std::cell::RefCell<(EnvelopeScratch, Vec<Option<Complex64>>)> =
+        Default::default();
+}
 
 /// An analytic CIB envelope: tones at integer-hertz offsets with fixed
 /// phases and amplitudes, periodic in 1 second.
@@ -48,21 +56,9 @@ impl CibEnvelope {
         self.offsets_hz.len()
     }
 
-    /// The complex sum at time `t` seconds.
-    pub fn sample(&self, t: f64) -> Complex64 {
-        let mut acc = Complex64::ZERO;
-        for i in 0..self.offsets_hz.len() {
-            acc += Complex64::from_polar(
-                self.amplitudes[i],
-                TAU * self.offsets_hz[i] * t + self.phases[i],
-            );
-        }
-        acc
-    }
-
-    /// Envelope value `Y(t)`.
+    /// Envelope value `Y(t)`: the pointwise [`tone_sum`], `hypot`ed.
     pub fn envelope(&self, t: f64) -> f64 {
-        self.sample(t).norm()
+        tone_sum(&self.offsets_hz, &self.phases, Some(&self.amplitudes), t).norm()
     }
 
     /// Sum of amplitudes — the unreachable-or-reached ceiling `Y ≤ Σaᵢ`
@@ -119,38 +115,47 @@ impl CibEnvelope {
     /// Panics if `grid` is not a power of two or any offset is not an
     /// exact integer.
     pub fn sample_period_fft(&self, grid: usize) -> Vec<f64> {
-        let mut scratch = crate::kernels::EnvelopeScratch::new();
+        let mut scratch = EnvelopeScratch::new();
         scratch.fill_fft(&self.offsets_hz, &self.phases, Some(&self.amplitudes), grid);
         scratch.grid().iter().map(|z| z.norm()).collect()
     }
 
     /// Peak of the envelope over one period: `(t_peak, Y_peak)`.
     ///
-    /// Grid search at `grid` points followed by local ternary refinement.
-    /// The grid argmax runs on [`crate::kernels::grid_argmax`]: it ranks
-    /// the grid on `|z|²` and takes `hypot` only for the near-maximal
-    /// candidates, yet picks exactly the index a full `hypot` scan would
-    /// (last of equal maxima wins). The refinement evaluates the envelope
-    /// pointwise, so `(t, y)` are the same bits as a full scan gives.
+    /// Grid search at `grid` points on a per-thread scratch ([`grid_argmax`]:
+    /// a full `hypot` scan's index, last of equal maxima), then ternary
+    /// refinement on [`Self::envelope`], except that a zero-offset tone's
+    /// phasor is evaluated once per call: its angle `0·t + β` is `β` up to
+    /// the sign of a zero, which a sum from `ZERO` drops, and it keeps its
+    /// place in the tone order. So `(t, y)` are a full scan's bits.
     pub fn peak_over_period(&self, grid: usize) -> (f64, f64) {
-        let mut scratch = crate::kernels::EnvelopeScratch::new();
-        scratch.fill(&self.offsets_hz, &self.phases, Some(&self.amplitudes), grid);
-        let k = crate::kernels::grid_argmax(scratch.grid()).expect("non-empty grid");
-        // Ternary-search refinement on the bracketing interval.
-        let dt = 1.0 / grid as f64;
-        let mut lo = (k as f64 - 1.0) * dt;
-        let mut hi = (k as f64 + 1.0) * dt;
-        for _ in 0..60 {
-            let m1 = lo + (hi - lo) / 3.0;
-            let m2 = hi - (hi - lo) / 3.0;
-            if self.envelope(m1) < self.envelope(m2) {
-                lo = m1;
-            } else {
-                hi = m2;
+        let (offs, ph, amps) = (&self.offsets_hz, &self.phases, &self.amplitudes);
+        let phasor = |i: usize, t: f64| Complex64::from_polar(amps[i], TAU * offs[i] * t + ph[i]);
+        let (t, y) = PEAK_SCRATCH.with_borrow_mut(|(scratch, fixed)| {
+            scratch.fill(offs, ph, Some(amps), grid);
+            let k = grid_argmax(scratch.grid()).expect("non-empty grid");
+            fixed.clear();
+            fixed.extend((0..self.n()).map(|i| (offs[i] == 0.0).then(|| phasor(i, 0.0))));
+            let envelope = |t: f64| {
+                let sum =
+                    |acc, (i, z): (usize, &Option<_>)| acc + z.unwrap_or_else(|| phasor(i, t));
+                fixed.iter().enumerate().fold(Complex64::ZERO, sum).norm()
+            };
+            // Ternary-search refinement on the bracketing interval.
+            let dt = 1.0 / grid as f64;
+            let (mut lo, mut hi) = ((k as f64 - 1.0) * dt, (k as f64 + 1.0) * dt);
+            for _ in 0..60 {
+                let m1 = lo + (hi - lo) / 3.0;
+                let m2 = hi - (hi - lo) / 3.0;
+                if envelope(m1) < envelope(m2) {
+                    lo = m1;
+                } else {
+                    hi = m2;
+                }
             }
-        }
-        let t = 0.5 * (lo + hi);
-        let y = self.envelope(t);
+            let t = 0.5 * (lo + hi);
+            (t, envelope(t))
+        });
         // Physics probes: the found peak amplitude, and how close the N
         // carriers came to perfect phase alignment there (Y_peak / Σaᵢ;
         // 1.0 = fully coherent).
@@ -298,7 +303,7 @@ mod tests {
         let env = CibEnvelope::new(&PAPER_OFFSETS_HZ, &[0.0; 10]);
         let (t, y) = env.peak_over_period(8192);
         assert!((y - 10.0).abs() < 1e-6, "peak {y}");
-        assert!(t < 1e-4 || t > 1.0 - 1e-4, "peak time {t}");
+        assert!(!(1e-4..=1.0 - 1e-4).contains(&t), "peak time {t}");
         assert!((env.peak_power_gain(8192, 1.0) - 100.0).abs() < 1e-3);
     }
 

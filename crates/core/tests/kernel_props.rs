@@ -5,14 +5,17 @@
 //! pick exactly the index of a full `hypot` scan, the chunked period
 //! stream and the early-stopping power-up must reproduce the whole-grid
 //! fill bit for bit, and the optimizer built on them must stay
-//! deterministic per seed.
+//! deterministic per seed. The tone bank, the four-lane `|z|²` scans and
+//! `peak_over_period`'s hoisted refinement are pinned bit for bit against
+//! test-local copies of the tone-at-a-time passes, serial scans and
+//! pointwise refinement they replaced.
 
 use ivn_core::body::{Placement, TagSpec};
 use ivn_core::cib::CibConfig;
 use ivn_core::freqsel::{optimize, pessimize, FreqSelConfig};
 use ivn_core::kernels::{
-    envelope_value, envelope_window, fft_pays_off, grid_argmax, CrnKernel, EnvelopeScratch,
-    RENORM_INTERVAL,
+    envelope_window, fft_pays_off, grid_argmax, max_norm_sqr, tone_bank, tone_sum, CrnKernel,
+    EnvelopeScratch, RENORM_INTERVAL,
 };
 use ivn_core::system::power_up_over_period;
 use ivn_core::waveform::CibEnvelope;
@@ -22,6 +25,7 @@ use ivn_harvester::TagPowerProfile;
 use ivn_runtime::prop::{any, btree_set, vec as pvec, Just, Strategy};
 use ivn_runtime::rng::{Rng, StdRng};
 use ivn_runtime::{prop_assert, prop_assert_eq, prop_assume, props};
+use std::f64::consts::TAU;
 
 fn offsets() -> impl Strategy<Value = Vec<f64>> {
     btree_set(1u32..300, 1..9).prop_map(|set| {
@@ -300,7 +304,7 @@ props! {
         envelope_window(&offs, &ph, Some(&amps), t0, rate, &mut out);
         let ceiling: f64 = amps.iter().sum();
         for (k, y) in out.iter().enumerate() {
-            let direct = envelope_value(&offs, &ph, Some(&amps), t0 + k as f64 / rate);
+            let direct = tone_sum(&offs, &ph, Some(&amps), t0 + k as f64 / rate).norm();
             prop_assert!(
                 (y - direct).abs() <= 1e-9 * ceiling,
                 "sample {k}/{len} at t0 {t0}, rate {rate}: {y} vs {direct}"
@@ -531,4 +535,277 @@ fn early_stop_power_up_matches_whole_period_loop() {
         never >= 20 && late >= 20 && first_chunk >= 20,
         "coverage: {never} never, {late} late, {first_chunk} in the first chunk"
     );
+}
+
+/// One tone over `acc` with four interleaved rotators, resynchronized
+/// every [`RENORM_INTERVAL`] samples: the tone-at-a-time pass every
+/// synthesis ran on before [`tone_bank`], kept as its bit-for-bit oracle.
+fn tone_pass<const WRITE: bool>(
+    acc: &mut [Complex64],
+    offset_hz: f64,
+    phase: f64,
+    amp: f64,
+    t0: f64,
+    dt: f64,
+) {
+    let w = TAU * offset_hz * dt;
+    let step1 = Complex64::cis(w);
+    let step4 = Complex64::cis(4.0 * w);
+    let mut start = 0usize;
+    for chunk in acc.chunks_mut(RENORM_INTERVAL) {
+        let len = chunk.len();
+        let base = TAU * offset_hz * (t0 + start as f64 * dt) + phase;
+        let p0 = Complex64::from_polar(amp, base);
+        let mut p = [
+            p0,
+            p0 * step1,
+            p0 * step1 * step1,
+            p0 * step1 * step1 * step1,
+        ];
+        let mut quads = chunk.chunks_exact_mut(4);
+        for quad in &mut quads {
+            for j in 0..4 {
+                if WRITE {
+                    quad[j] = p[j];
+                } else {
+                    quad[j] += p[j];
+                }
+                p[j] *= step4;
+            }
+        }
+        let rem = quads.into_remainder();
+        let done = len - rem.len();
+        for (j, a) in rem.iter_mut().enumerate() {
+            let v = Complex64::from_polar(amp, base + w * (done + j) as f64);
+            if WRITE {
+                *a = v;
+            } else {
+                *a += v;
+            }
+        }
+        start += len;
+    }
+}
+
+/// The tone-at-a-time synthesis [`tone_bank`] replaces: one
+/// [`tone_pass`] per tone, in tone order, the first one writing in
+/// write mode.
+fn per_tone_bank(
+    acc: &mut [Complex64],
+    (offs, ph, amps): (&[f64], &[f64], Option<&[f64]>),
+    t0: f64,
+    dt: f64,
+    write: bool,
+) {
+    if write && offs.is_empty() {
+        acc.fill(Complex64::ZERO);
+    }
+    for i in 0..offs.len() {
+        let a = amps.map_or(1.0, |a| a[i]);
+        if write && i == 0 {
+            tone_pass::<true>(acc, offs[i], ph[i], a, t0, dt);
+        } else {
+            tone_pass::<false>(acc, offs[i], ph[i], a, t0, dt);
+        }
+    }
+}
+
+/// `envelope_window` before the tone bank: each chunk zeroed, then one
+/// accumulating [`tone_pass`] per tone and a `hypot` per sample.
+fn per_tone_window(
+    (offs, ph, amps): (&[f64], &[f64], Option<&[f64]>),
+    t0: f64,
+    rate: f64,
+    out: &mut [f64],
+) {
+    let dt = 1.0 / rate;
+    let mut buf = [Complex64::ZERO; RENORM_INTERVAL];
+    for (c, chunk) in out.chunks_mut(RENORM_INTERVAL).enumerate() {
+        let acc = &mut buf[..chunk.len()];
+        let t_chunk = t0 + (c * RENORM_INTERVAL) as f64 * dt;
+        acc.fill(Complex64::ZERO);
+        for i in 0..offs.len() {
+            let a = amps.map_or(1.0, |a| a[i]);
+            tone_pass::<false>(acc, offs[i], ph[i], a, t_chunk, dt);
+        }
+        for (o, z) in chunk.iter_mut().zip(acc.iter()) {
+            *o = z.norm();
+        }
+    }
+}
+
+fn complex_bits(v: &[Complex64]) -> Vec<(u64, u64)> {
+    v.iter().map(|z| (z.re.to_bits(), z.im.to_bits())).collect()
+}
+
+/// 1–20 tones (crossing the bank's 8-tone block twice) at free, possibly
+/// negative offsets, with unit amplitudes (`None`) or per-tone ones of
+/// either sign.
+fn bank_tones() -> impl Strategy<Value = (Vec<f64>, Vec<f64>, Option<Vec<f64>>)> {
+    (1usize..=20).prop_flat_map(|n| {
+        (
+            pvec(-400.0f64..400.0, n..=n),
+            phases(n),
+            any::<bool>(),
+            pvec(-2.0f64..2.0, n..=n),
+        )
+            .prop_map(|(offs, ph, some, amps)| (offs, ph, some.then_some(amps)))
+    })
+}
+
+/// Buffer lengths off the quad (`len mod 4`) and chunk (256) grid, plus
+/// the whole-chunk and session sizes.
+const BANK_LENS: [usize; 10] = [0, 1, 2, 3, 5, 254, 257, 378, 1023, 1024];
+
+fn bank_len() -> impl Strategy<Value = usize> {
+    (0..BANK_LENS.len()).prop_map(|i| BANK_LENS[i])
+}
+
+/// Serial `if p > best` scan from `f64::MIN`: the first index of the
+/// largest `|z|²`, as `refined_peak` ran it.
+fn serial_first_max(grid: &[Complex64]) -> (usize, f64) {
+    let (mut k, mut best) = (0, f64::MIN);
+    for (i, z) in grid.iter().enumerate() {
+        let p = z.norm_sqr();
+        if p > best {
+            (best, k) = (p, i);
+        }
+    }
+    (k, best)
+}
+
+/// Grids over a few magnitudes, so equal maxima are common: all zero,
+/// with NaNs mixed in, or plain.
+fn scan_grid() -> impl Strategy<Value = Vec<Complex64>> {
+    (0u32..3, pvec(0u32..6, 0..41)).prop_map(|(kind, picks)| {
+        picks
+            .iter()
+            .map(|&p| match (kind, p) {
+                (0, _) => Complex64::ZERO,
+                (1, 0) => Complex64::new(f64::NAN, 0.5),
+                _ => Complex64::new(0.25 * p as f64, -0.5),
+            })
+            .collect()
+    })
+}
+
+/// `peak_over_period` before the per-thread scratch and the hoisted
+/// phasors: a fresh scratch, and the ternary refinement on 121
+/// pointwise `envelope()` calls.
+fn pointwise_peak(env: &CibEnvelope, tones: (&[f64], &[f64], &[f64]), grid: usize) -> (f64, f64) {
+    let mut s = EnvelopeScratch::new();
+    s.fill(tones.0, tones.1, Some(tones.2), grid);
+    let k = grid_argmax(s.grid()).expect("non-empty grid");
+    let dt = 1.0 / grid as f64;
+    let (mut lo, mut hi) = ((k as f64 - 1.0) * dt, (k as f64 + 1.0) * dt);
+    for _ in 0..60 {
+        let m1 = lo + (hi - lo) / 3.0;
+        let m2 = hi - (hi - lo) / 3.0;
+        if env.envelope(m1) < env.envelope(m2) {
+            lo = m1;
+        } else {
+            hi = m2;
+        }
+    }
+    let t = 0.5 * (lo + hi);
+    (t.rem_euclid(1.0), env.envelope(t))
+}
+
+/// Tones for the refinement: offsets ±0.0 or integer, phases ±0.0 or
+/// free. When `aligned`, every phase is a signed zero, so the peak sits
+/// at `t = 0` and the refinement brackets `t < 0`.
+fn refine_tones() -> impl Strategy<Value = (Vec<f64>, Vec<f64>, Vec<f64>)> {
+    (1usize..=10, any::<bool>()).prop_flat_map(|(n, aligned)| {
+        (
+            pvec(0u32..6, n..=n),
+            pvec((0u32..3, 0.0f64..TAU), n..=n),
+            pvec(0.05f64..2.0, n..=n),
+        )
+            .prop_map(move |(kinds, phs, amps)| {
+                let offs = kinds
+                    .iter()
+                    .enumerate()
+                    .map(|(i, &k)| match k {
+                        0 => 0.0,
+                        1 => -0.0,
+                        _ => (7 * i + 3 * k as usize) as f64,
+                    })
+                    .collect();
+                let ph = phs
+                    .iter()
+                    .map(|&(k, u)| match (k, aligned) {
+                        (0, _) => 0.0,
+                        (1, _) | (_, true) => -0.0,
+                        (_, false) => u,
+                    })
+                    .collect();
+                (offs, ph, amps)
+            })
+    })
+}
+
+props! {
+    cases = 64;
+
+    fn tone_bank_matches_per_tone_passes_bit_for_bit(
+        (offs, ph, amps) in bank_tones(),
+        len in bank_len(),
+        t0 in window_start(),
+        rate in window_rate(),
+        (write, seed) in (any::<bool>(), any::<u64>())
+    ) {
+        // Accumulate mode runs onto arbitrary prior contents.
+        let mut rng = StdRng::seed_from_u64(seed);
+        let init: Vec<Complex64> = (0..len)
+            .map(|_| Complex64::new(rng.random::<f64>() - 0.5, rng.random::<f64>() - 0.5))
+            .collect();
+        let (mut bank, mut want) = (init.clone(), init);
+        let tones = (&offs[..], &ph[..], amps.as_deref());
+        tone_bank(&mut bank, &offs, &ph, amps.as_deref(), t0, 1.0 / rate, write);
+        per_tone_bank(&mut want, tones, t0, 1.0 / rate, write);
+        prop_assert_eq!(complex_bits(&bank), complex_bits(&want));
+    }
+
+    fn fill_direct_matches_per_tone_passes_bit_for_bit(
+        (offs, ph, amps) in bank_tones(), len in bank_len()
+    ) {
+        // `fill_direct` is the write-mode bank on the 1 s grid.
+        prop_assume!(len > 0);
+        let mut s = EnvelopeScratch::new();
+        s.fill_direct(&offs, &ph, amps.as_deref(), len);
+        let mut want = vec![Complex64::new(f64::NAN, 1.0); len];
+        per_tone_bank(&mut want, (&offs, &ph, amps.as_deref()), 0.0, 1.0 / len as f64, true);
+        prop_assert_eq!(complex_bits(s.grid()), complex_bits(&want));
+    }
+
+    fn envelope_window_matches_per_tone_window_bit_for_bit(
+        (offs, ph, amps) in bank_tones(),
+        len in bank_len(),
+        t0 in window_start(),
+        rate in window_rate()
+    ) {
+        let mut out = vec![f64::NAN; len];
+        let mut want = vec![f64::NAN; len];
+        envelope_window(&offs, &ph, amps.as_deref(), t0, rate, &mut out);
+        per_tone_window((&offs, &ph, amps.as_deref()), t0, rate, &mut want);
+        prop_assert_eq!(bits(&out), bits(&want));
+    }
+
+    fn lane_scans_match_serial_scans(grid in scan_grid()) {
+        let (k, max, nan) = max_norm_sqr(&grid);
+        let (want_k, want_max) = serial_first_max(&grid);
+        prop_assert_eq!((k, max.to_bits()), (want_k, want_max.to_bits()));
+        prop_assert_eq!(nan, grid.iter().any(|z| z.norm_sqr().is_nan()));
+        prop_assert_eq!(grid_argmax(&grid), reference_argmax(&grid));
+    }
+
+    fn hoisted_refinement_matches_pointwise_envelope(
+        (offs, ph, amps) in refine_tones(),
+        grid in (0usize..3).prop_map(|i| [64, 100, 1024][i])
+    ) {
+        let env = CibEnvelope::with_amplitudes(&offs, &ph, &amps);
+        let (t, y) = env.peak_over_period(grid);
+        let (want_t, want_y) = pointwise_peak(&env, (&offs, &ph, &amps), grid);
+        prop_assert_eq!((t.to_bits(), y.to_bits()), (want_t.to_bits(), want_y.to_bits()));
+    }
 }
