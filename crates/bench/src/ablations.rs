@@ -19,7 +19,7 @@ use ivn_rfid::pie;
 use ivn_runtime::rng::{Rng, StdRng};
 
 /// Ablation 1: stale-channel MRT vs the blind baseline.
-pub fn coherent_vs_baseline(quick: bool) -> String {
+pub(crate) fn coherent_vs_baseline(quick: bool) -> String {
     let trials = if quick { 300 } else { 3000 };
     let cdf = stale_mrt_vs_baseline_cdf(trials, 41);
     let mut out = crate::header("Ablation — coherent beamforming with stale channel estimates");
@@ -37,7 +37,7 @@ pub fn coherent_vs_baseline(quick: bool) -> String {
 
 /// Ablation 2: decode success, out-of-band vs in-band reader, sweeping
 /// jam strength.
-pub fn reader_placement(quick: bool) -> String {
+pub(crate) fn reader_placement(quick: bool) -> String {
     let reps = if quick { 3 } else { 10 };
     let msg: Vec<bool> = (0..16).map(|i| i % 3 == 0).collect();
     let mut out = crate::header("Ablation — out-of-band reader vs in-band reader under CIB jam");
@@ -78,7 +78,7 @@ pub fn reader_placement(quick: bool) -> String {
 
 /// Ablation 3: Eq. 9 in action — a wide-offset plan peaks just as high
 /// but droops so fast the tag cannot decode the query at the peak.
-pub fn flatness_constraint(_quick: bool) -> String {
+pub(crate) fn flatness_constraint(_quick: bool) -> String {
     let link = LinkParams::paper_defaults();
     let query = Command::Query {
         dr: DivideRatio::Dr8,
@@ -152,7 +152,7 @@ pub fn flatness_constraint(_quick: bool) -> String {
 }
 
 /// Ablation 4: reader correlation vs number of averaged periods.
-pub fn averaging_gain(quick: bool) -> String {
+pub(crate) fn averaging_gain(quick: bool) -> String {
     let msg: Vec<bool> = (0..16).map(|i| (i * 5) % 7 < 3).collect();
     let mut out = crate::header("Ablation — coherent averaging gain at the reader (§5b)");
     out += &format!("{:>10}  {:>14}\n", "periods", "median corr");
@@ -179,7 +179,7 @@ pub fn averaging_gain(quick: bool) -> String {
 /// Ablation 5: two-stage CIB (§3.7) — once the margin is known, a
 /// duty-optimized steady plan keeps the harvester conducting longer than
 /// the peak-chasing discovery plan.
-pub fn two_stage(quick: bool) -> String {
+pub(crate) fn two_stage(quick: bool) -> String {
     use ivn_core::freqsel::{optimize, FreqSelConfig};
     use ivn_core::twostage::{expected_duty, TwoStageCib};
     let mut cfg = FreqSelConfig::test_scale(8);
@@ -188,7 +188,7 @@ pub fn two_stage(quick: bool) -> String {
         cfg.iterations = 120;
     }
     let discovery = optimize(&cfg, 2020);
-    let controller = TwoStageCib::new(discovery.clone(), cfg.clone(), 2021);
+    let controller = TwoStageCib::new(discovery.clone(), cfg, 2021);
     let mut out = crate::header("Ablation — two-stage CIB: peak plan vs duty plan (§3.7)");
     out += &format!(
         "{:>10}  {:>16}  {:>16}  {:>12}\n",
@@ -218,7 +218,7 @@ pub fn two_stage(quick: bool) -> String {
 
 /// Ablation 6: adaptive frequency hopping (§3.7) against multipath
 /// notches.
-pub fn hopping(quick: bool) -> String {
+pub(crate) fn hopping(quick: bool) -> String {
     use ivn_core::cib::CibConfig;
     use ivn_core::hopping::{choose_center, ism_hop_set};
     use ivn_em::channel::ChannelModel;
@@ -250,7 +250,7 @@ pub fn hopping(quick: bool) -> String {
 
 /// Ablation 7: clock-distribution fault injection — what loses first
 /// when the Octoclock is removed.
-pub fn clock_faults(_quick: bool) -> String {
+pub(crate) fn clock_faults(_quick: bool) -> String {
     use ivn_rfid::pie::PieParams;
     use ivn_sdr::clock::ClockDistribution;
     let pie = PieParams::paper_defaults();

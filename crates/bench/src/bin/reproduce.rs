@@ -196,7 +196,7 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
             "--sample-rate" => {
                 let v = it.next().ok_or("--sample-rate needs a value in Hz")?;
                 let hz: f64 = v.parse().map_err(|_| format!("bad --sample-rate '{v}'"))?;
-                if !(hz > 0.0) {
+                if hz.is_nan() || hz <= 0.0 {
                     return Err(format!("--sample-rate must be positive, got '{v}'"));
                 }
                 args.sample_rate = Some(hz);
@@ -271,7 +271,7 @@ fn parse_jitter(arg: &str) -> Result<gen::JitterSpec, String> {
 }
 
 fn cmd_list() -> ExitCode {
-    println!("{:<14}  {:<18}  {}", "name", "kind", "description");
+    println!("{:<14}  {:<18}  description", "name", "kind");
     for name in registry::builtin_names() {
         let s = registry::builtin(name).expect("registered builtin");
         println!("{:<14}  {:<18}  seed {}", name, s.kind.type_name(), s.seed);

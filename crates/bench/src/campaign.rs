@@ -25,7 +25,7 @@ pub struct CampaignOutcome {
 
 /// One campaign entry as loaded from disk: the scenario, or the file's
 /// name and why it could not be read, parsed or validated.
-pub type Loaded = Result<Scenario, (String, String)>;
+pub(crate) type Loaded = Result<Scenario, (String, String)>;
 
 /// Loads every `*.json` scenario in `dir`, sorted by filename so the
 /// campaign order is reproducible across filesystems. A bad file does

@@ -6,7 +6,7 @@ use ivn_core::scenario::Scenario;
 
 /// Renders Fig. 6 for a `gain_cdf` scenario: the Eq. 10 search's best
 /// and worst plans and both gain CDFs.
-pub fn render(s: &Scenario, quick: bool) -> String {
+pub(crate) fn render(s: &Scenario, quick: bool) -> String {
     let r = gain_cdf_experiment(s, quick);
     let n = r.best.offsets_hz.len();
 

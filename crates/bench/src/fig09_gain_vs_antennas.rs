@@ -6,7 +6,7 @@ use ivn_core::scenario::Scenario;
 
 /// Renders Fig. 9 for a `gain_vs_antennas` scenario. The paper runs 150
 /// trials per antenna count.
-pub fn render(s: &Scenario, quick: bool) -> String {
+pub(crate) fn render(s: &Scenario, quick: bool) -> String {
     let rows = gain_vs_antennas(s, quick);
     let mut out = crate::header("Fig. 9 — peak power gain vs number of antennas");
     out += &format!(

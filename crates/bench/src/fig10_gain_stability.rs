@@ -5,7 +5,7 @@ use ivn_core::experiment::{gain_vs_depth, gain_vs_orientation};
 use ivn_core::scenario::Scenario;
 
 /// Renders Fig. 10a and 10b for a `gain_stability` scenario.
-pub fn render(s: &Scenario, quick: bool) -> String {
+pub(crate) fn render(s: &Scenario, quick: bool) -> String {
     let n = s.array.n_antennas;
     let mut out = crate::header(&format!(
         "Fig. 10a — power gain vs depth in water ({n} antennas)"
@@ -41,19 +41,14 @@ pub fn render(s: &Scenario, quick: bool) -> String {
     out
 }
 
-/// Regenerates Fig. 10a and 10b from the built-in scenario.
-pub fn run(quick: bool) -> String {
-    render(
-        &ivn_core::scenario::builtin("fig10").expect("builtin"),
-        quick,
-    )
-}
-
 #[cfg(test)]
 mod tests {
     #[test]
     fn both_panels_present() {
-        let s = super::run(true);
+        let s = super::render(
+            &ivn_core::scenario::builtin("fig10").expect("builtin"),
+            true,
+        );
         assert!(s.contains("Fig. 10a"));
         assert!(s.contains("Fig. 10b"));
         assert!(s.lines().count() > 20);

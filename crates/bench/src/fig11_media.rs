@@ -7,7 +7,7 @@ use ivn_core::scenario::Scenario;
 /// Renders Fig. 11 for a `media_gain` scenario over air, water, gastric
 /// fluid, intestinal fluid, steak, bacon and chicken. The paper runs 100
 /// experiments.
-pub fn render(s: &Scenario, quick: bool) -> String {
+pub(crate) fn render(s: &Scenario, quick: bool) -> String {
     let rows = gain_across_media(s, quick);
     let n = s.array.n_antennas;
     let mut out = crate::header(&format!(

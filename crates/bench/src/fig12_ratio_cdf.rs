@@ -5,7 +5,7 @@ use ivn_core::experiment::cib_vs_baseline_cdf;
 use ivn_core::scenario::Scenario;
 
 /// Renders Fig. 12 for a `ratio_cdf` scenario.
-pub fn render(s: &Scenario, quick: bool) -> String {
+pub(crate) fn render(s: &Scenario, quick: bool) -> String {
     let cdf = cib_vs_baseline_cdf(s, quick);
     let n = s.array.n_antennas;
     let mut out = crate::header(&format!(

@@ -12,7 +12,7 @@ use ivn_core::scenario::{PlacementSpec, Scenario, TagKind};
 /// Renders all four Fig. 13 panels by deriving each panel's scenario
 /// from the base `range` scenario: tag and environment vary, everything
 /// else (seed, antenna sweep, EIRP) is shared.
-pub fn render(s: &Scenario, quick: bool) -> String {
+pub(crate) fn render(s: &Scenario, quick: bool) -> String {
     let air = PlacementSpec::FreeSpace { range_m: 2.0 };
     let water = PlacementSpec::WaterTank { depth_m: 0.10 };
     let mut out = String::new();
@@ -65,19 +65,14 @@ pub fn render(s: &Scenario, quick: bool) -> String {
     out
 }
 
-/// Regenerates all four Fig. 13 panels from the built-in scenario.
-pub fn run(quick: bool) -> String {
-    render(
-        &ivn_core::scenario::builtin("fig13").expect("builtin"),
-        quick,
-    )
-}
-
 #[cfg(test)]
 mod tests {
     #[test]
     fn four_panels() {
-        let s = super::run(true);
+        let s = super::render(
+            &ivn_core::scenario::builtin("fig13").expect("builtin"),
+            true,
+        );
         for p in ["13a", "13b", "13c", "13d"] {
             assert!(s.contains(p), "missing panel {p}");
         }

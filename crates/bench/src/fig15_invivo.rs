@@ -5,7 +5,7 @@ use ivn_core::experiment::in_vivo_campaign;
 use ivn_core::scenario::Scenario;
 
 /// Renders the §6.2 results table for an `in_vivo` scenario.
-pub fn render(s: &Scenario, quick: bool) -> String {
+pub(crate) fn render(s: &Scenario, quick: bool) -> String {
     let rows = in_vivo_campaign(s, quick);
     let mut out = crate::header(&format!(
         "§6.2 / Fig. 15 — in-vivo swine campaign ({} antennas)",

@@ -1,7 +1,7 @@
 //! The `inventory` reproduce target and the population-scale fleet
 //! runner behind the `inventory` section of BENCH_runtime.json.
 //!
-//! [`render`] is the human-facing report: it takes an `inventory`
+//! `render` is the human-facing report: it takes an `inventory`
 //! scenario, runs its trials under each anti-collision policy arm
 //! (the scenario's own plus the remaining defaults) and prints a
 //! policy-comparison table — rounds to full inventory, slots per tag
@@ -37,7 +37,7 @@ fn policy_arms(declared: &PolicySpec) -> Vec<PolicySpec> {
 
 /// Renders the `inventory` reproduce target: the scenario's population
 /// inventoried under each policy arm, physical per-tag channel draws.
-pub fn render(s: &Scenario, quick: bool) -> Result<String, String> {
+pub(crate) fn render(s: &Scenario, quick: bool) -> Result<String, String> {
     let ScenarioKind::Inventory {
         population, policy, ..
     } = &s.kind
@@ -138,7 +138,7 @@ pub struct FleetStats {
     /// `bodies × tags_per_body`.
     pub tag_sessions: usize,
     /// Tags read across the fleet.
-    pub inventoried: u64,
+    pub(crate) inventoried: u64,
     /// Bodies whose inventory completed.
     pub terminated: usize,
     /// Median rounds-to-full across completed bodies.

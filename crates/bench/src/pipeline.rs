@@ -274,6 +274,8 @@ impl WindowBound {
 /// has every `|rx[k]|` below its bound, hence below a peak already seen,
 /// so the maximum is unchanged. Windows are regenerated in sub-blocks of
 /// at most `block` samples, so the search's buffers stay O(block).
+// `!(bound < best)` is deliberate: a NaN bound must still be visited.
+#[allow(clippy::neg_cmp_op_on_partial_ord)]
 pub fn calibrate_peak(
     bank: &TxBank,
     superposer: &BlockSuperposer,
@@ -601,11 +603,11 @@ fn render_stats(r: &StreamReport) -> String {
 
 /// Runs the sample-path chain (streaming driver, default options) and
 /// renders its stage-by-stage summary.
-pub fn run(quick: bool) -> String {
+pub(crate) fn run(quick: bool) -> String {
     run_with(quick, &StreamOptions::default())
 }
 
-/// [`run`] with explicit streaming options.
+/// `run` with explicit streaming options.
 pub fn run_with(quick: bool, opts: &StreamOptions) -> String {
     let report = outputs_streaming(quick, opts);
     let mut out = render(&report.outputs);

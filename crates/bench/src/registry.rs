@@ -45,7 +45,7 @@ pub fn render(s: &Scenario, quick: bool) -> Result<String, String> {
 
 /// The uniform per-scenario report: campaign metrics as a small table
 /// plus the machine-readable JSON line the campaign driver aggregates.
-pub fn metrics_report(s: &Scenario, quick: bool) -> Result<String, String> {
+pub(crate) fn metrics_report(s: &Scenario, quick: bool) -> Result<String, String> {
     let m = evaluate(s, quick)?;
     let mut out = crate::header(&format!(
         "scenario '{}' ({}, {} antennas)",

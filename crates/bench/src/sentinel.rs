@@ -4,7 +4,7 @@
 //! **Measuring.** Every gated number goes through one path:
 //! [`measure`] runs a round closure a fixed number of times (at least
 //! [`MIN_ROUNDS`]) and summarises each value the rounds return by
-//! [`median_ci95`] — the median plus a distribution-free 95% confidence
+//! `median_ci95` — the median plus a distribution-free 95% confidence
 //! interval from order statistics. A round that needs a wall-clock time
 //! takes it with [`time_ns`] (one call between two `Instant` reads). The bench
 //! writes the median under the metric's name and the CI as a
@@ -46,7 +46,7 @@
 use ivn_runtime::json::Json;
 use std::time::Instant;
 
-/// Fewest rounds [`median_ci95`] accepts: below this the order-statistic
+/// Fewest rounds `median_ci95` accepts: below this the order-statistic
 /// CI collapses onto the extremes.
 pub const MIN_ROUNDS: usize = 8;
 
@@ -88,7 +88,7 @@ impl std::fmt::Display for Estimate {
 ///
 /// # Panics
 /// With fewer than [`MIN_ROUNDS`] samples.
-pub fn median_ci95(samples: &mut [f64]) -> Estimate {
+pub(crate) fn median_ci95(samples: &mut [f64]) -> Estimate {
     let n = samples.len();
     assert!(
         n >= MIN_ROUNDS,
@@ -110,7 +110,7 @@ pub fn median_ci95(samples: &mut [f64]) -> Estimate {
 }
 
 /// Runs `round` `rounds` times and summarises each of the `K` values it
-/// returns per round by its [`median_ci95`]. Values measured in the same
+/// returns per round by its `median_ci95`. Values measured in the same
 /// round (a paired ratio, say) stay paired.
 ///
 /// # Panics
@@ -139,7 +139,7 @@ pub fn time_ns<T>(f: impl FnOnce() -> T) -> (f64, T) {
 
 /// Resolves a dotted `path` (with `key=value` array selectors, bare
 /// integer indices and dotted object keys) to a number inside `doc`.
-pub fn lookup(doc: &Json, path: &str) -> Option<f64> {
+pub(crate) fn lookup(doc: &Json, path: &str) -> Option<f64> {
     let segs: Vec<&str> = path.split('.').collect();
     resolve(doc, &segs)
 }
@@ -175,7 +175,7 @@ fn resolve(cur: &Json, segs: &[&str]) -> Option<f64> {
 
 /// Direction and width of one metric's tolerance band.
 #[derive(Debug, Clone, PartialEq)]
-pub enum Band {
+pub(crate) enum Band {
     /// Fail when `measured > value * factor` (latency-like metrics).
     Upper(f64),
     /// Fail when `measured < value / factor` (throughput-like metrics).
@@ -186,13 +186,13 @@ pub enum Band {
 #[derive(Debug, Clone)]
 pub struct Check {
     /// Dotted path into the bench document.
-    pub path: String,
+    pub(crate) path: String,
     /// Baseline value.
-    pub baseline: f64,
+    pub(crate) baseline: f64,
     /// Measured value (`None` when the path is missing).
-    pub measured: Option<f64>,
+    pub(crate) measured: Option<f64>,
     /// The band that was applied.
-    pub band: Band,
+    pub(crate) band: Band,
     /// Whether the metric passed.
     pub ok: bool,
 }

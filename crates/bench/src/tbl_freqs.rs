@@ -8,7 +8,7 @@ use ivn_runtime::rng::StdRng;
 
 /// Renders the Eq. 10 optimization for a `freq_plan_search` scenario and
 /// compares the result to the paper's published plan.
-pub fn render(s: &Scenario, quick: bool) -> String {
+pub(crate) fn render(s: &Scenario, quick: bool) -> String {
     let ScenarioKind::FreqPlanSearch { freqsel } = &s.kind else {
         panic!(
             "tbl_freqs needs a 'freq_plan_search' scenario, got '{}'",

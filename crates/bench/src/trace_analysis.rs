@@ -8,6 +8,7 @@
 //! [`Analysis::render`]; keeping the logic here makes it unit-testable.
 
 use ivn_runtime::trace::{EventKind, Trace};
+use std::cmp::Reverse;
 
 /// One matched begin/end pair, nested via `depth`/`parent`.
 #[derive(Debug, Clone, PartialEq)]
@@ -15,17 +16,17 @@ pub struct Interval {
     /// Span name.
     pub name: String,
     /// Track (worker-slot lane) it ran on.
-    pub track: u32,
+    pub(crate) track: u32,
     /// Begin timestamp, ns since trace epoch.
-    pub start_ns: u64,
+    pub(crate) start_ns: u64,
     /// End timestamp, ns since trace epoch.
-    pub end_ns: u64,
+    pub(crate) end_ns: u64,
     /// Nesting depth on its track (0 = top level).
-    pub depth: usize,
+    pub(crate) depth: usize,
     /// Index of the enclosing interval, if nested.
-    pub parent: Option<usize>,
+    pub(crate) parent: Option<usize>,
     /// Total duration of direct children, for self-time computation.
-    pub child_ns: u64,
+    pub(crate) child_ns: u64,
 }
 
 impl Interval {
@@ -42,56 +43,56 @@ impl Interval {
 
 /// Aggregate over every interval sharing one span name.
 #[derive(Debug, Clone, PartialEq)]
-pub struct NameStat {
+pub(crate) struct NameStat {
     /// Span name.
-    pub name: String,
+    pub(crate) name: String,
     /// Number of intervals.
-    pub count: usize,
+    pub(crate) count: usize,
     /// Sum of wall durations.
-    pub total_ns: u64,
+    pub(crate) total_ns: u64,
     /// Sum of self times (wall minus children).
-    pub self_ns: u64,
+    pub(crate) self_ns: u64,
 }
 
 /// Busy/idle accounting for one track.
 #[derive(Debug, Clone, PartialEq)]
-pub struct TrackStat {
+pub(crate) struct TrackStat {
     /// Track id.
-    pub track: u32,
+    pub(crate) track: u32,
     /// Sum of top-level span durations on the track.
-    pub busy_ns: u64,
+    pub(crate) busy_ns: u64,
     /// `busy_ns` over the whole trace wall time.
-    pub utilization: f64,
+    pub(crate) utilization: f64,
     /// Matched span count on the track.
-    pub spans: usize,
+    pub(crate) spans: usize,
 }
 
 /// An idle stretch between consecutive top-level spans on one track.
 #[derive(Debug, Clone, PartialEq)]
-pub struct Gap {
+pub(crate) struct Gap {
     /// Track id.
-    pub track: u32,
+    pub(crate) track: u32,
     /// Gap start, ns since trace epoch.
-    pub start_ns: u64,
+    pub(crate) start_ns: u64,
     /// Gap width.
-    pub width_ns: u64,
+    pub(crate) width_ns: u64,
     /// Name of the span that follows the gap.
-    pub before: String,
+    pub(crate) before: String,
 }
 
 /// Min/max/last summary of one counter track (physics probe).
 #[derive(Debug, Clone, PartialEq)]
-pub struct CounterStat {
+pub(crate) struct CounterStat {
     /// Counter name.
-    pub name: String,
+    pub(crate) name: String,
     /// Sample count.
-    pub samples: usize,
+    pub(crate) samples: usize,
     /// Smallest sample.
-    pub min: f64,
+    pub(crate) min: f64,
     /// Largest sample.
-    pub max: f64,
+    pub(crate) max: f64,
     /// Final sample.
-    pub last: f64,
+    pub(crate) last: f64,
 }
 
 /// Everything [`analyze`] derives from a trace.
@@ -100,17 +101,17 @@ pub struct Analysis {
     /// Matched intervals, grouped by track and start-ordered within each.
     pub intervals: Vec<Interval>,
     /// Trace wall time: last event minus first event.
-    pub wall_ns: u64,
+    pub(crate) wall_ns: u64,
     /// Per-name aggregates, widest self time first.
-    pub by_name: Vec<NameStat>,
+    pub(crate) by_name: Vec<NameStat>,
     /// Per-track utilization, by track id.
-    pub tracks: Vec<TrackStat>,
+    pub(crate) tracks: Vec<TrackStat>,
     /// Idle gaps between top-level spans, widest first.
-    pub gaps: Vec<Gap>,
+    pub(crate) gaps: Vec<Gap>,
     /// The chain of longest-child spans under the longest top-level span.
-    pub critical_path: Vec<usize>,
+    pub(crate) critical_path: Vec<usize>,
     /// Counter-track summaries.
-    pub counters: Vec<CounterStat>,
+    pub(crate) counters: Vec<CounterStat>,
 }
 
 /// Builds the full analysis. Unbalanced span events (orphan ends,
@@ -182,7 +183,7 @@ pub fn analyze(trace: &Trace) -> Analysis {
             }),
         }
     }
-    a.by_name.sort_by(|x, y| y.self_ns.cmp(&x.self_ns));
+    a.by_name.sort_by_key(|x| Reverse(x.self_ns));
 
     // Per-track utilization and gaps between top-level spans.
     for &track in &track_ids {
@@ -215,7 +216,7 @@ pub fn analyze(trace: &Trace) -> Analysis {
             }
         }
     }
-    a.gaps.sort_by(|x, y| y.width_ns.cmp(&x.width_ns));
+    a.gaps.sort_by_key(|x| Reverse(x.width_ns));
 
     // Critical path: from the longest top-level span, repeatedly descend
     // into the longest span it directly encloses (same track, inside it,
@@ -366,29 +367,29 @@ impl Analysis {
 /// Self-time share of one pipeline stage (span names grouped by their
 /// prefix before the first `.` — `sdr.emit_block_ns` → `sdr`).
 #[derive(Debug, Clone, PartialEq)]
-pub struct StageShare {
+pub(crate) struct StageShare {
     /// Stage prefix (`sdr`, `em`, `harvester`, `rfid`, `freqsel`, `pool`, …).
-    pub stage: String,
+    pub(crate) stage: String,
     /// Summed self time of every span in the stage.
-    pub self_ns: u64,
+    pub(crate) self_ns: u64,
     /// Number of spans contributing.
-    pub count: usize,
+    pub(crate) count: usize,
     /// `self_ns` over the total self time of all stages.
-    pub share: f64,
+    pub(crate) share: f64,
 }
 
 /// One trace track that executed `pool.job` spans — a worker lane (or a
 /// helping caller) as seen from the timeline.
 #[derive(Debug, Clone, PartialEq)]
-pub struct PoolLane {
+pub(crate) struct PoolLane {
     /// Track id.
-    pub track: u32,
+    pub(crate) track: u32,
     /// Summed duration of its `pool.job` spans.
-    pub busy_ns: u64,
+    pub(crate) busy_ns: u64,
     /// Number of jobs it ran.
-    pub jobs: usize,
+    pub(crate) jobs: usize,
     /// `busy_ns` over the trace wall time.
-    pub utilization: f64,
+    pub(crate) utilization: f64,
 }
 
 /// The ranked imbalance report combining span self-time by stage and
@@ -396,13 +397,13 @@ pub struct PoolLane {
 #[derive(Debug, Clone, Default)]
 pub struct Attribution {
     /// Trace wall time.
-    pub wall_ns: u64,
+    pub(crate) wall_ns: u64,
     /// Stages ranked by self time, descending.
-    pub stages: Vec<StageShare>,
+    pub(crate) stages: Vec<StageShare>,
     /// Tracks that ran pool jobs, ranked by busy time, descending.
-    pub pool_lanes: Vec<PoolLane>,
+    pub(crate) pool_lanes: Vec<PoolLane>,
     /// Busiest over least-busy pool lane (`None` with < 2 lanes).
-    pub lane_imbalance: Option<f64>,
+    pub(crate) lane_imbalance: Option<f64>,
 }
 
 /// Builds the attribution view from an [`Analysis`].
@@ -432,7 +433,7 @@ pub fn attribute(a: &Analysis) -> Attribution {
             0.0
         };
     }
-    stages.sort_by(|x, y| y.self_ns.cmp(&x.self_ns));
+    stages.sort_by_key(|x| Reverse(x.self_ns));
 
     // Pool lanes: tracks with pool.job spans.
     let mut pool_lanes: Vec<PoolLane> = Vec::new();
@@ -457,7 +458,7 @@ pub fn attribute(a: &Analysis) -> Attribution {
             0.0
         };
     }
-    pool_lanes.sort_by(|x, y| y.busy_ns.cmp(&x.busy_ns));
+    pool_lanes.sort_by_key(|x| Reverse(x.busy_ns));
     let lane_imbalance = match (pool_lanes.first(), pool_lanes.last()) {
         (Some(hi), Some(lo)) if pool_lanes.len() >= 2 && lo.busy_ns > 0 => {
             Some(hi.busy_ns as f64 / lo.busy_ns as f64)

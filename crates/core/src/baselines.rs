@@ -5,165 +5,67 @@
 //! physics, phase = unknowable PLL + propagation phase), what peak power
 //! arrives during an observation window?*
 //!
-//! * [`SingleAntenna`] — the reference every gain is normalized to.
 //! * [`BlindCoherent`] — the paper's baseline: N antennas, same carrier,
 //!   phases unknown. Its static phasor sum averages N× the single-antenna
 //!   power (pure power increase) and fades exponentially often.
-//! * [`CoherentMrt`] — channel-aware maximum-ratio transmission: the
-//!   unreachable-in-vivo upper bound `(Σ|hᵢ|)²`; realizable only with
-//!   channel feedback.
-//! * [`ArraySteering`] — geometric phased-array steering: precompensates
-//!   assumed free-space phases; works in line-of-sight air, collapses in
-//!   unknown layered media (the §7 footnote-5 comparison).
 //! * [`CibBeamformer`] — CIB; its time-varying envelope peaks near
 //!   `(Σ|hᵢ|)²` with *no* channel knowledge.
+//!
+//! The tests also hold channel-aware maximum-ratio transmission
+//! (`CoherentMrt`), the unreachable-in-vivo upper bound `(Σ|hᵢ|)²` both
+//! schemes are checked against.
 
 use crate::cib::CibConfig;
 use ivn_dsp::complex::Complex64;
-use ivn_dsp::units::SPEED_OF_LIGHT;
 
 /// A beamforming scheme's peak delivery.
-pub trait Beamformer {
-    /// Scheme name for reports.
-    fn name(&self) -> &str;
-
+pub(crate) trait Beamformer {
     /// Peak received power during an observation window, given the
     /// per-antenna channels (phase = everything the transmitter cannot
     /// know).
     fn peak_power(&self, channels: &[Complex64]) -> f64;
-
-    /// Number of transmit antennas the scheme drives.
-    fn n_antennas(&self) -> usize;
-}
-
-/// Single-antenna reference transmitter (uses channel 0 only).
-#[derive(Debug, Clone, Copy)]
-pub struct SingleAntenna;
-
-impl Beamformer for SingleAntenna {
-    fn name(&self) -> &str {
-        "single antenna"
-    }
-
-    fn peak_power(&self, channels: &[Complex64]) -> f64 {
-        assert!(!channels.is_empty());
-        channels[0].norm_sqr()
-    }
-
-    fn n_antennas(&self) -> usize {
-        1
-    }
 }
 
 /// The paper's baseline: N antennas transmitting the same carrier with
 /// unknown phases. The received power is the static random phasor sum —
 /// time does not help because nothing changes.
 #[derive(Debug, Clone, Copy)]
-pub struct BlindCoherent {
+pub(crate) struct BlindCoherent {
     /// Antenna count.
-    pub n: usize,
+    pub(crate) n: usize,
 }
 
 impl Beamformer for BlindCoherent {
-    fn name(&self) -> &str {
-        "blind coherent (baseline)"
-    }
-
     fn peak_power(&self, channels: &[Complex64]) -> f64 {
         assert_eq!(channels.len(), self.n, "one channel per antenna");
         channels.iter().copied().sum::<Complex64>().norm_sqr()
     }
-
-    fn n_antennas(&self) -> usize {
-        self.n
-    }
 }
 
-/// Channel-aware maximum-ratio transmission: the coherent upper bound.
+/// Channel-aware maximum-ratio transmission: the coherent upper bound
+/// the tests check every scheme against.
+#[cfg(test)]
 #[derive(Debug, Clone, Copy)]
-pub struct CoherentMrt {
-    /// Antenna count.
-    pub n: usize,
-}
+pub(crate) struct CoherentMrt;
 
+#[cfg(test)]
 impl Beamformer for CoherentMrt {
-    fn name(&self) -> &str {
-        "coherent MRT (oracle)"
-    }
-
     fn peak_power(&self, channels: &[Complex64]) -> f64 {
-        assert_eq!(channels.len(), self.n, "one channel per antenna");
         let amp: f64 = channels.iter().map(|h| h.norm()).sum();
         amp * amp
-    }
-
-    fn n_antennas(&self) -> usize {
-        self.n
-    }
-}
-
-/// Geometric phased-array steering: precompensates the free-space phase
-/// `k·dᵢ` for *assumed* antenna→target distances. Perfect when the true
-/// channel is pure free space **and** the PLL phases are calibrated away;
-/// helpless against tissue-induced phase and blind PLL phases.
-#[derive(Debug, Clone)]
-pub struct ArraySteering {
-    /// Assumed propagation distances per antenna, metres.
-    pub assumed_distances_m: Vec<f64>,
-    /// Carrier used for the phase precompensation, Hz.
-    pub carrier_hz: f64,
-}
-
-impl ArraySteering {
-    /// Precompensation phasor for antenna `i`.
-    pub fn precomp(&self, i: usize) -> Complex64 {
-        let k = 2.0 * std::f64::consts::PI * self.carrier_hz / SPEED_OF_LIGHT;
-        Complex64::cis(k * self.assumed_distances_m[i])
-    }
-}
-
-impl Beamformer for ArraySteering {
-    fn name(&self) -> &str {
-        "array steering (geometric)"
-    }
-
-    fn peak_power(&self, channels: &[Complex64]) -> f64 {
-        assert_eq!(
-            channels.len(),
-            self.assumed_distances_m.len(),
-            "one channel per antenna"
-        );
-        channels
-            .iter()
-            .enumerate()
-            .map(|(i, &h)| h * self.precomp(i))
-            .sum::<Complex64>()
-            .norm_sqr()
-    }
-
-    fn n_antennas(&self) -> usize {
-        self.assumed_distances_m.len()
     }
 }
 
 /// CIB as a [`Beamformer`].
 #[derive(Debug, Clone)]
-pub struct CibBeamformer {
+pub(crate) struct CibBeamformer {
     /// The frequency plan and peak-search resolution.
-    pub config: CibConfig,
+    pub(crate) config: CibConfig,
 }
 
 impl Beamformer for CibBeamformer {
-    fn name(&self) -> &str {
-        "CIB"
-    }
-
     fn peak_power(&self, channels: &[Complex64]) -> f64 {
         self.config.received_peak_power(channels)
-    }
-
-    fn n_antennas(&self) -> usize {
-        self.config.n()
     }
 }
 
@@ -180,19 +82,12 @@ mod tests {
     }
 
     #[test]
-    fn single_antenna_reference() {
-        let ch = [Complex64::from_polar(0.2, 1.0)];
-        assert!((SingleAntenna.peak_power(&ch) - 0.04).abs() < 1e-12);
-        assert_eq!(SingleAntenna.n_antennas(), 1);
-    }
-
-    #[test]
     fn mrt_is_upper_bound_for_everyone() {
         let mut rng = StdRng::seed_from_u64(1);
         let cib = CibBeamformer {
-            config: CibConfig::paper_prototype(),
+            config: CibConfig::paper_prototype_n(10),
         };
-        let mrt = CoherentMrt { n: 10 };
+        let mrt = CoherentMrt;
         let blind = BlindCoherent { n: 10 };
         for _ in 0..20 {
             let ch = blind_channels(&mut rng, 10, 1.0);
@@ -207,9 +102,9 @@ mod tests {
         // The headline claim: CIB ≈ MRT without channel knowledge.
         let mut rng = StdRng::seed_from_u64(2);
         let cib = CibBeamformer {
-            config: CibConfig::paper_prototype(),
+            config: CibConfig::paper_prototype_n(10),
         };
-        let mrt = CoherentMrt { n: 10 };
+        let mrt = CoherentMrt;
         let mut ratio_sum = 0.0;
         for _ in 0..20 {
             let ch = blind_channels(&mut rng, 10, 1.0);
@@ -243,7 +138,7 @@ mod tests {
     fn cib_never_fades_like_blind_coherent() {
         let mut rng = StdRng::seed_from_u64(4);
         let cib = CibBeamformer {
-            config: CibConfig::paper_prototype(),
+            config: CibConfig::paper_prototype_n(10),
         };
         for _ in 0..50 {
             let ch = blind_channels(&mut rng, 10, 1.0);
@@ -251,47 +146,5 @@ mod tests {
             // power (the blind baseline drops below 1 % routinely).
             assert!(cib.peak_power(&ch) > 30.0, "peak {}", cib.peak_power(&ch));
         }
-    }
-
-    #[test]
-    fn array_steering_perfect_only_with_known_geometry_and_phase() {
-        // True free-space channels with *known* distances and no PLL
-        // phase: steering achieves the MRT bound.
-        let carrier = 915e6;
-        let k = 2.0 * std::f64::consts::PI * carrier / SPEED_OF_LIGHT;
-        let dists = [1.0, 1.07, 1.21, 1.38];
-        let channels: Vec<Complex64> = dists
-            .iter()
-            .map(|&d| Complex64::from_polar(1.0, -k * d))
-            .collect();
-        let steer = ArraySteering {
-            assumed_distances_m: dists.to_vec(),
-            carrier_hz: carrier,
-        };
-        assert!((steer.peak_power(&channels) - 16.0).abs() < 1e-6);
-
-        // Add unknown PLL phases: steering collapses toward the blind sum.
-        let mut rng = StdRng::seed_from_u64(5);
-        let with_pll: Vec<Complex64> = channels
-            .iter()
-            .map(|h| *h * Complex64::cis(rng.random::<f64>() * TAU))
-            .collect();
-        assert!(steer.peak_power(&with_pll) < 12.0);
-    }
-
-    #[test]
-    fn names_are_distinct() {
-        let names = [
-            SingleAntenna.name().to_string(),
-            BlindCoherent { n: 2 }.name().to_string(),
-            CoherentMrt { n: 2 }.name().to_string(),
-            CibBeamformer {
-                config: CibConfig::paper_prototype_n(2),
-            }
-            .name()
-            .to_string(),
-        ];
-        let unique: std::collections::BTreeSet<_> = names.iter().collect();
-        assert_eq!(unique.len(), names.len());
     }
 }

@@ -36,12 +36,12 @@ pub const PAPER_EIRP_DBM: f64 = 37.0;
 #[derive(Debug, Clone, PartialEq)]
 pub struct TagSpec {
     /// Antenna model (gain, orientation floor, polarization).
-    pub antenna: Antenna,
+    pub(crate) antenna: Antenna,
     /// Harvester/chip power profile.
     pub power: TagPowerProfile,
     /// Whether the antenna is matched to the surrounding medium
     /// (true for the tube-matched implant; false for an air dipole).
-    pub matched_to_medium: bool,
+    pub(crate) matched_to_medium: bool,
 }
 
 impl TagSpec {
@@ -64,7 +64,7 @@ impl TagSpec {
     }
 
     /// Linear medium-immersion aperture penalty (≤ 1).
-    pub fn medium_penalty(&self, local: &Medium) -> f64 {
+    pub(crate) fn medium_penalty(&self, local: &Medium) -> f64 {
         if self.matched_to_medium {
             1.0
         } else {
@@ -77,17 +77,17 @@ impl TagSpec {
 #[derive(Debug, Clone, PartialEq)]
 pub struct Placement {
     /// Report name.
-    pub name: String,
+    pub(crate) name: String,
     /// Representative antenna→tag path.
-    pub path: LayeredPath,
+    pub(crate) path: LayeredPath,
     /// Medium immediately surrounding the tag.
-    pub local_medium: Medium,
+    pub(crate) local_medium: Medium,
     /// Per-trial tag orientation range (radians off boresight); drawn
     /// uniformly each trial.
-    pub orientation_range: (f64, f64),
+    pub(crate) orientation_range: (f64, f64),
     /// Per-antenna amplitude jitter, dB RMS (antennas sit at slightly
     /// different ranges/angles).
-    pub amplitude_jitter_db: f64,
+    pub(crate) amplitude_jitter_db: f64,
 }
 
 impl Placement {
@@ -222,7 +222,7 @@ pub struct Trial {
     /// Per-antenna complex channels; `|c|²` = watts received per antenna.
     pub channels: Vec<Complex64>,
     /// Tag orientation off boresight, radians.
-    pub orientation: f64,
+    pub(crate) orientation: f64,
 }
 
 #[cfg(test)]

@@ -7,16 +7,12 @@
 //!   antenna's narrowband channel as a complex gain and finds the peak of
 //!   the resulting envelope — this is what the Monte-Carlo experiments
 //!   sweep thousands of times;
-//! * the **sample path** ([`CibConfig::build_bank`] +
-//!   [`ivn_sdr::bank::TxBank::emit_all`]) synthesizes every device's IQ
-//!   stream through the PA/clock models for the end-to-end protocol
-//!   sessions in [`crate::system`].
+//! * the **sample path** (an [`ivn_sdr::bank::TxBank`] on the same
+//!   offsets) synthesizes every device's IQ stream through the PA/clock
+//!   models for `ivn-bench`'s streaming pipeline.
 
 use crate::waveform::CibEnvelope;
 use ivn_dsp::complex::Complex64;
-use ivn_runtime::rng::Rng;
-use ivn_sdr::bank::TxBank;
-use ivn_sdr::clock::ClockDistribution;
 
 /// Static configuration of a CIB beamformer.
 #[derive(Debug, Clone, PartialEq)]
@@ -31,15 +27,6 @@ pub struct CibConfig {
 }
 
 impl CibConfig {
-    /// The paper's 10-antenna prototype configuration.
-    pub fn paper_prototype() -> Self {
-        CibConfig {
-            offsets_hz: crate::PAPER_OFFSETS_HZ.to_vec(),
-            carrier_hz: crate::BEAMFORMER_CARRIER_HZ,
-            grid: 4096,
-        }
-    }
-
     /// A prototype restricted to the first `n` antennas (the paper's
     /// gain-vs-antennas sweep, Fig. 9).
     pub fn paper_prototype_n(n: usize) -> Self {
@@ -52,12 +39,12 @@ impl CibConfig {
     }
 
     /// Number of antennas.
-    pub fn n(&self) -> usize {
+    pub(crate) fn n(&self) -> usize {
         self.offsets_hz.len()
     }
 
     /// Absolute emission frequency of antenna `i`.
-    pub fn emission_hz(&self, i: usize) -> f64 {
+    pub(crate) fn emission_hz(&self, i: usize) -> f64 {
         self.carrier_hz + self.offsets_hz[i]
     }
 
@@ -81,34 +68,17 @@ impl CibConfig {
         let (_, a) = self.received_peak(channels);
         a * a
     }
-
-    /// Constructs the synchronized SDR bank realizing this configuration.
-    pub fn build_bank<R: Rng + ?Sized>(
-        &self,
-        rng: &mut R,
-        sample_rate: f64,
-        clock: &ClockDistribution,
-    ) -> TxBank {
-        TxBank::new(
-            rng,
-            self.n(),
-            self.carrier_hz,
-            sample_rate,
-            &self.offsets_hz,
-            clock,
-        )
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ivn_runtime::rng::StdRng;
+    use ivn_runtime::rng::{Rng, StdRng};
     use std::f64::consts::TAU;
 
     #[test]
     fn prototype_shape() {
-        let cfg = CibConfig::paper_prototype();
+        let cfg = CibConfig::paper_prototype_n(10);
         assert_eq!(cfg.n(), 10);
         assert_eq!(cfg.emission_hz(9), 915e6 + 137.0);
         let small = CibConfig::paper_prototype_n(3);
@@ -118,7 +88,7 @@ mod tests {
     #[test]
     fn received_peak_near_ceiling_in_blind_channels() {
         let mut rng = StdRng::seed_from_u64(1);
-        let cfg = CibConfig::paper_prototype();
+        let cfg = CibConfig::paper_prototype_n(10);
         for _ in 0..10 {
             let channels: Vec<Complex64> = (0..10)
                 .map(|_| Complex64::from_polar(0.01, rng.random::<f64>() * TAU))
@@ -149,16 +119,6 @@ mod tests {
         let ch = [Complex64::from_polar(0.37, 1.1)];
         let (_, a) = cfg.received_peak(&ch);
         assert!((a - 0.37).abs() < 1e-9);
-    }
-
-    #[test]
-    fn bank_matches_config() {
-        let mut rng = StdRng::seed_from_u64(2);
-        let cfg = CibConfig::paper_prototype_n(4);
-        let bank = cfg.build_bank(&mut rng, 100e3, &ClockDistribution::octoclock());
-        assert_eq!(bank.len(), 4);
-        assert_eq!(bank.offsets_hz(), &cfg.offsets_hz[..]);
-        assert_eq!(bank.emission_hz(2), cfg.emission_hz(2));
     }
 
     #[test]

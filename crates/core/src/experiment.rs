@@ -5,7 +5,7 @@
 //! mode, and returns the statistics the paper plots. The bench harness
 //! (`ivn-bench`) formats them into the paper's rows/series; integration
 //! tests assert their shapes. Low-level positional kernels
-//! (`*_threads`, [`range_vs_antennas_env`]) remain for determinism tests
+//! (`*_threads`, `range_vs_antennas_env`) remain for determinism tests
 //! and micro-benchmarks.
 //!
 //! All Monte-Carlo loops run on the `ivn-runtime` worker pool: trial `i`
@@ -15,7 +15,7 @@
 //! fallback. The `*_threads` variants take an explicit thread count; the
 //! plain forms use [`ivn_runtime::par::num_threads`].
 
-use crate::baselines::{Beamformer, BlindCoherent, CibBeamformer, CoherentMrt, SingleAntenna};
+use crate::baselines::{Beamformer, BlindCoherent, CibBeamformer};
 use crate::body::{Placement, TagSpec};
 use crate::cib::CibConfig;
 use crate::freqsel::{optimize, pessimize, FrequencyPlan};
@@ -30,7 +30,7 @@ use ivn_runtime::rng::{Rng, StdRng};
 use std::f64::consts::TAU;
 
 /// Draws `n` unit-amplitude blind channels.
-pub fn blind_channels<R: Rng + ?Sized>(rng: &mut R, n: usize) -> Vec<Complex64> {
+pub(crate) fn blind_channels<R: Rng + ?Sized>(rng: &mut R, n: usize) -> Vec<Complex64> {
     (0..n)
         .map(|_| Complex64::from_polar(1.0, rng.random::<f64>() * TAU))
         .collect()
@@ -40,11 +40,15 @@ pub fn blind_channels<R: Rng + ?Sized>(rng: &mut R, n: usize) -> Vec<Complex64> 
 /// 11, 12): a dominant line-of-sight path plus indoor scatter. This is
 /// what makes the *measured* gain-over-single-antenna exceed the
 /// unit-amplitude analytic value — the single-antenna reference fades.
-pub const LAB_RICIAN_K: f64 = 4.0;
+pub(crate) const LAB_RICIAN_K: f64 = 4.0;
 
 /// Draws `n` blind channels with Rician-faded amplitudes (mean-square 1)
 /// and uniform phases — the ensemble of a real room.
-pub fn faded_channels<R: Rng + ?Sized>(rng: &mut R, n: usize, k_factor: f64) -> Vec<Complex64> {
+pub(crate) fn faded_channels<R: Rng + ?Sized>(
+    rng: &mut R,
+    n: usize,
+    k_factor: f64,
+) -> Vec<Complex64> {
     let los = (k_factor / (1.0 + k_factor)).sqrt();
     (0..n)
         .map(|_| {
@@ -64,11 +68,11 @@ pub fn faded_channels<R: Rng + ?Sized>(rng: &mut R, n: usize, k_factor: f64) -> 
 
 /// Monte-Carlo CDF of the peak power gain for an offset plan under random
 /// phases (`trials` draws), on the default worker-pool width.
-pub fn peak_gain_cdf(offsets_hz: &[f64], trials: usize, grid: usize, seed: u64) -> Ecdf {
+pub(crate) fn peak_gain_cdf(offsets_hz: &[f64], trials: usize, grid: usize, seed: u64) -> Ecdf {
     peak_gain_cdf_threads(offsets_hz, trials, grid, seed, par::num_threads())
 }
 
-/// [`peak_gain_cdf`] with an explicit worker-thread count. The result is
+/// `peak_gain_cdf` with an explicit worker-thread count. The result is
 /// independent of `threads`: trial `i` always draws from stream `fork(i)`.
 pub fn peak_gain_cdf_threads(
     offsets_hz: &[f64],
@@ -408,7 +412,7 @@ pub struct RangePoint {
 
 /// Which Fig. 13 panel to reproduce.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RangeEnvironment {
+pub(crate) enum RangeEnvironment {
     /// Line-of-sight air (Fig. 13a/b).
     Air,
     /// Water-tank depth (Fig. 13c/d).
@@ -434,7 +438,7 @@ pub fn range_vs_antennas(s: &Scenario, quick: bool) -> Vec<RangePoint> {
 
 /// Positional kernel behind [`range_vs_antennas`]: one panel's bisection
 /// sweep over antenna counts.
-pub fn range_vs_antennas_env(
+pub(crate) fn range_vs_antennas_env(
     env: RangeEnvironment,
     tag: TagSpec,
     n_max: usize,
@@ -521,32 +525,24 @@ pub fn in_vivo_campaign(s: &Scenario, quick: bool) -> Vec<InVivoRow> {
     rows
 }
 
-// ---------------------------------------------------------------------
-// Oracle comparison used by several tests.
-// ---------------------------------------------------------------------
-
-/// Mean CIB-to-MRT peak-power ratio over random channels: how close blind
-/// CIB gets to the channel-aware optimum.
-pub fn cib_mrt_efficiency(n: usize, trials: usize, seed: u64) -> f64 {
-    let cib = CibBeamformer {
-        config: CibConfig::paper_prototype_n(n.min(10)),
-    };
-    let mrt = CoherentMrt {
-        n: cib.n_antennas(),
-    };
-    let single = SingleAntenna;
-    let ratios = par::ensemble(trials, seed, |rng, _| {
-        let ch = blind_channels(rng, cib.n_antennas());
-        debug_assert!(single.peak_power(&ch) > 0.0);
-        cib.peak_power(&ch) / mrt.peak_power(&ch)
-    });
-    ratios.iter().sum::<f64>() / trials as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::baselines::CoherentMrt;
     use crate::scenario::{builtin, QuickFull};
+
+    /// Mean CIB-to-MRT peak-power ratio over random channels: how close
+    /// blind CIB gets to the channel-aware optimum.
+    fn cib_mrt_efficiency(n: usize, trials: usize, seed: u64) -> f64 {
+        let cib = CibBeamformer {
+            config: CibConfig::paper_prototype_n(n.min(10)),
+        };
+        let ratios = par::ensemble(trials, seed, |rng, _| {
+            let ch = blind_channels(rng, n.min(10));
+            cib.peak_power(&ch) / CoherentMrt.peak_power(&ch)
+        });
+        ratios.iter().sum::<f64>() / trials as f64
+    }
 
     fn scenario(name: &str, trials: usize, seed: u64) -> Scenario {
         let mut s = builtin(name).expect("builtin");

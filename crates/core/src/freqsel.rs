@@ -32,20 +32,6 @@ pub struct FreqSelConfig {
 }
 
 impl FreqSelConfig {
-    /// The paper-scale configuration: N = 10, α = 0.5, Δt = 800 µs
-    /// (RMS ≤ 199 Hz).
-    pub fn paper_scale() -> Self {
-        FreqSelConfig {
-            n_antennas: 10,
-            rms_limit_hz: 199.0,
-            max_offset_hz: 256,
-            mc_draws: 96,
-            grid: 1024,
-            restarts: 8,
-            iterations: 160,
-        }
-    }
-
     /// A fast configuration for tests.
     pub fn test_scale(n: usize) -> Self {
         FreqSelConfig {
@@ -85,9 +71,9 @@ impl FrequencyPlan {
 /// Monte-Carlo estimate of `E_β[max_t Y(t)]` for an offset set, using
 /// `draws` random phase vectors from `rng`.
 ///
-/// Allocates one [`EnvelopeScratch`] for the call; batched evaluation
-/// loops should hold their own scratch and use
-/// [`expected_peak_scratch`].
+/// Allocates one [`EnvelopeScratch`] for the call; the crate's batched
+/// evaluation loops hold their own scratch and use
+/// `expected_peak_scratch`.
 pub fn expected_peak<R: Rng + ?Sized>(
     offsets_hz: &[f64],
     draws: usize,
@@ -101,7 +87,7 @@ pub fn expected_peak<R: Rng + ?Sized>(
 /// [`expected_peak`] on a caller-supplied workspace: zero allocations in
 /// steady state (the scratch's grid and phase buffers are reused across
 /// calls and draws).
-pub fn expected_peak_scratch<R: Rng + ?Sized>(
+pub(crate) fn expected_peak_scratch<R: Rng + ?Sized>(
     scratch: &mut EnvelopeScratch,
     offsets_hz: &[f64],
     draws: usize,

@@ -25,9 +25,9 @@ pub struct HopDecision {
     /// The chosen centre frequency, Hz.
     pub carrier_hz: f64,
     /// Peak power delivered at that centre.
-    pub peak_power: f64,
+    pub(crate) peak_power: f64,
     /// Peak power at the original centre (for the improvement ratio).
-    pub baseline_power: f64,
+    pub(crate) baseline_power: f64,
 }
 
 impl HopDecision {

@@ -42,7 +42,7 @@ const INVENTORY_EPC_BASE: u128 = 0x3006_0000_0000_0000_0000_0000;
 #[derive(Debug, Clone, PartialEq)]
 pub struct InventoryRun {
     /// Population size.
-    pub population: usize,
+    pub(crate) population: usize,
     /// Tags that harvested enough power to participate.
     pub powered: usize,
     /// Tags actually inventoried.
@@ -104,7 +104,7 @@ impl InventoryExperiment {
     /// Resolves the trial-invariant state for an explicit population on
     /// the scenario's substrate (the campaign runner uses this to sweep
     /// population sizes without rewriting the scenario kind).
-    pub fn prepare_population(
+    pub(crate) fn prepare_population(
         s: &Scenario,
         population: &TagPopulation,
         quick: bool,

@@ -382,7 +382,7 @@ impl EnvelopeScratch {
     /// [`crate::freqsel::expected_peak`]. Phase draws consume `rng` in
     /// the same order as the original per-draw loop, so seeded results
     /// remain reproducible.
-    pub fn expected_peak<R: Rng + ?Sized>(
+    pub(crate) fn expected_peak<R: Rng + ?Sized>(
         &mut self,
         offsets_hz: &[f64],
         draws: usize,
@@ -425,7 +425,7 @@ impl EnvelopeScratch {
 /// one — two tone passes instead of N — and an accepted swap is committed
 /// to the cache with the same two passes. The phase draws are fixed at
 /// construction (common random numbers), exactly the draw sequence
-/// [`EnvelopeScratch::expected_peak`] would consume from the same RNG.
+/// `EnvelopeScratch::expected_peak` would consume from the same RNG.
 #[derive(Debug)]
 pub struct CrnKernel {
     offsets_hz: Vec<f64>,
@@ -472,12 +472,9 @@ impl CrnKernel {
         kernel
     }
 
-    /// The current (committed) offset set.
-    pub fn offsets_hz(&self) -> &[f64] {
-        &self.offsets_hz
-    }
-
-    /// The phase draws of draw `d`.
+    /// The phase draws of draw `d`: the inputs
+    /// `tests/kernel_props.rs::crn_swap_matches_fresh_evaluation` and
+    /// `crn_commit_keeps_scores_consistent` rebuild the reference score from.
     pub fn draw_phases(&self, d: usize) -> &[f64] {
         let n = self.offsets_hz.len();
         &self.phases[d * n..(d + 1) * n]
@@ -672,7 +669,7 @@ mod tests {
         let mut k = CrnKernel::new(&offsets, 6, 256, &mut rng);
         let scored = k.score_swap(1, 11.0);
         k.commit_swap(1, 11.0);
-        assert_eq!(k.offsets_hz()[1], 11.0);
+        assert_eq!(k.offsets_hz[1], 11.0);
         let rescored = k.score_current();
         assert!((scored - rescored).abs() < 1e-9, "{scored} vs {rescored}");
     }
@@ -689,7 +686,7 @@ mod tests {
         }
         let cached = k.score_current();
         let mut rng = StdRng::seed_from_u64(5);
-        let fresh = CrnKernel::new(k.offsets_hz(), 4, 128, &mut rng).score_current();
+        let fresh = CrnKernel::new(&k.offsets_hz, 4, 128, &mut rng).score_current();
         assert!((cached - fresh).abs() < 1e-9, "{cached} vs {fresh}");
     }
 }

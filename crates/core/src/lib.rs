@@ -11,9 +11,8 @@
 //!   Eq. 10, plus the worst-set search used for Fig. 6;
 //! * [`cib`] — the CIB transmitter configuration and the analytic
 //!   received-peak calculator experiments sweep;
-//! * [`baselines`] — the comparison beamformers: single antenna, the
-//!   paper's blind N-antenna baseline, channel-aware MRT, and geometric
-//!   array steering;
+//! * `baselines` — the comparison beamformers the experiments sweep: the
+//!   paper's blind N-antenna baseline and CIB itself;
 //! * [`oob`] — the out-of-band reader (§4): 880 vs 915 MHz, SAW rejection,
 //!   1-second coherent averaging, preamble correlation ≥ 0.8;
 //! * [`body`] — water tank, Fig. 11 media, and swine body presets;
@@ -26,7 +25,7 @@
 //!   consumes, a built-in registry for the paper's figures, a
 //!   sweep/jitter generator, and the uniform campaign evaluator.
 
-pub mod baselines;
+mod baselines;
 pub mod body;
 pub mod cib;
 pub mod experiment;
@@ -51,4 +50,4 @@ pub const PAPER_OFFSETS_HZ: [f64; 10] =
 pub const BEAMFORMER_CARRIER_HZ: f64 = 915e6;
 
 /// The paper's out-of-band reader carrier.
-pub const READER_CARRIER_HZ: f64 = 880e6;
+pub(crate) const READER_CARRIER_HZ: f64 = 880e6;

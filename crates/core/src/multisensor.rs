@@ -6,17 +6,13 @@
 //! the period. Collision control reuses standard Gen2 machinery: Select
 //! commands address a sensor population subset, and the slotted-ALOHA
 //! Q-algorithm resolves the rest. Select lengthens the downlink frame,
-//! which tightens the Eq. 9 RMS budget — [`select_rms_budget`] quantifies
-//! that.
+//! which tightens the Eq. 9 RMS budget.
 
 use crate::body::{Placement, TagSpec};
 use crate::cib::CibConfig;
 use crate::scenario::{Scenario, ScenarioKind};
-use crate::waveform::eq9_rms_bound;
 use ivn_dsp::units::dbm_to_watts;
-use ivn_rfid::commands::Command;
 use ivn_rfid::epc::Epc;
-use ivn_rfid::link::LinkParams;
 use ivn_rfid::reader::{QAlgorithm, Reader, SlotOutcome};
 use ivn_rfid::tag::Tag;
 use ivn_runtime::rng::Rng;
@@ -43,31 +39,13 @@ pub struct SensorOutcome {
     pub inventoried: bool,
 }
 
-/// The Eq. 9 RMS budget when the query must carry a Select command of
-/// `mask_bits` (the §3.7 "incorporate this into the Δt constraint").
-pub fn select_rms_budget(link: &LinkParams, mask_bits: usize, alpha: f64) -> f64 {
-    let select = Command::Select {
-        mask: vec![true; mask_bits],
-    };
-    let query = Command::Query {
-        dr: ivn_rfid::commands::DivideRatio::Dr8,
-        m: ivn_rfid::commands::TagEncoding::Fm0,
-        trext: false,
-        session: ivn_rfid::commands::Session::S0,
-        q: 0,
-    };
-    // Select and Query ride the same envelope peak back to back.
-    let dt = link.command_duration_s(&select) + link.command_duration_s(&query);
-    eq9_rms_bound(alpha, dt)
-}
-
 /// EPC base for scenario-declared populations; sensor `i` gets `base+i`.
 const SCENARIO_EPC_BASE: u128 = 0x3005_0000_0000_0000_0000_0000;
 
 /// The sensor population a [`ScenarioKind::MultiSensor`] scenario
 /// declares: `population` copies of the scenario's tag, spread
 /// `spacing_m` apart along the placement's geometry axis.
-pub fn scenario_deployment(s: &Scenario) -> Result<Vec<SensorDeployment>, String> {
+pub(crate) fn scenario_deployment(s: &Scenario) -> Result<Vec<SensorDeployment>, String> {
     let ScenarioKind::MultiSensor {
         population,
         spacing_m,
@@ -94,30 +72,6 @@ pub fn scenario_deployment(s: &Scenario) -> Result<Vec<SensorDeployment>, String
             })
         })
         .collect()
-}
-
-/// Runs one multi-sensor campaign for a scenario: its population, array
-/// and EIRP, with the scenario's `max_rounds` arbitration budget.
-pub fn run_scenario<R: Rng + ?Sized>(
-    rng: &mut R,
-    s: &Scenario,
-    quick: bool,
-) -> Result<Vec<SensorOutcome>, String> {
-    let ScenarioKind::MultiSensor { max_rounds, .. } = s.kind else {
-        return Err(format!(
-            "scenario '{}' is not multi_sensor (kind '{}')",
-            s.name,
-            s.kind.type_name()
-        ));
-    };
-    let sensors = scenario_deployment(s)?;
-    Ok(run_campaign(
-        rng,
-        &s.cib(quick),
-        s.eirp_dbm,
-        &sensors,
-        max_rounds,
-    ))
 }
 
 /// Runs one multi-sensor campaign: powers the population with CIB,
@@ -239,35 +193,6 @@ mod tests {
         let out = run_campaign(&mut rng, &cib, 37.0, &sensors, 30);
         assert!(out[0].powered && out[0].inventoried, "{out:?}");
         assert!(!out[1].powered, "{out:?}");
-    }
-
-    #[test]
-    fn select_shrinks_rms_budget() {
-        let link = LinkParams::paper_defaults();
-        let plain = eq9_rms_bound(
-            0.5,
-            link.command_duration_s(&Command::Query {
-                dr: ivn_rfid::commands::DivideRatio::Dr8,
-                m: ivn_rfid::commands::TagEncoding::Fm0,
-                trext: false,
-                session: ivn_rfid::commands::Session::S0,
-                q: 0,
-            }),
-        );
-        let with_select = select_rms_budget(&link, 32, 0.5);
-        assert!(with_select < plain, "{with_select} vs {plain}");
-        // A longer mask tightens further.
-        let longer = select_rms_budget(&link, 96, 0.5);
-        assert!(longer < with_select);
-        // Quantitatively: a 32-bit-mask Select+Query lasts long enough
-        // that the paper's 82 Hz-RMS plan no longer satisfies Eq. 9 — the
-        // §3.7 remark that Select "can be incorporated into the Δt
-        // constraint" is a *requirement*, not an afterthought: the plan
-        // must be re-optimized under the tighter budget.
-        assert!(
-            with_select < 82.0,
-            "expected the Select frame to break the paper plan: {with_select}"
-        );
     }
 
     #[test]

@@ -26,27 +26,27 @@ pub struct OobReaderConfig {
     /// Reader carrier, Hz (880 MHz in the paper).
     pub carrier_hz: f64,
     /// Beamformer band centre, Hz (the jam to reject).
-    pub beamformer_hz: f64,
+    pub(crate) beamformer_hz: f64,
     /// The SAW pre-filter.
-    pub saw: SawFilter,
+    pub(crate) saw: SawFilter,
     /// Whether the SAW filter is installed (ablation switch).
     pub use_saw: bool,
     /// Receiver sample rate, S/s.
-    pub sample_rate: f64,
+    pub(crate) sample_rate: f64,
     /// Number of CIB periods averaged coherently.
     pub averaging_periods: usize,
     /// Correlation threshold for declaring a decode (0.8 in the paper).
-    pub correlation_threshold: f64,
+    pub(crate) correlation_threshold: f64,
     /// Receiver noise power, watts (thermal + NF in the RX bandwidth).
     pub noise_watts: f64,
     /// ADC model.
-    pub adc: Adc,
+    pub(crate) adc: Adc,
     /// TX→RX leakage attenuation of the reader's own carrier, dB.
-    pub self_leak_db: f64,
+    pub(crate) self_leak_db: f64,
     /// Digital down-converter rejection of components outside ±fs/2, dB.
     /// Applied *after* the ADC — out-of-band blockers still consume
     /// dynamic range (desensitization) even though the DDC removes them.
-    pub ddc_rejection_db: f64,
+    pub(crate) ddc_rejection_db: f64,
 }
 
 impl OobReaderConfig {
@@ -98,9 +98,9 @@ pub struct DecodeResult {
     /// Whether the correlation beat the threshold.
     pub success: bool,
     /// Offset (samples) of the best match within the averaged window.
-    pub offset: usize,
+    pub(crate) offset: usize,
     /// The decoded payload bits after the preamble (when successful).
-    pub payload: Vec<bool>,
+    pub(crate) payload: Vec<bool>,
     /// Fraction of ADC samples that saturated (self-jamming indicator).
     pub adc_saturation: f64,
 }

@@ -73,7 +73,7 @@ impl PlanCache {
     ///
     /// # Panics
     /// Panics if `capacity` is zero.
-    pub fn new(capacity: usize) -> Self {
+    pub(crate) fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "plan cache capacity must be positive");
         PlanCache {
             inner: Mutex::new(Inner::default()),
@@ -96,7 +96,7 @@ impl PlanCache {
     /// Returns the cached offsets for `key`, or computes, stores and
     /// returns them. `compute` must be a pure function of the key (the
     /// cache trusts it: a hit returns the stored value verbatim).
-    pub fn get_or_compute(&self, key: &str, compute: impl FnOnce() -> Vec<f64>) -> Vec<f64> {
+    pub(crate) fn get_or_compute(&self, key: &str, compute: impl FnOnce() -> Vec<f64>) -> Vec<f64> {
         if !self.enabled.load(Ordering::Relaxed) {
             return compute();
         }
@@ -179,7 +179,7 @@ impl PlanCache {
     }
 
     /// Enables or disables lookups; returns the previous setting.
-    /// Disabled, [`Self::get_or_compute`] always computes — the cold
+    /// Disabled, `get_or_compute` always computes — the cold
     /// path for cache-effect benchmarking.
     pub fn set_enabled(&self, enabled: bool) -> bool {
         self.enabled.swap(enabled, Ordering::Relaxed)

@@ -80,7 +80,7 @@ pub fn set_path(root: &mut Json, path: &str, value: Json) -> Result<(), String> 
 }
 
 /// Number of grid points (`1` when there are no sweep axes).
-pub fn grid_size(sweeps: &[SweepAxis]) -> usize {
+pub(crate) fn grid_size(sweeps: &[SweepAxis]) -> usize {
     sweeps
         .iter()
         .map(|a| a.values.len().max(1))

@@ -18,10 +18,10 @@
 //! The built-in registry ([`builtin`]) names one scenario per paper
 //! figure/table; the bench harness resolves `reproduce` targets through
 //! it. [`gen`] sweeps and jitters any scenario field to mass-produce
-//! scenario files, and [`eval`] is the uniform per-scenario workload
+//! scenario files, and `eval` is the uniform per-scenario workload
 //! (gain / power-up / decode metrics) the campaign driver aggregates.
 
-pub mod eval;
+pub(crate) mod eval;
 pub mod gen;
 
 use crate::body::{Placement, TagSpec, PAPER_EIRP_DBM};
@@ -57,9 +57,9 @@ fn opt_field<T: FromJson>(value: &Json, key: &str) -> Result<Option<T>, JsonErro
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct QuickFull<T> {
     /// CI-speed value.
-    pub quick: T,
+    pub(crate) quick: T,
     /// Paper-scale value.
-    pub full: T,
+    pub(crate) full: T,
 }
 
 impl<T: Copy> QuickFull<T> {
@@ -69,7 +69,7 @@ impl<T: Copy> QuickFull<T> {
     }
 
     /// Resolves the policy for a run mode.
-    pub fn get(&self, quick: bool) -> T {
+    pub(crate) fn get(&self, quick: bool) -> T {
         if quick {
             self.quick
         } else {
@@ -117,7 +117,7 @@ pub enum TagKind {
 
 impl TagKind {
     /// Resolves to the full electrical specification.
-    pub fn spec(&self) -> TagSpec {
+    pub(crate) fn spec(&self) -> TagSpec {
         match self {
             TagKind::Standard => TagSpec::standard(),
             TagKind::Miniature => TagSpec::miniature(),
@@ -125,7 +125,7 @@ impl TagKind {
     }
 
     /// The JSON name.
-    pub fn name(&self) -> &'static str {
+    pub(crate) fn name(&self) -> &'static str {
         match self {
             TagKind::Standard => "standard",
             TagKind::Miniature => "miniature",
@@ -156,7 +156,7 @@ impl FromJson for TagKind {
 
 /// Resolves a medium by its report name (the `Medium::name` field of the
 /// in-tree presets).
-pub fn medium_by_name(name: &str) -> Option<Medium> {
+pub(crate) fn medium_by_name(name: &str) -> Option<Medium> {
     let all = [
         Medium::air(),
         Medium::water(),
@@ -192,7 +192,7 @@ pub enum PlacementSpec {
     },
     /// A Fig. 11 media container: named medium, sensor `depth_m` deep.
     MediaBox {
-        /// Medium preset name (see [`medium_by_name`]).
+        /// Medium preset name (see `medium_by_name`).
         medium: String,
         /// Depth into the medium, metres.
         depth_m: f64,
@@ -205,7 +205,7 @@ pub enum PlacementSpec {
 
 impl PlacementSpec {
     /// Resolves to the physical placement (media stack + link budget).
-    pub fn resolve(&self) -> Result<Placement, JsonError> {
+    pub(crate) fn resolve(&self) -> Result<Placement, JsonError> {
         Ok(match self {
             PlacementSpec::FreeSpace { range_m } => Placement::free_space(*range_m),
             PlacementSpec::WaterTank { depth_m } => Placement::water_tank(*depth_m),
@@ -223,7 +223,7 @@ impl PlacementSpec {
 
     /// The same placement family shifted `offset_m` deeper/farther —
     /// used to spread a multi-sensor population along the geometry axis.
-    pub fn at_offset(&self, offset_m: f64) -> PlacementSpec {
+    pub(crate) fn at_offset(&self, offset_m: f64) -> PlacementSpec {
         match self {
             PlacementSpec::FreeSpace { range_m } => PlacementSpec::FreeSpace {
                 range_m: range_m + offset_m,
@@ -308,7 +308,7 @@ pub struct FreqSelSpec {
 
 impl FreqSelSpec {
     /// The paper-scale search with the historical quick-mode trims.
-    pub fn paper_scale() -> Self {
+    pub(crate) fn paper_scale() -> Self {
         FreqSelSpec {
             n_antennas: 10,
             rms_limit_hz: 199.0,
@@ -330,7 +330,7 @@ impl FreqSelSpec {
     }
 
     /// The historical test-scale search for `n` antennas.
-    pub fn test_scale(n: usize) -> Self {
+    pub(crate) fn test_scale(n: usize) -> Self {
         FreqSelSpec {
             n_antennas: n,
             rms_limit_hz: 199.0,
@@ -444,33 +444,32 @@ impl FromJson for FreqPlan {
 
 /// Largest `array.grid` a scenario accepts: the analytic peak search
 /// holds one complex sample per grid point (2²⁴ points ≈ 270 MB).
-pub const MAX_GRID: usize = 1 << 24;
+pub(crate) const MAX_GRID: usize = 1 << 24;
 
 /// The `array.carrier_hz` band a scenario accepts, Hz: 1 MHz to
 /// 100 GHz, the RF range the tissue and antenna models describe. A zero
 /// or near-zero carrier makes the wavelength infinite, and one far above
 /// it underflows the path loss to NaN received power.
-pub const CARRIER_RANGE_HZ: (f64, f64) = (1e6, 1e11);
+pub(crate) const CARRIER_RANGE_HZ: (f64, f64) = (1e6, 1e11);
 
 /// Largest `power_session` envelope rate, samples/s. `powerup_rate`
 /// sizes a one-period envelope grid of that many samples and
 /// `command_rate` the keyed Query window, so the cap bounds both
 /// allocations (10 MS/s ≈ 240 MB of one-period grid).
-pub const MAX_ENVELOPE_RATE: f64 = 1e7;
+pub(crate) const MAX_ENVELOPE_RATE: f64 = 1e7;
 
 /// Highest per-antenna `eirp_dbm` a scenario accepts: 60 dBm (1 kW). It
-/// sits 24 dB above the FCC limit the paper's §7 argues against
-/// (`ivn_em::safety::FCC_EIRP_LIMIT_DBM`, 36 dBm), so over-limit
-/// what-if sweeps still run, and above every in-tree sweep (37 dBm
-/// builtins, 38 dBm in `verify.sh`'s inventory fleet, 38.85 dBm under
-/// the benchmark's ±5 % jitter), while keeping the link-budget powers
-/// far from overflow.
-pub const MAX_EIRP_DBM: f64 = 60.0;
+/// sits 24 dB above the 36 dBm FCC EIRP limit the paper's §7 argues
+/// against, so over-limit what-if sweeps still run, and above every
+/// in-tree sweep (37 dBm builtins, 38 dBm in `verify.sh`'s inventory
+/// fleet, 38.85 dBm under the benchmark's ±5 % jitter), while keeping
+/// the link-budget powers far from overflow.
+pub(crate) const MAX_EIRP_DBM: f64 = 60.0;
 
 /// Longest sensor-placing length a scenario accepts (range, depth,
 /// spacing), m: 1 km, far past every in-tree sweep. At 1e308 m the
 /// layered-path model returns NaN received power.
-pub const MAX_LENGTH_M: f64 = 1e3;
+pub(crate) const MAX_LENGTH_M: f64 = 1e3;
 
 /// Antenna-array geometry: how many antennas, which frequency plan they
 /// emit, and the analytic peak-search resolution.
@@ -488,7 +487,7 @@ pub struct ArraySpec {
 
 impl ArraySpec {
     /// The paper's prototype array truncated to `n` antennas.
-    pub fn paper(n: usize) -> Self {
+    pub(crate) fn paper(n: usize) -> Self {
         ArraySpec {
             n_antennas: n,
             plan: FreqPlan::Paper,
@@ -566,7 +565,7 @@ impl ArraySpec {
     /// that reach the plan optimizer, and nothing else (body,
     /// placement, EIRP and trial seeds cannot influence the offsets, so
     /// sweep/jitter fleets share the entry).
-    pub fn plan_key(&self, quick: bool) -> String {
+    pub(crate) fn plan_key(&self, quick: bool) -> String {
         format!("quick={quick}|{}", self.to_json().dump())
     }
 }
@@ -1003,11 +1002,11 @@ pub struct Scenario {
     /// Antenna array + frequency plan.
     pub array: ArraySpec,
     /// Tag under test.
-    pub tag: TagKind,
+    pub(crate) tag: TagKind,
     /// Where the sensor sits (body preset / media stack).
     pub placement: PlacementSpec,
     /// Per-antenna EIRP, dBm.
-    pub eirp_dbm: f64,
+    pub(crate) eirp_dbm: f64,
     /// Experiment family + its knobs.
     pub kind: ScenarioKind,
 }
@@ -1033,7 +1032,7 @@ impl Scenario {
     }
 
     /// Resolved CIB configuration.
-    pub fn cib(&self, quick: bool) -> CibConfig {
+    pub(crate) fn cib(&self, quick: bool) -> CibConfig {
         self.array.cib(quick)
     }
 

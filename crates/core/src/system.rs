@@ -21,7 +21,6 @@
 use crate::body::{Placement, TagSpec, PAPER_EIRP_DBM};
 use crate::cib::CibConfig;
 use crate::oob::{DecodeResult, JamTone, OobReader, OobReaderConfig};
-use crate::scenario::{Scenario, ScenarioKind};
 use crate::waveform::CibEnvelope;
 use ivn_dsp::units::dbm_to_watts;
 use ivn_harvester::TagPowerProfile;
@@ -36,19 +35,19 @@ use ivn_runtime::rng::Rng;
 #[derive(Debug, Clone)]
 pub struct SystemConfig {
     /// Beamformer frequency plan.
-    pub cib: CibConfig,
+    pub(crate) cib: CibConfig,
     /// Tag under test.
-    pub tag: TagSpec,
+    pub(crate) tag: TagSpec,
     /// Per-antenna EIRP, dBm.
-    pub eirp_dbm: f64,
+    pub(crate) eirp_dbm: f64,
     /// Out-of-band reader.
-    pub reader: OobReaderConfig,
+    pub(crate) reader: OobReaderConfig,
     /// Link timing.
-    pub link: LinkParams,
+    pub(crate) link: LinkParams,
     /// Envelope sample rate for the harvester transient, S/s.
-    pub powerup_rate: f64,
+    pub(crate) powerup_rate: f64,
     /// Sample rate for command keying/decoding, S/s.
-    pub command_rate: f64,
+    pub(crate) command_rate: f64,
 }
 
 impl SystemConfig {
@@ -65,27 +64,6 @@ impl SystemConfig {
             command_rate: 400e3,
         }
     }
-
-    /// The system a [`Scenario`] describes: its array/frequency plan,
-    /// tag, EIRP, and (for power-session scenarios) its sample rates.
-    pub fn from_scenario(s: &Scenario, quick: bool) -> Self {
-        let (powerup_rate, command_rate) = match s.kind {
-            ScenarioKind::PowerSession {
-                powerup_rate,
-                command_rate,
-            } => (powerup_rate, command_rate),
-            _ => (4096.0, 400e3),
-        };
-        SystemConfig {
-            cib: s.cib(quick),
-            tag: s.tag.spec(),
-            eirp_dbm: s.eirp_dbm,
-            reader: OobReaderConfig::paper_defaults(),
-            link: LinkParams::paper_defaults(),
-            powerup_rate,
-            command_rate,
-        }
-    }
 }
 
 /// Outcome of one end-to-end session.
@@ -94,7 +72,7 @@ pub struct SessionOutcome {
     /// The chip reached its operating voltage.
     pub powered: bool,
     /// When it first did, seconds into the period.
-    pub time_to_power_s: Option<f64>,
+    pub(crate) time_to_power_s: Option<f64>,
     /// The tag decoded the Query through the CIB ripple.
     pub command_decoded: bool,
     /// The reader recovered the RN16 (correlation ≥ threshold and
@@ -105,7 +83,7 @@ pub struct SessionOutcome {
     /// Peak received power at the tag, watts.
     pub peak_power_w: f64,
     /// The drawn tag orientation, radians.
-    pub orientation: f64,
+    pub(crate) orientation: f64,
 }
 
 impl SessionOutcome {
@@ -155,30 +133,13 @@ pub fn power_up_over_period(
 #[derive(Debug, Clone)]
 pub struct IvnSystem {
     /// Configuration.
-    pub config: SystemConfig,
+    pub(crate) config: SystemConfig,
 }
 
 impl IvnSystem {
     /// Creates a system.
     pub fn new(config: SystemConfig) -> Self {
         IvnSystem { config }
-    }
-
-    /// Assembles the system a [`Scenario`] describes.
-    pub fn from_scenario(s: &Scenario, quick: bool) -> Self {
-        IvnSystem::new(SystemConfig::from_scenario(s, quick))
-    }
-
-    /// Runs one session for a scenario: the scenario's system against its
-    /// resolved placement. Errors if the placement names an unknown
-    /// medium.
-    pub fn run_scenario<R: Rng + ?Sized>(
-        rng: &mut R,
-        s: &Scenario,
-        quick: bool,
-    ) -> Result<SessionOutcome, String> {
-        let placement = s.placement.resolve().map_err(|e| e.reason)?;
-        Ok(Self::from_scenario(s, quick).run_session(rng, &placement))
     }
 
     /// Runs one full session against a placement. All randomness (channel

@@ -195,14 +195,6 @@ impl CibEnvelope {
         out
     }
 
-    /// Peak *power* gain over a single reference antenna of amplitude
-    /// `ref_amp`: `(Y_peak / ref_amp)²`.
-    pub fn peak_power_gain(&self, grid: usize, ref_amp: f64) -> f64 {
-        assert!(ref_amp > 0.0);
-        let (_, y) = self.peak_over_period(grid);
-        (y / ref_amp).powi(2)
-    }
-
     /// The paper's Eq. 7 fluctuation `(A_max − A_min)/A_max` over a window
     /// of `duration_s` centred at `t_center`.
     pub fn fluctuation_around(&self, t_center: f64, duration_s: f64, grid: usize) -> f64 {
@@ -224,16 +216,13 @@ impl CibEnvelope {
 
     /// First-order droop bound (Eq. 8): starting from a perfectly aligned
     /// peak, after `dt` seconds the envelope is at least
-    /// `N − 2π²·dt²·ΣΔfᵢ²` (unit amplitudes). Returns that lower bound.
+    /// `N − 2π²·dt²·ΣΔfᵢ²` (unit amplitudes). Returns that lower bound,
+    /// the reference [`Self::envelope`] is checked against by
+    /// `tests/proptests.rs::taylor_bound_is_a_lower_bound`.
     pub fn taylor_droop_bound(&self, dt: f64) -> f64 {
         let n = self.ceiling();
         let sum_sq: f64 = self.offsets_hz.iter().map(|f| f * f).sum();
         n - 2.0 * std::f64::consts::PI.powi(2) * dt * dt * sum_sq
-    }
-
-    /// RMS of the frequency offsets, Hz (the Eq. 9 quantity).
-    pub fn rms_offset(&self) -> f64 {
-        rms_offset(&self.offsets_hz)
     }
 }
 
@@ -304,7 +293,7 @@ mod tests {
         let (t, y) = env.peak_over_period(8192);
         assert!((y - 10.0).abs() < 1e-6, "peak {y}");
         assert!(!(1e-4..=1.0 - 1e-4).contains(&t), "peak time {t}");
-        assert!((env.peak_power_gain(8192, 1.0) - 100.0).abs() < 1e-3);
+        assert!((y * y - 100.0).abs() < 1e-3);
     }
 
     #[test]

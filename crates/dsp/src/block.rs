@@ -83,17 +83,16 @@ impl BlockSource for ConstSource {
 
     fn fill(&mut self, out: &mut Vec<f64>, max: usize) -> usize {
         let n = self.remaining.min(max);
-        out.extend(std::iter::repeat(self.value).take(n));
+        out.extend(std::iter::repeat_n(self.value, n));
         self.remaining -= n;
         n
     }
 }
 
 /// Accumulates `block[k] · gain` into `acc[k]` — the per-antenna flat
-/// channel application + superposition step shared by the streaming
-/// mixer (`ivn-em`'s `BlockSuperposer`) and the whole-buffer
-/// `TxBank::superpose` wrapper. Both paths run this exact loop, so they
-/// agree bit for bit.
+/// channel application + superposition step of `ivn-em`'s
+/// `BlockSuperposer`, block by block or over whole buffers alike, so the
+/// two agree bit for bit.
 ///
 /// # Panics
 /// Panics on length mismatch.
@@ -182,13 +181,6 @@ impl StreamHasher {
         }
     }
 
-    /// Hashes a block of real samples (exact f64 bit patterns).
-    pub fn update_real(&mut self, block: &[f64]) {
-        for &v in block {
-            self.mix(v.to_bits());
-        }
-    }
-
     /// Hashes a block of complex samples (re then im bit patterns).
     pub fn update_complex(&mut self, block: &[Complex64]) {
         for s in block {
@@ -256,7 +248,11 @@ mod tests {
     #[test]
     fn accumulate_scaled_matches_manual() {
         let mut acc = vec![Complex64::ZERO; 3];
-        let block = vec![Complex64::ONE, Complex64::I, Complex64::new(1.0, 1.0)];
+        let block = vec![
+            Complex64::ONE,
+            Complex64::new(0.0, 1.0),
+            Complex64::new(1.0, 1.0),
+        ];
         accumulate_scaled(&mut acc, &block, Complex64::from_real(2.0));
         assert_eq!(acc[0], Complex64::new(2.0, 0.0));
         assert_eq!(acc[1], Complex64::new(0.0, 2.0));
@@ -275,17 +271,19 @@ mod tests {
 
     #[test]
     fn hasher_is_split_invariant_but_order_sensitive() {
-        let data: Vec<f64> = (0..100).map(|i| (i as f64).sin()).collect();
+        let data: Vec<Complex64> = (0..100)
+            .map(|i| Complex64::new((i as f64).sin(), (i as f64).cos()))
+            .collect();
         let mut a = StreamHasher::new();
-        a.update_real(&data);
+        a.update_complex(&data);
         let mut b = StreamHasher::new();
         for chunk in data.chunks(7) {
-            b.update_real(chunk);
+            b.update_complex(chunk);
         }
         assert_eq!(a.digest(), b.digest());
         let mut rev = StreamHasher::new();
-        let reversed: Vec<f64> = data.iter().rev().copied().collect();
-        rev.update_real(&reversed);
+        let reversed: Vec<Complex64> = data.iter().rev().copied().collect();
+        rev.update_complex(&reversed);
         assert_ne!(a.digest(), rev.digest());
     }
 

@@ -89,11 +89,11 @@ mod tests {
         d[3] = a;
         d[n - 3] = b;
         ifft_unnormalized(&mut d);
-        for k in 0..n {
+        for (k, &got) in d.iter().enumerate() {
             let t = k as f64 / n as f64;
             let want =
                 a * Complex64::cis(2.0 * PI * 3.0 * t) + b * Complex64::cis(-2.0 * PI * 3.0 * t);
-            assert!((d[k] - want).norm() < 1e-9, "bin {k}");
+            assert!((got - want).norm() < 1e-9, "bin {k}");
         }
     }
 }

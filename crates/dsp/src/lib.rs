@@ -36,4 +36,3 @@ pub mod stats;
 pub mod units;
 
 pub use complex::Complex64;
-pub use units::{db_to_linear, dbm_to_watts, linear_to_db, watts_to_dbm};

@@ -28,16 +28,6 @@ impl AwgnSource {
         }
     }
 
-    /// Creates a source from a noise power in dBm.
-    pub fn from_dbm(dbm: f64) -> Self {
-        Self::new(crate::units::dbm_to_watts(dbm))
-    }
-
-    /// Configured total noise power.
-    pub fn power(&self) -> f64 {
-        2.0 * self.sigma * self.sigma
-    }
-
     /// Draws one complex noise sample using the Box–Muller transform.
     pub fn sample<R: Rng + ?Sized>(&mut self, rng: &mut R) -> Complex64 {
         if self.sigma == 0.0 {
@@ -51,13 +41,6 @@ impl AwgnSource {
             self.sigma * r * (TAU * u2).cos(),
             self.sigma * r * (TAU * u2).sin(),
         )
-    }
-
-    /// Adds noise to a block in place.
-    pub fn corrupt<R: Rng + ?Sized>(&mut self, rng: &mut R, signal: &mut [Complex64]) {
-        for s in signal {
-            *s += self.sample(rng);
-        }
     }
 }
 
@@ -101,31 +84,6 @@ impl PhaseNoise {
         }
         Complex64::cis(self.phase)
     }
-
-    /// Applies the walk to a block in place.
-    pub fn corrupt<R: Rng + ?Sized>(&mut self, rng: &mut R, signal: &mut [Complex64]) {
-        for s in signal {
-            *s *= self.sample(rng);
-        }
-    }
-}
-
-/// Measured SNR (dB) of `signal + noise` given the clean `signal`.
-///
-/// Returns `f64::INFINITY` when the residual is exactly zero.
-pub fn measured_snr_db(clean: &[Complex64], noisy: &[Complex64]) -> f64 {
-    assert_eq!(clean.len(), noisy.len(), "length mismatch");
-    let sig: f64 = clean.iter().map(|s| s.norm_sqr()).sum();
-    let err: f64 = clean
-        .iter()
-        .zip(noisy)
-        .map(|(c, n)| (*n - *c).norm_sqr())
-        .sum();
-    if err == 0.0 {
-        f64::INFINITY
-    } else {
-        10.0 * (sig / err).log10()
-    }
 }
 
 #[cfg(test)]
@@ -140,7 +98,6 @@ mod tests {
         let n = 200_000;
         let measured: f64 = (0..n).map(|_| src.sample(&mut rng).norm_sqr()).sum::<f64>() / n as f64;
         assert!((measured - 2.0).abs() < 0.05, "measured power {measured}");
-        assert!((src.power() - 2.0).abs() < 1e-12);
     }
 
     #[test]
@@ -171,12 +128,6 @@ mod tests {
     }
 
     #[test]
-    fn awgn_from_dbm() {
-        let src = AwgnSource::from_dbm(0.0);
-        assert!((src.power() - 1e-3).abs() < 1e-15);
-    }
-
-    #[test]
     fn phase_noise_unit_magnitude_random_walk() {
         let mut rng = StdRng::seed_from_u64(5);
         let mut pn = PhaseNoise::new(0.01);
@@ -199,17 +150,5 @@ mod tests {
         for _ in 0..10 {
             assert_eq!(pn.sample(&mut rng), Complex64::ONE);
         }
-    }
-
-    #[test]
-    fn snr_measurement() {
-        let clean = vec![Complex64::ONE; 1000];
-        let mut rng = StdRng::seed_from_u64(7);
-        let mut src = AwgnSource::new(0.01); // SNR should be ~20 dB
-        let mut noisy = clean.clone();
-        src.corrupt(&mut rng, &mut noisy);
-        let snr = measured_snr_db(&clean, &noisy);
-        assert!((snr - 20.0).abs() < 1.0, "snr {snr}");
-        assert_eq!(measured_snr_db(&clean, &clean), f64::INFINITY);
     }
 }

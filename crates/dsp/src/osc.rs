@@ -1,20 +1,17 @@
-//! Numerically controlled oscillators and multi-tone synthesis.
+//! Numerically controlled oscillator.
 //!
-//! The CIB beamformer transmits a distinct carrier from every antenna; in
-//! the complex-baseband simulation each carrier is a phase-continuous
-//! complex tone at its frequency *offset* from the band centre. The
-//! [`Oscillator`] here mirrors a software NCO: exact phase accumulation with
-//! wrap-around, retunable mid-stream without phase jumps.
+//! In the complex-baseband simulation each CIB carrier is a
+//! phase-continuous complex tone at its frequency *offset* from the band
+//! centre. The [`Oscillator`] here mirrors a software NCO: exact phase
+//! accumulation with wrap-around, one `sin_cos` per sample. It is the
+//! textbook formulation the trig-free `rotor` lanes are checked against.
 
-use crate::buffer::IqBuffer;
 use crate::complex::Complex64;
 use std::f64::consts::TAU;
 
 /// A phase-continuous numerically controlled oscillator.
 #[derive(Debug, Clone)]
 pub struct Oscillator {
-    freq_hz: f64,
-    sample_rate: f64,
     phase: f64,
     phase_inc: f64,
 }
@@ -28,36 +25,9 @@ impl Oscillator {
     pub fn new(freq_hz: f64, sample_rate: f64) -> Self {
         assert!(sample_rate > 0.0, "sample rate must be positive");
         Oscillator {
-            freq_hz,
-            sample_rate,
             phase: 0.0,
             phase_inc: TAU * freq_hz / sample_rate,
         }
-    }
-
-    /// Creates an oscillator with a given initial phase in radians.
-    pub fn with_phase(freq_hz: f64, sample_rate: f64, phase: f64) -> Self {
-        let mut osc = Self::new(freq_hz, sample_rate);
-        osc.phase = phase.rem_euclid(TAU);
-        osc
-    }
-
-    /// Current tuned frequency, Hz.
-    #[inline]
-    pub fn frequency(&self) -> f64 {
-        self.freq_hz
-    }
-
-    /// Current accumulated phase, radians in `[0, 2π)`.
-    #[inline]
-    pub fn phase(&self) -> f64 {
-        self.phase
-    }
-
-    /// Retunes the oscillator without a phase discontinuity.
-    pub fn retune(&mut self, freq_hz: f64) {
-        self.freq_hz = freq_hz;
-        self.phase_inc = TAU * freq_hz / self.sample_rate;
     }
 
     /// Produces the next sample `e^{jφ}` and advances the phase.
@@ -66,114 +36,6 @@ impl Oscillator {
         let s = Complex64::cis(self.phase);
         self.phase = (self.phase + self.phase_inc).rem_euclid(TAU);
         s
-    }
-
-    /// Fills `out` with consecutive samples.
-    pub fn fill(&mut self, out: &mut [Complex64]) {
-        for o in out {
-            *o = self.next_sample();
-        }
-    }
-
-    /// Generates `len` samples into a fresh [`IqBuffer`].
-    pub fn generate(&mut self, len: usize) -> IqBuffer {
-        let mut buf = IqBuffer::zeros(len, self.sample_rate);
-        self.fill(buf.samples_mut());
-        buf
-    }
-
-    /// Mixes (multiplies) an existing buffer with this oscillator in place,
-    /// i.e. shifts its spectrum by the oscillator frequency.
-    pub fn mix(&mut self, buf: &mut IqBuffer) {
-        assert!(
-            (buf.sample_rate() - self.sample_rate).abs() < 1e-9,
-            "sample rate mismatch between oscillator and buffer"
-        );
-        for s in buf.samples_mut() {
-            *s *= self.next_sample();
-        }
-    }
-}
-
-/// A bank of tones summed into one waveform: the analytic heart of CIB.
-///
-/// Each tone `i` contributes `a_i · e^{j(2π f_i t + β_i)}`. The paper's
-/// Eq. 5 is exactly `MultiTone::sample` with unit amplitudes.
-#[derive(Debug, Clone)]
-pub struct MultiTone {
-    tones: Vec<Tone>,
-}
-
-/// One component of a [`MultiTone`].
-#[derive(Debug, Clone, Copy)]
-pub struct Tone {
-    /// Frequency in Hz (offset from band centre in baseband simulations).
-    pub freq_hz: f64,
-    /// Initial phase β in radians.
-    pub phase: f64,
-    /// Amplitude (linear).
-    pub amplitude: f64,
-}
-
-impl MultiTone {
-    /// Creates a bank from explicit tones.
-    pub fn new(tones: Vec<Tone>) -> Self {
-        MultiTone { tones }
-    }
-
-    /// Creates a unit-amplitude bank from `(freq, phase)` pairs.
-    pub fn from_freqs_phases(freqs: &[f64], phases: &[f64]) -> Self {
-        assert_eq!(freqs.len(), phases.len(), "freqs/phases length mismatch");
-        MultiTone {
-            tones: freqs
-                .iter()
-                .zip(phases)
-                .map(|(&f, &p)| Tone {
-                    freq_hz: f,
-                    phase: p,
-                    amplitude: 1.0,
-                })
-                .collect(),
-        }
-    }
-
-    /// Number of tones.
-    pub fn len(&self) -> usize {
-        self.tones.len()
-    }
-
-    /// Whether the bank is empty.
-    pub fn is_empty(&self) -> bool {
-        self.tones.is_empty()
-    }
-
-    /// Tone parameters.
-    pub fn tones(&self) -> &[Tone] {
-        &self.tones
-    }
-
-    /// Evaluates the summed waveform at time `t` (seconds).
-    pub fn sample(&self, t: f64) -> Complex64 {
-        self.tones
-            .iter()
-            .map(|tone| Complex64::from_polar(tone.amplitude, TAU * tone.freq_hz * t + tone.phase))
-            .sum()
-    }
-
-    /// Envelope |Σ tones| at time `t`.
-    pub fn envelope(&self, t: f64) -> f64 {
-        self.sample(t).norm()
-    }
-
-    /// Generates `len` samples at `sample_rate` starting from `t0` seconds.
-    pub fn generate(&self, len: usize, sample_rate: f64, t0: f64) -> IqBuffer {
-        IqBuffer::from_fn(len, sample_rate, |t| self.sample(t0 + t))
-    }
-
-    /// Sum of tone amplitudes — the maximum envelope achievable when all
-    /// tones align (the paper's peak value `N` for unit amplitudes).
-    pub fn amplitude_sum(&self) -> f64 {
-        self.tones.iter().map(|t| t.amplitude).sum()
     }
 }
 
@@ -184,13 +46,11 @@ mod tests {
     #[test]
     fn oscillator_unit_magnitude_and_rate() {
         let mut osc = Oscillator::new(100.0, 1000.0);
-        let buf = osc.generate(1000);
-        for s in buf.samples() {
-            assert!((s.norm() - 1.0).abs() < 1e-12);
+        for _ in 0..1000 {
+            assert!((osc.next_sample().norm() - 1.0).abs() < 1e-12);
         }
-        // After exactly one second the phase must wrap to ~0 for an integer
-        // frequency.
-        assert!(osc.phase() < 1e-9 || (TAU - osc.phase()) < 1e-9);
+        // After exactly one second an integer frequency is back at phase 0.
+        assert!((osc.next_sample() - Complex64::ONE).norm() < 1e-9);
     }
 
     #[test]
@@ -208,70 +68,5 @@ mod tests {
         let a = osc.next_sample();
         let b = osc.next_sample();
         assert!(((b * a.conj()).arg() + TAU * 50.0 / 1000.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn retune_is_phase_continuous() {
-        let mut osc = Oscillator::new(100.0, 1000.0);
-        for _ in 0..13 {
-            osc.next_sample();
-        }
-        let before = osc.phase();
-        osc.retune(333.0);
-        assert_eq!(osc.phase(), before);
-    }
-
-    #[test]
-    fn with_phase_starts_there() {
-        let mut osc = Oscillator::with_phase(0.0, 1.0, 1.25);
-        assert!((osc.next_sample().arg() - 1.25).abs() < 1e-12);
-    }
-
-    #[test]
-    fn mix_shifts_spectrum() {
-        // DC buffer mixed with f=100 Hz becomes a 100 Hz tone.
-        let mut buf = IqBuffer::new(vec![Complex64::ONE; 16], 1000.0);
-        let mut osc = Oscillator::new(100.0, 1000.0);
-        osc.mix(&mut buf);
-        let a = buf.samples()[0];
-        let b = buf.samples()[1];
-        assert!(((b * a.conj()).arg() - TAU * 0.1).abs() < 1e-12);
-    }
-
-    #[test]
-    fn multitone_peak_at_alignment() {
-        // Tones with zero phases align at t=0: envelope = N.
-        let mt = MultiTone::from_freqs_phases(&[0.0, 7.0, 20.0], &[0.0; 3]);
-        assert!((mt.envelope(0.0) - 3.0).abs() < 1e-12);
-        assert_eq!(mt.amplitude_sum(), 3.0);
-        assert_eq!(mt.len(), 3);
-    }
-
-    #[test]
-    fn multitone_envelope_bounded() {
-        let mt = MultiTone::from_freqs_phases(&[0.0, 3.0, 11.0, 17.0], &[0.4, 2.2, 5.0, 1.0]);
-        for k in 0..2000 {
-            let t = k as f64 / 2000.0;
-            assert!(mt.envelope(t) <= 4.0 + 1e-9);
-        }
-    }
-
-    #[test]
-    fn multitone_periodicity_for_integer_freqs() {
-        let mt = MultiTone::from_freqs_phases(&[0.0, 7.0, 20.0], &[0.3, 1.0, 2.0]);
-        for k in 0..50 {
-            let t = k as f64 * 0.017;
-            assert!((mt.sample(t) - mt.sample(t + 1.0)).norm() < 1e-9);
-        }
-    }
-
-    #[test]
-    fn multitone_generate_matches_sample() {
-        let mt = MultiTone::from_freqs_phases(&[5.0, 9.0], &[0.1, 0.2]);
-        let buf = mt.generate(10, 100.0, 0.5);
-        for (n, s) in buf.samples().iter().enumerate() {
-            let t = 0.5 + n as f64 / 100.0;
-            assert!((*s - mt.sample(t)).norm() < 1e-12);
-        }
     }
 }

@@ -125,12 +125,6 @@ impl PhasorRotor {
         self.resync
     }
 
-    /// Absolute index of the next sample [`PhasorRotor::fill`] will emit.
-    #[inline]
-    pub fn position(&self) -> u64 {
-        self.pos
-    }
-
     /// The exact phase the trig oracle assigns to sample `k`:
     /// `(φ₀ + kΔ) mod 2π`. This is also the formula the resync path
     /// evaluates, so rotator error returns to zero at window starts.
@@ -308,7 +302,7 @@ mod tests {
                     "window {w} sample {k}"
                 );
             }
-            assert_eq!(b.position(), end as u64);
+            assert_eq!(b.pos, end as u64);
         }
     }
 

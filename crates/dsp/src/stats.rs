@@ -31,26 +31,6 @@ pub fn median(data: &[f64]) -> Option<f64> {
     percentile(data, 50.0)
 }
 
-/// Arithmetic mean. `None` when empty.
-pub fn mean(data: &[f64]) -> Option<f64> {
-    if data.is_empty() {
-        None
-    } else {
-        Some(data.iter().sum::<f64>() / data.len() as f64)
-    }
-}
-
-/// Sample standard deviation (n−1 denominator). `None` for fewer than two
-/// points.
-pub fn std_dev(data: &[f64]) -> Option<f64> {
-    if data.len() < 2 {
-        return None;
-    }
-    let m = mean(data).expect("non-empty");
-    let var = data.iter().map(|x| (x - m).powi(2)).sum::<f64>() / (data.len() - 1) as f64;
-    Some(var.sqrt())
-}
-
 /// The paper's standard summary: median with 10th and 90th percentiles.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Summary {
@@ -144,16 +124,6 @@ impl Ecdf {
         Some(self.sorted[idx])
     }
 
-    /// Iterates `(x, F(x))` points suitable for plotting or printing the
-    /// paper's CDF figures.
-    pub fn points(&self) -> impl Iterator<Item = (f64, f64)> + '_ {
-        let n = self.sorted.len() as f64;
-        self.sorted
-            .iter()
-            .enumerate()
-            .map(move |(i, &x)| (x, (i + 1) as f64 / n))
-    }
-
     /// Underlying sorted samples.
     pub fn samples(&self) -> &[f64] {
         &self.sorted
@@ -171,70 +141,6 @@ impl FromJson for Ecdf {
         let samples: Vec<f64> = field(value, "samples")?;
         // `new` re-sorts, so a hand-edited file still yields a valid ECDF.
         Ok(Ecdf::new(samples))
-    }
-}
-
-/// A fixed-bin histogram over `[lo, hi)`.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Histogram {
-    lo: f64,
-    hi: f64,
-    counts: Vec<u64>,
-    total: u64,
-    underflow: u64,
-    overflow: u64,
-}
-
-impl Histogram {
-    /// Creates a histogram with `bins` equal-width bins over `[lo, hi)`.
-    ///
-    /// # Panics
-    /// Panics if `bins == 0` or `lo >= hi`.
-    pub fn new(lo: f64, hi: f64, bins: usize) -> Self {
-        assert!(bins > 0 && lo < hi, "invalid histogram bounds");
-        Histogram {
-            lo,
-            hi,
-            counts: vec![0; bins],
-            total: 0,
-            underflow: 0,
-            overflow: 0,
-        }
-    }
-
-    /// Adds one observation.
-    pub fn add(&mut self, x: f64) {
-        self.total += 1;
-        if x < self.lo {
-            self.underflow += 1;
-        } else if x >= self.hi {
-            self.overflow += 1;
-        } else {
-            let bin = ((x - self.lo) / (self.hi - self.lo) * self.counts.len() as f64) as usize;
-            let last = self.counts.len() - 1;
-            self.counts[bin.min(last)] += 1;
-        }
-    }
-
-    /// Per-bin counts.
-    pub fn counts(&self) -> &[u64] {
-        &self.counts
-    }
-
-    /// Total observations including out-of-range.
-    pub fn total(&self) -> u64 {
-        self.total
-    }
-
-    /// Observations below range / at-or-above range.
-    pub fn out_of_range(&self) -> (u64, u64) {
-        (self.underflow, self.overflow)
-    }
-
-    /// Centre value of bin `i`.
-    pub fn bin_center(&self, i: usize) -> f64 {
-        let w = (self.hi - self.lo) / self.counts.len() as f64;
-        self.lo + (i as f64 + 0.5) * w
     }
 }
 
@@ -256,15 +162,6 @@ mod tests {
     fn percentile_unsorted_input() {
         let data = [4.0, 1.0, 3.0, 2.0];
         assert_eq!(median(&data), Some(2.5));
-    }
-
-    #[test]
-    fn mean_and_std() {
-        let data = [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0];
-        assert_eq!(mean(&data), Some(5.0));
-        let sd = std_dev(&data).unwrap();
-        assert!((sd - 2.138).abs() < 1e-3);
-        assert_eq!(std_dev(&[1.0]), None);
     }
 
     #[test]
@@ -296,34 +193,6 @@ mod tests {
         assert!(empty.is_empty());
         assert_eq!(empty.eval(1.0), 0.0);
         assert_eq!(empty.quantile(0.5), None);
-    }
-
-    #[test]
-    fn ecdf_points_monotone() {
-        let e = Ecdf::new(vec![5.0, 1.0, 3.0]);
-        let pts: Vec<(f64, f64)> = e.points().collect();
-        assert_eq!(pts.len(), 3);
-        assert!(pts.windows(2).all(|w| w[0].0 <= w[1].0 && w[0].1 < w[1].1));
-        assert_eq!(pts.last().unwrap().1, 1.0);
-    }
-
-    #[test]
-    fn histogram_binning() {
-        let mut h = Histogram::new(0.0, 10.0, 5);
-        for x in [0.5, 1.5, 2.5, 2.9, 9.9, -1.0, 10.0] {
-            h.add(x);
-        }
-        assert_eq!(h.counts(), &[2, 2, 0, 0, 1]);
-        assert_eq!(h.total(), 7);
-        assert_eq!(h.out_of_range(), (1, 1));
-        assert_eq!(h.bin_center(0), 1.0);
-        assert_eq!(h.bin_center(4), 9.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "invalid histogram bounds")]
-    fn histogram_rejects_bad_bounds() {
-        Histogram::new(5.0, 5.0, 3);
     }
 
     #[test]

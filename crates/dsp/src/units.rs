@@ -1,4 +1,4 @@
-//! Unit conversions and strongly-typed physical quantities.
+//! Unit conversions and physical constants.
 //!
 //! RF work constantly mixes logarithmic (dB, dBm, dBi) and linear (watts,
 //! volts, ratios) scales; the paper's evaluation is stated almost entirely
@@ -13,12 +13,14 @@ pub const SPEED_OF_LIGHT: f64 = 299_792_458.0;
 pub const FREE_SPACE_IMPEDANCE: f64 = 376.730_313_668;
 
 /// Vacuum permittivity ε₀ in F/m.
-pub const VACUUM_PERMITTIVITY: f64 = 8.854_187_8128e-12;
+pub const VACUUM_PERMITTIVITY: f64 = 8.854_187_812_8e-12;
 
 /// Vacuum permeability μ₀ in H/m.
 pub const VACUUM_PERMEABILITY: f64 = 1.256_637_062_12e-6;
 
 /// Converts a power ratio to decibels. `linear_to_db(100.0) == 20.0`.
+/// The inverse [`db_to_linear`] is checked against by
+/// `tests/proptests.rs::db_conversions_invert`.
 #[inline]
 pub fn linear_to_db(ratio: f64) -> f64 {
     10.0 * ratio.log10()
@@ -28,12 +30,6 @@ pub fn linear_to_db(ratio: f64) -> f64 {
 #[inline]
 pub fn db_to_linear(db: f64) -> f64 {
     10f64.powf(db / 10.0)
-}
-
-/// Converts an amplitude (voltage/field) ratio to decibels (20·log₁₀).
-#[inline]
-pub fn amplitude_to_db(ratio: f64) -> f64 {
-    20.0 * ratio.log10()
 }
 
 /// Converts decibels to an amplitude ratio (inverse of 20·log₁₀).
@@ -60,140 +56,6 @@ pub fn wavelength(freq_hz: f64) -> f64 {
     SPEED_OF_LIGHT / freq_hz
 }
 
-/// A frequency in hertz.
-///
-/// Newtype so that carrier frequencies, offsets and sample rates cannot be
-/// silently confused with other `f64` quantities in call signatures.
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd)]
-pub struct Hertz(pub f64);
-
-impl Hertz {
-    /// Constructs from kilohertz.
-    #[inline]
-    pub fn from_khz(khz: f64) -> Self {
-        Hertz(khz * 1e3)
-    }
-
-    /// Constructs from megahertz.
-    #[inline]
-    pub fn from_mhz(mhz: f64) -> Self {
-        Hertz(mhz * 1e6)
-    }
-
-    /// Constructs from gigahertz.
-    #[inline]
-    pub fn from_ghz(ghz: f64) -> Self {
-        Hertz(ghz * 1e9)
-    }
-
-    /// Value in hertz.
-    #[inline]
-    pub fn hz(self) -> f64 {
-        self.0
-    }
-
-    /// Value in megahertz.
-    #[inline]
-    pub fn mhz(self) -> f64 {
-        self.0 / 1e6
-    }
-
-    /// Free-space wavelength at this frequency, in metres.
-    #[inline]
-    pub fn wavelength(self) -> f64 {
-        wavelength(self.0)
-    }
-
-    /// Angular frequency ω = 2πf in rad/s.
-    #[inline]
-    pub fn angular(self) -> f64 {
-        2.0 * std::f64::consts::PI * self.0
-    }
-}
-
-impl std::ops::Add<f64> for Hertz {
-    type Output = Hertz;
-    fn add(self, rhs: f64) -> Hertz {
-        Hertz(self.0 + rhs)
-    }
-}
-
-impl std::ops::Sub for Hertz {
-    type Output = f64;
-    fn sub(self, rhs: Hertz) -> f64 {
-        self.0 - rhs.0
-    }
-}
-
-impl std::fmt::Display for Hertz {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let v = self.0;
-        if v.abs() >= 1e9 {
-            write!(f, "{:.6} GHz", v / 1e9)
-        } else if v.abs() >= 1e6 {
-            write!(f, "{:.6} MHz", v / 1e6)
-        } else if v.abs() >= 1e3 {
-            write!(f, "{:.3} kHz", v / 1e3)
-        } else {
-            write!(f, "{v} Hz")
-        }
-    }
-}
-
-/// A power level expressed in dBm.
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd)]
-pub struct Dbm(pub f64);
-
-impl Dbm {
-    /// Converts to watts.
-    #[inline]
-    pub fn watts(self) -> f64 {
-        dbm_to_watts(self.0)
-    }
-
-    /// Constructs from watts.
-    #[inline]
-    pub fn from_watts(w: f64) -> Self {
-        Dbm(watts_to_dbm(w))
-    }
-
-    /// Adds a gain in dB.
-    #[inline]
-    pub fn gain(self, db: f64) -> Self {
-        Dbm(self.0 + db)
-    }
-}
-
-impl std::fmt::Display for Dbm {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "{:.2} dBm", self.0)
-    }
-}
-
-/// Attenuation in dB per centimetre, used for tissue loss figures.
-///
-/// The paper quotes tissue losses in dB/cm (2.3–6.9 dB/cm at ~1 GHz); the
-/// field attenuation constant α in 1/m follows as
-/// `α = loss_db_per_cm · 100 / (20·log₁₀e)`.
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd)]
-pub struct DbPerCm(pub f64);
-
-impl DbPerCm {
-    /// The equivalent exponential field attenuation constant α in 1/m so
-    /// that amplitude decays as `e^{-α d}`.
-    #[inline]
-    pub fn alpha_per_meter(self) -> f64 {
-        // amplitude dB over 1 cm: 20 log10(e^{α·0.01}) = self.0
-        self.0 * 100.0 / (20.0 * std::f64::consts::LOG10_E)
-    }
-
-    /// Constructs from a field attenuation constant α (1/m).
-    #[inline]
-    pub fn from_alpha(alpha_per_m: f64) -> Self {
-        DbPerCm(alpha_per_m * 20.0 * std::f64::consts::LOG10_E / 100.0)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -208,8 +70,8 @@ mod tests {
     }
 
     #[test]
-    fn amplitude_db_roundtrip() {
-        assert!((amplitude_to_db(10.0) - 20.0).abs() < 1e-12);
+    fn db_to_amplitude_values() {
+        assert!((db_to_amplitude(20.0) - 10.0).abs() < 1e-12);
         assert!((db_to_amplitude(6.0) - 1.9953).abs() < 1e-3);
     }
 
@@ -225,59 +87,7 @@ mod tests {
 
     #[test]
     fn wavelength_at_915mhz() {
-        let lambda = Hertz::from_mhz(915.0).wavelength();
+        let lambda = wavelength(915e6);
         assert!((lambda - 0.3276).abs() < 1e-3);
-    }
-
-    #[test]
-    fn hertz_constructors_and_display() {
-        assert_eq!(Hertz::from_khz(1.0).hz(), 1e3);
-        assert_eq!(Hertz::from_mhz(915.0).hz(), 915e6);
-        assert_eq!(Hertz::from_ghz(1.0).hz(), 1e9);
-        assert_eq!(Hertz::from_mhz(915.0).to_string(), "915.000000 MHz");
-        assert_eq!(Hertz(42.0).to_string(), "42 Hz");
-    }
-
-    #[test]
-    fn hertz_arithmetic() {
-        let f = Hertz::from_mhz(915.0) + 137.0;
-        assert_eq!(f.hz(), 915e6 + 137.0);
-        assert_eq!(f - Hertz::from_mhz(915.0), 137.0);
-    }
-
-    #[test]
-    fn angular_frequency() {
-        let w = Hertz(1.0).angular();
-        assert!((w - 2.0 * std::f64::consts::PI).abs() < 1e-12);
-    }
-
-    #[test]
-    fn dbm_type() {
-        let p = Dbm(30.0);
-        assert!((p.watts() - 1.0).abs() < 1e-12);
-        assert_eq!(p.gain(7.0).0, 37.0);
-        assert!((Dbm::from_watts(0.001).0).abs() < 1e-12);
-        assert_eq!(p.to_string(), "30.00 dBm");
-    }
-
-    #[test]
-    fn db_per_cm_conversion() {
-        // 8.6859 dB/cm should be α = 100 (since 20·log10(e) ≈ 8.6859 dB per neper)
-        let a = DbPerCm(8.685_889_638_065_036).alpha_per_meter();
-        assert!((a - 100.0).abs() < 1e-9);
-        // Roundtrip
-        let d = DbPerCm::from_alpha(37.0);
-        assert!((d.alpha_per_meter() - 37.0).abs() < 1e-9);
-        // paper: 2.3 dB/cm ≈ α 26.5 /m; 6.9 dB/cm ≈ α 79.4 /m (matches 13..80 range)
-        assert!((DbPerCm(2.3).alpha_per_meter() - 26.48).abs() < 0.1);
-        assert!((DbPerCm(6.9).alpha_per_meter() - 79.44).abs() < 0.1);
-    }
-
-    #[test]
-    fn amplitude_decay_matches_db_per_cm() {
-        let loss = DbPerCm(5.0);
-        let alpha = loss.alpha_per_meter();
-        let amp_after_1cm = (-alpha * 0.01f64).exp();
-        assert!((amplitude_to_db(1.0 / amp_after_1cm) - 5.0).abs() < 1e-9);
     }
 }

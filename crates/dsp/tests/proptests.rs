@@ -3,7 +3,6 @@
 use ivn_dsp::complex::Complex64;
 use ivn_dsp::correlate::coherent_average;
 use ivn_dsp::fft::ifft_unnormalized;
-use ivn_dsp::osc::MultiTone;
 use ivn_dsp::stats::{percentile, Ecdf};
 use ivn_dsp::units::{db_to_linear, dbm_to_watts, linear_to_db, watts_to_dbm};
 use ivn_runtime::prop::{vec as pvec, Strategy};
@@ -70,16 +69,6 @@ props! {
         for i in 0..16 {
             prop_assert!(((ta[i] + tb[i]) - tsum[i]).norm() < 1e-6);
         }
-    }
-
-    fn multitone_envelope_never_exceeds_amplitude_sum(
-        freqs in pvec(0i64..200, 1..8),
-        phases in pvec(finite_f64(0.0..6.28), 8),
-        t in finite_f64(0.0..1.0),
-    ) {
-        let f: Vec<f64> = freqs.iter().map(|&x| x as f64).collect();
-        let mt = MultiTone::from_freqs_phases(&f, &phases[..f.len()]);
-        prop_assert!(mt.envelope(t) <= mt.amplitude_sum() + 1e-9);
     }
 
     fn coherent_average_of_identical_reps_is_identity(

@@ -13,6 +13,7 @@ use ivn_dsp::osc::Oscillator;
 use ivn_dsp::rotor::{PhasorRotor, LANES};
 use ivn_runtime::prop::any;
 use ivn_runtime::{prop_assert, props};
+use std::f64::consts::TAU;
 
 /// Runs `rotor` for `n` samples in bounded chunks, returning the max
 /// distance from the closed-form oracle and the max |amplitude − 1|.
@@ -50,7 +51,7 @@ fn ten_million_samples_stay_within_1e9_of_oracle() {
 props! {
     cases = 24;
 
-    fn randomized_freq_and_resync_bounded(freq in -4.9e5f64..4.9e5, phase0 in 0.0f64..6.28,
+    fn randomized_freq_and_resync_bounded(freq in -4.9e5f64..4.9e5, phase0 in 0.0f64..TAU,
                                           resync in 1usize..5000, seed in any::<u64>()) {
         // Resync interval anywhere from one lane row to ~5k samples;
         // sample count offset by the seed so window/buffer alignment
@@ -63,7 +64,7 @@ props! {
     }
 
     fn continuous_across_resync_boundaries(freq in -1e4f64..1e4, resync in 1usize..96,
-                                           phase0 in 0.0f64..6.28) {
+                                           phase0 in 0.0f64..TAU) {
         // Small resync windows so the stream crosses many boundaries;
         // every adjacent pair of samples must advance by Δ — a resync
         // that re-seeded the lanes inconsistently would show up as a

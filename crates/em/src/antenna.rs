@@ -1,11 +1,11 @@
-//! Antenna models: gain, effective aperture, orientation and polarization
-//! mismatch.
+//! Antenna models: gain, orientation and polarization mismatch.
 //!
 //! The paper's Eq. 3 ties harvested power to the sensor antenna's effective
-//! area: `P_L = E²/η · A_eff`. The miniature Xerafy tag's mm-scale antenna
-//! has an aperture orders of magnitude below the standard Avery tag's —
-//! this single parameter is why the mini tag dies in the pig's stomach
-//! while the standard tag survives (§6.2).
+//! area, `P_L = E²/η · A_eff` with `A_eff = G λ²/(4π)`. At one wavelength
+//! the aperture scales with the gain, so the miniature Xerafy tag's
+//! mm-scale antenna (−8 dBi against the standard Avery tag's 2 dBi) is why
+//! the mini tag dies in the pig's stomach while the standard tag survives
+//! (§6.2).
 
 use ivn_dsp::units::db_to_linear;
 
@@ -13,29 +13,19 @@ use ivn_dsp::units::db_to_linear;
 #[derive(Debug, Clone, PartialEq)]
 pub struct Antenna {
     /// Descriptive name.
-    pub name: String,
+    name: String,
     /// Boresight gain, dBi.
-    pub gain_dbi: f64,
+    pub(crate) gain_dbi: f64,
     /// Worst-case orientation loss in dB: a dipole side-on to the incident
     /// field keeps at least this much below boresight. Keeps the cos²
     /// pattern from producing unphysical perfect nulls.
-    pub orientation_floor_db: f64,
+    pub(crate) orientation_floor_db: f64,
     /// Extra fixed polarization mismatch loss in dB (e.g. 3 dB for a
     /// linear tag read by a circularly polarized reader antenna).
-    pub polarization_loss_db: f64,
+    pub(crate) polarization_loss_db: f64,
 }
 
 impl Antenna {
-    /// The beamformer's MT-242025-style 7 dBi circularly polarized panel.
-    pub fn reader_panel() -> Self {
-        Antenna {
-            name: "7 dBi RHCP panel".into(),
-            gain_dbi: 7.0,
-            orientation_floor_db: 10.0,
-            polarization_loss_db: 0.0,
-        }
-    }
-
     /// A standard UHF RFID tag dipole (Avery AD-238u8 class, 1.4 × 7 cm).
     pub fn standard_tag() -> Self {
         Antenna {
@@ -63,16 +53,6 @@ impl Antenna {
         db_to_linear(self.gain_dbi)
     }
 
-    /// Effective aperture at boresight, `A_eff = G λ²/(4π)`, m².
-    ///
-    /// `wavelength_m` should be the wavelength in the medium surrounding
-    /// the antenna (the paper notes the tag is tube-matched to its
-    /// immediate medium, §5c).
-    pub fn effective_aperture(&self, wavelength_m: f64) -> f64 {
-        assert!(wavelength_m > 0.0, "wavelength must be positive");
-        self.gain_linear() * wavelength_m * wavelength_m / (4.0 * std::f64::consts::PI)
-    }
-
     /// Orientation gain factor (linear, ≤ 1) for a misalignment angle
     /// `theta` radians off boresight: a floored cos² pattern.
     pub fn orientation_factor(&self, theta: f64) -> f64 {
@@ -92,40 +72,9 @@ impl Antenna {
     }
 }
 
-/// Received power (W) at an antenna immersed in a field of RMS amplitude
-/// `e_field` (V/m) in a medium of wave impedance `eta` (Ω): the paper's
-/// Eq. 3, `P_L = E²/η · A_eff`.
-pub fn received_power(e_field: f64, eta: f64, aperture_m2: f64) -> f64 {
-    assert!(eta > 0.0, "impedance must be positive");
-    e_field * e_field / eta * aperture_m2
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn aperture_scales_with_gain_and_wavelength() {
-        let std_tag = Antenna::standard_tag();
-        let mini = Antenna::miniature_tag();
-        let lambda = 0.3276;
-        let a_std = std_tag.effective_aperture(lambda);
-        let a_mini = mini.effective_aperture(lambda);
-        // 10 dB gain difference → 10× aperture difference.
-        assert!((a_std / a_mini - 10.0).abs() < 0.01);
-        // Isotropic aperture sanity: λ²/4π ≈ 85 cm² at 915 MHz; 2 dBi ≈ 1.58×.
-        assert!((a_std - 1.585 * 0.00854).abs() < 2e-4, "A_eff {a_std}");
-    }
-
-    #[test]
-    fn aperture_shrinks_in_dense_media() {
-        // In high-permittivity tissue the wavelength shrinks ~√εr, cutting
-        // aperture by εr — part of why implanted antennas harvest little.
-        let tag = Antenna::standard_tag();
-        let air = tag.effective_aperture(0.3276);
-        let tissue = tag.effective_aperture(0.3276 / 55f64.sqrt());
-        assert!((air / tissue - 55.0).abs() < 0.5);
-    }
 
     #[test]
     fn orientation_pattern() {
@@ -142,8 +91,6 @@ mod tests {
     fn polarization_loss() {
         let tag = Antenna::standard_tag();
         assert!((tag.polarization_factor() - 0.5012).abs() < 1e-3);
-        let panel = Antenna::reader_panel();
-        assert!((panel.polarization_factor() - 1.0).abs() < 1e-12);
     }
 
     #[test]
@@ -151,32 +98,5 @@ mod tests {
         let tag = Antenna::standard_tag();
         let g = tag.total_gain(0.0);
         assert!((g - db_to_linear(2.0 - 3.0)).abs() < 1e-9);
-    }
-
-    #[test]
-    fn received_power_eq3() {
-        // E = 1 V/m in free space (η ≈ 377), aperture 0.01 m²:
-        // P = 1/377 × 0.01 ≈ 26.5 µW.
-        let p = received_power(1.0, 376.73, 0.01);
-        assert!((p - 2.654e-5).abs() < 1e-8);
-        // Quadratic in field.
-        assert!((received_power(2.0, 376.73, 0.01) / p - 4.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn mini_tag_harvests_far_less() {
-        // Same field, same medium: power ratio equals aperture ratio (10 dB).
-        let lambda = 0.05;
-        let p_std = received_power(
-            1.0,
-            50.0,
-            Antenna::standard_tag().effective_aperture(lambda),
-        );
-        let p_mini = received_power(
-            1.0,
-            50.0,
-            Antenna::miniature_tag().effective_aperture(lambda),
-        );
-        assert!(p_std / p_mini > 9.9);
     }
 }

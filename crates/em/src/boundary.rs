@@ -7,7 +7,6 @@
 //!
 //! ```text
 //! Γ = (η₂ − η₁)/(η₂ + η₁)        field reflection
-//! τ = 2η₂/(η₂ + η₁)              field transmission
 //! T = 1 − |Γ|²                   power transmittance
 //! ```
 
@@ -19,13 +18,6 @@ pub fn reflection(from: &Medium, into: &Medium, freq_hz: f64) -> Complex64 {
     let e1 = from.impedance(freq_hz);
     let e2 = into.impedance(freq_hz);
     (e2 - e1) / (e2 + e1)
-}
-
-/// Field transmission coefficient τ going from `from` into `into`.
-pub fn transmission(from: &Medium, into: &Medium, freq_hz: f64) -> Complex64 {
-    let e1 = from.impedance(freq_hz);
-    let e2 = into.impedance(freq_hz);
-    2.0 * e2 / (e2 + e1)
 }
 
 /// Power transmittance `T = 1 − |Γ|²` across the boundary.
@@ -44,7 +36,7 @@ pub fn boundary_loss_db(from: &Medium, into: &Medium, freq_hz: f64) -> f64 {
 /// Using √T rather than |τ| accounts for the impedance change between the
 /// media (power flux is E²/η); this is the `T` of the paper's Eq. 2 once
 /// fields are referred to a common impedance.
-pub fn amplitude_transmittance(from: &Medium, into: &Medium, freq_hz: f64) -> f64 {
+pub(crate) fn amplitude_transmittance(from: &Medium, into: &Medium, freq_hz: f64) -> f64 {
     power_transmittance(from, into, freq_hz).max(0.0).sqrt()
 }
 

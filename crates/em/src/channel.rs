@@ -1,10 +1,11 @@
-//! Channel model abstraction and compositions.
+//! Channel model abstraction and the blind per-antenna ensemble.
 //!
 //! A [`ChannelModel`] maps an absolute RF frequency to a complex amplitude
 //! response — everything between one transmit antenna's port and the
 //! sensor's antenna port. Experiments hold one model per transmit antenna.
 //!
-//! The crucial property for IVN is captured by [`BlindChannel`]: whatever
+//! The crucial property for IVN is captured by
+//! [`ChannelEnsemble::blind`]: whatever
 //! physics produced the channel, each antenna's carrier arrives with an
 //! *unknown, uniformly distributed phase* (PLL start-up phase θᵢ plus
 //! propagation phase φᵢ — paper Eq. 5). All beamforming comparisons in the
@@ -43,7 +44,7 @@ impl ChannelModel for MultipathChannel {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FlatChannel {
     /// The fixed response.
-    pub gain: Complex64,
+    pub(crate) gain: Complex64,
 }
 
 impl FlatChannel {
@@ -53,11 +54,6 @@ impl FlatChannel {
         FlatChannel {
             gain: Complex64::from_polar(amp, rng.random::<f64>() * TAU),
         }
-    }
-
-    /// Creates a flat channel with an explicit gain.
-    pub fn new(gain: Complex64) -> Self {
-        FlatChannel { gain }
     }
 }
 
@@ -72,7 +68,7 @@ impl ChannelModel for FlatChannel {
 /// *plus* an optional narrowband dispersion term so that very different
 /// frequencies decorrelate.
 #[derive(Debug, Clone, PartialEq)]
-pub struct BlindChannel {
+pub(crate) struct BlindChannel {
     amplitude: f64,
     beta: f64,
     /// Extra group delay (s) applied to frequency offsets from the
@@ -84,7 +80,7 @@ pub struct BlindChannel {
 impl BlindChannel {
     /// Draws a blind channel with the given deterministic amplitude,
     /// random phase, and electrical delay relative to `reference_hz`.
-    pub fn draw<R: Rng + ?Sized>(
+    pub(crate) fn draw<R: Rng + ?Sized>(
         rng: &mut R,
         amplitude: f64,
         group_delay_s: f64,
@@ -97,43 +93,12 @@ impl BlindChannel {
             reference_hz,
         }
     }
-
-    /// The realized (hidden) phase — test-only knowledge a real system
-    /// never has.
-    pub fn hidden_phase(&self) -> f64 {
-        self.beta
-    }
-
-    /// The deterministic amplitude.
-    pub fn amplitude(&self) -> f64 {
-        self.amplitude
-    }
 }
 
 impl ChannelModel for BlindChannel {
     fn response(&self, freq_hz: f64) -> Complex64 {
         let df = freq_hz - self.reference_hz;
         Complex64::from_polar(self.amplitude, self.beta - TAU * df * self.group_delay_s)
-    }
-}
-
-/// Product composition: physics path × small-scale fading × anything else.
-pub struct ComposedChannel {
-    stages: Vec<Box<dyn ChannelModel + Send + Sync>>,
-}
-
-impl ComposedChannel {
-    /// Creates a composition; responses multiply in order.
-    pub fn new(stages: Vec<Box<dyn ChannelModel + Send + Sync>>) -> Self {
-        ComposedChannel { stages }
-    }
-}
-
-impl ChannelModel for ComposedChannel {
-    fn response(&self, freq_hz: f64) -> Complex64 {
-        self.stages
-            .iter()
-            .fold(Complex64::ONE, |acc, s| acc * s.response(freq_hz))
     }
 }
 
@@ -144,7 +109,7 @@ pub struct ChannelEnsemble {
 
 impl ChannelEnsemble {
     /// Creates an ensemble from per-antenna channels.
-    pub fn new(channels: Vec<Box<dyn ChannelModel + Send + Sync>>) -> Self {
+    pub(crate) fn new(channels: Vec<Box<dyn ChannelModel + Send + Sync>>) -> Self {
         ChannelEnsemble { channels }
     }
 
@@ -166,22 +131,8 @@ impl ChannelEnsemble {
     }
 
     /// Number of antennas.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.channels.len()
-    }
-
-    /// Whether the ensemble is empty.
-    pub fn is_empty(&self) -> bool {
-        self.channels.is_empty()
-    }
-
-    /// Response of antenna `i` at `freq_hz`.
-    ///
-    /// # Panics
-    /// Panics if `i` is out of range.
-    pub fn response(&self, i: usize, freq_hz: f64) -> Complex64 {
-        ivn_runtime::obs_count!("em.channel_evals", 1);
-        self.channels[i].response(freq_hz)
     }
 
     /// All responses at one frequency.
@@ -196,7 +147,7 @@ impl ChannelEnsemble {
     ///
     /// # Panics
     /// Panics if `out.len() != self.len()`.
-    pub fn responses_into(&self, freq_hz: f64, out: &mut [Complex64]) {
+    pub(crate) fn responses_into(&self, freq_hz: f64, out: &mut [Complex64]) {
         assert_eq!(out.len(), self.len(), "one slot per antenna required");
         let _span = ivn_runtime::span!("em.ensemble_responses_ns");
         ivn_runtime::obs_count!("em.channel_evals", self.channels.len());
@@ -215,7 +166,9 @@ mod tests {
 
     #[test]
     fn flat_channel_is_flat() {
-        let ch = FlatChannel::new(Complex64::from_polar(0.5, 1.0));
+        let ch = FlatChannel {
+            gain: Complex64::from_polar(0.5, 1.0),
+        };
         assert_eq!(ch.response(900e6), ch.response(915e6));
         assert!((ch.power_gain(915e6) - 0.25).abs() < 1e-12);
     }
@@ -238,10 +191,9 @@ mod tests {
         let a = BlindChannel::draw(&mut rng, 0.7, 0.0, 915e6);
         let b = BlindChannel::draw(&mut rng, 0.7, 0.0, 915e6);
         assert!((a.response(915e6).norm() - 0.7).abs() < 1e-12);
-        assert_ne!(a.hidden_phase(), b.hidden_phase());
+        assert_ne!(a.beta, b.beta);
         // Flat over CIB's narrow span when no dispersion is configured.
         assert!((a.response(915e6) - a.response(915e6 + 137.0)).norm() < 1e-12);
-        assert_eq!(a.amplitude(), 0.7);
     }
 
     #[test]
@@ -258,16 +210,6 @@ mod tests {
     }
 
     #[test]
-    fn composed_multiplies() {
-        let a = FlatChannel::new(Complex64::from_real(0.5));
-        let b = FlatChannel::new(Complex64::from_polar(0.4, 1.0));
-        let comp = ComposedChannel::new(vec![Box::new(a), Box::new(b)]);
-        let h = comp.response(915e6);
-        assert!((h.norm() - 0.2).abs() < 1e-12);
-        assert!((h.arg() - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
     fn layered_path_implements_trait() {
         let path = single_medium_path(1.0, Medium::muscle(), 0.02);
         let h = ChannelModel::response(&path, 915e6);
@@ -280,7 +222,6 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(14);
         let ens = ChannelEnsemble::blind(&mut rng, 8, 0.3, 915e6);
         assert_eq!(ens.len(), 8);
-        assert!(!ens.is_empty());
         let rs = ens.responses(915e6);
         assert_eq!(rs.len(), 8);
         for r in &rs {

@@ -25,35 +25,16 @@
 pub struct CouplingModel {
     /// Detuning strength: power penalty `1/(1 + detuning·κ)²` where κ is
     /// the pairwise `(d₀/d)³` coupling sum. 0 disables.
-    pub detuning: f64,
+    pub(crate) detuning: f64,
     /// Reference spacing d₀ (metres) at which a neighbour contributes a
     /// full unit of coupling.
-    pub reference_spacing_m: f64,
+    pub(crate) reference_spacing_m: f64,
     /// Shadowing cost in dB per tag interposed between a tag and the
     /// array. 0 disables.
-    pub shadow_db_per_tag: f64,
+    pub(crate) shadow_db_per_tag: f64,
 }
 
 impl CouplingModel {
-    /// No inter-tag effects: every factor is exactly 1.
-    pub fn none() -> Self {
-        CouplingModel {
-            detuning: 0.0,
-            reference_spacing_m: 0.02,
-            shadow_db_per_tag: 0.0,
-        }
-    }
-
-    /// A dense-implant default: noticeable detuning inside 2 cm and a
-    /// 0.1 dB shadowing step per interposed tag.
-    pub fn dense_implants() -> Self {
-        CouplingModel {
-            detuning: 0.05,
-            reference_spacing_m: 0.02,
-            shadow_db_per_tag: 0.1,
-        }
-    }
-
     /// Builds a model from the scenario-level knobs.
     pub fn new(detuning: f64, reference_spacing_m: f64, shadow_db_per_tag: f64) -> Self {
         CouplingModel {
@@ -72,6 +53,10 @@ impl CouplingModel {
 
     /// Power-gain factor for tag `index` in a line of `n` tags spaced
     /// `spacing_m` apart (index 0 nearest the array). Always in `(0, 1]`.
+    ///
+    /// The O(n) per-tag reference that [`gain_factors`](Self::gain_factors)
+    /// must match, pinned by
+    /// `tests/proptests.rs::coupling_factors_bounded_and_batch_consistent`.
     pub fn gain_factor(&self, index: usize, n: usize, spacing_m: f64) -> f64 {
         if n <= 1 {
             return 1.0;
@@ -122,10 +107,10 @@ mod tests {
 
     #[test]
     fn singleton_and_disabled_models_are_unity() {
-        let m = CouplingModel::dense_implants();
+        let m = CouplingModel::new(0.05, 0.02, 0.1);
         assert_eq!(m.gain_factor(0, 1, 0.01), 1.0);
         assert_eq!(m.gain_factors(1, 0.01), vec![1.0]);
-        let off = CouplingModel::none();
+        let off = CouplingModel::new(0.0, 0.02, 0.0);
         for f in off.gain_factors(16, 0.005) {
             assert_eq!(f, 1.0);
         }
@@ -133,7 +118,7 @@ mod tests {
 
     #[test]
     fn factors_match_reference_implementation() {
-        let m = CouplingModel::dense_implants();
+        let m = CouplingModel::new(0.05, 0.02, 0.1);
         for &(n, d) in &[(2usize, 0.001f64), (5, 0.003), (16, 0.01), (64, 0.002)] {
             let fast = m.gain_factors(n, d);
             for (i, &f) in fast.iter().enumerate() {
@@ -145,7 +130,7 @@ mod tests {
 
     #[test]
     fn denser_packing_costs_more() {
-        let m = CouplingModel::dense_implants();
+        let m = CouplingModel::new(0.05, 0.02, 0.1);
         let sparse = m.gain_factors(8, 0.05);
         let dense = m.gain_factors(8, 0.002);
         for (s, d) in sparse.iter().zip(&dense) {

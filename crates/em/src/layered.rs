@@ -23,9 +23,9 @@ use ivn_dsp::units::SPEED_OF_LIGHT;
 #[derive(Debug, Clone, PartialEq)]
 pub struct Layer {
     /// The layer's medium.
-    pub medium: Medium,
+    pub(crate) medium: Medium,
     /// Thickness along the propagation path, metres.
-    pub thickness_m: f64,
+    pub(crate) thickness_m: f64,
 }
 
 impl Layer {
@@ -46,9 +46,9 @@ impl Layer {
 #[derive(Debug, Clone, PartialEq)]
 pub struct LayeredPath {
     /// Distance travelled in air before the first boundary, metres.
-    pub air_distance_m: f64,
+    pub(crate) air_distance_m: f64,
     /// Tissue layers in the order the wave crosses them.
-    pub layers: Vec<Layer>,
+    pub(crate) layers: Vec<Layer>,
 }
 
 impl LayeredPath {
@@ -70,11 +70,6 @@ impl LayeredPath {
         Self::new(r, Vec::new())
     }
 
-    /// Total tissue depth (sum of layer thicknesses), metres.
-    pub fn depth(&self) -> f64 {
-        self.layers.iter().map(|l| l.thickness_m).sum()
-    }
-
     /// Complex channel response at `freq_hz`, referenced to unit amplitude
     /// at 1 m in free space.
     ///
@@ -91,7 +86,7 @@ impl LayeredPath {
         for layer in &self.layers {
             // Boundary crossing into this layer.
             let t = amplitude_transmittance(prev, &layer.medium, freq_hz);
-            h = h * t;
+            h *= t;
             // Bulk propagation through the layer.
             h *= layer.medium.propagate(freq_hz, layer.thickness_m);
             prev = &layer.medium;
@@ -102,18 +97,6 @@ impl LayeredPath {
     /// Path loss in dB (positive) relative to the 1 m free-space reference.
     pub fn path_loss_db(&self, freq_hz: f64) -> f64 {
         -20.0 * self.response(freq_hz).norm().log10()
-    }
-
-    /// Group delay approximation of the path: air at `c`, layers at their
-    /// phase velocities `ω/β`. Seconds.
-    pub fn delay(&self, freq_hz: f64) -> f64 {
-        let mut t = self.air_distance_m / SPEED_OF_LIGHT;
-        let omega = 2.0 * std::f64::consts::PI * freq_hz;
-        for layer in &self.layers {
-            let v = omega / layer.medium.beta(freq_hz);
-            t += layer.thickness_m / v;
-        }
-        t
     }
 }
 
@@ -172,7 +155,6 @@ mod tests {
                 Layer::new(Medium::muscle(), 0.02),
             ],
         );
-        assert!((path.depth() - 0.032).abs() < 1e-12);
         let h = path.response(F);
         assert!(h.norm() > 0.0 && h.norm() < 1.0);
         // Deeper stack attenuates more.
@@ -194,15 +176,6 @@ mod tests {
                                                                          // Half a wavelength → phase flip.
         let dphi = (b * a.conj()).arg();
         assert!((dphi.abs() - std::f64::consts::PI).abs() < 0.01);
-    }
-
-    #[test]
-    fn delay_slower_in_tissue() {
-        let air = LayeredPath::free_space(1.0).delay(F);
-        let tissue = single_medium_path(0.5, Medium::muscle(), 0.5).delay(F);
-        assert!((air - 1.0 / SPEED_OF_LIGHT).abs() < 1e-15);
-        // Same total length but half in muscle → longer delay.
-        assert!(tissue > air);
     }
 
     #[test]

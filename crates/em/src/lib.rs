@@ -3,8 +3,8 @@
 //! Implements the physical layer that the paper's hardware evaluation runs
 //! over: dielectric media (air, fluids, biological tissues), plane-wave
 //! attenuation, boundary transmittance, layered-body channels (the paper's
-//! Eq. 2: `|E| = (T·A/r)·e^{-αd}`), multipath, and antenna apertures
-//! (Eq. 3: `P_L = E²/η · A_eff`).
+//! Eq. 2: `|E| = (T·A/r)·e^{-αd}`), multipath, antenna gains, inter-tag
+//! coupling, and the per-block channel stage of the streaming sample path.
 //!
 //! Everything is deterministic; random channels draw from caller-provided
 //! seeded RNGs.
@@ -24,9 +24,4 @@ pub mod coupling;
 pub mod layered;
 pub mod medium;
 pub mod multipath;
-pub mod safety;
-pub mod sar;
 pub mod stream;
-
-pub use channel::ChannelModel;
-pub use medium::Medium;

@@ -28,7 +28,7 @@ pub struct Medium {
     /// Relative permittivity εr (dimensionless).
     pub rel_permittivity: f64,
     /// Conductivity σ in S/m.
-    pub conductivity: f64,
+    pub(crate) conductivity: f64,
 }
 
 impl Medium {
@@ -147,7 +147,7 @@ impl Medium {
     // ------------------------------------------------------------------
 
     /// Loss tangent tanδ = σ/(ωε′) at `freq_hz`.
-    pub fn loss_tangent(&self, freq_hz: f64) -> f64 {
+    pub(crate) fn loss_tangent(&self, freq_hz: f64) -> f64 {
         if self.conductivity == 0.0 {
             return 0.0;
         }
@@ -175,23 +175,13 @@ impl Medium {
             * ((1.0 + tan_d * tan_d).sqrt() + 1.0).sqrt()
     }
 
-    /// Complex propagation constant γ = α + jβ.
-    pub fn gamma(&self, freq_hz: f64) -> Complex64 {
-        Complex64::new(self.alpha(freq_hz), self.beta(freq_hz))
-    }
-
     /// Intrinsic wave impedance η (complex, ohms).
-    pub fn impedance(&self, freq_hz: f64) -> Complex64 {
+    pub(crate) fn impedance(&self, freq_hz: f64) -> Complex64 {
         let omega = TAU * freq_hz;
         let eps = VACUUM_PERMITTIVITY * self.rel_permittivity;
         let num = Complex64::new(0.0, omega * VACUUM_PERMEABILITY);
         let den = Complex64::new(self.conductivity, omega * eps);
         (num / den).sqrt()
-    }
-
-    /// Wavelength in the medium, 2π/β, metres.
-    pub fn wavelength(&self, freq_hz: f64) -> f64 {
-        TAU / self.beta(freq_hz)
     }
 
     /// Amplitude loss in dB per centimetre of travel at `freq_hz`.
@@ -271,8 +261,9 @@ mod tests {
 
     #[test]
     fn wavelength_shortens_in_dielectric() {
-        let air_l = Medium::air().wavelength(F);
-        let water_l = Medium::water().wavelength(F);
+        // λ = 2π/β.
+        let air_l = TAU / Medium::air().beta(F);
+        let water_l = TAU / Medium::water().beta(F);
         assert!((air_l - 0.3276).abs() < 1e-3);
         assert!(water_l < air_l / 8.0, "water wavelength {water_l}");
     }

@@ -39,11 +39,6 @@ impl MultipathChannel {
         MultipathChannel { paths }
     }
 
-    /// A single line-of-sight path.
-    pub fn line_of_sight(delay_s: f64, gain: Complex64) -> Self {
-        Self::new(vec![Path { delay_s, gain }])
-    }
-
     /// Draws a Rayleigh channel: `n_paths` scatterers with an exponential
     /// power-delay profile of RMS spread `rms_delay_s`, uniform phases, and
     /// total average power `total_power`.
@@ -78,82 +73,20 @@ impl MultipathChannel {
         MultipathChannel::new(paths)
     }
 
-    /// Draws a Rician channel: a LoS path carrying `k_factor/(1+k)` of the
-    /// power plus a Rayleigh tail with the remainder.
-    pub fn rician<R: Rng + ?Sized>(
-        rng: &mut R,
-        k_factor: f64,
-        n_scatter: usize,
-        rms_delay_s: f64,
-        total_power: f64,
-        los_delay_s: f64,
-    ) -> Self {
-        assert!(k_factor >= 0.0);
-        let los_power = total_power * k_factor / (1.0 + k_factor);
-        let nlos_power = total_power - los_power;
-        let mut paths = vec![Path {
-            delay_s: los_delay_s,
-            gain: Complex64::from_polar(los_power.sqrt(), rng.random::<f64>() * TAU),
-        }];
-        if n_scatter > 0 && nlos_power > 0.0 {
-            let tail = Self::rayleigh(rng, n_scatter, rms_delay_s, nlos_power);
-            paths.extend(tail.paths.into_iter().map(|mut p| {
-                p.delay_s += los_delay_s;
-                p
-            }));
-        }
-        MultipathChannel::new(paths)
-    }
-
-    /// Paths in this channel.
-    pub fn paths(&self) -> &[Path] {
-        &self.paths
-    }
-
     /// Frequency response `H(f) = Σ g_i e^{-j2πf τ_i}` at absolute
     /// frequency `freq_hz`.
-    pub fn response(&self, freq_hz: f64) -> Complex64 {
+    pub(crate) fn response(&self, freq_hz: f64) -> Complex64 {
         self.paths
             .iter()
             .map(|p| p.gain * Complex64::cis(-TAU * freq_hz * p.delay_s))
             .sum()
     }
 
-    /// Average (delay-integrated) channel power `Σ |g_i|²`.
+    /// Average (delay-integrated) channel power `Σ |g_i|²`: the reference
+    /// [`rayleigh`](Self::rayleigh)'s `total_power` is checked against by
+    /// `tests/proptests.rs::multipath_mean_power_preserved`.
     pub fn mean_power(&self) -> f64 {
         self.paths.iter().map(|p| p.gain.norm_sqr()).sum()
-    }
-
-    /// RMS delay spread στ, seconds.
-    pub fn rms_delay_spread(&self) -> f64 {
-        let total = self.mean_power();
-        if total == 0.0 {
-            return 0.0;
-        }
-        let mean_delay: f64 = self
-            .paths
-            .iter()
-            .map(|p| p.delay_s * p.gain.norm_sqr())
-            .sum::<f64>()
-            / total;
-        let second: f64 = self
-            .paths
-            .iter()
-            .map(|p| (p.delay_s - mean_delay).powi(2) * p.gain.norm_sqr())
-            .sum::<f64>()
-            / total;
-        second.sqrt()
-    }
-
-    /// Approximate coherence bandwidth `1/(5στ)` Hz (50 %-correlation rule
-    /// of thumb); infinite for a single path.
-    pub fn coherence_bandwidth(&self) -> f64 {
-        let s = self.rms_delay_spread();
-        if s == 0.0 {
-            f64::INFINITY
-        } else {
-            1.0 / (5.0 * s)
-        }
     }
 }
 
@@ -164,11 +97,13 @@ mod tests {
 
     #[test]
     fn los_channel_flat_magnitude() {
-        let ch = MultipathChannel::line_of_sight(10e-9, Complex64::from_polar(0.5, 1.0));
+        let ch = MultipathChannel::new(vec![Path {
+            delay_s: 10e-9,
+            gain: Complex64::from_polar(0.5, 1.0),
+        }]);
         for f in [900e6, 915e6, 930e6] {
             assert!((ch.response(f).norm() - 0.5).abs() < 1e-12);
         }
-        assert_eq!(ch.coherence_bandwidth(), f64::INFINITY);
     }
 
     #[test]
@@ -206,41 +141,6 @@ mod tests {
             let ch = MultipathChannel::rayleigh(&mut rng, 10, 50e-9, 2.0);
             assert!((ch.mean_power() - 2.0).abs() < 1e-9);
         }
-    }
-
-    #[test]
-    fn rician_k_factor_split() {
-        let mut rng = StdRng::seed_from_u64(4);
-        let k = 4.0;
-        let ch = MultipathChannel::rician(&mut rng, k, 6, 30e-9, 1.0, 5e-9);
-        assert!((ch.mean_power() - 1.0).abs() < 1e-9);
-        // LoS path is the first and carries k/(1+k) of power.
-        let los = ch.paths()[0].gain.norm_sqr();
-        assert!((los - 0.8).abs() < 1e-9);
-    }
-
-    #[test]
-    fn pure_los_rician() {
-        let mut rng = StdRng::seed_from_u64(5);
-        let ch = MultipathChannel::rician(&mut rng, 1e12, 4, 30e-9, 1.0, 0.0);
-        assert!((ch.paths()[0].gain.norm_sqr() - 1.0).abs() < 1e-6);
-    }
-
-    #[test]
-    fn delay_spread_and_coherence() {
-        let ch = MultipathChannel::new(vec![
-            Path {
-                delay_s: 0.0,
-                gain: Complex64::from_real(1.0),
-            },
-            Path {
-                delay_s: 100e-9,
-                gain: Complex64::from_real(1.0),
-            },
-        ]);
-        // Equal powers at 0 and 100 ns → στ = 50 ns.
-        assert!((ch.rms_delay_spread() - 50e-9).abs() < 1e-15);
-        assert!((ch.coherence_bandwidth() - 4e6).abs() < 1.0);
     }
 
     #[test]

@@ -6,9 +6,10 @@
 //! each antenna's channel at that antenna's own emission frequency —
 //! and then folds any number of aligned per-antenna sample blocks into
 //! the received superposition, block by block, with no per-call
-//! allocation. `TxBank::superpose` and this stage share the exact
-//! accumulation loop (`ivn_dsp::block::accumulate_scaled`), so the
-//! streaming and whole-buffer paths agree bit for bit.
+//! allocation. Blocks and whole buffers
+//! ([`BlockSuperposer::superpose_buffers`]) run the same accumulation loop
+//! (`ivn_dsp::block::accumulate_scaled`), so the streaming and
+//! whole-buffer paths agree bit for bit.
 
 use crate::channel::ChannelEnsemble;
 use ivn_dsp::block::accumulate_scaled;
@@ -52,16 +53,6 @@ impl BlockSuperposer {
     /// The per-antenna gains.
     pub fn gains(&self) -> &[Complex64] {
         &self.gains
-    }
-
-    /// Number of antennas.
-    pub fn len(&self) -> usize {
-        self.gains.len()
-    }
-
-    /// Whether the superposer has no antennas (never after construction).
-    pub fn is_empty(&self) -> bool {
-        self.gains.is_empty()
     }
 
     /// Superposes one aligned block per antenna into `out` (cleared and
@@ -149,8 +140,7 @@ mod tests {
         for (i, &g) in sp.gains().iter().enumerate() {
             assert_eq!(g, ens.responses(freqs[i])[i], "antenna {i}");
         }
-        assert_eq!(sp.len(), 4);
-        assert!(!sp.is_empty());
+        assert_eq!(sp.gains().len(), 4);
     }
 
     #[test]

@@ -2,13 +2,12 @@
 
 use ivn_dsp::buffer::IqBuffer;
 use ivn_dsp::complex::Complex64;
-use ivn_em::antenna::{received_power, Antenna};
+use ivn_em::antenna::Antenna;
 use ivn_em::boundary::{power_transmittance, reflection};
 use ivn_em::coupling::CouplingModel;
 use ivn_em::layered::{single_medium_path, Layer, LayeredPath};
 use ivn_em::medium::Medium;
 use ivn_em::multipath::MultipathChannel;
-use ivn_em::sar::{averaged_sar, local_sar};
 use ivn_em::stream::BlockSuperposer;
 use ivn_runtime::prop::{any, Strategy};
 use ivn_runtime::rng::{Rng, StdRng};
@@ -59,30 +58,15 @@ props! {
         let mut rng = StdRng::seed_from_u64(seed);
         let ch = MultipathChannel::rayleigh(&mut rng, n, spread, p);
         prop_assert!((ch.mean_power() - p).abs() < 1e-9 * p);
-        prop_assert!(ch.rms_delay_spread() >= 0.0);
     }
 
     fn antenna_factors_bounded(theta in -7.0f64..7.0) {
-        for ant in [Antenna::standard_tag(), Antenna::miniature_tag(), Antenna::reader_panel()] {
+        for ant in [Antenna::standard_tag(), Antenna::miniature_tag()] {
             let o = ant.orientation_factor(theta);
-            prop_assert!(o > 0.0 && o <= 1.0 + 1e-12, "{} at {theta}: {o}", ant.name);
+            prop_assert!(o > 0.0 && o <= 1.0 + 1e-12, "{ant:?} at {theta}: {o}");
             prop_assert!(ant.polarization_factor() <= 1.0);
             prop_assert!(ant.total_gain(theta) <= ant.gain_linear());
         }
-    }
-
-    fn received_power_linear_in_aperture(e in 0.01f64..100.0, eta in 10.0f64..400.0,
-                                         a in 1e-6f64..0.1, k in 1.0f64..5.0) {
-        let p1 = received_power(e, eta, a);
-        let pk = received_power(e, eta, a * k);
-        prop_assert!((pk / p1 - k).abs() < 1e-9);
-    }
-
-    fn sar_nonnegative_and_duty_bounded(m in medium(), e in 0.0f64..200.0,
-                                        duty in 0.0f64..1.0) {
-        let s = local_sar(&m, e);
-        prop_assert!(s >= 0.0);
-        prop_assert!(averaged_sar(s, duty) <= s + 1e-12);
     }
 
     fn block_superposition_matches_whole_buffer(seed in any::<u64>(), block in 1usize..64) {
@@ -132,7 +116,7 @@ props! {
 
     fn coupling_monotone_in_population_and_spacing(
         n in 2usize..32, spacing in 0.001f64..0.02) {
-        let m = CouplingModel::dense_implants();
+        let m = CouplingModel::new(0.05, 0.02, 0.1);
         // Adding a tag to the line never helps any existing tag.
         let before = m.gain_factors(n, spacing);
         let after = m.gain_factors(n + 1, spacing);

@@ -37,7 +37,9 @@ pub fn conduction_duty(vs: f64, vth: f64) -> f64 {
 /// diode current for a cosine drive, computed by numerical quadrature.
 ///
 /// This is the quantity that actually charges the storage capacitor; it is
-/// zero below threshold and grows super-linearly just above it.
+/// zero below threshold and grows super-linearly just above it. It is the
+/// quadrature reference for the diode models, pinned by
+/// `tests/proptests.rs::cycle_current_nonnegative_monotone`.
 pub fn cycle_average_current(diode: &DiodeModel, vs: f64) -> f64 {
     const STEPS: usize = 256;
     let mut acc = 0.0;

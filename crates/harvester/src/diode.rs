@@ -6,7 +6,7 @@
 //! A smooth Shockley model is also provided for the efficiency curves.
 
 /// Thermal voltage kT/q at room temperature, volts.
-pub const THERMAL_VOLTAGE: f64 = 0.02585;
+pub(crate) const THERMAL_VOLTAGE: f64 = 0.02585;
 
 /// A diode's current-voltage model.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -66,20 +66,9 @@ impl DiodeModel {
         }
     }
 
-    /// Whether the diode conducts meaningfully at voltage `v`.
-    ///
-    /// For the Shockley model "conducting" means current above 1 µA, the
-    /// conventional turn-on definition.
-    pub fn conducts(&self, v: f64) -> bool {
-        match *self {
-            DiodeModel::Ideal => v > 0.0,
-            DiodeModel::Threshold { vth, .. } => v > vth,
-            DiodeModel::Shockley { .. } => self.current(v) > 1e-6,
-        }
-    }
-
     /// Effective threshold voltage: the smallest forward voltage at which
-    /// the diode conducts (per [`Self::conducts`]).
+    /// the diode conducts (for the Shockley model, where the current
+    /// reaches 1 µA).
     pub fn threshold(&self) -> f64 {
         match *self {
             DiodeModel::Ideal => 0.0,
@@ -95,6 +84,20 @@ impl DiodeModel {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl DiodeModel {
+        /// Whether the diode conducts meaningfully at voltage `v`.
+        ///
+        /// For the Shockley model "conducting" means current above 1 µA, the
+        /// conventional turn-on definition.
+        fn conducts(&self, v: f64) -> bool {
+            match *self {
+                DiodeModel::Ideal => v > 0.0,
+                DiodeModel::Threshold { vth, .. } => v > vth,
+                DiodeModel::Shockley { .. } => self.current(v) > 1e-6,
+            }
+        }
+    }
 
     #[test]
     fn ideal_diode_conducts_any_positive() {

@@ -9,9 +9,9 @@
 //! V_DC = N · (V_s − V_th)
 //! ```
 //!
-//! Besides the closed form, a transient simulation tracks the output
-//! capacitor charging toward that asymptote through a source resistance,
-//! with an optional load — which is what the power-up decision integrates.
+//! Besides the closed form, a transient step tracks the output capacitor
+//! charging toward that asymptote through a source resistance, with an
+//! optional load — which is what the power-up decision integrates.
 
 use crate::diode::DiodeModel;
 
@@ -19,12 +19,12 @@ use crate::diode::DiodeModel;
 #[derive(Debug, Clone, PartialEq)]
 pub struct Rectifier {
     /// Number of voltage-doubler stages.
-    pub stages: usize,
+    pub(crate) stages: usize,
     /// Diode model used in every stage.
-    pub diode: DiodeModel,
+    pub(crate) diode: DiodeModel,
     /// Effective charging resistance seen by the storage capacitor, ohms.
     /// Captures diode on-resistance and source impedance.
-    pub r_charge: f64,
+    pub(crate) r_charge: f64,
 }
 
 impl Rectifier {
@@ -40,11 +40,6 @@ impl Rectifier {
             diode,
             r_charge,
         }
-    }
-
-    /// A typical RFID front end: 3 stages of threshold diodes.
-    pub fn typical_rfid() -> Self {
-        Rectifier::new(3, DiodeModel::typical_rfid(), 2000.0)
     }
 
     /// Steady-state (open-circuit) DC output for carrier amplitude `vs`:
@@ -69,7 +64,7 @@ impl Rectifier {
     /// The RC charging uses the exact exponential solution, so the step is
     /// unconditionally stable for any `dt` (the envelope-rate simulations
     /// take steps far longer than the circuit's time constant).
-    pub fn step(&self, v_out: f64, vs: f64, dt: f64, c_out: f64, i_load: f64) -> f64 {
+    pub(crate) fn step(&self, v_out: f64, vs: f64, dt: f64, c_out: f64, i_load: f64) -> f64 {
         assert!(c_out > 0.0 && dt > 0.0);
         let target = self.steady_state_vdc(vs);
         let v_charged = if target > v_out {
@@ -85,15 +80,20 @@ impl Rectifier {
     /// capacitor, so a fixed-rate integrator can hoist it out of the
     /// per-sample loop: `v' = target + (v − target)·α` with this α is
     /// bit-identical to calling [`Self::step`] every sample.
-    pub fn charge_alpha(&self, dt: f64, c_out: f64) -> f64 {
+    pub(crate) fn charge_alpha(&self, dt: f64, c_out: f64) -> f64 {
         (-dt / (self.r_charge * c_out)).exp()
     }
+}
 
-    /// Runs the transient over an envelope sequence sampled at
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Runs [`Rectifier::step`] over an envelope sequence sampled at
     /// `sample_rate`, starting from `v0`, with constant load `i_load` into
     /// capacitor `c_out`. Returns the output-voltage trace.
-    pub fn simulate(
-        &self,
+    fn simulate(
+        r: &Rectifier,
         envelope: &[f64],
         sample_rate: f64,
         v0: f64,
@@ -105,16 +105,11 @@ impl Rectifier {
         envelope
             .iter()
             .map(|&vs| {
-                v = self.step(v, vs, dt, c_out, i_load);
+                v = r.step(v, vs, dt, c_out, i_load);
                 v
             })
             .collect()
     }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
 
     #[test]
     fn eq1_steady_state() {
@@ -145,9 +140,11 @@ mod tests {
     fn transient_charges_toward_steady_state() {
         let r = Rectifier::new(2, DiodeModel::typical_rfid(), 1000.0);
         let env = vec![0.75; 20_000]; // steady 0.75 V drive → target 1.0 V
-        let trace = r.simulate(&env, 1e6, 0.0, 1e-9, 0.0);
+        let trace = simulate(&r, &env, 1e6, 0.0, 1e-9, 0.0);
         let last = *trace.last().unwrap();
         assert!((last - 1.0).abs() < 0.01, "final {last}");
+        // Never overshoots the Eq. 1 target.
+        assert!(trace.iter().all(|&v| v <= 1.0 + 1e-9));
         // Monotone non-decreasing with no load.
         assert!(trace.windows(2).all(|w| w[1] >= w[0] - 1e-15));
     }
@@ -158,7 +155,7 @@ mod tests {
         let c = 1e-6;
         // τ = RC = 1 ms; after 1 τ the cap reaches 63 % of target 1.0 V.
         let env = vec![1.0; 1000];
-        let trace = r.simulate(&env, 1e6, 0.0, c, 0.0);
+        let trace = simulate(&r, &env, 1e6, 0.0, c, 0.0);
         let v_tau = trace[999];
         assert!((v_tau - 0.632).abs() < 0.01, "v(τ) = {v_tau}");
     }
@@ -171,7 +168,7 @@ mod tests {
         let r = Rectifier::new(2, DiodeModel::typical_rfid(), 100.0);
         let mut env = vec![1.0; 1000];
         env.extend(vec![0.0; 5000]);
-        let trace = r.simulate(&env, 1e6, 0.0, 1e-8, 0.0);
+        let trace = simulate(&r, &env, 1e6, 0.0, 1e-8, 0.0);
         let at_peak_end = trace[999];
         let much_later = trace[5999];
         assert!(at_peak_end > 1.0);
@@ -182,7 +179,7 @@ mod tests {
     fn load_discharges_cap() {
         let r = Rectifier::new(2, DiodeModel::typical_rfid(), 100.0);
         let env = vec![0.0; 1000]; // no input
-        let trace = r.simulate(&env, 1e6, 1.0, 1e-6, 10e-6);
+        let trace = simulate(&r, &env, 1e6, 1.0, 1e-6, 10e-6);
         // dV = I·t/C = 10 µA × 1 ms / 1 µF = 10 mV.
         let last = *trace.last().unwrap();
         assert!((1.0 - last - 0.01).abs() < 1e-6, "final {last}");
@@ -190,9 +187,9 @@ mod tests {
 
     #[test]
     fn voltage_never_negative() {
-        let r = Rectifier::typical_rfid();
+        let r = Rectifier::new(3, DiodeModel::typical_rfid(), 2000.0);
         let env = vec![0.0; 100];
-        let trace = r.simulate(&env, 1e6, 0.001, 1e-9, 1e-3);
+        let trace = simulate(&r, &env, 1e6, 0.001, 1e-9, 1e-3);
         assert!(trace.iter().all(|&v| v >= 0.0));
     }
 

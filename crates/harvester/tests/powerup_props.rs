@@ -7,8 +7,8 @@
 use ivn_dsp::Complex64;
 use ivn_harvester::powerup::{PowerUpOutcome, TagPowerProfile};
 use ivn_runtime::prop::any;
+use ivn_runtime::props;
 use ivn_runtime::rng::{Rng, StdRng};
-use ivn_runtime::{prop_assert_eq, props};
 
 const FS: f64 = 1e6;
 
@@ -97,7 +97,6 @@ props! {
             st.step_block(&env[i..end]);
         }
         assert_bitwise(&st.finish(), &oracle, "split blocks vs oracle");
-        prop_assert_eq!(st.samples_seen(), env.len());
 
         // Complex rx whose |rx|²·scale follows the same envelope with a
         // random per-sample amplitude jitter and phase: the same dead air,
@@ -118,6 +117,5 @@ props! {
             st.step_rx_block(&rx[i..end], scale);
         }
         assert_bitwise(&st.finish(), &oracle, "split rx blocks vs oracle");
-        prop_assert_eq!(st.samples_seen(), rx.len());
     }
 }

@@ -61,16 +61,6 @@ props! {
         }
     }
 
-    fn rectifier_transient_never_exceeds_target(vs in 0.3f64..2.0, steps in 1usize..2000) {
-        let r = Rectifier::new(3, DiodeModel::typical_rfid(), 1000.0);
-        let env = vec![vs; steps];
-        let trace = r.simulate(&env, 1e6, 0.0, 1e-9, 0.0);
-        let target = r.steady_state_vdc(vs);
-        for v in trace {
-            prop_assert!(v <= target + 1e-9);
-        }
-    }
-
     fn powerup_requires_threshold(p_dbm in -40.0f64..20.0) {
         // The analytic gate is consistent: below static sensitivity the
         // chip can never wake regardless of exposure duration.

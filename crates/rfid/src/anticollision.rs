@@ -75,11 +75,6 @@ impl AdaptiveQ {
             qfp: params.q0 as f64,
         }
     }
-
-    /// The floating-point Q (test introspection).
-    pub fn qfp(&self) -> f64 {
-        self.qfp
-    }
 }
 
 impl AntiCollision for AdaptiveQ {
@@ -149,7 +144,7 @@ impl AntiCollision for FixedQ {
 /// Schoute's expected backlog per observed collision slot under the
 /// Poisson occupancy model (the chi-squared frame-occupancy estimate):
 /// each collision slot hides ≈ 2.39 unresolved tags.
-pub const SCHOUTE_BACKLOG_PER_COLLISION: f64 = 2.39;
+pub(crate) const SCHOUTE_BACKLOG_PER_COLLISION: f64 = 2.39;
 
 /// Frame-by-frame backlog estimation: after each round the remaining
 /// population is estimated as `2.39 × collisions` and the next frame is
@@ -226,7 +221,7 @@ impl CaptureModel {
     /// Arbitrates one multi-reply slot: returns the index *within
     /// `replier_tags`* of the captured reply, or `None` for a true
     /// collision. Draws exactly one fade per replier, in order.
-    pub fn arbitrate(&mut self, replier_tags: &[usize]) -> Option<usize> {
+    pub(crate) fn arbitrate(&mut self, replier_tags: &[usize]) -> Option<usize> {
         let mut best = 0usize;
         let mut best_p = f64::NEG_INFINITY;
         let mut total = 0.0;
@@ -255,7 +250,7 @@ mod tests {
         assert_eq!(p.choose_q(), 4);
         p.on_slot_outcome(&SlotOutcome::Collision);
         p.on_slot_outcome(&SlotOutcome::Collision);
-        assert!(p.qfp() > 4.0);
+        assert!(p.qfp > 4.0);
         let mut down = AdaptiveQ::new(QAlgorithm { q0: 4, c: 0.5 });
         for _ in 0..4 {
             down.on_slot_outcome(&SlotOutcome::Empty);
@@ -316,8 +311,8 @@ mod tests {
                         slotwise.on_slot_outcome(&SlotOutcome::Empty);
                     }
                     assert_eq!(
-                        run.qfp().to_bits(),
-                        slotwise.qfp().to_bits(),
+                        run.qfp.to_bits(),
+                        slotwise.qfp.to_bits(),
                         "q0={q0} c={c} n={n} collide_first={collide_first}"
                     );
                     assert_eq!(run, slotwise);

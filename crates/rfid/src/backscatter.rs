@@ -20,9 +20,9 @@ use ivn_dsp::complex::Complex64;
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BackscatterModulator {
     /// Reflection coefficient in state A ("absorb").
-    pub gamma_a: Complex64,
+    pub(crate) gamma_a: Complex64,
     /// Reflection coefficient in state B ("reflect").
-    pub gamma_b: Complex64,
+    pub(crate) gamma_b: Complex64,
 }
 
 impl BackscatterModulator {
@@ -30,7 +30,7 @@ impl BackscatterModulator {
     ///
     /// # Panics
     /// Panics if either |Γ| exceeds 1 (passive devices cannot amplify).
-    pub fn new(gamma_a: Complex64, gamma_b: Complex64) -> Self {
+    pub(crate) fn new(gamma_a: Complex64, gamma_b: Complex64) -> Self {
         assert!(
             gamma_a.norm() <= 1.0 + 1e-12 && gamma_b.norm() <= 1.0 + 1e-12,
             "reflection coefficients must have |Γ| ≤ 1"
@@ -57,23 +57,6 @@ impl BackscatterModulator {
         (self.gamma_b - self.gamma_a).norm()
     }
 
-    /// Reflects an incident sample stream given per-sample baseband states.
-    /// States shorter than the input hold their last value (idle in A when
-    /// empty).
-    pub fn reflect(&self, incident: &[Complex64], states: &[bool]) -> Vec<Complex64> {
-        incident
-            .iter()
-            .enumerate()
-            .map(|(i, &x)| {
-                let s = states
-                    .get(i)
-                    .copied()
-                    .unwrap_or_else(|| states.last().copied().unwrap_or(false));
-                x * self.gamma(s)
-            })
-            .collect()
-    }
-
     /// Reflects a *constant* incident carrier with ±1 baseband samples
     /// (e.g. FM0 output): maps +1 → state B, −1/0 → state A.
     pub fn reflect_baseband(&self, carrier: Complex64, baseband: &[f64]) -> Vec<Complex64> {
@@ -82,18 +65,6 @@ impl BackscatterModulator {
             .map(|&b| carrier * self.gamma(b > 0.0))
             .collect()
     }
-}
-
-/// Round-trip backscatter link amplitude: forward channel × Γ-differential
-/// × reverse channel. The uplink signal the reader must detect scales with
-/// the *product* of both channel amplitudes — the classic backscatter
-/// r⁻⁴ power law in free space.
-pub fn uplink_amplitude(
-    forward: Complex64,
-    modulator: &BackscatterModulator,
-    reverse: Complex64,
-) -> f64 {
-    forward.norm() * modulator.differential() * reverse.norm()
 }
 
 #[cfg(test)]
@@ -120,28 +91,6 @@ mod tests {
     }
 
     #[test]
-    fn reflect_switches_states() {
-        let m = BackscatterModulator::typical_rfid();
-        let incident = vec![Complex64::ONE; 4];
-        let states = vec![false, true, true, false];
-        let out = m.reflect(&incident, &states);
-        assert!((out[0].norm() - 0.1).abs() < 1e-12);
-        assert!((out[1].norm() - 0.8).abs() < 1e-12);
-        assert!((out[3].norm() - 0.1).abs() < 1e-12);
-    }
-
-    #[test]
-    fn reflect_holds_last_state() {
-        let m = BackscatterModulator::typical_rfid();
-        let incident = vec![Complex64::ONE; 3];
-        let out = m.reflect(&incident, &[true]);
-        assert!((out[2].norm() - 0.8).abs() < 1e-12);
-        // Empty states → idle in A.
-        let idle = m.reflect(&incident, &[]);
-        assert!((idle[0].norm() - 0.1).abs() < 1e-12);
-    }
-
-    #[test]
     fn frequency_agnostic() {
         // The same modulator reflects carriers of any phase/frequency
         // representation identically in magnitude — the §4 property.
@@ -156,16 +105,5 @@ mod tests {
             assert!((out[0].norm() - 0.8).abs() < 1e-12);
             assert!((out[1].norm() - 0.1).abs() < 1e-12);
         }
-    }
-
-    #[test]
-    fn uplink_product_law() {
-        let m = BackscatterModulator::typical_rfid();
-        let f = Complex64::from_real(0.01);
-        let r = Complex64::from_real(0.02);
-        let a = uplink_amplitude(f, &m, r);
-        assert!((a - 0.01 * 0.7 * 0.02).abs() < 1e-15);
-        // Doubling either leg doubles the uplink.
-        assert!((uplink_amplitude(f * 2.0, &m, r) / a - 2.0).abs() < 1e-12);
     }
 }

@@ -18,7 +18,7 @@ pub enum DivideRatio {
 
 impl DivideRatio {
     /// Numeric ratio.
-    pub fn value(self) -> f64 {
+    pub(crate) fn value(self) -> f64 {
         match self {
             DivideRatio::Dr8 => 8.0,
             DivideRatio::Dr64Over3 => 64.0 / 3.0,
@@ -320,7 +320,7 @@ impl Command {
 
     /// Counts `(zeros, ones)` in the encoded form — used for on-air
     /// duration budgeting.
-    pub fn bit_census(&self) -> (usize, usize) {
+    pub(crate) fn bit_census(&self) -> (usize, usize) {
         let bits = self.encode();
         let ones = bits.iter().filter(|&&b| b).count();
         (bits.len() - ones, ones)

@@ -92,21 +92,21 @@ impl fmt::Debug for Epc {
 }
 
 /// The SGTIN-96 header byte.
-pub const SGTIN96_HEADER: u8 = 0x30;
+pub(crate) const SGTIN96_HEADER: u8 = 0x30;
 
 /// A parsed SGTIN-96 EPC.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Sgtin96 {
     /// Filter value (0–7): packaging level.
-    pub filter: u8,
+    pub(crate) filter: u8,
     /// Partition (0–6): split between company prefix and item reference.
-    pub partition: u8,
+    pub(crate) partition: u8,
     /// Company prefix (up to 40 bits).
-    pub company: u64,
+    pub(crate) company: u64,
     /// Item reference (up to 24 bits).
-    pub item: u32,
+    pub(crate) item: u32,
     /// Serial number (38 bits).
-    pub serial: u64,
+    pub(crate) serial: u64,
 }
 
 /// Bit widths of (company, item) for each partition value.
@@ -175,7 +175,8 @@ impl Sgtin96 {
         v
     }
 
-    /// Parses a 96-bit EPC value.
+    /// Parses a 96-bit EPC value: the inverse [`encode`](Self::encode) is
+    /// checked against by `tests/proptests.rs::sgtin_roundtrip`.
     pub fn decode(epc: u128) -> Result<Self, EpcError> {
         let header = (epc >> 88) as u8;
         if header != SGTIN96_HEADER {
@@ -199,26 +200,6 @@ impl Sgtin96 {
             item,
             serial,
         })
-    }
-
-    /// The 96-bit EPC a tag carrying this identity stores.
-    pub fn epc(&self) -> Epc {
-        Epc::from_u96(self.encode())
-    }
-
-    /// The 96 bits as an MSB-first bool vector (tag-memory order).
-    pub fn to_bits(&self) -> Vec<bool> {
-        self.epc().bits().collect()
-    }
-
-    /// Parses from the MSB-first bit form.
-    ///
-    /// # Panics
-    /// Panics unless exactly 96 bits are given.
-    pub fn from_bits(bits: &[bool]) -> Result<Self, EpcError> {
-        assert_eq!(bits.len(), 96, "SGTIN-96 needs 96 bits");
-        let v = bits.iter().fold(0u128, |acc, &b| (acc << 1) | b as u128);
-        Self::decode(v)
     }
 }
 
@@ -252,14 +233,6 @@ mod tests {
     }
 
     #[test]
-    fn bit_roundtrip() {
-        let epc = Sgtin96::new(1, 5, 0xABCDEF, 0x1234, 42).unwrap();
-        let bits = epc.to_bits();
-        assert_eq!(bits.len(), 96);
-        assert_eq!(Sgtin96::from_bits(&bits).unwrap(), epc);
-    }
-
-    #[test]
     fn header_preserved() {
         let epc = Sgtin96::new(0, 0, 1, 1, 1).unwrap();
         assert_eq!((epc.encode() >> 88) as u8, SGTIN96_HEADER);
@@ -284,10 +257,8 @@ mod tests {
     fn family_shares_prefix_differs_in_serial() {
         let family = allocate_family(0xC0FFEE, 7, 8);
         assert_eq!(family.len(), 8);
-        let prefix_of = |e: &Sgtin96| {
-            let bits = e.to_bits();
-            bits[..58].to_vec() // header+filter+partition+company+item
-        };
+        // header+filter+partition+company+item: all but the 38 serial bits.
+        let prefix_of = |e: &Sgtin96| e.encode() >> 38;
         let p0 = prefix_of(&family[0]);
         for (k, e) in family.iter().enumerate() {
             assert_eq!(prefix_of(e), p0);
@@ -305,9 +276,9 @@ mod tests {
         use crate::commands::Command;
         use crate::tag::{Tag, TagState};
         let family = allocate_family(0xC0FFEE, 7, 2);
-        let mut tag = Tag::new(family[0].epc(), 1);
+        let mut tag = Tag::new(Epc::from_u96(family[0].encode()), 1);
         tag.set_powered(true);
-        let mask = family[1].to_bits()[..58].to_vec(); // shared prefix
+        let mask: Vec<bool> = Epc::from_u96(family[1].encode()).bits().take(58).collect(); // shared prefix
         tag.process(&Command::Select { mask });
         assert_eq!(tag.state(), TagState::Ready); // matched, not parked
     }

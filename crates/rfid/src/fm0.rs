@@ -13,7 +13,7 @@
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Fm0 {
     /// Samples per half-symbol when rasterizing.
-    pub samples_per_half: usize,
+    pub(crate) samples_per_half: usize,
 }
 
 impl Fm0 {
@@ -73,37 +73,26 @@ impl Fm0 {
     }
 }
 
-/// FM0 coding violation: a symbol ending *without* the mandatory boundary
-/// inversion, used by Gen2 to terminate frames ("dummy 1" + violation).
-/// Appends the violation half-symbols to an encoded half-level stream.
-pub fn append_terminator(halves: &mut Vec<f64>) {
-    let last = *halves.last().unwrap_or(&1.0);
-    // Repeat the last level (violating the boundary-inversion rule), then
-    // return to idle.
-    halves.push(last);
-    halves.push(last);
-}
-
 /// The paper's 12-bit preamble rendered as an FM0 baseband template
 /// (`samples_per_half` resolution), ready for correlation detection.
 pub fn preamble_waveform(samples_per_half: usize) -> Vec<f64> {
     Fm0::new(samples_per_half).encode(&crate::PAPER_PREAMBLE_BITS)
 }
 
-/// Verifies an FM0 half-level stream obeys the boundary-inversion rule
-/// (every symbol starts with a level flip). Used by property tests and by
-/// the reader to reject corrupted frames early.
-pub fn check_coding_rule(halves: &[f64]) -> bool {
-    // halves[2k] must differ in sign from halves[2k-1].
-    halves
-        .chunks_exact(2)
-        .zip(std::iter::once(1.0).chain(halves.chunks_exact(2).map(|c| c[1])))
-        .all(|(sym, prev_end)| sym[0].signum() != prev_end.signum())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Verifies an FM0 half-level stream obeys the boundary-inversion rule
+    /// (every symbol starts with a level flip): the oracle the encoder is
+    /// checked against.
+    fn check_coding_rule(halves: &[f64]) -> bool {
+        // halves[2k] must differ in sign from halves[2k-1].
+        halves
+            .chunks_exact(2)
+            .zip(std::iter::once(1.0).chain(halves.chunks_exact(2).map(|c| c[1])))
+            .all(|(sym, prev_end)| sym[0].signum() != prev_end.signum())
+    }
 
     #[test]
     fn encode_lengths() {
@@ -163,15 +152,6 @@ mod tests {
         // It must decode back to the preamble bits.
         let fm0 = Fm0::new(5);
         assert_eq!(fm0.decode(&w), crate::PAPER_PREAMBLE_BITS.to_vec());
-    }
-
-    #[test]
-    fn terminator_violates_rule() {
-        let fm0 = Fm0::new(1);
-        let mut halves = fm0.encode_halves(&[true, false, true]);
-        assert!(check_coding_rule(&halves));
-        append_terminator(&mut halves);
-        assert!(!check_coding_rule(&halves));
     }
 
     #[test]

@@ -38,9 +38,6 @@ pub mod reader;
 pub mod stream;
 pub mod tag;
 
-pub use commands::Command;
-pub use tag::{Tag, TagState};
-
 /// The paper's 12-bit FM0 preamble bit pattern, `110100100011` (§6.2).
 pub const PAPER_PREAMBLE_BITS: [bool; 12] = [
     true, true, false, true, false, false, true, false, false, false, true, true,

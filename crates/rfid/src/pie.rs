@@ -16,15 +16,15 @@
 pub struct PieParams {
     /// Reference interval Tari (duration of data-0), seconds. Gen2 allows
     /// 6.25–25 µs.
-    pub tari_s: f64,
+    pub(crate) tari_s: f64,
     /// Data-1 length as a multiple of Tari (1.5–2.0).
-    pub data1_ratio: f64,
+    pub(crate) data1_ratio: f64,
     /// Low-pulse (notch) width, seconds (≤ 0.525·Tari).
     pub pw_s: f64,
     /// Delimiter width, seconds (12.5 µs ± 5 %).
-    pub delimiter_s: f64,
+    pub(crate) delimiter_s: f64,
     /// TRcal duration, seconds (sets the tag's BLF together with DR).
-    pub trcal_s: f64,
+    pub(crate) trcal_s: f64,
 }
 
 impl PieParams {
@@ -74,7 +74,7 @@ impl PieParams {
 }
 
 /// A run-length encoded binary waveform: `(high?, seconds)` segments.
-pub type LevelRuns = Vec<(bool, f64)>;
+pub(crate) type LevelRuns = Vec<(bool, f64)>;
 
 /// Encodes a command's bits into level runs, including the preamble.
 ///

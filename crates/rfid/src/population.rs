@@ -20,7 +20,7 @@
 //! [`CaptureModel`]). The empty slots between them are never visited:
 //! each run of them, read off the gap between consecutive occupied
 //! slots, is reported in one [`AntiCollision::on_empty_slots`] call and
-//! one add to [`RoundStats::empty`]. The policy sees exactly the outcome
+//! one add to `RoundStats::empty`. The policy sees exactly the outcome
 //! sequence the broadcast reader would give it.
 //!
 //! A round over `A` active tags at frame size `2^Q` costs
@@ -30,7 +30,7 @@
 //! its empty steps are bounded by `Qfp/C` plus the collisions that
 //! raised it. Each piece is exact, not approximate:
 //!
-//! * a read copies the tag's packed [`Tag::epc`] — the EPC the
+//! * a read copies the tag's packed `Tag::epc` — the EPC the
 //!   broadcast reader packs back out of the `PC ‖ EPC ‖ CRC-16` reply,
 //!   whose CRC is valid by construction — so it allocates nothing;
 //! * the slot draw is the top `Q` bits of one RNG word, which is what

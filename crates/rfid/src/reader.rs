@@ -54,18 +54,18 @@ impl QAlgorithm {
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct RoundStats {
     /// Slots with no reply.
-    pub empty: usize,
+    pub(crate) empty: usize,
     /// Slots with a clean single reply.
-    pub singles: usize,
+    pub(crate) singles: usize,
     /// Slots with collisions.
-    pub collisions: usize,
+    pub(crate) collisions: usize,
     /// Multi-reply slots resolved by capture (also counted in `singles`).
-    pub captures: usize,
+    pub(crate) captures: usize,
 }
 
 impl RoundStats {
     /// Total slots in the round.
-    pub fn slots(&self) -> usize {
+    pub(crate) fn slots(&self) -> usize {
         self.empty + self.singles + self.collisions
     }
 }
@@ -130,18 +130,21 @@ impl Reader {
         }
     }
 
-    /// Arms capture-effect arbitration for multi-reply slots.
+    /// Arms capture-effect arbitration for multi-reply slots. The
+    /// capture-armed broadcast reader is the reference the population
+    /// driver is checked against by
+    /// `tests/anticollision_props.rs::population_driver_equals_broadcast_reader`.
     pub fn set_capture(&mut self, capture: CaptureModel) {
         self.capture = Some(capture);
     }
 
     /// Current integer Q.
-    pub fn q(&self) -> u8 {
+    pub(crate) fn q(&self) -> u8 {
         self.policy.choose_q()
     }
 
     /// Builds the Query command for the next round.
-    pub fn query(&self) -> Command {
+    pub(crate) fn query(&self) -> Command {
         Command::Query {
             dr: DivideRatio::Dr8,
             m: TagEncoding::Fm0,
@@ -152,7 +155,7 @@ impl Reader {
     }
 
     /// Feeds a slot outcome to the anti-collision policy.
-    pub fn update_q(&mut self, outcome: &SlotOutcome) {
+    pub(crate) fn update_q(&mut self, outcome: &SlotOutcome) {
         self.policy.on_slot_outcome(outcome);
     }
 

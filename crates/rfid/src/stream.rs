@@ -177,7 +177,7 @@ impl PieStreamDecoder {
     /// Classifies the accumulated notch intervals into bits — the back
     /// end shared with the whole-buffer decoder (no validation of the
     /// stream length; see [`Self::finish`]).
-    pub fn classify(&self) -> Result<Vec<bool>, PieError> {
+    pub(crate) fn classify(&self) -> Result<Vec<bool>, PieError> {
         // Falling edges mark notch starts. With the leading carrier,
         // edge 0 is the delimiter itself; the interval edge1→edge2 spans
         // the RTcal symbol, which self-calibrates the decoder.
@@ -214,11 +214,6 @@ impl PieStreamDecoder {
     /// Samples scanned so far.
     pub fn samples_seen(&self) -> usize {
         self.n
-    }
-
-    /// Running peak of the scanned envelope.
-    pub fn peak(&self) -> f64 {
-        self.peak
     }
 }
 
@@ -281,11 +276,6 @@ impl Fm0Decoder {
         ivn_runtime::obs_count!("rfid.fm0_symbols_decoded", decoded);
     }
 
-    /// Bits decoded so far.
-    pub fn bits(&self) -> &[bool] {
-        &self.bits
-    }
-
     /// Ends the stream, discarding any trailing partial symbol.
     pub fn finish(self) -> Vec<bool> {
         self.bits
@@ -333,7 +323,7 @@ mod tests {
             }
             assert_eq!(dec.finish().expect("stream decode"), batch, "block {block}");
             assert_eq!(dec.samples_seen(), env.len());
-            assert_eq!(dec.peak(), 1.0);
+            assert_eq!(dec.peak, 1.0);
         }
     }
 
@@ -359,7 +349,7 @@ mod tests {
             for chunk in wave.chunks(block) {
                 dec.push(chunk);
             }
-            assert_eq!(dec.bits(), batch.as_slice(), "block {block}");
+            assert_eq!(dec.bits, batch, "block {block}");
             assert_eq!(dec.finish(), batch, "block {block}");
         }
     }

@@ -85,7 +85,7 @@ impl Tag {
     }
 
     /// The tag's EPC.
-    pub fn epc(&self) -> Epc {
+    pub(crate) fn epc(&self) -> Epc {
         self.epc
     }
 
@@ -97,21 +97,6 @@ impl Tag {
     /// Whether the chip currently has power.
     pub fn is_powered(&self) -> bool {
         self.powered
-    }
-
-    /// Current RN16 (test introspection).
-    pub fn rn16(&self) -> u16 {
-        self.rn16
-    }
-
-    /// Current slot counter (test introspection).
-    pub fn slot(&self) -> u32 {
-        self.slot
-    }
-
-    /// Whether the tag has been inventoried this power cycle.
-    pub fn is_inventoried(&self) -> bool {
-        self.inventoried
     }
 
     /// Enables Gen2 single-read semantics: once ACKed, the tag stays
@@ -368,7 +353,7 @@ mod tests {
             reps += 1;
         }
         assert_eq!(replies, 1, "tag never replied within the round");
-        assert!(reps as u32 >= t.slot()); // slot hit zero
+        assert!(reps as u32 >= t.slot); // slot hit zero
     }
 
     #[test]
@@ -378,7 +363,7 @@ mod tests {
         assert_eq!(t.state(), TagState::Reply);
         t.set_powered(false);
         assert_eq!(t.state(), TagState::Ready);
-        assert_eq!(t.rn16(), 0);
+        assert_eq!(t.rn16, 0);
         // Needs power again before responding.
         assert_eq!(t.process(&query(0)), TagReply::Silent);
     }
@@ -411,16 +396,16 @@ mod tests {
         // the tag arbitrating.
         let mut rep = powered_tag();
         let _ = rep.process(&query(4));
-        assert!(rep.slot() > 1);
+        assert!(rep.slot > 1);
         let mut adjust = rep.clone();
         let before = adjust.rng.clone();
-        let slot = adjust.slot();
+        let slot = adjust.slot;
         let adj = Command::QueryAdjust {
             session: Session::S0,
             updn: 1,
         };
         assert_eq!(adjust.process(&adj), TagReply::Silent);
-        assert_eq!(adjust.slot(), slot - 1);
+        assert_eq!(adjust.slot, slot - 1);
         assert_eq!(adjust.state(), TagState::Arbitrate);
         assert!(adjust.rng == before, "QueryAdjust drew from the tag RNG");
         let _ = rep.process(&Command::QueryRep {
@@ -433,7 +418,7 @@ mod tests {
                 session: Session::S0,
             });
             assert_eq!(a, r);
-            assert_eq!((adjust.slot(), adjust.state()), (rep.slot(), rep.state()));
+            assert_eq!((adjust.slot, adjust.state()), (rep.slot, rep.state()));
         }
     }
 
@@ -442,11 +427,11 @@ mod tests {
         let mut t = powered_tag();
         let _ = t.process(&query(4));
         // QueryRep on a different session does nothing.
-        let before = t.slot();
+        let before = t.slot;
         t.process(&Command::QueryRep {
             session: Session::S2,
         });
-        assert_eq!(t.slot(), before);
+        assert_eq!(t.slot, before);
     }
 
     #[test]
@@ -461,13 +446,13 @@ mod tests {
             t.process(&Command::Ack { rn16: rn }),
             TagReply::Epc(_)
         ));
-        assert!(t.is_inventoried());
+        assert!(t.inventoried);
         // Read once: silent at the next Query.
         assert_eq!(t.process(&query(0)), TagReply::Silent);
         // Brownout wipes the flag; the tag replies again.
         t.set_powered(false);
         t.set_powered(true);
-        assert!(!t.is_inventoried());
+        assert!(!t.inventoried);
         assert!(matches!(t.process(&query(0)), TagReply::Rn16(_)));
     }
 
@@ -479,7 +464,7 @@ mod tests {
             other => panic!("{other:?}"),
         };
         let _ = t.process(&Command::Ack { rn16: rn });
-        assert!(t.is_inventoried());
+        assert!(t.inventoried);
         // Without single-read the flag is advisory only.
         assert!(matches!(t.process(&query(0)), TagReply::Rn16(_)));
     }
@@ -510,6 +495,6 @@ mod tests {
         let ra = a.process(&query(4));
         let rb = b.process(&query(4));
         assert_eq!(ra, rb);
-        assert_eq!(a.slot(), b.slot());
+        assert_eq!(a.slot, b.slot);
     }
 }

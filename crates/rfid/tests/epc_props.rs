@@ -4,7 +4,7 @@
 //! same `PC ‖ EPC ‖ CRC-16` reply on the air as a plain bit vector.
 
 use ivn_rfid::crc::{append_crc16, check_crc16};
-use ivn_rfid::epc::{Epc, Sgtin96, EPC_MAX_BITS};
+use ivn_rfid::epc::{Epc, EPC_MAX_BITS};
 use ivn_rfid::tag::Tag;
 use ivn_runtime::prop::{any, vec as pvec};
 use ivn_runtime::rng::{Rng, StdRng};
@@ -85,14 +85,6 @@ props! {
         prop_assert_eq!(epc, Epc::from_bits(&u96_bits(v)));
         prop_assert_eq!(epc, Epc::from_u96(v & ((1u128 << 96) - 1)));
         prop_assert_eq!(epc.len(), 96);
-    }
-
-    // An SGTIN-96's EPC and bit form agree.
-    fn sgtin96_epc_matches_its_bits(
-        company in 0u64..1 << 24, item in 0u32..1 << 20, serial in 0u64..1 << 38) {
-        let id = Sgtin96::new(1, 5, company, item, serial).unwrap();
-        prop_assert_eq!(id.epc(), Epc::from_u96(id.encode()));
-        prop_assert_eq!(id.to_bits(), u96_bits(id.encode()));
     }
 
     // The air-interface reply is PC ‖ EPC ‖ CRC-16 over the plain bits:

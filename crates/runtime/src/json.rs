@@ -77,7 +77,7 @@ impl Json {
     }
 
     /// The number as a `usize`, if it is one exactly.
-    pub fn as_usize(&self) -> Option<usize> {
+    pub(crate) fn as_usize(&self) -> Option<usize> {
         let x = self.as_f64()?;
         (x >= 0.0 && x.fract() == 0.0 && x <= usize::MAX as f64).then_some(x as usize)
     }
@@ -533,7 +533,7 @@ mod tests {
             f64::MIN_POSITIVE,
             1.7976931348623157e308,
             -0.0,
-            123456789.123456789,
+            123456789.12345679,
         ] {
             let text = Json::Num(x).dump();
             let back = Json::parse(&text).unwrap().as_f64().unwrap();

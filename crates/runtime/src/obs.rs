@@ -11,8 +11,7 @@
 //! 1. **The uninstrumented hot path stays branch-predictable.** All
 //!    recording is gated on one process-global [`AtomicBool`]; a disabled
 //!    call site is a relaxed load plus an always-not-taken branch and
-//!    touches no other shared state. The [`Obs`] handle hoists even that
-//!    load out of hot loops.
+//!    touches no other shared state.
 //! 2. **Recording is lock-free and safe under the `par` worker pool.**
 //!    Counters are sharded across cache-line-padded atomics indexed by a
 //!    per-thread slot, so the workers of
@@ -58,68 +57,6 @@ pub fn set_enabled(on: bool) {
 #[inline]
 pub fn enabled() -> bool {
     ENABLED.load(Ordering::Relaxed)
-}
-
-/// A copyable handle caching the enable flag.
-///
-/// Hot loops that would otherwise re-load the global flag per iteration
-/// take an `Obs` once ([`Obs::current`]) and branch on a local bool.
-/// Because the flag is sampled at construction, a handle created while
-/// observability is off records nothing even if recording is enabled
-/// mid-loop — which is the desired scoping for deterministic stages.
-#[derive(Debug, Clone, Copy)]
-pub struct Obs {
-    on: bool,
-}
-
-impl Obs {
-    /// A handle reflecting the global flag at this instant.
-    #[inline]
-    pub fn current() -> Obs {
-        Obs { on: enabled() }
-    }
-
-    /// A handle that never records (for explicitly silent paths).
-    #[inline]
-    pub fn off() -> Obs {
-        Obs { on: false }
-    }
-
-    /// Adds `n` to `c` if this handle records.
-    #[inline]
-    pub fn add(&self, c: &Counter, n: u64) {
-        if self.on {
-            c.add_unchecked(n);
-        }
-    }
-
-    /// Records `v` into `h` if this handle records.
-    #[inline]
-    pub fn record(&self, h: &Histogram, v: u64) {
-        if self.on {
-            h.record_unchecked(v);
-        }
-    }
-
-    /// Sets `g` to `v` if this handle records.
-    #[inline]
-    pub fn set(&self, g: &Gauge, v: f64) {
-        if self.on {
-            g.set_unchecked(v);
-        }
-    }
-
-    /// Starts a span timer into `h` if this handle records.
-    #[inline]
-    pub fn timer(&self, h: &'static Histogram) -> Timer {
-        if self.on {
-            Timer {
-                inner: Some((Instant::now(), h)),
-            }
-        } else {
-            Timer { inner: None }
-        }
-    }
 }
 
 // ---------------------------------------------------------------------
@@ -171,7 +108,7 @@ impl Counter {
     }
 
     /// The metric name.
-    pub fn name(&self) -> &str {
+    pub(crate) fn name(&self) -> &str {
         &self.name
     }
 
@@ -220,7 +157,7 @@ impl Gauge {
     }
 
     /// The metric name.
-    pub fn name(&self) -> &str {
+    pub(crate) fn name(&self) -> &str {
         &self.name
     }
 
@@ -238,7 +175,7 @@ impl Gauge {
     }
 
     /// The stored value.
-    pub fn get(&self) -> f64 {
+    pub(crate) fn get(&self) -> f64 {
         f64::from_bits(self.bits.load(Ordering::Relaxed))
     }
 
@@ -249,16 +186,16 @@ impl Gauge {
 
 /// Number of power-of-two buckets: index `0` holds zeros, index `i ≥ 1`
 /// holds values in `[2^(i-1), 2^i)`, up to `i = 64` for `u64::MAX`.
-pub const HIST_BUCKETS: usize = 65;
+pub(crate) const HIST_BUCKETS: usize = 65;
 
 /// The bucket index a value lands in.
 #[inline]
-pub fn bucket_of(v: u64) -> usize {
+pub(crate) fn bucket_of(v: u64) -> usize {
     (u64::BITS - v.leading_zeros()) as usize
 }
 
 /// The smallest value a bucket admits (`0` for bucket 0).
-pub fn bucket_low(i: usize) -> u64 {
+pub(crate) fn bucket_low(i: usize) -> u64 {
     assert!(i < HIST_BUCKETS, "bucket out of range");
     if i == 0 {
         0
@@ -287,7 +224,7 @@ impl Histogram {
     }
 
     /// The metric name.
-    pub fn name(&self) -> &str {
+    pub(crate) fn name(&self) -> &str {
         &self.name
     }
 
@@ -342,11 +279,13 @@ pub struct HistogramSnapshot {
     /// Sum of recorded samples (wrapping is the caller's concern).
     pub sum: u64,
     /// Sparse `(bucket index, count)` pairs, ascending, counts nonzero.
-    pub buckets: Vec<(usize, u64)>,
+    pub(crate) buckets: Vec<(usize, u64)>,
 }
 
 impl HistogramSnapshot {
-    /// Builds a snapshot by bucketing `values` directly (test/merge use).
+    /// Builds a snapshot by bucketing `values` directly, without the
+    /// registry: the reference `tests/obs_props.rs` builds its snapshots
+    /// and reports from (e.g. `histogram_merge_matches_concatenation`).
     pub fn from_values(values: &[u64]) -> HistogramSnapshot {
         let mut dense = [0u64; HIST_BUCKETS];
         let mut sum = 0u64;
@@ -365,7 +304,8 @@ impl HistogramSnapshot {
         }
     }
 
-    /// Bucket-wise sum of two snapshots — associative and commutative.
+    /// Bucket-wise sum of two snapshots — associative and commutative
+    /// (`tests/obs_props.rs::histogram_merge_is_associative`).
     pub fn merge(&self, other: &HistogramSnapshot) -> HistogramSnapshot {
         let mut dense = [0u64; HIST_BUCKETS];
         for &(i, n) in self.buckets.iter().chain(&other.buckets) {
@@ -387,7 +327,7 @@ impl HistogramSnapshot {
     /// saturate at zero so a stale `prev` can never produce negative
     /// buckets; `sum` subtracts wrapping, the exact inverse of
     /// [`merge`](Self::merge)'s wrapping add.
-    pub fn diff(&self, prev: &HistogramSnapshot) -> HistogramSnapshot {
+    pub(crate) fn diff(&self, prev: &HistogramSnapshot) -> HistogramSnapshot {
         let mut dense = [0u64; HIST_BUCKETS];
         for &(i, n) in &self.buckets {
             dense[i] = n;
@@ -412,7 +352,7 @@ impl HistogramSnapshot {
     }
 
     /// Lower bound of the highest non-empty bucket (`None` when empty).
-    pub fn max_bucket_low(&self) -> Option<u64> {
+    pub(crate) fn max_bucket_low(&self) -> Option<u64> {
         self.buckets.last().map(|&(i, _)| bucket_low(i))
     }
 }
@@ -505,7 +445,7 @@ fn registry() -> &'static Registry {
 /// subsystems that keep their own always-on internals (the worker pool's
 /// per-lane atomics) can publish them as gauges just in time. Hooks must
 /// not call [`report`] themselves.
-pub fn register_collector(f: impl Fn() + Send + Sync + 'static) {
+pub(crate) fn register_collector(f: impl Fn() + Send + Sync + 'static) {
     registry()
         .collectors
         .lock()
@@ -582,7 +522,7 @@ pub fn reset() {
 
 /// RAII span timer: records elapsed nanoseconds into a histogram on drop.
 ///
-/// Construct through [`span!`](crate::span) or [`Obs::timer`]; a timer
+/// Construct through [`span!`](crate::span) or [`Timer::start`]; a timer
 /// started while observability is off holds nothing and records nothing.
 #[must_use = "a span records when the timer drops; bind it with `let _span = ...`"]
 #[derive(Debug)]
@@ -594,7 +534,9 @@ impl Timer {
     /// Starts a timer into `h` (no-op when observability is off).
     #[inline]
     pub fn start(h: &'static Histogram) -> Timer {
-        Obs::current().timer(h)
+        Timer {
+            inner: enabled().then(|| (Instant::now(), h)),
+        }
     }
 
     /// A timer that records nothing.
@@ -602,9 +544,6 @@ impl Timer {
     pub fn noop() -> Timer {
         Timer { inner: None }
     }
-
-    /// Stops the timer, recording now rather than at scope end.
-    pub fn stop(self) {}
 }
 
 impl Drop for Timer {
@@ -766,11 +705,6 @@ impl Report {
             .map(|&(_, v)| v)
     }
 
-    /// Value of the named gauge, if registered.
-    pub fn gauge(&self, name: &str) -> Option<f64> {
-        self.gauges.iter().find(|(n, _)| n == name).map(|&(_, v)| v)
-    }
-
     /// Snapshot of the named histogram, if registered.
     pub fn histogram(&self, name: &str) -> Option<&HistogramSnapshot> {
         self.histograms
@@ -815,7 +749,9 @@ impl Report {
 
     /// Element-wise union: counters add, histograms merge bucket-wise,
     /// and for gauges `other` wins on a shared name (it is the later
-    /// snapshot). Output stays sorted by name.
+    /// snapshot). Output stays sorted by name. The reference
+    /// [`delta`](Self::delta) is checked against by
+    /// `tests/obs_props.rs::delta_merge_identity`.
     pub fn merge(&self, other: &Report) -> Report {
         fn unioned<T: Clone>(
             a: &[(String, T)],
@@ -971,6 +907,11 @@ impl FromJson for Report {
 mod tests {
     use super::*;
 
+    /// Value of the named gauge in `r`, if registered.
+    fn gauge_value(r: &Report, name: &str) -> Option<f64> {
+        r.gauges.iter().find(|(n, _)| n == name).map(|&(_, v)| v)
+    }
+
     // Metric names in this module are unique per test so the process-wide
     // registry keeps tests independent even when they run concurrently.
     // Tests here only ever turn recording on; the disabled path lives in
@@ -1075,7 +1016,7 @@ mod tests {
         }
         let r = report();
         assert_eq!(r.counter("test.obs.macro_counter"), Some(5));
-        assert_eq!(r.gauge("test.obs.macro_gauge"), Some(4.5));
+        assert_eq!(gauge_value(&r, "test.obs.macro_gauge"), Some(4.5));
         assert!(r.histogram("test.obs.macro_span").unwrap().count >= 1);
     }
 
@@ -1131,7 +1072,7 @@ mod tests {
         // changes nothing as long as the other side names them.
         assert_eq!(a.pruned().merge(&b), a.merge(&b).pruned());
         assert_eq!(a.merge(&b).counter("c.live"), Some(5));
-        assert_eq!(a.merge(&b).gauge("g"), Some(2.5));
+        assert_eq!(gauge_value(&a.merge(&b), "g"), Some(2.5));
     }
 
     #[test]
@@ -1147,7 +1088,7 @@ mod tests {
         let d = cur.delta(&prev);
         assert_eq!(d.counter("test.obs.delta_counter"), Some(7));
         assert_eq!(d.histogram("test.obs.delta_hist").unwrap().count, 1);
-        assert_eq!(d.gauge("test.obs.delta_gauge"), Some(3.25));
+        assert_eq!(gauge_value(&d, "test.obs.delta_gauge"), Some(3.25));
         assert_eq!(prev.merge(&d), cur);
         // Self-delta is all-zero; reversed order saturates instead of wrapping.
         for (n, v) in &cur.delta(&cur).counters {
@@ -1166,16 +1107,5 @@ mod tests {
         assert!(text.contains("test.obs.render_counter"));
         assert!(text.contains("test.obs.render_gauge"));
         assert!(text.contains("test.obs.render_hist"));
-    }
-
-    #[test]
-    fn obs_handle_gates_recording() {
-        set_enabled(true);
-        let c = counter("test.obs.handle_counter");
-        let before = c.total();
-        Obs::off().add(c, 100);
-        assert_eq!(c.total(), before);
-        Obs::current().add(c, 2);
-        assert_eq!(c.total(), before + 2);
     }
 }

@@ -52,7 +52,7 @@ thread_local! {
 
 /// True when the current thread is one of the pool's workers. Nested
 /// pool calls detect this and run inline to avoid self-deadlock.
-pub fn on_pool_worker() -> bool {
+pub(crate) fn on_pool_worker() -> bool {
     IS_POOL_WORKER.with(|f| f.get())
 }
 

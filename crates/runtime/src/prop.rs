@@ -64,7 +64,7 @@ pub trait Strategy {
 }
 
 /// A type-erased strategy.
-pub type BoxedStrategy<T> = Box<dyn Strategy<Value = T>>;
+pub(crate) type BoxedStrategy<T> = Box<dyn Strategy<Value = T>>;
 
 impl<T> Strategy for BoxedStrategy<T> {
     type Value = T;

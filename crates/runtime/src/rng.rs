@@ -9,7 +9,7 @@
 //!   `bool`;
 //! * `random_range(range)` for half-open and inclusive integer ranges
 //!   (bias-free via Lemire rejection) and `f64` ranges;
-//! * [`StdRng::seed_from_stream`] / [`StdRng::fork`] — independent
+//! * `StdRng::seed_from_stream` / [`StdRng::fork`] — independent
 //!   *streams* from one seed, used to give every Monte-Carlo trial its own
 //!   generator so ensembles are reproducible at any worker-thread count.
 //!
@@ -52,7 +52,7 @@ impl StdRng {
     /// the pair is folded through SplitMix64 before state expansion. This
     /// is the basis of per-trial seeding — trial `i` of an ensemble uses
     /// stream `i`, so results do not depend on which thread ran the trial.
-    pub fn seed_from_stream(seed: u64, stream: u64) -> Self {
+    pub(crate) fn seed_from_stream(seed: u64, stream: u64) -> Self {
         let mut sm = seed ^ stream.wrapping_mul(GOLDEN | 1).rotate_left(17);
         // Decorrelate (seed, stream) pairs that collide in the xor above.
         let _ = splitmix64(&mut sm);
@@ -337,7 +337,7 @@ mod tests {
         let mut r = StdRng::seed_from_u64(3);
         for _ in 0..200 {
             let v = r.random_range(1u128..(u128::MAX >> 32));
-            assert!(v >= 1 && v < u128::MAX >> 32);
+            assert!((1..u128::MAX >> 32).contains(&v));
         }
     }
 

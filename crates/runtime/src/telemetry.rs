@@ -31,11 +31,11 @@ pub struct Snapshot {
     /// Heartbeat index, starting at 0 (the baseline sample).
     pub seq: u64,
     /// Seconds since the recorder started.
-    pub elapsed_s: f64,
+    pub(crate) elapsed_s: f64,
     /// Seconds covered by this interval (since the previous heartbeat).
-    pub dt_s: f64,
+    pub(crate) dt_s: f64,
     /// Interval difference: counter/histogram deltas, current gauges.
-    pub delta: Report,
+    pub(crate) delta: Report,
     /// Cumulative registry snapshot at sample time.
     pub totals: Report,
 }
@@ -51,7 +51,7 @@ impl Snapshot {
     /// The NDJSON line body (no trailing newline). Only metrics that
     /// moved during the interval appear; `rates` mirrors `counters`
     /// divided by the interval length.
-    pub fn to_json(&self) -> Json {
+    pub(crate) fn to_json(&self) -> Json {
         let dt = self.dt_s.max(1e-9);
         let active: Vec<(&String, u64)> = self
             .delta
@@ -116,16 +116,12 @@ pub struct FlightRecorder {
 }
 
 /// Starts a recorder emitting one NDJSON heartbeat per `interval` to
-/// `sink`. Heartbeat 0 is an immediate all-zero-delta baseline; one
-/// final heartbeat is emitted on [`stop`](FlightRecorder::stop), so even
-/// an instant run yields at least two lines.
-pub fn start<W: Write + Send + 'static>(interval: Duration, sink: W) -> FlightRecorder {
-    start_with(interval, sink, |_| {})
-}
-
-/// [`start`], plus a callback invoked with every [`Snapshot`] after it
-/// is written — the hook `reproduce campaign --live` uses for progress
-/// lines without parsing its own output file.
+/// `sink`, calling `on_snapshot` with every [`Snapshot`] after it is
+/// written — the hook `reproduce campaign --live` uses for progress lines
+/// without parsing its own output file. Heartbeat 0 is an immediate
+/// all-zero-delta baseline; one final heartbeat is emitted on
+/// [`stop`](FlightRecorder::stop), so even an instant run yields at least
+/// two lines.
 pub fn start_with<W, F>(interval: Duration, mut sink: W, mut on_snapshot: F) -> FlightRecorder
 where
     W: Write + Send + 'static,
@@ -134,7 +130,7 @@ where
     let (stop_tx, stop_rx) = mpsc::channel::<()>();
     // Seed `prev` with the current registry state so heartbeat 0 is a
     // clean baseline instead of a lifetime-sized "delta". Taken on the
-    // caller's thread: anything counted after `start` returns lands in
+    // caller's thread: anything counted after `start_with` returns lands in
     // an interval delta even when the sampler thread is scheduled late.
     let baseline = obs::report();
     let t0 = Instant::now();
@@ -167,14 +163,9 @@ where
                 Ok(())
             };
             emit(&mut sink, &mut prev, &mut prev_t, &mut seq)?;
-            loop {
-                match stop_rx.recv_timeout(interval) {
-                    Err(RecvTimeoutError::Timeout) => {
-                        emit(&mut sink, &mut prev, &mut prev_t, &mut seq)?;
-                    }
-                    // Stop requested, or the handle was dropped.
-                    Ok(()) | Err(RecvTimeoutError::Disconnected) => break,
-                }
+            // Beat until a stop is requested or the handle is dropped.
+            while let Err(RecvTimeoutError::Timeout) = stop_rx.recv_timeout(interval) {
+                emit(&mut sink, &mut prev, &mut prev_t, &mut seq)?;
             }
             emit(&mut sink, &mut prev, &mut prev_t, &mut seq)
         })
@@ -270,7 +261,7 @@ mod tests {
     fn recorder_emits_validated_stream() {
         obs::set_enabled(true);
         let buf = SharedBuf::default();
-        let rec = start(Duration::from_millis(5), buf.clone());
+        let rec = start_with(Duration::from_millis(5), buf.clone(), |_| {});
         obs::counter("test.telemetry.beats").add(11);
         // Wait until the sampler has actually ticked >= 3 times rather
         // than sleeping a fixed interval: on a loaded 1-core test

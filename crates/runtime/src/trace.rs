@@ -217,23 +217,8 @@ fn emit(kind: u32, tok: Token, bits: u64) {
 // Emission API.
 // ---------------------------------------------------------------------
 
-/// Records a span-begin event (no-op when tracing is off).
-#[inline]
-pub fn begin(tok: Token) {
-    if enabled() {
-        emit(KIND_BEGIN, tok, 0);
-    }
-}
-
-/// Records a span-end event (no-op when tracing is off).
-#[inline]
-pub fn end(tok: Token) {
-    if enabled() {
-        emit(KIND_END, tok, 0);
-    }
-}
-
-/// Records an instant marker (no-op when tracing is off).
+/// Records an instant marker (no-op when tracing is off); what
+/// [`trace_instant!`](crate::trace_instant) expands to.
 #[inline]
 pub fn instant(tok: Token) {
     if enabled() {
@@ -657,8 +642,7 @@ mod tests {
         let _guard = serial();
         set_enabled(false);
         let tok = intern("ut.disabled");
-        begin(tok);
-        end(tok);
+        drop(TraceSpan::enter(tok));
         counter(tok, 1.0);
         instant(tok);
         assert!(mine(&snapshot(), "ut.disabled").is_empty());
@@ -704,8 +688,8 @@ mod tests {
         set_enabled(true);
         let orphan = intern("ut.orphan");
         let unclosed = intern("ut.unclosed");
-        end(orphan); // no begin: must not survive export
-        begin(unclosed); // never ended: must not survive export
+        emit(KIND_END, orphan, 0); // no begin: must not survive export
+        emit(KIND_BEGIN, unclosed, 0); // never ended: must not survive export
         set_enabled(false);
         let doc = snapshot().to_chrome_json();
         let exported = Trace::from_chrome_json(&doc).unwrap();

@@ -112,7 +112,7 @@ fn floats_round_trip_bit_exact() {
         f64::MAX,
         -f64::MAX,
         1e308,
-        123456789.123456789,
+        123456789.12345679,
         (1u64 << 53) as f64,
         37.0 * (1.0 + 0.05 * (2.0 * 0.123456789 - 1.0)), // a jittered EIRP
     ];

@@ -7,7 +7,7 @@
 //! test-unique event names.
 
 use ivn_runtime::json::Json;
-use ivn_runtime::trace::{self, Trace, TraceEvent};
+use ivn_runtime::trace::{self, Trace, TraceEvent, TraceSpan};
 use std::sync::{Mutex, MutexGuard};
 
 fn serial() -> MutexGuard<'static, ()> {
@@ -129,13 +129,12 @@ fn export_balances_spans_across_wraparound() {
     let inner = trace::intern("props.bal.inner");
     // An outer span whose begin is guaranteed to be overwritten: open it,
     // then flood the ring with inner spans past capacity.
-    trace::begin(outer);
+    let outer_span = TraceSpan::enter(outer);
     let cap = trace::track_capacity();
     for _ in 0..(cap / 2 + 2) {
-        trace::begin(inner);
-        trace::end(inner);
+        drop(TraceSpan::enter(inner));
     }
-    trace::end(outer);
+    drop(outer_span);
     trace::set_enabled(false);
     let exported = Trace::from_chrome_json(&trace::snapshot().to_chrome_json()).unwrap();
     exported
@@ -147,6 +146,6 @@ fn export_balances_spans_across_wraparound() {
         "orphan outer end must be dropped: {outers:?}"
     );
     let inners = mine(&exported, "props.bal.inner");
-    assert!(!inners.is_empty() && inners.len() % 2 == 0);
+    assert!(!inners.is_empty() && inners.len().is_multiple_of(2));
     trace::reset();
 }

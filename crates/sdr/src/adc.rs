@@ -15,7 +15,7 @@ pub struct Adc {
     /// Full-scale input amplitude (clips beyond ±full_scale per rail).
     pub full_scale: f64,
     /// Bits of resolution per rail (I and Q each).
-    pub bits: u32,
+    pub(crate) bits: u32,
 }
 
 impl Adc {
@@ -43,7 +43,7 @@ impl Adc {
     }
 
     /// Whether a sample amplitude saturates the converter.
-    pub fn saturates(&self, x: Complex64) -> bool {
+    pub(crate) fn saturates(&self, x: Complex64) -> bool {
         x.re.abs() >= self.full_scale || x.im.abs() >= self.full_scale
     }
 
@@ -62,13 +62,13 @@ impl Adc {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SawFilter {
     /// Passband centre, Hz.
-    pub center_hz: f64,
+    pub(crate) center_hz: f64,
     /// Passband half-width, Hz.
-    pub half_bandwidth_hz: f64,
+    pub(crate) half_bandwidth_hz: f64,
     /// Out-of-band rejection, dB (positive).
-    pub rejection_db: f64,
+    pub(crate) rejection_db: f64,
     /// Passband insertion loss, dB (positive).
-    pub insertion_loss_db: f64,
+    pub(crate) insertion_loss_db: f64,
 }
 
 impl SawFilter {

@@ -9,9 +9,8 @@
 use crate::clock::ClockDistribution;
 use crate::device::SdrDevice;
 use crate::stream::{BankStreamer, EmitterLane};
-use ivn_dsp::block::{accumulate_scaled, BlockStage};
+use ivn_dsp::block::BlockStage;
 use ivn_dsp::buffer::IqBuffer;
-use ivn_dsp::complex::Complex64;
 use ivn_runtime::rng::Rng;
 
 /// A bank of synchronized transmitters.
@@ -19,7 +18,6 @@ use ivn_runtime::rng::Rng;
 pub struct TxBank {
     devices: Vec<SdrDevice>,
     soft_offsets_hz: Vec<f64>,
-    carrier_hz: f64,
     sample_rate: f64,
 }
 
@@ -44,7 +42,7 @@ impl TxBank {
         let trigger_offsets = clock.draw_trigger_offsets(rng, n);
         let devices = (0..n)
             .map(|i| {
-                let mut d = SdrDevice::n210(sample_rate);
+                let mut d = SdrDevice::n210();
                 d.trigger_offset_s = trigger_offsets[i];
                 d.tune(rng, carrier_hz);
                 d
@@ -53,7 +51,6 @@ impl TxBank {
         TxBank {
             devices,
             soft_offsets_hz: offsets_hz.to_vec(),
-            carrier_hz,
             sample_rate,
         }
     }
@@ -66,11 +63,6 @@ impl TxBank {
     /// Whether the bank is empty (never after construction).
     pub fn is_empty(&self) -> bool {
         self.devices.is_empty()
-    }
-
-    /// Band-centre carrier frequency, Hz.
-    pub fn carrier_hz(&self) -> f64 {
-        self.carrier_hz
     }
 
     /// Sample rate shared by every device, S/s.
@@ -91,25 +83,6 @@ impl TxBank {
     /// Device access (e.g. for per-device fault injection).
     pub fn device(&self, i: usize) -> &SdrDevice {
         &self.devices[i]
-    }
-
-    /// The hidden carrier phases θᵢ (test/oracle use only).
-    pub fn hidden_phases(&self) -> Vec<f64> {
-        let mut out = vec![0.0; self.len()];
-        self.hidden_phases_into(&mut out);
-        out
-    }
-
-    /// Writes the hidden carrier phases θᵢ into `out` without
-    /// allocating — the hot-path variant used by the block driver.
-    ///
-    /// # Panics
-    /// Panics if `out.len() != self.len()`.
-    pub fn hidden_phases_into(&self, out: &mut [f64]) {
-        assert_eq!(out.len(), self.len(), "one slot per device required");
-        for (slot, d) in out.iter_mut().zip(&self.devices) {
-            *slot = d.pll.initial_phase();
-        }
     }
 
     /// Generates device `i`'s emitted baseband for a shared amplitude
@@ -145,24 +118,12 @@ impl TxBank {
             .map(|i| self.emit(i, profile, drive))
             .collect()
     }
-
-    /// Superposes the bank's emissions at a receive point with per-device
-    /// flat channel gains (narrowband assumption: each device's channel is
-    /// evaluated at its own emission frequency by the caller).
-    pub fn superpose(emissions: &[IqBuffer], gains: &[Complex64]) -> IqBuffer {
-        assert_eq!(emissions.len(), gains.len(), "one gain per emission");
-        assert!(!emissions.is_empty(), "nothing to superpose");
-        let mut acc = IqBuffer::zeros(emissions[0].len(), emissions[0].sample_rate());
-        for (e, &g) in emissions.iter().zip(gains) {
-            accumulate_scaled(acc.samples_mut(), e.samples(), g);
-        }
-        acc
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ivn_dsp::complex::Complex64;
     use ivn_dsp::envelope;
     use ivn_runtime::rng::StdRng;
 
@@ -184,9 +145,7 @@ mod tests {
     fn construction_and_metadata() {
         let b = bank(10, 1);
         assert_eq!(b.len(), 10);
-        assert_eq!(b.carrier_hz(), 915e6);
         assert_eq!(b.emission_hz(3), 915e6 + 49.0);
-        assert_eq!(b.hidden_phases().len(), 10);
     }
 
     #[test]
@@ -219,8 +178,13 @@ mod tests {
         let gains: Vec<Complex64> = (0..5)
             .map(|_| Complex64::from_polar(1.0, rng.random::<f64>() * std::f64::consts::TAU))
             .collect();
-        let rx = TxBank::superpose(&e, &gains);
-        let env = rx.envelope();
+        let mut rx = vec![Complex64::ZERO; profile.len()];
+        for (buf, &g) in e.iter().zip(&gains) {
+            for (r, &x) in rx.iter_mut().zip(buf.samples()) {
+                *r += x * g;
+            }
+        }
+        let env: Vec<f64> = rx.iter().map(|s| s.norm()).collect();
         let single_amp = e[0].samples()[0].norm();
         let (_, peak) = envelope::peak(&env).unwrap();
         // Over a full period of integer offsets the 5 tones align nearly
@@ -253,7 +217,12 @@ mod tests {
     fn deterministic_under_seed() {
         let a = bank(6, 42);
         let b = bank(6, 42);
-        assert_eq!(a.hidden_phases(), b.hidden_phases());
+        for i in 0..6 {
+            assert_eq!(
+                a.device(i).pll.initial_phase(),
+                b.device(i).pll.initial_phase()
+            );
+        }
     }
 
     #[test]

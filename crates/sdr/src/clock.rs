@@ -45,13 +45,6 @@ impl ClockDistribution {
             .collect()
     }
 
-    /// Draws per-device fractional frequency offsets (dimensionless).
-    pub fn draw_freq_offsets<R: Rng + ?Sized>(&self, rng: &mut R, n: usize) -> Vec<f64> {
-        (0..n)
-            .map(|_| gaussian(rng) * self.residual_ppm_rms * 1e-6)
-            .collect()
-    }
-
     /// Whether a trigger-offset spread is acceptable for a downlink whose
     /// shortest feature is `min_feature_s` (PIE notch width): the commands
     /// stay "synchronous" in the paper's sense when the spread is well
@@ -94,24 +87,5 @@ mod tests {
         let offsets = c.draw_trigger_offsets(&mut rng, 50_000);
         let rms = (offsets.iter().map(|o| o * o).sum::<f64>() / offsets.len() as f64).sqrt();
         assert!((rms / 5e-9 - 1.0).abs() < 0.05, "rms {rms}");
-    }
-
-    #[test]
-    fn octoclock_freq_offsets_zero() {
-        let mut rng = StdRng::seed_from_u64(6);
-        let c = ClockDistribution::octoclock();
-        assert!(c.draw_freq_offsets(&mut rng, 8).iter().all(|&f| f == 0.0));
-    }
-
-    #[test]
-    fn free_running_freq_offsets_ppm_scale() {
-        let mut rng = StdRng::seed_from_u64(7);
-        let c = ClockDistribution::free_running();
-        let offs = c.draw_freq_offsets(&mut rng, 10_000);
-        let rms = (offs.iter().map(|o| o * o).sum::<f64>() / offs.len() as f64).sqrt();
-        assert!((rms / 2e-6 - 1.0).abs() < 0.1, "rms {rms}");
-        // At 915 MHz, 2 ppm is ~1.8 kHz — vastly larger than CIB's 7 Hz
-        // offsets, which is why a shared reference is mandatory.
-        assert!(rms * 915e6 > 100.0);
     }
 }

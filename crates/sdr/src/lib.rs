@@ -18,17 +18,15 @@
 //! * [`pa`] — Rapp-model soft compression around the 30 dBm P1dB point;
 //! * [`adc`] — quantization, clipping and receiver saturation (the
 //!   self-jamming failure §4 designs around), plus the SAW bandpass model;
-//! * [`device`] / [`bank`] — a complete TX/RX device and the synchronized
+//! * [`SdrDevice`] / [`bank`] — a complete TX device and the synchronized
 //!   N-transmitter bank that the CIB beamformer drives.
 
 pub mod adc;
 pub mod bank;
 pub mod clock;
-pub mod device;
+mod device;
 pub mod pa;
 pub mod pll;
 pub mod stream;
 
-pub use bank::TxBank;
 pub use device::SdrDevice;
-pub use stream::{BankStreamer, EmitterLane};

@@ -9,7 +9,6 @@
 //!    ≈ kHz at integer-N settings): hertz-scale CIB offsets cannot be set
 //!    in hardware and must be soft-coded into the baseband samples.
 
-use ivn_dsp::complex::Complex64;
 use ivn_runtime::rng::Rng;
 use std::f64::consts::TAU;
 
@@ -17,10 +16,7 @@ use std::f64::consts::TAU;
 #[derive(Debug, Clone, PartialEq)]
 pub struct Pll {
     /// Smallest programmable frequency step, Hz.
-    pub step_hz: f64,
-    /// Residual frequency error after lock as a fraction of the carrier
-    /// (0 when locked to a shared reference).
-    pub frac_error: f64,
+    pub(crate) step_hz: f64,
     tuned_hz: f64,
     phase: f64,
 }
@@ -34,7 +30,6 @@ impl Pll {
         assert!(step_hz > 0.0, "step must be positive");
         Pll {
             step_hz,
-            frac_error: 0.0,
             tuned_hz: 0.0,
             phase: 0.0,
         }
@@ -46,32 +41,17 @@ impl Pll {
         Pll::new(1e3)
     }
 
-    /// A free-running (no shared reference) variant with ±2 ppm error.
-    pub fn free_running() -> Self {
-        Pll {
-            frac_error: 2e-6,
-            ..Pll::new(1e3)
-        }
-    }
-
     /// Tunes to the nearest achievable frequency to `target_hz`, latching
     /// a fresh random phase. Returns the actually tuned frequency.
     pub fn tune<R: Rng + ?Sized>(&mut self, rng: &mut R, target_hz: f64) -> f64 {
         ivn_runtime::obs_count!("sdr.pll_locks", 1);
-        let quantized = (target_hz / self.step_hz).round() * self.step_hz;
-        let err = if self.frac_error > 0.0 {
-            // Uniform in ±frac_error.
-            quantized * self.frac_error * (2.0 * rng.random::<f64>() - 1.0)
-        } else {
-            0.0
-        };
-        self.tuned_hz = quantized + err;
+        self.tuned_hz = (target_hz / self.step_hz).round() * self.step_hz;
         self.phase = rng.random::<f64>() * TAU;
         self.tuned_hz
     }
 
     /// Frequency the PLL is actually producing, Hz.
-    pub fn frequency(&self) -> f64 {
+    pub(crate) fn frequency(&self) -> f64 {
         self.tuned_hz
     }
 
@@ -79,27 +59,6 @@ impl Pll {
     /// to the system; exposed for tests and for the channel compositor.
     pub fn initial_phase(&self) -> f64 {
         self.phase
-    }
-
-    /// The latched initial phase as a unit phasor `e^{jθ}` — the factor
-    /// the emission path multiplies in, and the phase a
-    /// [`PhasorRotor`](ivn_dsp::rotor::PhasorRotor) starts from.
-    pub fn initial_phasor(&self) -> Complex64 {
-        Complex64::cis(self.phase)
-    }
-
-    /// Tuning error that would result from requesting `target_hz`
-    /// (ignoring reference error), Hz.
-    pub fn quantization_error(&self, target_hz: f64) -> f64 {
-        let quantized = (target_hz / self.step_hz).round() * self.step_hz;
-        target_hz - quantized
-    }
-
-    /// Whether a CIB offset can be realized in hardware: true only when
-    /// it is an exact multiple of the step (it essentially never is —
-    /// hence soft offsets).
-    pub fn can_realize_offset(&self, offset_hz: f64) -> bool {
-        (offset_hz / self.step_hz).fract().abs() < 1e-9
     }
 }
 
@@ -115,19 +74,6 @@ mod tests {
         let f = pll.tune(&mut rng, 915_000_437.0);
         assert_eq!(f, 915_000_000.0);
         assert_eq!(pll.frequency(), 915_000_000.0);
-    }
-
-    #[test]
-    fn paper_offsets_not_realizable_in_hardware() {
-        // §5a: "USRPs cannot stably generate small frequency offsets, we
-        // soft-coded these offsets". 7 Hz, 137 Hz etc. are far below the
-        // 1 kHz step.
-        let pll = Pll::sbx_class();
-        for df in [7.0, 20.0, 49.0, 137.0] {
-            assert!(!pll.can_realize_offset(df), "{df} Hz should not fit");
-            assert!((pll.quantization_error(915e6 + df) - df).abs() < 1e-6);
-        }
-        assert!(pll.can_realize_offset(2e3));
     }
 
     #[test]
@@ -157,18 +103,6 @@ mod tests {
         });
         assert!((mean.0 / n as f64).abs() < 0.02);
         assert!((mean.1 / n as f64).abs() < 0.02);
-    }
-
-    #[test]
-    fn shared_reference_removes_frequency_error() {
-        let mut rng = StdRng::seed_from_u64(4);
-        let mut locked = Pll::sbx_class();
-        let f = locked.tune(&mut rng, 915e6);
-        assert_eq!(f, 915e6);
-        let mut free = Pll::free_running();
-        let f2 = free.tune(&mut rng, 915e6);
-        assert_ne!(f2, 915e6);
-        assert!((f2 - 915e6).abs() < 915e6 * 2e-6 + 1.0);
     }
 
     #[test]

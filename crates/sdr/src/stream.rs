@@ -122,13 +122,15 @@ impl EmitterLane {
         self.latency = latency;
     }
 
-    /// The profile shift in samples.
+    /// The profile shift in samples: the trigger delay
+    /// `tests/stream_props.rs`'s per-sample reference rebuilds the
+    /// emission with.
     pub fn shift(&self) -> i64 {
         self.shift
     }
 
     /// Samples of profile history currently buffered (footprint probe).
-    pub fn history_len(&self) -> usize {
+    pub(crate) fn history_len(&self) -> usize {
         self.hist.len()
     }
 
@@ -428,16 +430,6 @@ impl BankStreamer {
             })
             .collect();
         BankStreamer { slots, threads }
-    }
-
-    /// Number of lanes (devices).
-    pub fn len(&self) -> usize {
-        self.slots.len()
-    }
-
-    /// Whether the streamer has no lanes.
-    pub fn is_empty(&self) -> bool {
-        self.slots.is_empty()
     }
 
     /// Pushes one shared profile block; every lane appends the same

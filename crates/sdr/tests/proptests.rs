@@ -40,12 +40,6 @@ props! {
         prop_assert!(a2 <= gain * (v1 + dv) + 1e-9);
     }
 
-    fn pa_preserves_phase(v in 0.01f64..20.0, theta in -3.0f64..3.0) {
-        let pa = PowerAmp::hmc453_class();
-        let y = pa.process(Complex64::from_polar(v, theta));
-        prop_assert!((y.arg() - theta).abs() < 1e-9);
-    }
-
     fn adc_error_bounded_by_lsb(bits in 4u32..16, re in -0.99f64..0.99, im in -0.99f64..0.99) {
         let adc = Adc::new(1.0, bits);
         let x = Complex64::new(re, im);
@@ -72,27 +66,6 @@ props! {
         let bank = TxBank::new(&mut rng, n, 915e6, 1e5, &offsets, &ClockDistribution::octoclock());
         for i in 0..n {
             prop_assert_eq!(bank.emission_hz(i), 915e6 + i as f64 * 13.0);
-        }
-        // Hidden phases all in range and (for n > 1) not all identical.
-        let phases = bank.hidden_phases();
-        for &p in &phases {
-            prop_assert!((0.0..std::f64::consts::TAU).contains(&p));
-        }
-    }
-
-    fn superposition_is_linear(seed in any::<u64>(), scale in 0.1f64..5.0) {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let bank = TxBank::new(
-            &mut rng, 3, 915e6, 1e5, &[0.0, 7.0, 20.0], &ClockDistribution::octoclock(),
-        );
-        let profile = vec![1.0; 64];
-        let e = bank.emit_all(&profile, 0.02);
-        let gains = vec![Complex64::from_real(1.0); 3];
-        let scaled_gains = vec![Complex64::from_real(scale); 3];
-        let a = TxBank::superpose(&e, &gains);
-        let b = TxBank::superpose(&e, &scaled_gains);
-        for (x, y) in a.samples().iter().zip(b.samples()) {
-            prop_assert!((*x * scale - *y).norm() < 1e-9 * scale.max(1.0));
         }
     }
 
@@ -125,15 +98,5 @@ props! {
                 prop_assert_eq!(x.im.to_bits(), y.im.to_bits());
             }
         }
-    }
-
-    fn hidden_phases_into_matches_allocating(n in 1usize..8, seed in any::<u64>()) {
-        let offsets: Vec<f64> = (0..n).map(|i| i as f64 * 13.0).collect();
-        let mut rng = StdRng::seed_from_u64(seed);
-        let bank = TxBank::new(&mut rng, n, 915e6, 1e5, &offsets, &ClockDistribution::octoclock());
-        let alloc = bank.hidden_phases();
-        let mut scratch = vec![0.0; n];
-        bank.hidden_phases_into(&mut scratch);
-        prop_assert_eq!(alloc, scratch);
     }
 }

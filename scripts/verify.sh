@@ -18,8 +18,8 @@ cargo fmt --check
 echo "==> rustdoc: no broken or ambiguous intra-doc links"
 RUSTDOCFLAGS="-D warnings" cargo doc --offline --no-deps --workspace
 
-echo "==> clippy: ivn-rfid, ivn-core, ivn-harvester, ivn-sdr lint clean"
-cargo clippy --offline -p ivn-rfid -p ivn-core -p ivn-harvester -p ivn-sdr --all-targets --no-deps -- -D warnings
+echo "==> clippy: whole workspace lint clean (rustc's dead_code included)"
+cargo clippy --offline --workspace --all-targets --no-deps -- -D warnings
 
 echo "==> trace round trip: reproduce --trace → in-tree JSON parse → balance check"
 TRACE_OUT=target/verify_trace.json
