@@ -25,16 +25,17 @@
 //! regenerated on its own, bit for bit ([`CarrierWindows`]), and a
 //! cheap closed-form bound on `|rx|` per window rules out all but the
 //! few windows near the CIB envelope peaks (11 of 977 at 1 MS/s). Then
-//! one full pass drives the harvester, hashes the received stream and
-//! takes device 0's running peak. The whole-buffer path
-//! ([`outputs_batch`]) is kept for cross-checking: both produce
-//! identical [`PathOutputs`] — including a bit-exact FNV-1a hash of
-//! every received sample — at any block size or worker count
-//! (`tests/streaming_equivalence.rs`).
+//! one full pass walks the same [`CarrierWindows`] from sample 0 in
+//! blocks, drives the harvester, hashes the received stream and takes
+//! device 0's running peak. The whole-buffer path ([`outputs_batch`]),
+//! which emits through the general-profile `TxBank::emit`, is kept for
+//! cross-checking: both produce identical [`PathOutputs`] — including a
+//! bit-exact FNV-1a hash of every received sample — at any block size
+//! or worker count (`tests/streaming_equivalence.rs`).
 
 use ivn_core::freqsel::expected_peak;
 use ivn_core::PAPER_OFFSETS_HZ;
-use ivn_dsp::block::{BlockSource, ConstSource, Footprint, PeakMeter, StreamHasher, DEFAULT_BLOCK};
+use ivn_dsp::block::{BlockSource, Footprint, PeakMeter, StreamHasher, DEFAULT_BLOCK};
 use ivn_dsp::complex::Complex64;
 use ivn_dsp::envelope;
 use ivn_em::channel::ChannelEnsemble;
@@ -66,9 +67,10 @@ const RFID_FS: f64 = 400e3;
 pub struct StreamOptions {
     /// Override the sample rate (defaults to the quick/full presets).
     pub sample_rate: Option<f64>,
-    /// Samples per block.
+    /// Samples per block; must be at least 1.
     pub block: usize,
-    /// Worker threads advancing the per-device emitter lanes.
+    /// Worker threads advancing the per-device carrier lanes of the
+    /// power pass.
     pub threads: usize,
     /// Append footprint/throughput diagnostics to the rendered output.
     pub stats: bool,
@@ -330,7 +332,14 @@ pub fn calibrate_peak(
 
 /// Runs the sample path with the **block-streaming** driver: per-stage
 /// memory stays O(`opts.block`) regardless of `n_samples`.
+///
+/// # Panics
+/// Panics if `opts.block` is 0.
 pub fn outputs_streaming(quick: bool, opts: &StreamOptions) -> StreamReport {
+    assert!(
+        opts.block > 0,
+        "StreamOptions::block must be at least 1 sample"
+    );
     let s = setup(quick, opts.sample_rate);
     let p_req = s.tag.required_peak_power_watts();
     let mut footprint = Footprint::new();
@@ -351,9 +360,11 @@ pub fn outputs_streaming(quick: bool, opts: &StreamOptions) -> StreamReport {
     // sits at POWER_MARGIN × the tag's wake threshold.
     let scale = POWER_MARGIN * p_req / (peak_amp * peak_amp);
 
-    // The one full pass — power + hash: stream the period, drive the
-    // pump incrementally, digest every received sample, and take device
-    // 0's running peak for the single-antenna reference.
+    // The one full pass — power + hash: stream the carrier-on period
+    // from sample 0 through the same `CarrierWindows` the calibration
+    // seeks in, drive the pump incrementally, digest every received
+    // sample, and take device 0's running peak for the single-antenna
+    // reference.
     let mut hasher = StreamHasher::new();
     let mut single_meter = PeakMeter::new();
     let mut state = s
@@ -362,29 +373,22 @@ pub fn outputs_streaming(quick: bool, opts: &StreamOptions) -> StreamReport {
         .with_trace_stride((s.n_samples / 32).max(1));
     let (mut sdr_ns, mut em_ns, mut harv_ns) = (0u128, 0u128, 0u128);
     {
-        let mut streamer = s.bank.streamer(DRIVE, opts.threads);
-        let mut src = ConstSource::new(1.0, s.n_samples);
-        let mut profile = Vec::new();
+        let mut win = CarrierWindows::new(&s.bank, DRIVE, s.n_samples).with_threads(opts.threads);
         let mut rx = Vec::new();
-        loop {
-            profile.clear();
-            let got = src.fill(&mut profile, opts.block);
-            let done = got == 0;
+        let mut left = s.n_samples;
+        while left > 0 {
+            let take = opts.block.min(left);
             let t0 = Instant::now();
-            if done {
-                streamer.flush();
-            } else {
-                streamer.push(&profile);
-            }
+            win.emit(take);
             let t1 = Instant::now();
-            s.superposer.superpose_block(streamer.blocks(), &mut rx);
+            s.superposer.superpose_block(win.blocks(), &mut rx);
             let t2 = Instant::now();
             // Harness bookkeeping, not a pipeline stage: the rx digest
             // feeds the streaming-vs-batch equivalence check only and the
             // single-antenna peak only the rendered gain, so both are
             // excluded from every stage's timing window.
             hasher.update_complex(&rx);
-            single_meter.observe_block(streamer.block(0));
+            single_meter.observe_block(win.block(0));
             let t2b = Instant::now();
             // |rx|²·scale fused into the integrator: identical op order
             // to materializing the power vector first (the whole-buffer
@@ -394,12 +398,10 @@ pub fn outputs_streaming(quick: bool, opts: &StreamOptions) -> StreamReport {
             sdr_ns += (t1 - t0).as_nanos();
             em_ns += (t2 - t1).as_nanos();
             harv_ns += (t3 - t2b).as_nanos();
-            footprint.observe("sdr", streamer.peak_lane_footprint());
+            footprint.observe("sdr", win.peak_lane_footprint());
             footprint.observe("em", rx.len());
             footprint.observe("harvester", rx.len());
-            if done {
-                break;
-            }
+            left -= take;
         }
     }
     let outcome = state.finish();
@@ -632,6 +634,16 @@ mod tests {
     #[test]
     fn pipeline_is_deterministic() {
         assert_eq!(run(true), run(true));
+    }
+
+    #[test]
+    #[should_panic(expected = "StreamOptions::block")]
+    fn zero_block_is_rejected() {
+        let opts = StreamOptions {
+            block: 0,
+            ..Default::default()
+        };
+        outputs_streaming(true, &opts);
     }
 
     #[test]

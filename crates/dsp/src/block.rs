@@ -21,7 +21,9 @@
 //! - `flush` ends the stream, draining whatever latency the stage holds
 //!   (e.g. a negative trigger shift that needs future profile samples);
 //! - per-stage memory is bounded by the block size, never by the total
-//!   sample count ([`Footprint`] measures this and `verify.sh` gates it).
+//!   sample count ([`Footprint`] measures this, and
+//!   `tests/streaming_equivalence.rs::per_stage_footprint_is_bounded_by_block_size`
+//!   gates it).
 
 use crate::complex::Complex64;
 
@@ -57,35 +59,6 @@ pub trait BlockStage {
     /// stage's latency. Default: stateless stages have nothing to drain.
     fn flush(&mut self, out: &mut Vec<Self::Out>) {
         let _ = out;
-    }
-}
-
-/// A constant-amplitude [`BlockSource`] of known length — the "carrier
-/// on" drive profile of the pipeline's power-delivery phase.
-#[derive(Debug, Clone)]
-pub struct ConstSource {
-    value: f64,
-    remaining: usize,
-}
-
-impl ConstSource {
-    /// A source emitting `len` samples of `value`.
-    pub fn new(value: f64, len: usize) -> Self {
-        ConstSource {
-            value,
-            remaining: len,
-        }
-    }
-}
-
-impl BlockSource for ConstSource {
-    type Item = f64;
-
-    fn fill(&mut self, out: &mut Vec<f64>, max: usize) -> usize {
-        let n = self.remaining.min(max);
-        out.extend(std::iter::repeat_n(self.value, n));
-        self.remaining -= n;
-        n
     }
 }
 
@@ -233,17 +206,6 @@ impl Footprint {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn const_source_emits_exact_length() {
-        let mut src = ConstSource::new(1.0, 10);
-        let mut out = Vec::new();
-        assert_eq!(src.fill(&mut out, 4), 4);
-        assert_eq!(src.fill(&mut out, 4), 4);
-        assert_eq!(src.fill(&mut out, 4), 2);
-        assert_eq!(src.fill(&mut out, 4), 0);
-        assert_eq!(out, vec![1.0; 10]);
-    }
 
     #[test]
     fn accumulate_scaled_matches_manual() {

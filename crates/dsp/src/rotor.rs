@@ -191,8 +191,17 @@ impl PhasorRotor {
     ///
     /// The output is bit-identical for any split of the stream into
     /// `fill` calls: lane state depends only on the absolute sample
-    /// index, and resyncs fire at fixed absolute positions.
+    /// index, and resyncs fire at fixed absolute positions. (It is
+    /// [`PhasorRotor::fill_scaled`] at gain 1.0, which is exact.)
     pub fn fill(&mut self, out: &mut [Complex64]) {
+        self.fill_scaled(out, 1.0);
+    }
+
+    /// [`PhasorRotor::fill`] with every phasor scaled by the real
+    /// `gain` as it is stored: `out[k] = phasor(k) · gain`, the same
+    /// `Complex64 · f64` multiply as scaling after the fill, so the bits
+    /// are unchanged and the block is written once.
+    pub fn fill_scaled(&mut self, out: &mut [Complex64], gain: f64) {
         let n = out.len();
         let mut i = 0;
         while i < n {
@@ -204,7 +213,7 @@ impl PhasorRotor {
             let end = i + (self.resync - self.win_pos).min(n - i);
             // Leading partial row (resuming mid-row after a block split).
             while i < end && !self.win_pos.is_multiple_of(LANES) {
-                out[i] = self.step_lane(self.win_pos % LANES);
+                out[i] = self.step_lane(self.win_pos % LANES) * gain;
                 self.win_pos += 1;
                 i += 1;
             }
@@ -212,7 +221,7 @@ impl PhasorRotor {
             // auto-vectorized steady state.
             while end - i >= LANES {
                 for j in 0..LANES {
-                    out[i + j] = Complex64::new(self.lre[j], self.lim[j]);
+                    out[i + j] = Complex64::new(self.lre[j], self.lim[j]) * gain;
                 }
                 for j in 0..LANES {
                     let re = self.lre[j] * self.srot_re - self.lim[j] * self.srot_im;
@@ -225,7 +234,7 @@ impl PhasorRotor {
             }
             // Trailing partial row (block ends mid-row).
             while i < end {
-                out[i] = self.step_lane(self.win_pos % LANES);
+                out[i] = self.step_lane(self.win_pos % LANES) * gain;
                 self.win_pos += 1;
                 i += 1;
             }
@@ -251,6 +260,29 @@ mod tests {
         for (k, s) in out.iter().enumerate() {
             let want = oracle(&probe, k as u64);
             assert!((*s - want).norm() < 1e-12, "sample {k}: {s:?} vs {want:?}");
+        }
+    }
+
+    #[test]
+    fn fill_scaled_equals_fill_then_scale() {
+        // Any split, any gain (negative and zero included): the fused
+        // store is the same multiply as scaling the filled phasors.
+        for (block, gain) in [(1usize, 0.8), (7, -0.25), (1000, 0.0), (3000, 1.0)] {
+            let mut a = PhasorRotor::with_resync(49.0, 4096.0, 1.1, 96);
+            let mut b = a.clone();
+            let mut want = vec![Complex64::ZERO; 3000];
+            a.fill(&mut want);
+            let mut got = vec![Complex64::ZERO; 3000];
+            for chunk in got.chunks_mut(block) {
+                b.fill_scaled(chunk, gain);
+            }
+            for (k, (x, y)) in want.iter().zip(&got).enumerate() {
+                let x = *x * gain;
+                assert!(
+                    x.re.to_bits() == y.re.to_bits() && x.im.to_bits() == y.im.to_bits(),
+                    "block {block} gain {gain} sample {k}"
+                );
+            }
         }
     }
 

@@ -25,7 +25,7 @@
 //! borrowed closures across threads: jobs must be `'static` and own their
 //! data ([`WorkerPool::map_move`] moves items through the pool and back).
 //! Call sites that only have borrowed data either clone it (campaign
-//! scenarios), move it (BankStreamer lane slots), or keep using the
+//! scenarios), move it (`CarrierWindows` lanes), or keep using the
 //! scoped spawning path in [`par`](crate::par).
 //!
 //! Nested dispatches from inside a pool worker run inline on that worker

@@ -102,7 +102,7 @@ fn empty_and_single_inputs_complete() {
 
 #[test]
 fn global_pool_survives_many_generations_of_dispatch() {
-    // The global pool is shared by the campaign driver, BankStreamer and
+    // The global pool is shared by the campaign driver, the sdr carrier lanes and
     // the Monte-Carlo sweeps; hammer it with interleaved shapes.
     let pool = WorkerPool::global();
     for g in 0..50u64 {

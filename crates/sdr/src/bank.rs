@@ -8,7 +8,7 @@
 
 use crate::clock::ClockDistribution;
 use crate::device::SdrDevice;
-use crate::stream::{BankStreamer, EmitterLane};
+use crate::stream::EmitterLane;
 use ivn_dsp::block::BlockStage;
 use ivn_dsp::buffer::IqBuffer;
 use ivn_runtime::rng::Rng;
@@ -97,19 +97,16 @@ impl TxBank {
     /// This is a thin wrapper over the streaming core
     /// ([`EmitterLane`]): the whole profile is pushed as one block and
     /// the lane flushed, so batch and streaming output are identical by
-    /// construction.
+    /// construction. It is the general-profile reference; the
+    /// carrier-on profile the pipeline streams is synthesized by
+    /// [`CarrierWindows`](crate::stream::CarrierWindows), bit for bit
+    /// equal to this.
     pub fn emit(&self, i: usize, profile: &[f64], drive: f64) -> IqBuffer {
         let mut lane = EmitterLane::new(self, i, drive);
         let mut out = Vec::new();
         lane.push(profile, &mut out);
         lane.flush(&mut out);
         IqBuffer::new(out, self.sample_rate)
-    }
-
-    /// A block-streaming emitter over the whole bank at PA drive
-    /// `drive`, advancing lanes on `threads` workers (1 = inline).
-    pub fn streamer(&self, drive: f64, threads: usize) -> BankStreamer {
-        BankStreamer::new(self, drive, threads)
     }
 
     /// Emits the whole bank for a shared profile: one buffer per device.

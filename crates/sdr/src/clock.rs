@@ -16,7 +16,10 @@ pub struct ClockDistribution {
     /// RMS of residual per-device trigger misalignment, seconds.
     pub pps_jitter_rms_s: f64,
     /// Per-device fractional frequency offset RMS after reference lock
-    /// (0 for an ideal shared reference).
+    /// (0 for an ideal shared reference). Descriptive only: `TxBank::new`
+    /// draws trigger offsets alone, so no simulated emission carries this
+    /// error — every lane runs at exactly its soft offset. The clock-fault
+    /// ablation prints it as a frequency column.
     pub residual_ppm_rms: f64,
 }
 
@@ -30,7 +33,10 @@ impl ClockDistribution {
         }
     }
 
-    /// Unsynchronized devices: ~1 ms trigger slop, 2 ppm oscillators.
+    /// Unsynchronized devices: ~1 ms trigger slop. The 2 ppm oscillator
+    /// error it records is not simulated (see
+    /// [`ClockDistribution::residual_ppm_rms`]); the bank differs from an
+    /// Octoclock one only in trigger offsets.
     pub fn free_running() -> Self {
         ClockDistribution {
             pps_jitter_rms_s: 1e-3,

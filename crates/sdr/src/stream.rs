@@ -1,45 +1,43 @@
 //! Block-streaming bank emission.
 //!
-//! [`EmitterLane`] is the streaming core behind [`TxBank::emit`]: one
-//! device's oscillator, PA and carrier-phase state, advanced block by
-//! block. The whole-buffer `emit` is now a thin wrapper — push the full
-//! profile, flush — so the two paths are bit-identical by construction.
+//! Two synthesizers share one rotor fill and one `phasor · gain`
+//! multiply, so they agree bit for bit wherever both apply:
 //!
-//! The only stateful subtlety is the trigger offset: device `i` reads
-//! the shared command profile at `k − shiftᵢ`, so a lane keeps a small
-//! sliding window of profile history (for positive shifts, i.e. delayed
-//! devices) and holds back up to `latency` output samples (for negative
-//! shifts, which need *future* profile samples). Both bounds are set by
-//! the clock distribution's trigger jitter — nanoseconds for an
-//! Octoclock, ≪ one block even free-running — so lane memory stays
-//! O(block + |shift|), independent of the stream length.
+//! - [`EmitterLane`] is the general-profile core behind
+//!   [`TxBank::emit`]: one device's oscillator, PA and carrier-phase
+//!   state, advanced block by block over any amplitude profile. The
+//!   whole-buffer `emit` pushes the full profile and flushes.
+//! - [`CarrierWindows`] synthesizes the carrier-on (constant 1.0)
+//!   emission of the whole bank — the only profile the pipeline's
+//!   calibration and power pass feed it — either window by window in
+//!   any order (calibration) or sequentially from sample 0 (the power
+//!   pass).
 //!
-//! [`BankStreamer`] runs one lane per device with a common latency, so
-//! every `push` yields the same number of aligned output samples on all
-//! lanes — exactly what the per-block superposition in `ivn-em` needs.
-//! Lane advancement is embarrassingly parallel (disjoint state): slots
-//! are *moved* through the persistent `ivn_runtime::pool::WorkerPool`
-//! and reassembled in device order, so the output is bit-identical at
-//! any worker count.
+//! The lane's one stateful subtlety is the trigger offset: device `i`
+//! reads the shared command profile at `k − shiftᵢ`, so a lane keeps a
+//! small sliding window of profile history (for positive shifts, i.e.
+//! delayed devices) and holds back up to `latency` output samples (for
+//! negative shifts, which need *future* profile samples). Both bounds
+//! are set by the clock distribution's trigger jitter — nanoseconds for
+//! an Octoclock, ≪ one block even free-running — so lane memory stays
+//! O(block + |shift|), independent of the stream length. Under a
+//! constant profile the shift drops out, which is what lets
+//! [`CarrierWindows`] do without history or latency.
 //!
 //! ## The trig-free hot loop
 //!
 //! The emission inner loop used to be the slowest stage of the whole
 //! sample path (~1.5 MS/s vs em's 130 MS/s): per output sample it paid
 //! a `sin_cos` in the oscillator and an `atan2` + `sin_cos` + two
-//! `powf` in the PA's polar round-trip. The lane now rides a
+//! `powf` in the PA's polar round-trip. A lane now rides a
 //! [`PhasorRotor`] — the carrier phase and the soft offset fold into
 //! one lane-batched rotator with periodic exact resync — and the PA
 //! collapses to a memoized real gain: command profiles are long runs
 //! of constant amplitude (1.0 with 0.0 notches), so the lane walks the
-//! block run by run, looks the gain up once per run, and scales the
-//! run's phasors in one vectorizable loop. No libm call survives on
-//! the per-sample path.
-//!
-//! [`CarrierWindows`] regenerates any resync window of the carrier-on
-//! (constant 1.0) stream in isolation, through the same rotor fill and
-//! the same `phasor · gain` multiply, so a caller can revisit a few
-//! windows of a long stream bit for bit without emitting the rest.
+//! block run by run and looks the gain up once per run. Both
+//! synthesizers hand the rotor the output block itself and the gain
+//! ([`PhasorRotor::fill_scaled`]), so each sample is written once, with
+//! no phasor scratch. No libm call survives on the per-sample path.
 //!
 //! The rotator output differs from the old scalar path only by the
 //! recurrence's bounded rounding (≤ 1e-12 per resync window);
@@ -54,11 +52,6 @@ use ivn_dsp::osc::Oscillator;
 use ivn_dsp::rotor::PhasorRotor;
 use ivn_runtime::pool::WorkerPool;
 use std::ops::Range;
-use std::sync::Arc;
-
-/// Per-lane scratch block length: bounds rotor scratch at O(block) even
-/// when a whole-buffer `emit` asks for one huge block.
-const SCRATCH_BLOCK: usize = 4096;
 
 /// One device's streaming emitter: carries rotator phase, trigger
 /// shift and profile history across block boundaries.
@@ -73,7 +66,7 @@ pub struct EmitterLane {
     /// device fires late and reads older profile samples).
     shift: i64,
     /// Output samples held back until enough profile has arrived
-    /// (covers lanes with negative shift in this bank).
+    /// (a negative shift reads future profile samples).
     latency: usize,
     /// Profile history retained behind the emission point (covers
     /// positive shifts).
@@ -82,8 +75,6 @@ pub struct EmitterLane {
     hist_start: usize,
     pushed: usize,
     next: usize,
-    /// Reusable rotor output scratch.
-    phasors: Vec<Complex64>,
     /// Last profile amplitude seen / the PA gain computed for it.
     memo_amp: f64,
     memo_gain: f64,
@@ -109,17 +100,9 @@ impl EmitterLane {
             hist_start: 0,
             pushed: 0,
             next: 0,
-            phasors: Vec::new(),
             memo_amp: f64::NAN,
             memo_gain: 0.0,
         }
-    }
-
-    /// Forces a common output latency across a bank's lanes (must be at
-    /// least this lane's own requirement).
-    fn set_latency(&mut self, latency: usize) {
-        assert!(latency >= self.latency, "latency below lane requirement");
-        self.latency = latency;
     }
 
     /// The profile shift in samples: the trigger delay
@@ -129,46 +112,38 @@ impl EmitterLane {
         self.shift
     }
 
-    /// Samples of profile history currently buffered (footprint probe).
-    pub(crate) fn history_len(&self) -> usize {
-        self.hist.len()
-    }
-
     /// Emits output samples `next .. next+count`, reading profile
     /// amplitudes from the history window. `total` is the final profile
     /// length once known (`flush`); indices outside `[0, total)` read
     /// as 1.0 — outside the command the carrier stays on.
     ///
-    /// Hot path: the rotor fills a phasor scratch block (one complex
-    /// multiply per sample, auto-vectorized rows), and the block is
-    /// walked in runs of equal profile bits. The PA reduces to a real
-    /// gain memoized on the profile level, looked up once per run, and
-    /// each run is one `phasor · gain` loop with no libm call.
+    /// Hot path: the tail is walked in runs of equal profile bits. The
+    /// PA reduces to a real gain memoized on the profile level, looked
+    /// up once per run, and the rotor fills each run of the appended
+    /// tail in place already scaled by it (one complex multiply per
+    /// sample, auto-vectorized rows, no libm call). The fill is
+    /// split-invariant, so the run boundaries do not move a bit.
     fn emit_samples(&mut self, count: usize, total: Option<usize>, out: &mut Vec<Complex64>) {
         if count == 0 {
             return;
         }
         let _span = ivn_runtime::span!("sdr.emit_ns");
         ivn_runtime::obs_count!("sdr.emissions", 1);
-        out.reserve(count);
-        let end = self.next + count;
-        while self.next < end {
-            let take = SCRATCH_BLOCK.min(end - self.next);
-            self.phasors.clear();
-            self.phasors.resize(take, Complex64::ZERO);
-            self.rotor.fill(&mut self.phasors);
-            let mut j = 0;
-            while j < take {
-                let (amp, run) = self.profile_run(self.next + j, take - j, total);
-                if amp.to_bits() != self.memo_amp.to_bits() {
-                    self.memo_amp = amp;
-                    self.memo_gain = pa_gain(&self.pa, amp, self.drive);
-                }
-                scale_into(&self.phasors[j..j + run], self.memo_gain, out);
-                j += run;
+        let start = out.len();
+        out.resize(start + count, Complex64::ZERO);
+        let mut j = 0;
+        while j < count {
+            let (amp, run) = self.profile_run(self.next + j, count - j, total);
+            if amp.to_bits() != self.memo_amp.to_bits() {
+                self.memo_amp = amp;
+                self.memo_gain = pa_gain(&self.pa, amp, self.drive);
             }
-            self.next += take;
+            let at = start + j;
+            self.rotor
+                .fill_scaled(&mut out[at..at + run], self.memo_gain);
+            j += run;
         }
+        self.next += count;
     }
 
     /// The profile level output sample `k` reads, and how many of the
@@ -237,43 +212,48 @@ fn pa_gain(pa: &PowerAmp, amp: f64, drive: f64) -> f64 {
     }
 }
 
-/// Appends `phasors[k] · gain` to `out` — the one emission multiply,
-/// shared by the streaming lane and [`CarrierWindows`].
-fn scale_into(phasors: &[Complex64], gain: f64, out: &mut Vec<Complex64>) {
-    out.extend(phasors.iter().map(|&p| p * gain));
-}
-
-/// The bank's carrier-on emission — the constant-1.0 profile a
-/// [`BankStreamer`] is fed — regenerated one resync window at a time,
-/// in isolation and bit for bit.
+/// The bank's carrier-on emission — device `i` fed the constant-1.0
+/// profile — synthesized block by block, from sample 0 or from any
+/// resync window, bit for bit.
 ///
 /// With a constant profile every lane reads level 1.0 at every output
 /// sample, inside the command and outside it alike, so the trigger
 /// shift and latency drop out: lane `i`'s sample `k` is
-/// `rotorᵢ(k) · gᵢ`, with `gᵢ` the memoized PA gain of level 1.0. The
-/// rotor resyncs at fixed absolute indices, so [`PhasorRotor::seek`]
-/// to a window start followed by the same `fill` and the same
-/// `phasor · gain` multiply reproduces the streamed samples of that
-/// window exactly, in any order and any split. Memory is one phasor and
-/// one output block per lane, sized by the caller's `emit` lengths.
+/// `rotorᵢ(k) · gᵢ`, with `gᵢ` the PA gain of level 1.0 — exactly what
+/// [`TxBank::emit`] produces for that profile. The rotor resyncs at
+/// fixed absolute indices, so [`CarrierWindows::seek`] to a window
+/// start followed by `emit` calls of any lengths reproduces the stream
+/// from that window on, in any order and any split. Memory is one
+/// output block per lane, sized by the caller's `emit` lengths.
 #[derive(Debug, Clone)]
 pub struct CarrierWindows {
     lanes: Vec<WindowLane>,
     len: usize,
     window: usize,
+    threads: usize,
 }
 
 #[derive(Debug, Clone)]
 struct WindowLane {
     rotor: PhasorRotor,
     gain: f64,
-    phasors: Vec<Complex64>,
     buf: Vec<Complex64>,
+}
+
+impl WindowLane {
+    /// Replaces the block with the lane's next `n` samples, rotor-filled
+    /// and scaled by the lane's gain in one pass. The block is resized,
+    /// not cleared: the fill overwrites every sample.
+    fn emit(&mut self, n: usize) {
+        self.buf.resize(n, Complex64::ZERO);
+        self.rotor.fill_scaled(&mut self.buf, self.gain);
+    }
 }
 
 impl CarrierWindows {
     /// The carrier-on emission of every device of `bank` at PA drive
-    /// `drive`, `len` samples long.
+    /// `drive`, `len` samples long, positioned at sample 0, with lanes
+    /// advanced inline.
     pub fn new(bank: &TxBank, drive: f64, len: usize) -> Self {
         let lanes: Vec<WindowLane> = (0..bank.len())
             .map(|i| {
@@ -281,7 +261,6 @@ impl CarrierWindows {
                 WindowLane {
                     gain: pa_gain(&lane.pa, 1.0, drive),
                     rotor: lane.rotor,
-                    phasors: Vec::new(),
                     buf: Vec::new(),
                 }
             })
@@ -291,7 +270,19 @@ impl CarrierWindows {
             lanes.iter().all(|l| l.rotor.resync() == window),
             "lanes disagree on the resync window"
         );
-        CarrierWindows { lanes, len, window }
+        CarrierWindows {
+            lanes,
+            len,
+            window,
+            threads: 1,
+        }
+    }
+
+    /// Advances the lanes on `threads` workers of the global
+    /// [`WorkerPool`] (1 = inline). The samples do not depend on it.
+    pub fn with_threads(mut self, threads: usize) -> Self {
+        self.threads = threads;
+        self
     }
 
     /// Number of windows covering the `len` samples (the last may be
@@ -335,16 +326,26 @@ impl CarrierWindows {
         range
     }
 
-    /// Emits the next `n` samples of every lane into its block (cleared
-    /// first), continuing from the last [`CarrierWindows::seek`] or
-    /// `emit`.
+    /// Replaces every lane's block with its next `n` samples, continuing
+    /// from the last [`CarrierWindows::seek`] or `emit`. With more than
+    /// one thread the lanes are moved through the persistent
+    /// [`WorkerPool`] — the no-`unsafe` rule forbids lending `&mut`
+    /// state to pool threads, so ownership makes the round trip instead
+    /// — and come back in device order, so the blocks are bit-identical
+    /// at any worker count.
     pub fn emit(&mut self, n: usize) {
-        for lane in &mut self.lanes {
-            lane.phasors.clear();
-            lane.phasors.resize(n, Complex64::ZERO);
-            lane.rotor.fill(&mut lane.phasors);
-            lane.buf.clear();
-            scale_into(&lane.phasors, lane.gain, &mut lane.buf);
+        let _span = ivn_runtime::span!("sdr.emit_ns");
+        ivn_runtime::obs_count!("sdr.emissions", 1);
+        if self.threads <= 1 || self.lanes.len() <= 1 {
+            for lane in &mut self.lanes {
+                lane.emit(n);
+            }
+        } else {
+            let lanes = std::mem::take(&mut self.lanes);
+            self.lanes = WorkerPool::global().map_move(lanes, self.threads, move |_, mut lane| {
+                lane.emit(n);
+                lane
+            });
         }
     }
 
@@ -353,13 +354,15 @@ impl CarrierWindows {
         self.lanes.iter().map(|l| l.buf.as_slice())
     }
 
-    /// Largest per-lane buffer currently held, in samples.
+    /// Device `i`'s current block.
+    pub fn block(&self, i: usize) -> &[Complex64] {
+        &self.lanes[i].buf
+    }
+
+    /// Largest per-lane block currently held, in samples — the
+    /// footprint probe for the sdr stage.
     pub fn peak_lane_footprint(&self) -> usize {
-        self.lanes
-            .iter()
-            .map(|l| l.buf.len().max(l.phasors.len()))
-            .max()
-            .unwrap_or(0)
+        self.lanes.iter().map(|l| l.buf.len()).max().unwrap_or(0)
     }
 }
 
@@ -392,114 +395,6 @@ pub fn emit_oracle(bank: &TxBank, i: usize, profile: &[f64], drive: f64) -> Vec<
             Complex64::from_polar(dev.pa.am_am(r), theta) * carrier
         })
         .collect()
-}
-
-/// One lane plus its reusable output scratch block.
-#[derive(Debug, Clone)]
-struct LaneSlot {
-    lane: EmitterLane,
-    buf: Vec<Complex64>,
-}
-
-/// The whole bank as an aligned multi-lane streaming emitter: every
-/// [`BankStreamer::push`] advances all devices by the same number of
-/// output samples, leaving one block per device in reusable scratch.
-#[derive(Debug, Clone)]
-pub struct BankStreamer {
-    slots: Vec<LaneSlot>,
-    threads: usize,
-}
-
-impl BankStreamer {
-    /// Builds a streamer over `bank` at PA drive `drive`, advancing
-    /// lanes on `threads` workers (1 = inline).
-    pub fn new(bank: &TxBank, drive: f64, threads: usize) -> Self {
-        let lanes: Vec<EmitterLane> = (0..bank.len())
-            .map(|i| EmitterLane::new(bank, i, drive))
-            .collect();
-        // A common latency keeps every lane's output aligned.
-        let latency = lanes.iter().map(|l| l.latency).max().unwrap_or(0);
-        let slots = lanes
-            .into_iter()
-            .map(|mut lane| {
-                lane.set_latency(latency);
-                LaneSlot {
-                    lane,
-                    buf: Vec::new(),
-                }
-            })
-            .collect();
-        BankStreamer { slots, threads }
-    }
-
-    /// Pushes one shared profile block; every lane appends the same
-    /// number of output samples to its scratch block (cleared first).
-    /// Returns that per-lane count.
-    pub fn push(&mut self, profile: &[f64]) -> usize {
-        self.advance(Some(profile))
-    }
-
-    /// Ends the stream, draining held-back samples into the per-lane
-    /// blocks. Returns the per-lane count.
-    pub fn flush(&mut self) -> usize {
-        self.advance(None)
-    }
-
-    /// Advances every lane by one block (`Some(profile)`) or drains it
-    /// (`None`). With more than one thread, slots are moved through the
-    /// persistent [`WorkerPool`] — the no-`unsafe` rule forbids lending
-    /// `&mut` state to pool threads, so ownership makes the round trip
-    /// instead — and come back in device order, keeping output
-    /// bit-identical at any worker count.
-    fn advance(&mut self, profile: Option<&[f64]>) -> usize {
-        if self.threads <= 1 || self.slots.len() <= 1 {
-            for slot in &mut self.slots {
-                slot.buf.clear();
-                match profile {
-                    Some(p) => slot.lane.push(p, &mut slot.buf),
-                    None => slot.lane.flush(&mut slot.buf),
-                }
-            }
-        } else {
-            let shared: Option<Arc<[f64]>> = profile.map(Arc::from);
-            let slots = std::mem::take(&mut self.slots);
-            self.slots = WorkerPool::global().map_move(slots, self.threads, move |_, mut slot| {
-                slot.buf.clear();
-                match &shared {
-                    Some(p) => slot.lane.push(p, &mut slot.buf),
-                    None => slot.lane.flush(&mut slot.buf),
-                }
-                slot
-            });
-        }
-        self.slots.first().map_or(0, |s| s.buf.len())
-    }
-
-    /// Device `i`'s current output block.
-    pub fn block(&self, i: usize) -> &[Complex64] {
-        &self.slots[i].buf
-    }
-
-    /// All current output blocks, in device order.
-    pub fn blocks(&self) -> impl ExactSizeIterator<Item = &[Complex64]> {
-        self.slots.iter().map(|s| s.buf.as_slice())
-    }
-
-    /// Largest per-lane buffer currently held (scratch block, rotor
-    /// phasor scratch, or profile history), in samples — the footprint
-    /// probe for the sdr stage.
-    pub fn peak_lane_footprint(&self) -> usize {
-        self.slots
-            .iter()
-            .map(|s| {
-                s.buf
-                    .len()
-                    .max(s.lane.history_len())
-                    .max(s.lane.phasors.len())
-            })
-            .max()
-            .unwrap_or(0)
-    }
 }
 
 #[cfg(test)]
@@ -550,26 +445,49 @@ mod tests {
     }
 
     #[test]
-    fn bank_streamer_aligned_and_identical_across_threads() {
+    fn carrier_windows_aligned_and_identical_across_threads() {
+        // Every sequential block holds the same samples on every lane as
+        // the whole-buffer emission of the constant-1.0 profile, at any
+        // worker count and for a ragged last block.
         let b = bank(&ClockDistribution::octoclock(), 3);
-        let profile = notched_profile(512);
+        let profile = vec![1.0; 512];
         let reference: Vec<_> = (0..b.len()).map(|i| b.emit(i, &profile, 0.05)).collect();
         for threads in [1usize, 2, 8] {
-            let mut st = BankStreamer::new(&b, 0.05, threads);
-            let mut collected: Vec<Vec<Complex64>> = vec![Vec::new(); b.len()];
-            for chunk in profile.chunks(100) {
-                st.push(chunk);
-                for (i, c) in collected.iter_mut().enumerate() {
-                    c.extend_from_slice(st.block(i));
+            let mut win = CarrierWindows::new(&b, 0.05, profile.len()).with_threads(threads);
+            let mut at = 0;
+            while at < profile.len() {
+                let take = 100.min(profile.len() - at);
+                win.emit(take);
+                assert_eq!(win.blocks().len(), b.len());
+                for (i, got) in win.blocks().enumerate() {
+                    assert_eq!(
+                        got,
+                        &reference[i].samples()[at..at + take],
+                        "device {i} samples {at}.. at {threads} threads"
+                    );
                 }
+                at += take;
             }
-            st.flush();
-            for (i, c) in collected.iter_mut().enumerate() {
-                c.extend_from_slice(st.block(i));
-            }
-            for (i, (got, want)) in collected.iter().zip(&reference).enumerate() {
-                assert_eq!(got, want.samples(), "device {i} at {threads} threads");
-            }
+        }
+    }
+
+    #[test]
+    fn free_running_lanes_advance_at_the_nominal_offset() {
+        // `ClockDistribution::residual_ppm_rms` is not simulated: a
+        // free-running bank differs from an Octoclock one only in
+        // trigger slop, and every lane's rotor steps by exactly
+        // TAU·offset/fs. Applying the ppm error must change this test.
+        let b = bank(&ClockDistribution::free_running(), 9);
+        let win = CarrierWindows::new(&b, 0.05, 1);
+        for (i, &f) in OFFSETS.iter().enumerate() {
+            let want = std::f64::consts::TAU * f / b.sample_rate();
+            assert_eq!(
+                win.rotor(i).increment().to_bits(),
+                want.to_bits(),
+                "lane {i}"
+            );
+            let lane = EmitterLane::new(&b, i, 0.05);
+            assert_eq!(lane.rotor.increment().to_bits(), want.to_bits(), "lane {i}");
         }
     }
 
@@ -583,7 +501,7 @@ mod tests {
         for _ in 0..100 {
             out.clear();
             lane.push(&block, &mut out);
-            peak_hist = peak_hist.max(lane.history_len());
+            peak_hist = peak_hist.max(lane.hist.len());
         }
         // Bounded by block + |shift| slack, not by the 25 600 samples pushed.
         let slack = lane.shift().unsigned_abs() as usize + lane.latency;

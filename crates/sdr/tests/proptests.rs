@@ -1,5 +1,6 @@
 //! Property-based tests for the SDR testbed models.
 
+use ivn_dsp::block::BlockStage;
 use ivn_dsp::complex::Complex64;
 use ivn_runtime::prop::any;
 use ivn_runtime::rng::StdRng;
@@ -9,6 +10,7 @@ use ivn_sdr::bank::TxBank;
 use ivn_sdr::clock::ClockDistribution;
 use ivn_sdr::pa::PowerAmp;
 use ivn_sdr::pll::Pll;
+use ivn_sdr::stream::EmitterLane;
 
 props! {
     cases = 96;
@@ -79,17 +81,13 @@ props! {
             &mut rng, 3, 915e6, 1e5, &offsets, &ClockDistribution::free_running(),
         );
         let batch = bank.emit_all(&profile, 0.02);
-        let mut streamer = bank.streamer(0.02, 1);
         let mut lanes: Vec<Vec<Complex64>> = vec![Vec::new(); 3];
-        for chunk in profile.chunks(block) {
-            streamer.push(chunk);
-            for (lane, b) in lanes.iter_mut().zip(streamer.blocks()) {
-                lane.extend_from_slice(b);
+        for (i, out) in lanes.iter_mut().enumerate() {
+            let mut lane = EmitterLane::new(&bank, i, 0.02);
+            for chunk in profile.chunks(block) {
+                lane.push(chunk, out);
             }
-        }
-        streamer.flush();
-        for (lane, b) in lanes.iter_mut().zip(streamer.blocks()) {
-            lane.extend_from_slice(b);
+            lane.flush(out);
         }
         for (lane, buf) in lanes.iter().zip(&batch) {
             prop_assert_eq!(lane.len(), buf.samples().len());

@@ -8,7 +8,8 @@
 //!   rebuilds every sample on its own from a [`PhasorRotor`] and the
 //!   PA's `am_am`;
 //! - any window of [`CarrierWindows`], regenerated in any order and any
-//!   split, equals the same samples of a [`BankStreamer`] fed the
+//!   split, and the whole stream walked sequentially from sample 0 in
+//!   any chunk size, equal the same samples of [`TxBank::emit`] fed the
 //!   constant-1.0 profile, at any worker count.
 
 use ivn_dsp::block::BlockStage;
@@ -19,7 +20,7 @@ use ivn_runtime::rng::{Rng, StdRng};
 use ivn_runtime::{prop_assert, prop_assert_eq, props};
 use ivn_sdr::bank::TxBank;
 use ivn_sdr::clock::ClockDistribution;
-use ivn_sdr::stream::{BankStreamer, CarrierWindows, EmitterLane};
+use ivn_sdr::stream::{CarrierWindows, EmitterLane};
 
 const OFFSETS: [f64; 10] = [0., 7., 20., 49., 68., 73., 90., 113., 121., 137.];
 const DRIVE: f64 = 0.05;
@@ -90,6 +91,16 @@ fn notched_profile(rng: &mut StdRng, n: usize) -> Vec<f64> {
     p
 }
 
+/// Every device's whole-buffer emission of the constant-1.0 profile —
+/// the general-profile path [`CarrierWindows`] must reproduce.
+fn carrier_on(b: &TxBank, len: usize) -> Vec<Vec<Complex64>> {
+    let profile = vec![1.0; len];
+    b.emit_all(&profile, DRIVE)
+        .iter()
+        .map(|e| e.samples().to_vec())
+        .collect()
+}
+
 props! {
     cases = 24;
 
@@ -120,27 +131,13 @@ props! {
         }
     }
 
-    fn carrier_windows_match_bank_streamer(
+    fn carrier_windows_match_bank_emit(
         seed in any::<u64>(), n_dev in 2usize..11, free_running in any::<bool>(),
-        len in 1usize..7000, block in 1usize..3000, thread_sel in 0usize..3,
-        rate_sel in 0usize..4,
+        len in 1usize..7000, rate_sel in 0usize..4,
     ) {
         let rate = [4096.0, 32e3, 100e3, 1e6][rate_sel];
-        let threads = [1usize, 2, 8][thread_sel];
         let b = bank(seed, n_dev, rate, free_running);
-        let profile = vec![1.0; len];
-        let mut st = BankStreamer::new(&b, DRIVE, threads);
-        let mut streamed: Vec<Vec<Complex64>> = vec![Vec::new(); b.len()];
-        for chunk in profile.chunks(block) {
-            st.push(chunk);
-            for (i, s) in streamed.iter_mut().enumerate() {
-                s.extend_from_slice(st.block(i));
-            }
-        }
-        st.flush();
-        for (i, s) in streamed.iter_mut().enumerate() {
-            s.extend_from_slice(st.block(i));
-        }
+        let streamed = carrier_on(&b, len);
 
         let mut win = CarrierWindows::new(&b, DRIVE, len);
         prop_assert_eq!(win.count(), len.div_ceil(DEFAULT_RESYNC));
@@ -157,11 +154,41 @@ props! {
                 for (i, got) in win.blocks().enumerate() {
                     prop_assert!(
                         same_bits(got, &streamed[i][at..at + take]),
-                        "lane {} window {} samples {}..{} at {} threads",
-                        i, w, at, at + take, threads
+                        "lane {} window {} samples {}..{}",
+                        i, w, at, at + take
                     );
                 }
                 at += take;
+            }
+        }
+    }
+
+    fn sequential_carrier_windows_equal_bank_emit(
+        seed in any::<u64>(), n_dev in 1usize..11, free_running in any::<bool>(),
+        len in 1usize..9000, rate_sel in 0usize..4,
+    ) {
+        // The power pass: a fresh `CarrierWindows` walked from sample 0
+        // by back-to-back `emit`s of a fixed chunk size, the last ragged.
+        let rate = [4096.0, 32e3, 100e3, 1e6][rate_sel];
+        let b = bank(seed, n_dev, rate, free_running);
+        let want = carrier_on(&b, len);
+        for chunk in [1usize, 7, 256, 4096] {
+            for threads in [1usize, 2, 8] {
+                let mut win = CarrierWindows::new(&b, DRIVE, len).with_threads(threads);
+                let mut at = 0;
+                while at < len {
+                    let take = chunk.min(len - at);
+                    win.emit(take);
+                    prop_assert_eq!(win.peak_lane_footprint(), take);
+                    for (i, got) in win.blocks().enumerate() {
+                        prop_assert!(
+                            same_bits(got, &want[i][at..at + take]),
+                            "lane {} samples {}..{} chunk {} at {} threads",
+                            i, at, at + take, chunk, threads
+                        );
+                    }
+                    at += take;
+                }
             }
         }
     }
@@ -170,28 +197,30 @@ props! {
 #[test]
 fn carrier_windows_cover_a_full_rate_period() {
     // A 1 MS/s period is 977 windows, the last one short; every lane of
-    // every window matches the streamer. Windows are checked as soon as
-    // the stream has passed them, then dropped, so memory stays small.
+    // every window matches the general-profile lanes fed the
+    // constant-1.0 profile. Windows are checked as soon as the lanes
+    // have passed them, then dropped, so memory stays small.
     let b = bank(5, 5, 1e6, true);
     let len = 1_000_000;
-    let mut st = BankStreamer::new(&b, DRIVE, 1);
+    let mut lanes: Vec<EmitterLane> = (0..b.len())
+        .map(|i| EmitterLane::new(&b, i, DRIVE))
+        .collect();
     let mut win = CarrierWindows::new(&b, DRIVE, len);
     assert_eq!((win.range(0).len(), win.count()), (DEFAULT_RESYNC, 977));
     let profile = vec![1.0; 4096];
     let mut pending: Vec<Vec<Complex64>> = vec![Vec::new(); b.len()];
     let (mut pushed, mut w) = (0, 0);
     while w < win.count() {
-        if pushed < len {
-            let take = profile.len().min(len - pushed);
-            st.push(&profile[..take]);
-            pushed += take;
-        } else {
-            st.flush();
+        let take = profile.len().min(len - pushed);
+        for (lane, p) in lanes.iter_mut().zip(&mut pending) {
+            if take > 0 {
+                lane.push(&profile[..take], p);
+            } else {
+                lane.flush(p);
+            }
         }
-        for (i, p) in pending.iter_mut().enumerate() {
-            p.extend_from_slice(st.block(i));
-        }
-        while w < win.count() && pending[0].len() >= win.range(w).len() {
+        pushed += take;
+        while w < win.count() && pending.iter().all(|p| p.len() >= win.range(w).len()) {
             let n = win.seek(w).len();
             win.emit(n);
             for (i, got) in win.blocks().enumerate() {

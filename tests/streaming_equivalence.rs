@@ -9,7 +9,7 @@
 //! guarantee (per-stage peak footprint bounded by the block size).
 
 use ivn_bench::pipeline::{calibrate_peak, outputs_batch, outputs_streaming, StreamOptions};
-use ivn_dsp::block::Footprint;
+use ivn_dsp::block::{BlockStage, Footprint};
 use ivn_dsp::complex::Complex64;
 use ivn_em::channel::ChannelEnsemble;
 use ivn_em::stream::BlockSuperposer;
@@ -18,7 +18,7 @@ use ivn_runtime::rng::StdRng;
 use ivn_runtime::{prop_assert, prop_assert_eq, props};
 use ivn_sdr::bank::TxBank;
 use ivn_sdr::clock::ClockDistribution;
-use ivn_sdr::stream::{emit_oracle, BankStreamer};
+use ivn_sdr::stream::{emit_oracle, EmitterLane};
 
 const BLOCK_SIZES: [usize; 4] = [1, 7, 256, 4096];
 const THREAD_COUNTS: [usize; 3] = [1, 2, 8];
@@ -90,7 +90,9 @@ fn per_stage_footprint_is_bounded_by_block_size() {
 /// trig oscillator, polar PA (`atan2` + `sin_cos`), carrier phasor. The
 /// rotator is a different factorization of the same signal, so the two
 /// agree to rounding — bounded here at 1e-9 per sample — for every block
-/// size and worker count. (The rendered figure goldens under
+/// size. Worker count cannot move a sample: the carrier-on lanes equal
+/// `TxBank::emit` bit for bit at 1, 2 and 8 threads, pinned by
+/// `crates/sdr/tests/stream_props.rs`. (The rendered figure goldens under
 /// `tests/golden/figures/` stayed byte-identical across the switch, the
 /// one-time check that this tolerance is invisible downstream.)
 #[test]
@@ -115,32 +117,23 @@ fn lane_batched_synthesis_tracks_trig_oracle() {
         .map(|i| emit_oracle(&bank, i, &profile, drive))
         .collect();
     for block in BLOCK_SIZES {
-        for threads in THREAD_COUNTS {
-            let mut st = BankStreamer::new(&bank, drive, threads);
-            let mut collected: Vec<Vec<Complex64>> = vec![Vec::new(); bank.len()];
+        for (i, want) in oracle.iter().enumerate() {
+            let mut lane = EmitterLane::new(&bank, i, drive);
+            let mut got = Vec::new();
             for chunk in profile.chunks(block) {
-                st.push(chunk);
-                for (i, c) in collected.iter_mut().enumerate() {
-                    c.extend_from_slice(st.block(i));
-                }
+                lane.push(chunk, &mut got);
             }
-            st.flush();
-            for (i, c) in collected.iter_mut().enumerate() {
-                c.extend_from_slice(st.block(i));
-            }
-            for (i, (got, want)) in collected.iter().zip(&oracle).enumerate() {
-                assert_eq!(got.len(), want.len(), "device {i}");
-                let worst = got
-                    .iter()
-                    .zip(want)
-                    .map(|(a, b)| (*a - *b).norm())
-                    .fold(0.0f64, f64::max);
-                assert!(
-                    worst < 1e-9,
-                    "device {i} block {block} threads {threads}: \
-                     max |lane - oracle| = {worst:e}"
-                );
-            }
+            lane.flush(&mut got);
+            assert_eq!(got.len(), want.len(), "device {i}");
+            let worst = got
+                .iter()
+                .zip(want)
+                .map(|(a, b)| (*a - *b).norm())
+                .fold(0.0f64, f64::max);
+            assert!(
+                worst < 1e-9,
+                "device {i} block {block}: max |lane - oracle| = {worst:e}"
+            );
         }
     }
 }
@@ -195,20 +188,33 @@ const PAPER_OFFSETS: [f64; 10] = [0., 7., 20., 49., 68., 73., 90., 113., 121., 1
 const CALIBRATION_RATES: [f64; 7] = [4096.0, 16384.0, 32e3, 100e3, 300e3, 777_777.0, 1e6];
 
 /// `|rx|`'s peak over the whole carrier-on stream, every sample through
-/// `hypot` — the full scan the windowed search replaces.
+/// `hypot` — the full scan the windowed search replaces. The emission
+/// comes from the general-profile lanes fed the constant-1.0 profile,
+/// not from the `CarrierWindows` the search itself regenerates.
 fn full_scan_peak(bank: &TxBank, sp: &BlockSuperposer, drive: f64, n: usize, block: usize) -> f64 {
-    let mut st = BankStreamer::new(bank, drive, 1);
+    let mut lanes: Vec<EmitterLane> = (0..bank.len())
+        .map(|i| EmitterLane::new(bank, i, drive))
+        .collect();
+    let mut blocks: Vec<Vec<Complex64>> = vec![Vec::new(); bank.len()];
     let profile = vec![1.0; block];
     let (mut rx, mut pushed, mut peak) = (Vec::new(), 0, 0.0f64);
     loop {
         let take = block.min(n - pushed);
-        if take == 0 {
-            st.flush();
-        } else {
-            st.push(&profile[..take]);
+        for (lane, out) in lanes.iter_mut().zip(&mut blocks) {
+            if take == 0 {
+                lane.flush(out);
+            } else {
+                lane.push(&profile[..take], out);
+            }
         }
         pushed += take;
-        sp.superpose_block(st.blocks(), &mut rx);
+        // Lanes run ahead of one another by their trigger latency;
+        // superpose only the samples every lane has produced.
+        let ready = blocks.iter().map(Vec::len).min().unwrap_or(0);
+        sp.superpose_block(blocks.iter().map(|b| &b[..ready]), &mut rx);
+        for b in &mut blocks {
+            b.drain(..ready);
+        }
         peak = rx.iter().map(|z| z.norm()).fold(peak, f64::max);
         if take == 0 {
             return peak;
