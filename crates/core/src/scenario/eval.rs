@@ -184,7 +184,10 @@ pub fn evaluate(s: &Scenario, quick: bool) -> Result<ScenarioMetrics, String> {
         let gain_db = 10.0 * (peak_amp * peak_amp / single_w).log10();
 
         // Harvester transient over one CIB period, up to the wake sample.
-        let time_to_power_s = power_up_over_period(&tag.power, &envelope, powerup_rate);
+        let time_to_power_s = {
+            let _span = ivn_runtime::span!("experiment.trial.powerup_ns");
+            power_up_over_period(&tag.power, &envelope, powerup_rate)
+        };
 
         // Downlink Query keyed on the envelope peak, decoded through the
         // CIB ripple (only meaningful once powered).

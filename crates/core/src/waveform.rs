@@ -88,6 +88,8 @@ impl CibEnvelope {
     /// values are its bits. Where the sparse-spectrum FFT synthesis is
     /// cheaper ([`crate::kernels::fft_pays_off`]) the whole grid is
     /// filled that way up front and the chunks are slices of it.
+    /// [`PeriodChunks::peek`] reads the start of the next chunk, with the
+    /// same bits, without advancing.
     ///
     /// # Panics
     /// Panics if `grid` is zero.
@@ -227,7 +229,9 @@ impl CibEnvelope {
 }
 
 /// A period grid streamed chunk by chunk; see
-/// [`CibEnvelope::period_chunks`].
+/// [`CibEnvelope::period_chunks`]. [`Self::peek`] reads the start of the
+/// next chunk without synthesizing the rest of it, for a reader that
+/// usually stops within its first few samples.
 #[derive(Debug)]
 pub struct PeriodChunks<'a> {
     env: &'a CibEnvelope,
@@ -246,13 +250,38 @@ impl PeriodChunks<'_> {
     /// `None` once the period is exhausted.
     pub fn next_chunk(&mut self) -> Option<&[f64]> {
         let start = self.start;
-        if start == self.grid {
-            return None;
-        }
-        let len = crate::kernels::RENORM_INTERVAL.min(self.grid - start);
+        let len = self.chunk_len()?;
         self.start += len;
+        Some(self.fill(start, len))
+    }
+
+    /// The next chunk's first `min(m, len)` samples without advancing the
+    /// stream, or `None` once the period is exhausted: the same bits
+    /// [`Self::next_chunk`] will return there.
+    ///
+    /// The synthesis runs to `m` rounded up to a whole quad (capped at
+    /// the chunk's length): [`crate::kernels::tone_bank`] walks a chunk
+    /// quad by quad from the chunk base, whatever its length, but takes
+    /// exact trig for a trailing partial quad. On the FFT path the
+    /// prefix is a slice of the up-front fill.
+    pub fn peek(&mut self, m: usize) -> Option<&[f64]> {
+        let len = self.chunk_len()?;
+        let fill = m.next_multiple_of(4).min(len);
+        Some(&self.fill(self.start, fill)[..m.min(len)])
+    }
+
+    /// Length of the next chunk, `None` once the period is exhausted.
+    fn chunk_len(&self) -> Option<usize> {
+        let left = self.grid - self.start;
+        (left > 0).then(|| crate::kernels::RENORM_INTERVAL.min(left))
+    }
+
+    /// Grid samples `start..start + len`, `len` at most one chunk from
+    /// the chunk base `start`: one [`crate::kernels::envelope_window`] at
+    /// `t0 = start·dt`, or a slice of the FFT fill.
+    fn fill(&mut self, start: usize, len: usize) -> &[f64] {
         if self.fft {
-            return Some(&self.buf[start..start + len]);
+            return &self.buf[start..start + len];
         }
         let env = self.env;
         self.buf.resize(len, 0.0);
@@ -264,7 +293,7 @@ impl PeriodChunks<'_> {
             self.grid as f64,
             &mut self.buf,
         );
-        Some(&self.buf)
+        &self.buf
     }
 }
 

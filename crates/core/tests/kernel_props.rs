@@ -3,8 +3,8 @@
 //! swap, the keyed downlink window — must agree with the reference
 //! `CibEnvelope::envelope` sum to 1e-9, the prefiltered grid argmax must
 //! pick exactly the index of a full `hypot` scan, the chunked period
-//! stream and the early-stopping power-up must reproduce the whole-grid
-//! fill bit for bit, and the optimizer built on them must stay
+//! stream, its peeks and the early-stopping power-up must reproduce the
+//! whole-grid fill bit for bit, and the optimizer built on them must stay
 //! deterministic per seed. The tone bank, the four-lane `|z|²` scans and
 //! `peak_over_period`'s hoisted refinement are pinned bit for bit against
 //! test-local copies of the tone-at-a-time passes, serial scans and
@@ -17,7 +17,7 @@ use ivn_core::kernels::{
     envelope_window, fft_pays_off, grid_argmax, max_norm_sqr, tone_bank, tone_sum, CrnKernel,
     EnvelopeScratch, RENORM_INTERVAL,
 };
-use ivn_core::system::power_up_over_period;
+use ivn_core::system::{power_up_over_period, WAKE_PROBE};
 use ivn_core::waveform::CibEnvelope;
 use ivn_dsp::complex::Complex64;
 use ivn_dsp::units::dbm_to_watts;
@@ -131,6 +131,43 @@ fn streamed_period(env: &CibEnvelope, grid: usize) -> Vec<f64> {
     assert!(
         chunks.next_chunk().is_none(),
         "stream restarted after its end"
+    );
+    out
+}
+
+/// Probe lengths around the quad remainder, the power-up probe and the
+/// chunk length.
+const PEEK_LENS: [usize; 9] = [1, 3, 4, 15, 16, 17, 255, 256, 300];
+
+/// Period grids of one partial quad, one short chunk, a chunk and a bit,
+/// and the session size.
+const PEEK_GRIDS: [usize; 7] = [1, 2, 15, 16, 17, 257, 2048];
+
+/// `streamed_period` with a `peek(m)` before every chunk: each peek,
+/// taken twice, must be the first `min(m, len)` bits of the chunk that
+/// follows, and the stream must end with a `None` peek.
+fn peeked_period(env: &CibEnvelope, grid: usize, m: usize) -> Vec<f64> {
+    let mut chunks = env.period_chunks(grid);
+    let mut out = Vec::new();
+    while let Some(probe) = chunks.peek(m) {
+        let probe = bits(probe);
+        assert_eq!(
+            bits(chunks.peek(m).unwrap()),
+            probe,
+            "peek is not repeatable"
+        );
+        let chunk = chunks.next_chunk().expect("a peeked chunk exists");
+        assert_eq!(probe.len(), m.min(chunk.len()), "probe length");
+        assert_eq!(
+            bits(&chunk[..probe.len()]),
+            probe,
+            "probe is not the chunk's prefix"
+        );
+        out.extend_from_slice(chunk);
+    }
+    assert!(
+        chunks.next_chunk().is_none(),
+        "peek ended before the stream"
     );
     out
 }
@@ -372,13 +409,30 @@ props! {
         offs in btree_set(1u32..2000, 11..=11), ph in phases(12), amps in pvec(0.05f64..2.0, 12..=12)
     ) {
         // Twelve integer tones on 2048 points: the FFT synthesis pays
-        // off, so the stream must yield slices of that fill.
+        // off, so the stream and its peeks must yield slices of that fill.
         let offs: Vec<f64> = std::iter::once(0.0).chain(offs.into_iter().map(f64::from)).collect();
         prop_assert!(fft_pays_off(offs.len(), 2048, &offs));
         let env = CibEnvelope::with_amplitudes(&offs, &ph, &amps);
         let whole = bits(&whole_grid_period(&offs, &ph, &amps, 2048));
         prop_assert_eq!(bits(&streamed_period(&env, 2048)), whole.clone());
+        for m in PEEK_LENS {
+            prop_assert_eq!(bits(&peeked_period(&env, 2048, m)), whole.clone());
+        }
         prop_assert_eq!(bits(&env.sample_period(2048)), whole);
+    }
+
+    fn period_chunks_peek_is_the_next_chunks_prefix((offs, ph, amps) in stream_tones()) {
+        // Every probe length on every grid; peeking never advances the
+        // stream, so the chunks still concatenate to the whole-grid fill.
+        // Integer tones on the power-of-two grids 1, 2 and 16 take the
+        // FFT path whenever they outnumber log₂ grid.
+        let env = CibEnvelope::with_amplitudes(&offs, &ph, &amps);
+        for grid in PEEK_GRIDS {
+            let whole = bits(&whole_grid_period(&offs, &ph, &amps, grid));
+            for m in PEEK_LENS {
+                prop_assert_eq!(bits(&peeked_period(&env, grid, m)), whole.clone());
+            }
+        }
     }
 
     fn grid_argmax_matches_hypot_scan_on_envelopes(
@@ -487,7 +541,7 @@ fn early_stop_power_up_matches_whole_period_loop() {
     // chip can only wake around the peak, late in the period, or not at
     // all.
     let mut rng = StdRng::seed_from_u64(17);
-    let (mut never, mut late, mut first_chunk) = (0, 0, 0);
+    let (mut never, mut late, mut rest_of_chunk, mut probe) = (0, 0, 0, 0);
     for case in 0..600 {
         let rate = [1.0, 3.0, 255.0, 256.0, 257.0, 1000.0, 2048.0, 4096.0][case % 8];
         let n = 1 + rng.random_range(0..10usize);
@@ -525,15 +579,17 @@ fn early_stop_power_up_matches_whole_period_loop() {
             want.map(f64::to_bits),
             "case {case}: time_to_power_s {got:?} vs {want:?}"
         );
-        match want {
+        match want.map(|t| (t * rate).round() as usize) {
             None => never += 1,
-            Some(t) if t * rate >= RENORM_INTERVAL as f64 => late += 1,
-            Some(_) => first_chunk += 1,
+            Some(k) if k >= RENORM_INTERVAL => late += 1,
+            Some(k) if k >= WAKE_PROBE => rest_of_chunk += 1,
+            Some(_) => probe += 1,
         }
     }
     assert!(
-        never >= 20 && late >= 20 && first_chunk >= 20,
-        "coverage: {never} never, {late} late, {first_chunk} in the first chunk"
+        never >= 20 && late >= 20 && rest_of_chunk >= 20 && probe >= 20,
+        "coverage: {never} never, {late} in a later chunk, {rest_of_chunk} in the rest of \
+         the first chunk, {probe} in the probe"
     );
 }
 

@@ -1,7 +1,9 @@
 //! Mass-campaign determinism at scale: a generated fleet of 1000
 //! scenarios written to disk, loaded back, and run through the campaign
 //! driver — the full report must be byte-identical at 1, 2 and 8 worker
-//! threads, and stable across repeat runs.
+//! threads, and stable across repeat runs. The 25-scenario `session`
+//! smoke fleet's report must equal its committed golden bytes at 1, 2
+//! and 8 threads.
 
 use ivn_bench::campaign;
 use ivn_core::scenario::{builtin, gen, QuickFull, Scenario};
@@ -155,4 +157,46 @@ fn generated_fleet_is_seed_stable_and_valid() {
         depths.len() >= 5,
         "sweep did not vary placement: {depths:?}"
     );
+}
+
+#[test]
+fn session25_report_matches_golden_at_1_2_8_threads() {
+    // The smoke fleet `scripts/verify.sh` pins, built as
+    // `reproduce generate --base session --count 25 --seed 7
+    //  --sweep placement.depth_m=0.02,0.05,0.08 --jitter eirp_dbm=0.05`
+    // builds it (sweep values parse as JSON), written to disk and loaded
+    // back as `reproduce campaign <dir> --quick` loads it.
+    let spec = gen::GenSpec {
+        base: builtin("session").expect("builtin"),
+        count: 25,
+        seed: 7,
+        sweeps: vec![gen::SweepAxis {
+            path: "placement.depth_m".into(),
+            values: ["0.02", "0.05", "0.08"]
+                .iter()
+                .map(|v| Json::parse(v).unwrap())
+                .collect(),
+        }],
+        jitters: vec![gen::JitterSpec {
+            path: "eirp_dbm".into(),
+            frac: 0.05,
+        }],
+    };
+    let fleet = gen::generate(&spec).expect("generate");
+    let dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join("campaign-session25");
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    for s in &fleet {
+        std::fs::write(dir.join(format!("{}.json", s.name)), s.dump() + "\n").unwrap();
+    }
+    let golden = include_str!("golden/campaign/session25.quick.json");
+    for threads in [1, 2, 8] {
+        let entries = campaign::load_dir(&dir).expect("directory loads");
+        let report = campaign::run_loaded(entries, true, threads).report().dump() + "\n";
+        assert!(
+            report == golden,
+            "{threads} threads: report diverged from tests/golden/campaign/session25.quick.json"
+        );
+    }
+    let _ = std::fs::remove_dir_all(&dir);
 }
