@@ -50,6 +50,7 @@
 //! Instrumentation never changes figure bytes — `tests/determinism.rs`
 //! pins that.
 
+use ivn_bench::pipeline::check_sample_rate;
 use ivn_bench::{campaign, registry};
 use ivn_core::scenario::{gen, Scenario};
 use ivn_runtime::json::Json;
@@ -196,9 +197,7 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
             "--sample-rate" => {
                 let v = it.next().ok_or("--sample-rate needs a value in Hz")?;
                 let hz: f64 = v.parse().map_err(|_| format!("bad --sample-rate '{v}'"))?;
-                if hz.is_nan() || hz <= 0.0 {
-                    return Err(format!("--sample-rate must be positive, got '{v}'"));
-                }
+                let hz = check_sample_rate(hz).map_err(|e| format!("--sample-rate: {e}"))?;
                 args.sample_rate = Some(hz);
             }
             "--block" => {

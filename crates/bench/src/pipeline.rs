@@ -13,8 +13,8 @@
 //! ## Streaming vs batch
 //!
 //! The default driver is the **block-streaming** one: samples flow
-//! through the chain in fixed-size blocks via the `ivn_dsp::block`
-//! traits, so per-stage memory is O(block) rather than O(fs) — a full
+//! through the chain in fixed-size blocks (`ivn_dsp::block`), so
+//! per-stage memory is O(block) rather than O(fs) — a full
 //! 1-second CIB period at 1 MS/s runs in a few MB.
 //!
 //! The harvester's input is scaled so the received peak sits at
@@ -35,7 +35,7 @@
 
 use ivn_core::freqsel::expected_peak;
 use ivn_core::PAPER_OFFSETS_HZ;
-use ivn_dsp::block::{BlockSource, Footprint, PeakMeter, StreamHasher, DEFAULT_BLOCK};
+use ivn_dsp::block::{Footprint, PeakMeter, StreamHasher, DEFAULT_BLOCK};
 use ivn_dsp::complex::Complex64;
 use ivn_dsp::envelope;
 use ivn_em::channel::ChannelEnsemble;
@@ -62,10 +62,34 @@ const DRIVE: f64 = 0.05;
 /// Sample rate of the PIE downlink frame (envelope-level, not RF).
 const RFID_FS: f64 = 400e3;
 
+/// A sample rate outside [1, 1e8] S/s. Below 1 S/s the 1-second CIB
+/// period holds no sample (a 0-sample run with a NaN envelope peak); an
+/// infinite or huge rate sizes it past any run that ends (`usize::MAX`
+/// samples at `inf`).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct SampleRateError(pub f64);
+
+impl std::fmt::Display for SampleRateError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "sample rate {} S/s is outside [1, 1e8] S/s", self.0)
+    }
+}
+
+/// Checks that one CIB period can be streamed at `hz` S/s: a finite
+/// rate in [1, 1e8] S/s (NaN fails too).
+pub fn check_sample_rate(hz: f64) -> Result<f64, SampleRateError> {
+    if (1.0..=1e8).contains(&hz) {
+        Ok(hz)
+    } else {
+        Err(SampleRateError(hz))
+    }
+}
+
 /// Knobs of the streaming driver.
 #[derive(Debug, Clone)]
 pub struct StreamOptions {
-    /// Override the sample rate (defaults to the quick/full presets).
+    /// Override the sample rate (defaults to the quick/full presets);
+    /// must pass [`check_sample_rate`].
     pub sample_rate: Option<f64>,
     /// Samples per block; must be at least 1.
     pub block: usize,
@@ -143,7 +167,14 @@ struct SharedSetup {
 /// Seeds the RNG and builds the stages both drivers share. RNG draw
 /// order (freqsel → bank → channels → RN16) is part of the output
 /// contract: the two paths must consume the stream identically.
+///
+/// # Panics
+/// Panics if a `sample_rate` override fails [`check_sample_rate`],
+/// before anything is synthesized.
 fn setup(quick: bool, sample_rate: Option<f64>) -> SharedSetup {
+    if let Some(Err(e)) = sample_rate.map(check_sample_rate) {
+        panic!("StreamOptions::sample_rate: {e}");
+    }
     let mut rng = StdRng::seed_from_u64(SEED);
     let offsets = &PAPER_OFFSETS_HZ[..N_ANTENNAS];
     // One full CIB period (1 s) of baseband; the tones span 137 Hz so a
@@ -334,7 +365,8 @@ pub fn calibrate_peak(
 /// memory stays O(`opts.block`) regardless of `n_samples`.
 ///
 /// # Panics
-/// Panics if `opts.block` is 0.
+/// Panics if `opts.block` is 0 or `opts.sample_rate` fails
+/// [`check_sample_rate`].
 pub fn outputs_streaming(quick: bool, opts: &StreamOptions) -> StreamReport {
     assert!(
         opts.block > 0,
@@ -422,12 +454,7 @@ pub fn outputs_streaming(quick: bool, opts: &StreamOptions) -> StreamReport {
     let runs = encode_frame(&bits, &PieParams::paper_defaults(), true);
     let fm0 = Fm0::new(8);
     let wave = fm0.encode(&s.rn16);
-    let frame_len = {
-        let mut probe = RunRasterizer::new(runs.clone(), RFID_FS, 0.0);
-        let mut sink = Vec::new();
-        while probe.fill(&mut sink, 4096) > 0 {}
-        probe.emitted() + wave.len()
-    };
+    let frame_len = rasterize(&runs, RFID_FS, 0.0).len() + wave.len();
     let sessions = (s.n_samples / frame_len).max(1);
     let (mut downlink_ok, mut uplink_ok) = (true, true);
     let mut rfid_samples = 0usize;
@@ -644,6 +671,35 @@ mod tests {
             ..Default::default()
         };
         outputs_streaming(true, &opts);
+    }
+
+    fn run_at_rate(hz: f64) {
+        let opts = StreamOptions {
+            sample_rate: Some(hz),
+            ..Default::default()
+        };
+        outputs_streaming(true, &opts);
+    }
+
+    #[test]
+    #[should_panic(expected = "StreamOptions::sample_rate")]
+    fn sub_hertz_sample_rate_is_rejected() {
+        // 0.5 S/s holds no sample of the 1 s period.
+        run_at_rate(0.5);
+    }
+
+    #[test]
+    #[should_panic(expected = "StreamOptions::sample_rate")]
+    fn infinite_sample_rate_is_rejected() {
+        // An infinite rate would size the period at usize::MAX samples;
+        // the check fires before setup synthesizes anything.
+        run_at_rate(f64::INFINITY);
+    }
+
+    #[test]
+    #[should_panic(expected = "StreamOptions::sample_rate")]
+    fn nan_sample_rate_is_rejected() {
+        run_at_rate(f64::NAN);
     }
 
     #[test]

@@ -204,7 +204,12 @@ pub fn pessimize(cfg: &FreqSelConfig, seed: u64) -> FrequencyPlan {
 
 fn run_restarts(cfg: &FreqSelConfig, seed: u64, maximize: bool) -> FrequencyPlan {
     // Each restart is seeded independently, so the pool's scheduling
-    // cannot affect the result — only how fast it arrives.
+    // cannot affect the result — only how fast it arrives. The restarts
+    // stay on scoped threads even inside a campaign's pool worker: on
+    // `WorkerPool::global().map_indexed`, where a nested call runs
+    // inline, `campaign` `wall_s` got worse (2-core box, `--seconds 5
+    // --trace 0`, alternating pairs): median 0.2735 → 0.2857 s (+4.5%),
+    // worse in 8 of 10 pairs on seeds 401–410 and 6 of 8 on 301–308.
     let restarts: Vec<u64> = (0..cfg.restarts as u64).collect();
     let plans = ivn_runtime::par::par_map(&restarts, |_, &r| {
         climb(cfg, seed.wrapping_add(r * 0x9E37), maximize)

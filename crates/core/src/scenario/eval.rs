@@ -95,9 +95,11 @@ fn rates(kind: &ScenarioKind) -> (f64, f64) {
     }
 }
 
-/// Evaluates one scenario. Runs trials inline (single worker) so the
-/// campaign driver can parallelize across scenarios without nesting
-/// pools; the result is identical at any thread count regardless.
+/// Evaluates one scenario. Trials run inline on the calling thread; the
+/// campaign driver parallelizes across scenarios. An `Optimize` plan
+/// miss still fans out: `freqsel::optimize` runs its restarts on
+/// scoped threads, even from a pool worker. The result is identical at
+/// any thread count regardless.
 pub fn evaluate(s: &Scenario, quick: bool) -> Result<ScenarioMetrics, String> {
     let placement = s.placement.resolve().map_err(|e| e.reason)?;
     let cib = s.cib(quick);

@@ -3,27 +3,19 @@
 //! The paper's prototype streams baseband continuously through USRP
 //! front-ends; the whole-buffer APIs elsewhere in the workspace
 //! materialize a full 1-second CIB period (`O(fs)` memory per stage)
-//! instead. This module defines the constant-memory alternative: a
-//! sample path is a [`BlockSource`] feeding one or more [`BlockStage`]s
-//! into a consumer (a [`PeakMeter`], the harvester's power-up
-//! integrator, the RFID decoders), all exchanging fixed-size blocks
-//! through reusable scratch `Vec`s. State that must survive a block
-//! boundary (oscillator phase, delay-line history, charge-pump voltage,
-//! partial FM0 symbols) lives inside the stage, so pushing the same
-//! samples in blocks of 1 or 4096 produces **bit-identical** output —
-//! the property `tests/streaming_equivalence.rs` pins across the whole
-//! pipeline.
+//! instead. The streaming driver (`ivn-bench`'s `pipeline`) passes
+//! fixed-size blocks from stage to stage through reusable scratch
+//! `Vec`s, into consumers such as a [`PeakMeter`], the harvester's
+//! power-up integrator and the RFID decoders. State that must survive a
+//! block boundary (rotor phase, charge-pump voltage, partial FM0
+//! symbols) lives inside the stage, so pushing the same samples in
+//! blocks of 1 or 4096 produces **bit-identical** output — the property
+//! `tests/streaming_equivalence.rs` pins across the whole pipeline.
 //!
-//! Conventions:
-//! - stages **append** to their output scratch and never clear it; the
-//!   driver clears scratch buffers between blocks and reuses them, so
-//!   the steady state allocates nothing;
-//! - `flush` ends the stream, draining whatever latency the stage holds
-//!   (e.g. a negative trigger shift that needs future profile samples);
-//! - per-stage memory is bounded by the block size, never by the total
-//!   sample count ([`Footprint`] measures this, and
-//!   `tests/streaming_equivalence.rs::per_stage_footprint_is_bounded_by_block_size`
-//!   gates it).
+//! Per-stage memory is bounded by the block size, never by the total
+//! sample count ([`Footprint`] measures this, and
+//! `tests/streaming_equivalence.rs::per_stage_footprint_is_bounded_by_block_size`
+//! gates it).
 
 use crate::complex::Complex64;
 
@@ -31,36 +23,6 @@ use crate::complex::Complex64;
 /// per-block overhead, small enough that per-stage scratch stays cache
 /// resident (4096 complex samples = 64 KiB).
 pub const DEFAULT_BLOCK: usize = 4096;
-
-/// Produces sample blocks (the head of a streaming chain).
-pub trait BlockSource {
-    /// The sample type produced.
-    type Item: Copy;
-
-    /// Appends up to `max` samples to `out`; returns how many were
-    /// produced. Returning `0` means the source is exhausted.
-    fn fill(&mut self, out: &mut Vec<Self::Item>, max: usize) -> usize;
-}
-
-/// Transforms sample blocks, carrying whatever state must survive a
-/// block boundary.
-pub trait BlockStage {
-    /// Input sample type.
-    type In: Copy;
-    /// Output sample type.
-    type Out: Copy;
-
-    /// Consumes one input block and appends the produced samples to
-    /// `out`. A stage with internal latency may produce fewer (or more)
-    /// samples than it consumed.
-    fn push(&mut self, input: &[Self::In], out: &mut Vec<Self::Out>);
-
-    /// Ends the stream: appends any samples still held back by the
-    /// stage's latency. Default: stateless stages have nothing to drain.
-    fn flush(&mut self, out: &mut Vec<Self::Out>) {
-        let _ = out;
-    }
-}
 
 /// Accumulates `block[k] · gain` into `acc[k]` — the per-antenna flat
 /// channel application + superposition step of `ivn-em`'s

@@ -31,11 +31,6 @@ impl IqBuffer {
         }
     }
 
-    /// Creates a zero-filled buffer of `len` samples.
-    pub fn zeros(len: usize, sample_rate: f64) -> Self {
-        Self::new(vec![Complex64::ZERO; len], sample_rate)
-    }
-
     /// Sample rate in samples/second.
     #[inline]
     pub fn sample_rate(&self) -> f64 {
@@ -48,12 +43,6 @@ impl IqBuffer {
         &self.samples
     }
 
-    /// Mutable view of the samples.
-    #[inline]
-    pub fn samples_mut(&mut self) -> &mut [Complex64] {
-        &mut self.samples
-    }
-
     /// Magnitude envelope `|x[n]|` of the buffer.
     pub fn envelope(&self) -> Vec<f64> {
         self.samples.iter().map(|s| s.norm()).collect()
@@ -63,13 +52,6 @@ impl IqBuffer {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn zeros_and_len() {
-        let b = IqBuffer::zeros(100, 1e6);
-        assert_eq!(b.samples().len(), 100);
-        assert!(b.samples().iter().all(|s| *s == Complex64::ZERO));
-    }
 
     #[test]
     #[should_panic(expected = "sample rate must be positive")]

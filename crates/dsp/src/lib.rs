@@ -3,7 +3,7 @@
 //! This crate provides every signal-processing primitive used by the IVN
 //! (In-Vivo Networking) reproduction: complex arithmetic, unit conversions,
 //! IQ sample buffers, oscillators, phasor rotors, the inverse FFT, envelope
-//! peak search, correlation, noise generation, streaming block stages, and
+//! peak search, correlation, noise generation, streaming block primitives, and
 //! the descriptive statistics used by every experiment.
 //!
 //! Design follows the event-driven, allocation-conscious style of embedded

@@ -114,7 +114,7 @@ pub fn encode_frame(bits: &[bool], p: &PieParams, with_trcal: bool) -> LevelRuns
 pub fn rasterize(runs: &LevelRuns, sample_rate: f64, low_level: f64) -> Vec<f64> {
     let mut src = crate::stream::RunRasterizer::new(runs.clone(), sample_rate, low_level);
     let mut out = Vec::new();
-    while ivn_dsp::block::BlockSource::fill(&mut src, &mut out, usize::MAX) > 0 {}
+    while src.fill(&mut out, usize::MAX) > 0 {}
     out
 }
 

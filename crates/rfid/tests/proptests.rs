@@ -1,6 +1,5 @@
 //! Property-based tests for the Gen2 protocol substrate.
 
-use ivn_dsp::block::BlockSource;
 use ivn_rfid::commands::{Command, DivideRatio, Session, TagEncoding};
 use ivn_rfid::crc::{append_crc16, append_crc5, check_crc16, check_crc5};
 use ivn_rfid::epc::Sgtin96;
@@ -148,7 +147,7 @@ props! {
         let batch = rasterize(&runs, 2e6, 0.1);
         let mut src = RunRasterizer::new(runs, 2e6, 0.1);
         let mut out = Vec::new();
-        while BlockSource::fill(&mut src, &mut out, block) > 0 {}
+        while src.fill(&mut out, block) > 0 {}
         prop_assert_eq!(out, batch);
     }
 

@@ -302,42 +302,11 @@ impl WorkerPool {
         U: Send + 'static,
         F: Fn(usize) -> U + Send + Sync + 'static,
     {
-        if n == 0 {
-            return Vec::new();
-        }
-        if width <= 1 || n == 1 || on_pool_worker() {
-            return (0..n).map(f).collect();
-        }
-        let chunk = chunk_size(n, width);
         let f = Arc::new(f);
-        let (tx, rx) = channel();
-        let mut jobs: Vec<Job> = Vec::with_capacity(n.div_ceil(chunk));
-        let mut start = 0;
-        while start < n {
-            let end = (start + chunk).min(n);
+        self.dispatch(n, width, |start, end| {
             let f = Arc::clone(&f);
-            let tx = tx.clone();
-            jobs.push(Box::new(move || {
-                let r = catch_unwind(AssertUnwindSafe(|| {
-                    (start..end).map(|i| f(i)).collect::<Vec<U>>()
-                }));
-                let _ = tx.send((start, r));
-            }));
-            start = end;
-        }
-        drop(tx);
-        let chunks = jobs.len();
-        self.submit(jobs);
-        let mut parts = self.collect_helping(chunks, &rx);
-        parts.sort_unstable_by_key(|(s, _)| *s);
-        let mut out = Vec::with_capacity(n);
-        for (_, r) in parts {
-            match r {
-                Ok(v) => out.extend(v),
-                Err(payload) => resume_unwind(payload),
-            }
-        }
-        out
+            move || (start..end).map(|i| f(i)).collect()
+        })
     }
 
     /// Moves `items` through the pool: each is passed by value to
@@ -355,36 +324,58 @@ impl WorkerPool {
         F: Fn(usize, T) -> U + Send + Sync + 'static,
     {
         let n = items.len();
+        let f = Arc::new(f);
+        let mut items = items.into_iter();
+        self.dispatch(n, width, |start, end| {
+            let batch: Vec<T> = items.by_ref().take(end - start).collect();
+            let f = Arc::clone(&f);
+            move || {
+                batch
+                    .into_iter()
+                    .enumerate()
+                    .map(|(j, t)| f(start + j, t))
+                    .collect()
+            }
+        })
+    }
+
+    /// The dispatch body both maps share. `chunk_job(start, end)` builds
+    /// the job for indices `start..end`; chunks are cut in ascending
+    /// order, so a job may take its share of the input as it is built.
+    /// `width <= 1`, `n == 1` and a nested call from a pool worker run
+    /// the one job for `0..n` inline; otherwise the chunks
+    /// (`chunk_size(n, width)` long) are submitted, the caller helps
+    /// until every result is back, and the results are reassembled in
+    /// chunk order.
+    ///
+    /// # Panics
+    /// Re-raises the first (lowest-index-chunk) panic from any job.
+    fn dispatch<U, J>(
+        &self,
+        n: usize,
+        width: usize,
+        mut chunk_job: impl FnMut(usize, usize) -> J,
+    ) -> Vec<U>
+    where
+        U: Send + 'static,
+        J: FnOnce() -> Vec<U> + Send + 'static,
+    {
         if n == 0 {
             return Vec::new();
         }
         if width <= 1 || n == 1 || on_pool_worker() {
-            return items
-                .into_iter()
-                .enumerate()
-                .map(|(i, t)| f(i, t))
-                .collect();
+            return chunk_job(0, n)();
         }
         let chunk = chunk_size(n, width);
-        let f = Arc::new(f);
         let (tx, rx) = channel();
         let mut jobs: Vec<Job> = Vec::with_capacity(n.div_ceil(chunk));
-        let mut iter = items.into_iter();
         let mut start = 0;
         while start < n {
             let end = (start + chunk).min(n);
-            let batch: Vec<T> = iter.by_ref().take(end - start).collect();
-            let f = Arc::clone(&f);
+            let job = chunk_job(start, end);
             let tx = tx.clone();
             jobs.push(Box::new(move || {
-                let r = catch_unwind(AssertUnwindSafe(|| {
-                    batch
-                        .into_iter()
-                        .enumerate()
-                        .map(|(j, t)| f(start + j, t))
-                        .collect::<Vec<U>>()
-                }));
-                let _ = tx.send((start, r));
+                let _ = tx.send((start, catch_unwind(AssertUnwindSafe(job))));
             }));
             start = end;
         }

@@ -8,9 +8,9 @@
 
 use crate::clock::ClockDistribution;
 use crate::device::SdrDevice;
-use crate::stream::EmitterLane;
-use ivn_dsp::block::BlockStage;
 use ivn_dsp::buffer::IqBuffer;
+use ivn_dsp::complex::Complex64;
+use ivn_dsp::rotor::PhasorRotor;
 use ivn_runtime::rng::Rng;
 
 /// A bank of synchronized transmitters.
@@ -85,6 +85,35 @@ impl TxBank {
         &self.devices[i]
     }
 
+    /// Device `i`'s trigger offset as a whole-sample profile shift:
+    /// positive means the device fires late and reads older profile
+    /// samples, negative that it fires early.
+    pub fn shift(&self, i: usize) -> i64 {
+        (self.devices[i].trigger_offset_s * self.sample_rate).round() as i64
+    }
+
+    /// Device `i`'s unit phasor source `e^{j(θ_pll + kΔ)}`: the PLL's
+    /// carrier phase and the soft offset in one trig-free rotator.
+    pub(crate) fn rotor(&self, i: usize) -> PhasorRotor {
+        PhasorRotor::new(
+            self.soft_offsets_hz[i],
+            self.sample_rate,
+            self.devices[i].pll.initial_phase(),
+        )
+    }
+
+    /// Device `i`'s PA as a signed real gain for profile level `level`
+    /// at `drive`: a unit phasor times this is the emitted sample.
+    pub(crate) fn pa_gain(&self, i: usize, level: f64, drive: f64) -> f64 {
+        let a = level * drive;
+        let g = self.devices[i].pa.am_am(a.abs());
+        if a.is_sign_negative() {
+            -g
+        } else {
+            g
+        }
+    }
+
     /// Generates device `i`'s emitted baseband for a shared amplitude
     /// profile (the synchronized PIE command): the profile is delayed by
     /// the device's trigger offset, mixed with the soft offset tone,
@@ -92,20 +121,28 @@ impl TxBank {
     /// phase.
     ///
     /// `profile` holds one amplitude per sample (1.0 = full carrier); the
-    /// emission lasts `profile.len()` samples.
+    /// emission lasts `profile.len()` samples. Output sample `k` reads
+    /// the level at `k − shift` ([`TxBank::shift`]), and 1.0 outside the
+    /// profile: before and after the command the carrier stays on.
     ///
-    /// This is a thin wrapper over the streaming core
-    /// ([`EmitterLane`]): the whole profile is pushed as one block and
-    /// the lane flushed, so batch and streaming output are identical by
-    /// construction. It is the general-profile reference; the
-    /// carrier-on profile the pipeline streams is synthesized by
-    /// [`CarrierWindows`](crate::stream::CarrierWindows), bit for bit
-    /// equal to this.
+    /// One pass over the output, in runs of equal profile bits: the PA
+    /// reduces to one real gain per run, and the rotor fills the run
+    /// already scaled by it ([`PhasorRotor::fill_scaled`]) — no libm call
+    /// per sample. The fill is split-invariant, so the run boundaries do
+    /// not move a bit, and the carrier-on profile comes out exactly as
+    /// [`CarrierWindows`](crate::stream::CarrierWindows) streams it.
     pub fn emit(&self, i: usize, profile: &[f64], drive: f64) -> IqBuffer {
-        let mut lane = EmitterLane::new(self, i, drive);
-        let mut out = Vec::new();
-        lane.push(profile, &mut out);
-        lane.flush(&mut out);
+        let _span = ivn_runtime::span!("sdr.emit_ns");
+        ivn_runtime::obs_count!("sdr.emissions", 1);
+        let shift = self.shift(i);
+        let mut rotor = self.rotor(i);
+        let mut out = vec![Complex64::ZERO; profile.len()];
+        let mut k = 0;
+        while k < out.len() {
+            let (level, run) = profile_run(profile, k as i64 - shift, out.len() - k);
+            rotor.fill_scaled(&mut out[k..k + run], self.pa_gain(i, level, drive));
+            k += run;
+        }
         IqBuffer::new(out, self.sample_rate)
     }
 
@@ -117,10 +154,26 @@ impl TxBank {
     }
 }
 
+/// The profile level at index `idx` (1.0 outside the profile) and how
+/// many of the next `max` indices (≥ 1) read the same bits.
+fn profile_run(profile: &[f64], idx: i64, max: usize) -> (f64, usize) {
+    if idx < 0 {
+        return (1.0, max.min(idx.unsigned_abs() as usize));
+    }
+    let Some(rest) = profile.get(idx as usize..).filter(|r| !r.is_empty()) else {
+        return (1.0, max);
+    };
+    let bits = rest[0].to_bits();
+    let run = rest[..rest.len().min(max)]
+        .iter()
+        .take_while(|v| v.to_bits() == bits)
+        .count();
+    (rest[0], run)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ivn_dsp::complex::Complex64;
     use ivn_dsp::envelope;
     use ivn_runtime::rng::StdRng;
 

@@ -1,6 +1,5 @@
 //! Property-based tests for the SDR testbed models.
 
-use ivn_dsp::block::BlockStage;
 use ivn_dsp::complex::Complex64;
 use ivn_runtime::prop::any;
 use ivn_runtime::rng::StdRng;
@@ -10,7 +9,6 @@ use ivn_sdr::bank::TxBank;
 use ivn_sdr::clock::ClockDistribution;
 use ivn_sdr::pa::PowerAmp;
 use ivn_sdr::pll::Pll;
-use ivn_sdr::stream::EmitterLane;
 
 props! {
     cases = 96;
@@ -68,33 +66,6 @@ props! {
         let bank = TxBank::new(&mut rng, n, 915e6, 1e5, &offsets, &ClockDistribution::octoclock());
         for i in 0..n {
             prop_assert_eq!(bank.emission_hz(i), 915e6 + i as f64 * 13.0);
-        }
-    }
-
-    fn streaming_bank_matches_batch_any_block(seed in any::<u64>(), block in 1usize..96) {
-        // Free-running clocks give every lane a different nonzero trigger
-        // shift, exercising the history/latency bookkeeping.
-        let offsets = [0.0, 11.0, 29.0];
-        let profile: Vec<f64> = (0..160).map(|i| 0.2 + 0.8 * (i as f64 / 159.0)).collect();
-        let mut rng = StdRng::seed_from_u64(seed);
-        let bank = TxBank::new(
-            &mut rng, 3, 915e6, 1e5, &offsets, &ClockDistribution::free_running(),
-        );
-        let batch = bank.emit_all(&profile, 0.02);
-        let mut lanes: Vec<Vec<Complex64>> = vec![Vec::new(); 3];
-        for (i, out) in lanes.iter_mut().enumerate() {
-            let mut lane = EmitterLane::new(&bank, i, 0.02);
-            for chunk in profile.chunks(block) {
-                lane.push(chunk, out);
-            }
-            lane.flush(out);
-        }
-        for (lane, buf) in lanes.iter().zip(&batch) {
-            prop_assert_eq!(lane.len(), buf.samples().len());
-            for (x, y) in lane.iter().zip(buf.samples()) {
-                prop_assert_eq!(x.re.to_bits(), y.re.to_bits());
-                prop_assert_eq!(x.im.to_bits(), y.im.to_bits());
-            }
         }
     }
 }

@@ -1,18 +1,16 @@
-//! Exactness suite for the streaming emitter's run-length hot loop and
-//! for [`CarrierWindows`], the window-at-a-time regeneration of the
+//! Exactness suite for [`TxBank::emit`]'s run-length pass and for
+//! [`CarrierWindows`], the window-at-a-time regeneration of the
 //! carrier-on stream.
 //!
 //! Both are bit-level contracts, not tolerances:
-//! - an [`EmitterLane`] fed any profile, in any block size, emits
-//!   exactly `rotor(k) · g(level)` per sample, where the reference
-//!   rebuilds every sample on its own from a [`PhasorRotor`] and the
-//!   PA's `am_am`;
+//! - [`TxBank::emit`] fed any profile emits exactly `rotor(k) · g(level)`
+//!   per sample, where the reference rebuilds every sample on its own
+//!   from a [`PhasorRotor`] and the PA's `am_am`;
 //! - any window of [`CarrierWindows`], regenerated in any order and any
 //!   split, and the whole stream walked sequentially from sample 0 in
 //!   any chunk size, equal the same samples of [`TxBank::emit`] fed the
 //!   constant-1.0 profile, at any worker count.
 
-use ivn_dsp::block::BlockStage;
 use ivn_dsp::complex::Complex64;
 use ivn_dsp::rotor::{PhasorRotor, DEFAULT_RESYNC};
 use ivn_runtime::prop::any;
@@ -20,7 +18,7 @@ use ivn_runtime::rng::{Rng, StdRng};
 use ivn_runtime::{prop_assert, prop_assert_eq, props};
 use ivn_sdr::bank::TxBank;
 use ivn_sdr::clock::ClockDistribution;
-use ivn_sdr::stream::{CarrierWindows, EmitterLane};
+use ivn_sdr::stream::CarrierWindows;
 
 const OFFSETS: [f64; 10] = [0., 7., 20., 49., 68., 73., 90., 113., 121., 137.];
 const DRIVE: f64 = 0.05;
@@ -57,7 +55,7 @@ fn same_bits(a: &[Complex64], b: &[Complex64]) -> bool {
 /// signed `am_am` gain for that level.
 fn per_sample_reference(b: &TxBank, i: usize, profile: &[f64], drive: f64) -> Vec<Complex64> {
     let dev = b.device(i);
-    let shift = EmitterLane::new(b, i, drive).shift();
+    let shift = b.shift(i);
     let mut rotor = PhasorRotor::new(b.offsets_hz()[i], b.sample_rate(), dev.pll.initial_phase());
     (0..profile.len())
         .map(|k| {
@@ -114,20 +112,10 @@ props! {
         let profile = notched_profile(&mut rng, len);
         for i in 0..b.len() {
             let want = per_sample_reference(&b, i, &profile, DRIVE);
-            for block in [1usize, 7, 64, 4096] {
-                let mut lane = EmitterLane::new(&b, i, DRIVE);
-                let mut out = Vec::new();
-                for chunk in profile.chunks(block) {
-                    lane.push(chunk, &mut out);
-                }
-                // The flush path drains the held-back samples of lanes
-                // that fire early.
-                lane.flush(&mut out);
-                prop_assert!(
-                    same_bits(&out, &want),
-                    "device {} block {} (shift {}) diverged", i, block, lane.shift()
-                );
-            }
+            prop_assert!(
+                same_bits(b.emit(i, &profile, DRIVE).samples(), &want),
+                "device {} (shift {}) diverged", i, b.shift(i)
+            );
         }
     }
 
@@ -197,42 +185,25 @@ props! {
 #[test]
 fn carrier_windows_cover_a_full_rate_period() {
     // A 1 MS/s period is 977 windows, the last one short; every lane of
-    // every window matches the general-profile lanes fed the
-    // constant-1.0 profile. Windows are checked as soon as the lanes
-    // have passed them, then dropped, so memory stays small.
+    // every window matches `TxBank::emit` of the constant-1.0 profile.
+    // The reference is emitted one device at a time, so memory holds one
+    // device's period, not the bank's.
     let b = bank(5, 5, 1e6, true);
     let len = 1_000_000;
-    let mut lanes: Vec<EmitterLane> = (0..b.len())
-        .map(|i| EmitterLane::new(&b, i, DRIVE))
-        .collect();
     let mut win = CarrierWindows::new(&b, DRIVE, len);
     assert_eq!((win.range(0).len(), win.count()), (DEFAULT_RESYNC, 977));
-    let profile = vec![1.0; 4096];
-    let mut pending: Vec<Vec<Complex64>> = vec![Vec::new(); b.len()];
-    let (mut pushed, mut w) = (0, 0);
-    while w < win.count() {
-        let take = profile.len().min(len - pushed);
-        for (lane, p) in lanes.iter_mut().zip(&mut pending) {
-            if take > 0 {
-                lane.push(&profile[..take], p);
-            } else {
-                lane.flush(p);
-            }
-        }
-        pushed += take;
-        while w < win.count() && pending.iter().all(|p| p.len() >= win.range(w).len()) {
-            let n = win.seek(w).len();
-            win.emit(n);
-            for (i, got) in win.blocks().enumerate() {
-                assert!(same_bits(got, &pending[i][..n]), "lane {i} window {w}");
-            }
-            for p in &mut pending {
-                p.drain(..n);
-            }
-            w += 1;
+    let profile = vec![1.0; len];
+    for i in 0..b.len() {
+        let want = b.emit(i, &profile, DRIVE);
+        for w in 0..win.count() {
+            let range = win.seek(w);
+            win.emit(range.len());
+            assert!(
+                same_bits(win.block(i), &want.samples()[range]),
+                "lane {i} window {w}"
+            );
         }
     }
-    assert!(pending.iter().all(Vec::is_empty));
 }
 
 #[test]

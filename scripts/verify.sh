@@ -87,6 +87,9 @@ cmp target/verify_campaign.json tests/golden/campaign/session25.quick.json || {
 }
 echo "campaign smoke run OK (25 scenarios, report matches golden)"
 
+echo "==> perfbench's own tests: layers sum to the traced total, metric names match BENCHMARK.json"
+cargo test -q --offline --manifest-path perfbench/Cargo.toml --target-dir target/perfbench
+
 echo "==> perfbench witness smoke: every workload still matches perfbench/witnesses.json"
 # One short untraced run per workload; perfbench checks every run's
 # output against its committed witness and counts mismatches as failed.

@@ -9,7 +9,7 @@
 //! guarantee (per-stage peak footprint bounded by the block size).
 
 use ivn_bench::pipeline::{calibrate_peak, outputs_batch, outputs_streaming, StreamOptions};
-use ivn_dsp::block::{BlockStage, Footprint};
+use ivn_dsp::block::{accumulate_scaled, Footprint};
 use ivn_dsp::complex::Complex64;
 use ivn_em::channel::ChannelEnsemble;
 use ivn_em::stream::BlockSuperposer;
@@ -18,7 +18,7 @@ use ivn_runtime::rng::StdRng;
 use ivn_runtime::{prop_assert, prop_assert_eq, props};
 use ivn_sdr::bank::TxBank;
 use ivn_sdr::clock::ClockDistribution;
-use ivn_sdr::stream::{emit_oracle, EmitterLane};
+use ivn_sdr::stream::emit_oracle;
 
 const BLOCK_SIZES: [usize; 4] = [1, 7, 256, 4096];
 const THREAD_COUNTS: [usize; 3] = [1, 2, 8];
@@ -85,12 +85,11 @@ fn per_stage_footprint_is_bounded_by_block_size() {
     }
 }
 
-/// The lane-batched rotator path (ISSUE 7) against the pre-change scalar
+/// The rotator path of [`TxBank::emit`] against the pre-rotor scalar
 /// emission math, preserved verbatim as [`emit_oracle`]: accumulating
 /// trig oscillator, polar PA (`atan2` + `sin_cos`), carrier phasor. The
 /// rotator is a different factorization of the same signal, so the two
-/// agree to rounding — bounded here at 1e-9 per sample — for every block
-/// size. Worker count cannot move a sample: the carrier-on lanes equal
+/// agree to rounding — bounded here at 1e-9 per sample. Worker count cannot move a sample: the carrier-on lanes equal
 /// `TxBank::emit` bit for bit at 1, 2 and 8 threads, pinned by
 /// `crates/sdr/tests/stream_props.rs`. (The rendered figure goldens under
 /// `tests/golden/figures/` stayed byte-identical across the switch, the
@@ -109,32 +108,23 @@ fn lane_batched_synthesis_tracks_trig_oracle() {
     );
     let drive = 0.05;
     // A profile with runs of 1.0 and hard 0.0 notches, like the real
-    // power-then-gap excitation the PA memoization is tuned for.
+    // power-then-gap excitation: one PA gain per run.
     let profile: Vec<f64> = (0..6000)
         .map(|k| if (k / 700) % 3 == 2 { 0.0 } else { 1.0 })
         .collect();
     let oracle: Vec<Vec<Complex64>> = (0..bank.len())
         .map(|i| emit_oracle(&bank, i, &profile, drive))
         .collect();
-    for block in BLOCK_SIZES {
-        for (i, want) in oracle.iter().enumerate() {
-            let mut lane = EmitterLane::new(&bank, i, drive);
-            let mut got = Vec::new();
-            for chunk in profile.chunks(block) {
-                lane.push(chunk, &mut got);
-            }
-            lane.flush(&mut got);
-            assert_eq!(got.len(), want.len(), "device {i}");
-            let worst = got
-                .iter()
-                .zip(want)
-                .map(|(a, b)| (*a - *b).norm())
-                .fold(0.0f64, f64::max);
-            assert!(
-                worst < 1e-9,
-                "device {i} block {block}: max |lane - oracle| = {worst:e}"
-            );
-        }
+    for (i, want) in oracle.iter().enumerate() {
+        let got = bank.emit(i, &profile, drive);
+        assert_eq!(got.samples().len(), want.len(), "device {i}");
+        let worst = got
+            .samples()
+            .iter()
+            .zip(want)
+            .map(|(a, b)| (*a - *b).norm())
+            .fold(0.0f64, f64::max);
+        assert!(worst < 1e-9, "device {i}: max |emit - oracle| = {worst:e}");
     }
 }
 
@@ -189,37 +179,17 @@ const CALIBRATION_RATES: [f64; 7] = [4096.0, 16384.0, 32e3, 100e3, 300e3, 777_77
 
 /// `|rx|`'s peak over the whole carrier-on stream, every sample through
 /// `hypot` — the full scan the windowed search replaces. The emission
-/// comes from the general-profile lanes fed the constant-1.0 profile,
-/// not from the `CarrierWindows` the search itself regenerates.
-fn full_scan_peak(bank: &TxBank, sp: &BlockSuperposer, drive: f64, n: usize, block: usize) -> f64 {
-    let mut lanes: Vec<EmitterLane> = (0..bank.len())
-        .map(|i| EmitterLane::new(bank, i, drive))
-        .collect();
-    let mut blocks: Vec<Vec<Complex64>> = vec![Vec::new(); bank.len()];
-    let profile = vec![1.0; block];
-    let (mut rx, mut pushed, mut peak) = (Vec::new(), 0, 0.0f64);
-    loop {
-        let take = block.min(n - pushed);
-        for (lane, out) in lanes.iter_mut().zip(&mut blocks) {
-            if take == 0 {
-                lane.flush(out);
-            } else {
-                lane.push(&profile[..take], out);
-            }
-        }
-        pushed += take;
-        // Lanes run ahead of one another by their trigger latency;
-        // superpose only the samples every lane has produced.
-        let ready = blocks.iter().map(Vec::len).min().unwrap_or(0);
-        sp.superpose_block(blocks.iter().map(|b| &b[..ready]), &mut rx);
-        for b in &mut blocks {
-            b.drain(..ready);
-        }
-        peak = rx.iter().map(|z| z.norm()).fold(peak, f64::max);
-        if take == 0 {
-            return peak;
-        }
+/// comes from [`TxBank::emit`] of the constant-1.0 profile, not from the
+/// `CarrierWindows` the search itself regenerates, and is superposed one
+/// device at a time in the superposer's device order (the order
+/// `superpose_block` adds in), so memory holds one device's period.
+fn full_scan_peak(bank: &TxBank, sp: &BlockSuperposer, drive: f64, n: usize) -> f64 {
+    let profile = vec![1.0; n];
+    let mut rx = vec![Complex64::ZERO; n];
+    for (i, &g) in sp.gains().iter().enumerate() {
+        accumulate_scaled(&mut rx, bank.emit(i, &profile, drive).samples(), g);
     }
+    rx.iter().map(|z| z.norm()).fold(0.0f64, f64::max)
 }
 
 props! {
@@ -244,7 +214,7 @@ props! {
         let sp = BlockSuperposer::from_ensemble(&ens, |i| bank.emission_hz(i));
         let mut footprint = Footprint::new();
         let cal = calibrate_peak(&bank, &sp, 0.05, n, block, &mut footprint);
-        let want = full_scan_peak(&bank, &sp, 0.05, n, 4096);
+        let want = full_scan_peak(&bank, &sp, 0.05, n);
         prop_assert!(cal.peak.to_bits() == want.to_bits(),
             "rate {} n {} antennas {}: {:e} vs {:e}", rate, n, n_ant, cal.peak, want);
         prop_assert_eq!(cal.total, n.div_ceil(1024));
