@@ -12,10 +12,10 @@
 
 use ivn_core::experiment::stale_mrt_vs_baseline_cdf;
 use ivn_core::oob::{JamTone, OobReader, OobReaderConfig};
+use ivn_core::system::KeyedQuery;
 use ivn_core::waveform::{eq9_rms_bound, rms_offset, CibEnvelope};
-use ivn_rfid::commands::{Command, DivideRatio, Session, TagEncoding};
+use ivn_rfid::commands::Command;
 use ivn_rfid::link::LinkParams;
-use ivn_rfid::pie;
 use ivn_runtime::rng::{Rng, StdRng};
 
 /// Ablation 1: stale-channel MRT vs the blind baseline.
@@ -80,41 +80,21 @@ pub(crate) fn reader_placement(quick: bool) -> String {
 /// but droops so fast the tag cannot decode the query at the peak.
 pub(crate) fn flatness_constraint(_quick: bool) -> String {
     let link = LinkParams::paper_defaults();
-    let query = Command::Query {
-        dr: DivideRatio::Dr8,
-        m: TagEncoding::Fm0,
-        trext: false,
-        session: Session::S0,
-        q: 0,
-    };
-    let bits = query.encode();
-    let runs = pie::encode_frame(&bits, &link.pie, true);
-    let rate = 400e3;
-    let profile = pie::rasterize(&runs, rate, 0.0);
+    let query = KeyedQuery::new(&link, 400e3);
+    let query_s = link.command_duration_s(&Command::canonical_query());
 
     let mut rng = StdRng::seed_from_u64(43);
-    let plans: [(&str, Vec<f64>); 3] = [
-        ("paper (rms 82 Hz)", ivn_core::PAPER_OFFSETS_HZ.to_vec()),
-        (
-            "wide ×20 (rms 1.6 kHz)",
-            ivn_core::PAPER_OFFSETS_HZ
-                .iter()
-                .map(|f| f * 20.0)
-                .collect(),
-        ),
-        (
-            "wide ×60 (rms 4.9 kHz)",
-            ivn_core::PAPER_OFFSETS_HZ
-                .iter()
-                .map(|f| f * 60.0)
-                .collect(),
-        ),
+    let scaled = |k: f64| ivn_core::PAPER_OFFSETS_HZ.map(|f| f * k);
+    let plans = [
+        ("paper (rms 82 Hz)", scaled(1.0)),
+        ("wide ×20 (rms 1.6 kHz)", scaled(20.0)),
+        ("wide ×60 (rms 4.9 kHz)", scaled(60.0)),
     ];
     let mut out = crate::header("Ablation — query decodability vs frequency-plan RMS (Eq. 9)");
     out += &format!(
         "Eq. 9 bound at α=0.5, Δt≈{:.0} µs: rms ≤ {:.0} Hz\n\n",
-        link.command_duration_s(&query) * 1e6,
-        eq9_rms_bound(0.5, link.command_duration_s(&query))
+        query_s * 1e6,
+        eq9_rms_bound(0.5, query_s)
     );
     out += &format!(
         "{:<24}  {:>10}  {:>12}  {:>12}\n",
@@ -131,13 +111,7 @@ pub(crate) fn flatness_constraint(_quick: bool) -> String {
             let env = CibEnvelope::new(&offsets, &phases);
             let (t_peak, peak) = env.peak_over_period(4096);
             peak_acc += peak * peak;
-            let tag_env = env.keyed_window(&profile, t_peak, rate);
-            if pie::decode_frame(&tag_env, rate)
-                .map(|d| d == bits)
-                .unwrap_or(false)
-            {
-                ok += 1;
-            }
+            ok += query.decodes(&env, t_peak) as usize;
         }
         out += &format!(
             "{:<24}  {:>10.0}  {:>12.1}  {:>9}/{:<2}\n",

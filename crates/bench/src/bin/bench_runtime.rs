@@ -199,17 +199,10 @@ fn stage_workload(stage: &str, fast: bool) -> f64 {
         "rfid" => {
             // Full downlink + uplink codec pass: PIE encode→rasterize→
             // decode of a Query, then FM0 encode→decode of a reply.
-            use ivn_rfid::commands::{Command, DivideRatio, Session, TagEncoding};
+            use ivn_rfid::commands::Command;
             use ivn_rfid::fm0::Fm0;
             use ivn_rfid::pie::{decode_frame, encode_frame, rasterize, PieParams};
-            let bits = Command::Query {
-                dr: DivideRatio::Dr8,
-                m: TagEncoding::Fm0,
-                trext: false,
-                session: Session::S0,
-                q: 0,
-            }
-            .encode();
+            let bits = Command::canonical_query().encode();
             let p = PieParams::paper_defaults();
             let reps = if fast { 5 } else { 50 };
             let fm0 = Fm0::new(8);

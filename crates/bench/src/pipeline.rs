@@ -41,7 +41,7 @@ use ivn_dsp::envelope;
 use ivn_em::channel::ChannelEnsemble;
 use ivn_em::stream::BlockSuperposer;
 use ivn_harvester::powerup::{PowerUpOutcome, TagPowerProfile};
-use ivn_rfid::commands::{Command, DivideRatio, Session, TagEncoding};
+use ivn_rfid::commands::Command;
 use ivn_rfid::fm0::Fm0;
 use ivn_rfid::pie::{decode_frame, encode_frame, rasterize, PieParams};
 use ivn_rfid::stream::{Fm0Decoder, PieStreamDecoder, RunRasterizer};
@@ -212,18 +212,6 @@ fn setup(quick: bool, sample_rate: Option<f64>) -> SharedSetup {
         sample_rate,
         n_samples,
     }
-}
-
-/// The Query command the downlink round-trips.
-fn query_bits() -> Vec<bool> {
-    Command::Query {
-        dr: DivideRatio::Dr8,
-        m: TagEncoding::Fm0,
-        trext: false,
-        session: Session::S0,
-        q: 0,
-    }
-    .encode()
 }
 
 /// Outcome of [`calibrate_peak`].
@@ -450,7 +438,7 @@ pub fn outputs_streaming(quick: bool, opts: &StreamOptions) -> StreamReport {
     // single round trip by determinism. The rasterized peak is exactly
     // 1.0 (full-level leading carrier), so the half-amplitude threshold
     // is 0.5 — the same comparisons the whole-buffer decoder makes.
-    let bits = query_bits();
+    let bits = Command::canonical_query().encode();
     let runs = encode_frame(&bits, &PieParams::paper_defaults(), true);
     let fm0 = Fm0::new(8);
     let wave = fm0.encode(&s.rn16);
@@ -536,7 +524,7 @@ pub fn outputs_batch(quick: bool, sample_rate: Option<f64>) -> PathOutputs {
     let power: Vec<f64> = rx.samples().iter().map(|&v| v.norm_sqr() * scale).collect();
     let outcome = tag.power_up(&power, s.sample_rate);
 
-    let bits = query_bits();
+    let bits = Command::canonical_query().encode();
     let frame = rasterize(
         &encode_frame(&bits, &PieParams::paper_defaults(), true),
         RFID_FS,

@@ -26,24 +26,26 @@
 //! `optimize` is a pure function of `(config, seed)`, so a cache hit
 //! returns the byte-identical offsets a cold computation would produce
 //! — pinned by `plan_cache_semantics` tests and the campaign
-//! cold-vs-warm bench. Concurrent lookups of an absent key may race to
-//! compute, but both compute the same value; the cache keeps the first
-//! insert, which alone counts as the miss (the loser counts a hit), so
-//! `misses` equals the number of keys inserted at any pool width.
-//! Computation happens *outside* the lock so a slow search never
-//! serializes unrelated lookups.
+//! cold-vs-warm bench. Each key holds a [`OnceLock`]: the first
+//! requester computes the plan *outside* the map's lock, so a slow
+//! search never serializes unrelated lookups, and a concurrent
+//! requester of the same key waits for that computation instead of
+//! repeating it. The call that computes counts the miss and every other
+//! call counts a hit, so `misses` equals the number of plans computed
+//! at any pool width. A computation that panics leaves its cell empty,
+//! and the next requester computes it.
 //!
 //! [`FreqSelConfig`]: crate::freqsel::FreqSelConfig
 //! [`ArraySpec`]: crate::scenario::ArraySpec
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Mutex, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock};
 
 /// A bounded, least-recently-used cache of frequency-plan offsets.
 ///
 /// Thread-safe; lookups take a short mutex, plan computation runs
-/// unlocked. Disable (for cold benchmarking) with
+/// unlocked and once per key. Disable (for cold benchmarking) with
 /// [`Self::set_enabled`] — a disabled cache computes every call and
 /// records neither hits nor misses.
 #[derive(Debug)]
@@ -64,7 +66,8 @@ struct Inner {
 
 #[derive(Debug)]
 struct Entry {
-    offsets_hz: Vec<f64>,
+    /// The plan, or empty while its first requester computes it.
+    offsets_hz: Arc<OnceLock<Vec<f64>>>,
     last_used: u64,
 }
 
@@ -95,22 +98,21 @@ impl PlanCache {
 
     /// Returns the cached offsets for `key`, or computes, stores and
     /// returns them. `compute` must be a pure function of the key (the
-    /// cache trusts it: a hit returns the stored value verbatim).
-    pub(crate) fn get_or_compute(&self, key: &str, compute: impl FnOnce() -> Vec<f64>) -> Vec<f64> {
+    /// cache trusts it: a hit returns the stored value verbatim). While
+    /// one call computes a key, other calls for it wait and count hits.
+    pub fn get_or_compute(&self, key: &str, compute: impl FnOnce() -> Vec<f64>) -> Vec<f64> {
         if !self.enabled.load(Ordering::Relaxed) {
             return compute();
         }
-        if let Some(hit) = self.lookup(key) {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            ivn_runtime::obs_count!("freqsel.plan_cache_hits", 1);
-            return hit;
-        }
-        // Compute outside the lock. A concurrent lookup of the same key
-        // computes the same deterministic value; the first insert wins
-        // and counts the miss, so a racing loser counts as a hit and the
-        // counters repeat exactly run to run.
-        let offsets = compute();
-        if self.insert(key, &offsets) {
+        let cell = self.cell(key);
+        let mut computed = false;
+        let offsets = cell
+            .get_or_init(|| {
+                computed = true;
+                compute()
+            })
+            .clone();
+        if computed {
             self.misses.fetch_add(1, Ordering::Relaxed);
             ivn_runtime::obs_count!("freqsel.plan_cache_misses", 1);
         } else {
@@ -120,26 +122,18 @@ impl PlanCache {
         offsets
     }
 
-    fn lookup(&self, key: &str) -> Option<Vec<f64>> {
+    /// The cell holding `key`'s plan, marked most recently used; a new
+    /// key gets an empty cell, evicting the least-recently-used entry at
+    /// capacity.
+    fn cell(&self, key: &str) -> Arc<OnceLock<Vec<f64>>> {
         let mut inner = self.inner.lock().expect("plan cache poisoned");
         inner.stamp += 1;
         let stamp = inner.stamp;
-        let entry = inner.map.get_mut(key)?;
-        entry.last_used = stamp;
-        Some(entry.offsets_hz.clone())
-    }
-
-    /// Stores `offsets_hz` under `key` unless it is already there;
-    /// returns whether this call added the key.
-    fn insert(&self, key: &str, offsets_hz: &[f64]) -> bool {
-        let mut inner = self.inner.lock().expect("plan cache poisoned");
-        inner.stamp += 1;
-        let stamp = inner.stamp;
-        if inner.map.contains_key(key) {
-            return false;
+        if let Some(entry) = inner.map.get_mut(key) {
+            entry.last_used = stamp;
+            return Arc::clone(&entry.offsets_hz);
         }
         if inner.map.len() >= self.capacity {
-            // Evict the least-recently-used entry.
             if let Some(victim) = inner
                 .map
                 .iter()
@@ -150,14 +144,15 @@ impl PlanCache {
                 ivn_runtime::obs_count!("freqsel.plan_cache_evictions", 1);
             }
         }
+        let cell = Arc::new(OnceLock::new());
         inner.map.insert(
             key.to_owned(),
             Entry {
-                offsets_hz: offsets_hz.to_vec(),
+                offsets_hz: Arc::clone(&cell),
                 last_used: stamp,
             },
         );
-        true
+        cell
     }
 
     /// Plans currently held.

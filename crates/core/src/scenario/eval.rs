@@ -2,10 +2,11 @@
 //!
 //! [`evaluate`] takes any [`Scenario`] and produces the three quantities
 //! every campaign aggregates — CIB peak gain, power-up time, and decode
-//! success — by running the common physics substrate: draw blind
-//! channels for the placement, form the CIB envelope, drive the
-//! harvester transient through the streaming block API, and key a Gen2
-//! Query through the envelope ripple at the peak. Multi-sensor scenarios
+//! success. A single-sensor trial draws blind channels for the
+//! placement, forms the CIB envelope, and runs the session trial that
+//! [`IvnSystem::run_session`](crate::system::IvnSystem::run_session)
+//! also runs: the peak, the harvester power-up, and the scenario's one
+//! [`KeyedQuery`] keyed on the peak and decoded. Multi-sensor scenarios
 //! run the Gen2 arbitration campaign instead and report inventory
 //! success as their decode metric.
 //!
@@ -14,17 +15,15 @@
 
 use super::{Scenario, ScenarioKind};
 use crate::multisensor::{run_campaign, scenario_deployment};
-use crate::system::power_up_over_period;
+use crate::system::{session_trial, KeyedQuery};
 use ivn_dsp::stats::Summary;
 use ivn_dsp::units::dbm_to_watts;
-use ivn_rfid::commands::{Command, DivideRatio, Session, TagEncoding};
 use ivn_rfid::link::LinkParams;
-use ivn_rfid::pie;
 use ivn_runtime::json::{Json, ToJson};
 use ivn_runtime::par;
 
 /// Campaign metrics for one evaluated scenario.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ScenarioMetrics {
     /// Scenario name.
     pub name: String,
@@ -122,10 +121,7 @@ pub fn evaluate(s: &Scenario, quick: bool) -> Result<ScenarioMetrics, String> {
         let mut metrics = ScenarioMetrics {
             name: s.name.clone(),
             trials: trials * population,
-            gains_db: Vec::new(),
-            times_to_power_s: Vec::new(),
-            powered: 0,
-            decoded: 0,
+            ..Default::default()
         };
         for outcome in runs.iter().flatten() {
             metrics.powered += outcome.powered as usize;
@@ -141,10 +137,7 @@ pub fn evaluate(s: &Scenario, quick: bool) -> Result<ScenarioMetrics, String> {
         let mut metrics = ScenarioMetrics {
             name: s.name.clone(),
             trials: trials * population.count,
-            gains_db: Vec::new(),
-            times_to_power_s: Vec::new(),
-            powered: 0,
-            decoded: 0,
+            ..Default::default()
         };
         for run in &runs {
             metrics.powered += run.powered;
@@ -157,73 +150,27 @@ pub fn evaluate(s: &Scenario, quick: bool) -> Result<ScenarioMetrics, String> {
     ivn_runtime::obs_count!("experiment.trials", trials);
     let _eval_span = ivn_runtime::span!("experiment.scenario_eval_ns");
     let (powerup_rate, command_rate) = rates(&s.kind);
-    let query = Command::Query {
-        dr: DivideRatio::Dr8,
-        m: TagEncoding::Fm0,
-        trext: false,
-        session: Session::S0,
-        q: 0,
-    };
-    let bits = query.encode();
-    let link = LinkParams::paper_defaults();
-    let pie_runs = pie::encode_frame(&bits, &link.pie, query.needs_trcal());
-    let profile = pie::rasterize(&pie_runs, command_rate, 0.0);
-
-    struct TrialOut {
-        gain_db: f64,
-        time_to_power_s: Option<f64>,
-        decoded: bool,
-    }
-
+    let query = KeyedQuery::new(&LinkParams::paper_defaults(), command_rate);
     let outs = par::ensemble_threads(1, trials, s.seed, |rng, _| {
         let trial = placement.draw_trial(rng, cib.n(), &tag, eirp_w, cib.carrier_hz);
         let envelope = cib.envelope_at(&trial.channels);
-        let single_w = trial.channels[0].norm_sqr();
-        let (t_peak, peak_amp) = {
-            let _span = ivn_runtime::span!("experiment.trial.peak_ns");
-            envelope.peak_over_period(cib.grid)
-        };
-        let gain_db = 10.0 * (peak_amp * peak_amp / single_w).log10();
-
-        // Harvester transient over one CIB period, up to the wake sample.
-        let time_to_power_s = {
-            let _span = ivn_runtime::span!("experiment.trial.powerup_ns");
-            power_up_over_period(&tag.power, &envelope, powerup_rate)
-        };
-
-        // Downlink Query keyed on the envelope peak, decoded through the
-        // CIB ripple (only meaningful once powered).
-        let decoded = time_to_power_s.is_some() && {
-            let tag_env = {
-                let _span = ivn_runtime::span!("experiment.trial.keyed_ns");
-                envelope.keyed_window(&profile, t_peak, command_rate)
-            };
-            pie::decode_frame(&tag_env, command_rate)
-                .map(|d| d == bits)
-                .unwrap_or(false)
-        };
-        TrialOut {
-            gain_db,
-            time_to_power_s,
-            decoded,
-        }
+        let rec = session_trial(&envelope, &tag.power, powerup_rate, cib.grid, &query);
+        let gain_db = 10.0 * (rec.peak_amp * rec.peak_amp / trial.channels[0].norm_sqr()).log10();
+        (gain_db, rec)
     });
 
     let mut metrics = ScenarioMetrics {
         name: s.name.clone(),
         trials,
-        gains_db: Vec::with_capacity(trials),
-        times_to_power_s: Vec::new(),
-        powered: 0,
-        decoded: 0,
+        ..Default::default()
     };
-    for o in outs {
-        metrics.gains_db.push(o.gain_db);
-        if let Some(t) = o.time_to_power_s {
+    for (gain_db, rec) in outs {
+        metrics.gains_db.push(gain_db);
+        if let Some(t) = rec.time_to_power_s {
             metrics.times_to_power_s.push(t);
             metrics.powered += 1;
         }
-        metrics.decoded += o.decoded as usize;
+        metrics.decoded += rec.decoded as usize;
     }
     Ok(metrics)
 }

@@ -17,15 +17,19 @@
 //!
 //! A session succeeds only if every stage succeeds — exactly the paper's
 //! success criterion for Figs. 13 and 15.
+//!
+//! Stages 1–2 are [`session_trial`], which every single-sensor campaign
+//! trial ([`crate::scenario::evaluate`]) runs too, on a [`KeyedQuery`]
+//! built once per system or per scenario.
 
 use crate::body::{Placement, TagSpec, PAPER_EIRP_DBM};
 use crate::cib::CibConfig;
-use crate::oob::{DecodeResult, JamTone, OobReader, OobReaderConfig};
+use crate::oob::{JamTone, OobReader, OobReaderConfig};
 use crate::waveform::CibEnvelope;
 use ivn_dsp::units::dbm_to_watts;
 use ivn_harvester::TagPowerProfile;
 use ivn_rfid::backscatter::BackscatterModulator;
-use ivn_rfid::commands::{Command, Session};
+use ivn_rfid::commands::Command;
 use ivn_rfid::link::LinkParams;
 use ivn_rfid::pie;
 use ivn_rfid::tag::{Tag, TagReply};
@@ -150,17 +154,95 @@ pub fn power_up_over_period(
     state.finish().time_to_power_s
 }
 
+/// The canonical Gen2 Query ([`Command::canonical_query`]) as the
+/// reader keys it: its bits and its PIE raster at the command rate,
+/// built once and keyed on each trial's envelope peak.
+#[derive(Debug, Clone)]
+pub struct KeyedQuery {
+    bits: Vec<bool>,
+    profile: Vec<f64>,
+    rate: f64,
+}
+
+impl KeyedQuery {
+    /// Encodes the Query with `link`'s PIE timing and rasterizes it at
+    /// `rate` S/s (zero-level notches).
+    pub fn new(link: &LinkParams, rate: f64) -> Self {
+        let command = Command::canonical_query();
+        let bits = command.encode();
+        let runs = pie::encode_frame(&bits, &link.pie, command.needs_trcal());
+        let profile = pie::rasterize(&runs, rate, 0.0);
+        KeyedQuery {
+            bits,
+            profile,
+            rate,
+        }
+    }
+
+    /// Keys the raster so its centre rides `t_peak` of `envelope`
+    /// ([`CibEnvelope::keyed_window`]) and decodes what the tag's
+    /// envelope detector sees: whether the decoded bits are the Query's.
+    pub fn decodes(&self, envelope: &CibEnvelope, t_peak: f64) -> bool {
+        let tag_env = {
+            let _span = ivn_runtime::span!("experiment.trial.keyed_ns");
+            envelope.keyed_window(&self.profile, t_peak, self.rate)
+        };
+        pie::decode_frame(&tag_env, self.rate).is_ok_and(|d| d == self.bits)
+    }
+}
+
+/// What the first two stages of one session produced.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct TrialRecord {
+    /// Instant of the envelope peak within the period, seconds.
+    pub t_peak: f64,
+    /// Envelope amplitude there, √W at the tag.
+    pub peak_amp: f64,
+    /// When the chip first reached its operating voltage.
+    pub time_to_power_s: Option<f64>,
+    /// The tag decoded the Query keyed on the peak (tried once powered).
+    pub decoded: bool,
+}
+
+/// One single-sensor session trial up to the downlink: the peak of
+/// `envelope` on a `grid`-point period grid, the power-up at
+/// `powerup_rate`, then `query` keyed on that peak. Draws no RNG.
+pub fn session_trial(
+    envelope: &CibEnvelope,
+    power: &TagPowerProfile,
+    powerup_rate: f64,
+    grid: usize,
+    query: &KeyedQuery,
+) -> TrialRecord {
+    let (t_peak, peak_amp) = {
+        let _span = ivn_runtime::span!("experiment.trial.peak_ns");
+        envelope.peak_over_period(grid)
+    };
+    let time_to_power_s = {
+        let _span = ivn_runtime::span!("experiment.trial.powerup_ns");
+        power_up_over_period(power, envelope, powerup_rate)
+    };
+    TrialRecord {
+        t_peak,
+        peak_amp,
+        time_to_power_s,
+        decoded: time_to_power_s.is_some() && query.decodes(envelope, t_peak),
+    }
+}
+
 /// The assembled system.
 #[derive(Debug, Clone)]
 pub struct IvnSystem {
     /// Configuration.
     pub(crate) config: SystemConfig,
+    query: KeyedQuery,
 }
 
 impl IvnSystem {
     /// Creates a system.
     pub fn new(config: SystemConfig) -> Self {
-        IvnSystem { config }
+        let query = KeyedQuery::new(&config.link, config.command_rate);
+        IvnSystem { config, query }
     }
 
     /// Runs one full session against a placement. All randomness (channel
@@ -175,39 +257,23 @@ impl IvnSystem {
         let trial = placement.draw_trial(rng, cfg.cib.n(), &cfg.tag, eirp_w, cfg.cib.carrier_hz);
         let envelope = cfg.cib.envelope_at(&trial.channels);
 
-        // ---- Stage 1: power-up over one CIB period. ------------------
-        let time_to_power_s = power_up_over_period(&cfg.tag.power, &envelope, cfg.powerup_rate);
-        let (t_peak, peak_amp) = envelope.peak_over_period(cfg.cib.grid);
-        let peak_power_w = peak_amp * peak_amp;
-
+        // ---- Stages 1–2: power-up and the Query keyed on the peak. ----
+        let rec = session_trial(
+            &envelope,
+            &cfg.tag.power,
+            cfg.powerup_rate,
+            cfg.cib.grid,
+            &self.query,
+        );
         let mut outcome = SessionOutcome {
-            powered: time_to_power_s.is_some(),
-            time_to_power_s,
-            command_decoded: false,
+            powered: rec.time_to_power_s.is_some(),
+            time_to_power_s: rec.time_to_power_s,
+            command_decoded: rec.decoded,
             rn16_decoded: false,
             correlation: 0.0,
-            peak_power_w,
+            peak_power_w: rec.peak_amp * rec.peak_amp,
             orientation: trial.orientation,
         };
-        if !outcome.powered {
-            return outcome;
-        }
-
-        // ---- Stage 2: downlink Query through the CIB ripple. ---------
-        let query = Command::Query {
-            dr: ivn_rfid::commands::DivideRatio::Dr8,
-            m: ivn_rfid::commands::TagEncoding::Fm0,
-            trext: false,
-            session: Session::S0,
-            q: 0,
-        };
-        let bits = query.encode();
-        let runs = pie::encode_frame(&bits, &cfg.link.pie, query.needs_trcal());
-        let profile = pie::rasterize(&runs, cfg.command_rate, 0.0);
-        // Key the command so its centre rides the envelope peak.
-        let tag_env = envelope.keyed_window(&profile, t_peak, cfg.command_rate);
-        let decoded = pie::decode_frame(&tag_env, cfg.command_rate);
-        outcome.command_decoded = decoded.as_ref().map(|d| *d == bits).unwrap_or(false);
         if !outcome.command_decoded {
             return outcome;
         }
@@ -215,7 +281,7 @@ impl IvnSystem {
         // ---- Stage 3: tag state machine. -----------------------------
         let mut tag = Tag::with_epc96(0x3005_FB63_AC1F_3681_EC88_0467, rng.random());
         tag.set_powered(true);
-        let rn16 = match tag.process(&query) {
+        let rn16 = match tag.process(&Command::canonical_query()) {
             TagReply::Rn16(rn) => rn,
             _ => return outcome,
         };
@@ -252,8 +318,7 @@ impl IvnSystem {
             .round()
             .max(1.0) as usize;
         let period_samples = (cfg.reader.sample_rate * 0.02) as usize; // 20 ms windows
-        let reader = OobReader::new(cfg.reader.clone());
-        let result: DecodeResult = reader.receive_and_decode(
+        let result = OobReader::new(cfg.reader.clone()).receive_and_decode(
             rng,
             uplink_amp,
             &rn_bits,

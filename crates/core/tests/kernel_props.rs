@@ -4,8 +4,9 @@
 //! `CibEnvelope::envelope` sum to 1e-9, the prefiltered grid argmax must
 //! pick exactly the index of a full `hypot` scan, the chunked period
 //! stream, its peeks and the early-stopping power-up must reproduce the
-//! whole-grid fill bit for bit, and the optimizer built on them must stay
-//! deterministic per seed. The tone bank, the four-lane `|z|²` scans and
+//! whole-grid fill bit for bit, the session trial must be exactly its
+//! stages, and the optimizer built on them must stay deterministic per
+//! seed. The tone bank, the four-lane `|z|²` scans and
 //! `peak_over_period`'s hoisted refinement are pinned bit for bit against
 //! test-local copies of the tone-at-a-time passes, serial scans and
 //! pointwise refinement they replaced.
@@ -17,11 +18,12 @@ use ivn_core::kernels::{
     envelope_window, fft_pays_off, grid_argmax, max_norm_sqr, tone_bank, tone_sum, CrnKernel,
     EnvelopeScratch, RENORM_INTERVAL,
 };
-use ivn_core::system::{power_up_over_period, WAKE_PROBE};
+use ivn_core::system::{power_up_over_period, session_trial, KeyedQuery, TrialRecord, WAKE_PROBE};
 use ivn_core::waveform::CibEnvelope;
 use ivn_dsp::complex::Complex64;
 use ivn_dsp::units::dbm_to_watts;
 use ivn_harvester::TagPowerProfile;
+use ivn_rfid::link::LinkParams;
 use ivn_runtime::prop::{any, btree_set, vec as pvec, Just, Strategy};
 use ivn_runtime::rng::{Rng, StdRng};
 use ivn_runtime::{prop_assert, prop_assert_eq, prop_assume, props};
@@ -590,6 +592,51 @@ fn early_stop_power_up_matches_whole_period_loop() {
         never >= 20 && late >= 20 && rest_of_chunk >= 20 && probe >= 20,
         "coverage: {never} never, {late} in a later chunk, {rest_of_chunk} in the rest of \
          the first chunk, {probe} in the probe"
+    );
+}
+
+#[test]
+fn session_trial_is_its_stages() {
+    // The trial the campaign and `IvnSystem::run_session` share is the
+    // peak search, the power-up and, only once powered, the keyed
+    // decode, each exactly as called on its own.
+    let query = KeyedQuery::new(&LinkParams::paper_defaults(), 400e3);
+    let power = TagSpec::standard().power;
+    let mut rng = StdRng::seed_from_u64(23);
+    let (mut unpowered, mut decoded) = (0, 0);
+    for case in 0..64 {
+        let n = 1 + rng.random_range(0..10usize);
+        let cib = CibConfig::paper_prototype_n(n);
+        let ph: Vec<f64> = (0..n).map(|_| rng.random::<f64>() * TAU).collect();
+        // Amplitudes rescaled so the peak power sits from a third to
+        // three times the wake threshold: some trials never power.
+        let amps: Vec<f64> = (0..n).map(|_| 0.2 + rng.random::<f64>()).collect();
+        let (_, unit_peak) =
+            CibEnvelope::with_amplitudes(&cib.offsets_hz, &ph, &amps).peak_over_period(cib.grid);
+        let want_w = power.required_peak_power_watts() * 10f64.powf(rng.random_range(-0.5..0.5));
+        let amps: Vec<f64> = amps.iter().map(|a| a * want_w.sqrt() / unit_peak).collect();
+        let env = CibEnvelope::with_amplitudes(&cib.offsets_hz, &ph, &amps);
+        let rate = [1024.0, 2048.0, 4096.0][case % 3];
+
+        let (t_peak, peak_amp) = env.peak_over_period(cib.grid);
+        let time_to_power_s = power_up_over_period(&power, &env, rate);
+        let want = TrialRecord {
+            t_peak,
+            peak_amp,
+            time_to_power_s,
+            decoded: time_to_power_s.is_some() && query.decodes(&env, t_peak),
+        };
+        assert_eq!(
+            session_trial(&env, &power, rate, cib.grid, &query),
+            want,
+            "case {case}"
+        );
+        unpowered += want.time_to_power_s.is_none() as usize;
+        decoded += want.decoded as usize;
+    }
+    assert!(
+        unpowered >= 8 && decoded >= 8,
+        "{unpowered} unpowered, {decoded} decoded"
     );
 }
 

@@ -152,6 +152,19 @@ pub enum CommandError {
 }
 
 impl Command {
+    /// The Query every IVN downlink keys on: DR = 8, FM0, no TRext,
+    /// session S0 and Q = 0, a one-slot round in which a lone tag
+    /// answers at once.
+    pub fn canonical_query() -> Command {
+        Command::Query {
+            dr: DivideRatio::Dr8,
+            m: TagEncoding::Fm0,
+            trext: false,
+            session: Session::S0,
+            q: 0,
+        }
+    }
+
     /// Serializes to on-air bits (MSB first), including CRCs where the
     /// spec requires them.
     pub fn encode(&self) -> Vec<bool> {

@@ -42,17 +42,6 @@ impl LinkParams {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::commands::{Session, TagEncoding};
-
-    fn query() -> Command {
-        Command::Query {
-            dr: DivideRatio::Dr8,
-            m: TagEncoding::Fm0,
-            trext: false,
-            session: Session::S0,
-            q: 0,
-        }
-    }
 
     #[test]
     fn blf_from_trcal() {
@@ -65,7 +54,7 @@ mod tests {
     fn query_duration_near_800us() {
         // The paper uses Δt ≈ 800 µs for a typical reader query (§3.6).
         let lp = LinkParams::paper_defaults();
-        let d = lp.command_duration_s(&query());
+        let d = lp.command_duration_s(&Command::canonical_query());
         assert!(d > 6.5e-4 && d < 1.1e-3, "query duration {d}");
     }
 

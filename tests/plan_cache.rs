@@ -1,5 +1,5 @@
-//! Plan-cache semantics under fleet-scale load (ISSUE 9 satellite):
-//! hit/miss observability, cold-vs-warm byte-identity, and
+//! Plan-cache semantics under fleet-scale load: hit/miss observability,
+//! cold-vs-warm byte-identity, one computation per key in flight, and
 //! eviction/capacity behavior under a 1000-scenario fleet.
 //!
 //! Every test here touches the process-global [`PlanCache`], so they
@@ -174,6 +174,76 @@ fn shared_key_fleet_counts_one_miss_per_key_at_any_width() {
             );
         }
     }
+    cache.clear();
+    cache.reset_counters();
+}
+
+#[test]
+fn a_key_in_flight_is_computed_once_for_every_requester() {
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::mpsc;
+    use std::time::Duration;
+
+    let _guard = GLOBAL_CACHE_LOCK.lock().unwrap();
+    let cache = PlanCache::global();
+    cache.clear();
+    cache.reset_counters();
+    cache.set_enabled(true);
+    let runs = &AtomicUsize::new(0);
+    let (started_tx, started_rx) = mpsc::channel::<()>();
+    let (calling_tx, calling_rx) = mpsc::channel::<()>();
+    let (second_tx, second_rx) = mpsc::channel::<()>();
+    let plan = || vec![1.0, 2.5, 7.0];
+
+    let (first, second) = std::thread::scope(|s| {
+        let first = s.spawn(move || {
+            cache.get_or_compute("in-flight", || {
+                runs.fetch_add(1, Ordering::SeqCst);
+                started_tx.send(()).unwrap();
+                calling_rx.recv().unwrap();
+                // The second requester is about to ask for the key. Stay
+                // in flight until it computes the key too, or long
+                // enough for it to be waiting on this computation: the
+                // wait itself offers no hook to signal from.
+                let _ = second_rx.recv_timeout(Duration::from_millis(300));
+                plan()
+            })
+        });
+        started_rx.recv().unwrap();
+        let second = s.spawn(move || {
+            calling_tx.send(()).unwrap();
+            cache.get_or_compute("in-flight", || {
+                runs.fetch_add(1, Ordering::SeqCst);
+                second_tx.send(()).unwrap();
+                plan()
+            })
+        });
+        (first.join().unwrap(), second.join().unwrap())
+    });
+
+    assert_eq!(runs.load(Ordering::SeqCst), 1, "the key was computed twice");
+    assert_eq!(bits(&first), bits(&plan()));
+    assert_eq!(bits(&second), bits(&plan()));
+    assert_eq!(cache.counters(), (1, 1));
+    cache.clear();
+    cache.reset_counters();
+}
+
+#[test]
+fn a_panicking_computation_leaves_the_key_for_the_next_requester() {
+    let _guard = GLOBAL_CACHE_LOCK.lock().unwrap();
+    let cache = PlanCache::global();
+    cache.clear();
+    cache.reset_counters();
+    cache.set_enabled(true);
+    let failed = std::thread::scope(|s| {
+        s.spawn(|| cache.get_or_compute("panics-once", || panic!("search failed")))
+            .join()
+    });
+    assert!(failed.is_err());
+    let plan = cache.get_or_compute("panics-once", || vec![3.0]);
+    assert_eq!(bits(&plan), bits(&[3.0]));
+    assert_eq!(cache.counters(), (0, 1));
     cache.clear();
     cache.reset_counters();
 }
