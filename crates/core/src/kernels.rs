@@ -23,22 +23,32 @@
 //!   exceeds `log₂(grid)` ([`fft_pays_off`]).
 //! * **The grid argmax** — [`grid_argmax`] takes `hypot` only for the
 //!   near-maximal `|z|²`, yet returns exactly a full `hypot` scan's index.
+//! * **Certified squared envelopes** — [`envelope_sqr`] evaluates
+//!   `|Σᵢ aᵢe^{jθ̂ᵢ}|²` on libm's own rounded angles with branch-free
+//!   lanes of fdlibm sine/cosine ([`sin_cos_lanes`]), and [`ToneSeries`]
+//!   as a power series around a bracket's centre. Each comes with an
+//!   error bound against the libm envelope `Y²` (derived at `SETTLE` and
+//!   at [`ToneSeries`]), so a comparison of two instants that differ by
+//!   20× that bound is the libm envelope's comparison.
 //!
-//! The session trial's paths are exact, as their values feed bit-hashed
+//! The session trial's outputs are exact, as their values feed bit-hashed
 //! outputs (campaign `gains_db`, `times_to_power_s`): the power-up stream
 //! ([`crate::waveform::CibEnvelope::period_chunks`]) is one
 //! [`envelope_window`] per chunk, with the whole-grid fill's bits, and
-//! [`crate::waveform::CibEnvelope::peak_over_period`] refines on pointwise
-//! [`tone_sum`]s. The bank reproduces one tone-at-a-time pass per tone bit
-//! for bit; every path agrees with `CibEnvelope::envelope` to well under
-//! 1e-9 (property-tested in `crates/core/tests/kernel_props.rs`).
+//! [`crate::waveform::CibEnvelope::peak_over_period`] settles its early
+//! ternary steps on the certified envelopes (about 25 on the series and 6
+//! on the lanes of 60 on a campaign trial), then refines on pointwise
+//! [`tone_sum`]s, which also give the final `(t, y)`. The bank reproduces
+//! one tone-at-a-time pass per tone bit for bit; every path agrees with
+//! `CibEnvelope::envelope` to well under 1e-9 (property-tested in
+//! `crates/core/tests/kernel_props.rs`).
 
 use ivn_dsp::complex::Complex64;
 use ivn_dsp::envelope::parabolic_peak;
 use ivn_dsp::fft;
 use ivn_runtime::rng::Rng;
 use std::array::from_fn;
-use std::f64::consts::TAU;
+use std::f64::consts::{FRAC_2_PI, TAU};
 
 /// The incremental-rotation loop re-derives its phasor from exact trig
 /// every this many samples, bounding the compounded rounding error of
@@ -170,6 +180,348 @@ pub fn tone_sum(offsets_hz: &[f64], phases: &[f64], amps: Option<&[f64]>, t: f64
     acc
 }
 
+/// Lanes of one [`sin_cos_lanes`] call: [`envelope_sqr`] fills them with
+/// `LANES / 2` tones at two instants, [`ToneSeries`] with `LANES` tones.
+pub const LANES: usize = 8;
+
+/// Largest `|θ|` (radians) [`sin_cos_lanes`] reduces exactly: its
+/// quadrant index `k = round(θ·2/π)` stays below 2^20, so `k` times each
+/// 33-bit part of π/2 is exact. Beyond it a lane returns NaN.
+pub const CERTIFIED_ANGLE: f64 = 1_048_576.0;
+
+/// π/2 in a 33 + 33 + 53-bit Cody–Waite split (fdlibm's `pio2_1`,
+/// `pio2_2`, `pio2_2t`; the literals are those doubles' shortest forms).
+const PIO2_1: f64 = 1.570_796_326_734_125_6;
+const PIO2_2: f64 = 6.077_100_506_303_966e-11;
+const PIO2_2T: f64 = 2.022_266_248_795_950_6e-21;
+
+/// fdlibm's `__kernel_sin` and `__kernel_cos` minimax coefficients on
+/// `[−π/4, π/4]`.
+const S: [f64; 6] = [
+    -0.166_666_666_666_666_32,
+    0.008_333_333_333_322_49,
+    -0.000_198_412_698_298_579_5,
+    2.755_731_370_707_006_8e-6,
+    -2.505_076_025_340_686_3e-8,
+    1.589_690_995_211_55e-10,
+];
+const C: [f64; 6] = [
+    0.041_666_666_666_666_6,
+    -0.001_388_888_888_887_411,
+    2.480_158_728_947_673e-5,
+    -2.755_731_435_139_066_3e-7,
+    2.087_572_321_298_175e-9,
+    -1.135_964_755_778_819_5e-11,
+];
+
+/// `a + b` as an exact double-double `(s, e)` (Knuth's TwoSum).
+#[inline(always)]
+fn two_sum(a: f64, b: f64) -> (f64, f64) {
+    let s = a + b;
+    let bb = s - a;
+    (s, (a - (s - bb)) + (b - bb))
+}
+
+/// `(sin θ, cos θ)` of every lane, branch-free so the lanes vectorize:
+/// a Cody–Waite reduction `θ = k·π/2 + (y₀ + y₁)` with π/2 to 119 bits
+/// (both steps always taken, the second TwoSum-compensated, instead of
+/// fdlibm's cancellation branches), fdlibm's `__kernel_sin`/`__kernel_cos`
+/// polynomials on the double-double `y₀ + y₁`, and the quadrant `k mod 4`
+/// applied by selects and sign-bit flips. fdlibm's polynomials are within
+/// 1 ulp of the true value on an exact reduced argument, and every lane is
+/// property-tested within 2 ulp of libm's over `|θ| ≤ CERTIFIED_ANGLE`
+/// (`crates/core/tests/kernel_props.rs`). A lane with
+/// `|θ| > CERTIFIED_ANGLE` or a non-finite `θ` returns NaN for both.
+#[inline]
+pub fn sin_cos_lanes(theta: &[f64; LANES]) -> ([f64; LANES], [f64; LANES]) {
+    // 1.5·2^52: adding it rounds to an integer kept in the low mantissa bits.
+    const TOINT: f64 = 6_755_399_441_055_744.0;
+    // One lane-wise statement at a time, so the lanes' chains interleave.
+    let x: [f64; LANES] = from_fn(|j| {
+        let in_range = theta[j].abs() <= CERTIFIED_ANGLE;
+        if in_range {
+            theta[j]
+        } else {
+            f64::NAN
+        }
+    });
+    let kf: [f64; LANES] = from_fn(|j| x[j] * FRAC_2_PI + TOINT);
+    let k: [f64; LANES] = from_fn(|j| kf[j] - TOINT);
+    // x − k·PIO2_1 and k·PIO2_2 are exact for |k| < 2^20.
+    let r: [(f64, f64); LANES] = from_fn(|j| {
+        let (h, e) = two_sum(x[j] - k[j] * PIO2_1, -(k[j] * PIO2_2));
+        (h, e - k[j] * PIO2_2T)
+    });
+    let y0: [f64; LANES] = from_fn(|j| r[j].0 + r[j].1);
+    let y1: [f64; LANES] = from_fn(|j| (r[j].0 - y0[j]) + r[j].1);
+    let z: [f64; LANES] = from_fn(|j| y0[j] * y0[j]);
+    let w: [f64; LANES] = from_fn(|j| z[j] * z[j]);
+    let s: [f64; LANES] = from_fn(|j| {
+        let (z, w, v) = (z[j], w[j], z[j] * y0[j]);
+        let r = S[1] + z * (S[2] + z * S[3]) + z * w * (S[4] + z * S[5]);
+        y0[j] - ((z * (0.5 * y1[j] - v * r) - y1[j]) - v * S[0])
+    });
+    let c: [f64; LANES] = from_fn(|j| {
+        let (z, w) = (z[j], w[j]);
+        let r = z * (C[0] + z * (C[1] + z * C[2])) + w * w * (C[3] + z * (C[4] + z * C[5]));
+        let hz = 0.5 * z;
+        let one_minus = 1.0 - hz;
+        one_minus + (((1.0 - one_minus) - hz) + (z * r - y0[j] * y1[j]))
+    });
+    // sin: s, c, −s, −c and cos: c, −s, −c, s for k ≡ 0, 1, 2, 3.
+    let q: [u64; LANES] = from_fn(|j| kf[j].to_bits() & 3);
+    let sin = from_fn(|j| {
+        let v = if q[j] & 1 == 1 { c[j] } else { s[j] };
+        f64::from_bits(v.to_bits() ^ ((q[j] & 2) << 62))
+    });
+    let cos = from_fn(|j| {
+        let v = if q[j] & 1 == 1 { s[j] } else { c[j] };
+        f64::from_bits(v.to_bits() ^ (((q[j] + 1) & 2) << 62))
+    });
+    (sin, cos)
+}
+
+/// `g̃(t) = |Σᵢ aᵢ(cos θ̂ᵢ + j·sin θ̂ᵢ)|²` at two instants, the squared
+/// envelope on [`sin_cos_lanes`]: the same rounded angles
+/// `θ̂ᵢ = fl(fl(fl(2π·fᵢ)·t) + βᵢ)` and the same tone-order sums as
+/// [`tone_sum`], then `re² + im²` without a `hypot`. A block holds
+/// `LANES / 2` tones at both instants, so each instant's sum is its own
+/// lane of a pairwise add. NaN when an angle is outside
+/// [`CERTIFIED_ANGLE`].
+///
+/// # Panics
+/// Panics if the slices differ in length.
+pub fn envelope_sqr(offsets_hz: &[f64], phases: &[f64], amps: &[f64], t: [f64; 2]) -> [f64; 2] {
+    const TONES: usize = LANES / 2;
+    assert!(offsets_hz.len() == phases.len() && phases.len() == amps.len());
+    let (mut re, mut im) = ([0.0; 2], [0.0; 2]);
+    for ((f, p), a) in offsets_hz
+        .chunks(TONES)
+        .zip(phases.chunks(TONES))
+        .zip(amps.chunks(TONES))
+    {
+        let mut theta = [0.0; LANES];
+        for i in 0..f.len() {
+            let w = TAU * f[i];
+            theta[2 * i] = w * t[0] + p[i];
+            theta[2 * i + 1] = w * t[1] + p[i];
+        }
+        let (sin, cos) = sin_cos_lanes(&theta);
+        for i in 0..f.len() {
+            for m in 0..2 {
+                re[m] += a[i] * cos[2 * i + m];
+                im[m] += a[i] * sin[2 * i + m];
+            }
+        }
+    }
+    [re[0] * re[0] + im[0] * im[0], re[1] * re[1] + im[1] * im[1]]
+}
+
+/// The error certificate of [`envelope_sqr`] against
+/// [`crate::waveform::CibEnvelope::envelope`]: two instants whose `g̃`
+/// differ by more than `SETTLE · (n + 4) · (Σ|aᵢ|)²` compare, on the
+/// libm envelope `Y = hypot(Ŝ)`, the way their `g̃` do.
+///
+/// Derivation, with `ε = 2⁻⁵²`, `A = Σ|aᵢ|` and `n` tones, at one instant:
+/// 1. Both paths take the same rounded angle `θ̂ᵢ`, so their `cos θ̂ᵢ`
+///    differ by at most 1 ulp (fdlibm) + 1 ulp (libm) ≤ 2ε, and so do
+///    their `sin θ̂ᵢ`.
+/// 2. The products `fl(aᵢ·cos θ̂ᵢ)` then differ by at most
+///    `2ε|aᵢ| + 2·(ε/2)|aᵢ| = 3ε|aᵢ|`.
+/// 3. The `n` tone-order additions each round by at most `ε/2` of a
+///    partial sum no larger than `A`, in either path: each component of
+///    `S̃ − Ŝ` is at most `(3 + n)·ε·A`, so `|S̃ − Ŝ| ≤ √2(n + 3)·ε·A`.
+/// 4. `||S̃|² − |Ŝ|²| ≤ (|S̃| + |Ŝ|)·|S̃ − Ŝ| ≤ 2.83(n + 3)·ε·A²`.
+/// 5. `g̃ = fl(fl(re²) + fl(im²))` is within `1.01·ε·|S̃|²` of `|S̃|²`, and
+///    libm's `hypot` within 1 ulp puts `Y²` within `2.01·ε·|Ŝ|²` of
+///    `|Ŝ|²`.
+///
+/// So `|g̃ − Y²| ≤ (2.83(n + 3) + 3.02)·ε·A² ≤ 3(n + 4)·ε·A²`, and
+/// `sign(g̃(m₁) − g̃(m₂)) ≠ sign(Y(m₁)² − Y(m₂)²)` needs
+/// `|g̃(m₁) − g̃(m₂)| ≤ 6(n + 4)·ε·A²`. `SETTLE = 60ε` holds 10× over
+/// that, which also absorbs the rounding of the difference and of the
+/// threshold itself.
+const SETTLE: f64 = 60.0 * f64::EPSILON;
+
+/// The margin above which [`envelope_sqr`] orders two instants in
+/// `[−t_max, t_max]` exactly as the libm envelope does (see [`SETTLE`]),
+/// or `None` when the tones are not [`certifiable`] there.
+pub(crate) fn settle_margin(
+    offsets_hz: &[f64],
+    phases: &[f64],
+    amps: &[f64],
+    t_max: f64,
+) -> Option<f64> {
+    let (a, _) = certifiable(offsets_hz, phases, amps, t_max)?;
+    Some(SETTLE * (offsets_hz.len() + 4) as f64 * a * a)
+}
+
+/// `(A, Θ)` with `A = Σ|aᵢ|` and the angle bound
+/// `Θ = maxᵢ(|fl(2π·fᵢ)|·t_max + |βᵢ|)` of every instant in
+/// `[−t_max, t_max]`, or `None` when no certified evaluator can vouch for
+/// the tones there: `A` outside `[1e-100, 1e100]` (non-finite amplitudes,
+/// or squares and products near the subnormal or overflow range), or `Θ`
+/// beyond half of [`CERTIFIED_ANGLE`] (slack for the angles' rounding).
+fn certifiable(offsets_hz: &[f64], phases: &[f64], amps: &[f64], t_max: f64) -> Option<(f64, f64)> {
+    let a: f64 = amps.iter().map(|a| a.abs()).sum();
+    let mut theta: f64 = 0.0;
+    for (f, p) in offsets_hz.iter().zip(phases) {
+        let bound = (TAU * f).abs() * t_max + p.abs();
+        let in_range = bound <= 0.5 * CERTIFIED_ANGLE;
+        if !in_range {
+            return None;
+        }
+        theta = theta.max(bound);
+    }
+    (1e-100..=1e100).contains(&a).then_some((a, theta))
+}
+
+/// Most coefficients a [`ToneSeries`] keeps.
+const SERIES_TERMS: usize = 24;
+
+/// Largest `X = maxᵢ|fl(2π·fᵢ)|·h` a [`ToneSeries`] expands over.
+const SERIES_MAX_X: f64 = 2.0;
+
+/// The tone sum around the centre `c` of a bracket `[lo, hi]` as a power
+/// series in `u = (t − c)/h`, `h = (hi − lo)/2`:
+/// `S(t) = Σₖ Bₖuᵏ` with `Bₖ = Σᵢ Pᵢ(j·xᵢ)ᵏ/k!`, `Pᵢ = aᵢe^{j(wᵢc + βᵢ)}`
+/// (from [`sin_cos_lanes`]) and `xᵢ = wᵢh`. One evaluation is a Horner
+/// pass over at most 24 coefficients instead of `n` sines
+/// and cosines, so it settles the ternary's early steps, where the two
+/// values differ by far more than the series' error.
+///
+/// Unlike [`envelope_sqr`] it does not take the libm path's rounded
+/// angles, so its certificate ([`Self::margin`]) carries their rounding.
+/// With `ε = 2⁻⁵²`, `A = Σ|aᵢ|`, the angle bound
+/// `Θ = maxᵢ(|wᵢ|·max(|lo|, |hi|) + |βᵢ|)`, `X = maxᵢ|xᵢ|` and `K`
+/// coefficients, the series `S̃` and the libm sum
+/// `Ŝ` differ by at most `D = A·(3εΘ + 3(n + 3)ε + T + 4(K + n + 4)ε·e^X)`:
+/// 1. the libm angles `fl(fl(wᵢt) + βᵢ)` are within `εΘ` of `wᵢt + βᵢ`,
+///    and so are the angles of the `Pᵢ`; each path's sines and cosines
+///    are within 1 ulp ≤ ε of the true ones at its angles, its products
+///    within `ε/2`, and the libm path's `n` additions within `(n/2)·ε·A`
+///    per component (`3εΘ` and `3(n + 3)ε` hold √2 for the modulus);
+/// 2. the truncation after `K` terms is at most
+///    `T = X^K/K!·e^X` (every omitted term is at most `A·Xᵏ/k!`);
+/// 3. the coefficient recurrence, the Horner pass and the rounding of
+///    `u` each lose a few ε relative to `Σₖ A·Xᵏ/k! ≤ A·e^X`.
+///
+/// So `|g̃ − Y²| ≤ E = 2(A + D)·D + 4εA²` (the last term the rounding of
+/// `g̃ = re² + im²` and libm's 1-ulp `hypot`), and the margin `20·E`
+/// holds 10× over the `2E` a wrong comparison needs.
+#[derive(Debug)]
+pub struct ToneSeries {
+    c: f64,
+    inv_h: f64,
+    len: usize,
+    re: [f64; SERIES_TERMS],
+    im: [f64; SERIES_TERMS],
+    margin: f64,
+}
+
+impl ToneSeries {
+    /// The series over `[lo, hi]`, or `None` when the bracket is empty,
+    /// `X` exceeds 2, or no certified evaluator can vouch for the tones
+    /// there (the conditions of the lanes' margin: `A` in
+    /// `[1e-100, 1e100]`, `Θ` within half of [`CERTIFIED_ANGLE`]). It keeps
+    /// the fewest coefficients whose truncation bound is within
+    /// `ε·max(Θ, 1)`, at most 24.
+    ///
+    /// # Panics
+    /// Panics if the slices differ in length.
+    pub fn around(
+        offsets_hz: &[f64],
+        phases: &[f64],
+        amps: &[f64],
+        lo: f64,
+        hi: f64,
+    ) -> Option<Self> {
+        assert!(offsets_hz.len() == phases.len() && phases.len() == amps.len());
+        let (a_sum, theta) = certifiable(offsets_hz, phases, amps, lo.abs().max(hi.abs()))?;
+        let (c, h) = (0.5 * (lo + hi), 0.5 * (hi - lo));
+        let x_max = offsets_hz
+            .iter()
+            .map(|f| (TAU * f * h).abs())
+            .fold(0.0, f64::max);
+        let expands = h > 0.0 && x_max <= SERIES_MAX_X;
+        if !expands {
+            return None;
+        }
+        let (eps, ex) = (f64::EPSILON, x_max.exp());
+        // `tail` bounds the first omitted term's share, A·X^len/len!·e^X / A.
+        let (mut len, mut tail) = (1, x_max * ex);
+        while len < SERIES_TERMS && tail > eps * theta.max(1.0) {
+            len += 1;
+            tail *= x_max / len as f64;
+        }
+        let (mut re, mut im) = ([0.0; SERIES_TERMS], [0.0; SERIES_TERMS]);
+        for ((f, p), a) in offsets_hz
+            .chunks(LANES)
+            .zip(phases.chunks(LANES))
+            .zip(amps.chunks(LANES))
+        {
+            let mut angle = [0.0; LANES];
+            for i in 0..f.len() {
+                angle[i] = TAU * f[i] * c + p[i];
+            }
+            let (sin, cos) = sin_cos_lanes(&angle);
+            // Per lane, the term Pᵢ(j·xᵢ)ᵏ/k!, stepped by j·xᵢ/(k + 1).
+            let mut pr: [f64; LANES] = from_fn(|i| if i < f.len() { a[i] * cos[i] } else { 0.0 });
+            let mut pi: [f64; LANES] = from_fn(|i| if i < f.len() { a[i] * sin[i] } else { 0.0 });
+            let x: [f64; LANES] = from_fn(|i| if i < f.len() { TAU * f[i] * h } else { 0.0 });
+            for k in 0..len {
+                re[k] += pr.iter().sum::<f64>();
+                im[k] += pi.iter().sum::<f64>();
+                let step = 1.0 / (k + 1) as f64;
+                for i in 0..LANES {
+                    let y = x[i] * step;
+                    (pr[i], pi[i]) = (-pi[i] * y, pr[i] * y);
+                }
+            }
+        }
+        let n = offsets_hz.len() as f64;
+        let d = a_sum
+            * (3.0 * eps * theta
+                + 3.0 * (n + 3.0) * eps
+                + tail
+                + 4.0 * (len as f64 + n + 4.0) * eps * ex);
+        let e = 2.0 * (a_sum + d) * d + 4.0 * eps * a_sum * a_sum;
+        Some(ToneSeries {
+            c,
+            inv_h: 1.0 / h,
+            len,
+            re,
+            im,
+            margin: 20.0 * e,
+        })
+    }
+
+    /// The certificate: two instants of the bracket whose
+    /// [`Self::envelope_sqr`] differ by more than this compare, on the
+    /// libm envelope, the way their series values do.
+    pub fn margin(&self) -> f64 {
+        self.margin
+    }
+
+    /// `|S̃(t)|²` at two instants; NaN for an instant outside the bracket
+    /// (`|u| > 1` beyond rounding), where the bound does not hold.
+    pub fn envelope_sqr(&self, t: [f64; 2]) -> [f64; 2] {
+        t.map(|t| {
+            let u = (t - self.c) * self.inv_h;
+            let inside = u.abs() <= 1.0 + 1e-9;
+            if !inside {
+                return f64::NAN;
+            }
+            let (mut re, mut im) = (0.0, 0.0);
+            for k in (0..self.len).rev() {
+                re = re * u + self.re[k];
+                im = im * u + self.im[k];
+            }
+            re * re + im * im
+        })
+    }
+}
+
 /// The envelope over a sample window: `out[k] = Y(t0 + k/rate)` for
 /// `k < out.len()` — the keyed-downlink path, where a command rides the
 /// envelope at `rate` samples/s from an arbitrary start instant.
@@ -191,6 +543,43 @@ pub fn envelope_window(
     rate: f64,
     out: &mut [f64],
 ) {
+    window_map(offsets_hz, phases, amps, t0, rate, out, |o, z| {
+        *o = z.norm()
+    });
+}
+
+/// A command profile keyed onto the envelope in place:
+/// `levels[k] *= Y(t0 + k/rate)`, except that a zero level (±0.0) is left
+/// as it is without taking the `hypot` — the bits of the product for any
+/// finite `Y ≥ 0`. The tone bank still walks every sample, so the other
+/// levels get [`envelope_window`]'s bits.
+pub(crate) fn keyed_envelope_window(
+    offsets_hz: &[f64],
+    phases: &[f64],
+    amps: Option<&[f64]>,
+    t0: f64,
+    rate: f64,
+    levels: &mut [f64],
+) {
+    window_map(offsets_hz, phases, amps, t0, rate, levels, |o, z| {
+        if *o != 0.0 {
+            *o *= z.norm();
+        }
+    });
+}
+
+/// The chunk walk behind [`envelope_window`]: one [`tone_bank`] write per
+/// [`RENORM_INTERVAL`]-sample chunk into a stack buffer, then `each(out[k],
+/// z_k)` per sample.
+fn window_map(
+    offsets_hz: &[f64],
+    phases: &[f64],
+    amps: Option<&[f64]>,
+    t0: f64,
+    rate: f64,
+    out: &mut [f64],
+    each: impl Fn(&mut f64, &Complex64),
+) {
     let dt = 1.0 / rate;
     let mut buf = [Complex64::ZERO; RENORM_INTERVAL];
     for (c, chunk) in out.chunks_mut(RENORM_INTERVAL).enumerate() {
@@ -198,7 +587,7 @@ pub fn envelope_window(
         let t_chunk = t0 + (c * RENORM_INTERVAL) as f64 * dt;
         tone_bank(acc, offsets_hz, phases, amps, t_chunk, dt, true);
         for (o, z) in chunk.iter_mut().zip(acc.iter()) {
-            *o = z.norm();
+            each(o, z);
         }
     }
 }

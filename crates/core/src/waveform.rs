@@ -6,7 +6,9 @@
 //! the first-order droop bound (Eq. 8) that yields the RMS-offset
 //! constraint (Eq. 9).
 
-use crate::kernels::{grid_argmax, tone_sum, EnvelopeScratch};
+use crate::kernels::{
+    envelope_sqr, grid_argmax, settle_margin, tone_sum, EnvelopeScratch, ToneSeries,
+};
 use ivn_dsp::complex::Complex64;
 use std::f64::consts::TAU;
 
@@ -125,11 +127,26 @@ impl CibEnvelope {
     /// Peak of the envelope over one period: `(t_peak, Y_peak)`.
     ///
     /// Grid search at `grid` points on a per-thread scratch ([`grid_argmax`]:
-    /// a full `hypot` scan's index, last of equal maxima), then ternary
-    /// refinement on [`Self::envelope`], except that a zero-offset tone's
-    /// phasor is evaluated once per call: its angle `0·t + β` is `β` up to
-    /// the sign of a zero, which a sum from `ZERO` drops, and it keeps its
-    /// place in the tone order. So `(t, y)` are a full scan's bits.
+    /// a full `hypot` scan's index, last of equal maxima), then 60 ternary
+    /// steps that keep exactly the brackets a refinement on
+    /// [`Self::envelope`] keeps:
+    /// - The early steps, whose two probes differ by far more than any
+    ///   rounding, are settled on certified squared envelopes: first a
+    ///   [`ToneSeries`] around the initial bracket, then the lanes of
+    ///   [`crate::kernels::envelope_sqr`], which take libm's rounded angles
+    ///   and settle a step while `|g̃(m₁) − g̃(m₂)| > 60ε·(n + 4)·(Σ|aᵢ|)²`.
+    ///   Each evaluator's error against libm's `Y²` is bounded (the
+    ///   derivations are in `kernels.rs`), and a step is settled only when
+    ///   the difference is 20× that bound, so its comparison is libm's.
+    /// - The first step neither can settle hands the bracket to libm,
+    ///   which takes every remaining step and the final `y`. Amplitudes
+    ///   summing outside `[1e-100, 1e100]` (or non-finite) and angles
+    ///   beyond the lanes' exact reduction take libm from step 0.
+    ///
+    /// On libm, a zero-offset tone's phasor is evaluated once per call: its
+    /// angle `0·t + β` is `β` up to the sign of a zero, which a sum from
+    /// `ZERO` drops, and it keeps its place in the tone order. So `(t, y)`
+    /// are a full scan's bits.
     pub fn peak_over_period(&self, grid: usize) -> (f64, f64) {
         let (offs, ph, amps) = (&self.offsets_hz, &self.phases, &self.amplitudes);
         let phasor = |i: usize, t: f64| Complex64::from_polar(amps[i], TAU * offs[i] * t + ph[i]);
@@ -143,10 +160,20 @@ impl CibEnvelope {
                     |acc, (i, z): (usize, &Option<_>)| acc + z.unwrap_or_else(|| phasor(i, t));
                 fixed.iter().enumerate().fold(Complex64::ZERO, sum).norm()
             };
-            // Ternary-search refinement on the bracketing interval.
+            // Ternary-search refinement on the bracketing interval: the
+            // steps the certified evaluators settle, then libm's.
             let dt = 1.0 / grid as f64;
             let (mut lo, mut hi) = ((k as f64 - 1.0) * dt, (k as f64 + 1.0) * dt);
-            for _ in 0..60 {
+            let mut settled = 0;
+            if let Some(margin) = settle_margin(offs, ph, amps, lo.abs().max(hi.abs())) {
+                if let Some(series) = ToneSeries::around(offs, ph, amps, lo, hi) {
+                    let g = |m| series.envelope_sqr(m);
+                    settle_steps(&mut lo, &mut hi, &mut settled, series.margin(), g);
+                }
+                let g = |m| envelope_sqr(offs, ph, amps, m);
+                settle_steps(&mut lo, &mut hi, &mut settled, margin, g);
+            }
+            for _ in settled..60 {
                 let m1 = lo + (hi - lo) / 3.0;
                 let m2 = hi - (hi - lo) / 3.0;
                 if envelope(m1) < envelope(m2) {
@@ -177,13 +204,15 @@ impl CibEnvelope {
     /// envelope detector sees when a downlink command is sent on the
     /// CIB peak (paper §3.3–§3.6).
     ///
-    /// Runs on [`crate::kernels::envelope_window`] (no trig per sample);
-    /// agrees with `profile[k]·envelope(t)` to a few hundred ulps of the
-    /// ceiling, and zero-level samples come out as exact `0.0`.
+    /// Runs on [`crate::kernels::envelope_window`]'s tone bank (no trig
+    /// per sample); agrees with `profile[k]·envelope(t)` to a few hundred
+    /// ulps of the ceiling. A zero-level sample skips its `hypot` and comes
+    /// out as the level itself (`0.0`, or `-0.0` for a `-0.0` level): the
+    /// bits of `Y·p` for any finite envelope.
     pub fn keyed_window(&self, profile: &[f64], t_peak: f64, rate: f64) -> Vec<f64> {
         let t_start = t_peak - profile.len() as f64 / rate / 2.0;
-        let mut out = vec![0.0; profile.len()];
-        crate::kernels::envelope_window(
+        let mut out = profile.to_vec();
+        crate::kernels::keyed_envelope_window(
             &self.offsets_hz,
             &self.phases,
             Some(&self.amplitudes),
@@ -191,9 +220,6 @@ impl CibEnvelope {
             rate,
             &mut out,
         );
-        for (y, &p) in out.iter_mut().zip(profile) {
-            *y *= p;
-        }
         out
     }
 
@@ -294,6 +320,33 @@ impl PeriodChunks<'_> {
             &mut self.buf,
         );
         &self.buf
+    }
+}
+
+/// Ternary steps on the bracket `[lo, hi]` decided on a certified
+/// squared envelope `g`, while its two values differ by more than
+/// `margin` and fewer than 60 steps are done; `settled` counts them.
+fn settle_steps(
+    lo: &mut f64,
+    hi: &mut f64,
+    settled: &mut usize,
+    margin: f64,
+    g: impl Fn([f64; 2]) -> [f64; 2],
+) {
+    while *settled < 60 {
+        let m1 = *lo + (*hi - *lo) / 3.0;
+        let m2 = *hi - (*hi - *lo) / 3.0;
+        let [g1, g2] = g([m1, m2]);
+        let certain = (g1 - g2).abs() > margin;
+        if !certain {
+            return;
+        }
+        if g1 < g2 {
+            *lo = m1;
+        } else {
+            *hi = m2;
+        }
+        *settled += 1;
     }
 }
 

@@ -15,8 +15,9 @@ use ivn_core::body::{Placement, TagSpec};
 use ivn_core::cib::CibConfig;
 use ivn_core::freqsel::{optimize, pessimize, FreqSelConfig};
 use ivn_core::kernels::{
-    envelope_window, fft_pays_off, grid_argmax, max_norm_sqr, tone_bank, tone_sum, CrnKernel,
-    EnvelopeScratch, RENORM_INTERVAL,
+    envelope_sqr, envelope_window, fft_pays_off, grid_argmax, max_norm_sqr, sin_cos_lanes,
+    tone_bank, tone_sum, CrnKernel, EnvelopeScratch, ToneSeries, CERTIFIED_ANGLE, LANES,
+    RENORM_INTERVAL,
 };
 use ivn_core::system::{power_up_over_period, session_trial, KeyedQuery, TrialRecord, WAKE_PROBE};
 use ivn_core::waveform::CibEnvelope;
@@ -375,6 +376,25 @@ props! {
                 "sample {k}: {y} vs {direct}"
             );
         }
+    }
+
+    fn keyed_window_is_the_window_times_the_profile_bit_for_bit(
+        (offs, ph, amps) in free_tones(),
+        levels in pvec(0u32..5, 0..1100),
+        t_peak in window_start()
+    ) {
+        // Zero levels skip their `hypot`; every sample must still be the
+        // bits of `Y·p`, signed zeros included.
+        let profile: Vec<f64> =
+            levels.iter().map(|&l| if l == 4 { -0.0 } else { l as f64 / 3.0 }).collect();
+        let rate = 400e3;
+        let env = CibEnvelope::with_amplitudes(&offs, &ph, &amps);
+        let keyed = env.keyed_window(&profile, t_peak, rate);
+        let t_start = t_peak - profile.len() as f64 / rate / 2.0;
+        let mut window = vec![f64::NAN; profile.len()];
+        envelope_window(&offs, &ph, Some(&amps), t_start, rate, &mut window);
+        let want: Vec<f64> = window.iter().zip(&profile).map(|(y, p)| y * p).collect();
+        prop_assert_eq!(bits(&keyed), bits(&want));
     }
 
     fn grid_argmax_matches_hypot_scan_on_random_grids(
@@ -814,24 +834,26 @@ fn pointwise_peak(env: &CibEnvelope, tones: (&[f64], &[f64], &[f64]), grid: usiz
     (t.rem_euclid(1.0), env.envelope(t))
 }
 
-/// Tones for the refinement: offsets ±0.0 or integer, phases ±0.0 or
-/// free. When `aligned`, every phase is a signed zero, so the peak sits
-/// at `t = 0` and the refinement brackets `t < 0`.
+/// Tones for the refinement: 1–16 of them, offsets ±0.0, integer or
+/// free up to ±512 Hz, amplitudes log-uniform over 1e-6..1e3, phases ±0.0
+/// or free. When `aligned`, every phase is a signed zero, so the
+/// envelope is flat-topped at `t = 0` and the refinement brackets
+/// `t < 0`.
 fn refine_tones() -> impl Strategy<Value = (Vec<f64>, Vec<f64>, Vec<f64>)> {
-    (1usize..=10, any::<bool>()).prop_flat_map(|(n, aligned)| {
+    (1usize..=16, any::<bool>()).prop_flat_map(|(n, aligned)| {
         (
-            pvec(0u32..6, n..=n),
+            pvec((0u32..4, -512.0f64..512.0), n..=n),
             pvec((0u32..3, 0.0f64..TAU), n..=n),
-            pvec(0.05f64..2.0, n..=n),
+            pvec(-6.0f64..3.0, n..=n),
         )
-            .prop_map(move |(kinds, phs, amps)| {
+            .prop_map(move |(kinds, phs, log_amps)| {
                 let offs = kinds
                     .iter()
-                    .enumerate()
-                    .map(|(i, &k)| match k {
+                    .map(|&(k, f)| match k {
                         0 => 0.0,
                         1 => -0.0,
-                        _ => (7 * i + 3 * k as usize) as f64,
+                        2 => f.round(),
+                        _ => f,
                     })
                     .collect();
                 let ph = phs
@@ -842,9 +864,44 @@ fn refine_tones() -> impl Strategy<Value = (Vec<f64>, Vec<f64>, Vec<f64>)> {
                         (_, false) => u,
                     })
                     .collect();
+                let amps = log_amps.iter().map(|&e| 10f64.powf(e)).collect();
                 (offs, ph, amps)
             })
     })
+}
+
+/// Period grids from 64 to 8192 points, powers of two and not.
+fn refine_grid() -> impl Strategy<Value = usize> {
+    (0usize..7).prop_map(|i| [64, 100, 1000, 1024, 2048, 4096, 8192][i])
+}
+
+/// Distance in ulps between two finite doubles of the same sign (across
+/// zero: the two distances to it, added).
+fn ulps(a: f64, b: f64) -> u64 {
+    if a.is_sign_negative() == b.is_sign_negative() {
+        a.to_bits().abs_diff(b.to_bits())
+    } else {
+        a.abs().to_bits() + b.abs().to_bits()
+    }
+}
+
+/// One angle of the certified range `|θ| ≤ CERTIFIED_ANGLE`: uniform over
+/// it, log-uniform in magnitude down to 1e-300, the doubles next to a
+/// multiple of π/2 (where the reduction cancels), or an end of the range.
+fn certified_angle(rng: &mut StdRng) -> f64 {
+    let sign = if rng.random::<bool>() { 1.0 } else { -1.0 };
+    let x = match rng.random_range(0..8u32) {
+        0..=3 => CERTIFIED_ANGLE * rng.random::<f64>(),
+        4 | 5 => 10f64.powf(-300.0 + 306.0 * rng.random::<f64>()),
+        6 => {
+            let k = rng.random_range(0..667_000u64) as f64;
+            let near = k * std::f64::consts::FRAC_PI_2;
+            let steps = rng.random_range(0..5u64);
+            f64::from_bits(near.to_bits() + steps).min(CERTIFIED_ANGLE)
+        }
+        _ => [0.0, f64::MIN_POSITIVE, CERTIFIED_ANGLE][rng.random_range(0..3usize)],
+    };
+    sign * x
 }
 
 props! {
@@ -901,14 +958,95 @@ props! {
         prop_assert_eq!(nan, grid.iter().any(|z| z.norm_sqr().is_nan()));
         prop_assert_eq!(grid_argmax(&grid), reference_argmax(&grid));
     }
+}
 
+props! {
+    cases = 256;
+
+    // The certified steps (series, then lanes) and the libm tail give
+    // the pointwise search's bits: wide offsets and amplitudes, grids
+    // where the series cannot expand, and flat tops bracketing `t < 0`.
     fn hoisted_refinement_matches_pointwise_envelope(
         (offs, ph, amps) in refine_tones(),
-        grid in (0usize..3).prop_map(|i| [64, 100, 1024][i])
+        grid in refine_grid()
     ) {
         let env = CibEnvelope::with_amplitudes(&offs, &ph, &amps);
         let (t, y) = env.peak_over_period(grid);
         let (want_t, want_y) = pointwise_peak(&env, (&offs, &ph, &amps), grid);
         prop_assert_eq!((t.to_bits(), y.to_bits()), (want_t.to_bits(), want_y.to_bits()));
     }
+
+    // Each certified evaluator stays inside the error bound its
+    // certificate is built on, against the libm envelope squared: the
+    // lanes within 3(n + 4)·ε·A², the series within a twentieth of its
+    // margin, over its whole bracket.
+    fn certified_evaluators_stay_within_their_bounds(
+        (offs, ph, amps) in refine_tones(),
+        grid in refine_grid(),
+        (k, seed) in (0usize..8192, any::<u64>())
+    ) {
+        let env = CibEnvelope::with_amplitudes(&offs, &ph, &amps);
+        let a: f64 = amps.iter().sum();
+        let lane_bound = 3.0 * (offs.len() + 4) as f64 * f64::EPSILON * a * a;
+        let dt = 1.0 / grid as f64;
+        let (lo, hi) = ((k % grid) as f64 * dt - dt, (k % grid) as f64 * dt + dt);
+        let series = ToneSeries::around(&offs, &ph, &amps, lo, hi);
+        let mut rng = StdRng::seed_from_u64(seed);
+        for _ in 0..16 {
+            let t = [lo + (hi - lo) * rng.random::<f64>(), lo + (hi - lo) * rng.random::<f64>()];
+            let want = t.map(|t| env.envelope(t).powi(2));
+            let lanes = envelope_sqr(&offs, &ph, &amps, t);
+            for m in 0..2 {
+                prop_assert!((lanes[m] - want[m]).abs() <= lane_bound,
+                    "lanes at {}: {} vs {}", t[m], lanes[m], want[m]);
+            }
+            if let Some(series) = &series {
+                let g = series.envelope_sqr(t);
+                for m in 0..2 {
+                    prop_assert!((g[m] - want[m]).abs() <= series.margin() / 20.0,
+                        "series at {}: {} vs {}", t[m], g[m], want[m]);
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn sin_cos_lanes_are_within_two_ulps_of_libm() {
+    let mut rng = StdRng::seed_from_u64(0x51c0);
+    let mut worst = (0, 0.0);
+    for _ in 0..(1 << 20) / LANES {
+        let theta: [f64; LANES] = std::array::from_fn(|_| certified_angle(&mut rng));
+        let (sin, cos) = sin_cos_lanes(&theta);
+        for j in 0..LANES {
+            let d = ulps(sin[j], theta[j].sin()).max(ulps(cos[j], theta[j].cos()));
+            if d > worst.0 {
+                worst = (d, theta[j]);
+            }
+        }
+    }
+    assert!(worst.0 <= 2, "{} ulps at θ = {:e}", worst.0, worst.1);
+}
+
+#[test]
+fn sin_cos_lanes_refuse_angles_outside_the_certified_range() {
+    let outside = [
+        CERTIFIED_ANGLE * (1.0 + f64::EPSILON),
+        -2.0 * CERTIFIED_ANGLE,
+        1e300,
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+        f64::NAN,
+        -f64::NAN,
+        0.5,
+    ];
+    let (sin, cos) = sin_cos_lanes(&outside);
+    for j in 0..LANES - 1 {
+        assert!(
+            sin[j].is_nan() && cos[j].is_nan(),
+            "lane {j}: θ = {}",
+            outside[j]
+        );
+    }
+    assert_eq!((sin[7], cos[7]), (0.5f64.sin(), 0.5f64.cos()));
 }

@@ -202,8 +202,15 @@ pub struct CaptureModel {
     ratio_lin: f64,
     /// Half-range of the per-reply uniform fade, dB.
     fade_db: f64,
+    /// The largest fade factor, `10^(fade_db/10)`.
+    fade_max: f64,
     rng: StdRng,
 }
+
+/// Relative slack of [`CaptureModel`]'s no-capture test: far above the
+/// few ulps by which `powf` and the products and sums of a contest can
+/// stray from their exact values.
+const NO_CAPTURE_SLACK: f64 = 1e-9;
 
 impl CaptureModel {
     /// Builds the model from per-tag link-budget powers, a capture
@@ -214,6 +221,7 @@ impl CaptureModel {
             powers,
             ratio_lin: 10f64.powf(threshold_db / 10.0),
             fade_db,
+            fade_max: 10f64.powf(fade_db / 10.0),
             rng,
         }
     }
@@ -221,7 +229,17 @@ impl CaptureModel {
     /// Arbitrates one multi-reply slot: returns the index *within
     /// `replier_tags`* of the captured reply, or `None` for a true
     /// collision. Draws exactly one fade per replier, in order.
-    pub(crate) fn arbitrate(&mut self, replier_tags: &[usize]) -> Option<usize> {
+    ///
+    /// When the mean powers alone show that no draw of the fades could let
+    /// any replier capture, the fades are drawn and dropped and no `powf`
+    /// is taken: the same outcome and RNG state as the full contest.
+    pub fn arbitrate(&mut self, replier_tags: &[usize]) -> Option<usize> {
+        if self.never_captures(replier_tags) {
+            for _ in replier_tags {
+                let _: f64 = self.rng.random();
+            }
+            return None;
+        }
         let mut best = 0usize;
         let mut best_p = f64::NEG_INFINITY;
         let mut total = 0.0;
@@ -237,6 +255,34 @@ impl CaptureModel {
         }
         let rest = total - best_p;
         (rest <= 0.0 || best_p >= self.ratio_lin * rest).then_some(best)
+    }
+
+    /// Whether the contest is lost before any fade is drawn. With mean
+    /// powers `wᵢ` and `F = 10^(fade_db/10)`, every faded power lies in
+    /// `[wᵢ/F, wᵢ·F]`, so the winner holds at most `w_max·F` and the rest
+    /// at least `(Σw − w_max)/F`. If `w_max·F < ratio·(Σw − w_max)/F`
+    /// with [`NO_CAPTURE_SLACK`] on both sides, and with the rest's floor
+    /// lowered by the rounding of `Σ` over `n` faded powers, no replier
+    /// can capture. Taken only for `n ≥ 2`, `fade_db ≥ 0`, a finite ratio,
+    /// and finite positive powers.
+    fn never_captures(&self, replier_tags: &[usize]) -> bool {
+        let eligible = replier_tags.len() >= 2 && self.fade_db >= 0.0 && self.ratio_lin.is_finite();
+        if !eligible {
+            return false;
+        }
+        let (mut sum, mut max) = (0.0f64, 0.0f64);
+        for &tag_idx in replier_tags {
+            let w = self.powers.get(tag_idx).copied().unwrap_or(1.0);
+            if !(w.is_finite() && w > 0.0) {
+                return false;
+            }
+            sum += w;
+            max = max.max(w);
+        }
+        let (f, n) = (self.fade_max, replier_tags.len() as f64);
+        let rest_floor =
+            (sum - max) / f * (1.0 - NO_CAPTURE_SLACK) - 2.0 * n * f64::EPSILON * f * sum;
+        max * f * (1.0 + NO_CAPTURE_SLACK) < self.ratio_lin * rest_floor
     }
 }
 

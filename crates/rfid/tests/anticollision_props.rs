@@ -187,3 +187,76 @@ props! {
         }
     }
 }
+
+/// `CaptureModel::arbitrate` before its no-capture early-out, verbatim:
+/// one fade per replier, in order, then the capture test.
+fn reference_arbitrate(
+    powers: &[f64],
+    ratio_lin: f64,
+    fade_db: f64,
+    rng: &mut StdRng,
+    replier_tags: &[usize],
+) -> Option<usize> {
+    let mut best = 0usize;
+    let mut best_p = f64::NEG_INFINITY;
+    let mut total = 0.0;
+    for (k, &tag_idx) in replier_tags.iter().enumerate() {
+        let u: f64 = rng.random();
+        let fade = 10f64.powf(fade_db * (2.0 * u - 1.0) / 10.0);
+        let p = powers.get(tag_idx).copied().unwrap_or(1.0) * fade;
+        total += p;
+        if p > best_p {
+            best_p = p;
+            best = k;
+        }
+    }
+    let rest = total - best_p;
+    (rest <= 0.0 || best_p >= ratio_lin * rest).then_some(best)
+}
+
+/// A mean power: mostly spread over six decades, sometimes one of the
+/// values the early-out must refuse (zero, negative, infinite, NaN).
+fn contest_power(rng: &mut StdRng) -> f64 {
+    match rng.random_range(0..24u32) {
+        0 => 0.0,
+        1 => -1.0,
+        2 => f64::INFINITY,
+        3 => f64::NAN,
+        _ => 10f64.powf(6.0 * rng.random::<f64>() - 3.0),
+    }
+}
+
+props! {
+    cases = 256;
+
+    // The no-capture early-out is exact: for any powers, fade, threshold
+    // and replier set (repeats and unknown tag indices included), a
+    // contest returns what the full fade loop returns and leaves the
+    // model's RNG where that loop leaves it.
+    fn arbitrate_equals_the_full_fade_loop(
+        seed in any::<u64>(),
+        n_tags in 1usize..40,
+        threshold_db in -3.0f64..12.0,
+        fade_db in -2.0f64..12.0,
+        repliers in 0usize..12
+    ) {
+        let mut draw = StdRng::seed_from_u64(seed);
+        let powers: Vec<f64> = (0..n_tags).map(|_| contest_power(&mut draw)).collect();
+        let mut model =
+            CaptureModel::new(powers.clone(), threshold_db, fade_db, draw.fork(1));
+        let mut rng = draw.fork(1);
+        let ratio_lin = 10f64.powf(threshold_db / 10.0);
+        for _ in 0..8 {
+            // Indices past the table fall back to unit power.
+            let tags: Vec<usize> =
+                (0..repliers).map(|_| draw.random_range(0..n_tags + 2)).collect();
+            let want = reference_arbitrate(&powers, ratio_lin, fade_db, &mut rng, &tags);
+            let got = model.arbitrate(&tags);
+            prop_assert!(got == want, "{got:?} != {want:?} for repliers {tags:?}");
+            // The whole model, RNG state included, as the loop leaves it
+            // (compared as text, so NaN powers compare equal).
+            let expect = CaptureModel::new(powers.clone(), threshold_db, fade_db, rng.clone());
+            prop_assert_eq!(format!("{model:?}"), format!("{expect:?}"));
+        }
+    }
+}

@@ -106,6 +106,18 @@ for workload in pipeline campaign inventory; do
     esac
 done
 
+echo "==> perfbench witnesses: every variant still matches perfbench/witnesses.json"
+# The smoke above checks one variant per workload; this re-records the
+# whole table (the pipeline plus all campaign and inventory variants,
+# about a minute on two cores) and diffs it against the committed file.
+cargo run --quiet --release --offline --manifest-path perfbench/Cargo.toml --target-dir target/perfbench -- \
+    --record-witnesses > target/verify_witnesses.json
+diff -u perfbench/witnesses.json target/verify_witnesses.json || {
+    echo "verify: FAIL — perfbench --record-witnesses diverged from perfbench/witnesses.json" >&2
+    exit 1
+}
+echo "perfbench witnesses: every variant matches"
+
 echo "==> 64-tag inventory campaign: byte-identical at 1/2/8 threads"
 INV_DIR=target/verify_inventory_fleet
 rm -rf "$INV_DIR"

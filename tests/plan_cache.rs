@@ -3,14 +3,16 @@
 //! eviction/capacity behavior under a 1000-scenario fleet.
 //!
 //! Every test here touches the process-global [`PlanCache`], so they
-//! serialize on one mutex and reset cache state at entry.
+//! serialize on one mutex and reset cache state at entry. A failing test
+//! poisons that mutex; the others take it anyway, so each failure is
+//! reported on its own.
 
 use ivn::core::freqsel::optimize;
 use ivn::core::plancache::PlanCache;
 use ivn::core::scenario::{ArraySpec, FreqPlan, FreqSelSpec, QuickFull};
 use ivn::runtime::obs;
 use ivn::runtime::pool::WorkerPool;
-use std::sync::Mutex;
+use std::sync::{Mutex, PoisonError};
 
 static GLOBAL_CACHE_LOCK: Mutex<()> = Mutex::new(());
 
@@ -46,7 +48,9 @@ fn bits(v: &[f64]) -> Vec<u64> {
 
 #[test]
 fn warm_hits_are_byte_identical_to_cold_computation() {
-    let _guard = GLOBAL_CACHE_LOCK.lock().unwrap();
+    let _guard = GLOBAL_CACHE_LOCK
+        .lock()
+        .unwrap_or_else(PoisonError::into_inner);
     let cache = PlanCache::global();
     cache.clear();
     cache.reset_counters();
@@ -75,7 +79,9 @@ fn warm_hits_are_byte_identical_to_cold_computation() {
 
 #[test]
 fn hit_and_miss_obs_counters_are_booked() {
-    let _guard = GLOBAL_CACHE_LOCK.lock().unwrap();
+    let _guard = GLOBAL_CACHE_LOCK
+        .lock()
+        .unwrap_or_else(PoisonError::into_inner);
     let cache = PlanCache::global();
     cache.clear();
     cache.set_enabled(true);
@@ -94,7 +100,9 @@ fn hit_and_miss_obs_counters_are_booked() {
 
 #[test]
 fn thousand_scenario_fleet_respects_capacity_and_stays_correct() {
-    let _guard = GLOBAL_CACHE_LOCK.lock().unwrap();
+    let _guard = GLOBAL_CACHE_LOCK
+        .lock()
+        .unwrap_or_else(PoisonError::into_inner);
     let cache = PlanCache::global();
     cache.clear();
     cache.reset_counters();
@@ -141,7 +149,9 @@ fn thousand_scenario_fleet_respects_capacity_and_stays_correct() {
 
 #[test]
 fn shared_key_fleet_counts_one_miss_per_key_at_any_width() {
-    let _guard = GLOBAL_CACHE_LOCK.lock().unwrap();
+    let _guard = GLOBAL_CACHE_LOCK
+        .lock()
+        .unwrap_or_else(PoisonError::into_inner);
     let cache = PlanCache::global();
     cache.set_enabled(true);
     // 48 consultations over 4 keys, interleaved so every pool chunk
@@ -184,7 +194,9 @@ fn a_key_in_flight_is_computed_once_for_every_requester() {
     use std::sync::mpsc;
     use std::time::Duration;
 
-    let _guard = GLOBAL_CACHE_LOCK.lock().unwrap();
+    let _guard = GLOBAL_CACHE_LOCK
+        .lock()
+        .unwrap_or_else(PoisonError::into_inner);
     let cache = PlanCache::global();
     cache.clear();
     cache.reset_counters();
@@ -231,7 +243,9 @@ fn a_key_in_flight_is_computed_once_for_every_requester() {
 
 #[test]
 fn a_panicking_computation_leaves_the_key_for_the_next_requester() {
-    let _guard = GLOBAL_CACHE_LOCK.lock().unwrap();
+    let _guard = GLOBAL_CACHE_LOCK
+        .lock()
+        .unwrap_or_else(PoisonError::into_inner);
     let cache = PlanCache::global();
     cache.clear();
     cache.reset_counters();
