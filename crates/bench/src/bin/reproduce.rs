@@ -21,8 +21,9 @@
 //!   ablations   design-choice ablations
 //!   pipeline    end-to-end sample-path chain (all five crates)
 //!   session     one power-up + downlink session (metrics report)
-//!   multisensor Gen2 arbitration over a sensor population
-//!   all     the thirteen figure targets above in order
+//!   multisensor Gen2 inventory of five sensors (§3.7), policy table
+//!   inventory   Gen2 inventory of a dense tag population, policy table
+//!   all     the thirteen targets fig2 … pipeline above, in order
 //!
 //! scenario subcommands:
 //!   reproduce --scenario <file.json> [--quick]   run a scenario file
@@ -32,6 +33,7 @@
 //!             [--seed S] [--sweep path=v1,v2,..]... [--jitter path=frac]...
 //!   reproduce campaign <dir> [--quick] [--threads N] [--out <file>]
 //!             [--live <file.ndjson>] [--live-interval-ms <n>]
+//!             [--obs] [--obs-json <path>] [--trace <path>]
 //! ```
 //!
 //! `--live <file>` attaches the `ivn_runtime::telemetry` flight recorder
@@ -48,7 +50,9 @@
 //! writes Chrome Trace Event JSON to `path` — open it in Perfetto /
 //! `chrome://tracing`, or feed it to the `trace_report` binary.
 //! Instrumentation never changes figure bytes — `tests/determinism.rs`
-//! pins that.
+//! pins that. A campaign takes the same three flags and reports after
+//! its own output; `list`, `export` and `generate` run no experiment and
+//! reject them.
 
 use ivn_bench::pipeline::check_sample_rate;
 use ivn_bench::{campaign, registry};
@@ -78,7 +82,7 @@ const USAGE: &str = "usage: reproduce <target|all> [--quick] [--obs] [--obs-json
        reproduce list
        reproduce export <name> [--out <path>]
        reproduce generate --out <dir> [--base <name|file>] [--count <n>] [--seed <s>] [--sweep <path=v1,v2,..>]... [--jitter <path=frac>]...
-       reproduce campaign <dir> [--quick] [--threads <n>] [--out <file>] [--live <file.ndjson>] [--live-interval-ms <n>]";
+       reproduce campaign <dir> [--quick] [--threads <n>] [--out <file>] [--live <file.ndjson>] [--live-interval-ms <n>] [--obs] [--obs-json <path>] [--trace <path>]";
 
 struct Args {
     target: Option<String>,
@@ -269,13 +273,13 @@ fn parse_jitter(arg: &str) -> Result<gen::JitterSpec, String> {
     })
 }
 
-fn cmd_list() -> ExitCode {
+fn cmd_list() -> Result<(), String> {
     println!("{:<14}  {:<18}  description", "name", "kind");
     for name in registry::builtin_names() {
         let s = registry::builtin(name).expect("registered builtin");
         println!("{:<14}  {:<18}  seed {}", name, s.kind.type_name(), s.seed);
     }
-    ExitCode::SUCCESS
+    Ok(())
 }
 
 fn cmd_export(args: &Args) -> Result<(), String> {
@@ -342,10 +346,11 @@ fn cmd_campaign(args: &Args) -> Result<(), String> {
     // `--live` attaches the flight recorder: metrics on, heartbeats to
     // the NDJSON sink, progress to stderr. Stdout is untouched either
     // way, so campaign output stays byte-identical without the flag.
+    // Metrics stay on after the recorder stops, so an `--obs` or
+    // `--obs-json` report written afterwards covers the whole run.
     let recorder = match &args.live {
         Some(path) => {
             ivn_runtime::obs::set_enabled(true);
-            ivn_runtime::obs::reset();
             let sink = std::fs::File::create(path)
                 .map_err(|e| format!("cannot create live sink {path}: {e}"))?;
             let total = scenarios.len();
@@ -379,7 +384,6 @@ fn cmd_campaign(args: &Args) -> Result<(), String> {
     if let Some(rec) = recorder {
         rec.stop()
             .map_err(|e| format!("flight recorder sink error: {e}"))?;
-        ivn_runtime::obs::set_enabled(false);
         if let Some(path) = &args.live {
             eprintln!("wrote live telemetry to {path}");
         }
@@ -408,29 +412,26 @@ fn main() -> ExitCode {
         ExitCode::FAILURE
     };
 
-    // Scenario subcommands (no obs/trace plumbing — they are drivers,
-    // not figure renders).
-    match args.target.as_deref() {
-        Some("list") => return cmd_list(),
-        Some("export") => {
-            return match cmd_export(&args) {
-                Ok(()) => ExitCode::SUCCESS,
-                Err(e) => fail(e),
-            }
+    // Scenario subcommands that run no experiment have nothing to
+    // observe or trace, so they reject those flags rather than ignore them.
+    if let Some(cmd @ ("list" | "export" | "generate")) = args.target.as_deref() {
+        let instrumented = [
+            ("--obs", args.with_obs),
+            ("--obs-json", args.obs_json.is_some()),
+            ("--trace", args.trace_path.is_some()),
+        ];
+        if let Some((flag, _)) = instrumented.iter().find(|(_, set)| *set) {
+            return fail(format!("{cmd} does not take {flag}"));
         }
-        Some("generate") => {
-            return match cmd_generate(&args) {
-                Ok(()) => ExitCode::SUCCESS,
-                Err(e) => fail(e),
-            }
-        }
-        Some("campaign") => {
-            return match cmd_campaign(&args) {
-                Ok(()) => ExitCode::SUCCESS,
-                Err(e) => fail(e),
-            }
-        }
-        _ => {}
+        let result = match cmd {
+            "list" => cmd_list(),
+            "export" => cmd_export(&args),
+            _ => cmd_generate(&args),
+        };
+        return match result {
+            Ok(()) => ExitCode::SUCCESS,
+            Err(e) => fail(e),
+        };
     }
 
     let Some(target) = args.target.clone().or_else(|| {
@@ -486,6 +487,13 @@ fn main() -> ExitCode {
         }
         ExitCode::SUCCESS
     };
+
+    if target == "campaign" {
+        return match cmd_campaign(&args) {
+            Ok(()) => finish(),
+            Err(e) => fail(e),
+        };
+    }
 
     // The pipeline target keeps its streaming knobs outside the scenario
     // substrate; everything else resolves through the registry.

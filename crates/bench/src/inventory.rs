@@ -39,7 +39,10 @@ fn policy_arms(declared: &PolicySpec) -> Vec<PolicySpec> {
 /// inventoried under each policy arm, physical per-tag channel draws.
 pub(crate) fn render(s: &Scenario, quick: bool) -> Result<String, String> {
     let ScenarioKind::Inventory {
-        population, policy, ..
+        population,
+        policy,
+        capture_db,
+        ..
     } = &s.kind
     else {
         return Err(format!(
@@ -56,8 +59,20 @@ pub(crate) fn render(s: &Scenario, quick: bool) -> Result<String, String> {
         "scenario '{}' (inventory, {} tags, {} antennas)",
         s.name, population.count, s.array.n_antennas
     ));
+    // The enable tests `InventoryExperiment` (capture) and `CouplingModel`
+    // (coupling) apply.
+    let capture = if *capture_db > 0.0 {
+        format!("capture at {capture_db} dB")
+    } else {
+        "capture off".to_string()
+    };
+    let coupling = if population.detuning > 0.0 || population.shadow_db > 0.0 {
+        "on"
+    } else {
+        "off"
+    };
     out += &format!(
-        "{:>10} trials x {} tags, capture + coupling on\n\n",
+        "{:>10} trials x {} tags, {capture}, coupling {coupling}\n\n",
         trials, population.count
     );
     out += &format!(
@@ -254,6 +269,17 @@ mod tests {
         }
         assert!(out.contains("rounds-to-full"), "{out}");
         assert!(out.contains("\"policies\""), "{out}");
+        assert!(out.contains("capture at 6 dB, coupling on"), "{out}");
+    }
+
+    #[test]
+    fn multisensor_render_says_capture_and_coupling_are_off() {
+        let out = crate::registry::render(&builtin("multisensor").unwrap(), true).unwrap();
+        assert!(
+            out.contains("3 trials x 5 tags, capture off, coupling off"),
+            "{out}"
+        );
+        assert!(out.contains("\"population\":5"), "{out}");
     }
 
     #[test]

@@ -18,9 +18,8 @@ pub fn builtin_names() -> &'static [&'static str] {
 }
 
 /// Renders any scenario through the figure module registered for its
-/// kind. Kinds without bespoke presentation (power sessions,
-/// multi-sensor campaigns, and anything a generated campaign produces)
-/// fall back to the uniform metrics report.
+/// kind. Power sessions, which have no bespoke presentation, fall back
+/// to the uniform metrics report.
 pub fn render(s: &Scenario, quick: bool) -> Result<String, String> {
     Ok(match &s.kind {
         ScenarioKind::Diode => crate::fig02_diode::run(quick),
@@ -37,9 +36,7 @@ pub fn render(s: &Scenario, quick: bool) -> Result<String, String> {
         ScenarioKind::Ablations => crate::ablations::run(quick),
         ScenarioKind::Pipeline => crate::pipeline::run(quick),
         ScenarioKind::Inventory { .. } => crate::inventory::render(s, quick)?,
-        ScenarioKind::PowerSession { .. } | ScenarioKind::MultiSensor { .. } => {
-            metrics_report(s, quick)?
-        }
+        ScenarioKind::PowerSession { .. } => metrics_report(s, quick)?,
     })
 }
 
@@ -89,10 +86,7 @@ mod tests {
             let s = builtin(name).unwrap_or_else(|| panic!("missing builtin {name}"));
             // Cheap kinds only — the expensive ones are covered by the
             // golden figure tests; here we pin the dispatch itself.
-            if matches!(
-                s.kind,
-                ScenarioKind::PowerSession { .. } | ScenarioKind::MultiSensor { .. }
-            ) {
+            if matches!(s.kind, ScenarioKind::PowerSession { .. }) {
                 let out = render(&s, true).expect(name);
                 assert!(out.contains(&s.name), "{name}: {out}");
                 assert!(out.contains("powered"), "{name}: {out}");

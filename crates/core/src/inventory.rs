@@ -1,10 +1,12 @@
-//! Population-scale inventory experiments: link budgets + inter-tag
-//! coupling feeding a full Gen2 anti-collision inventory.
+//! Multi-tag inventory experiments: link budgets + inter-tag coupling
+//! feeding a full Gen2 anti-collision inventory.
 //!
-//! This is the scenario-level consumer of the PR-10 seam: a
-//! [`ScenarioKind::Inventory`] scenario declares a [`TagPopulation`]
-//! (count, spacing, coupling knobs) and a
-//! [`PolicySpec`](crate::scenario::PolicySpec); [`InventoryExperiment`]
+//! This is the one multi-tag trial: a few sensors powered by one CIB
+//! plan, each at its own instant (paper §3.7, the `multisensor`
+//! builtin), and a dense population (the `inventory` builtin) both run
+//! here. A [`ScenarioKind::Inventory`] scenario declares a
+//! [`TagPopulation`](crate::scenario::TagPopulation) (count, spacing,
+//! coupling knobs) and a [`PolicySpec`]; [`InventoryExperiment`]
 //! resolves everything that is trial-invariant **once** — per-tag
 //! placements along the geometry axis, coupling gain factors, and the
 //! CIB frequency plan (through the global plan cache, so a fleet of
@@ -28,7 +30,7 @@
 use crate::body::Placement;
 use crate::body::TagSpec;
 use crate::cib::CibConfig;
-use crate::scenario::{Scenario, ScenarioKind, TagPopulation};
+use crate::scenario::{PolicySpec, Scenario, ScenarioKind};
 use ivn_dsp::units::dbm_to_watts;
 use ivn_rfid::anticollision::CaptureModel;
 use ivn_rfid::population::inventory_population;
@@ -67,7 +69,7 @@ pub struct InventoryExperiment {
     placements: Vec<Placement>,
     coupling: Vec<f64>,
     nominal_powers: Vec<f64>,
-    policy: crate::scenario::PolicySpec,
+    policy: PolicySpec,
     max_rounds: usize,
     capture_db: f64,
     fade_db: f64,
@@ -92,38 +94,20 @@ impl InventoryExperiment {
                 s.kind.type_name()
             ));
         };
-        Self::prepare_population(s, population, quick).map(|mut e| {
-            e.policy = policy.clone();
-            e.max_rounds = *max_rounds;
-            e.capture_db = *capture_db;
-            e.fade_db = *fade_db;
-            e
-        })
-    }
-
-    /// Resolves the trial-invariant state for an explicit population on
-    /// the scenario's substrate (the campaign runner uses this to sweep
-    /// population sizes without rewriting the scenario kind).
-    pub(crate) fn prepare_population(
-        s: &Scenario,
-        population: &TagPopulation,
-        quick: bool,
-    ) -> Result<Self, String> {
         let cib = s.cib(quick);
         let spec = s.tag.spec();
         let eirp_w = dbm_to_watts(s.eirp_dbm);
         let coupling = population
             .coupling()
             .gain_factors(population.count, population.spacing_m);
-        let mut placements = Vec::with_capacity(population.count);
-        for i in 0..population.count {
-            placements.push(
+        let placements = (0..population.count)
+            .map(|i| {
                 s.placement
                     .at_offset(i as f64 * population.spacing_m)
                     .resolve()
-                    .map_err(|e| e.reason)?,
-            );
-        }
+                    .map_err(|e| e.reason)
+            })
+            .collect::<Result<Vec<_>, _>>()?;
         // Nominal budget at the coherent CIB peak: N² over one antenna.
         let n2 = (cib.n() * cib.n()) as f64;
         let nominal_powers: Vec<f64> = placements
@@ -137,10 +121,10 @@ impl InventoryExperiment {
             placements,
             coupling,
             nominal_powers,
-            policy: crate::scenario::PolicySpec::Adaptive { q0: 4, c: 0.3 },
-            max_rounds: 64,
-            capture_db: 6.0,
-            fade_db: 3.0,
+            policy: policy.clone(),
+            max_rounds: *max_rounds,
+            capture_db: *capture_db,
+            fade_db: *fade_db,
             eirp_w,
         })
     }
@@ -151,7 +135,7 @@ impl InventoryExperiment {
     }
 
     /// Same experiment with a different policy arm.
-    pub fn with_policy(&self, policy: crate::scenario::PolicySpec) -> Self {
+    pub fn with_policy(&self, policy: PolicySpec) -> Self {
         InventoryExperiment {
             policy,
             ..self.clone()
@@ -204,7 +188,6 @@ impl InventoryExperiment {
     fn push_tag(&self, tags: &mut Vec<Tag>, powers: &mut Vec<f64>, i: usize, peak: f64, seed: u64) {
         let mut tag = Tag::with_epc96(INVENTORY_EPC_BASE + i as u128, seed);
         tag.set_powered(self.spec.power.can_power_at_peak(peak));
-        tag.set_single_read(true);
         powers.push(peak);
         tags.push(tag);
     }
@@ -242,10 +225,66 @@ impl InventoryExperiment {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scenario::{builtin, PolicySpec};
+    use crate::scenario::{builtin, ArraySpec, PlacementSpec};
 
     fn prepared() -> InventoryExperiment {
         InventoryExperiment::prepare(&builtin("inventory").unwrap(), true).unwrap()
+    }
+
+    /// The `multisensor` builtin (capture and coupling off) re-placed:
+    /// `count` sensors `spacing_m` apart from `placement`, read by the
+    /// first `n` antennas of the paper array.
+    fn sensors(
+        placement: PlacementSpec,
+        count: usize,
+        spacing_m: f64,
+        n: usize,
+    ) -> InventoryExperiment {
+        let mut s = builtin("multisensor").unwrap();
+        s.placement = placement;
+        s.array = ArraySpec::paper(n);
+        let ScenarioKind::Inventory { population, .. } = &mut s.kind else {
+            panic!("multisensor is an inventory scenario")
+        };
+        population.count = count;
+        population.spacing_m = spacing_m;
+        InventoryExperiment::prepare(&s, true).unwrap()
+    }
+
+    #[test]
+    fn nearby_population_is_fully_inventoried() {
+        let exp = sensors(PlacementSpec::FreeSpace { range_m: 2.0 }, 5, 0.3, 8);
+        let run = exp.run_trial(&StdRng::seed_from_u64(1));
+        assert_eq!((run.powered, run.inventoried), (5, 5), "{run:?}");
+        assert!(run.terminated);
+    }
+
+    #[test]
+    fn out_of_reach_tail_is_unpowered_and_unread() {
+        // Tag `i` draws from `fork(i)`, so the head of a population sees
+        // the same channel as a population of the head alone: when the
+        // head alone powers and is read, and the whole population
+        // powers and reads exactly one tag, the one left out is the tail.
+        let cases = [
+            (PlacementSpec::FreeSpace { range_m: 2.0 }, 498.0, 4, 2),
+            (PlacementSpec::WaterTank { depth_m: 0.05 }, 0.40, 8, 3),
+        ];
+        for (placement, spacing_m, n, seed) in cases {
+            let rng = StdRng::seed_from_u64(seed);
+            let head = sensors(placement.clone(), 1, spacing_m, n).run_trial(&rng);
+            assert_eq!(
+                (head.powered, head.inventoried),
+                (1, 1),
+                "{placement:?}: {head:?}"
+            );
+            let run = sensors(placement.clone(), 2, spacing_m, n).run_trial(&rng);
+            assert_eq!(
+                (run.powered, run.inventoried),
+                (1, 1),
+                "{placement:?}: {run:?}"
+            );
+            assert!(run.terminated, "{placement:?}: {run:?}");
+        }
     }
 
     #[test]

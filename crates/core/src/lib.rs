@@ -33,7 +33,6 @@ pub mod freqsel;
 pub mod hopping;
 pub mod inventory;
 pub mod kernels;
-pub mod multisensor;
 pub mod oob;
 pub mod plancache;
 pub mod scenario;

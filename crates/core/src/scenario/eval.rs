@@ -6,15 +6,15 @@
 //! placement, forms the CIB envelope, and runs the session trial that
 //! [`IvnSystem::run_session`](crate::system::IvnSystem::run_session)
 //! also runs: the peak, the harvester power-up, and the scenario's one
-//! [`KeyedQuery`] keyed on the peak and decoded. Multi-sensor scenarios
-//! run the Gen2 arbitration campaign instead and report inventory
-//! success as their decode metric.
+//! [`KeyedQuery`] keyed on the peak and decoded. Inventory scenarios
+//! run [`InventoryExperiment`](crate::inventory::InventoryExperiment)
+//! trials instead: each tag counts as one trial unit, and a read tag
+//! counts as decoded.
 //!
 //! Determinism: trial `i` draws from `seed.fork(i)`; the result depends
 //! only on the scenario and the run mode, never on thread count.
 
 use super::{Scenario, ScenarioKind};
-use crate::multisensor::{run_campaign, scenario_deployment};
 use crate::system::{session_trial, KeyedQuery};
 use ivn_dsp::stats::Summary;
 use ivn_dsp::units::dbm_to_watts;
@@ -106,30 +106,6 @@ pub fn evaluate(s: &Scenario, quick: bool) -> Result<ScenarioMetrics, String> {
     let eirp_w = dbm_to_watts(s.eirp_dbm);
     let trials = s.trial_count(quick).max(1);
 
-    if let ScenarioKind::MultiSensor {
-        population,
-        max_rounds,
-        ..
-    } = &s.kind
-    {
-        let population = (*population).max(1);
-        let sensors = scenario_deployment(s)?;
-        ivn_runtime::obs_count!("experiment.trials", trials * population);
-        let runs = par::ensemble_threads(1, trials, s.seed, |rng, _| {
-            run_campaign(rng, &cib, s.eirp_dbm, &sensors, *max_rounds)
-        });
-        let mut metrics = ScenarioMetrics {
-            name: s.name.clone(),
-            trials: trials * population,
-            ..Default::default()
-        };
-        for outcome in runs.iter().flatten() {
-            metrics.powered += outcome.powered as usize;
-            metrics.decoded += outcome.inventoried as usize;
-        }
-        return Ok(metrics);
-    }
-
     if let ScenarioKind::Inventory { population, .. } = &s.kind {
         let exp = crate::inventory::InventoryExperiment::prepare(s, quick)?;
         ivn_runtime::obs_count!("experiment.trials", trials * population.count);
@@ -204,13 +180,16 @@ mod tests {
 
     #[test]
     fn multisensor_builtin_inventories_population() {
+        // Every sensor powers and is read: 3 quick and 10 full trials
+        // × 5 sensors.
         let s = builtin("multisensor").unwrap();
-        let m = evaluate(&s, true).unwrap();
-        assert_eq!(m.trials, 15); // 3 trials × 5 sensors
-        assert!(m.gains_db.is_empty());
-        assert!(m.powered_frac() > 0.5, "powered {}", m.powered_frac());
-        assert!(m.decode_frac() > 0.0, "inventoried {}", m.decode_frac());
-        assert_eq!(m.to_json().get("gain_db"), Some(&Json::Null));
+        for (quick, trials) in [(true, 15), (false, 50)] {
+            let m = evaluate(&s, quick).unwrap();
+            assert_eq!(m.trials, trials);
+            assert!(m.gains_db.is_empty());
+            assert_eq!((m.powered_frac(), m.decode_frac()), (1.0, 1.0), "{m:?}");
+            assert_eq!(m.to_json().get("gain_db"), Some(&Json::Null));
+        }
     }
 
     #[test]

@@ -222,7 +222,7 @@ impl PlacementSpec {
     }
 
     /// The same placement family shifted `offset_m` deeper/farther —
-    /// used to spread a multi-sensor population along the geometry axis.
+    /// used to spread a tag population along the geometry axis.
     pub(crate) fn at_offset(&self, offset_m: f64) -> PlacementSpec {
         match self {
             PlacementSpec::FreeSpace { range_m } => PlacementSpec::FreeSpace {
@@ -820,15 +820,6 @@ pub enum ScenarioKind {
         /// Sample rate for command keying/decoding, S/s.
         command_rate: f64,
     },
-    /// Multi-sensor population: CIB power-up + Gen2 inventory.
-    MultiSensor {
-        /// Population size.
-        population: usize,
-        /// Geometric spacing between consecutive sensors, metres.
-        spacing_m: f64,
-        /// Maximum Gen2 inventory rounds.
-        max_rounds: usize,
-    },
     /// Population-scale anti-collision inventory: link budgets + inter-tag
     /// coupling feed a full Gen2 inventory under a pluggable policy.
     Inventory {
@@ -863,7 +854,6 @@ impl ScenarioKind {
             ScenarioKind::Ablations => "ablations",
             ScenarioKind::Pipeline => "pipeline",
             ScenarioKind::PowerSession { .. } => "power_session",
-            ScenarioKind::MultiSensor { .. } => "multi_sensor",
             ScenarioKind::Inventory { .. } => "inventory",
         }
     }
@@ -905,15 +895,6 @@ impl ToJson for ScenarioKind {
             } => {
                 pairs.push(("powerup_rate".into(), (*powerup_rate).into()));
                 pairs.push(("command_rate".into(), (*command_rate).into()));
-            }
-            ScenarioKind::MultiSensor {
-                population,
-                spacing_m,
-                max_rounds,
-            } => {
-                pairs.push(("population".into(), (*population).into()));
-                pairs.push(("spacing_m".into(), (*spacing_m).into()));
-                pairs.push(("max_rounds".into(), (*max_rounds).into()));
             }
             ScenarioKind::Inventory {
                 population,
@@ -967,11 +948,6 @@ impl FromJson for ScenarioKind {
             "power_session" => ScenarioKind::PowerSession {
                 powerup_rate: opt_field(value, "powerup_rate")?.unwrap_or(4096.0),
                 command_rate: opt_field(value, "command_rate")?.unwrap_or(400e3),
-            },
-            "multi_sensor" => ScenarioKind::MultiSensor {
-                population: field(value, "population")?,
-                spacing_m: opt_field(value, "spacing_m")?.unwrap_or(0.0),
-                max_rounds: opt_field(value, "max_rounds")?.unwrap_or(40),
             },
             "inventory" => ScenarioKind::Inventory {
                 population: field(value, "population")?,
@@ -1108,7 +1084,6 @@ impl Scenario {
                     length("kind.depths_m", d)?
                 }
             }
-            ScenarioKind::MultiSensor { spacing_m, .. } => length("kind.spacing_m", *spacing_m)?,
             ScenarioKind::Inventory { population, .. } => {
                 length("kind.population.spacing_m", population.spacing_m)?
             }
@@ -1216,8 +1191,9 @@ pub const BUILTIN_NAMES: [&str; 16] = [
 ];
 
 /// Resolves a built-in scenario by name. Every figure/table target of
-/// the paper's evaluation is one entry; `session` and `multisensor` are
-/// the campaign workhorses.
+/// the paper's evaluation is one entry; `session` is the single-tag
+/// campaign workhorse, and `multisensor` (§3.7's few sensors) and
+/// `inventory` (a dense population) are both `inventory` kinds.
 pub fn builtin(name: &str) -> Option<Scenario> {
     let s = match name {
         "fig2" => Scenario {
@@ -1371,10 +1347,17 @@ pub fn builtin(name: &str) -> Option<Scenario> {
             placement: PlacementSpec::WaterTank { depth_m: 0.02 },
             ..Scenario::base(
                 "multisensor",
-                ScenarioKind::MultiSensor {
-                    population: 5,
-                    spacing_m: 0.03,
+                ScenarioKind::Inventory {
+                    population: TagPopulation {
+                        count: 5,
+                        spacing_m: 0.03,
+                        detuning: 0.0,
+                        shadow_db: 0.0,
+                    },
+                    policy: PolicySpec::Adaptive { q0: 2, c: 0.3 },
                     max_rounds: 40,
+                    capture_db: 0.0,
+                    fade_db: 0.0,
                 },
             )
         },

@@ -45,11 +45,9 @@
 //! [`SchouteQ`]: crate::anticollision::SchouteQ
 //! [`AdaptiveQ`]: crate::anticollision::AdaptiveQ
 //!
-//! The driver requires single-read tags
-//! ([`Tag::set_single_read`](crate::tag::Tag::set_single_read)): without
-//! the inventoried flag a dense population never converges, and the
-//! O(reads²) EPC dedup the naive reader performs would dominate the
-//! round cost. Termination is reported against the *readable* population
+//! A read tag sets its Gen2 inventoried flag and stays silent until a
+//! brownout, so each tag is read at most once and a dense population
+//! converges. Termination is reported against the *readable* population
 //! (powered, not parked), so fleets with unpowered tags still finish.
 
 use crate::anticollision::{AntiCollision, CaptureModel};
@@ -60,8 +58,7 @@ use crate::tag::Tag;
 /// is inventoried or `max_rounds` expires.
 ///
 /// Bit-identical to driving [`crate::reader::Reader`] (with the same
-/// policy and capture state) over the same tags, provided the tags are
-/// in single-read mode — see the module docs for why.
+/// policy and capture state) over the same tags.
 ///
 /// # Panics
 /// Panics if the population has 2^32 tags or more.
@@ -214,7 +211,6 @@ mod tests {
             .map(|i| {
                 let mut t = Tag::with_epc96(0x2000 + i as u128, 500 + i as u64);
                 t.set_powered(true);
-                t.set_single_read(true);
                 t
             })
             .collect()

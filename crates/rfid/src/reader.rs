@@ -9,8 +9,9 @@
 //! impl. An optional [`CaptureModel`] adds capture-effect arbitration to
 //! multi-reply slots. The physical decoding happens elsewhere
 //! (ivn-core's out-of-band reader); here the protocol logic is
-//! exercised against [`crate::tag::Tag`] objects directly, which is how
-//! the protocol-level tests and the multi-sensor experiments run.
+//! exercised against [`crate::tag::Tag`] objects directly. The
+//! protocol-level tests run it, and it is the reference that
+//! [`crate::population`]'s O(active tags) rounds are checked against.
 
 use crate::anticollision::{AdaptiveQ, AntiCollision, CaptureModel};
 use crate::commands::{Command, DivideRatio, Session, TagEncoding};
@@ -75,7 +76,7 @@ impl RoundStats {
 /// whether the inventory actually finished or just ran out of rounds.
 #[derive(Debug, Clone, PartialEq)]
 pub struct InventoryOutcome {
-    /// Unique EPCs read, in first-read order.
+    /// EPCs read, in read order (a tag is read once until a brownout).
     pub epcs: Vec<Epc>,
     /// Per-round slot tallies, one entry per executed round.
     pub rounds: Vec<RoundStats>,
@@ -205,7 +206,7 @@ impl Reader {
     }
 
     /// Inventories a population to completion (bounded rounds), returning
-    /// the unique EPCs read plus per-round diagnostics and whether the
+    /// the EPCs read plus per-round diagnostics and whether the
     /// population was fully read before the round budget expired.
     pub fn inventory_all(&mut self, tags: &mut [Tag], max_rounds: usize) -> InventoryOutcome {
         let mut out = InventoryOutcome {
@@ -216,13 +217,12 @@ impl Reader {
         for _ in 0..max_rounds {
             let (outcomes, stats) = self.run_round(tags);
             out.rounds.push(stats);
-            for o in outcomes {
-                if let SlotOutcome::Inventoried(epc) = o {
-                    if !out.epcs.contains(&epc) {
-                        out.epcs.push(epc);
-                    }
-                }
-            }
+            // A read tag stays silent until a brownout, so every read
+            // is a new tag.
+            out.epcs.extend(outcomes.iter().filter_map(|o| match o {
+                SlotOutcome::Inventoried(epc) => Some(*epc),
+                _ => None,
+            }));
             if out.epcs.len() == tags.len() {
                 out.terminated = true;
                 break;

@@ -56,10 +56,8 @@ pub struct Tag {
     session: Session,
     rng: StdRng,
     /// Gen2 inventoried flag: set on a successful ACK, wiped by brownout.
+    /// A read tag stays silent at every Query until then.
     inventoried: bool,
-    /// Honour the inventoried flag (stay silent once read). Off by
-    /// default — the legacy experiments re-read tags every round.
-    single_read: bool,
 }
 
 impl Tag {
@@ -74,7 +72,6 @@ impl Tag {
             session: Session::S0,
             rng: StdRng::seed_from_u64(seed),
             inventoried: false,
-            single_read: false,
         }
     }
 
@@ -97,14 +94,6 @@ impl Tag {
     /// Whether the chip currently has power.
     pub fn is_powered(&self) -> bool {
         self.powered
-    }
-
-    /// Enables Gen2 single-read semantics: once ACKed, the tag stays
-    /// silent at subsequent Queries until a brownout wipes the flag.
-    /// Population-scale inventory needs this to converge; the default
-    /// (off) preserves the legacy re-read-every-round behaviour.
-    pub fn set_single_read(&mut self, single_read: bool) {
-        self.single_read = single_read;
     }
 
     /// Supplies or removes chip power. Losing power wipes volatile state.
@@ -137,7 +126,7 @@ impl Tag {
                 TagReply::Silent
             }
             Command::Query { session, q, .. } => {
-                if self.state == TagState::Parked || (self.single_read && self.inventoried) {
+                if self.state == TagState::Parked || self.inventoried {
                     return TagReply::Silent;
                 }
                 self.session = *session;
@@ -228,7 +217,7 @@ impl Tag {
 
     /// Whether the tag would participate in the next Query.
     pub(crate) fn fast_active(&self) -> bool {
-        self.powered && self.state != TagState::Parked && !(self.single_read && self.inventoried)
+        self.powered && self.state != TagState::Parked && !self.inventoried
     }
 
     /// Mirrors the Query slot draw (no draw at q == 0).
@@ -250,7 +239,7 @@ impl Tag {
         self.rn16
     }
 
-    /// Marks a successful ACK (single-read bookkeeping).
+    /// Marks a successful ACK (the inventoried flag).
     pub(crate) fn fast_mark_inventoried(&mut self) {
         self.inventoried = true;
     }
@@ -437,7 +426,6 @@ mod tests {
     #[test]
     fn single_read_silences_inventoried_tag_until_brownout() {
         let mut t = powered_tag();
-        t.set_single_read(true);
         let rn = match t.process(&query(0)) {
             TagReply::Rn16(rn) => rn,
             other => panic!("{other:?}"),
@@ -453,19 +441,6 @@ mod tests {
         t.set_powered(false);
         t.set_powered(true);
         assert!(!t.inventoried);
-        assert!(matches!(t.process(&query(0)), TagReply::Rn16(_)));
-    }
-
-    #[test]
-    fn default_tags_reread_every_round() {
-        let mut t = powered_tag();
-        let rn = match t.process(&query(0)) {
-            TagReply::Rn16(rn) => rn,
-            other => panic!("{other:?}"),
-        };
-        let _ = t.process(&Command::Ack { rn16: rn });
-        assert!(t.inventoried);
-        // Without single-read the flag is advisory only.
         assert!(matches!(t.process(&query(0)), TagReply::Rn16(_)));
     }
 

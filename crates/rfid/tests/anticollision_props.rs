@@ -16,13 +16,12 @@ use ivn_runtime::prop::any;
 use ivn_runtime::rng::{Rng, StdRng};
 use ivn_runtime::{prop_assert, prop_assert_eq, props};
 
-/// A powered single-read population of `n` tags seeded from `rng`.
+/// A powered population of `n` tags seeded from `rng`.
 fn population(n: usize, rng: &mut StdRng) -> Vec<Tag> {
     (0..n)
         .map(|i| {
             let mut t = Tag::with_epc96(0x7000_0000 + i as u128, rng.random());
             t.set_powered(true);
-            t.set_single_read(true);
             t
         })
         .collect()
@@ -39,7 +38,6 @@ fn mixed_population(n: usize, rng: &mut StdRng) -> Vec<Tag> {
             bits.extend((0..16).rev().map(|k| (i >> k) & 1 == 1));
             let mut t = Tag::new(Epc::from_bits(&bits), rng.random());
             t.set_powered(true);
-            t.set_single_read(true);
             t
         })
         .collect()

@@ -1,56 +1,59 @@
-//! Multi-sensor deployment: several battery-free sensors at different
-//! depths, one CIB beamformer, Gen2 arbitration — the paper's §3.7
+//! Multi-sensor deployment: several battery-free sensors at increasing
+//! depth, one CIB beamformer, Gen2 arbitration — the paper's §3.7
 //! multi-sensor story, plus the adaptive frequency-hopping extension.
+//!
+//! The sensors are the `multisensor` built-in scenario re-spaced in
+//! depth: one CIB plan powers each sensor at its own instant, and the
+//! reader inventories whoever woke.
 //!
 //! ```sh
 //! cargo run --release --example multi_sensor
 //! ```
 
-use ivn::core::body::{Placement, TagSpec};
 use ivn::core::cib::CibConfig;
 use ivn::core::hopping::{choose_center, ism_hop_set};
-use ivn::core::multisensor::{run_campaign, SensorDeployment};
+use ivn::core::inventory::InventoryExperiment;
+use ivn::core::scenario::{builtin, ScenarioKind};
 use ivn::em::channel::ChannelModel;
 use ivn::em::multipath::MultipathChannel;
-use ivn::rfid::epc::allocate_family;
 use ivn_runtime::rng::StdRng;
 
 fn main() {
-    let mut rng = StdRng::seed_from_u64(0x5E75);
+    // Five sensors in fluid, 2 cm to 34 cm deep, 8 cm apart: the deepest
+    // lie beyond reach of the 8-antenna array.
+    let mut s = builtin("multisensor").expect("built-in scenario");
+    let ScenarioKind::Inventory { population, .. } = &mut s.kind else {
+        unreachable!("multisensor is an inventory scenario")
+    };
+    population.spacing_m = 0.08;
+    let count = population.count;
+    let exp = InventoryExperiment::prepare(&s, false).expect("scenario resolves");
 
-    // A family of sensors sharing an EPC prefix: three in fluid at
-    // increasing depth, one shallow, one absurdly deep (expected silent).
-    let epcs = allocate_family(0xC0FFEE, 7, 5);
-    let depths = [0.02, 0.06, 0.10, 0.14, 0.40];
-    let sensors: Vec<SensorDeployment> = epcs
-        .iter()
-        .zip(depths)
-        .map(|(epc, d)| SensorDeployment {
-            epc: epc.encode(),
-            spec: TagSpec::standard(),
-            placement: Placement::water_tank(d),
-        })
-        .collect();
-
-    let cib = CibConfig::paper_prototype_n(8);
-    println!("Multi-sensor campaign: 5 sensors in fluid, 8-antenna CIB\n");
     println!(
-        "{:>10}  {:>10}  {:>10}  {:>12}",
-        "depth (cm)", "serial", "powered", "inventoried"
+        "Multi-sensor campaign: {count} sensors in fluid, 2-34 cm deep, {}-antenna CIB\n",
+        s.array.n_antennas
     );
-    let outcomes = run_campaign(&mut rng, &cib, 37.0, &sensors, 40);
-    for (o, d) in outcomes.iter().zip(depths) {
+    println!(
+        "{:>6}  {:>8}  {:>12}  {:>7}  {:>6}",
+        "trial", "powered", "inventoried", "rounds", "slots"
+    );
+    // Trial `i` draws from the scenario seed's fork `i`, as a campaign does.
+    let root = StdRng::seed_from_u64(s.seed);
+    for trial in 0..s.trial_count(false) {
+        let run = exp.run_trial(&root.fork(trial as u64));
         println!(
-            "{:>10.0}  {:>10}  {:>10}  {:>12}",
-            d * 100.0,
-            o.epc & 0xFFFF,
-            o.powered,
-            o.inventoried
+            "{:>6}  {:>8}  {:>12}  {:>7}  {:>6}",
+            trial,
+            format!("{}/{count}", run.powered),
+            format!("{}/{}", run.inventoried, run.powered),
+            run.rounds,
+            run.slots
         );
     }
 
     // Frequency hopping: if the environment notches the 915 MHz band,
     // the beamformer probes the ISM band and camps on a clean centre.
+    let cib = CibConfig::paper_prototype_n(8);
     println!("\nAdaptive hopping demo — a multipath notch at 915 MHz:");
     let channels: Vec<Box<dyn ChannelModel + Send + Sync>> = (0..8)
         .map(|k| {

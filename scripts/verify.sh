@@ -87,6 +87,28 @@ cmp target/verify_campaign.json tests/golden/campaign/session25.quick.json || {
 }
 echo "campaign smoke run OK (25 scenarios, report matches golden)"
 
+echo "==> campaign --obs-json: per-trial spans reported, stdout unchanged"
+cargo run --release --offline -p ivn-bench --bin reproduce -- campaign "$FLEET_DIR" --quick --threads 2 \
+    --obs-json target/verify_campaign_obs.json > target/verify_campaign_obs_on.txt
+grep -q '"experiment.trial.peak_ns"' target/verify_campaign_obs.json || {
+    echo "verify: FAIL — campaign --obs-json report lacks experiment.trial.peak_ns" >&2
+    exit 1
+}
+cargo run --release --offline -p ivn-bench --bin reproduce -- campaign "$FLEET_DIR" --quick --threads 2 > target/verify_campaign_obs_off.txt
+cmp target/verify_campaign_obs_on.txt target/verify_campaign_obs_off.txt || {
+    echo "verify: FAIL — campaign stdout differs with --obs-json" >&2
+    exit 1
+}
+# Subcommands that run no experiment reject the instrumentation flags.
+if cargo run --release --offline -p ivn-bench --bin reproduce -- list --obs > /dev/null 2>&1; then
+    echo "verify: FAIL — reproduce list accepted --obs" >&2
+    exit 1
+fi
+echo "campaign obs report OK (stdout byte-identical; list rejects --obs)"
+
+echo "==> multi_sensor example: the multisensor builtin on the inventory path"
+cargo run --release --offline --example multi_sensor
+
 echo "==> perfbench's own tests: layers sum to the traced total, metric names match BENCHMARK.json"
 cargo test -q --offline --manifest-path perfbench/Cargo.toml --target-dir target/perfbench
 

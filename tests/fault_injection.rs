@@ -229,7 +229,11 @@ fn hostile_boundary_values_are_rejected_at_parse() {
         ),
         ("fig3", "placement.depth_m", &[-0.1, f64::NEG_INFINITY]),
         ("fig2", "placement.range_m", &[0.0, -2.0, f64::NAN, inf]),
-        ("multisensor", "kind.spacing_m", &[-0.03, f64::NAN]),
+        (
+            "multisensor",
+            "kind.population.spacing_m",
+            &[-0.03, f64::NAN],
+        ),
         ("inventory", "kind.population.spacing_m", &[-0.001, inf]),
         (
             "session",
@@ -380,7 +384,7 @@ fn out_of_band_carriers_and_huge_lengths_are_rejected_at_parse() {
         ),
         ("session", "placement.depth_m", &[1000.5, 1e308]),
         ("fig2", "placement.range_m", &[1e308]),
-        ("multisensor", "kind.spacing_m", &[1e308]),
+        ("multisensor", "kind.population.spacing_m", &[1e308]),
     ];
     for &(name, path, values) in cases {
         for &v in values {
