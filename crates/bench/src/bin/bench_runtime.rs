@@ -1,4 +1,5 @@
-//! Runtime-layer benchmark: the worker-pool thread sweep and dispatch
+//! Runtime-layer benchmark: the Monte-Carlo thread sweep (scoped
+//! `par::ensemble_threads` at widths 1–8), the worker pool's dispatch
 //! cost, the instrumentation overhead, one workload per pipeline stage,
 //! streaming sample-path throughput, and campaign and inventory rates,
 //! written to `BENCH_runtime.json` (via the in-tree JSON layer) in the
@@ -47,9 +48,10 @@ use std::hint::black_box;
 const SEED: u64 = 42;
 const GRID: usize = 1024;
 
-/// Worker-pool widths the parallel sweep measures. The pool spawns
-/// exactly the requested count regardless of the machine's core count,
-/// so oversubscribed widths still produce honest (if flat) speedups.
+/// Widths the parallel sweep measures. `peak_gain_cdf_threads` runs its
+/// trials on exactly that many scoped threads (width 1 runs inline)
+/// regardless of the machine's core count; oversubscribed widths are
+/// skipped rather than timed.
 const THREAD_SWEEP: [usize; 4] = [1, 2, 4, 8];
 
 /// Rounds for the sub-millisecond workloads: the stage workloads and
@@ -387,7 +389,7 @@ fn main() -> std::process::ExitCode {
         parallel_ns = est.median;
     }
     let speedup = serial_ns / parallel_ns;
-    println!("worker pool width: {threads}, widest-sweep speedup: {speedup:.2}x");
+    println!("default width: {threads}, widest-sweep speedup: {speedup:.2}x");
 
     // Dispatch amortization: identical chunked work through freshly
     // spawned scoped threads vs the persistent pool. This isolates the

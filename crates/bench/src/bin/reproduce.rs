@@ -53,10 +53,16 @@
 //! pins that. A campaign takes the same three flags and reports after
 //! its own output; `list`, `export` and `generate` run no experiment and
 //! reject them.
+//!
+//! Every command reads a fixed list of flags ([`flags_read`]) and rejects
+//! any other with `<cmd> does not take <flag>`, so a flag never silently
+//! does nothing: `--sample-rate`, `--block` and `--stream-stats` belong to
+//! `pipeline` (and `all`, whose pipeline step reads them), `--threads`
+//! and `--live` to `campaign`.
 
 use ivn_bench::pipeline::check_sample_rate;
 use ivn_bench::{campaign, registry};
-use ivn_core::scenario::{gen, Scenario};
+use ivn_core::scenario::{builtin, gen, Scenario, BUILTIN_NAMES};
 use ivn_runtime::json::Json;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
@@ -86,6 +92,8 @@ const USAGE: &str = "usage: reproduce <target|all> [--quick] [--obs] [--obs-json
 
 struct Args {
     target: Option<String>,
+    /// Every flag given, by its long name, in command-line order.
+    flags: Vec<String>,
     quick: bool,
     with_obs: bool,
     obs_json: Option<String>,
@@ -121,6 +129,7 @@ struct Args {
 fn parse_args(argv: &[String]) -> Result<Args, String> {
     let mut args = Args {
         target: None,
+        flags: Vec::new(),
         quick: false,
         with_obs: false,
         obs_json: None,
@@ -141,6 +150,10 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
     };
     let mut it = argv.iter();
     while let Some(a) = it.next() {
+        if a.starts_with('-') {
+            args.flags
+                .push(if a == "-q" { "--quick" } else { a }.to_string());
+        }
         match a.as_str() {
             "--quick" | "-q" => args.quick = true,
             "--obs" => args.with_obs = true,
@@ -230,9 +243,46 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
     Ok(args)
 }
 
+/// The command `args` names: the positional target, or `--scenario` for
+/// a scenario-file run without one.
+fn command(args: &Args) -> Option<&str> {
+    args.target
+        .as_deref()
+        .or(args.scenario.as_ref().map(|_| "--scenario"))
+}
+
+/// The flags `cmd` reads, space-separated. Any other flag is an error
+/// rather than a no-op.
+fn flags_read(cmd: &str) -> &'static str {
+    match cmd {
+        // No experiment runs, so there is nothing to observe or trace.
+        "list" => "",
+        "export" => "--out",
+        "generate" => "--out --base --count --seed --sweep --jitter",
+        "campaign" => "--quick --obs --obs-json --trace --threads --out --live --live-interval-ms",
+        // `all` ends with the pipeline target, which reads the streaming knobs.
+        "pipeline" | "all" => {
+            "--quick --obs --obs-json --trace --sample-rate --block --stream-stats"
+        }
+        "--scenario" => "--scenario --quick --obs --obs-json --trace",
+        _ => "--quick --obs --obs-json --trace",
+    }
+}
+
+/// Rejects the first flag in `flags` that `cmd` does not read.
+fn check_flags(cmd: &str, flags: &[String]) -> Result<(), String> {
+    match flags
+        .iter()
+        .find(|f| !flags_read(cmd).split(' ').any(|r| r == *f))
+    {
+        Some(flag) => Err(format!("{cmd} does not take {flag}")),
+        None => Ok(()),
+    }
+}
+
 /// Loads a scenario from a built-in name or a JSON file path.
 fn load_base(spec: &str) -> Result<Scenario, String> {
-    if let Some(s) = registry::builtin(spec) {
+    if let Some(s) = builtin(spec) {
         return Ok(s);
     }
     let text = std::fs::read_to_string(spec)
@@ -275,8 +325,8 @@ fn parse_jitter(arg: &str) -> Result<gen::JitterSpec, String> {
 
 fn cmd_list() -> Result<(), String> {
     println!("{:<14}  {:<18}  description", "name", "kind");
-    for name in registry::builtin_names() {
-        let s = registry::builtin(name).expect("registered builtin");
+    for name in BUILTIN_NAMES {
+        let s = builtin(name).expect("registered builtin");
         println!("{:<14}  {:<18}  seed {}", name, s.kind.type_name(), s.seed);
     }
     Ok(())
@@ -287,10 +337,10 @@ fn cmd_export(args: &Args) -> Result<(), String> {
         .base
         .as_deref()
         .ok_or("export needs a built-in scenario name")?;
-    let s = registry::builtin(name).ok_or_else(|| {
+    let s = builtin(name).ok_or_else(|| {
         format!(
             "unknown scenario '{name}' (try: {})",
-            registry::builtin_names().join(", ")
+            BUILTIN_NAMES.join(", ")
         )
     })?;
     let doc = s.dump() + "\n";
@@ -412,17 +462,15 @@ fn main() -> ExitCode {
         ExitCode::FAILURE
     };
 
-    // Scenario subcommands that run no experiment have nothing to
-    // observe or trace, so they reject those flags rather than ignore them.
-    if let Some(cmd @ ("list" | "export" | "generate")) = args.target.as_deref() {
-        let instrumented = [
-            ("--obs", args.with_obs),
-            ("--obs-json", args.obs_json.is_some()),
-            ("--trace", args.trace_path.is_some()),
-        ];
-        if let Some((flag, _)) = instrumented.iter().find(|(_, set)| *set) {
-            return fail(format!("{cmd} does not take {flag}"));
-        }
+    let Some(target) = command(&args).map(str::to_string) else {
+        eprintln!("{USAGE}");
+        return ExitCode::FAILURE;
+    };
+    if let Err(e) = check_flags(&target, &args.flags) {
+        return fail(e);
+    }
+
+    if let cmd @ ("list" | "export" | "generate") = target.as_str() {
         let result = match cmd {
             "list" => cmd_list(),
             "export" => cmd_export(&args),
@@ -434,13 +482,6 @@ fn main() -> ExitCode {
         };
     }
 
-    let Some(target) = args.target.clone().or_else(|| {
-        // `--scenario file.json` with no positional target.
-        args.scenario.as_ref().map(|_| "--scenario".to_string())
-    }) else {
-        eprintln!("{USAGE}");
-        return ExitCode::FAILURE;
-    };
     let quick = args.quick;
 
     // --obs-json implies collecting metrics even without --obs.
@@ -509,7 +550,7 @@ fn main() -> ExitCode {
             }
             return Some(Ok(ivn_bench::pipeline::run_with(quick, &opts)));
         }
-        let s = registry::builtin(name)?;
+        let s = builtin(name)?;
         Some(registry::render(&s, quick))
     };
 
@@ -550,6 +591,52 @@ fn main() -> ExitCode {
         None => {
             eprintln!("unknown target '{target}'\n{USAGE}");
             ExitCode::FAILURE
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn check(line: &str) -> Result<(), String> {
+        let argv: Vec<String> = line.split(' ').map(String::from).collect();
+        let args = parse_args(&argv)?;
+        check_flags(command(&args).expect(line), &args.flags)
+    }
+
+    #[test]
+    fn each_command_takes_only_the_flags_it_reads() {
+        for line in [
+            "fig2 -q --obs --obs-json o --trace t",
+            "pipeline -q --sample-rate 1e6 --block 7 --stream-stats",
+            "all --sample-rate 1e6 --block 7 --stream-stats --obs",
+            "export x --out s.json",
+            "generate --out d --base session --count 3 --seed 1",
+            "generate --out d --sweep eirp_dbm=36,37 --jitter eirp_dbm=0.1",
+            "campaign d -q --threads 2 --out r --live l --live-interval-ms 5",
+            "campaign d --obs --obs-json o --trace t",
+            "--scenario s -q --obs --obs-json o --trace t",
+        ] {
+            assert_eq!(check(line), Ok(()), "{line}");
+        }
+        for (line, flag) in [
+            ("fig2 -q --live f --threads 3", "--live"),
+            ("fig2 -q --threads 3", "--threads"),
+            ("fig9 --out o", "--out"),
+            ("session --sample-rate 1e6", "--sample-rate"),
+            ("session --block 7", "--block"),
+            ("list --obs", "--obs"),
+            ("list --trace t", "--trace"),
+            ("export x --obs-json o", "--obs-json"),
+            ("export x --quick", "--quick"),
+            ("generate --out d --threads 2", "--threads"),
+            ("campaign d --block 7", "--block"),
+            ("--scenario s --threads 2", "--threads"),
+        ] {
+            let cmd = line.split(' ').next().unwrap();
+            let want = Err(format!("{cmd} does not take {flag}"));
+            assert_eq!(check(line), want, "{line}");
         }
     }
 }

@@ -2,12 +2,18 @@
 //! combinations under random channel conditions.
 
 use ivn_core::experiment::gain_cdf_experiment;
-use ivn_core::scenario::Scenario;
+use ivn_core::scenario::{FreqSelSpec, QuickFull, Scenario};
 
 /// Renders Fig. 6 for a `gain_cdf` scenario: the Eq. 10 search's best
 /// and worst plans and both gain CDFs.
-pub(crate) fn render(s: &Scenario, quick: bool) -> String {
-    let r = gain_cdf_experiment(s, quick);
+pub(crate) fn render(
+    s: &Scenario,
+    quick: bool,
+    freqsel: &FreqSelSpec,
+    plan_seed: u64,
+    cdf_grid: QuickFull<usize>,
+) -> String {
+    let r = gain_cdf_experiment(s, quick, freqsel, plan_seed, cdf_grid);
     let n = r.best.offsets_hz.len();
 
     let mut out = crate::header(&format!(
@@ -43,19 +49,11 @@ pub(crate) fn render(s: &Scenario, quick: bool) -> String {
     out
 }
 
-/// Regenerates Fig. 6 from the built-in scenario.
-pub fn run(quick: bool) -> String {
-    render(
-        &ivn_core::scenario::builtin("fig6").expect("builtin"),
-        quick,
-    )
-}
-
 #[cfg(test)]
 mod tests {
     #[test]
     fn best_dominates_worst() {
-        let s = super::run(true);
+        let s = crate::render_quick("fig6");
         assert!(s.contains("medians"));
         // Parse the medians line and check dominance.
         let line = s.lines().find(|l| l.starts_with("medians")).unwrap();

@@ -4,10 +4,10 @@
 use ivn_core::experiment::gain_vs_antennas;
 use ivn_core::scenario::Scenario;
 
-/// Renders Fig. 9 for a `gain_vs_antennas` scenario. The paper runs 150
-/// trials per antenna count.
-pub(crate) fn render(s: &Scenario, quick: bool) -> String {
-    let rows = gain_vs_antennas(s, quick);
+/// Renders Fig. 9 for a `gain_vs_antennas` scenario, `1..=n_max`
+/// antennas. The paper runs 150 trials per antenna count.
+pub(crate) fn render(s: &Scenario, quick: bool, n_max: usize) -> String {
+    let rows = gain_vs_antennas(s, quick, n_max);
     let mut out = crate::header("Fig. 9 — peak power gain vs number of antennas");
     out += &format!(
         "{:>10}  {:>10}  {:>10}  {:>10}\n",
@@ -37,21 +37,13 @@ pub(crate) fn render(s: &Scenario, quick: bool) -> String {
     out
 }
 
-/// Regenerates Fig. 9 from the built-in scenario.
-pub fn run(quick: bool) -> String {
-    render(
-        &ivn_core::scenario::builtin("fig9").expect("builtin"),
-        quick,
-    )
-}
-
 #[cfg(test)]
 mod tests {
-    use ivn_core::scenario::{builtin, ScenarioKind};
+    use ivn_core::scenario::builtin;
 
     #[test]
     fn ten_rows_increasing() {
-        let s = super::run(true);
+        let s = crate::render_quick("fig9");
         assert_eq!(
             s.lines()
                 .filter(|l| l.trim().starts_with(char::is_numeric))
@@ -63,9 +55,7 @@ mod tests {
 
     #[test]
     fn short_sweep_does_not_panic() {
-        let mut s = builtin("fig9").unwrap();
-        s.kind = ScenarioKind::GainVsAntennas { n_max: 4 };
-        let out = super::render(&s, true);
+        let out = super::render(&builtin("fig9").unwrap(), true, 4);
         assert!(out.contains("no anchor comparison"), "{out}");
     }
 }

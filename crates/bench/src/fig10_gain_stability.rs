@@ -4,8 +4,14 @@
 use ivn_core::experiment::{gain_vs_depth, gain_vs_orientation};
 use ivn_core::scenario::Scenario;
 
-/// Renders Fig. 10a and 10b for a `gain_stability` scenario.
-pub(crate) fn render(s: &Scenario, quick: bool) -> String {
+/// Renders Fig. 10a and 10b for a `gain_stability` scenario over its
+/// depths and orientations.
+pub(crate) fn render(
+    s: &Scenario,
+    quick: bool,
+    depths_m: &[f64],
+    orientations_rad: &[f64],
+) -> String {
     let n = s.array.n_antennas;
     let mut out = crate::header(&format!(
         "Fig. 10a — power gain vs depth in water ({n} antennas)"
@@ -14,7 +20,7 @@ pub(crate) fn render(s: &Scenario, quick: bool) -> String {
         "{:>12}  {:>10}  {:>10}  {:>10}\n",
         "depth (cm)", "p10", "median", "p90"
     );
-    for r in gain_vs_depth(s, quick) {
+    for r in gain_vs_depth(s, quick, depths_m) {
         out += &format!(
             "{:>12.1}  {:>10.1}  {:>10.1}  {:>10.1}\n",
             r.parameter * 100.0,
@@ -31,7 +37,7 @@ pub(crate) fn render(s: &Scenario, quick: bool) -> String {
         "{:>12}  {:>10}  {:>10}  {:>10}\n",
         "theta (rad)", "p10", "median", "p90"
     );
-    for r in gain_vs_orientation(s, quick) {
+    for r in gain_vs_orientation(s, quick, orientations_rad) {
         out += &format!(
             "{:>12.2}  {:>10.1}  {:>10.1}  {:>10.1}\n",
             r.parameter, r.gain.p10, r.gain.median, r.gain.p90
@@ -45,10 +51,7 @@ pub(crate) fn render(s: &Scenario, quick: bool) -> String {
 mod tests {
     #[test]
     fn both_panels_present() {
-        let s = super::render(
-            &ivn_core::scenario::builtin("fig10").expect("builtin"),
-            true,
-        );
+        let s = crate::render_quick("fig10");
         assert!(s.contains("Fig. 10a"));
         assert!(s.contains("Fig. 10b"));
         assert!(s.lines().count() > 20);

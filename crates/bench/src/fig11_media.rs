@@ -38,19 +38,11 @@ pub(crate) fn render(s: &Scenario, quick: bool) -> String {
     out
 }
 
-/// Regenerates Fig. 11 from the built-in scenario.
-pub fn run(quick: bool) -> String {
-    render(
-        &ivn_core::scenario::builtin("fig11").expect("builtin"),
-        quick,
-    )
-}
-
 #[cfg(test)]
 mod tests {
     #[test]
     fn seven_media() {
-        let s = super::run(true);
+        let s = crate::render_quick("fig11");
         for m in [
             "air",
             "water",

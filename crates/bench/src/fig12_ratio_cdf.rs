@@ -27,19 +27,11 @@ pub(crate) fn render(s: &Scenario, quick: bool) -> String {
     out
 }
 
-/// Regenerates Fig. 12 from the built-in scenario.
-pub fn run(quick: bool) -> String {
-    render(
-        &ivn_core::scenario::builtin("fig12").expect("builtin"),
-        quick,
-    )
-}
-
 #[cfg(test)]
 mod tests {
     #[test]
     fn headline_stats_present() {
-        let s = super::run(true);
+        let s = crate::render_quick("fig12");
         assert!(s.contains("median ratio"));
         assert!(s.contains("CIB wins"));
     }

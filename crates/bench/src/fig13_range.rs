@@ -7,12 +7,12 @@
 //! reader — the paper's "reader can decode the tag's RN16" criterion.
 
 use ivn_core::experiment::range_vs_antennas;
-use ivn_core::scenario::{PlacementSpec, Scenario, TagKind};
+use ivn_core::scenario::{PlacementSpec, QuickFull, Scenario, TagKind};
 
 /// Renders all four Fig. 13 panels by deriving each panel's scenario
 /// from the base `range` scenario: tag and environment vary, everything
-/// else (seed, antenna sweep, EIRP) is shared.
-pub(crate) fn render(s: &Scenario, quick: bool) -> String {
+/// else (seed, antenna sweep `1..=n_max`, EIRP) is shared.
+pub(crate) fn render(s: &Scenario, quick: bool, n_max: QuickFull<usize>) -> String {
     let air = PlacementSpec::FreeSpace { range_m: 2.0 };
     let water = PlacementSpec::WaterTank { depth_m: 0.10 };
     let mut out = String::new();
@@ -46,7 +46,7 @@ pub(crate) fn render(s: &Scenario, quick: bool) -> String {
         let panel = s.clone().with_placement(placement).with_tag(tag);
         out += &crate::header(title);
         out += &format!("{:>10}  {:>12}\n", "antennas", "max range");
-        let rows = range_vs_antennas(&panel, quick);
+        let rows = range_vs_antennas(&panel, quick, n_max);
         for r in &rows {
             out += &format!("{:>10}  {:>12.2}\n", r.n, r.range_m * scale);
         }
@@ -69,10 +69,7 @@ pub(crate) fn render(s: &Scenario, quick: bool) -> String {
 mod tests {
     #[test]
     fn four_panels() {
-        let s = super::render(
-            &ivn_core::scenario::builtin("fig13").expect("builtin"),
-            true,
-        );
+        let s = crate::render_quick("fig13");
         for p in ["13a", "13b", "13c", "13d"] {
             assert!(s.contains(p), "missing panel {p}");
         }

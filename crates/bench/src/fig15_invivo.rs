@@ -25,19 +25,11 @@ pub(crate) fn render(s: &Scenario, quick: bool) -> String {
     out
 }
 
-/// Regenerates the §6.2 results table from the built-in scenario.
-pub fn run(quick: bool) -> String {
-    render(
-        &ivn_core::scenario::builtin("invivo").expect("builtin"),
-        quick,
-    )
-}
-
 #[cfg(test)]
 mod tests {
     #[test]
     fn four_rows_match_paper_pattern() {
-        let s = super::run(true);
+        let s = crate::render_quick("invivo");
         // Four data rows (the title also mentions "swine").
         assert_eq!(
             s.lines().filter(|l| l.starts_with("swine")).count(),

@@ -35,22 +35,16 @@ fn policy_arms(declared: &PolicySpec) -> Vec<PolicySpec> {
     arms
 }
 
-/// Renders the `inventory` reproduce target: the scenario's population
-/// inventoried under each policy arm, physical per-tag channel draws.
-pub(crate) fn render(s: &Scenario, quick: bool) -> Result<String, String> {
-    let ScenarioKind::Inventory {
-        population,
-        policy,
-        capture_db,
-        ..
-    } = &s.kind
-    else {
-        return Err(format!(
-            "scenario '{}' is not inventory (kind '{}')",
-            s.name,
-            s.kind.type_name()
-        ));
-    };
+/// Renders the `inventory` reproduce target: the scenario's
+/// `population` inventoried under each policy arm (its declared
+/// `policy` first), physical per-tag channel draws.
+pub(crate) fn render(
+    s: &Scenario,
+    quick: bool,
+    population: &TagPopulation,
+    policy: &PolicySpec,
+    capture_db: f64,
+) -> Result<String, String> {
     let exp = InventoryExperiment::prepare(s, quick)?;
     let trials = s.trial_count(quick).max(1);
     ivn_runtime::obs_count!("experiment.trials", trials * population.count);
@@ -61,7 +55,7 @@ pub(crate) fn render(s: &Scenario, quick: bool) -> Result<String, String> {
     ));
     // The enable tests `InventoryExperiment` (capture) and `CouplingModel`
     // (coupling) apply.
-    let capture = if *capture_db > 0.0 {
+    let capture = if capture_db > 0.0 {
         format!("capture at {capture_db} dB")
     } else {
         "capture off".to_string()
@@ -258,12 +252,10 @@ impl ToJson for FleetStats {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ivn_core::scenario::builtin;
 
     #[test]
     fn render_compares_three_policies() {
-        let s = builtin("inventory").unwrap();
-        let out = render(&s, true).unwrap();
+        let out = crate::render_quick("inventory");
         for name in ["adaptive", "fixed", "schoute"] {
             assert!(out.contains(name), "missing {name}: {out}");
         }
@@ -274,7 +266,7 @@ mod tests {
 
     #[test]
     fn multisensor_render_says_capture_and_coupling_are_off() {
-        let out = crate::registry::render(&builtin("multisensor").unwrap(), true).unwrap();
+        let out = crate::render_quick("multisensor");
         assert!(
             out.contains("3 trials x 5 tags, capture off, coupling off"),
             "{out}"

@@ -12,14 +12,14 @@
 pub mod fig02_diode;
 pub mod fig03_tissue_loss;
 pub mod fig04_conduction;
-pub mod fig06_freq_cdf;
-pub mod fig09_gain_vs_antennas;
+mod fig06_freq_cdf;
+mod fig09_gain_vs_antennas;
 mod fig10_gain_stability;
-pub mod fig11_media;
-pub mod fig12_ratio_cdf;
+mod fig11_media;
+mod fig12_ratio_cdf;
 mod fig13_range;
-pub mod fig15_invivo;
-pub mod tbl_freqs;
+mod fig15_invivo;
+mod tbl_freqs;
 
 pub mod ablations;
 pub mod campaign;
@@ -32,4 +32,11 @@ pub mod trace_analysis;
 /// Standard header printed before each figure's output.
 pub(crate) fn header(title: &str) -> String {
     format!("\n=== {title} ===\n")
+}
+
+/// `reproduce <name> --quick`: the built-in scenario through the registry.
+#[cfg(test)]
+fn render_quick(name: &str) -> String {
+    let s = ivn_core::scenario::builtin(name).expect("builtin");
+    registry::render(&s, true).expect(name)
 }

@@ -1,21 +1,13 @@
-//! The scenario registry: one dispatch point from a declarative
+//! The scenario registry: the one dispatch point from a declarative
 //! [`Scenario`] to the figure renderer that knows how to present its
-//! kind. `reproduce` is a thin shell over this — a legacy target name
-//! resolves to a built-in scenario and a `--scenario file.json` run
+//! kind. Each renderer receives its kind's fields as arguments, so no
+//! figure module or experiment inspects the kind again. `reproduce` is a
+//! thin shell over this — a target name resolves to a built-in scenario
+//! ([`ivn_core::scenario::builtin`]) and a `--scenario file.json` run
 //! parses the file, and both land here.
 
 use ivn_core::scenario::{evaluate, Scenario, ScenarioKind};
 use ivn_runtime::json::ToJson;
-
-/// The built-in scenario behind each `reproduce` target, in `all` order.
-pub fn builtin(name: &str) -> Option<Scenario> {
-    ivn_core::scenario::builtin(name)
-}
-
-/// Every built-in scenario name, in `reproduce all` order.
-pub fn builtin_names() -> &'static [&'static str] {
-    &ivn_core::scenario::BUILTIN_NAMES
-}
 
 /// Renders any scenario through the figure module registered for its
 /// kind. Power sessions, which have no bespoke presentation, fall back
@@ -25,17 +17,31 @@ pub fn render(s: &Scenario, quick: bool) -> Result<String, String> {
         ScenarioKind::Diode => crate::fig02_diode::run(quick),
         ScenarioKind::TissueLoss => crate::fig03_tissue_loss::run(quick),
         ScenarioKind::Conduction => crate::fig04_conduction::run(quick),
-        ScenarioKind::GainCdf { .. } => crate::fig06_freq_cdf::render(s, quick),
-        ScenarioKind::GainVsAntennas { .. } => crate::fig09_gain_vs_antennas::render(s, quick),
-        ScenarioKind::GainStability { .. } => crate::fig10_gain_stability::render(s, quick),
+        ScenarioKind::GainCdf {
+            freqsel,
+            plan_seed,
+            cdf_grid,
+        } => crate::fig06_freq_cdf::render(s, quick, freqsel, *plan_seed, *cdf_grid),
+        ScenarioKind::GainVsAntennas { n_max } => {
+            crate::fig09_gain_vs_antennas::render(s, quick, *n_max)
+        }
+        ScenarioKind::GainStability {
+            depths_m,
+            orientations_rad,
+        } => crate::fig10_gain_stability::render(s, quick, depths_m, orientations_rad),
         ScenarioKind::MediaGain => crate::fig11_media::render(s, quick),
         ScenarioKind::RatioCdf => crate::fig12_ratio_cdf::render(s, quick),
-        ScenarioKind::Range { .. } => crate::fig13_range::render(s, quick),
+        ScenarioKind::Range { n_max } => crate::fig13_range::render(s, quick, *n_max),
         ScenarioKind::InVivo => crate::fig15_invivo::render(s, quick),
-        ScenarioKind::FreqPlanSearch { .. } => crate::tbl_freqs::render(s, quick),
+        ScenarioKind::FreqPlanSearch { freqsel } => crate::tbl_freqs::render(s, quick, freqsel),
         ScenarioKind::Ablations => crate::ablations::run(quick),
         ScenarioKind::Pipeline => crate::pipeline::run(quick),
-        ScenarioKind::Inventory { .. } => crate::inventory::render(s, quick)?,
+        ScenarioKind::Inventory {
+            population,
+            policy,
+            capture_db,
+            ..
+        } => crate::inventory::render(s, quick, population, policy, *capture_db)?,
         ScenarioKind::PowerSession { .. } => metrics_report(s, quick)?,
     })
 }
@@ -79,10 +85,11 @@ pub(crate) fn metrics_report(s: &Scenario, quick: bool) -> Result<String, String
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ivn_core::scenario::{builtin, BUILTIN_NAMES};
 
     #[test]
     fn every_builtin_renders() {
-        for name in builtin_names() {
+        for name in BUILTIN_NAMES {
             let s = builtin(name).unwrap_or_else(|| panic!("missing builtin {name}"));
             // Cheap kinds only — the expensive ones are covered by the
             // golden figure tests; here we pin the dispatch itself.
@@ -92,13 +99,5 @@ mod tests {
                 assert!(out.contains("powered"), "{name}: {out}");
             }
         }
-    }
-
-    #[test]
-    fn registry_names_resolve() {
-        for name in builtin_names() {
-            assert!(builtin(name).is_some(), "{name}");
-        }
-        assert!(builtin("nope").is_none());
     }
 }

@@ -2,19 +2,13 @@
 //! paper's offsets {0, 7, 20, 49, 68, 73, 90, 113, 121, 137} Hz.
 
 use ivn_core::freqsel::{expected_peak, optimize};
-use ivn_core::scenario::{Scenario, ScenarioKind};
+use ivn_core::scenario::{FreqSelSpec, Scenario};
 use ivn_core::waveform::{eq9_rms_bound, rms_offset};
 use ivn_runtime::rng::StdRng;
 
-/// Renders the Eq. 10 optimization for a `freq_plan_search` scenario and
-/// compares the result to the paper's published plan.
-pub(crate) fn render(s: &Scenario, quick: bool) -> String {
-    let ScenarioKind::FreqPlanSearch { freqsel } = &s.kind else {
-        panic!(
-            "tbl_freqs needs a 'freq_plan_search' scenario, got '{}'",
-            s.kind.type_name()
-        )
-    };
+/// Renders the Eq. 10 optimization of a `freq_plan_search` scenario's
+/// `freqsel` and compares the result to the paper's published plan.
+pub(crate) fn render(s: &Scenario, quick: bool, freqsel: &FreqSelSpec) -> String {
     let cfg = freqsel.resolve(quick);
     let plan = optimize(&cfg, s.seed);
     let mut rng = StdRng::seed_from_u64(42);
@@ -46,20 +40,11 @@ pub(crate) fn render(s: &Scenario, quick: bool) -> String {
     out
 }
 
-/// Re-runs the optimization from the built-in scenario (N = 10,
-/// RMS ≤ 199 Hz, paper effort levels).
-pub fn run(quick: bool) -> String {
-    render(
-        &ivn_core::scenario::builtin("freqs").expect("builtin"),
-        quick,
-    )
-}
-
 #[cfg(test)]
 mod tests {
     #[test]
     fn optimized_plan_feasible_and_competitive() {
-        let s = super::run(true);
+        let s = crate::render_quick("freqs");
         assert!(s.contains("optimized plan"));
         assert!(s.contains("rms"));
     }

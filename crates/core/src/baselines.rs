@@ -3,75 +3,41 @@
 //! Every scheme answers the same question the paper's evaluation asks:
 //! *given per-antenna complex channels toward a sensor (amplitude =
 //! physics, phase = unknowable PLL + propagation phase), what peak power
-//! arrives during an observation window?*
+//! arrives during an observation window?* CIB answers it with
+//! [`CibConfig::received_peak_power`](crate::cib::CibConfig::received_peak_power):
+//! its time-varying envelope peaks near `(Σ|hᵢ|)²` with *no* channel
+//! knowledge.
 //!
-//! * [`BlindCoherent`] — the paper's baseline: N antennas, same carrier,
-//!   phases unknown. Its static phasor sum averages N× the single-antenna
-//!   power (pure power increase) and fades exponentially often.
-//! * [`CibBeamformer`] — CIB; its time-varying envelope peaks near
-//!   `(Σ|hᵢ|)²` with *no* channel knowledge.
+//! * [`blind_coherent_power`] — the paper's baseline: N antennas, same
+//!   carrier, phases unknown. Its static phasor sum averages N× the
+//!   single-antenna power (pure power increase) and fades exponentially
+//!   often.
 //!
 //! The tests also hold channel-aware maximum-ratio transmission
-//! (`CoherentMrt`), the unreachable-in-vivo upper bound `(Σ|hᵢ|)²` both
-//! schemes are checked against.
+//! (`coherent_mrt_power`), the unreachable-in-vivo upper bound
+//! `(Σ|hᵢ|)²` both schemes are checked against.
 
-use crate::cib::CibConfig;
 use ivn_dsp::complex::Complex64;
 
-/// A beamforming scheme's peak delivery.
-pub(crate) trait Beamformer {
-    /// Peak received power during an observation window, given the
-    /// per-antenna channels (phase = everything the transmitter cannot
-    /// know).
-    fn peak_power(&self, channels: &[Complex64]) -> f64;
-}
-
 /// The paper's baseline: N antennas transmitting the same carrier with
-/// unknown phases. The received power is the static random phasor sum —
-/// time does not help because nothing changes.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct BlindCoherent {
-    /// Antenna count.
-    pub(crate) n: usize,
-}
-
-impl Beamformer for BlindCoherent {
-    fn peak_power(&self, channels: &[Complex64]) -> f64 {
-        assert_eq!(channels.len(), self.n, "one channel per antenna");
-        channels.iter().copied().sum::<Complex64>().norm_sqr()
-    }
+/// unknown phases. The received power is the static random phasor sum
+/// `|Σh|²` — time does not help because nothing changes.
+pub(crate) fn blind_coherent_power(channels: &[Complex64]) -> f64 {
+    channels.iter().copied().sum::<Complex64>().norm_sqr()
 }
 
 /// Channel-aware maximum-ratio transmission: the coherent upper bound
 /// the tests check every scheme against.
 #[cfg(test)]
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct CoherentMrt;
-
-#[cfg(test)]
-impl Beamformer for CoherentMrt {
-    fn peak_power(&self, channels: &[Complex64]) -> f64 {
-        let amp: f64 = channels.iter().map(|h| h.norm()).sum();
-        amp * amp
-    }
-}
-
-/// CIB as a [`Beamformer`].
-#[derive(Debug, Clone)]
-pub(crate) struct CibBeamformer {
-    /// The frequency plan and peak-search resolution.
-    pub(crate) config: CibConfig,
-}
-
-impl Beamformer for CibBeamformer {
-    fn peak_power(&self, channels: &[Complex64]) -> f64 {
-        self.config.received_peak_power(channels)
-    }
+pub(crate) fn coherent_mrt_power(channels: &[Complex64]) -> f64 {
+    let amp: f64 = channels.iter().map(|h| h.norm()).sum();
+    amp * amp
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cib::CibConfig;
     use ivn_runtime::rng::{Rng, StdRng};
     use std::f64::consts::TAU;
 
@@ -84,16 +50,12 @@ mod tests {
     #[test]
     fn mrt_is_upper_bound_for_everyone() {
         let mut rng = StdRng::seed_from_u64(1);
-        let cib = CibBeamformer {
-            config: CibConfig::paper_prototype_n(10),
-        };
-        let mrt = CoherentMrt;
-        let blind = BlindCoherent { n: 10 };
+        let cib = CibConfig::paper_prototype_n(10);
         for _ in 0..20 {
             let ch = blind_channels(&mut rng, 10, 1.0);
-            let bound = mrt.peak_power(&ch);
-            assert!(cib.peak_power(&ch) <= bound + 1e-6);
-            assert!(blind.peak_power(&ch) <= bound + 1e-6);
+            let bound = coherent_mrt_power(&ch);
+            assert!(cib.received_peak_power(&ch) <= bound + 1e-6);
+            assert!(blind_coherent_power(&ch) <= bound + 1e-6);
         }
     }
 
@@ -101,14 +63,11 @@ mod tests {
     fn cib_approaches_mrt_blind() {
         // The headline claim: CIB ≈ MRT without channel knowledge.
         let mut rng = StdRng::seed_from_u64(2);
-        let cib = CibBeamformer {
-            config: CibConfig::paper_prototype_n(10),
-        };
-        let mrt = CoherentMrt;
+        let cib = CibConfig::paper_prototype_n(10);
         let mut ratio_sum = 0.0;
         for _ in 0..20 {
             let ch = blind_channels(&mut rng, 10, 1.0);
-            ratio_sum += cib.peak_power(&ch) / mrt.peak_power(&ch);
+            ratio_sum += cib.received_peak_power(&ch) / coherent_mrt_power(&ch);
         }
         let mean_ratio = ratio_sum / 20.0;
         // Blind CIB recovers more than half of the channel-aware optimum
@@ -120,10 +79,9 @@ mod tests {
     #[test]
     fn blind_coherent_averages_n_but_fades() {
         let mut rng = StdRng::seed_from_u64(3);
-        let blind = BlindCoherent { n: 10 };
         let trials = 4000;
         let powers: Vec<f64> = (0..trials)
-            .map(|_| blind.peak_power(&blind_channels(&mut rng, 10, 1.0)))
+            .map(|_| blind_coherent_power(&blind_channels(&mut rng, 10, 1.0)))
             .collect();
         let mean = powers.iter().sum::<f64>() / trials as f64;
         // E[|Σ e^{jβ}|²] = N.
@@ -137,14 +95,13 @@ mod tests {
     #[test]
     fn cib_never_fades_like_blind_coherent() {
         let mut rng = StdRng::seed_from_u64(4);
-        let cib = CibBeamformer {
-            config: CibConfig::paper_prototype_n(10),
-        };
+        let cib = CibConfig::paper_prototype_n(10);
         for _ in 0..50 {
             let ch = blind_channels(&mut rng, 10, 1.0);
             // CIB always finds a high-peak instant: ≥ 30 % of the ceiling
             // power (the blind baseline drops below 1 % routinely).
-            assert!(cib.peak_power(&ch) > 30.0, "peak {}", cib.peak_power(&ch));
+            let peak = cib.received_peak_power(&ch);
+            assert!(peak > 30.0, "peak {peak}");
         }
     }
 }

@@ -1,25 +1,25 @@
 //! Seeded experiment runners for every figure in the paper's evaluation.
 //!
 //! Each figure-level function takes a declarative [`Scenario`] (built-in
-//! ones come from [`crate::scenario::builtin`]) plus the quick/full run
-//! mode, and returns the statistics the paper plots. The bench harness
-//! (`ivn-bench`) formats them into the paper's rows/series; integration
-//! tests assert their shapes. Low-level positional kernels
-//! (`*_threads`, `range_vs_antennas_env`) remain for determinism tests
-//! and micro-benchmarks.
+//! ones come from [`crate::scenario::builtin`]), the quick/full run mode
+//! and the fields of the scenario's kind, and returns the statistics the
+//! paper plots. The bench registry picks the experiment from the kind;
+//! the figure modules (`ivn-bench`) format the result into the paper's
+//! rows/series; integration tests assert their shapes. The positional
+//! `*_threads` kernels remain for determinism tests and micro-benchmarks.
 //!
-//! All Monte-Carlo loops run on the `ivn-runtime` worker pool: trial `i`
-//! draws from an RNG stream forked off the campaign seed
+//! All Monte-Carlo loops run on `ivn_runtime::par`'s scoped ensembles:
+//! trial `i` draws from an RNG stream forked off the campaign seed
 //! (`StdRng::seed_from_u64(seed).fork(i)`), so the results are
 //! byte-identical at any worker-thread count — including the serial
 //! fallback. The `*_threads` variants take an explicit thread count; the
 //! plain forms use [`ivn_runtime::par::num_threads`].
 
-use crate::baselines::{Beamformer, BlindCoherent, CibBeamformer};
+use crate::baselines::blind_coherent_power;
 use crate::body::{Placement, TagSpec};
 use crate::cib::CibConfig;
 use crate::freqsel::{optimize, pessimize, FrequencyPlan};
-use crate::scenario::{PlacementSpec, Scenario, ScenarioKind};
+use crate::scenario::{FreqSelSpec, PlacementSpec, QuickFull, Scenario};
 use crate::system::{IvnSystem, SystemConfig};
 use ivn_dsp::complex::Complex64;
 use ivn_dsp::stats::{Ecdf, Summary};
@@ -89,11 +89,7 @@ pub fn peak_gain_cdf_threads(
         grid,
     };
     let n = offsets_hz.len();
-    // Dispatched on the persistent pool: the sweep is issued per figure
-    // row and per campaign scenario, so spawn amortization matters. The
-    // closure owns its config (`move`) — the pool's workers outlive this
-    // stack frame.
-    let samples = par::ensemble_pool(threads, trials, seed, move |rng, _| {
+    let samples = par::ensemble_threads(threads, trials, seed, |rng, _| {
         cfg.received_peak_power(&blind_channels(rng, n))
     });
     Ecdf::new(samples)
@@ -113,24 +109,19 @@ pub struct GainCdfResult {
     pub worst_cdf: Ecdf,
 }
 
-/// Runs a [`ScenarioKind::GainCdf`] scenario: optimize + pessimize with
-/// the scenario's plan seed, then Monte-Carlo both CDFs with the
-/// scenario's trial seed.
-pub fn gain_cdf_experiment(s: &Scenario, quick: bool) -> GainCdfResult {
-    let ScenarioKind::GainCdf {
-        freqsel,
-        plan_seed,
-        cdf_grid,
-    } = &s.kind
-    else {
-        panic!(
-            "gain_cdf_experiment needs a 'gain_cdf' scenario, got '{}'",
-            s.kind.type_name()
-        )
-    };
+/// Runs a `gain_cdf` scenario: optimize + pessimize `freqsel` with
+/// `plan_seed`, then Monte-Carlo both CDFs on a `cdf_grid` envelope with
+/// the scenario's trial seed.
+pub fn gain_cdf_experiment(
+    s: &Scenario,
+    quick: bool,
+    freqsel: &FreqSelSpec,
+    plan_seed: u64,
+    cdf_grid: QuickFull<usize>,
+) -> GainCdfResult {
     let cfg = freqsel.resolve(quick);
-    let best = optimize(&cfg, *plan_seed);
-    let worst = pessimize(&cfg, *plan_seed);
+    let best = optimize(&cfg, plan_seed);
+    let worst = pessimize(&cfg, plan_seed);
     let trials = s.trial_count(quick);
     let grid = cdf_grid.get(quick);
     let best_cdf = peak_gain_cdf(&best.offsets_hz, trials, grid, s.seed);
@@ -157,15 +148,9 @@ pub struct GainVsAntennas {
     pub gain: Summary,
 }
 
-/// Runs a [`ScenarioKind::GainVsAntennas`] scenario: gain vs antennas,
-/// `1..=n_max`, the scenario's trial count per point.
-pub fn gain_vs_antennas(s: &Scenario, quick: bool) -> Vec<GainVsAntennas> {
-    let ScenarioKind::GainVsAntennas { n_max } = s.kind else {
-        panic!(
-            "gain_vs_antennas needs a 'gain_vs_antennas' scenario, got '{}'",
-            s.kind.type_name()
-        )
-    };
+/// Runs a `gain_vs_antennas` scenario: gain vs antennas, `1..=n_max`,
+/// the scenario's trial count per point.
+pub fn gain_vs_antennas(s: &Scenario, quick: bool, n_max: usize) -> Vec<GainVsAntennas> {
     gain_vs_antennas_threads(n_max, s.trial_count(quick), s.seed, par::num_threads())
 }
 
@@ -184,15 +169,11 @@ pub fn gain_vs_antennas_threads(
     (1..=n_max)
         .map(|n| {
             let cfg = CibConfig::paper_prototype_n(n);
-            let gains = par::ensemble_pool(
-                threads,
-                trials,
-                seed.wrapping_add(n as u64),
-                move |rng, _| {
+            let gains =
+                par::ensemble_threads(threads, trials, seed.wrapping_add(n as u64), |rng, _| {
                     let ch = faded_channels(rng, n, LAB_RICIAN_K);
                     cfg.received_peak_power(&ch) / ch[0].norm_sqr()
-                },
-            );
+                });
             GainVsAntennas {
                 n,
                 gain: Summary::of(&gains).expect("non-empty"),
@@ -214,26 +195,11 @@ pub struct GainAtParameter {
     pub gain: Summary,
 }
 
-fn stability_kind(s: &Scenario) -> (&[f64], &[f64]) {
-    let ScenarioKind::GainStability {
-        depths_m,
-        orientations_rad,
-    } = &s.kind
-    else {
-        panic!(
-            "gain stability needs a 'gain_stability' scenario, got '{}'",
-            s.kind.type_name()
-        )
-    };
-    (depths_m, orientations_rad)
-}
-
-/// Fig. 10a: gain vs depth in water for a [`ScenarioKind::GainStability`]
-/// scenario. The gain is the ratio of CIB's peak power to the
-/// single-antenna power *at the same location*, so the medium attenuation
-/// cancels and the result is flat (§6.1.1b).
-pub fn gain_vs_depth(s: &Scenario, quick: bool) -> Vec<GainAtParameter> {
-    let (depths_m, _) = stability_kind(s);
+/// Fig. 10a: gain vs depth in water, one row per entry of `depths_m`
+/// (a `gain_stability` scenario's depths). The gain is the ratio of
+/// CIB's peak power to the single-antenna power *at the same location*,
+/// so the medium attenuation cancels and the result is flat (§6.1.1b).
+pub fn gain_vs_depth(s: &Scenario, quick: bool, depths_m: &[f64]) -> Vec<GainAtParameter> {
     let cfg = s.cib(quick);
     let n = s.array.n_antennas;
     let tag = s.tag.spec();
@@ -257,12 +223,15 @@ pub fn gain_vs_depth(s: &Scenario, quick: bool) -> Vec<GainAtParameter> {
         .collect()
 }
 
-/// Fig. 10b: gain vs receive-antenna orientation for the same scenario
-/// (seed stream `seed + 1` so the two panels draw independently).
-/// Orientation scales every antenna's channel equally, so the gain is
-/// flat.
-pub fn gain_vs_orientation(s: &Scenario, quick: bool) -> Vec<GainAtParameter> {
-    let (_, orientations_rad) = stability_kind(s);
+/// Fig. 10b: gain vs receive-antenna orientation, one row per entry of
+/// `orientations_rad` (seed stream `seed + 1` so the two panels draw
+/// independently). Orientation scales every antenna's channel equally,
+/// so the gain is flat.
+pub fn gain_vs_orientation(
+    s: &Scenario,
+    quick: bool,
+    orientations_rad: &[f64],
+) -> Vec<GainAtParameter> {
     let cfg = s.cib(quick);
     let n = s.array.n_antennas;
     let tag = s.tag.spec();
@@ -304,22 +273,13 @@ pub struct MediaGain {
     pub baseline: Summary,
 }
 
-/// Runs a [`ScenarioKind::MediaGain`] scenario over the paper's seven
-/// media.
+/// Runs a `media_gain` scenario over the paper's seven media.
 pub fn gain_across_media(s: &Scenario, quick: bool) -> Vec<MediaGain> {
-    assert!(
-        matches!(s.kind, ScenarioKind::MediaGain),
-        "gain_across_media needs a 'media_gain' scenario, got '{}'",
-        s.kind.type_name()
-    );
     let trials = s.trial_count(quick);
     let _span = ivn_runtime::span!("experiment.gain_across_media_ns");
     ivn_runtime::obs_count!("experiment.trials", trials * 7);
     let n = s.array.n_antennas;
-    let cib = CibBeamformer {
-        config: s.cib(quick),
-    };
-    let baseline = BlindCoherent { n };
+    let cib = s.cib(quick);
     Medium::figure11_media()
         .into_iter()
         .enumerate()
@@ -334,8 +294,8 @@ pub fn gain_across_media(s: &Scenario, quick: bool) -> Vec<MediaGain> {
                 let channels = faded_channels(rng, n, LAB_RICIAN_K);
                 let single = channels[0].norm_sqr();
                 (
-                    cib.peak_power(&channels) / single,
-                    baseline.peak_power(&channels) / single,
+                    cib.received_peak_power(&channels) / single,
+                    blind_coherent_power(&channels) / single,
                 )
             });
             let (cib_gains, base_gains): (Vec<f64>, Vec<f64>) = pairs.into_iter().unzip();
@@ -352,25 +312,17 @@ pub fn gain_across_media(s: &Scenario, quick: bool) -> Vec<MediaGain> {
 // Fig. 12 — CDF of the CIB / baseline power ratio per location.
 // ---------------------------------------------------------------------
 
-/// Runs a [`ScenarioKind::RatioCdf`] scenario: the per-location ratio of
-/// CIB peak power to the blind baseline's power, as an ECDF.
+/// Runs a `ratio_cdf` scenario: the per-location ratio of CIB peak
+/// power to the blind baseline's power, as an ECDF.
 pub fn cib_vs_baseline_cdf(s: &Scenario, quick: bool) -> Ecdf {
-    assert!(
-        matches!(s.kind, ScenarioKind::RatioCdf),
-        "cib_vs_baseline_cdf needs a 'ratio_cdf' scenario, got '{}'",
-        s.kind.type_name()
-    );
     let trials = s.trial_count(quick);
     let _span = ivn_runtime::span!("experiment.cib_vs_baseline_ns");
     ivn_runtime::obs_count!("experiment.trials", trials);
     let n = s.array.n_antennas;
-    let cib = CibBeamformer {
-        config: s.cib(quick),
-    };
-    let baseline = BlindCoherent { n };
+    let cib = s.cib(quick);
     let ratios = par::ensemble(trials, s.seed, |rng, _| {
         let channels = faded_channels(rng, n, LAB_RICIAN_K);
-        cib.peak_power(&channels) / baseline.peak_power(&channels).max(1e-12)
+        cib.received_peak_power(&channels) / blind_coherent_power(&channels).max(1e-12)
     });
     Ecdf::new(ratios)
 }
@@ -380,7 +332,6 @@ pub fn cib_vs_baseline_cdf(s: &Scenario, quick: bool) -> Ecdf {
 /// valid channel estimates is no better than the baseline. Returns the
 /// ECDF of MRT-with-stale-phases / baseline ratios.
 pub fn stale_mrt_vs_baseline_cdf(trials: usize, seed: u64) -> Ecdf {
-    let baseline = BlindCoherent { n: 10 };
     let ratios = par::ensemble(trials, seed, |rng, _| {
         // The "coherent beamformer" applied precoding for a *previous*
         // channel draw; the medium shifted the phases since.
@@ -392,7 +343,7 @@ pub fn stale_mrt_vs_baseline_cdf(trials: usize, seed: u64) -> Ecdf {
             .map(|(h, s)| *h * s.conj())
             .collect();
         let coherent_power = precoded.iter().copied().sum::<Complex64>().norm_sqr();
-        coherent_power / baseline.peak_power(&current).max(1e-12)
+        coherent_power / blind_coherent_power(&current).max(1e-12)
     });
     Ecdf::new(ratios)
 }
@@ -410,41 +361,13 @@ pub struct RangePoint {
     pub range_m: f64,
 }
 
-/// Which Fig. 13 panel to reproduce.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum RangeEnvironment {
-    /// Line-of-sight air (Fig. 13a/b).
-    Air,
-    /// Water-tank depth (Fig. 13c/d).
-    Water,
-}
-
-/// Runs a [`ScenarioKind::Range`] scenario: max range vs antennas for the
-/// scenario's tag, in air for a free-space placement and water depth for
-/// everything else.
-pub fn range_vs_antennas(s: &Scenario, quick: bool) -> Vec<RangePoint> {
-    let ScenarioKind::Range { n_max } = &s.kind else {
-        panic!(
-            "range_vs_antennas needs a 'range' scenario, got '{}'",
-            s.kind.type_name()
-        )
-    };
-    let env = match s.placement {
-        PlacementSpec::FreeSpace { .. } => RangeEnvironment::Air,
-        _ => RangeEnvironment::Water,
-    };
-    range_vs_antennas_env(env, s.tag.spec(), n_max.get(quick), s.seed, s.eirp_dbm)
-}
-
-/// Positional kernel behind [`range_vs_antennas`]: one panel's bisection
-/// sweep over antenna counts.
-pub(crate) fn range_vs_antennas_env(
-    env: RangeEnvironment,
-    tag: TagSpec,
-    n_max: usize,
-    seed: u64,
-    eirp_dbm: f64,
-) -> Vec<RangePoint> {
+/// Runs a `range` scenario: max range vs antennas `1..=n_max` for the
+/// scenario's tag, in air for a free-space placement and water depth
+/// for everything else.
+pub fn range_vs_antennas(s: &Scenario, quick: bool, n_max: QuickFull<usize>) -> Vec<RangePoint> {
+    let n_max = n_max.get(quick);
+    let in_air = matches!(s.placement, PlacementSpec::FreeSpace { .. });
+    let tag = s.tag.spec();
     let _span = ivn_runtime::span!("experiment.range_vs_antennas_ns");
     ivn_runtime::obs_count!("experiment.rounds", n_max);
     // Each antenna count is an independent bisection search with its own
@@ -452,12 +375,13 @@ pub(crate) fn range_vs_antennas_env(
     let ns: Vec<usize> = (1..=n_max).collect();
     par::par_map(&ns, |_, &n| {
         let mut config = SystemConfig::paper_prototype(n, tag.clone());
-        config.eirp_dbm = eirp_dbm;
+        config.eirp_dbm = s.eirp_dbm;
         let sys = IvnSystem::new(config);
-        let mut rng = StdRng::seed_from_u64(seed.wrapping_add(n as u64 * 31));
-        let range_m = match env {
-            RangeEnvironment::Air => sys.max_range_air(&mut rng, 0.05, 80.0, 2),
-            RangeEnvironment::Water => sys.max_depth_water(&mut rng, 0.5, 2),
+        let mut rng = StdRng::seed_from_u64(s.seed.wrapping_add(n as u64 * 31));
+        let range_m = if in_air {
+            sys.max_range_air(&mut rng, 0.05, 80.0, 2)
+        } else {
+            sys.max_depth_water(&mut rng, 0.5, 2)
         };
         RangePoint { n, range_m }
     })
@@ -482,15 +406,10 @@ pub struct InVivoRow {
     pub median_correlation: f64,
 }
 
-/// Runs a [`ScenarioKind::InVivo`] scenario — the §6.2 swine campaign:
-/// gastric and subcutaneous placements × standard and miniature tags,
-/// the scenario's trial count per cell with its antenna array.
+/// Runs an `in_vivo` scenario — the §6.2 swine campaign: gastric and
+/// subcutaneous placements × standard and miniature tags, the scenario's
+/// trial count per cell with its antenna array.
 pub fn in_vivo_campaign(s: &Scenario, quick: bool) -> Vec<InVivoRow> {
-    assert!(
-        matches!(s.kind, ScenarioKind::InVivo),
-        "in_vivo_campaign needs an 'in_vivo' scenario, got '{}'",
-        s.kind.type_name()
-    );
     let trials = s.trial_count(quick);
     let _span = ivn_runtime::span!("experiment.in_vivo_campaign_ns");
     ivn_runtime::obs_count!("experiment.trials", trials * 4);
@@ -528,18 +447,16 @@ pub fn in_vivo_campaign(s: &Scenario, quick: bool) -> Vec<InVivoRow> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::baselines::CoherentMrt;
-    use crate::scenario::{builtin, QuickFull};
+    use crate::baselines::coherent_mrt_power;
+    use crate::scenario::builtin;
 
     /// Mean CIB-to-MRT peak-power ratio over random channels: how close
     /// blind CIB gets to the channel-aware optimum.
     fn cib_mrt_efficiency(n: usize, trials: usize, seed: u64) -> f64 {
-        let cib = CibBeamformer {
-            config: CibConfig::paper_prototype_n(n.min(10)),
-        };
+        let cib = CibConfig::paper_prototype_n(n.min(10));
         let ratios = par::ensemble(trials, seed, |rng, _| {
             let ch = blind_channels(rng, n.min(10));
-            cib.peak_power(&ch) / CoherentMrt.peak_power(&ch)
+            cib.received_peak_power(&ch) / coherent_mrt_power(&ch)
         });
         ratios.iter().sum::<f64>() / trials as f64
     }
@@ -553,7 +470,7 @@ mod tests {
 
     #[test]
     fn fig9_gain_scales_with_antennas() {
-        let rows = gain_vs_antennas(&scenario("fig9", 100, 1), true);
+        let rows = gain_vs_antennas(&scenario("fig9", 100, 1), true, 10);
         assert_eq!(rows.len(), 10);
         // Monotone (with Monte-Carlo slack) increase in the median.
         for w in rows.windows(2) {
@@ -578,12 +495,8 @@ mod tests {
 
     #[test]
     fn fig10_gain_flat_in_depth_and_orientation() {
-        let mut s = scenario("fig10", 40, 2);
-        s.kind = ScenarioKind::GainStability {
-            depths_m: vec![0.0, 0.05, 0.10, 0.15, 0.20],
-            orientations_rad: vec![0.0, 0.8, 1.6, 2.4, 3.1],
-        };
-        let rows = gain_vs_depth(&s, true);
+        let s = scenario("fig10", 40, 2);
+        let rows = gain_vs_depth(&s, true, &[0.0, 0.05, 0.10, 0.15, 0.20]);
         let medians: Vec<f64> = rows.iter().map(|r| r.gain.median).collect();
         let spread = medians.iter().cloned().fold(f64::MIN, f64::max)
             - medians.iter().cloned().fold(f64::MAX, f64::min);
@@ -592,7 +505,7 @@ mod tests {
             assert!(*m > 45.0 && *m <= 100.0, "median {m}");
         }
 
-        let rows = gain_vs_orientation(&s, true);
+        let rows = gain_vs_orientation(&s, true, &[0.0, 0.8, 1.6, 2.4, 3.1]);
         let medians: Vec<f64> = rows.iter().map(|r| r.gain.median).collect();
         let spread = medians.iter().cloned().fold(f64::MIN, f64::max)
             - medians.iter().cloned().fold(f64::MAX, f64::min);
@@ -655,7 +568,15 @@ mod tests {
     #[test]
     fn fig6_scenario_experiment_matches_kernels() {
         let s = builtin("fig6").unwrap();
-        let r = gain_cdf_experiment(&s, true);
+        let crate::scenario::ScenarioKind::GainCdf {
+            freqsel,
+            plan_seed,
+            cdf_grid,
+        } = &s.kind
+        else {
+            unreachable!("fig6 is a gain_cdf builtin")
+        };
+        let r = gain_cdf_experiment(&s, true, freqsel, *plan_seed, *cdf_grid);
         assert_eq!(r.best_cdf.len(), 200);
         assert!(
             r.best_cdf.quantile(0.5).unwrap() > r.worst_cdf.quantile(0.5).unwrap(),

@@ -11,8 +11,8 @@
 //!   Eq. 10, plus the worst-set search used for Fig. 6;
 //! * [`cib`] — the CIB transmitter configuration and the analytic
 //!   received-peak calculator experiments sweep;
-//! * `baselines` — the comparison beamformers the experiments sweep: the
-//!   paper's blind N-antenna baseline and CIB itself;
+//! * `baselines` — the paper's blind N-antenna baseline the experiments
+//!   compare CIB against;
 //! * [`oob`] — the out-of-band reader (§4): 880 vs 915 MHz, SAW rejection,
 //!   1-second coherent averaging, preamble correlation ≥ 0.8;
 //! * [`body`] — water tank, Fig. 11 media, and swine body presets;

@@ -100,12 +100,9 @@ fn rates(kind: &ScenarioKind) -> (f64, f64) {
 /// scoped threads, even from a pool worker. The result is identical at
 /// any thread count regardless.
 pub fn evaluate(s: &Scenario, quick: bool) -> Result<ScenarioMetrics, String> {
-    let placement = s.placement.resolve().map_err(|e| e.reason)?;
-    let cib = s.cib(quick);
-    let tag = s.tag.spec();
-    let eirp_w = dbm_to_watts(s.eirp_dbm);
     let trials = s.trial_count(quick).max(1);
 
+    // `prepare` resolves the placements and the plan itself.
     if let ScenarioKind::Inventory { population, .. } = &s.kind {
         let exp = crate::inventory::InventoryExperiment::prepare(s, quick)?;
         ivn_runtime::obs_count!("experiment.trials", trials * population.count);
@@ -123,6 +120,10 @@ pub fn evaluate(s: &Scenario, quick: bool) -> Result<ScenarioMetrics, String> {
     }
 
     // Single-sensor substrate: gain → power-up transient → downlink.
+    let placement = s.placement.resolve().map_err(|e| e.reason)?;
+    let cib = s.cib(quick);
+    let tag = s.tag.spec();
+    let eirp_w = dbm_to_watts(s.eirp_dbm);
     ivn_runtime::obs_count!("experiment.trials", trials);
     let _eval_span = ivn_runtime::span!("experiment.scenario_eval_ns");
     let (powerup_rate, command_rate) = rates(&s.kind);

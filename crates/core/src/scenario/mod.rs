@@ -1400,6 +1400,7 @@ mod tests {
             assert_eq!(back, s, "{name} value round trip");
             assert_eq!(back.dump(), text, "{name} byte round trip");
         }
+        assert!(builtin("nope").is_none());
     }
 
     #[test]

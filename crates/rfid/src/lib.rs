@@ -11,7 +11,7 @@
 //! * [`fm0`] — tag→reader FM0 baseband coding, including the 12-bit
 //!   extended preamble `110100100011` the paper correlates against (§6.2),
 //! * [`epc`] — the packed, `Copy` [`epc::Epc`] a tag stores and a read
-//!   returns, and the SGTIN-96 identity scheme,
+//!   returns,
 //! * [`tag`] — the tag-side state machine with power-loss semantics,
 //! * [`reader`] — inventory-round logic driven through the
 //!   anti-collision seam,

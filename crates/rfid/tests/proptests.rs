@@ -2,7 +2,6 @@
 
 use ivn_rfid::commands::{Command, DivideRatio, Session, TagEncoding};
 use ivn_rfid::crc::{append_crc16, append_crc5, check_crc16, check_crc5};
-use ivn_rfid::epc::Sgtin96;
 use ivn_rfid::fm0::Fm0;
 use ivn_rfid::pie::{decode_frame, encode_frame, rasterize, PieParams};
 use ivn_rfid::stream::{Fm0Decoder, PieStreamDecoder, RunRasterizer};
@@ -101,14 +100,6 @@ props! {
         let runs = encode_frame(&bits, &p, with_trcal);
         let env = rasterize(&runs, 2e6, 1.0 - depth);
         prop_assert_eq!(decode_frame(&env, 2e6).expect("pie decode"), bits);
-    }
-
-    fn sgtin_roundtrip(filter in 0u8..8, partition in 0u8..7,
-                       company in 0u64..1u64 << 20, item in 0u32..16,
-                       serial in 0u64..1u64 << 38) {
-        // company/item kept within the tightest partition widths.
-        let epc = Sgtin96::new(filter, partition, company, item, serial).expect("valid");
-        prop_assert_eq!(Sgtin96::decode(epc.encode()).expect("decode"), epc);
     }
 
     fn tag_never_replies_unpowered(cmds in pvec(any_command(), 1..20),

@@ -15,7 +15,7 @@
 //! * [`pool`] — a persistent work-stealing [`pool::WorkerPool`] (parked
 //!   workers, per-worker deques, deterministic chunking) that amortizes
 //!   thread spawn for the short dispatches issued by the streaming
-//!   sample path, the campaign driver, and the Monte-Carlo sweeps.
+//!   sample path, the campaign driver, and the inventory fleet.
 //! * [`json`] — a minimal JSON value, emitter and parser for
 //!   machine-readable figure output from the bench harness.
 //! * [`prop`] — a seeded, shrink-free property-test harness (the

@@ -119,29 +119,6 @@ where
     ensemble_threads(num_threads(), trials, seed, f)
 }
 
-/// [`ensemble_threads`] dispatched on the persistent global
-/// [`WorkerPool`](crate::pool::WorkerPool) instead of freshly spawned
-/// scoped threads.
-///
-/// Same seeding discipline — trial `i` draws from
-/// `StdRng::seed_from_u64(seed).fork(i)` — so the results are
-/// bit-identical to [`ensemble_threads`] at every `(threads, trials,
-/// seed)` (pinned by `tests/pool_props.rs`). The trade for amortized
-/// dispatch is the `'static` bound: `f` must own its captures, because
-/// the pool's worker threads outlive the caller's stack frame and the
-/// no-`unsafe` rule forbids lying about that.
-pub fn ensemble_pool<U, F>(threads: usize, trials: usize, seed: u64, f: F) -> Vec<U>
-where
-    U: Send + 'static,
-    F: Fn(&mut StdRng, usize) -> U + Send + Sync + 'static,
-{
-    let root = StdRng::seed_from_u64(seed);
-    crate::pool::WorkerPool::global().map_indexed(trials, threads, move |i| {
-        let mut rng = root.fork(i as u64);
-        f(&mut rng, i)
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

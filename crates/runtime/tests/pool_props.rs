@@ -5,10 +5,8 @@
 //! work-stealing is deterministic (byte-identical results at 1/2/8
 //! widths, regardless of which worker ran which chunk), reuse across
 //! successive dispatches leaks no state between calls, degenerate
-//! inputs (empty, one item) complete without deadlocking, and the
-//! pooled ensemble entry point reproduces the scoped one bit for bit.
+//! inputs (empty, one item) complete without deadlocking.
 
-use ivn_runtime::par;
 use ivn_runtime::pool::{chunk_size, WorkerPool};
 use ivn_runtime::prop::any;
 use ivn_runtime::rng::{Rng, StdRng};
@@ -43,16 +41,6 @@ props! {
                 x.rotate_left((i % 61) as u32)
             });
             prop_assert_eq!(&got, &reference);
-        }
-    }
-
-    fn ensemble_pool_matches_scoped_ensemble(trials in 0usize..150, seed in any::<u64>()) {
-        // The pooled ensemble must be a drop-in for the scoped one:
-        // same fork-per-trial streams, same order, bit-identical draws.
-        let scoped = par::ensemble_threads(2, trials, seed, |rng, i| (i, rng.random::<f64>()));
-        for width in [1usize, 2, 8] {
-            let pooled = par::ensemble_pool(width, trials, seed, |rng, i| (i, rng.random::<f64>()));
-            prop_assert_eq!(&pooled, &scoped);
         }
     }
 
@@ -93,17 +81,13 @@ fn empty_and_single_inputs_complete() {
         let empty_move: Vec<u32> = pool.map_move(Vec::<u32>::new(), width, |_, x| x);
         assert!(empty_move.is_empty());
         assert_eq!(pool.map_move(vec![9u32], width, |_, x| x * 2), vec![18]);
-        assert_eq!(
-            par::ensemble_pool(width, 0, 1, |_, i| i),
-            Vec::<usize>::new()
-        );
     }
 }
 
 #[test]
 fn global_pool_survives_many_generations_of_dispatch() {
     // The global pool is shared by the campaign driver, the sdr carrier lanes and
-    // the Monte-Carlo sweeps; hammer it with interleaved shapes.
+    // the inventory fleet; hammer it with interleaved shapes.
     let pool = WorkerPool::global();
     for g in 0..50u64 {
         let a = pool.map_indexed(17, 8, move |i| g + i as u64);

@@ -104,7 +104,13 @@ if cargo run --release --offline -p ivn-bench --bin reproduce -- list --obs > /d
     echo "verify: FAIL — reproduce list accepted --obs" >&2
     exit 1
 fi
-echo "campaign obs report OK (stdout byte-identical; list rejects --obs)"
+# A figure target reads no --threads (IVN_THREADS sets its width), so
+# passing one is an error, not a silent no-op.
+if cargo run --release --offline -p ivn-bench --bin reproduce -- fig2 --quick --threads 3 > /dev/null 2>&1; then
+    echo "verify: FAIL — reproduce fig2 accepted --threads" >&2
+    exit 1
+fi
+echo "campaign obs report OK (stdout byte-identical; list rejects --obs, fig2 rejects --threads)"
 
 echo "==> multi_sensor example: the multisensor builtin on the inventory path"
 cargo run --release --offline --example multi_sensor

@@ -4,6 +4,12 @@
 mod common;
 use common::numeric_rows;
 
+/// `reproduce <name> --quick`: the built-in scenario through the registry.
+fn render(name: &str) -> String {
+    let s = ivn_core::scenario::builtin(name).expect("builtin");
+    ivn_bench::registry::render(&s, true).expect(name)
+}
+
 #[test]
 fn fig2_threshold_blocks_small_voltages() {
     let s = ivn_bench::fig02_diode::run(true);
@@ -33,14 +39,14 @@ fn fig4_three_regimes() {
 
 #[test]
 fn fig6_separation() {
-    let s = ivn_bench::fig06_freq_cdf::run(true);
+    let s = render("fig6");
     assert!(s.contains("best plan"));
     assert!(s.contains("worst plan"));
 }
 
 #[test]
 fn fig9_monotone_gain() {
-    let s = ivn_bench::fig09_gain_vs_antennas::run(true);
+    let s = render("fig9");
     let medians: Vec<f64> = numeric_rows(&s).iter().map(|cells| cells[2]).collect();
     assert_eq!(medians.len(), 10);
     assert!(medians[9] > 10.0 * medians[0], "{medians:?}");
@@ -48,7 +54,7 @@ fn fig9_monotone_gain() {
 
 #[test]
 fn fig11_cib_dominates_in_every_medium() {
-    let s = ivn_bench::fig11_media::run(true);
+    let s = render("fig11");
     for line in s
         .lines()
         .filter(|l| l.contains('[') && l.contains(']') && !l.contains("p10"))
@@ -64,7 +70,7 @@ fn fig11_cib_dominates_in_every_medium() {
 
 #[test]
 fn fig12_headline_claims() {
-    let s = ivn_bench::fig12_ratio_cdf::run(true);
+    let s = render("fig12");
     // "CIB wins at XX.X% of locations"
     let wins: f64 = s
         .lines()
@@ -79,7 +85,7 @@ fn fig12_headline_claims() {
 
 #[test]
 fn invivo_pattern_matches_paper() {
-    let s = ivn_bench::fig15_invivo::run(true);
+    let s = render("invivo");
     let rows: Vec<&str> = s.lines().filter(|l| l.starts_with("swine")).collect();
     assert_eq!(rows.len(), 4);
     let count = |row: &str| -> (usize, usize) {
@@ -103,7 +109,7 @@ fn invivo_pattern_matches_paper() {
 
 #[test]
 fn freqs_optimization_feasible() {
-    let s = ivn_bench::tbl_freqs::run(true);
+    let s = render("freqs");
     assert!(s.contains("optimized plan"));
     // The reported RMS values must respect the 199 Hz cap.
     for line in s.lines().filter(|l| l.trim_start().starts_with("rms")) {

@@ -9,7 +9,7 @@
 
 use ivn::core::freqsel::optimize;
 use ivn::core::plancache::PlanCache;
-use ivn::core::scenario::{ArraySpec, FreqPlan, FreqSelSpec, QuickFull};
+use ivn::core::scenario::{builtin, evaluate, ArraySpec, FreqPlan, FreqSelSpec, QuickFull};
 use ivn::runtime::obs;
 use ivn::runtime::pool::WorkerPool;
 use std::sync::{Mutex, PoisonError};
@@ -96,6 +96,23 @@ fn hit_and_miss_obs_counters_are_booked() {
     let delta = |name: &str| after.counter(name).unwrap_or(0) - before.counter(name).unwrap_or(0);
     assert_eq!(delta("freqsel.plan_cache_misses"), 1);
     assert_eq!(delta("freqsel.plan_cache_hits"), 2);
+}
+
+#[test]
+fn an_inventory_scenario_looks_its_plan_up_once() {
+    let _guard = GLOBAL_CACHE_LOCK
+        .lock()
+        .unwrap_or_else(PoisonError::into_inner);
+    let cache = PlanCache::global();
+    cache.clear();
+    cache.reset_counters();
+    cache.set_enabled(true);
+    let mut s = builtin("inventory").expect("builtin");
+    s.array = optimizing_array(3, 9);
+    evaluate(&s, true).expect("inventory scenario evaluates");
+    let (hits, misses) = cache.counters();
+    assert_eq!(hits + misses, 1, "hits {hits}, misses {misses}");
+    cache.clear();
 }
 
 #[test]

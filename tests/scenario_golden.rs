@@ -16,7 +16,7 @@ fn golden(target: &str) -> String {
 }
 
 fn check(target: &str) {
-    let s = ivn_bench::registry::builtin(target)
+    let s = ivn_core::scenario::builtin(target)
         .unwrap_or_else(|| panic!("no builtin scenario for {target}"));
     let now = ivn_bench::registry::render(&s, true).expect(target);
     let want = golden(target);
@@ -98,8 +98,8 @@ fn golden_pipeline() {
 fn golden_export_round_trip() {
     // Scenario JSON is byte-stable under export → parse → export: the
     // contract behind `reproduce export` and campaign re-runs.
-    for name in ivn_bench::registry::builtin_names() {
-        let s = ivn_bench::registry::builtin(name).unwrap();
+    for name in ivn_core::scenario::BUILTIN_NAMES {
+        let s = ivn_core::scenario::builtin(name).unwrap();
         let once = s.dump();
         let twice = ivn_core::scenario::Scenario::parse(&once)
             .unwrap_or_else(|e| panic!("{name}: {}", e.reason))
