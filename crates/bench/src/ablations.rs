@@ -265,7 +265,7 @@ pub(crate) fn clock_faults(_quick: bool) -> String {
 }
 
 /// All ablations concatenated.
-pub fn run(quick: bool) -> String {
+pub(crate) fn run(quick: bool) -> String {
     let mut out = String::new();
     out += &coherent_vs_baseline(quick);
     out += &reader_placement(quick);

@@ -48,19 +48,3 @@ pub(crate) fn render(
     );
     out
 }
-
-#[cfg(test)]
-mod tests {
-    #[test]
-    fn best_dominates_worst() {
-        let s = crate::render_quick("fig6");
-        assert!(s.contains("medians"));
-        // Parse the medians line and check dominance.
-        let line = s.lines().find(|l| l.starts_with("medians")).unwrap();
-        let nums: Vec<f64> = line
-            .split(|c: char| !c.is_ascii_digit() && c != '.')
-            .filter_map(|t| t.parse().ok())
-            .collect();
-        assert!(nums[0] > nums[1], "best {} worst {}", nums[0], nums[1]);
-    }
-}

@@ -42,18 +42,6 @@ mod tests {
     use ivn_core::scenario::builtin;
 
     #[test]
-    fn ten_rows_increasing() {
-        let s = crate::render_quick("fig9");
-        assert_eq!(
-            s.lines()
-                .filter(|l| l.trim().starts_with(char::is_numeric))
-                .count(),
-            10
-        );
-        assert!(s.contains("paper anchors"));
-    }
-
-    #[test]
     fn short_sweep_does_not_panic() {
         let out = super::render(&builtin("fig9").unwrap(), true, 4);
         assert!(out.contains("no anchor comparison"), "{out}");

@@ -46,14 +46,3 @@ pub(crate) fn render(
     out += "\npaper: gain stays ~constant across depth and orientation (channel-blind)\n";
     out
 }
-
-#[cfg(test)]
-mod tests {
-    #[test]
-    fn both_panels_present() {
-        let s = crate::render_quick("fig10");
-        assert!(s.contains("Fig. 10a"));
-        assert!(s.contains("Fig. 10b"));
-        assert!(s.lines().count() > 20);
-    }
-}

@@ -37,22 +37,3 @@ pub(crate) fn render(s: &Scenario, quick: bool) -> String {
     );
     out
 }
-
-#[cfg(test)]
-mod tests {
-    #[test]
-    fn seven_media() {
-        let s = crate::render_quick("fig11");
-        for m in [
-            "air",
-            "water",
-            "gastric",
-            "intestinal",
-            "steak",
-            "bacon",
-            "chicken",
-        ] {
-            assert!(s.contains(m), "missing {m}");
-        }
-    }
-}

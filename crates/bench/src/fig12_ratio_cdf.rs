@@ -26,13 +26,3 @@ pub(crate) fn render(s: &Scenario, quick: bool) -> String {
     );
     out
 }
-
-#[cfg(test)]
-mod tests {
-    #[test]
-    fn headline_stats_present() {
-        let s = crate::render_quick("fig12");
-        assert!(s.contains("median ratio"));
-        assert!(s.contains("CIB wins"));
-    }
-}

@@ -64,14 +64,3 @@ pub(crate) fn render(s: &Scenario, quick: bool, n_max: QuickFull<usize>) -> Stri
     out += "\npaper anchors: std tag air 5.2 m → 38 m (7.6×); std water → 23 cm; mini water → 11 cm; mini cannot power without CIB\n";
     out
 }
-
-#[cfg(test)]
-mod tests {
-    #[test]
-    fn four_panels() {
-        let s = crate::render_quick("fig13");
-        for p in ["13a", "13b", "13c", "13d"] {
-            assert!(s.contains(p), "missing panel {p}");
-        }
-    }
-}

@@ -24,19 +24,3 @@ pub(crate) fn render(s: &Scenario, quick: bool) -> String {
     out += "\npaper: gastric standard 3/6; gastric miniature 0/6; subcutaneous standard & miniature all trials\n";
     out
 }
-
-#[cfg(test)]
-mod tests {
-    #[test]
-    fn four_rows_match_paper_pattern() {
-        let s = crate::render_quick("invivo");
-        // Four data rows (the title also mentions "swine").
-        assert_eq!(
-            s.lines().filter(|l| l.starts_with("swine")).count(),
-            4,
-            "{s}"
-        );
-        assert!(s.contains("gastric"));
-        assert!(s.contains("subcutaneous"));
-    }
-}

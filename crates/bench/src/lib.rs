@@ -9,9 +9,10 @@
 //! The mapping from figures to modules is the experiment index in
 //! DESIGN.md §4.
 
-pub mod fig02_diode;
-pub mod fig03_tissue_loss;
-pub mod fig04_conduction;
+mod ablations;
+mod fig02_diode;
+mod fig03_tissue_loss;
+mod fig04_conduction;
 mod fig06_freq_cdf;
 mod fig09_gain_vs_antennas;
 mod fig10_gain_stability;
@@ -21,7 +22,6 @@ mod fig13_range;
 mod fig15_invivo;
 mod tbl_freqs;
 
-pub mod ablations;
 pub mod campaign;
 pub mod inventory;
 pub mod pipeline;

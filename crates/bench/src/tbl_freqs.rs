@@ -39,13 +39,3 @@ pub(crate) fn render(s: &Scenario, quick: bool, freqsel: &FreqSelSpec) -> String
     );
     out
 }
-
-#[cfg(test)]
-mod tests {
-    #[test]
-    fn optimized_plan_feasible_and_competitive() {
-        let s = crate::render_quick("freqs");
-        assert!(s.contains("optimized plan"));
-        assert!(s.contains("rms"));
-    }
-}

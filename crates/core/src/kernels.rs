@@ -30,6 +30,15 @@
 //!   error bound against the libm envelope `Y²` (derived at `SETTLE` and
 //!   at [`ToneSeries`]), so a comparison of two instants that differ by
 //!   20× that bound is the libm envelope's comparison.
+//! * **The droop certificate** — `curvature_bound` is
+//!   `L₂ = Σᵢⱼ|aᵢaⱼ|(2π(fᵢ − fⱼ))² ≥ |g″|` for `g = Y²`, the paper's
+//!   Eq. 8 droop coefficient for any amplitudes, and `window_bounds`
+//!   turns it, the slope `g′ = 2Re(S̄·S′)` at one instant and the error
+//!   bounds of libm and the tone bank into an interval holding every
+//!   window sample within `h` of that instant. A keyed Query whose
+//!   interval keeps the envelope above half its maximum (Eq. 9's
+//!   `α = 0.5`) decodes as its bare raster does, with no window
+//!   synthesized ([`crate::system::KeyedQuery::decodes`]).
 //!
 //! The session trial's outputs are exact, as their values feed bit-hashed
 //! outputs (campaign `gains_db`, `times_to_power_s`): the power-up stream
@@ -38,10 +47,11 @@
 //! [`crate::waveform::CibEnvelope::peak_over_period`] settles its early
 //! ternary steps on the certified envelopes (about 25 on the series and 6
 //! on the lanes of 60 on a campaign trial), then refines on pointwise
-//! [`tone_sum`]s, which also give the final `(t, y)`. The bank reproduces
-//! one tone-at-a-time pass per tone bit for bit; every path agrees with
-//! `CibEnvelope::envelope` to well under 1e-9 (property-tested in
-//! `crates/core/tests/kernel_props.rs`).
+//! [`tone_sum`]s, which also give the final `(t, y)`; a certified keyed
+//! decode is the synthesized window's decode by construction. The bank
+//! reproduces one tone-at-a-time pass per tone bit for bit; every path
+//! agrees with `CibEnvelope::envelope` to well under 1e-9
+//! (property-tested in `crates/core/tests/kernel_props.rs`).
 
 use ivn_dsp::complex::Complex64;
 use ivn_dsp::envelope::parabolic_peak;
@@ -520,6 +530,83 @@ impl ToneSeries {
             re * re + im * im
         })
     }
+}
+
+/// `L₂ = Σᵢⱼ |aᵢaⱼ|·(2π(fᵢ − fⱼ))²`, a bound on the curvature of the
+/// squared envelope `g = |S|²` at every instant: `g` is
+/// `Σᵢⱼ aᵢaⱼ·cos(2π(fᵢ − fⱼ)t + βᵢ − βⱼ)`, so
+/// `|g″| = |Σᵢⱼ aᵢaⱼ(2π(fᵢ − fⱼ))²·cos(…)| ≤ L₂`. With unit amplitudes
+/// `L₂ = 8π²(N·Σfᵢ² − (Σfᵢ)²)`, and `g ≥ N² − L₂Δt²/2` around an aligned
+/// peak is the paper's Eq. 8 droop in `Y²` (on mean-centred offsets,
+/// which the envelope cannot tell from the raw ones).
+///
+/// # Panics
+/// Panics if the slices differ in length.
+pub(crate) fn curvature_bound(offsets_hz: &[f64], amps: &[f64]) -> f64 {
+    assert_eq!(offsets_hz.len(), amps.len(), "offsets/amplitudes mismatch");
+    let mut half = 0.0;
+    for i in 0..offsets_hz.len() {
+        for j in i + 1..offsets_hz.len() {
+            let w = TAU * (offsets_hz[i] - offsets_hz[j]);
+            half += (amps[i] * amps[j]).abs() * w * w;
+        }
+    }
+    2.0 * half
+}
+
+/// Bounds `(lo, hi)` on the envelope over `[t − h, t + h]`, as
+/// [`envelope_window`]'s tone bank evaluates it there: every sample it
+/// takes in that span lies in `[lo, hi]`. `None` under the conditions of
+/// the other certificates over `[−(|t| + h), |t| + h]`: `A` outside
+/// `[1e-100, 1e100]` (or non-finite), or an angle beyond half of
+/// [`CERTIFIED_ANGLE`].
+///
+/// With `S′ = Σᵢ j·2πfᵢ·aᵢe^{j(2πfᵢt + βᵢ)}`, `g = |S|²` has slope
+/// `g′ = 2·Re(S̄·S′)` and curvature at most [`curvature_bound`]'s `L₂`,
+/// so Taylor's theorem puts every `g(t + δ)`, `|δ| ≤ h`, within
+/// `D = |g′(t)|·h + L₂h²/2` of `g(t)`. One libm pass evaluates `S(t)`
+/// and `S′(t)`; with `ε = 2⁻⁵²`, `A = Σ|aᵢ|`, `A₁ = Σ|2πfᵢaᵢ|` and the
+/// angle bound `Θ`, each is within `δ₀ = 8(Θ + n + 4)εA` (resp.
+/// `δ₁ = 8(Θ + n + 4)εA₁`) of the exact sum (angle rounding `3εΘ`, one
+/// ulp per sine, cosine and product, `n` tone-order additions, √2 for the
+/// modulus). So `g(t)` is within `r = (2A + δ₀)δ₀ + 4εA²` of the computed
+/// `|Ŝ|²`, and `|g′(t)|` at most `2|Re(Ŝ̄Ŝ′)| + 2(Aδ₁ + A₁δ₀ + δ₀δ₁) +
+/// 8εAA₁`; `D` is widened by 10⁻⁶ of itself for its own rounding. Last,
+/// the bank's samples are within `e = 2·10⁻⁹·A` of the envelope: 10⁻⁹·A
+/// is the tolerance `crates/core/tests/kernel_props.rs` asserts of the
+/// bank against the libm `Y`, and as much again covers `Y`'s own angle
+/// rounding (`3εΘA`, below 4·10⁻¹⁰·A as `Θ ≤ 2¹⁹`) and the rounding of
+/// `lo` and `hi`. So `lo = √(|Ŝ|² − D − r) − e`, `hi = √(|Ŝ|² + D + r) + e`.
+///
+/// # Panics
+/// Panics if the slices differ in length.
+pub(crate) fn window_bounds(
+    offsets_hz: &[f64],
+    phases: &[f64],
+    amps: &[f64],
+    t: f64,
+    h: f64,
+) -> Option<(f64, f64)> {
+    assert!(offsets_hz.len() == phases.len() && phases.len() == amps.len());
+    let (a, theta) = certifiable(offsets_hz, phases, amps, t.abs() + h)?;
+    let (mut s, mut ds, mut a1) = (Complex64::ZERO, Complex64::ZERO, 0.0);
+    for i in 0..offsets_hz.len() {
+        let w = TAU * offsets_hz[i];
+        let z = Complex64::from_polar(amps[i], w * t + phases[i]);
+        s += z;
+        ds += Complex64::new(-w * z.im, w * z.re);
+        a1 += (w * amps[i]).abs();
+    }
+    let eps = f64::EPSILON;
+    let scale = 8.0 * (theta + offsets_hz.len() as f64 + 4.0) * eps;
+    let (d0, d1) = (scale * a, scale * a1);
+    let r = (2.0 * a + d0) * d0 + 4.0 * eps * a * a;
+    let slope = 2.0 * (s.re * ds.re + s.im * ds.im).abs()
+        + 2.0 * (a * d1 + a1 * d0 + d0 * d1)
+        + 8.0 * eps * a * a1;
+    let d = (slope * h + 0.5 * curvature_bound(offsets_hz, amps) * h * h) * (1.0 + 1e-6);
+    let (g, e) = (s.norm_sqr(), 2e-9 * a);
+    Some(((g - d - r).max(0.0).sqrt() - e, (g + d + r).sqrt() + e))
 }
 
 /// The envelope over a sample window: `out[k] = Y(t0 + k/rate)` for

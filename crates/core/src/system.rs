@@ -157,11 +157,25 @@ pub fn power_up_over_period(
 /// The canonical Gen2 Query ([`Command::canonical_query`]) as the
 /// reader keys it: its bits and its PIE raster at the command rate,
 /// built once and keyed on each trial's envelope peak.
+///
+/// Keying it is exact without synthesizing the keyed window whenever the
+/// paper's Eq. 8 droop bound can vouch for the envelope over the 945 µs
+/// window ([`CibEnvelope::keyed_bounds`]). The decoder thresholds at half
+/// the window's maximum, and the raster's zero levels stay exactly 0; so
+/// once every unit-level sample provably exceeds half of any sample
+/// (`lo > hi/2`: Eq. 7's fluctuation below the `α = 0.5` that Eq. 9's
+/// RMS(Δf) limit is set for), the decoder sees the raster's own edges and
+/// returns the bare raster's decode, taken once here. Otherwise the window
+/// is synthesized and decoded ([`Self::synthesized_decodes`]). On the
+/// `campaign` perfbench fleet every powered trial is certified; the Eq. 9
+/// ablation's ×20 and ×60 plans are not.
 #[derive(Debug, Clone)]
 pub struct KeyedQuery {
     bits: Vec<bool>,
     profile: Vec<f64>,
     rate: f64,
+    /// Whether the bare raster decodes to `bits`.
+    raster_decodes: bool,
 }
 
 impl KeyedQuery {
@@ -172,21 +186,36 @@ impl KeyedQuery {
         let bits = command.encode();
         let runs = pie::encode_frame(&bits, &link.pie, command.needs_trcal());
         let profile = pie::rasterize(&runs, rate, 0.0);
+        let raster_decodes = pie::decode_frame_unobserved(&profile, rate).is_ok_and(|d| d == bits);
         KeyedQuery {
             bits,
             profile,
             rate,
+            raster_decodes,
         }
     }
 
-    /// Keys the raster so its centre rides `t_peak` of `envelope`
-    /// ([`CibEnvelope::keyed_window`]) and decodes what the tag's
-    /// envelope detector sees: whether the decoded bits are the Query's.
+    /// Keys the raster so its centre rides `t_peak` of `envelope` and
+    /// decodes what the tag's envelope detector sees: whether the decoded
+    /// bits are the Query's. Certified trials count under the obs counter
+    /// `experiment.trial.keyed_certified`; either way the step is one
+    /// `experiment.trial.keyed_ns` span.
     pub fn decodes(&self, envelope: &CibEnvelope, t_peak: f64) -> bool {
-        let tag_env = {
-            let _span = ivn_runtime::span!("experiment.trial.keyed_ns");
-            envelope.keyed_window(&self.profile, t_peak, self.rate)
-        };
+        let _span = ivn_runtime::span!("experiment.trial.keyed_ns");
+        let flat = envelope
+            .keyed_bounds(self.profile.len(), t_peak, self.rate)
+            .is_some_and(|(lo, hi)| lo > 0.5 * hi);
+        if flat {
+            ivn_runtime::obs_count!("experiment.trial.keyed_certified", 1);
+            return self.raster_decodes;
+        }
+        self.synthesized_decodes(envelope, t_peak)
+    }
+
+    /// [`Self::decodes`] without the certificate: synthesizes the keyed
+    /// window ([`CibEnvelope::keyed_window`]) and PIE-decodes it.
+    pub fn synthesized_decodes(&self, envelope: &CibEnvelope, t_peak: f64) -> bool {
+        let tag_env = envelope.keyed_window(&self.profile, t_peak, self.rate);
         pie::decode_frame(&tag_env, self.rate).is_ok_and(|d| d == self.bits)
     }
 }

@@ -223,6 +223,21 @@ impl CibEnvelope {
         out
     }
 
+    /// Bounds `(lo, hi)` on every unit-level sample of
+    /// [`Self::keyed_window`] for a `len`-sample profile keyed on `t_peak`
+    /// at `rate` S/s, without synthesizing it (`kernels::window_bounds`,
+    /// whose doc derives the bound, over the half-width
+    /// `len/rate/2`, padded by 10⁻⁹ of itself for the rounding of the
+    /// window's instants); `None` when the tones are not certifiable.
+    ///
+    /// This is Eq. 8 turned into a certificate: `lo > hi/2` is Eq. 7's
+    /// fluctuation below `α = 0.5` over the whole window, the tolerance
+    /// Eq. 9 sets the paper's RMS(Δf) limit from.
+    pub fn keyed_bounds(&self, len: usize, t_peak: f64, rate: f64) -> Option<(f64, f64)> {
+        let h = len as f64 / rate / 2.0 * (1.0 + 1e-9);
+        crate::kernels::window_bounds(&self.offsets_hz, &self.phases, &self.amplitudes, t_peak, h)
+    }
+
     /// The paper's Eq. 7 fluctuation `(A_max − A_min)/A_max` over a window
     /// of `duration_s` centred at `t_center`.
     pub fn fluctuation_around(&self, t_center: f64, duration_s: f64, grid: usize) -> f64 {

@@ -21,10 +21,13 @@ use ivn_core::kernels::{
 };
 use ivn_core::system::{power_up_over_period, session_trial, KeyedQuery, TrialRecord, WAKE_PROBE};
 use ivn_core::waveform::CibEnvelope;
+use ivn_core::PAPER_OFFSETS_HZ;
 use ivn_dsp::complex::Complex64;
 use ivn_dsp::units::dbm_to_watts;
 use ivn_harvester::TagPowerProfile;
+use ivn_rfid::commands::Command;
 use ivn_rfid::link::LinkParams;
+use ivn_rfid::pie::{encode_frame, rasterize};
 use ivn_runtime::prop::{any, btree_set, vec as pvec, Just, Strategy};
 use ivn_runtime::rng::{Rng, StdRng};
 use ivn_runtime::{prop_assert, prop_assert_eq, prop_assume, props};
@@ -657,6 +660,69 @@ fn session_trial_is_its_stages() {
     assert!(
         unpowered >= 8 && decoded >= 8,
         "{unpowered} unpowered, {decoded} decoded"
+    );
+}
+
+#[test]
+fn certified_keyed_decode_is_the_synthesized_decode() {
+    // Random integer-hertz plans up to 512 Hz (some flat enough over the
+    // Query for the droop certificate, some not) and the Eq. 9
+    // ablation's ×20 and ×60 paper plans (never), with U(0.2, 1)
+    // amplitudes and uniform phases, keyed on `peak_over_period`'s peak:
+    // the certified answer is the synthesized one, and every sample of a
+    // unit window as long as the Query lies in the certificate's bounds.
+    let rate = 400e3;
+    let query = KeyedQuery::new(&LinkParams::paper_defaults(), rate);
+    let command = Command::canonical_query();
+    let runs = encode_frame(
+        &command.encode(),
+        &LinkParams::paper_defaults().pie,
+        command.needs_trcal(),
+    );
+    let len = rasterize(&runs, rate, 0.0).len();
+    let mut rng = StdRng::seed_from_u64(31);
+    let (mut certified, mut synthesized, mut decoded) = (0, 0, 0);
+    for case in 0..240 {
+        let offs: Vec<f64> = match case % 4 {
+            0 => PAPER_OFFSETS_HZ.map(|f| f * 20.0).to_vec(),
+            1 => PAPER_OFFSETS_HZ.map(|f| f * 60.0).to_vec(),
+            _ => {
+                let n = 1 + rng.random_range(0..10usize);
+                (0..n).map(|_| rng.random_range(0..513u32) as f64).collect()
+            }
+        };
+        let n = offs.len();
+        let ph: Vec<f64> = (0..n).map(|_| rng.random::<f64>() * TAU).collect();
+        let amps: Vec<f64> = (0..n).map(|_| 0.2 + 0.8 * rng.random::<f64>()).collect();
+        let env = CibEnvelope::with_amplitudes(&offs, &ph, &amps);
+        let (t_peak, _) = env.peak_over_period(4096);
+
+        let want = query.synthesized_decodes(&env, t_peak);
+        assert_eq!(query.decodes(&env, t_peak), want, "case {case}: {offs:?}");
+        let (lo, hi) = env
+            .keyed_bounds(len, t_peak, rate)
+            .unwrap_or_else(|| panic!("case {case}: not certifiable"));
+        for (k, y) in env
+            .keyed_window(&vec![1.0; len], t_peak, rate)
+            .into_iter()
+            .enumerate()
+        {
+            assert!(
+                lo <= y && y <= hi,
+                "case {case}, sample {k}: {y} outside [{lo}, {hi}]"
+            );
+        }
+        if lo > 0.5 * hi {
+            assert!(case % 4 > 1, "case {case}: a wide Eq. 9 plan was certified");
+            certified += 1;
+        } else {
+            synthesized += 1;
+        }
+        decoded += want as usize;
+    }
+    assert!(
+        certified >= 40 && synthesized >= 120 && decoded >= 40,
+        "{certified} certified, {synthesized} synthesized, {decoded} decoded"
     );
 }
 

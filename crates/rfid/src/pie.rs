@@ -139,7 +139,7 @@ pub enum PieError {
 /// envelope droops too much during the frame, notches are missed.
 pub fn decode_frame(envelope: &[f64], sample_rate: f64) -> Result<Vec<bool>, PieError> {
     let _span = ivn_runtime::span!("rfid.pie_decode_ns");
-    let result = decode_frame_inner(envelope, sample_rate);
+    let result = decode_frame_unobserved(envelope, sample_rate);
     match &result {
         Ok(bits) => ivn_runtime::obs_count!("rfid.pie_symbols_decoded", bits.len()),
         Err(_) => ivn_runtime::obs_count!("rfid.pie_decode_errors", 1),
@@ -147,13 +147,16 @@ pub fn decode_frame(envelope: &[f64], sample_rate: f64) -> Result<Vec<bool>, Pie
     result
 }
 
+/// [`decode_frame`] without its span and obs counters, for a decode that
+/// belongs to no traced operation (one taken once, at set-up).
+///
 /// Whole-buffer decode delegating to the streaming edge detector
 /// ([`crate::stream::PieStreamDecoder`]) as one maximal block — the two
 /// paths share every comparison, so they agree bit for bit. The peak
 /// (for the half-amplitude threshold) is folded over the full envelope
 /// first, exactly as before; a streaming caller supplies the threshold
 /// from its own running peak instead.
-fn decode_frame_inner(envelope: &[f64], sample_rate: f64) -> Result<Vec<bool>, PieError> {
+pub fn decode_frame_unobserved(envelope: &[f64], sample_rate: f64) -> Result<Vec<bool>, PieError> {
     if envelope.len() < 8 {
         return Err(PieError::TooShort);
     }

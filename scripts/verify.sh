@@ -90,10 +90,12 @@ echo "campaign smoke run OK (25 scenarios, report matches golden)"
 echo "==> campaign --obs-json: per-trial spans reported, stdout unchanged"
 cargo run --release --offline -p ivn-bench --bin reproduce -- campaign "$FLEET_DIR" --quick --threads 2 \
     --obs-json target/verify_campaign_obs.json > target/verify_campaign_obs_on.txt
-grep -q '"experiment.trial.peak_ns"' target/verify_campaign_obs.json || {
-    echo "verify: FAIL — campaign --obs-json report lacks experiment.trial.peak_ns" >&2
-    exit 1
-}
+for name in experiment.trial.peak_ns experiment.trial.keyed_certified; do
+    grep -q "\"$name\"" target/verify_campaign_obs.json || {
+        echo "verify: FAIL — campaign --obs-json report lacks $name" >&2
+        exit 1
+    }
+done
 cargo run --release --offline -p ivn-bench --bin reproduce -- campaign "$FLEET_DIR" --quick --threads 2 > target/verify_campaign_obs_off.txt
 cmp target/verify_campaign_obs_on.txt target/verify_campaign_obs_off.txt || {
     echo "verify: FAIL — campaign stdout differs with --obs-json" >&2

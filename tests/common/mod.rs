@@ -41,3 +41,12 @@ pub fn numeric_rows(s: &str) -> Vec<Vec<f64>> {
         })
         .collect()
 }
+
+/// The committed `reproduce <target> --quick` output,
+/// `tests/golden/figures/<target>.quick.txt`.
+pub fn golden(target: &str) -> String {
+    let path = std::path::PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+        .join("tests/golden/figures")
+        .join(format!("{target}.quick.txt"));
+    std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{}: {e}", path.display()))
+}

@@ -1,18 +1,16 @@
 //! Smoke tests over the figure-reproduction harness: every `reproduce`
-//! target runs in quick mode and yields the paper's qualitative shape.
+//! target's quick output yields the paper's qualitative shape.
+//!
+//! They read the committed quick goldens, which `tests/scenario_golden.rs`
+//! pins byte for byte to a fresh render, so each quick figure is computed
+//! once per test run and a re-recorded golden is checked here too.
 
 mod common;
-use common::numeric_rows;
-
-/// `reproduce <name> --quick`: the built-in scenario through the registry.
-fn render(name: &str) -> String {
-    let s = ivn_core::scenario::builtin(name).expect("builtin");
-    ivn_bench::registry::render(&s, true).expect(name)
-}
+use common::{golden, numeric_rows};
 
 #[test]
 fn fig2_threshold_blocks_small_voltages() {
-    let s = ivn_bench::fig02_diode::run(true);
+    let s = golden("fig2");
     // At 0.20 V the threshold diode passes zero current.
     let line = s
         .lines()
@@ -24,7 +22,7 @@ fn fig2_threshold_blocks_small_voltages() {
 
 #[test]
 fn fig3_exponential_tissue_loss() {
-    let s = ivn_bench::fig03_tissue_loss::run(true);
+    let s = golden("fig3");
     // Parse the last row: tissue loss must exceed air loss by > 20 dB.
     let rows = numeric_rows(&s);
     let cells = rows.last().unwrap();
@@ -33,20 +31,20 @@ fn fig3_exponential_tissue_loss() {
 
 #[test]
 fn fig4_three_regimes() {
-    let s = ivn_bench::fig04_conduction::run(true);
+    let s = golden("fig4");
     assert!(s.contains("strong") && s.contains("marginal") && s.contains("dead"));
 }
 
 #[test]
 fn fig6_separation() {
-    let s = render("fig6");
+    let s = golden("fig6");
     assert!(s.contains("best plan"));
     assert!(s.contains("worst plan"));
 }
 
 #[test]
 fn fig9_monotone_gain() {
-    let s = render("fig9");
+    let s = golden("fig9");
     let medians: Vec<f64> = numeric_rows(&s).iter().map(|cells| cells[2]).collect();
     assert_eq!(medians.len(), 10);
     assert!(medians[9] > 10.0 * medians[0], "{medians:?}");
@@ -54,7 +52,7 @@ fn fig9_monotone_gain() {
 
 #[test]
 fn fig11_cib_dominates_in_every_medium() {
-    let s = render("fig11");
+    let s = golden("fig11");
     for line in s
         .lines()
         .filter(|l| l.contains('[') && l.contains(']') && !l.contains("p10"))
@@ -70,7 +68,7 @@ fn fig11_cib_dominates_in_every_medium() {
 
 #[test]
 fn fig12_headline_claims() {
-    let s = render("fig12");
+    let s = golden("fig12");
     // "CIB wins at XX.X% of locations"
     let wins: f64 = s
         .lines()
@@ -85,7 +83,7 @@ fn fig12_headline_claims() {
 
 #[test]
 fn invivo_pattern_matches_paper() {
-    let s = render("invivo");
+    let s = golden("invivo");
     let rows: Vec<&str> = s.lines().filter(|l| l.starts_with("swine")).collect();
     assert_eq!(rows.len(), 4);
     let count = |row: &str| -> (usize, usize) {
@@ -109,7 +107,7 @@ fn invivo_pattern_matches_paper() {
 
 #[test]
 fn freqs_optimization_feasible() {
-    let s = render("freqs");
+    let s = golden("freqs");
     assert!(s.contains("optimized plan"));
     // The reported RMS values must respect the 199 Hz cap.
     for line in s.lines().filter(|l| l.trim_start().starts_with("rms")) {
@@ -120,7 +118,7 @@ fn freqs_optimization_feasible() {
 
 #[test]
 fn ablations_run() {
-    let s = ivn_bench::ablations::run(true);
+    let s = golden("ablations");
     assert!(s.contains("stale"));
     assert!(s.contains("OOB success"));
     assert!(s.contains("Eq. 9"));

@@ -3,27 +3,28 @@
 //! byte-identical to the output captured before the experiment layer
 //! moved onto the `Scenario` substrate (tests/golden/figures/).
 //!
+//! Each test renders its figure once and checks, beside the bytes, the
+//! figure's shape (its rows, panels and headline lines);
+//! `tests/figures_smoke.rs` checks the paper's qualitative claims on the
+//! same golden bytes instead of rendering again.
+//!
 //! Regenerate a file after an *intentional* output change with:
 //! `cargo run --release --bin reproduce -- <target> --quick > tests/golden/figures/<target>.quick.txt`
 
-use std::path::PathBuf;
+mod common;
+use common::golden;
 
-fn golden(target: &str) -> String {
-    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .join("tests/golden/figures")
-        .join(format!("{target}.quick.txt"));
-    std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{}: {e}", path.display()))
-}
-
-fn check(target: &str) {
+/// Renders `target --quick`, asserts it equals the golden and returns it.
+fn check(target: &str) -> String {
     let s = ivn_core::scenario::builtin(target)
         .unwrap_or_else(|| panic!("no builtin scenario for {target}"));
     let now = ivn_bench::registry::render(&s, true).expect(target);
-    let want = golden(target);
     assert_eq!(
-        now, want,
+        now,
+        golden(target),
         "`reproduce {target} --quick` diverged from the pre-refactor golden bytes"
     );
+    now
 }
 
 // One test per target so a divergence names the figure directly and the
@@ -31,57 +32,108 @@ fn check(target: &str) {
 
 #[test]
 fn golden_fig2() {
-    check("fig2");
+    let s = check("fig2");
+    assert!(s.contains("0.25"));
+    assert!(s.lines().count() > 15);
 }
 
 #[test]
 fn golden_fig3() {
-    check("fig3");
+    let s = check("fig3");
+    assert!(s.contains("dB/cm"));
+    assert!(s.lines().count() > 15);
 }
 
 #[test]
 fn golden_fig4() {
-    check("fig4");
+    let s = check("fig4");
+    assert!(s.contains("strong"), "{s}");
+    assert!(s.contains("marginal"), "{s}");
+    assert!(s.contains("dead"), "{s}");
 }
 
 #[test]
 fn golden_fig6() {
-    check("fig6");
+    let s = check("fig6");
+    // The best plan's median gain dominates the worst plan's.
+    assert!(s.contains("medians"));
+    let line = s.lines().find(|l| l.starts_with("medians")).unwrap();
+    let nums: Vec<f64> = line
+        .split(|c: char| !c.is_ascii_digit() && c != '.')
+        .filter_map(|t| t.parse().ok())
+        .collect();
+    assert!(nums[0] > nums[1], "best {} worst {}", nums[0], nums[1]);
 }
 
 #[test]
 fn golden_fig9() {
-    check("fig9");
+    let s = check("fig9");
+    assert_eq!(
+        s.lines()
+            .filter(|l| l.trim().starts_with(char::is_numeric))
+            .count(),
+        10
+    );
+    assert!(s.contains("paper anchors"));
 }
 
 #[test]
 fn golden_fig10() {
-    check("fig10");
+    let s = check("fig10");
+    assert!(s.contains("Fig. 10a"));
+    assert!(s.contains("Fig. 10b"));
+    assert!(s.lines().count() > 20);
 }
 
 #[test]
 fn golden_fig11() {
-    check("fig11");
+    let s = check("fig11");
+    for m in [
+        "air",
+        "water",
+        "gastric",
+        "intestinal",
+        "steak",
+        "bacon",
+        "chicken",
+    ] {
+        assert!(s.contains(m), "missing {m}");
+    }
 }
 
 #[test]
 fn golden_fig12() {
-    check("fig12");
+    let s = check("fig12");
+    assert!(s.contains("median ratio"));
+    assert!(s.contains("CIB wins"));
 }
 
 #[test]
 fn golden_fig13() {
-    check("fig13");
+    let s = check("fig13");
+    for p in ["13a", "13b", "13c", "13d"] {
+        assert!(s.contains(p), "missing panel {p}");
+    }
 }
 
 #[test]
 fn golden_invivo() {
-    check("invivo");
+    let s = check("invivo");
+    // Four data rows (the title also mentions "swine").
+    assert_eq!(
+        s.lines().filter(|l| l.starts_with("swine")).count(),
+        4,
+        "{s}"
+    );
+    assert!(s.contains("gastric"));
+    assert!(s.contains("subcutaneous"));
 }
 
 #[test]
 fn golden_freqs() {
-    check("freqs");
+    let s = check("freqs");
+    assert!(s.contains("optimized plan"));
+    assert!(s.contains("rms"));
 }
 
 #[test]

@@ -1,5 +1,7 @@
 //! The session trial's instrumentation: the obs report splits a trial
-//! into its peak search, power-up, keyed window and PIE decode.
+//! into its peak search, power-up and keyed step, and books each keyed
+//! step either as certified by the droop bound or as one PIE decode of
+//! the synthesized window.
 //!
 //! `obs::set_enabled(true)` flips a process-global flag and the counts
 //! below are exact, so these checks run in their own test binary (their
@@ -28,6 +30,14 @@ fn spans(report: &Report, name: &str) -> u64 {
     report.histogram(name).map_or(0, |h| h.count)
 }
 
+/// Keyed steps the droop certificate decided without a synthesized
+/// window.
+fn certified(report: &Report) -> u64 {
+    report
+        .counter("experiment.trial.keyed_certified")
+        .unwrap_or(0)
+}
+
 #[test]
 fn evaluate_splits_every_trial_and_keys_only_powered_ones() {
     let _guard = recording();
@@ -40,7 +50,13 @@ fn evaluate_splits_every_trial_and_keys_only_powered_ones() {
     assert_eq!(spans(&report, "experiment.trial.peak_ns"), trials);
     assert_eq!(spans(&report, "experiment.trial.powerup_ns"), trials);
     assert_eq!(spans(&report, "experiment.trial.keyed_ns"), powered);
-    assert_eq!(spans(&report, "rfid.pie_decode_ns"), powered);
+    // Every keyed step is certified or decoded, never both; the session
+    // builtin's plan is flat enough over the Query to certify them all.
+    assert_eq!(
+        spans(&report, "rfid.pie_decode_ns") + certified(&report),
+        powered
+    );
+    assert_eq!(certified(&report), powered);
 }
 
 #[test]
@@ -60,7 +76,8 @@ fn run_session_books_each_span_once_and_keys_only_when_powered() {
         assert_eq!(spans(&report, "experiment.trial.peak_ns"), 1);
         assert_eq!(spans(&report, "experiment.trial.powerup_ns"), 1);
         assert_eq!(spans(&report, "experiment.trial.keyed_ns"), keyed);
-        assert_eq!(spans(&report, "rfid.pie_decode_ns"), keyed);
+        assert_eq!(certified(&report), keyed);
+        assert_eq!(spans(&report, "rfid.pie_decode_ns"), 0);
         // The Query was encoded once, when the system was built.
         assert_eq!(spans(&report, "rfid.pie_encode_ns"), 0);
     }
