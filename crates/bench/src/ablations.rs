@@ -276,67 +276,3 @@ pub(crate) fn run(quick: bool) -> String {
     out += &clock_faults(quick);
     out
 }
-
-#[cfg(test)]
-mod tests {
-    #[test]
-    fn flatness_ablation_shows_cliff() {
-        let s = super::flatness_constraint(true);
-        // The paper plan must decode every trial; the widest plan must
-        // fail most trials.
-        let rows: Vec<&str> = s.lines().filter(|l| l.contains("/20")).collect();
-        assert_eq!(rows.len(), 3, "{s}");
-        assert!(rows[0].contains("20/20"), "paper plan failed: {}", rows[0]);
-        let worst: usize = rows[2]
-            .split('/')
-            .next()
-            .unwrap()
-            .split_whitespace()
-            .last()
-            .unwrap()
-            .parse()
-            .unwrap();
-        assert!(worst < 10, "wide plan decoded too often: {}", rows[2]);
-    }
-
-    #[test]
-    fn averaging_monotone() {
-        let s = super::averaging_gain(true);
-        assert!(s.contains("64"));
-    }
-
-    #[test]
-    fn reader_ablation_smoke() {
-        let s = super::reader_placement(true);
-        assert!(s.contains("OOB success"));
-    }
-
-    #[test]
-    fn two_stage_improves_duty() {
-        let s = super::two_stage(true);
-        // Every improvement figure must be ≥ 1.
-        for line in s.lines().filter(|l| l.trim_end().ends_with('×')) {
-            let imp: f64 = line
-                .split_whitespace()
-                .last()
-                .unwrap()
-                .trim_end_matches('×')
-                .parse()
-                .unwrap();
-            assert!(imp >= 0.99, "{line}");
-        }
-    }
-
-    #[test]
-    fn hopping_median_improvement_positive() {
-        let s = super::hopping(true);
-        assert!(s.contains("median"));
-    }
-
-    #[test]
-    fn clock_faults_table() {
-        let s = super::clock_faults(true);
-        assert!(s.contains("Octoclock"));
-        assert!(s.contains("NO"));
-    }
-}

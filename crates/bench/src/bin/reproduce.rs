@@ -63,7 +63,7 @@
 use ivn_bench::pipeline::check_sample_rate;
 use ivn_bench::{campaign, registry};
 use ivn_core::scenario::{builtin, gen, Scenario, BUILTIN_NAMES};
-use ivn_runtime::json::Json;
+use ivn_runtime::json::{Json, ToJson};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
@@ -327,7 +327,13 @@ fn cmd_list() -> Result<(), String> {
     println!("{:<14}  {:<18}  description", "name", "kind");
     for name in BUILTIN_NAMES {
         let s = builtin(name).expect("registered builtin");
-        println!("{:<14}  {:<18}  seed {}", name, s.kind.type_name(), s.seed);
+        // A kind that reads no seed has none to show (`export` omits it).
+        let seed = match s.to_json().get("seed") {
+            Some(_) => format!("seed {}", s.seed),
+            None => String::new(),
+        };
+        let line = format!("{:<14}  {:<18}  {seed}", name, s.kind.type_name());
+        println!("{}", line.trim_end());
     }
     Ok(())
 }
@@ -496,7 +502,6 @@ fn main() -> ExitCode {
         if args.with_obs || args.obs_json.is_some() {
             let report = ivn_runtime::obs::report();
             if let Some(path) = &args.obs_json {
-                use ivn_runtime::json::ToJson;
                 if let Err(e) = std::fs::write(path, report.to_json().dump() + "\n") {
                     eprintln!("reproduce: cannot write obs report to {path}: {e}");
                     return ExitCode::FAILURE;

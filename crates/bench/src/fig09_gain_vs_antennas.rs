@@ -4,10 +4,10 @@
 use ivn_core::experiment::gain_vs_antennas;
 use ivn_core::scenario::Scenario;
 
-/// Renders Fig. 9 for a `gain_vs_antennas` scenario, `1..=n_max`
-/// antennas. The paper runs 150 trials per antenna count.
-pub(crate) fn render(s: &Scenario, quick: bool, n_max: usize) -> String {
-    let rows = gain_vs_antennas(s, quick, n_max);
+/// Renders Fig. 9 for a `gain_vs_antennas` scenario, the first
+/// `1..=array.n_antennas` antennas. The paper runs 150 trials per antenna count.
+pub(crate) fn render(s: &Scenario, quick: bool) -> String {
+    let rows = gain_vs_antennas(s, quick);
     let mut out = crate::header("Fig. 9 — peak power gain vs number of antennas");
     out += &format!(
         "{:>10}  {:>10}  {:>10}  {:>10}\n",
@@ -43,7 +43,9 @@ mod tests {
 
     #[test]
     fn short_sweep_does_not_panic() {
-        let out = super::render(&builtin("fig9").unwrap(), true, 4);
+        let mut s = builtin("fig9").unwrap();
+        s.array.n_antennas = 4;
+        let out = super::render(&s, true);
         assert!(out.contains("no anchor comparison"), "{out}");
     }
 }

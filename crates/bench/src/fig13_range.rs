@@ -11,7 +11,7 @@ use ivn_core::scenario::{PlacementSpec, QuickFull, Scenario, TagKind};
 
 /// Renders all four Fig. 13 panels by deriving each panel's scenario
 /// from the base `range` scenario: tag and environment vary, everything
-/// else (seed, antenna sweep `1..=n_max`, EIRP) is shared.
+/// else (seed, array, antenna sweep `1..=n_max`, EIRP) is shared.
 pub(crate) fn render(s: &Scenario, quick: bool, n_max: QuickFull<usize>) -> String {
     let air = PlacementSpec::FreeSpace { range_m: 2.0 };
     let water = PlacementSpec::WaterTank { depth_m: 0.10 };

@@ -22,9 +22,7 @@ pub fn render(s: &Scenario, quick: bool) -> Result<String, String> {
             plan_seed,
             cdf_grid,
         } => crate::fig06_freq_cdf::render(s, quick, freqsel, *plan_seed, *cdf_grid),
-        ScenarioKind::GainVsAntennas { n_max } => {
-            crate::fig09_gain_vs_antennas::render(s, quick, *n_max)
-        }
+        ScenarioKind::GainVsAntennas => crate::fig09_gain_vs_antennas::render(s, quick),
         ScenarioKind::GainStability {
             depths_m,
             orientations_rad,

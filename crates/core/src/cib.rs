@@ -38,6 +38,15 @@ impl CibConfig {
         }
     }
 
+    /// The array restricted to its first `n` antennas: the sweeps over
+    /// the antenna count (Figs. 9 and 13).
+    pub(crate) fn first(&self, n: usize) -> Self {
+        CibConfig {
+            offsets_hz: self.offsets_hz[..n].to_vec(),
+            ..self.clone()
+        }
+    }
+
     /// Number of antennas.
     pub(crate) fn n(&self) -> usize {
         self.offsets_hz.len()

@@ -148,27 +148,33 @@ pub struct GainVsAntennas {
     pub gain: Summary,
 }
 
-/// Runs a `gain_vs_antennas` scenario: gain vs antennas, `1..=n_max`,
-/// the scenario's trial count per point.
-pub fn gain_vs_antennas(s: &Scenario, quick: bool, n_max: usize) -> Vec<GainVsAntennas> {
-    gain_vs_antennas_threads(n_max, s.trial_count(quick), s.seed, par::num_threads())
+/// Runs a `gain_vs_antennas` scenario: gain vs the first `1..=n` of the
+/// array's `n` antennas, the scenario's trial count per point.
+pub fn gain_vs_antennas(s: &Scenario, quick: bool) -> Vec<GainVsAntennas> {
+    gain_vs_antennas_threads(
+        &s.cib(quick),
+        s.trial_count(quick),
+        s.seed,
+        par::num_threads(),
+    )
 }
 
-/// Positional kernel behind [`gain_vs_antennas`] with an explicit
-/// worker-thread count; the result is independent of `threads`.
+/// Positional kernel behind [`gain_vs_antennas`] over the antennas of
+/// `cib`, with an explicit worker-thread count; the result is
+/// independent of `threads`.
 pub fn gain_vs_antennas_threads(
-    n_max: usize,
+    cib: &CibConfig,
     trials: usize,
     seed: u64,
     threads: usize,
 ) -> Vec<GainVsAntennas> {
-    assert!((1..=10).contains(&n_max));
+    let n_max = cib.n();
     let _span = ivn_runtime::span!("experiment.gain_vs_antennas_ns");
     ivn_runtime::obs_count!("experiment.trials", trials * n_max);
     ivn_runtime::obs_count!("experiment.rounds", n_max);
     (1..=n_max)
         .map(|n| {
-            let cfg = CibConfig::paper_prototype_n(n);
+            let cfg = cib.first(n);
             let gains =
                 par::ensemble_threads(threads, trials, seed.wrapping_add(n as u64), |rng, _| {
                     let ch = faded_channels(rng, n, LAB_RICIAN_K);
@@ -361,22 +367,21 @@ pub struct RangePoint {
     pub range_m: f64,
 }
 
-/// Runs a `range` scenario: max range vs antennas `1..=n_max` for the
-/// scenario's tag, in air for a free-space placement and water depth
-/// for everything else.
+/// Runs a `range` scenario: max range vs the first `1..=n_max` antennas
+/// of the scenario's array for its tag, in air for a free-space
+/// placement and water depth for everything else.
 pub fn range_vs_antennas(s: &Scenario, quick: bool, n_max: QuickFull<usize>) -> Vec<RangePoint> {
     let n_max = n_max.get(quick);
     let in_air = matches!(s.placement, PlacementSpec::FreeSpace { .. });
     let tag = s.tag.spec();
+    let cib = s.cib(quick);
     let _span = ivn_runtime::span!("experiment.range_vs_antennas_ns");
     ivn_runtime::obs_count!("experiment.rounds", n_max);
     // Each antenna count is an independent bisection search with its own
     // seed, so the sweep parallelizes over `n` rather than over trials.
     let ns: Vec<usize> = (1..=n_max).collect();
     par::par_map(&ns, |_, &n| {
-        let mut config = SystemConfig::paper_prototype(n, tag.clone());
-        config.eirp_dbm = s.eirp_dbm;
-        let sys = IvnSystem::new(config);
+        let sys = IvnSystem::new(SystemConfig::new(cib.first(n), tag.clone(), s.eirp_dbm));
         let mut rng = StdRng::seed_from_u64(s.seed.wrapping_add(n as u64 * 31));
         let range_m = if in_air {
             sys.max_range_air(&mut rng, 0.05, 80.0, 2)
@@ -416,12 +421,11 @@ pub fn in_vivo_campaign(s: &Scenario, quick: bool) -> Vec<InVivoRow> {
     ivn_runtime::obs_count!("experiment.rounds", 4);
     let placements = [Placement::swine_gastric(), Placement::swine_subcutaneous()];
     let tags = [TagSpec::standard(), TagSpec::miniature()];
+    let cib = s.cib(quick);
     let mut rows = Vec::new();
     for (pi, placement) in placements.iter().enumerate() {
         for (ti, tag) in tags.iter().enumerate() {
-            let mut config = SystemConfig::paper_prototype(s.array.n_antennas, tag.clone());
-            config.eirp_dbm = s.eirp_dbm;
-            let sys = IvnSystem::new(config);
+            let sys = IvnSystem::new(SystemConfig::new(cib.clone(), tag.clone(), s.eirp_dbm));
             let outcomes = par::ensemble(
                 trials,
                 s.seed.wrapping_add((pi * 2 + ti) as u64 * 65537),
@@ -448,7 +452,6 @@ pub fn in_vivo_campaign(s: &Scenario, quick: bool) -> Vec<InVivoRow> {
 mod tests {
     use super::*;
     use crate::baselines::coherent_mrt_power;
-    use crate::scenario::builtin;
 
     /// Mean CIB-to-MRT peak-power ratio over random channels: how close
     /// blind CIB gets to the channel-aware optimum.
@@ -459,96 +462,6 @@ mod tests {
             cib.received_peak_power(&ch) / coherent_mrt_power(&ch)
         });
         ratios.iter().sum::<f64>() / trials as f64
-    }
-
-    fn scenario(name: &str, trials: usize, seed: u64) -> Scenario {
-        let mut s = builtin(name).expect("builtin");
-        s.trials = QuickFull::same(trials);
-        s.seed = seed;
-        s
-    }
-
-    #[test]
-    fn fig9_gain_scales_with_antennas() {
-        let rows = gain_vs_antennas(&scenario("fig9", 100, 1), true, 10);
-        assert_eq!(rows.len(), 10);
-        // Monotone (with Monte-Carlo slack) increase in the median.
-        for w in rows.windows(2) {
-            assert!(
-                w[1].gain.median > w[0].gain.median * 0.95,
-                "not monotone at n={}: {} then {}",
-                w[1].n,
-                w[0].gain.median,
-                w[1].gain.median
-            );
-        }
-        // Paper anchors: median ≈ 55× at 8 antennas; gains "as high as
-        // 85×" at 10 (upper percentile). Rows are looked up by antenna
-        // count, not position.
-        let g10 = rows.iter().find(|r| r.n == 10).unwrap().gain;
-        let g8 = rows.iter().find(|r| r.n == 8).unwrap().gain;
-        assert!(g10.median > 50.0 && g10.median <= 100.0, "g10 {g10}");
-        assert!(g10.p90 > 80.0, "g10 p90 {}", g10.p90);
-        assert!(g8.median > 35.0 && g8.median <= 70.0, "g8 {g8}");
-        assert!((rows[0].gain.median - 1.0).abs() < 1e-6);
-    }
-
-    #[test]
-    fn fig10_gain_flat_in_depth_and_orientation() {
-        let s = scenario("fig10", 40, 2);
-        let rows = gain_vs_depth(&s, true, &[0.0, 0.05, 0.10, 0.15, 0.20]);
-        let medians: Vec<f64> = rows.iter().map(|r| r.gain.median).collect();
-        let spread = medians.iter().cloned().fold(f64::MIN, f64::max)
-            - medians.iter().cloned().fold(f64::MAX, f64::min);
-        assert!(spread < 20.0, "depth spread {spread}");
-        for m in &medians {
-            assert!(*m > 45.0 && *m <= 100.0, "median {m}");
-        }
-
-        let rows = gain_vs_orientation(&s, true, &[0.0, 0.8, 1.6, 2.4, 3.1]);
-        let medians: Vec<f64> = rows.iter().map(|r| r.gain.median).collect();
-        let spread = medians.iter().cloned().fold(f64::MIN, f64::max)
-            - medians.iter().cloned().fold(f64::MAX, f64::min);
-        assert!(spread < 20.0, "orientation spread {spread}");
-    }
-
-    #[test]
-    fn fig11_cib_beats_baseline_everywhere() {
-        let rows = gain_across_media(&scenario("fig11", 80, 4), true);
-        assert_eq!(rows.len(), 7);
-        for row in &rows {
-            assert!(
-                row.cib.median > 45.0 && row.cib.median < 110.0,
-                "{}: cib {}",
-                row.medium,
-                row.cib.median
-            );
-            assert!(
-                row.baseline.median < 16.0,
-                "{}: baseline {}",
-                row.medium,
-                row.baseline.median
-            );
-            // The headline 8.5× CIB-over-baseline factor, loosely.
-            assert!(
-                row.cib.median / row.baseline.median > 4.0,
-                "{}: ratio {}",
-                row.medium,
-                row.cib.median / row.baseline.median
-            );
-        }
-    }
-
-    #[test]
-    fn fig12_ratio_cdf_shape() {
-        let cdf = cib_vs_baseline_cdf(&scenario("fig12", 400, 5), true);
-        // CIB wins ≥99 % of locations.
-        assert!(cdf.eval(1.0) < 0.01, "losses {}", cdf.eval(1.0));
-        // Median ratio around 8-12×.
-        let median = cdf.quantile(0.5).unwrap();
-        assert!(median > 6.0 && median < 16.0, "median ratio {median}");
-        // Heavy right tail: >100× happens.
-        assert!(cdf.quantile(0.99).unwrap() > 100.0);
     }
 
     #[test]
@@ -563,28 +476,6 @@ mod tests {
         );
         // Worst: most trials below that.
         assert!(worst.quantile(0.5).unwrap() < best.quantile(0.5).unwrap());
-    }
-
-    #[test]
-    fn fig6_scenario_experiment_matches_kernels() {
-        let s = builtin("fig6").unwrap();
-        let crate::scenario::ScenarioKind::GainCdf {
-            freqsel,
-            plan_seed,
-            cdf_grid,
-        } = &s.kind
-        else {
-            unreachable!("fig6 is a gain_cdf builtin")
-        };
-        let r = gain_cdf_experiment(&s, true, freqsel, *plan_seed, *cdf_grid);
-        assert_eq!(r.best_cdf.len(), 200);
-        assert!(
-            r.best_cdf.quantile(0.5).unwrap() > r.worst_cdf.quantile(0.5).unwrap(),
-            "best should dominate worst"
-        );
-        // The experiment is exactly the positional kernels composed.
-        let direct = peak_gain_cdf(&r.best.offsets_hz, 200, 1024, s.seed);
-        assert_eq!(direct, r.best_cdf);
     }
 
     #[test]

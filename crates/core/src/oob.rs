@@ -50,9 +50,9 @@ pub struct OobReaderConfig {
 }
 
 impl OobReaderConfig {
-    /// The paper's reader: 880 MHz, high-rejection SAW, 1-second
-    /// averaging windows (20 periods by default — the paper integrates
-    /// whole CIB periods), 0.8 correlation threshold.
+    /// The paper's reader: 880 MHz, high-rejection SAW, coherent
+    /// averaging over 20 periods (each a window around one reply, 20 ms
+    /// in `IvnSystem::run_session`), 0.8 correlation threshold.
     pub fn paper_defaults() -> Self {
         OobReaderConfig {
             carrier_hz: crate::READER_CARRIER_HZ,

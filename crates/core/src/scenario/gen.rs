@@ -11,14 +11,18 @@
 //!   the sweep axes (first axis varies fastest),
 //! * multiplies each jittered numeric field by `1 + frac·(2u−1)` with
 //!   `u` drawn from RNG stream `seed_from_u64(gen_seed).fork(i)`,
-//! * is renamed `{base}-{i:05}` and reseeded `base_seed + i` so every
-//!   generated scenario runs distinct trial streams,
+//! * drops what a sweep over `kind.type` leaves stale (the old kind's
+//!   keys and the common fields the new kind does not read; a swept or
+//!   jittered field among them is an error),
+//! * is renamed `{base}-{i:05}` and, if its kind reads a seed, reseeded
+//!   `base_seed + i` so every generated scenario runs distinct trial
+//!   streams,
 //! * and is re-parsed through [`Scenario::from_json`], so an axis that
 //!   breaks the schema is a per-scenario error, not a latent panic.
 //!
 //! Everything is deterministic in `(base, axes, jitters, count, seed)`.
 
-use super::Scenario;
+use super::{Scenario, ScenarioKind};
 use ivn_runtime::json::{FromJson, Json, ToJson};
 use ivn_runtime::rng::{Rng, StdRng};
 
@@ -79,6 +83,28 @@ pub fn set_path(root: &mut Json, path: &str, value: Json) -> Result<(), String> 
     Ok(())
 }
 
+/// Drops the fields of a canonical scenario dump that its kind does not
+/// read: the keys of another kind type and the common fields outside
+/// [`ScenarioKind::reads`].
+fn drop_unread(json: &mut Json) -> Result<(), String> {
+    let Json::Obj(pairs) = json else {
+        return Ok(());
+    };
+    let Some((_, kind)) = pairs.iter_mut().find(|(k, _)| k == "kind") else {
+        return Ok(());
+    };
+    let keys = kind
+        .get("type")
+        .and_then(Json::as_str)
+        .and_then(ScenarioKind::keys);
+    if let (Some(keys), Json::Obj(kind_pairs)) = (keys, &mut *kind) {
+        kind_pairs.retain(|(k, _)| keys.contains(&k.as_str()));
+    }
+    let reads = ScenarioKind::from_json(kind).map_err(|e| e.reason)?.reads();
+    pairs.retain(|(k, _)| matches!(k.as_str(), "name" | "kind") || reads.contains(&k.as_str()));
+    Ok(())
+}
+
 /// Number of grid points (`1` when there are no sweep axes).
 pub(crate) fn grid_size(sweeps: &[SweepAxis]) -> usize {
     sweeps
@@ -124,19 +150,26 @@ pub fn generate(spec: &GenSpec) -> Result<Vec<Scenario>, String> {
             *slot = Json::Num(*v * (1.0 + j.frac * (2.0 * u - 1.0)));
         }
 
+        // A swept `kind.type` leaves the old kind's fields behind; drop
+        // them, but never a field the spec set.
+        let invalid = |e: String| format!("scenario {i} failed validation: {e}");
+        drop_unread(&mut json).map_err(invalid)?;
+        let paths = spec.sweeps.iter().map(|a| &a.path);
+        for path in paths.chain(spec.jitters.iter().map(|j| &j.path)) {
+            at_path(&mut json, path)
+                .map_err(|_| invalid(format!("its kind does not read {path}")))?;
+        }
+
         // Distinct name + trial seed, then validate through the schema.
         set_path(
             &mut json,
             "name",
             Json::Str(format!("{}-{i:05}", spec.base.name)),
         )?;
-        set_path(
-            &mut json,
-            "seed",
-            Json::Num((spec.base.seed + i as u64) as f64),
-        )?;
-        let s = Scenario::from_json(&json)
-            .map_err(|e| format!("scenario {i} failed validation: {}", e.reason))?;
+        if let Ok(seed) = at_path(&mut json, "seed") {
+            *seed = Json::Num((spec.base.seed + i as u64) as f64);
+        }
+        let s = Scenario::from_json(&json).map_err(|e| invalid(e.reason))?;
         out.push(s);
     }
     Ok(out)
@@ -239,6 +272,41 @@ mod tests {
         g.jitters[0].path = "name".into();
         let err = generate(&g).unwrap_err();
         assert!(err.contains("not a number"), "{err}");
+    }
+
+    #[test]
+    fn kind_type_sweeps_drop_what_the_new_kind_does_not_read() {
+        let kinds = [
+            "power_session",
+            "media_gain",
+            "in_vivo",
+            "gain_vs_antennas",
+            "diode",
+        ];
+        let mut g = spec();
+        g.sweeps = vec![SweepAxis {
+            path: "kind.type".into(),
+            values: kinds.map(Json::from).to_vec(),
+        }];
+        g.jitters.clear();
+        let scenarios = generate(&g).unwrap();
+        for (s, kind) in scenarios.iter().zip(kinds) {
+            assert_eq!(s.kind.type_name(), kind);
+            assert_eq!(Scenario::parse(&s.dump()).unwrap(), *s);
+        }
+        let base = builtin("session").unwrap();
+        assert_eq!(scenarios[1].array, base.array);
+        assert_eq!(
+            scenarios[4].seed,
+            Scenario::base("", ScenarioKind::Diode).seed
+        );
+        // A swept or jittered field the new kind does not read is an error.
+        g.jitters = spec().jitters;
+        let err = generate(&g).unwrap_err();
+        assert!(
+            err.contains("scenario 1") && err.contains("eirp_dbm"),
+            "{err}"
+        );
     }
 
     #[test]

@@ -11,9 +11,15 @@
 //!
 //! Scenarios round-trip through the in-tree JSON layer
 //! ([`ivn_runtime::json`]): `Scenario::from_json(&Json::parse(text)?)`
-//! reads a user-supplied file (unknown fields are tolerated, so files
-//! can carry annotations), and [`ToJson`] emits a canonical form whose
-//! bytes are stable under parse→dump.
+//! reads a user-supplied file, and [`ToJson`] emits a canonical form
+//! whose bytes are stable under parse→dump. Each object type declares
+//! its keys once, next to its `FromJson`, and the same list orders its
+//! dump. Parse rejects any other key with its dot path and the nearest
+//! listed spelling ([`Fields`]); `comment` and keys starting with `_`
+//! stay allowed as annotations. Each kind also declares which common
+//! fields (`seed`, `trials`, `array`, `tag`, `placement`, `eirp_dbm`)
+//! its experiment reads: parse rejects the others, naming the kind, and
+//! the dump omits them, so every field a file can set is read.
 //!
 //! The built-in registry ([`builtin`]) names one scenario per paper
 //! figure/table; the bench harness resolves `reproduce` targets through
@@ -28,7 +34,7 @@ use crate::body::{Placement, TagSpec, PAPER_EIRP_DBM};
 use crate::cib::CibConfig;
 use crate::freqsel::{optimize, FreqSelConfig};
 use ivn_em::medium::Medium;
-use ivn_runtime::json::{field, FromJson, Json, JsonError, ToJson};
+use ivn_runtime::json::{keyed, keyed_tagged, Fields, FromJson, Json, JsonError, Keys, ToJson};
 
 pub use eval::{evaluate, ScenarioMetrics};
 
@@ -37,14 +43,6 @@ fn err<T>(reason: impl Into<String>) -> Result<T, JsonError> {
         offset: 0,
         reason: reason.into(),
     })
-}
-
-/// Reads an optional object field, `None` when absent.
-fn opt_field<T: FromJson>(value: &Json, key: &str) -> Result<Option<T>, JsonError> {
-    match value.get(key) {
-        Some(v) => T::from_json(v).map(Some),
-        None => Ok(None),
-    }
 }
 
 // ---------------------------------------------------------------------
@@ -78,21 +76,24 @@ impl<T: Copy> QuickFull<T> {
     }
 }
 
+const QUICK_FULL_KEYS: [&str; 2] = ["quick", "full"];
+
 impl<T: ToJson + PartialEq> ToJson for QuickFull<T> {
     fn to_json(&self) -> Json {
-        Json::obj([
-            ("quick", self.quick.to_json()),
-            ("full", self.full.to_json()),
-        ])
+        keyed(
+            &QUICK_FULL_KEYS,
+            vec![self.quick.to_json(), self.full.to_json()],
+        )
     }
 }
 
 impl<T: FromJson + Copy> FromJson for QuickFull<T> {
     fn from_json(value: &Json) -> Result<Self, JsonError> {
         if let Json::Obj(_) = value {
+            let f = Fields::of(value, &QUICK_FULL_KEYS)?;
             Ok(QuickFull {
-                quick: field(value, "quick")?,
-                full: field(value, "full")?,
+                quick: f.req("quick")?,
+                full: f.req("full")?,
             })
         } else {
             // A bare scalar applies to both modes.
@@ -238,48 +239,52 @@ impl PlacementSpec {
             other => other.clone(),
         }
     }
+
+    /// Each placement type's key list.
+    fn keys(ty: &str) -> Option<Keys> {
+        Some(match ty {
+            "free_space" => &["type", "range_m"],
+            "water_tank" => &["type", "depth_m"],
+            "media_box" => &["type", "medium", "depth_m"],
+            "swine_gastric" | "swine_subcutaneous" => &["type"],
+            _ => return None,
+        })
+    }
 }
 
 impl ToJson for PlacementSpec {
     fn to_json(&self) -> Json {
-        match self {
-            PlacementSpec::FreeSpace { range_m } => Json::obj([
-                ("type", "free_space".into()),
-                ("range_m", (*range_m).into()),
-            ]),
-            PlacementSpec::WaterTank { depth_m } => Json::obj([
-                ("type", "water_tank".into()),
-                ("depth_m", (*depth_m).into()),
-            ]),
-            PlacementSpec::MediaBox { medium, depth_m } => Json::obj([
-                ("type", "media_box".into()),
-                ("medium", medium.clone().into()),
-                ("depth_m", (*depth_m).into()),
-            ]),
-            PlacementSpec::SwineGastric => Json::obj([("type", "swine_gastric".into())]),
-            PlacementSpec::SwineSubcutaneous => Json::obj([("type", "swine_subcutaneous".into())]),
-        }
+        let (ty, values) = match self {
+            PlacementSpec::FreeSpace { range_m } => ("free_space", vec![(*range_m).into()]),
+            PlacementSpec::WaterTank { depth_m } => ("water_tank", vec![(*depth_m).into()]),
+            PlacementSpec::MediaBox { medium, depth_m } => {
+                ("media_box", vec![medium.clone().into(), (*depth_m).into()])
+            }
+            PlacementSpec::SwineGastric => ("swine_gastric", vec![]),
+            PlacementSpec::SwineSubcutaneous => ("swine_subcutaneous", vec![]),
+        };
+        keyed_tagged(ty, PlacementSpec::keys, values)
     }
 }
 
 impl FromJson for PlacementSpec {
     fn from_json(value: &Json) -> Result<Self, JsonError> {
-        let kind: String = field(value, "type")?;
-        match kind.as_str() {
-            "free_space" => Ok(PlacementSpec::FreeSpace {
-                range_m: field(value, "range_m")?,
-            }),
-            "water_tank" => Ok(PlacementSpec::WaterTank {
-                depth_m: field(value, "depth_m")?,
-            }),
-            "media_box" => Ok(PlacementSpec::MediaBox {
-                medium: field(value, "medium")?,
-                depth_m: field(value, "depth_m")?,
-            }),
-            "swine_gastric" => Ok(PlacementSpec::SwineGastric),
-            "swine_subcutaneous" => Ok(PlacementSpec::SwineSubcutaneous),
-            other => err(format!("unknown placement type '{other}'")),
-        }
+        let (ty, f) = Fields::tagged(value, PlacementSpec::keys)?;
+        Ok(match ty {
+            "free_space" => PlacementSpec::FreeSpace {
+                range_m: f.req("range_m")?,
+            },
+            "water_tank" => PlacementSpec::WaterTank {
+                depth_m: f.req("depth_m")?,
+            },
+            "media_box" => PlacementSpec::MediaBox {
+                medium: f.req("medium")?,
+                depth_m: f.req("depth_m")?,
+            },
+            "swine_gastric" => PlacementSpec::SwineGastric,
+            "swine_subcutaneous" => PlacementSpec::SwineSubcutaneous,
+            _ => unreachable!("`Fields::tagged` admits only listed types"),
+        })
     }
 }
 
@@ -362,30 +367,44 @@ impl FreqSelSpec {
     }
 }
 
+const FREQSEL_KEYS: [&str; 7] = [
+    "n_antennas",
+    "rms_limit_hz",
+    "max_offset_hz",
+    "mc_draws",
+    "grid",
+    "restarts",
+    "iterations",
+];
+
 impl ToJson for FreqSelSpec {
     fn to_json(&self) -> Json {
-        Json::obj([
-            ("n_antennas", self.n_antennas.into()),
-            ("rms_limit_hz", self.rms_limit_hz.into()),
-            ("max_offset_hz", self.max_offset_hz.into()),
-            ("mc_draws", self.mc_draws.to_json()),
-            ("grid", self.grid.to_json()),
-            ("restarts", self.restarts.to_json()),
-            ("iterations", self.iterations.to_json()),
-        ])
+        keyed(
+            &FREQSEL_KEYS,
+            vec![
+                self.n_antennas.into(),
+                self.rms_limit_hz.into(),
+                self.max_offset_hz.into(),
+                self.mc_draws.to_json(),
+                self.grid.to_json(),
+                self.restarts.to_json(),
+                self.iterations.to_json(),
+            ],
+        )
     }
 }
 
 impl FromJson for FreqSelSpec {
     fn from_json(value: &Json) -> Result<Self, JsonError> {
+        let f = Fields::of(value, &FREQSEL_KEYS)?;
         Ok(FreqSelSpec {
-            n_antennas: field(value, "n_antennas")?,
-            rms_limit_hz: field(value, "rms_limit_hz")?,
-            max_offset_hz: field(value, "max_offset_hz")?,
-            mc_draws: field(value, "mc_draws")?,
-            grid: field(value, "grid")?,
-            restarts: field(value, "restarts")?,
-            iterations: field(value, "iterations")?,
+            n_antennas: f.req("n_antennas")?,
+            rms_limit_hz: f.req("rms_limit_hz")?,
+            max_offset_hz: f.req("max_offset_hz")?,
+            mc_draws: f.req("mc_draws")?,
+            grid: f.req("grid")?,
+            restarts: f.req("restarts")?,
+            iterations: f.req("iterations")?,
         })
     }
 }
@@ -406,18 +425,27 @@ pub enum FreqPlan {
     },
 }
 
+impl FreqPlan {
+    /// Each object plan type's key list (`"paper"` is a bare string).
+    fn keys(ty: &str) -> Option<Keys> {
+        Some(match ty {
+            "offsets" => &["type", "offsets_hz"],
+            "optimize" => &["type", "seed", "freqsel"],
+            _ => return None,
+        })
+    }
+}
+
 impl ToJson for FreqPlan {
     fn to_json(&self) -> Json {
         match self {
             FreqPlan::Paper => Json::Str("paper".into()),
-            FreqPlan::Offsets(v) => {
-                Json::obj([("type", "offsets".into()), ("offsets_hz", v.clone().into())])
-            }
-            FreqPlan::Optimize { spec, seed } => Json::obj([
-                ("type", "optimize".into()),
-                ("seed", (*seed as f64).into()),
-                ("freqsel", spec.to_json()),
-            ]),
+            FreqPlan::Offsets(v) => keyed_tagged("offsets", FreqPlan::keys, vec![v.clone().into()]),
+            FreqPlan::Optimize { spec, seed } => keyed_tagged(
+                "optimize",
+                FreqPlan::keys,
+                vec![(*seed as f64).into(), spec.to_json()],
+            ),
         }
     }
 }
@@ -430,15 +458,15 @@ impl FromJson for FreqPlan {
                 other => err(format!("unknown plan '{other}'")),
             };
         }
-        let kind: String = field(value, "type")?;
-        match kind.as_str() {
-            "offsets" => Ok(FreqPlan::Offsets(field(value, "offsets_hz")?)),
-            "optimize" => Ok(FreqPlan::Optimize {
-                seed: field::<f64>(value, "seed")? as u64,
-                spec: field(value, "freqsel")?,
-            }),
-            other => err(format!("unknown plan type '{other}'")),
-        }
+        let (ty, f) = Fields::tagged(value, FreqPlan::keys)?;
+        Ok(match ty {
+            "offsets" => FreqPlan::Offsets(f.req("offsets_hz")?),
+            "optimize" => FreqPlan::Optimize {
+                seed: f.req::<f64>("seed")? as u64,
+                spec: f.req("freqsel")?,
+            },
+            _ => unreachable!("`Fields::tagged` admits only listed types"),
+        })
     }
 }
 
@@ -570,21 +598,27 @@ impl ArraySpec {
     }
 }
 
+const ARRAY_KEYS: [&str; 4] = ["n_antennas", "plan", "carrier_hz", "grid"];
+
 impl ToJson for ArraySpec {
     fn to_json(&self) -> Json {
-        Json::obj([
-            ("n_antennas", self.n_antennas.into()),
-            ("plan", self.plan.to_json()),
-            ("carrier_hz", self.carrier_hz.into()),
-            ("grid", self.grid.into()),
-        ])
+        keyed(
+            &ARRAY_KEYS,
+            vec![
+                self.n_antennas.into(),
+                self.plan.to_json(),
+                self.carrier_hz.into(),
+                self.grid.into(),
+            ],
+        )
     }
 }
 
 impl FromJson for ArraySpec {
     fn from_json(value: &Json) -> Result<Self, JsonError> {
-        let plan: FreqPlan = opt_field(value, "plan")?.unwrap_or(FreqPlan::Paper);
-        let n_antennas = match (&plan, opt_field::<usize>(value, "n_antennas")?) {
+        let f = Fields::of(value, &ARRAY_KEYS)?;
+        let plan: FreqPlan = f.opt("plan")?.unwrap_or(FreqPlan::Paper);
+        let n_antennas = match (&plan, f.opt::<usize>("n_antennas")?) {
             (FreqPlan::Offsets(v), None) => v.len(),
             (FreqPlan::Offsets(v), Some(n)) => {
                 if n != v.len() {
@@ -604,8 +638,8 @@ impl FromJson for ArraySpec {
         Ok(ArraySpec {
             n_antennas,
             plan,
-            carrier_hz: opt_field(value, "carrier_hz")?.unwrap_or(crate::BEAMFORMER_CARRIER_HZ),
-            grid: opt_field(value, "grid")?.unwrap_or(4096),
+            carrier_hz: f.opt("carrier_hz")?.unwrap_or(crate::BEAMFORMER_CARRIER_HZ),
+            grid: f.opt("grid")?.unwrap_or(4096),
         })
     }
 }
@@ -638,28 +672,34 @@ impl TagPopulation {
     }
 }
 
+const POPULATION_KEYS: [&str; 4] = ["count", "spacing_m", "detuning", "shadow_db"];
+
 impl ToJson for TagPopulation {
     fn to_json(&self) -> Json {
-        Json::obj([
-            ("count", self.count.into()),
-            ("spacing_m", self.spacing_m.into()),
-            ("detuning", self.detuning.into()),
-            ("shadow_db", self.shadow_db.into()),
-        ])
+        keyed(
+            &POPULATION_KEYS,
+            vec![
+                self.count.into(),
+                self.spacing_m.into(),
+                self.detuning.into(),
+                self.shadow_db.into(),
+            ],
+        )
     }
 }
 
 impl FromJson for TagPopulation {
     fn from_json(value: &Json) -> Result<Self, JsonError> {
-        let count: usize = field(value, "count")?;
+        let f = Fields::of(value, &POPULATION_KEYS)?;
+        let count: usize = f.req("count")?;
         if count == 0 {
             return err("population count must be positive");
         }
         Ok(TagPopulation {
             count,
-            spacing_m: opt_field(value, "spacing_m")?.unwrap_or(0.001),
-            detuning: opt_field(value, "detuning")?.unwrap_or(0.0),
-            shadow_db: opt_field(value, "shadow_db")?.unwrap_or(0.0),
+            spacing_m: f.opt("spacing_m")?.unwrap_or(0.001),
+            detuning: f.opt("detuning")?.unwrap_or(0.0),
+            shadow_db: f.opt("shadow_db")?.unwrap_or(0.0),
         })
     }
 }
@@ -711,6 +751,16 @@ impl PolicySpec {
         }
     }
 
+    /// Each policy type's key list.
+    fn keys(ty: &str) -> Option<Keys> {
+        Some(match ty {
+            "adaptive" => &["type", "q0", "c"],
+            "fixed" => &["type", "q"],
+            "schoute" => &["type", "q0"],
+            _ => return None,
+        })
+    }
+
     /// The three default policy arms every comparison runs.
     pub fn default_arms() -> Vec<PolicySpec> {
         vec![
@@ -723,35 +773,31 @@ impl PolicySpec {
 
 impl ToJson for PolicySpec {
     fn to_json(&self) -> Json {
-        let mut pairs: Vec<(String, Json)> =
-            vec![("type".to_string(), Json::Str(self.name().into()))];
-        match self {
-            PolicySpec::Adaptive { q0, c } => {
-                pairs.push(("q0".into(), (*q0 as usize).into()));
-                pairs.push(("c".into(), (*c).into()));
-            }
-            PolicySpec::Fixed { q } => pairs.push(("q".into(), (*q as usize).into())),
-            PolicySpec::Schoute { q0 } => pairs.push(("q0".into(), (*q0 as usize).into())),
-        }
-        Json::Obj(pairs)
+        let values = match self {
+            PolicySpec::Adaptive { q0, c } => vec![(*q0 as usize).into(), (*c).into()],
+            PolicySpec::Fixed { q } => vec![(*q as usize).into()],
+            PolicySpec::Schoute { q0 } => vec![(*q0 as usize).into()],
+        };
+        keyed_tagged(self.name(), PolicySpec::keys, values)
     }
 }
 
 impl FromJson for PolicySpec {
     fn from_json(value: &Json) -> Result<Self, JsonError> {
-        let kind: String = field(value, "type")?;
-        Ok(match kind.as_str() {
+        let (ty, f) = Fields::tagged(value, PolicySpec::keys)?;
+        let q = |key| Ok::<_, JsonError>(f.opt::<usize>(key)?.map(|q| q as u8));
+        Ok(match ty {
             "adaptive" => PolicySpec::Adaptive {
-                q0: opt_field::<usize>(value, "q0")?.unwrap_or(4) as u8,
-                c: opt_field(value, "c")?.unwrap_or(0.3),
+                q0: q("q0")?.unwrap_or(4),
+                c: f.opt("c")?.unwrap_or(0.3),
             },
             "fixed" => PolicySpec::Fixed {
-                q: opt_field::<usize>(value, "q")?.unwrap_or(6) as u8,
+                q: q("q")?.unwrap_or(6),
             },
             "schoute" => PolicySpec::Schoute {
-                q0: opt_field::<usize>(value, "q0")?.unwrap_or(4) as u8,
+                q0: q("q0")?.unwrap_or(4),
             },
-            other => return err(format!("unknown policy '{other}'")),
+            _ => unreachable!("`Fields::tagged` admits only listed types"),
         })
     }
 }
@@ -780,11 +826,8 @@ pub enum ScenarioKind {
         /// Envelope grid for the CDF trials.
         cdf_grid: QuickFull<usize>,
     },
-    /// Fig. 9 — gain vs number of antennas.
-    GainVsAntennas {
-        /// Largest antenna count swept.
-        n_max: usize,
-    },
+    /// Fig. 9 — gain vs number of antennas, `1..=array.n_antennas`.
+    GainVsAntennas,
     /// Fig. 10 — gain stability vs depth and orientation.
     GainStability {
         /// Depths swept, metres.
@@ -844,7 +887,7 @@ impl ScenarioKind {
             ScenarioKind::TissueLoss => "tissue_loss",
             ScenarioKind::Conduction => "conduction",
             ScenarioKind::GainCdf { .. } => "gain_cdf",
-            ScenarioKind::GainVsAntennas { .. } => "gain_vs_antennas",
+            ScenarioKind::GainVsAntennas => "gain_vs_antennas",
             ScenarioKind::GainStability { .. } => "gain_stability",
             ScenarioKind::MediaGain => "media_gain",
             ScenarioKind::RatioCdf => "ratio_cdf",
@@ -857,107 +900,137 @@ impl ScenarioKind {
             ScenarioKind::Inventory { .. } => "inventory",
         }
     }
+
+    /// Each kind's key list.
+    fn keys(ty: &str) -> Option<Keys> {
+        Some(match ty {
+            "diode" | "tissue_loss" | "conduction" | "gain_vs_antennas" | "media_gain"
+            | "ratio_cdf" | "in_vivo" | "ablations" | "pipeline" => &["type"],
+            "gain_cdf" => &["type", "freqsel", "plan_seed", "cdf_grid"],
+            "gain_stability" => &["type", "depths_m", "orientations_rad"],
+            "range" => &["type", "n_max"],
+            "freq_plan_search" => &["type", "freqsel"],
+            "power_session" => &["type", "powerup_rate", "command_rate"],
+            "inventory" => &[
+                "type",
+                "population",
+                "policy",
+                "max_rounds",
+                "capture_db",
+                "fade_db",
+            ],
+            _ => return None,
+        })
+    }
+
+    /// The common scenario fields this kind's experiment reads, in
+    /// canonical order (every kind reads `name` and `kind`). Parse
+    /// rejects the others and [`Scenario::dump`] omits them.
+    pub(crate) fn reads(&self) -> Keys {
+        match self {
+            ScenarioKind::Diode
+            | ScenarioKind::TissueLoss
+            | ScenarioKind::Conduction
+            | ScenarioKind::Ablations
+            | ScenarioKind::Pipeline => &[],
+            ScenarioKind::FreqPlanSearch { .. } => &["seed"],
+            ScenarioKind::GainCdf { .. } => &["seed", "trials"],
+            ScenarioKind::GainVsAntennas | ScenarioKind::MediaGain | ScenarioKind::RatioCdf => {
+                &["seed", "trials", "array"]
+            }
+            ScenarioKind::Range { .. } => &["seed", "array", "eirp_dbm"],
+            ScenarioKind::InVivo => &["seed", "trials", "array", "eirp_dbm"],
+            ScenarioKind::GainStability { .. } => &["seed", "trials", "array", "tag", "eirp_dbm"],
+            ScenarioKind::PowerSession { .. } | ScenarioKind::Inventory { .. } => {
+                &SCENARIO_KEYS[1..7]
+            }
+        }
+    }
 }
 
 impl ToJson for ScenarioKind {
     fn to_json(&self) -> Json {
-        let mut pairs: Vec<(String, Json)> =
-            vec![("type".to_string(), Json::Str(self.type_name().into()))];
-        match self {
+        let values = match self {
             ScenarioKind::GainCdf {
                 freqsel,
                 plan_seed,
                 cdf_grid,
-            } => {
-                pairs.push(("freqsel".into(), freqsel.to_json()));
-                pairs.push(("plan_seed".into(), (*plan_seed as f64).into()));
-                pairs.push(("cdf_grid".into(), cdf_grid.to_json()));
-            }
-            ScenarioKind::GainVsAntennas { n_max } => {
-                pairs.push(("n_max".into(), (*n_max).into()));
-            }
+            } => vec![
+                freqsel.to_json(),
+                (*plan_seed as f64).into(),
+                cdf_grid.to_json(),
+            ],
             ScenarioKind::GainStability {
                 depths_m,
                 orientations_rad,
-            } => {
-                pairs.push(("depths_m".into(), depths_m.clone().into()));
-                pairs.push(("orientations_rad".into(), orientations_rad.clone().into()));
-            }
-            ScenarioKind::Range { n_max } => {
-                pairs.push(("n_max".into(), n_max.to_json()));
-            }
-            ScenarioKind::FreqPlanSearch { freqsel } => {
-                pairs.push(("freqsel".into(), freqsel.to_json()));
-            }
+            } => vec![depths_m.clone().into(), orientations_rad.clone().into()],
+            ScenarioKind::Range { n_max } => vec![n_max.to_json()],
+            ScenarioKind::FreqPlanSearch { freqsel } => vec![freqsel.to_json()],
             ScenarioKind::PowerSession {
                 powerup_rate,
                 command_rate,
-            } => {
-                pairs.push(("powerup_rate".into(), (*powerup_rate).into()));
-                pairs.push(("command_rate".into(), (*command_rate).into()));
-            }
+            } => vec![(*powerup_rate).into(), (*command_rate).into()],
             ScenarioKind::Inventory {
                 population,
                 policy,
                 max_rounds,
                 capture_db,
                 fade_db,
-            } => {
-                pairs.push(("population".into(), population.to_json()));
-                pairs.push(("policy".into(), policy.to_json()));
-                pairs.push(("max_rounds".into(), (*max_rounds).into()));
-                pairs.push(("capture_db".into(), (*capture_db).into()));
-                pairs.push(("fade_db".into(), (*fade_db).into()));
-            }
-            _ => {}
-        }
-        Json::Obj(pairs)
+            } => vec![
+                population.to_json(),
+                policy.to_json(),
+                (*max_rounds).into(),
+                (*capture_db).into(),
+                (*fade_db).into(),
+            ],
+            _ => vec![],
+        };
+        keyed_tagged(self.type_name(), ScenarioKind::keys, values)
     }
 }
 
 impl FromJson for ScenarioKind {
     fn from_json(value: &Json) -> Result<Self, JsonError> {
-        let kind: String = field(value, "type")?;
-        Ok(match kind.as_str() {
+        let (ty, f) = Fields::tagged(value, ScenarioKind::keys)?;
+        Ok(match ty {
             "diode" => ScenarioKind::Diode,
             "tissue_loss" => ScenarioKind::TissueLoss,
             "conduction" => ScenarioKind::Conduction,
             "gain_cdf" => ScenarioKind::GainCdf {
-                freqsel: field(value, "freqsel")?,
-                plan_seed: field::<f64>(value, "plan_seed")? as u64,
-                cdf_grid: field(value, "cdf_grid")?,
+                freqsel: f.req("freqsel")?,
+                plan_seed: f.req::<f64>("plan_seed")? as u64,
+                cdf_grid: f.req("cdf_grid")?,
             },
-            "gain_vs_antennas" => ScenarioKind::GainVsAntennas {
-                n_max: field(value, "n_max")?,
-            },
+            "gain_vs_antennas" => ScenarioKind::GainVsAntennas,
             "gain_stability" => ScenarioKind::GainStability {
-                depths_m: field(value, "depths_m")?,
-                orientations_rad: field(value, "orientations_rad")?,
+                depths_m: f.req("depths_m")?,
+                orientations_rad: f.req("orientations_rad")?,
             },
             "media_gain" => ScenarioKind::MediaGain,
             "ratio_cdf" => ScenarioKind::RatioCdf,
             "range" => ScenarioKind::Range {
-                n_max: field(value, "n_max")?,
+                n_max: f.req("n_max")?,
             },
             "in_vivo" => ScenarioKind::InVivo,
             "freq_plan_search" => ScenarioKind::FreqPlanSearch {
-                freqsel: field(value, "freqsel")?,
+                freqsel: f.req("freqsel")?,
             },
             "ablations" => ScenarioKind::Ablations,
             "pipeline" => ScenarioKind::Pipeline,
             "power_session" => ScenarioKind::PowerSession {
-                powerup_rate: opt_field(value, "powerup_rate")?.unwrap_or(4096.0),
-                command_rate: opt_field(value, "command_rate")?.unwrap_or(400e3),
+                powerup_rate: f.opt("powerup_rate")?.unwrap_or(4096.0),
+                command_rate: f.opt("command_rate")?.unwrap_or(400e3),
             },
             "inventory" => ScenarioKind::Inventory {
-                population: field(value, "population")?,
-                policy: opt_field(value, "policy")?
+                population: f.req("population")?,
+                policy: f
+                    .opt("policy")?
                     .unwrap_or(PolicySpec::Adaptive { q0: 4, c: 0.3 }),
-                max_rounds: opt_field(value, "max_rounds")?.unwrap_or(64),
-                capture_db: opt_field(value, "capture_db")?.unwrap_or(6.0),
-                fade_db: opt_field(value, "fade_db")?.unwrap_or(3.0),
+                max_rounds: f.opt("max_rounds")?.unwrap_or(64),
+                capture_db: f.opt("capture_db")?.unwrap_or(6.0),
+                fade_db: f.opt("fade_db")?.unwrap_or(3.0),
             },
-            other => return err(format!("unknown scenario kind '{other}'")),
+            _ => unreachable!("`Fields::tagged` admits only listed types"),
         })
     }
 }
@@ -1087,6 +1160,16 @@ impl Scenario {
             ScenarioKind::Inventory { population, .. } => {
                 length("kind.population.spacing_m", population.spacing_m)?
             }
+            ScenarioKind::Range { n_max } => {
+                let hi = self.array.n_antennas;
+                for (mode, n) in [("quick", n_max.quick), ("full", n_max.full)] {
+                    if !(1..=hi).contains(&n) {
+                        return err(format!(
+                            "kind.n_max.{mode} must be in 1..={hi} (array.n_antennas), got {n}"
+                        ));
+                    }
+                }
+            }
             _ => {}
         }
         if !(1..=MAX_GRID).contains(&self.array.grid) {
@@ -1129,36 +1212,73 @@ impl Scenario {
     }
 }
 
+/// A scenario's keys in canonical order. Every kind reads `name` and
+/// `kind`; the six between them are read as [`ScenarioKind::reads`] says.
+static SCENARIO_KEYS: [&str; 8] = [
+    "name",
+    "seed",
+    "trials",
+    "array",
+    "tag",
+    "placement",
+    "eirp_dbm",
+    "kind",
+];
+
 impl ToJson for Scenario {
+    /// Omits the fields the kind does not read.
     fn to_json(&self) -> Json {
-        Json::obj([
-            ("name", self.name.clone().into()),
-            ("seed", (self.seed as f64).into()),
-            ("trials", self.trials.to_json()),
-            ("array", self.array.to_json()),
-            ("tag", self.tag.to_json()),
-            ("placement", self.placement.to_json()),
-            ("eirp_dbm", self.eirp_dbm.into()),
-            ("kind", self.kind.to_json()),
-        ])
+        let reads = self.kind.reads();
+        let values = [
+            self.name.clone().into(),
+            (self.seed as f64).into(),
+            self.trials.to_json(),
+            self.array.to_json(),
+            self.tag.to_json(),
+            self.placement.to_json(),
+            self.eirp_dbm.into(),
+            self.kind.to_json(),
+        ];
+        Json::Obj(
+            SCENARIO_KEYS
+                .iter()
+                .zip(values)
+                .filter(|(k, _)| matches!(**k, "name" | "kind") || reads.contains(k))
+                .map(|(k, v)| (k.to_string(), v))
+                .collect(),
+        )
     }
 }
 
 impl FromJson for Scenario {
+    /// An absent field takes [`Scenario::base`]'s value; a present one the
+    /// kind does not read is an error naming the kind.
     fn from_json(value: &Json) -> Result<Self, JsonError> {
-        if !matches!(value, Json::Obj(_)) {
-            return err("scenario must be a JSON object");
+        let f = Fields::of(value, &SCENARIO_KEYS)?;
+        let d = Scenario::base("scenario", f.req("kind")?);
+        let reads = d.kind.reads();
+        let unread: Vec<&str> = SCENARIO_KEYS[1..7]
+            .iter()
+            .copied()
+            .filter(|k| value.get(k).is_some() && !reads.contains(k))
+            .collect();
+        if !unread.is_empty() {
+            let verb = if unread.len() == 1 { "is" } else { "are" };
+            return err(format!(
+                "{} {verb} not read by kind '{}'",
+                unread.join(", "),
+                d.kind.type_name()
+            ));
         }
         let scenario = Scenario {
-            name: opt_field(value, "name")?.unwrap_or_else(|| "scenario".to_string()),
-            seed: opt_field::<f64>(value, "seed")?.unwrap_or(1.0) as u64,
-            trials: opt_field(value, "trials")?.unwrap_or(QuickFull { quick: 8, full: 50 }),
-            array: opt_field(value, "array")?.unwrap_or_else(|| ArraySpec::paper(10)),
-            tag: opt_field(value, "tag")?.unwrap_or(TagKind::Standard),
-            placement: opt_field(value, "placement")?
-                .unwrap_or(PlacementSpec::FreeSpace { range_m: 2.0 }),
-            eirp_dbm: opt_field(value, "eirp_dbm")?.unwrap_or(PAPER_EIRP_DBM),
-            kind: field(value, "kind")?,
+            name: f.opt("name")?.unwrap_or(d.name),
+            seed: f.opt::<f64>("seed")?.map_or(d.seed, |v| v as u64),
+            trials: f.opt("trials")?.unwrap_or(d.trials),
+            array: f.opt("array")?.unwrap_or(d.array),
+            tag: f.opt("tag")?.unwrap_or(d.tag),
+            placement: f.opt("placement")?.unwrap_or(d.placement),
+            eirp_dbm: f.opt("eirp_dbm")?.unwrap_or(d.eirp_dbm),
+            kind: d.kind,
         };
         scenario.validate()?;
         Ok(scenario)
@@ -1196,33 +1316,15 @@ pub const BUILTIN_NAMES: [&str; 16] = [
 /// `inventory` (a dense population) are both `inventory` kinds.
 pub fn builtin(name: &str) -> Option<Scenario> {
     let s = match name {
-        "fig2" => Scenario {
-            trials: QuickFull::same(1),
-            ..Scenario::base("fig2", ScenarioKind::Diode)
-        },
-        "fig3" => Scenario {
-            trials: QuickFull::same(1),
-            placement: PlacementSpec::MediaBox {
-                medium: "muscle".into(),
-                depth_m: 0.10,
-            },
-            ..Scenario::base("fig3", ScenarioKind::TissueLoss)
-        },
-        "fig4" => Scenario {
-            trials: QuickFull::same(1),
-            placement: PlacementSpec::MediaBox {
-                medium: "muscle".into(),
-                depth_m: 0.055,
-            },
-            ..Scenario::base("fig4", ScenarioKind::Conduction)
-        },
+        "fig2" => Scenario::base("fig2", ScenarioKind::Diode),
+        "fig3" => Scenario::base("fig3", ScenarioKind::TissueLoss),
+        "fig4" => Scenario::base("fig4", ScenarioKind::Conduction),
         "fig6" => Scenario {
             seed: 606,
             trials: QuickFull {
                 quick: 200,
                 full: 2000,
             },
-            array: ArraySpec::paper(5),
             ..Scenario::base(
                 "fig6",
                 ScenarioKind::GainCdf {
@@ -1252,7 +1354,7 @@ pub fn builtin(name: &str) -> Option<Scenario> {
                 quick: 50,
                 full: 150,
             },
-            ..Scenario::base("fig9", ScenarioKind::GainVsAntennas { n_max: 10 })
+            ..Scenario::base("fig9", ScenarioKind::GainVsAntennas)
         },
         "fig10" => Scenario {
             seed: 1010,
@@ -1260,7 +1362,6 @@ pub fn builtin(name: &str) -> Option<Scenario> {
                 quick: 30,
                 full: 100,
             },
-            placement: PlacementSpec::WaterTank { depth_m: 0.10 },
             ..Scenario::base(
                 "fig10",
                 ScenarioKind::GainStability {
@@ -1289,7 +1390,6 @@ pub fn builtin(name: &str) -> Option<Scenario> {
         },
         "fig13" => Scenario {
             seed: 1313,
-            trials: QuickFull::same(1),
             ..Scenario::base(
                 "fig13",
                 ScenarioKind::Range {
@@ -1301,12 +1401,10 @@ pub fn builtin(name: &str) -> Option<Scenario> {
             seed: 1515,
             trials: QuickFull { quick: 6, full: 12 },
             array: ArraySpec::paper(8),
-            placement: PlacementSpec::SwineGastric,
             ..Scenario::base("invivo", ScenarioKind::InVivo)
         },
         "freqs" => Scenario {
             seed: 5150,
-            trials: QuickFull::same(1),
             ..Scenario::base(
                 "freqs",
                 ScenarioKind::FreqPlanSearch {
@@ -1314,16 +1412,8 @@ pub fn builtin(name: &str) -> Option<Scenario> {
                 },
             )
         },
-        "ablations" => Scenario {
-            trials: QuickFull::same(1),
-            ..Scenario::base("ablations", ScenarioKind::Ablations)
-        },
-        "pipeline" => Scenario {
-            seed: 42,
-            trials: QuickFull::same(1),
-            array: ArraySpec::paper(5),
-            ..Scenario::base("pipeline", ScenarioKind::Pipeline)
-        },
+        "ablations" => Scenario::base("ablations", ScenarioKind::Ablations),
+        "pipeline" => Scenario::base("pipeline", ScenarioKind::Pipeline),
         "session" => Scenario {
             seed: 77,
             trials: QuickFull { quick: 4, full: 24 },
@@ -1495,12 +1585,9 @@ mod tests {
     #[test]
     fn inventory_kind_defaults_and_tolerance() {
         // Only the population count is mandatory; everything else
-        // defaults, and unknown fields are tolerated.
-        let s = Scenario::parse(
-            r#"{"kind":{"type":"inventory","population":{"count":100,"note":"dense"},
-                "future_knob":1}}"#,
-        )
-        .unwrap();
+        // defaults.
+        let s =
+            Scenario::parse(r#"{"kind":{"type":"inventory","population":{"count":100}}}"#).unwrap();
         let ScenarioKind::Inventory {
             population,
             policy,

@@ -58,10 +58,16 @@ impl SystemConfig {
     /// The paper's prototype with `n` beamformer antennas and the given
     /// tag.
     pub fn paper_prototype(n: usize, tag: TagSpec) -> Self {
+        SystemConfig::new(CibConfig::paper_prototype_n(n), tag, PAPER_EIRP_DBM)
+    }
+
+    /// The prototype's reader, link and rates around the array `cib`,
+    /// the tag and a per-antenna EIRP.
+    pub(crate) fn new(cib: CibConfig, tag: TagSpec, eirp_dbm: f64) -> Self {
         SystemConfig {
-            cib: CibConfig::paper_prototype_n(n),
+            cib,
             tag,
-            eirp_dbm: PAPER_EIRP_DBM,
+            eirp_dbm,
             reader: OobReaderConfig::paper_defaults(),
             link: LinkParams::paper_defaults(),
             powerup_rate: 4096.0,
@@ -317,6 +323,7 @@ impl IvnSystem {
         let rn_bits: Vec<bool> = (0..16).rev().map(|i| (rn16 >> i) & 1 == 1).collect();
 
         // ---- Stage 4: out-of-band uplink. ----------------------------
+        let _span = ivn_runtime::span!("experiment.trial.uplink_ns");
         // Reader illumination of the tag at 880 MHz (same EIRP budget).
         let orient = cfg.tag.antenna.orientation_factor(trial.orientation)
             / cfg.tag.antenna.orientation_factor(0.0);

@@ -6,6 +6,10 @@
 //! with [`Json::dump`]. Objects preserve insertion order so emitted files
 //! are deterministic.
 //!
+//! Typed config objects read through [`Fields`], which checks an object's
+//! keys against its type's key list and names any other key, and dump
+//! through [`keyed`] in the same key order.
+//!
 //! The emitter prints `f64` with Rust's shortest-round-trip formatting, so
 //! `parse(dump(v))` reproduces every finite number exactly. Non-finite
 //! numbers have no JSON representation and emit as `null` (standard
@@ -494,13 +498,225 @@ impl<T: FromJson> FromJson for Vec<T> {
 pub fn field<T: FromJson>(value: &Json, key: &str) -> Result<T, JsonError> {
     match value.get(key) {
         Some(v) => T::from_json(v),
-        None => err(0, format!("missing field '{key}'")),
+        None => err(0, format!("{MISSING}{key}'")),
     }
+}
+
+const UNKNOWN: &str = "unknown field '";
+const MISSING: &str = "missing field '";
+
+/// A key list: an object type's keys in the order its dump writes them.
+pub type Keys = &'static [&'static str];
+
+/// Edit distance between two keys, for the "did you mean" hint.
+fn edit_distance(a: &str, b: &str) -> usize {
+    let b: Vec<char> = b.chars().collect();
+    let mut row: Vec<usize> = (0..=b.len()).collect();
+    for (i, ca) in a.chars().enumerate() {
+        let mut diag = i;
+        row[0] = i + 1;
+        for (j, &cb) in b.iter().enumerate() {
+            let next = (diag + (ca != cb) as usize)
+                .min(row[j] + 1)
+                .min(row[j + 1] + 1);
+            diag = row[j + 1];
+            row[j + 1] = next;
+        }
+    }
+    row[b.len()]
+}
+
+/// An object read against its type's key list. [`Fields::of`] rejects
+/// every other key, naming each with the nearest listed spelling, except
+/// the annotations any object may carry: `comment` and keys that start
+/// with `_`. The check allocates only for that error. An error raised
+/// inside field `key` names its field paths with `key.` in front, so a
+/// nested error carries its full dot path.
+pub struct Fields<'a> {
+    value: &'a Json,
+    keys: &'a [&'a str],
+}
+
+impl<'a> Fields<'a> {
+    /// Checks the keys of the object `value` against `keys`.
+    pub fn of(value: &'a Json, keys: &'a [&'a str]) -> Result<Self, JsonError> {
+        let Json::Obj(pairs) = value else {
+            return err(0, "expected an object");
+        };
+        let unknown =
+            |k: &&String| !keys.contains(&k.as_str()) && *k != "comment" && !k.starts_with('_');
+        if !pairs.iter().map(|(k, _)| k).any(|k| unknown(&k)) {
+            return Ok(Fields { value, keys });
+        }
+        let hint = |k: &str| {
+            keys.iter()
+                .map(|c| (edit_distance(k, c), c))
+                .min()
+                .filter(|&(d, _)| d <= 2)
+                .map_or(String::new(), |(_, c)| format!(" (did you mean '{c}'?)"))
+        };
+        let named: Vec<String> = pairs
+            .iter()
+            .map(|(k, _)| k)
+            .filter(unknown)
+            .map(|k| format!("{UNKNOWN}{k}'{}", hint(k)))
+            .collect();
+        err(0, named.join("; "))
+    }
+
+    /// A tagged object: its `type` and its fields, checked against the key
+    /// list `keys_of` gives that type (`type` included).
+    pub fn tagged(
+        value: &'a Json,
+        keys_of: fn(&str) -> Option<Keys>,
+    ) -> Result<(&'a str, Self), JsonError> {
+        let Json::Obj(pairs) = value else {
+            return err(0, "expected an object");
+        };
+        let Some(ty) = value.get("type") else {
+            // Name a misspelled `type` rather than report it missing.
+            return match pairs.iter().find(|(k, _)| edit_distance(k, "type") <= 2) {
+                Some((k, _)) => err(0, format!("{UNKNOWN}{k}' (did you mean 'type'?)")),
+                None => err(0, format!("{MISSING}type'")),
+            };
+        };
+        let ty = ty
+            .as_str()
+            .map_or_else(|| err(0, "type must be a string"), Ok)?;
+        let keys = keys_of(ty).map_or_else(|| err(0, format!("unknown type '{ty}'")), Ok)?;
+        Ok((ty, Fields::of(value, keys)?))
+    }
+
+    /// The field `key` (one of the listed keys), `None` when absent.
+    pub fn opt<T: FromJson>(&self, key: &str) -> Result<Option<T>, JsonError> {
+        debug_assert!(self.keys.contains(&key), "'{key}' is not a listed key");
+        let within = |mut e: JsonError| {
+            for marker in [UNKNOWN, MISSING] {
+                e.reason = e.reason.replace(marker, &format!("{marker}{key}."));
+            }
+            e
+        };
+        self.value
+            .get(key)
+            .map(|v| T::from_json(v).map_err(within))
+            .transpose()
+    }
+
+    /// The field `key` (one of the listed keys), required.
+    pub fn req<T: FromJson>(&self, key: &str) -> Result<T, JsonError> {
+        self.opt(key)?
+            .map_or_else(|| err(0, format!("{MISSING}{key}'")), Ok)
+    }
+}
+
+/// The object `keys[i]: values[i]`: the dump of a type whose key list is
+/// `keys`, in its order.
+pub fn keyed(keys: &[&str], values: Vec<Json>) -> Json {
+    debug_assert_eq!(keys.len(), values.len(), "one value per key");
+    Json::Obj(keys.iter().map(|k| k.to_string()).zip(values).collect())
+}
+
+/// The dump of a tagged object: `type` is `ty`, and `values` follow under
+/// the rest of the key list `keys_of` gives `ty`.
+pub fn keyed_tagged(ty: &str, keys_of: fn(&str) -> Option<Keys>, values: Vec<Json>) -> Json {
+    let keys = keys_of(ty).expect("a listed type");
+    keyed(keys, std::iter::once(ty.into()).chain(values).collect())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A two-key type with a nested `{quick, full}` object.
+    #[derive(Debug, PartialEq)]
+    struct Knob {
+        depth: f64,
+        pair: Option<Pair>,
+    }
+
+    #[derive(Debug, PartialEq)]
+    struct Pair(f64, f64);
+
+    impl FromJson for Pair {
+        fn from_json(value: &Json) -> Result<Self, JsonError> {
+            let f = Fields::of(value, &["quick", "full"])?;
+            Ok(Pair(f.req("quick")?, f.req("full")?))
+        }
+    }
+
+    impl FromJson for Knob {
+        fn from_json(value: &Json) -> Result<Self, JsonError> {
+            let f = Fields::of(value, &["depth", "pair"])?;
+            Ok(Knob {
+                depth: f.req("depth")?,
+                pair: f.opt("pair")?,
+            })
+        }
+    }
+
+    fn knob(text: &str) -> Result<Knob, String> {
+        Knob::from_json(&Json::parse(text).unwrap()).map_err(|e| e.reason)
+    }
+
+    #[test]
+    fn fields_accept_listed_keys_and_annotations_only() {
+        let text = r#"{"_v":2,"depth":1,"comment":"x","pair":{"quick":1,"full":2}}"#;
+        let want = Knob {
+            depth: 1.0,
+            pair: Some(Pair(1.0, 2.0)),
+        };
+        assert_eq!(knob(text), Ok(want));
+        assert_eq!(
+            knob(r#"{"depht":1,"colour":3}"#).unwrap_err(),
+            "unknown field 'depht' (did you mean 'depth'?); unknown field 'colour'"
+        );
+        // A nested error names its dot path.
+        assert_eq!(
+            knob(r#"{"depth":1,"pair":{"quick":1,"fulll":2}}"#).unwrap_err(),
+            "unknown field 'pair.fulll' (did you mean 'full'?)"
+        );
+        assert_eq!(
+            knob(r#"{"depth":1,"pair":{"quick":1}}"#).unwrap_err(),
+            "missing field 'pair.full'"
+        );
+        assert_eq!(
+            knob(r#"{"pair":null}"#).unwrap_err(),
+            "missing field 'depth'"
+        );
+    }
+
+    #[test]
+    fn tagged_fields_take_the_key_list_of_their_type() {
+        fn keys(ty: &str) -> Option<Keys> {
+            match ty {
+                "disc" => Some(&["type", "radius"]),
+                _ => None,
+            }
+        }
+        let tagged = |text: &str| {
+            let json = Json::parse(text).unwrap();
+            Fields::tagged(&json, keys)
+                .and_then(|(ty, f)| Ok((ty.to_string(), f.req::<f64>("radius")?)))
+                .map_err(|e| e.reason)
+        };
+        assert_eq!(
+            tagged(r#"{"type":"disc","radius":2}"#),
+            Ok(("disc".into(), 2.0))
+        );
+        for (text, reason) in [
+            (r#"{"type":"disc","side":2}"#, "unknown field 'side'"),
+            (r#"{"type":"square"}"#, "unknown type 'square'"),
+            (
+                r#"{"tpye":"disc","radius":2}"#,
+                "unknown field 'tpye' (did you mean 'type'?)",
+            ),
+            (r#"{"radius":2}"#, "missing field 'type'"),
+        ] {
+            assert_eq!(tagged(text).unwrap_err(), reason, "{text}");
+        }
+        let dumped = keyed_tagged("disc", keys, vec![Json::Num(2.0)]).dump();
+        assert_eq!(dumped, r#"{"type":"disc","radius":2}"#);
+    }
 
     #[test]
     fn dump_scalars() {

@@ -35,9 +35,10 @@ impl Adc {
 
     /// Converts one sample: clips each rail then rounds to the LSB grid.
     pub fn convert(&self, x: Complex64) -> Complex64 {
+        let lsb = self.lsb();
         let q = |v: f64| {
             let clipped = v.clamp(-self.full_scale, self.full_scale);
-            (clipped / self.lsb()).round() * self.lsb()
+            (clipped / lsb).round() * lsb
         };
         Complex64::new(q(x.re), q(x.im))
     }

@@ -37,12 +37,21 @@ done
 echo "==> runtime bench with observability (BENCH_runtime.json)"
 IVN_BENCH_FAST="${IVN_BENCH_FAST:-1}" cargo run --release --offline -p ivn-bench --bin bench_runtime -- --obs
 
-echo "==> scenario export: byte-identical JSON round-trip"
+echo "==> scenario export: every builtin round-trips through a file"
 SCN_DIR=target/verify_scenarios
+rm -rf "$SCN_DIR"
 mkdir -p "$SCN_DIR"
-for name in fig6 fig9 fig13 invivo session multisensor; do
-    cargo run --release --offline -p ivn-bench --bin reproduce -- export "$name" --out "$SCN_DIR/$name.json" 2> /dev/null
-    cargo run --release --offline -p ivn-bench --bin reproduce -- --scenario "$SCN_DIR/$name.json" --quick > /dev/null
+# export → --scenario must reproduce each figure's golden bytes, and the
+# other builtins must at least run.
+for name in $(cargo run -q --release --offline -p ivn-bench --bin reproduce -- list | tail -n +2 | cut -d' ' -f1); do
+    cargo run -q --release --offline -p ivn-bench --bin reproduce -- export "$name" --out "$SCN_DIR/$name.json" 2> /dev/null
+    cargo run -q --release --offline -p ivn-bench --bin reproduce -- --scenario "$SCN_DIR/$name.json" --quick > "$SCN_DIR/$name.out"
+    if [ -f "tests/golden/figures/$name.quick.txt" ]; then
+        cmp "$SCN_DIR/$name.out" "tests/golden/figures/$name.quick.txt" || {
+            echo "verify: FAIL — exported $name diverged from tests/golden/figures/$name.quick.txt" >&2
+            exit 1
+        }
+    fi
 done
 # export → run through a file → re-export must not change a byte; the
 # scenario_golden suite pins parse→dump stability, this pins the CLI path.
@@ -51,7 +60,37 @@ cmp "$SCN_DIR/session.json" "$SCN_DIR/session2.json" || {
     echo "verify: FAIL — scenario export is not byte-stable" >&2
     exit 1
 }
-echo "scenario export round-trip OK"
+# A file with a misspelled or unread field, or a sweep past the array,
+# must fail at parse and name every offending field on stderr.
+reject() {
+    file=$1
+    shift
+    if cargo run -q --release --offline -p ivn-bench --bin reproduce -- --scenario "$file" --quick > /dev/null 2> "$file.err"; then
+        echo "verify: FAIL — $file parsed" >&2
+        exit 1
+    fi
+    for want in "$@"; do
+        grep -qF -- "$want" "$file.err" || {
+            echo "verify: FAIL — $file: stderr does not name $want" >&2
+            cat "$file.err" >&2
+            exit 1
+        }
+    done
+}
+sed 's/^{/{"eirp_dBm":100,"seeed":7,/' "$SCN_DIR/fig9.json" > "$SCN_DIR/typos.json"
+reject "$SCN_DIR/typos.json" "'eirp_dBm' (did you mean 'eirp_dbm'?)" "'seeed' (did you mean 'seed'?)"
+sed 's/"n_max":{"quick":4/"n_max":{"quick":11/' "$SCN_DIR/fig13.json" > "$SCN_DIR/n_max.json"
+reject "$SCN_DIR/n_max.json" "kind.n_max.quick"
+sed 's/^{/{"trials":5,/' "$SCN_DIR/fig13.json" > "$SCN_DIR/unread.json"
+reject "$SCN_DIR/unread.json" "trials is not read by kind 'range'"
+# The range figure reads its array's carrier: at 2.4 GHz Fig. 13 moves.
+sed 's/"carrier_hz":915000000/"carrier_hz":2400000000/' "$SCN_DIR/fig13.json" > "$SCN_DIR/carrier.json"
+cargo run -q --release --offline -p ivn-bench --bin reproduce -- --scenario "$SCN_DIR/carrier.json" --quick > "$SCN_DIR/carrier.out"
+if cmp -s "$SCN_DIR/carrier.out" tests/golden/figures/fig13.quick.txt; then
+    echo "verify: FAIL — fig13 at a 2.4 GHz carrier reproduced the 915 MHz golden" >&2
+    exit 1
+fi
+echo "scenario export round-trip OK (every builtin; typos, unread fields and n_max rejected)"
 
 echo "==> built-in scenarios reproduce the legacy figure bytes"
 # Cheap targets only here (the full 13-target pin runs in scenario_golden):

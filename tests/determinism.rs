@@ -4,6 +4,7 @@
 //! reassembles results in input order, so the outputs below must match
 //! exactly — not approximately — across 1, 2 and 8 threads.
 
+use ivn::core::cib::CibConfig;
 use ivn::core::experiment::{gain_vs_antennas_threads, peak_gain_cdf_threads};
 use ivn::core::PAPER_OFFSETS_HZ;
 
@@ -28,9 +29,10 @@ fn peak_gain_cdf_identical_across_thread_counts() {
 
 #[test]
 fn gain_vs_antennas_identical_across_thread_counts() {
-    let reference = gain_vs_antennas_threads(6, 40, 7, 1);
+    let cib = CibConfig::paper_prototype_n(6);
+    let reference = gain_vs_antennas_threads(&cib, 40, 7, 1);
     for threads in THREAD_COUNTS {
-        let rows = gain_vs_antennas_threads(6, 40, 7, threads);
+        let rows = gain_vs_antennas_threads(&cib, 40, 7, threads);
         assert_eq!(rows.len(), reference.len(), "{threads} threads");
         for (row, expect) in rows.iter().zip(&reference) {
             assert_eq!(row.n, expect.n);

@@ -4,7 +4,7 @@
 //! hostile scenario values.
 
 use ivn::core::oob::{JamTone, OobReader, OobReaderConfig};
-use ivn::core::scenario::{builtin, gen, Scenario};
+use ivn::core::scenario::{builtin, gen, PlacementSpec, Scenario};
 use ivn::dsp::complex::Complex64;
 use ivn::dsp::noise::{AwgnSource, PhaseNoise};
 use ivn::rfid::commands::Command;
@@ -227,8 +227,16 @@ fn hostile_boundary_values_are_rejected_at_parse() {
             "placement.depth_m",
             &[-5.0, -1e-9, f64::NAN, inf],
         ),
-        ("fig3", "placement.depth_m", &[-0.1, f64::NEG_INFINITY]),
-        ("fig2", "placement.range_m", &[0.0, -2.0, f64::NAN, inf]),
+        (
+            "multisensor",
+            "placement.depth_m",
+            &[-0.1, f64::NEG_INFINITY],
+        ),
+        (
+            AIR_SESSION,
+            "placement.range_m",
+            &[0.0, -2.0, f64::NAN, inf],
+        ),
         (
             "multisensor",
             "kind.population.spacing_m",
@@ -275,7 +283,7 @@ fn hostile_boundary_values_are_rejected_at_parse() {
     // the cap.
     for (name, path, v) in [
         ("session", "placement.depth_m", 0.0),
-        ("fig2", "placement.range_m", 1e-3),
+        (AIR_SESSION, "placement.range_m", 1e-3),
         ("session", "eirp_dbm", 38.85),
         ("session", "eirp_dbm", 60.0),
         ("session", "eirp_dbm", -30.0),
@@ -321,10 +329,21 @@ fn session_with(path: &str, value: f64) -> Result<Scenario, String> {
     scenario_with("session", path, value)
 }
 
-/// Builtin `name` with one field replaced, parsed back from its JSON
-/// value.
+/// The `session` builtin with its sensor in free space, 2 m out: the
+/// case for `placement.range_m`, which only a kind that reads the
+/// placement may carry.
+const AIR_SESSION: &str = "session in air";
+
+/// Builtin `name` (or [`AIR_SESSION`]) with one field replaced, parsed
+/// back from its JSON value.
 fn scenario_with(name: &str, path: &str, value: f64) -> Result<Scenario, String> {
-    let mut json = Json::parse(&builtin(name).expect("builtin").dump()).expect("json");
+    let base = match name {
+        AIR_SESSION => builtin("session")
+            .expect("builtin")
+            .with_placement(PlacementSpec::FreeSpace { range_m: 2.0 }),
+        _ => builtin(name).expect("builtin"),
+    };
+    let mut json = Json::parse(&base.dump()).expect("json");
     gen::set_path(&mut json, path, Json::Num(value)).expect("field exists");
     Scenario::from_json(&json).map_err(|e| e.reason)
 }
@@ -383,7 +402,7 @@ fn out_of_band_carriers_and_huge_lengths_are_rejected_at_parse() {
             &[0.0, -915e6, 1e-300, 999_999.0, 1.1e11, 1e308, f64::NAN, inf],
         ),
         ("session", "placement.depth_m", &[1000.5, 1e308]),
-        ("fig2", "placement.range_m", &[1e308]),
+        (AIR_SESSION, "placement.range_m", &[1e308]),
         ("multisensor", "kind.population.spacing_m", &[1e308]),
     ];
     for &(name, path, values) in cases {
@@ -423,4 +442,70 @@ fn fractional_powerup_rate_is_rejected_at_parse() {
         "{reason}"
     );
     assert!(session_with("kind.powerup_rate", 2049.0).is_ok());
+}
+
+#[test]
+fn misspelled_and_unread_fields_are_rejected_at_parse() {
+    // A misspelled key used to run the default without a word: `fig9`
+    // with these two keys ran at 37 dBm with seed 918. Every unknown key
+    // is named, with the nearest listed spelling.
+    let text =
+        builtin("fig9")
+            .expect("builtin")
+            .dump()
+            .replacen('{', r#"{"eirp_dBm":100,"seeed":7,"#, 1);
+    let reason = Scenario::parse(&text).expect_err("typos parsed").reason;
+    for part in [
+        "unknown field 'eirp_dBm' (did you mean 'eirp_dbm'?)",
+        "unknown field 'seeed' (did you mean 'seed'?)",
+    ] {
+        assert!(reason.contains(part), "{reason}");
+    }
+    // A nested one names its dot path.
+    let text = builtin("session")
+        .expect("builtin")
+        .dump()
+        .replace("\"grid\":1024", "\"gird\":1024");
+    let reason = Scenario::parse(&text).expect_err("typo parsed").reason;
+    assert!(
+        reason.contains("'array.gird' (did you mean 'grid'?)"),
+        "{reason}"
+    );
+
+    // A field spelled right that the kind does not read is named with
+    // the kind, e.g. the trials and placement Fig. 13's panels never use.
+    for (name, extra, field, kind) in [
+        ("fig13", r#""trials":5"#, "trials", "range"),
+        (
+            "fig2",
+            r#""placement":{"type":"free_space","range_m":3}"#,
+            "placement",
+            "diode",
+        ),
+        ("pipeline", r#""seed":7"#, "seed", "pipeline"),
+    ] {
+        let text = builtin(name)
+            .expect("builtin")
+            .dump()
+            .replacen('{', &format!("{{{extra},"), 1);
+        let reason = Scenario::parse(&text)
+            .expect_err("unread field parsed")
+            .reason;
+        assert_eq!(reason, format!("{field} is not read by kind '{kind}'"));
+    }
+
+    // The two panics past validation are parse errors naming the field:
+    // Fig. 9's antenna count is the array's, and a range sweep stays
+    // within the array.
+    let text = builtin("fig9").expect("builtin").dump().replace(
+        r#""type":"gain_vs_antennas""#,
+        r#""type":"gain_vs_antennas","n_max":11"#,
+    );
+    let reason = Scenario::parse(&text).expect_err("n_max parsed").reason;
+    assert!(reason.contains("unknown field 'kind.n_max'"), "{reason}");
+    for value in [11.0, 0.0] {
+        let reason = scenario_with("fig13", "kind.n_max.quick", value).expect_err("n_max parsed");
+        assert!(reason.contains("kind.n_max.quick"), "{reason}");
+    }
+    assert!(scenario_with("fig13", "kind.n_max.full", 10.0).is_ok());
 }

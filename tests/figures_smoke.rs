@@ -45,9 +45,36 @@ fn fig6_separation() {
 #[test]
 fn fig9_monotone_gain() {
     let s = golden("fig9");
-    let medians: Vec<f64> = numeric_rows(&s).iter().map(|cells| cells[2]).collect();
+    // Rows are "antennas p10 median p90".
+    let rows = numeric_rows(&s);
+    let medians: Vec<f64> = rows.iter().map(|cells| cells[2]).collect();
     assert_eq!(medians.len(), 10);
     assert!(medians[9] > 10.0 * medians[0], "{medians:?}");
+    // Monotone (with Monte-Carlo slack), and one antenna gains nothing.
+    for w in medians.windows(2) {
+        assert!(w[1] > w[0] * 0.95, "not monotone: {medians:?}");
+    }
+    assert_eq!(medians[0], 1.0);
+    // Paper anchors: median ≈ 55× at 8 antennas; gains "as high as 85×"
+    // at 10 (upper percentile).
+    let (g8, g10) = (&rows[7], &rows[9]);
+    assert!(g10[2] > 50.0 && g10[2] <= 100.0, "{g10:?}");
+    assert!(g10[3] > 80.0, "{g10:?}");
+    assert!(g8[2] > 35.0 && g8[2] <= 70.0, "{g8:?}");
+}
+
+#[test]
+fn fig10_gain_flat_in_depth_and_orientation() {
+    let s = golden("fig10");
+    let (depth, orientation) = s.split_once("Fig. 10b").unwrap();
+    for panel in [depth, orientation] {
+        let medians: Vec<f64> = numeric_rows(panel).iter().map(|cells| cells[2]).collect();
+        assert_eq!(medians.len(), 9, "{panel}");
+        let max = medians.iter().cloned().fold(f64::MIN, f64::max);
+        let min = medians.iter().cloned().fold(f64::MAX, f64::min);
+        assert!(max - min < 20.0, "spread {medians:?}");
+        assert!(min > 45.0 && max <= 100.0, "{medians:?}");
+    }
 }
 
 #[test]
@@ -63,6 +90,10 @@ fn fig11_cib_dominates_in_every_medium() {
             .filter_map(|t| t.parse().ok())
             .collect();
         assert!(nums[0] > nums[3], "CIB should beat baseline: {line}");
+        assert!(nums[0] > 45.0 && nums[0] < 110.0, "CIB gain: {line}");
+        assert!(nums[3] < 16.0, "baseline gain: {line}");
+        // The headline 8.5× CIB-over-baseline factor, loosely.
+        assert!(nums[0] / nums[3] > 4.0, "CIB over baseline: {line}");
     }
 }
 
@@ -79,6 +110,17 @@ fn fig12_headline_claims() {
         })
         .unwrap();
     assert!(wins > 95.0, "win rate {wins}");
+    // CIB loses at < 1% of locations: the CDF at ratio 1.
+    let at_one = numeric_rows(&s).into_iter().find(|c| c[0] == 1.0).unwrap();
+    assert!(at_one[1] < 0.01, "{at_one:?}");
+    // "median ratio 7.8× (paper: ~8×); p99 649× (paper: >100× occurs)"
+    let line = s.lines().find(|l| l.starts_with("median ratio")).unwrap();
+    let nums: Vec<f64> = line
+        .split(|c: char| !c.is_ascii_digit() && c != '.')
+        .filter_map(|t| t.parse().ok())
+        .collect();
+    assert!(nums[0] > 6.0 && nums[0] < 16.0, "median ratio: {line}");
+    assert!(nums[3] > 100.0, "p99: {line}");
 }
 
 #[test]

@@ -4,9 +4,10 @@
 //! metrics or to an error — never panic anywhere on the way.
 //!
 //! The mutations walk the JSON tree of a builtin: delete a field, flip a
-//! number's sign, set it to 0, NaN, 1e308 or a fraction, or swap a node
-//! for another JSON type. Every builtin goes through `parse → validate`;
-//! the `session` builtin goes on through `evaluate` in quick mode.
+//! number's sign, set it to 0, NaN, 1e308 or a fraction, swap a node for
+//! another JSON type, or misspell its key. Every builtin goes through
+//! `parse → validate`; the `session` builtin goes on through `evaluate`
+//! in quick mode. A misspelled key must be an error that names it.
 
 use ivn::core::scenario::{builtin, evaluate, Scenario, BUILTIN_NAMES};
 use ivn_runtime::json::{FromJson, Json, ToJson};
@@ -29,9 +30,11 @@ enum Mutation {
     ToNull,
     ToArray,
     ToObject,
+    /// The node's key with its last letter doubled (`seed` → `seedd`).
+    RenameKey,
 }
 
-const MUTATIONS: [Mutation; 11] = [
+const MUTATIONS: [Mutation; 12] = [
     Mutation::Delete,
     Mutation::FlipSign,
     Mutation::Zero,
@@ -43,6 +46,7 @@ const MUTATIONS: [Mutation; 11] = [
     Mutation::ToNull,
     Mutation::ToArray,
     Mutation::ToObject,
+    Mutation::RenameKey,
 ];
 
 /// A node's position: object keys and array indices from the root.
@@ -80,18 +84,24 @@ fn child_mut(node: &mut Json, i: usize) -> &mut Json {
 fn mutate(root: &mut Json, path: &[usize], m: Mutation) {
     let (&last, parent_path) = path.split_last().expect("non-root path");
     let parent = parent_path.iter().fold(root, |node, &i| child_mut(node, i));
-    if let Mutation::Delete = m {
-        match parent {
-            Json::Obj(pairs) => drop(pairs.remove(last)),
-            Json::Arr(items) => drop(items.remove(last)),
-            _ => unreachable!("paths only index containers"),
+    match (m, parent) {
+        (Mutation::Delete, Json::Obj(pairs)) => drop(pairs.remove(last)),
+        (Mutation::Delete, Json::Arr(items)) => drop(items.remove(last)),
+        (Mutation::RenameKey, Json::Obj(pairs)) => {
+            let key = &mut pairs[last].0;
+            key.push(key.chars().last().expect("keys are not empty"));
         }
-        return;
+        // An array item has no key to misspell.
+        (Mutation::RenameKey, _) => {}
+        (_, parent) => mutate_node(child_mut(parent, last), m),
     }
-    let node = child_mut(parent, last);
+}
+
+/// Applies a value mutation `m` to `node`.
+fn mutate_node(node: &mut Json, m: Mutation) {
     let x = node.as_f64();
     *node = match m {
-        Mutation::Delete => unreachable!("handled above"),
+        Mutation::Delete | Mutation::RenameKey => unreachable!("handled by `mutate`"),
         Mutation::FlipSign => Json::Num(-x.unwrap_or(1.0)),
         Mutation::Zero => Json::Num(0.0),
         Mutation::Nan => Json::Num(f64::NAN),
@@ -178,6 +188,33 @@ fn every_single_mutation_of_every_builtin_parses_without_panic() {
             }
         }
     }
+}
+
+#[test]
+fn every_misspelled_key_of_every_builtin_is_an_error_naming_it() {
+    let mut renamed = 0;
+    for name in BUILTIN_NAMES {
+        let base = builtin(name).expect("builtin").to_json();
+        for path in paths(&base) {
+            let mut json = base.clone();
+            mutate(&mut json, &path, Mutation::RenameKey);
+            let (&last, parent_path) = path.split_last().expect("non-root path");
+            let parent = parent_path
+                .iter()
+                .fold(&mut json, |node, &i| child_mut(node, i));
+            let Json::Obj(pairs) = parent else {
+                continue;
+            };
+            let key = pairs[last].0.clone();
+            match parse_and_validate(&json) {
+                Ok(Err(reason)) => assert!(reason.contains(&key), "{name}: '{key}': {reason}"),
+                Ok(Ok(_)) => panic!("{name}: misspelled key '{key}' parsed"),
+                Err(panic) => panic!("{name}: {panic}"),
+            }
+            renamed += 1;
+        }
+    }
+    assert!(renamed >= 100, "only {renamed} keys renamed");
 }
 
 props! {

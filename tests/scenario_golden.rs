@@ -138,7 +138,51 @@ fn golden_freqs() {
 
 #[test]
 fn golden_ablations() {
-    check("ablations");
+    let s = check("ablations");
+    // Seven sections, each checked on its own lines.
+    let sections: Vec<&str> = s.split("\n=== Ablation — ").skip(1).collect();
+    assert_eq!(sections.len(), 7, "{s}");
+    let section = |title: &str| -> &str {
+        sections
+            .iter()
+            .find(|t| t.starts_with(title))
+            .unwrap_or_else(|| panic!("no '{title}' section in {s}"))
+    };
+    assert!(section("coherent beamforming with stale").contains("stale MRT"));
+    assert!(section("out-of-band reader").contains("OOB success"));
+    // The paper plan decodes every trial; the widest plan fails most.
+    let rows: Vec<&str> = section("query decodability")
+        .lines()
+        .filter(|l| l.contains("/20"))
+        .collect();
+    assert_eq!(rows.len(), 3, "{rows:?}");
+    assert!(rows[0].contains("20/20"), "paper plan failed: {}", rows[0]);
+    let worst: usize = rows[2]
+        .split('/')
+        .next()
+        .and_then(|l| l.split_whitespace().last())
+        .and_then(|t| t.parse().ok())
+        .unwrap();
+    assert!(worst < 10, "wide plan decoded too often: {}", rows[2]);
+    assert!(section("coherent averaging gain").contains("64"));
+    // Every two-stage improvement is at least 1×.
+    let two_stage = section("two-stage CIB");
+    let improvements: Vec<f64> = two_stage
+        .lines()
+        .filter(|l| l.trim_end().ends_with('×'))
+        .map(|l| {
+            let last = l.split_whitespace().last().unwrap();
+            last.trim_end_matches('×').parse().unwrap()
+        })
+        .collect();
+    assert_eq!(improvements.len(), 4, "{two_stage}");
+    assert!(improvements.iter().all(|&x| x >= 0.99), "{improvements:?}");
+    assert!(section("adaptive centre-frequency hopping").contains("median"));
+    let clock = section("clock-distribution fault injection");
+    assert!(
+        clock.contains("Octoclock") && clock.contains("NO"),
+        "{clock}"
+    );
 }
 
 #[test]

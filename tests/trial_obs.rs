@@ -1,7 +1,8 @@
 //! The session trial's instrumentation: the obs report splits a trial
-//! into its peak search, power-up and keyed step, and books each keyed
-//! step either as certified by the droop bound or as one PIE decode of
-//! the synthesized window.
+//! into its peak search, power-up and keyed step (and, in a full
+//! session whose Query decoded, the out-of-band uplink), and books each
+//! keyed step either as certified by the droop bound or as one PIE
+//! decode of the synthesized window.
 //!
 //! `obs::set_enabled(true)` flips a process-global flag and the counts
 //! below are exact, so these checks run in their own test binary (their
@@ -50,6 +51,8 @@ fn evaluate_splits_every_trial_and_keys_only_powered_ones() {
     assert_eq!(spans(&report, "experiment.trial.peak_ns"), trials);
     assert_eq!(spans(&report, "experiment.trial.powerup_ns"), trials);
     assert_eq!(spans(&report, "experiment.trial.keyed_ns"), powered);
+    // A campaign trial stops at the downlink: it has no uplink stage.
+    assert_eq!(spans(&report, "experiment.trial.uplink_ns"), 0);
     // Every keyed step is certified or decoded, never both; the session
     // builtin's plan is flat enough over the Query to certify them all.
     assert_eq!(
@@ -77,6 +80,9 @@ fn run_session_books_each_span_once_and_keys_only_when_powered() {
         assert_eq!(spans(&report, "experiment.trial.powerup_ns"), 1);
         assert_eq!(spans(&report, "experiment.trial.keyed_ns"), keyed);
         assert_eq!(certified(&report), keyed);
+        // Stage 4, the out-of-band uplink, runs once the Query decoded.
+        assert_eq!(out.command_decoded, powers, "{range_m} m: {out:?}");
+        assert_eq!(spans(&report, "experiment.trial.uplink_ns"), keyed);
         assert_eq!(spans(&report, "rfid.pie_decode_ns"), 0);
         // The Query was encoded once, when the system was built.
         assert_eq!(spans(&report, "rfid.pie_encode_ns"), 0);
