@@ -21,8 +21,10 @@
 //!   the sampled period an unnormalized inverse DFT of a sparse spectrum
 //!   ([`ivn_dsp::fft::ifft_unnormalized`]), selected when the tone count
 //!   exceeds `log₂(grid)` ([`fft_pays_off`]).
-//! * **The grid argmax** — [`grid_argmax`] takes `hypot` only for the
-//!   near-maximal `|z|²`, yet returns exactly a full `hypot` scan's index.
+//! * **The grid argmax** — [`EnvelopeScratch::argmax`] takes it from an
+//!   f32 twin of the bank ([`tone_bank_f32`]) whose top sample is `2E` clear
+//!   of the rest, else from [`grid_argmax`], which takes `hypot` only for
+//!   the near-maximal `|z|²`, yet returns exactly a full `hypot` scan's index.
 //! * **Certified squared envelopes** — [`envelope_sqr`] evaluates
 //!   `|Σᵢ aᵢe^{jθ̂ᵢ}|²` on libm's own rounded angles with branch-free
 //!   lanes of fdlibm sine/cosine ([`sin_cos_lanes`]), and [`ToneSeries`]
@@ -738,6 +740,131 @@ pub fn max_norm_sqr(grid: &[Complex64]) -> (usize, f64, bool) {
     (idx[j], best[j], nan.contains(&true))
 }
 
+/// The single-precision twin of the 1 s grid's [`tone_bank`] write, on
+/// amplitudes scaled by the power of two `s` that puts `A = Σ|aᵢ|·s` in
+/// `[1, 2)`: the bank's chunk bases, lane starts and steps `σᵢ = cis(4wᵢ)`
+/// from its own f64 expressions, rounded to f32; four lane rotators per
+/// tone; exact trig for a chunk's last `len mod 4` samples. Leaves
+/// `g̃ₖ = |z̃ₖ|²` in `g` (`im` is scratch) and returns `(s, E)`, or `None`
+/// (nothing written) when `Σ|aᵢ|` is outside `[1e-300, 1e300]`.
+///
+/// `E` bounds `|√g̃ₖ − s·hypot(zₖ)|`, `zₖ` the bank sample [`grid_argmax`]
+/// ranks. With `u = 2⁻²⁴`, `ε = 2⁻⁵²`, `n` tones and `Zₖ = s·Σᵢ Pᵢⱼσᵢ^q`
+/// the exact walk from the bank's lane starts at `k = 256c + 4q + j` (at
+/// a tail sample, `s` times the bank's own exact-trig terms):
+/// 1. rounding `s·Pᵢⱼ` (exact but for underflow) costs `u·s|aᵢ|`; each of
+///    the ≤ 63 f32 multiplies by `fl(σᵢ)` adds `u` for that rounding and
+///    `√5·u` for its own (no FMA), so a lane is within
+///    `(1 + 63(1 + √5))·u·s|aᵢ|·1.0001` of `s·Pᵢⱼσᵢ^q`, a tail term `u·s|aᵢ|`;
+/// 2. `n` f32 tone additions, each within `u` of a partial sum below
+///    `1.0001·A`, add `√2·n·u·A·1.0001` to the modulus;
+/// 3. `√g̃` is within `(u + u²)·|z̃|` of `|z̃|`; f32 underflow (products,
+///    squares, tiny scaled amplitudes) adds under 2⁻⁷⁰;
+/// 4. `s·zₖ` is within `(63√5 + n + 1)·ε·A` of `Zₖ` (step 1 at `ε` on the
+///    bank's own `σᵢ`) and `hypot` within `ε·A`: under 2⁻⁴⁰·A together.
+///
+/// So the error is at most `(206 + 1.42n)·u·A·1.0002 + 2⁻⁴⁰·A < E =
+/// (208 + 2n)·u·A`.
+///
+/// # Panics
+/// Panics if the tone slices differ in length.
+pub fn tone_bank_f32(
+    g: &mut [f32],
+    im: &mut [f32],
+    offsets_hz: &[f64],
+    phases: &[f64],
+    amps: &[f64],
+) -> Option<(f64, f64)> {
+    assert!(offsets_hz.len() == phases.len() && phases.len() == amps.len());
+    let a_sum: f64 = amps.iter().map(|a| a.abs()).sum();
+    if !(1e-300..=1e300).contains(&a_sum) {
+        return None;
+    }
+    let s = 2f64.powi(1023 - (a_sum.to_bits() >> 52) as i32);
+    let (dt, len) = (1.0 / g.len() as f64, RENORM_INTERVAL);
+    g.fill(0.0);
+    im.fill(0.0);
+    for lo in (0..offsets_hz.len()).step_by(4) {
+        // Up to four tones; a missing one is a zero lane that stays zero.
+        let tones = lo..offsets_hz.len().min(lo + 4);
+        let (mut w, mut step1) = ([0.0; 4], [Complex64::ZERO; 4]);
+        let (mut s4r, mut s4i) = ([[1f32; 4]; 4], [[0f32; 4]; 4]);
+        for (b, i) in tones.clone().enumerate() {
+            w[b] = TAU * offsets_hz[i] * dt;
+            let step4 = Complex64::cis(4.0 * w[b]);
+            (s4r[b], s4i[b]) = ([step4.re as f32; 4], [step4.im as f32; 4]);
+            step1[b] = Complex64::cis(w[b]);
+        }
+        for (c, (cr, ci)) in g.chunks_mut(len).zip(im.chunks_mut(len)).enumerate() {
+            let (mut pr, mut pi, mut base) = ([[0f32; 4]; 4], [[0f32; 4]; 4], [0.0; 4]);
+            for (b, i) in tones.clone().enumerate() {
+                let t = 0.0 + (c * len) as f64 * dt;
+                base[b] = TAU * offsets_hz[i] * t + phases[i];
+                let mut p = Complex64::from_polar(amps[i] * s, base[b]);
+                for j in 0..4 {
+                    (pr[b][j], pi[b][j]) = (p.re as f32, p.im as f32);
+                    p *= step1[b];
+                }
+            }
+            walk_f32(cr, ci, (pr, pi), (&s4r, &s4i));
+            for k in cr.len() / 4 * 4..cr.len() {
+                for (b, i) in tones.clone().enumerate() {
+                    let v = Complex64::from_polar(amps[i] * s, base[b] + w[b] * k as f64);
+                    (cr[k], ci[k]) = (cr[k] + v.re as f32, ci[k] + v.im as f32);
+                }
+            }
+        }
+    }
+    for (r, i) in g.iter_mut().zip(im.iter()) {
+        *r = *r * *r + i * i;
+    }
+    let e = (208.0 + 2.0 * offsets_hz.len() as f64) * (a_sum * s) / 16_777_216.0;
+    Some((s, e))
+}
+
+/// Four tones' four lanes, `[tone][lane]`.
+type Lanes = [[f32; 4]; 4];
+
+/// One chunk of [`tone_bank_f32`]: adds four tones' lanes `p` to each quad,
+/// then steps lane `j` of tone `b` by `s4[b][j]`. Out of line, as inlined
+/// LLVM shuffles the lanes at every quad (the walk ran 1.5× slower).
+#[inline(never)]
+fn walk_f32(re: &mut [f32], im: &mut [f32], p: (Lanes, Lanes), s4: (&Lanes, &Lanes)) {
+    let ((mut pr, mut pi), (s4r, s4i)) = (p, s4);
+    for (qr, qi) in re.chunks_exact_mut(4).zip(im.chunks_exact_mut(4)) {
+        let (mut ar, mut ai): ([f32; 4], [f32; 4]) = (from_fn(|j| qr[j]), from_fn(|j| qi[j]));
+        for b in 0..4 {
+            let (r, m) = (pr[b], pi[b]);
+            for j in 0..4 {
+                (ar[j], ai[j]) = (ar[j] + r[j], ai[j] + m[j]);
+                pr[b][j] = r[j] * s4r[b][j] - m[j] * s4i[b][j];
+                pi[b][j] = r[j] * s4i[b][j] + m[j] * s4r[b][j];
+            }
+        }
+        qr.copy_from_slice(&ar);
+        qi.copy_from_slice(&ai);
+    }
+}
+
+/// The index of the twin's largest `g̃` when every other `g̃` lies below
+/// `τ = (√g̃_top − 2E)²`, rounded down, so that `√g̃_top − √g̃_second > 2E`
+/// (then `E` orders the f64 grid's `hypot`s the same way); `None` when
+/// two or more `g̃` reach `τ` (a NaN always does) or `√g̃_top ≤ 2E`.
+fn certified_argmax(g: &[f32], e: f64) -> Option<usize> {
+    let (mut top, lanes) = ([0f32; 8], g.chunks_exact(8));
+    let max = |m: f32, x: f32| if x > m { x } else { m };
+    for c in lanes.clone() {
+        top = from_fn(|j| max(top[j], c[j]));
+    }
+    let top = top.into_iter().chain(lanes.remainder().iter().copied());
+    let top = top.fold(0f32, max);
+    let root = f64::from(top).sqrt() - 2.0 * e;
+    let tau = ((root * root) as f32).next_down();
+    let reach = |&x: &f32| u32::from(x >= tau || x.is_nan());
+    let unique = root > 0.0 && g.iter().map(reach).sum::<u32>() == 1;
+    unique.then(|| g.iter().position(|&x| x == top))?
+}
+
 /// Whether the sparse-spectrum FFT synthesis beats direct accumulation:
 /// direct is O(N·grid), the FFT is O(grid·log₂ grid), so the FFT wins
 /// once the tone count exceeds `log₂(grid)`. Requires a power-of-two
@@ -779,6 +906,8 @@ fn refined_peak(
 pub struct EnvelopeScratch {
     acc: Vec<Complex64>,
     phase_buf: Vec<f64>,
+    /// [`tone_bank_f32`]'s `g̃` grid, then its `im` scratch.
+    twin: Vec<f32>,
 }
 
 impl EnvelopeScratch {
@@ -846,6 +975,25 @@ impl EnvelopeScratch {
         } else {
             self.fill_direct(offsets_hz, phases, amps, grid);
         }
+    }
+
+    /// The index [`grid_argmax`] returns on the `grid`-point [`Self::fill`],
+    /// and whether [`tone_bank_f32`]'s bound certified it without that
+    /// fill. FFT-filled grids, where the bound is not derived, always fill.
+    ///
+    /// # Panics
+    /// Panics if `grid` is zero or the slices differ in length.
+    pub fn argmax(&mut self, offs: &[f64], ph: &[f64], amps: &[f64], grid: usize) -> (usize, bool) {
+        if !fft_pays_off(offs.len(), grid, offs) {
+            self.twin.resize(2 * grid, 0.0);
+            let (g, im) = self.twin.split_at_mut(grid);
+            let e = tone_bank_f32(g, im, offs, ph, amps).map(|(_, e)| e);
+            if let Some(k) = e.and_then(|e| certified_argmax(g, e)) {
+                return (k, true);
+            }
+        }
+        self.fill(offs, ph, Some(amps), grid);
+        (grid_argmax(&self.acc).expect("non-empty grid"), false)
     }
 
     /// Refined peak amplitude of the current grid (see `refined_peak`).

@@ -6,9 +6,7 @@
 //! the first-order droop bound (Eq. 8) that yields the RMS-offset
 //! constraint (Eq. 9).
 
-use crate::kernels::{
-    envelope_sqr, grid_argmax, settle_margin, tone_sum, EnvelopeScratch, ToneSeries,
-};
+use crate::kernels::{envelope_sqr, settle_margin, tone_sum, EnvelopeScratch, ToneSeries};
 use ivn_dsp::complex::Complex64;
 use std::f64::consts::TAU;
 
@@ -126,10 +124,11 @@ impl CibEnvelope {
 
     /// Peak of the envelope over one period: `(t_peak, Y_peak)`.
     ///
-    /// Grid search at `grid` points on a per-thread scratch ([`grid_argmax`]:
-    /// a full `hypot` scan's index, last of equal maxima), then 60 ternary
-    /// steps that keep exactly the brackets a refinement on
-    /// [`Self::envelope`] keeps:
+    /// Grid search at `grid` points on a per-thread scratch ([`EnvelopeScratch::argmax`]:
+    /// a full `hypot` scan's index, last of equal maxima, certified on an f32
+    /// twin of the grid, else read off it; obs counters `experiment.trial.argmax_certified`
+    /// and `…_filled`), then 60 ternary steps that keep exactly the brackets a
+    /// refinement on [`Self::envelope`] keeps:
     /// - The early steps, whose two probes differ by far more than any
     ///   rounding, are settled on certified squared envelopes: first a
     ///   [`ToneSeries`] around the initial bracket, then the lanes of
@@ -151,8 +150,9 @@ impl CibEnvelope {
         let (offs, ph, amps) = (&self.offsets_hz, &self.phases, &self.amplitudes);
         let phasor = |i: usize, t: f64| Complex64::from_polar(amps[i], TAU * offs[i] * t + ph[i]);
         let (t, y) = PEAK_SCRATCH.with_borrow_mut(|(scratch, fixed)| {
-            scratch.fill(offs, ph, Some(amps), grid);
-            let k = grid_argmax(scratch.grid()).expect("non-empty grid");
+            let (k, certified) = scratch.argmax(offs, ph, amps, grid);
+            ivn_runtime::obs_count!("experiment.trial.argmax_certified", u64::from(certified));
+            ivn_runtime::obs_count!("experiment.trial.argmax_filled", u64::from(!certified));
             fixed.clear();
             fixed.extend((0..self.n()).map(|i| (offs[i] == 0.0).then(|| phasor(i, 0.0))));
             let envelope = |t: f64| {

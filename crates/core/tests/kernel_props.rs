@@ -6,7 +6,9 @@
 //! stream, its peeks and the early-stopping power-up must reproduce the
 //! whole-grid fill bit for bit, the session trial must be exactly its
 //! stages, and the optimizer built on them must stay deterministic per
-//! seed. The tone bank, the four-lane `|z|²` scans and
+//! seed. The single-precision twin of the tone bank stays within its
+//! bound of the f64 grid at every sample, and the grid argmax it
+//! certifies is the `hypot` scan's. The tone bank, the four-lane `|z|²` scans and
 //! `peak_over_period`'s hoisted refinement are pinned bit for bit against
 //! test-local copies of the tone-at-a-time passes, serial scans and
 //! pointwise refinement they replaced.
@@ -16,8 +18,8 @@ use ivn_core::cib::CibConfig;
 use ivn_core::freqsel::{optimize, pessimize, FreqSelConfig};
 use ivn_core::kernels::{
     envelope_sqr, envelope_window, fft_pays_off, grid_argmax, max_norm_sqr, sin_cos_lanes,
-    tone_bank, tone_sum, CrnKernel, EnvelopeScratch, ToneSeries, CERTIFIED_ANGLE, LANES,
-    RENORM_INTERVAL,
+    tone_bank, tone_bank_f32, tone_sum, CrnKernel, EnvelopeScratch, ToneSeries, CERTIFIED_ANGLE,
+    LANES, RENORM_INTERVAL,
 };
 use ivn_core::system::{power_up_over_period, session_trial, KeyedQuery, TrialRecord, WAKE_PROBE};
 use ivn_core::waveform::CibEnvelope;
@@ -1115,4 +1117,135 @@ fn sin_cos_lanes_refuse_angles_outside_the_certified_range() {
         );
     }
     assert_eq!((sin[7], cos[7]), (0.5f64.sin(), 0.5f64.cos()));
+}
+
+/// Tones for the single-precision twin: 1–16 of them at integer or free
+/// offsets up to ±512 Hz, uniform phases, and amplitudes log-uniform over
+/// 1e-200..1e200 with zeros, either each on its own (one tone usually
+/// dominates, so the envelope is nearly flat) or within three decades of
+/// one common scale.
+fn twin_tones(rng: &mut StdRng) -> (Vec<f64>, Vec<f64>, Vec<f64>) {
+    let n = 1 + rng.random_range(0..16usize);
+    let offs = (0..n)
+        .map(|_| match rng.random_range(0..3u32) {
+            0 => rng.random_range(0..513u32) as f64,
+            1 => -(rng.random_range(0..513u32) as f64),
+            _ => 1024.0 * rng.random::<f64>() - 512.0,
+        })
+        .collect();
+    let ph = (0..n).map(|_| rng.random::<f64>() * TAU).collect();
+    let common = rng.random::<bool>();
+    let scale = 10f64.powf(400.0 * rng.random::<f64>() - 200.0);
+    let amps = (0..n)
+        .map(|_| match (rng.random_range(0..6u32), common) {
+            (0, _) => 0.0,
+            (_, true) => scale * 10f64.powf(-3.0 * rng.random::<f64>()),
+            (_, false) => 10f64.powf(400.0 * rng.random::<f64>() - 200.0),
+        })
+        .collect();
+    (offs, ph, amps)
+}
+
+/// Grids log-uniform over 4..8192 points, most not a multiple of 4.
+fn twin_grid(rng: &mut StdRng) -> usize {
+    (4.0 * 2048f64.powf(rng.random::<f64>())) as usize
+}
+
+#[test]
+fn twin_bound_holds_and_its_certified_argmax_is_the_hypot_scans() {
+    let mut rng = StdRng::seed_from_u64(0x7a1f);
+    let (mut certified, mut filled) = (0, 0);
+    let mut scratch = EnvelopeScratch::new();
+    for case in 0..160 {
+        let (offs, ph, amps) = twin_tones(&mut rng);
+        let grid = twin_grid(&mut rng);
+        let mut bank = EnvelopeScratch::new();
+        bank.fill_direct(&offs, &ph, Some(&amps), grid);
+        let (mut g, mut im) = (vec![f32::NAN; grid], vec![f32::NAN; grid]);
+        match tone_bank_f32(&mut g, &mut im, &offs, &ph, &amps) {
+            Some((s, e)) => {
+                for (k, z) in bank.grid().iter().enumerate() {
+                    let err = (f64::from(g[k]).sqrt() - s * z.norm()).abs();
+                    assert!(err <= e, "case {case}, sample {k}: {err:e} > {e:e}");
+                }
+            }
+            None => assert!(amps.iter().all(|&a| a == 0.0), "case {case}: {amps:?}"),
+        }
+        // Whatever decided it, the index is the full `hypot` scan's of the
+        // grid the search used to fill.
+        let (k, cert) = scratch.argmax(&offs, &ph, &amps, grid);
+        bank.fill(&offs, &ph, Some(&amps), grid);
+        assert_eq!(Some(k), reference_argmax(bank.grid()), "case {case}");
+        assert!(
+            !(cert && fft_pays_off(offs.len(), grid, &offs)),
+            "case {case}"
+        );
+        (certified, filled) = (certified + cert as usize, filled + !cert as usize);
+    }
+    assert!(
+        certified >= 40 && filled >= 40,
+        "{certified} certified, {filled} filled"
+    );
+}
+
+#[test]
+fn twin_falls_back_where_it_cannot_decide() {
+    let fallback = |offs: &[f64], ph: &[f64], amps: &[f64], grid: usize| {
+        let (k, cert) = EnvelopeScratch::new().argmax(offs, ph, amps, grid);
+        let mut bank = EnvelopeScratch::new();
+        bank.fill(offs, ph, Some(amps), grid);
+        assert!(!cert, "{offs:?} {ph:?} {amps:?} certified");
+        assert_eq!(
+            Some(k),
+            grid_argmax(bank.grid()),
+            "{offs:?} {ph:?} {amps:?}"
+        );
+    };
+    // Flat envelopes: one tone, or equal offsets (aligned, and balanced
+    // to ~0). Every sample ties within the bound.
+    fallback(&[7.0], &[0.3], &[2.0], 1024);
+    fallback(&[50.0; 3], &[0.0; 3], &[1.0; 3], 4096);
+    fallback(
+        &[50.0; 3],
+        &[0.0, TAU / 3.0, 2.0 * TAU / 3.0],
+        &[1.0; 3],
+        4096,
+    );
+    // A symmetric two-tone envelope peaking midway between samples 100
+    // and 101: the two tie in exact arithmetic.
+    let beta = -TAU * 100.5 / 1024.0;
+    fallback(&[0.0, 1.0], &[0.0, beta], &[1.0, 1.0], 1024);
+    fallback(&[3.0, 5.0], &[beta * 3.0, beta * 5.0], &[0.5, 0.5], 1024);
+    // NaN amplitudes (no bound) and NaN phases (a NaN grid).
+    let offs = PAPER_OFFSETS_HZ[..8].to_vec();
+    fallback(
+        &offs,
+        &[0.1; 8],
+        &[1.0, f64::NAN, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0],
+        1024,
+    );
+    fallback(
+        &offs,
+        &[0.1, 0.2, f64::NAN, 0.4, 0.5, 0.6, 0.7, 0.8],
+        &[1.0; 8],
+        1024,
+    );
+    // All-zero amplitudes.
+    fallback(&offs, &[0.1; 8], &[0.0; 8], 1024);
+}
+
+props! {
+    cases = 96;
+
+    // The peak search with the twin's argmax is the search that always
+    // filled the f64 grid (`pointwise_peak`), over the twin's tones.
+    fn peak_over_period_is_the_pre_twin_search_bit_for_bit(seed in any::<u64>()) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let (offs, ph, amps) = twin_tones(&mut rng);
+        let grid = if rng.random::<bool>() { 1024 } else { twin_grid(&mut rng) };
+        let env = CibEnvelope::with_amplitudes(&offs, &ph, &amps);
+        let (t, y) = env.peak_over_period(grid);
+        let (want_t, want_y) = pointwise_peak(&env, (&offs, &ph, &amps), grid);
+        prop_assert_eq!((t.to_bits(), y.to_bits()), (want_t.to_bits(), want_y.to_bits()));
+    }
 }

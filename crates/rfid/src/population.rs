@@ -23,7 +23,10 @@
 //! one add to `RoundStats::empty`. The policy sees exactly the outcome
 //! sequence the broadcast reader would give it.
 //!
-//! A round over `A` active tags at frame size `2^Q` costs
+//! The active tags are kept in an ascending index list, pruned at the
+//! top of each round of the tags the last round read, so a round never
+//! scans the rest of the population. A round over `A` active tags at
+//! frame size `2^Q` then costs O(A) for the pruning,
 //! O(A · ceil(Q/8)) for the draws and the sort, O(A) for the walk, plus
 //! the policy's empty runs: O(1) each for [`FixedQ`] and [`SchouteQ`];
 //! [`AdaptiveQ`] stops stepping as soon as Qfp reaches its floor, so
@@ -69,9 +72,15 @@ pub fn inventory_population(
     max_rounds: usize,
 ) -> InventoryOutcome {
     assert!(u32::try_from(tags.len()).is_ok(), "population too large");
-    let target = tags.iter().filter(|t| t.fast_active()).count();
+    // The tags that reply to a Query, ascending. A round only retires
+    // tags (a read sets the inventoried flag), so each round prunes the
+    // list instead of scanning the population.
+    let mut active: Vec<u32> = (0..tags.len() as u32)
+        .filter(|&i| tags[i as usize].fast_active())
+        .collect();
+    let target = active.len();
     let mut out = InventoryOutcome {
-        epcs: Vec::new(),
+        epcs: Vec::with_capacity(target),
         rounds: Vec::new(),
         terminated: target == 0,
     };
@@ -88,11 +97,11 @@ pub fn inventory_population(
         }
         let q = policy.choose_q();
 
+        active.retain(|&i| tags[i as usize].fast_active());
         keys.clear();
-        for (i, t) in tags.iter_mut().enumerate() {
-            if t.fast_active() {
-                keys.push(u64::from(t.fast_draw_slot(q)) << 32 | i as u64);
-            }
+        for &i in &active {
+            let slot = tags[i as usize].fast_draw_slot(q);
+            keys.push(u64::from(slot) << 32 | u64::from(i));
         }
         sort_by_slot(&mut keys, &mut spare, q);
 
@@ -202,7 +211,7 @@ fn read_tag(tags: &mut [Tag], idx: usize) -> SlotOutcome {
 mod tests {
     use super::*;
     use crate::anticollision::{AdaptiveQ, FixedQ, SchouteQ};
-    use crate::commands::Session;
+    use crate::commands::{Command, Session};
     use crate::reader::{QAlgorithm, Reader};
     use ivn_runtime::rng::StdRng;
 
@@ -216,38 +225,106 @@ mod tests {
             .collect()
     }
 
+    /// The fast path over `tags` against the broadcast reader over the
+    /// readable ones alone (the reader's termination counts every tag it
+    /// is handed), each with a fresh `policy()`, without capture and with
+    /// it on one RNG stream; returns the two fast outcomes.
+    fn fast_equals_broadcast(
+        tags: &[Tag],
+        policy: impl Fn() -> Box<dyn AntiCollision>,
+    ) -> [InventoryOutcome; 2] {
+        let powers: Vec<f64> = (0..tags.len()).map(|i| 1.0 + i as f64).collect();
+        let (readable, readable_powers): (Vec<Tag>, Vec<f64>) = tags
+            .iter()
+            .zip(&powers)
+            .filter(|(t, _)| t.fast_active())
+            .map(|(t, &p)| (t.clone(), p))
+            .unzip();
+        let cap = |p: &[f64]| CaptureModel::new(p.to_vec(), 3.0, 6.0, StdRng::seed_from_u64(42));
+        [false, true].map(|with_capture| {
+            let mut reader = Reader::with_policy(Session::S0, policy());
+            if with_capture {
+                reader.set_capture(cap(&readable_powers));
+            }
+            let naive = reader.inventory_all(&mut readable.clone(), 64);
+            let mut capture = with_capture.then(|| cap(&powers));
+            let mut fast_policy = policy();
+            let fast = inventory_population(
+                fast_policy.as_mut(),
+                capture.as_mut(),
+                &mut tags.to_vec(),
+                64,
+            );
+            let n = tags.len();
+            assert_eq!(
+                naive, fast,
+                "population {n}, capture {with_capture} diverged"
+            );
+            fast
+        })
+    }
+
     #[test]
     fn fast_path_matches_broadcast_reader() {
-        for &n in &[1usize, 2, 5, 8, 17, 33] {
-            let mut naive_tags = pop(n);
-            let mut reader = Reader::new(Session::S0, QAlgorithm { q0: 4, c: 0.3 });
-            let naive = reader.inventory_all(&mut naive_tags, 64);
-
-            let mut fast_tags = pop(n);
-            let mut policy = AdaptiveQ::new(QAlgorithm { q0: 4, c: 0.3 });
-            let fast = inventory_population(&mut policy, None, &mut fast_tags, 64);
-            assert_eq!(naive, fast, "population {n} diverged");
+        let policy = QAlgorithm { q0: 4, c: 0.3 };
+        for n in [1, 2, 5, 8, 17, 33] {
+            fast_equals_broadcast(&pop(n), || Box::new(AdaptiveQ::new(policy)));
         }
     }
 
     #[test]
     fn fast_path_matches_broadcast_reader_with_capture() {
-        for &n in &[2usize, 8, 17] {
-            let powers: Vec<f64> = (0..n).map(|i| 1.0 + i as f64).collect();
-            let cap =
-                |seed| CaptureModel::new(powers.clone(), 3.0, 6.0, StdRng::seed_from_u64(seed));
+        let policy = QAlgorithm { q0: 3, c: 0.3 };
+        for n in [2, 8, 17] {
+            let [_, captured] = fast_equals_broadcast(&pop(n), || Box::new(AdaptiveQ::new(policy)));
+            assert!(captured.terminated, "capture population {n}");
+        }
+    }
 
-            let mut naive_tags = pop(n);
-            let mut reader = Reader::new(Session::S0, QAlgorithm { q0: 3, c: 0.3 });
-            reader.set_capture(cap(42));
-            let naive = reader.inventory_all(&mut naive_tags, 64);
+    #[test]
+    fn fast_path_matches_broadcast_reader_around_unpowered_and_parked_tags() {
+        let mut tags = pop(24);
+        for (i, t) in tags.iter_mut().enumerate() {
+            if i % 5 == 2 {
+                // The EPCs start with zeros, so this mask parks the tag.
+                t.process(&Command::Select {
+                    mask: vec![true; 8],
+                });
+            }
+            if i % 3 == 1 {
+                t.set_powered(false);
+            }
+        }
+        let readable = tags.iter().filter(|t| t.fast_active()).count();
+        assert!((8..24).contains(&readable), "{readable} readable");
+        for out in fast_equals_broadcast(&tags, || {
+            Box::new(AdaptiveQ::new(QAlgorithm { q0: 3, c: 0.3 }))
+        }) {
+            assert!(out.terminated);
+            assert_eq!(out.epcs.len(), readable);
+        }
+    }
 
-            let mut fast_tags = pop(n);
-            let mut policy = AdaptiveQ::new(QAlgorithm { q0: 3, c: 0.3 });
-            let mut capture = cap(42);
-            let fast = inventory_population(&mut policy, Some(&mut capture), &mut fast_tags, 64);
-            assert_eq!(naive, fast, "capture population {n} diverged");
-            assert!(naive.terminated);
+    #[test]
+    fn fast_path_matches_broadcast_reader_at_q_zero() {
+        // Every active tag replies in the one slot: a collision each round
+        // unless one tag is left or capture picks one.
+        for n in [1, 2, 5] {
+            let [plain, captured] = fast_equals_broadcast(&pop(n), || Box::new(FixedQ::new(0)));
+            assert!(plain.rounds.iter().all(|r| r.slots() == 1));
+            assert_eq!(plain.terminated, n == 1);
+            assert!(captured.epcs.len() >= plain.epcs.len());
+        }
+    }
+
+    #[test]
+    fn fast_path_matches_broadcast_reader_when_a_round_reads_every_tag() {
+        // 6 tags in 4096 slots: every tag has a slot of its own, so the
+        // first round reads them all and is the last.
+        for out in fast_equals_broadcast(&pop(6), || Box::new(FixedQ::new(12))) {
+            assert_eq!(out.rounds.len(), 1);
+            assert_eq!((out.rounds[0].singles, out.epcs.len()), (6, 6));
+            assert!(out.terminated);
         }
     }
 

@@ -1,8 +1,9 @@
 //! The session trial's instrumentation: the obs report splits a trial
 //! into its peak search, power-up and keyed step (and, in a full
-//! session whose Query decoded, the out-of-band uplink), and books each
-//! keyed step either as certified by the droop bound or as one PIE
-//! decode of the synthesized window.
+//! session whose Query decoded, the out-of-band uplink), books each peak
+//! search's grid argmax either as certified on the single-precision twin
+//! or as one f64 grid fill, and each keyed step either as certified by
+//! the droop bound or as one PIE decode of the synthesized window.
 //!
 //! `obs::set_enabled(true)` flips a process-global flag and the counts
 //! below are exact, so these checks run in their own test binary (their
@@ -31,12 +32,15 @@ fn spans(report: &Report, name: &str) -> u64 {
     report.histogram(name).map_or(0, |h| h.count)
 }
 
+/// The named counter, 0 when nothing booked it.
+fn count(report: &Report, name: &str) -> u64 {
+    report.counter(name).unwrap_or(0)
+}
+
 /// Keyed steps the droop certificate decided without a synthesized
 /// window.
 fn certified(report: &Report) -> u64 {
-    report
-        .counter("experiment.trial.keyed_certified")
-        .unwrap_or(0)
+    count(report, "experiment.trial.keyed_certified")
 }
 
 #[test]
@@ -49,6 +53,12 @@ fn evaluate_splits_every_trial_and_keys_only_powered_ones() {
     let (trials, powered) = (m.trials as u64, m.powered as u64);
     assert!(powered > 0, "no trial powered: {m:?}");
     assert_eq!(spans(&report, "experiment.trial.peak_ns"), trials);
+    // Every grid argmax is certified on the twin or read off one f64
+    // fill, never both; the session builtin's peaks are all certified.
+    let argmax_certified = count(&report, "experiment.trial.argmax_certified");
+    let filled = count(&report, "experiment.trial.argmax_filled");
+    assert_eq!(argmax_certified + filled, trials);
+    assert_eq!(argmax_certified, trials);
     assert_eq!(spans(&report, "experiment.trial.powerup_ns"), trials);
     assert_eq!(spans(&report, "experiment.trial.keyed_ns"), powered);
     // A campaign trial stops at the downlink: it has no uplink stage.
@@ -77,6 +87,8 @@ fn run_session_books_each_span_once_and_keys_only_when_powered() {
         assert_eq!(out.powered, powers, "{range_m} m: {out:?}");
         let keyed = powers as u64;
         assert_eq!(spans(&report, "experiment.trial.peak_ns"), 1);
+        assert_eq!(count(&report, "experiment.trial.argmax_certified"), 1);
+        assert_eq!(count(&report, "experiment.trial.argmax_filled"), 0);
         assert_eq!(spans(&report, "experiment.trial.powerup_ns"), 1);
         assert_eq!(spans(&report, "experiment.trial.keyed_ns"), keyed);
         assert_eq!(certified(&report), keyed);
