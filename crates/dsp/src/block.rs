@@ -24,20 +24,6 @@ use crate::complex::Complex64;
 /// resident (4096 complex samples = 64 KiB).
 pub const DEFAULT_BLOCK: usize = 4096;
 
-/// Accumulates `block[k] · gain` into `acc[k]` — the per-antenna flat
-/// channel application + superposition step of `ivn-em`'s
-/// `BlockSuperposer`, block by block or over whole buffers alike, so the
-/// two agree bit for bit.
-///
-/// # Panics
-/// Panics on length mismatch.
-pub fn accumulate_scaled(acc: &mut [Complex64], block: &[Complex64], gain: Complex64) {
-    assert_eq!(acc.len(), block.len(), "block length mismatch");
-    for (a, &b) in acc.iter_mut().zip(block) {
-        *a += b * gain;
-    }
-}
-
 /// Running maximum of `|x|` over a stream — the constant-memory
 /// replacement for "materialize the envelope, then take its peak".
 #[derive(Debug, Clone, Copy, Default)]
@@ -59,19 +45,25 @@ impl PeakMeter {
         self.peak = self.peak.max(amplitude);
     }
 
-    /// Folds a block of complex samples (by magnitude).
+    /// Folds one complex sample (by magnitude).
     ///
-    /// Bit-identical to folding `s.norm()` for every sample. A sample
-    /// with the same bits as the previous one is skipped, because `hypot`
-    /// is pure and the max fold idempotent: a constant block costs one
-    /// `hypot`.
+    /// Bit-identical to folding `s.norm()`. A sample with the same bits
+    /// as the previous one is skipped, because `hypot` is pure and the
+    /// max fold idempotent: a constant stream costs one `hypot`.
+    #[inline]
+    pub fn observe_sample(&mut self, s: Complex64) {
+        let bits = (s.re.to_bits(), s.im.to_bits());
+        if self.last != Some(bits) {
+            self.last = Some(bits);
+            self.observe(s.norm());
+        }
+    }
+
+    /// Folds a block of complex samples, one [`Self::observe_sample`]
+    /// each.
     pub fn observe_block(&mut self, block: &[Complex64]) {
-        for s in block {
-            let bits = (s.re.to_bits(), s.im.to_bits());
-            if self.last != Some(bits) {
-                self.last = Some(bits);
-                self.observe(s.norm());
-            }
+        for &s in block {
+            self.observe_sample(s);
         }
     }
 
@@ -116,11 +108,18 @@ impl StreamHasher {
         }
     }
 
-    /// Hashes a block of complex samples (re then im bit patterns).
+    /// Hashes one complex sample (re then im bit patterns).
+    #[inline]
+    pub fn update_sample(&mut self, s: Complex64) {
+        self.mix(s.re.to_bits());
+        self.mix(s.im.to_bits());
+    }
+
+    /// Hashes a block of complex samples, one [`Self::update_sample`]
+    /// each.
     pub fn update_complex(&mut self, block: &[Complex64]) {
-        for s in block {
-            self.mix(s.re.to_bits());
-            self.mix(s.im.to_bits());
+        for &s in block {
+            self.update_sample(s);
         }
     }
 
@@ -168,20 +167,6 @@ impl Footprint {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn accumulate_scaled_matches_manual() {
-        let mut acc = vec![Complex64::ZERO; 3];
-        let block = vec![
-            Complex64::ONE,
-            Complex64::new(0.0, 1.0),
-            Complex64::new(1.0, 1.0),
-        ];
-        accumulate_scaled(&mut acc, &block, Complex64::from_real(2.0));
-        assert_eq!(acc[0], Complex64::new(2.0, 0.0));
-        assert_eq!(acc[1], Complex64::new(0.0, 2.0));
-        assert_eq!(acc[2], Complex64::new(2.0, 2.0));
-    }
 
     #[test]
     fn peak_meter_matches_batch_peak() {

@@ -1,10 +1,11 @@
-//! Exactness suite for [`PeakMeter::observe_block`].
+//! Exactness suite for [`PeakMeter::observe_sample`] and
+//! [`PeakMeter::observe_block`].
 //!
-//! `observe_block` skips `hypot` for a repeat of the previous sample.
+//! `observe_sample` skips `hypot` for a repeat of the previous sample.
 //! The contract: the peak is bit-identical to the plain fold
 //! `max(peak, hypot(re, im))` over every sample, whatever the data and
-//! however the stream is split into blocks — including duplicates,
-//! zeros, NaN and infinities.
+//! however the stream is split into blocks or fed one sample at a time
+//! — including duplicates, zeros, NaN and infinities.
 
 use ivn_dsp::block::PeakMeter;
 use ivn_dsp::complex::Complex64;
@@ -26,9 +27,19 @@ fn metered_peak(samples: &[Complex64], block: usize) -> f64 {
     m.peak()
 }
 
-/// Asserts bit equality with the plain fold at several block splits.
+/// The meter's peak over `samples` fed one at a time.
+fn per_sample_peak(samples: &[Complex64]) -> f64 {
+    let mut m = PeakMeter::new();
+    samples.iter().for_each(|&s| m.observe_sample(s));
+    m.peak()
+}
+
+/// Asserts bit equality with the plain fold at several block splits
+/// and fed per sample.
 fn assert_exact(samples: &[Complex64], label: &str) {
     let want = plain_peak(samples);
+    let got = per_sample_peak(samples);
+    assert_eq!(got.to_bits(), want.to_bits(), "{label}, per sample");
     for block in [1usize, 3, 4, 5, 64, samples.len().max(1)] {
         let got = metered_peak(samples, block);
         assert_eq!(
@@ -49,6 +60,37 @@ props! {
     fn random_blocks_match_plain_max(data in pvec(complex(-10.0..10.0), 0..300),
                                      block in 1usize..80) {
         prop_assert_eq!(metered_peak(&data, block).to_bits(), plain_peak(&data).to_bits());
+    }
+
+    fn per_sample_feeding_equals_per_block_under_any_split(
+        seed in any::<u64>(), n in 0usize..200, cuts in pvec(any::<usize>(), 0..8),
+    ) {
+        // Raw bit patterns drawn from a small pool (repeats, NaNs and
+        // infinities included), in blocks between sorted cut points with
+        // every other block fed one sample at a time.
+        let mut rng = StdRng::seed_from_u64(seed);
+        let pool: Vec<Complex64> = (0..4)
+            .map(|_| Complex64::new(f64::from_bits(rng.random()), f64::from_bits(rng.random())))
+            .collect();
+        let data: Vec<Complex64> = (0..n).map(|_| pool[rng.random_range(0..pool.len())]).collect();
+        let mut cuts: Vec<usize> = cuts.iter().map(|c| c % (n + 1)).collect();
+        cuts.push(n);
+        cuts.sort_unstable();
+        let mut m = PeakMeter::new();
+        let mut start = 0;
+        for (i, &end) in cuts.iter().enumerate() {
+            let block = &data[start..end];
+            if i % 2 == 0 {
+                m.observe_block(block);
+            } else {
+                block.iter().for_each(|&s| m.observe_sample(s));
+            }
+            start = end;
+        }
+        let want = plain_peak(&data);
+        prop_assert_eq!(m.peak().to_bits(), want.to_bits());
+        prop_assert_eq!(per_sample_peak(&data).to_bits(), want.to_bits());
+        prop_assert_eq!(metered_peak(&data, n).to_bits(), want.to_bits());
     }
 
     fn duplicated_samples_match(seed in any::<u64>(), n in 1usize..200) {

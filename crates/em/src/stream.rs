@@ -7,14 +7,17 @@
 //! and then folds any number of aligned per-antenna sample blocks into
 //! the received superposition, block by block, with no per-call
 //! allocation. Blocks and whole buffers
-//! ([`BlockSuperposer::superpose_buffers`]) run the same accumulation loop
-//! (`ivn_dsp::block::accumulate_scaled`), so the streaming and
-//! whole-buffer paths agree bit for bit.
+//! ([`BlockSuperposer::superpose_buffers`]) run the same sample-major
+//! loop, so the streaming and whole-buffer paths agree bit for bit.
 
 use crate::channel::ChannelEnsemble;
-use ivn_dsp::block::accumulate_scaled;
 use ivn_dsp::buffer::IqBuffer;
 use ivn_dsp::complex::Complex64;
+
+/// The most antennas one superposer folds (the paper's arrays have at
+/// most 10): lanes are indexed from a fixed array, so a block allocates
+/// nothing.
+const MAX_LANES: usize = 16;
 
 /// Streaming fan-in: applies one flat gain per antenna and sums the
 /// result at the receive point.
@@ -27,9 +30,10 @@ impl BlockSuperposer {
     /// A superposer with explicit per-antenna gains.
     ///
     /// # Panics
-    /// Panics if `gains` is empty.
+    /// Panics if `gains` is empty or longer than `MAX_LANES` (16).
     pub fn new(gains: Vec<Complex64>) -> Self {
         assert!(!gains.is_empty(), "nothing to superpose");
+        assert!(gains.len() <= MAX_LANES, "at most {MAX_LANES} antennas");
         BlockSuperposer { gains }
     }
 
@@ -57,7 +61,14 @@ impl BlockSuperposer {
 
     /// Superposes one aligned block per antenna into `out` (cleared and
     /// refilled; capacity is reused across calls, so the steady state
-    /// allocates nothing).
+    /// allocates nothing), handing each finished sample to
+    /// `sink(k, out[k])` once, in ascending `k`.
+    ///
+    /// Sample-major: `out[k]` starts from `+0.0` and adds `blockᵢ[k]·gᵢ`
+    /// in device order — per sample, the same op sequence as summing
+    /// whole devices into a zeroed buffer one after another. A sink that
+    /// digests samples (a serial, latency-bound chain) thus runs with
+    /// the independent multiply-adds in its shadow.
     ///
     /// # Panics
     /// Panics if the number of blocks differs from the number of gains
@@ -66,17 +77,30 @@ impl BlockSuperposer {
         &self,
         blocks: impl Iterator<Item = &'a [Complex64]>,
         out: &mut Vec<Complex64>,
+        mut sink: impl FnMut(usize, Complex64),
     ) {
-        out.clear();
+        let mut lanes: [&[Complex64]; MAX_LANES] = [&[]; MAX_LANES];
         let mut seen = 0usize;
-        for (block, &g) in blocks.zip(&self.gains) {
-            if seen == 0 {
-                out.resize(block.len(), Complex64::ZERO);
-            }
-            accumulate_scaled(out, block, g);
+        for block in blocks {
+            assert!(seen < self.gains.len(), "one block per antenna required");
+            lanes[seen] = block;
             seen += 1;
         }
         assert_eq!(seen, self.gains.len(), "one block per antenna required");
+        let len = lanes[0].len();
+        assert!(
+            lanes[..seen].iter().all(|l| l.len() == len),
+            "block length mismatch"
+        );
+        out.clear();
+        out.extend((0..len).map(|k| {
+            let mut acc = Complex64::ZERO;
+            for (lane, &g) in lanes.iter().zip(&self.gains) {
+                acc += lane[k] * g;
+            }
+            sink(k, acc);
+            acc
+        }));
     }
 
     /// Whole-buffer convenience: superposes full per-antenna buffers in
@@ -87,7 +111,7 @@ impl BlockSuperposer {
     pub fn superpose_buffers(&self, emissions: &[IqBuffer]) -> IqBuffer {
         assert!(!emissions.is_empty(), "nothing to superpose");
         let mut out = Vec::new();
-        self.superpose_block(emissions.iter().map(|e| e.samples()), &mut out);
+        self.superpose_block(emissions.iter().map(|e| e.samples()), &mut out, |_, _| {});
         IqBuffer::new(out, emissions[0].sample_rate())
     }
 }
@@ -115,7 +139,11 @@ mod tests {
             (0..3).map(|i| tone(0.01 * (i + 1) as f64, 500)).collect();
 
         let mut whole = Vec::new();
-        sp.superpose_block(emissions.iter().map(|e| e.as_slice()), &mut whole);
+        sp.superpose_block(
+            emissions.iter().map(|e| e.as_slice()),
+            &mut whole,
+            |_, _| {},
+        );
 
         for block in [1usize, 7, 256] {
             let mut streamed: Vec<Complex64> = Vec::new();
@@ -123,7 +151,11 @@ mod tests {
             let mut start = 0;
             while start < 500 {
                 let end = (start + block).min(500);
-                sp.superpose_block(emissions.iter().map(|e| &e[start..end]), &mut scratch);
+                sp.superpose_block(
+                    emissions.iter().map(|e| &e[start..end]),
+                    &mut scratch,
+                    |_, _| {},
+                );
                 streamed.extend_from_slice(&scratch);
                 start = end;
             }
@@ -144,11 +176,17 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "at most 16 antennas")]
+    fn lane_count_capped() {
+        BlockSuperposer::new(vec![Complex64::ONE; 17]);
+    }
+
+    #[test]
     #[should_panic(expected = "one block per antenna")]
     fn antenna_count_checked() {
         let sp = BlockSuperposer::new(vec![Complex64::ONE; 2]);
         let one = tone(0.1, 8);
         let mut out = Vec::new();
-        sp.superpose_block(std::iter::once(one.as_slice()), &mut out);
+        sp.superpose_block(std::iter::once(one.as_slice()), &mut out, |_, _| {});
     }
 }

@@ -17,6 +17,43 @@ fn medium() -> impl Strategy<Value = Medium> {
     (1.0f64..85.0, 0.0f64..3.0).prop_map(|(e, s)| Medium::new("prop", e, s))
 }
 
+/// One `f64` weighted toward the IEEE specials: `±0.0`, NaN (quiet and
+/// with a random payload), `±∞`, subnormals, any raw bit pattern, and
+/// plain values.
+fn raw_f64(rng: &mut StdRng) -> f64 {
+    let sign = if rng.random::<bool>() { 1u64 << 63 } else { 0 };
+    match rng.random_range(0..8u32) {
+        0 => f64::from_bits(sign),
+        1 => f64::NAN,
+        2 => f64::from_bits(0x7ff0_0000_0000_0001 | sign | (rng.random::<u64>() >> 13)),
+        3 => f64::from_bits(0x7ff0_0000_0000_0000 | sign),
+        4 => f64::from_bits(sign | (rng.random::<u64>() >> 12)),
+        5 => f64::from_bits(rng.random::<u64>()),
+        _ => rng.random_range(-2.0..2.0),
+    }
+}
+
+/// Bit equality, except that any NaN matches any NaN: Rust leaves a NaN
+/// result's payload and sign unspecified (codegen may commute a
+/// multiply's operands, and x86 returns the first operand's NaN).
+/// Every other value, `-0.0` included, must match bit for bit.
+fn same(a: f64, b: f64) -> bool {
+    a.to_bits() == b.to_bits() || (a.is_nan() && b.is_nan())
+}
+
+/// The device-major reference: each device's `block·g` added into a
+/// zeroed buffer in turn, as the superposer did before it went
+/// sample-major.
+fn device_major(gains: &[Complex64], blocks: &[Vec<Complex64>]) -> Vec<Complex64> {
+    let mut acc = vec![Complex64::ZERO; blocks[0].len()];
+    for (block, &g) in blocks.iter().zip(gains) {
+        for (a, &b) in acc.iter_mut().zip(block) {
+            *a += b * g;
+        }
+    }
+    acc
+}
+
 props! {
     cases = 96;
 
@@ -91,7 +128,11 @@ props! {
         let mut start = 0;
         while start < len {
             let end = (start + block).min(len);
-            sup.superpose_block(emissions.iter().map(|e| &e.samples()[start..end]), &mut out);
+            sup.superpose_block(
+                emissions.iter().map(|e| &e.samples()[start..end]),
+                &mut out,
+                |_, _| {},
+            );
             rx.extend_from_slice(&out);
             start = end;
         }
@@ -99,6 +140,33 @@ props! {
         for (x, y) in rx.iter().zip(batch.samples()) {
             prop_assert_eq!(x.re.to_bits(), y.re.to_bits());
             prop_assert_eq!(x.im.to_bits(), y.im.to_bits());
+        }
+    }
+
+    fn sample_major_superposition_is_device_major_bit_for_bit(
+        seed in any::<u64>(), n_ant in 1usize..11, len_sel in 0usize..4) {
+        let len = [0usize, 1, 7, 4096][len_sel];
+        let mut rng = StdRng::seed_from_u64(seed);
+        let draw = |rng: &mut StdRng| Complex64::new(raw_f64(rng), raw_f64(rng));
+        let gains: Vec<Complex64> = (0..n_ant).map(|_| draw(&mut rng)).collect();
+        let blocks: Vec<Vec<Complex64>> = (0..n_ant)
+            .map(|_| (0..len).map(|_| draw(&mut rng)).collect())
+            .collect();
+        let want = device_major(&gains, &blocks);
+        let mut out = vec![Complex64::ONE; 3];
+        let mut sunk = Vec::new();
+        BlockSuperposer::new(gains).superpose_block(
+            blocks.iter().map(|b| b.as_slice()),
+            &mut out,
+            |k, z| sunk.push((k, z)),
+        );
+        prop_assert_eq!(out.len(), len);
+        prop_assert_eq!(sunk.len(), len);
+        for (k, ((x, y), &(j, z))) in out.iter().zip(&want).zip(&sunk).enumerate() {
+            prop_assert!(same(x.re, y.re) && same(x.im, y.im),
+                "{} devices, sample {}: {:?} vs {:?}", n_ant, k, x, y);
+            prop_assert_eq!(j, k);
+            prop_assert_eq!((z.re.to_bits(), z.im.to_bits()), (x.re.to_bits(), x.im.to_bits()));
         }
     }
 

@@ -9,7 +9,7 @@
 //! guarantee (per-stage peak footprint bounded by the block size).
 
 use ivn_bench::pipeline::{calibrate_peak, outputs_batch, outputs_streaming, StreamOptions};
-use ivn_dsp::block::{accumulate_scaled, Footprint};
+use ivn_dsp::block::Footprint;
 use ivn_dsp::complex::Complex64;
 use ivn_em::channel::ChannelEnsemble;
 use ivn_em::stream::BlockSuperposer;
@@ -187,7 +187,9 @@ fn full_scan_peak(bank: &TxBank, sp: &BlockSuperposer, drive: f64, n: usize) -> 
     let profile = vec![1.0; n];
     let mut rx = vec![Complex64::ZERO; n];
     for (i, &g) in sp.gains().iter().enumerate() {
-        accumulate_scaled(&mut rx, bank.emit(i, &profile, drive).samples(), g);
+        for (a, &b) in rx.iter_mut().zip(bank.emit(i, &profile, drive).samples()) {
+            *a += b * g;
+        }
     }
     rx.iter().map(|z| z.norm()).fold(0.0f64, f64::max)
 }
