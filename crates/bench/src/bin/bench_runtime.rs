@@ -5,8 +5,9 @@
 //! written to `BENCH_runtime.json` (via the in-tree JSON layer) in the
 //! current directory.
 //!
-//! Every gated number is taken one way: [`sentinel::measure`] runs the
-//! workload for a fixed number of rounds and records the median with an
+//! Every gated number is taken one way: [`sentinel::measure`] (or
+//! [`sentinel::measure_columns`]) runs the workload for a fixed number of
+//! rounds and records the median with an
 //! order-statistic 95% CI, written as `<name>` and `<name>_ci95`.
 //! The determinism checks run alongside: the sweep asserts serial ==
 //! parallel at every width, the dispatch bench pooled == inline, every
@@ -468,8 +469,9 @@ fn main() -> std::process::ExitCode {
 
     // Streaming sample-path throughput: one full 1-second CIB period
     // through the block driver (100 kS/s in fast mode, 1 MS/s in full),
-    // per stage. Runs under the same obs state so the streaming spans
-    // land in the embedded report too.
+    // per stage the report lists — the fused power pass under `em`, then
+    // `rfid`. Runs under the same obs state so the streaming spans land
+    // in the embedded report too.
     let streaming_json = {
         let opts = ivn_bench::pipeline::StreamOptions {
             sample_rate: Some(if fast { 1e5 } else { 1e6 }),
@@ -477,14 +479,13 @@ fn main() -> std::process::ExitCode {
         };
         let first = ivn_bench::pipeline::outputs_streaming(true, &opts);
         let names: Vec<&str> = first.stage_ns.iter().map(|&(stage, ..)| stage).collect();
-        let msps = measure(ROUNDS, || {
+        let msps = sentinel::measure_columns(ROUNDS, names.len(), || {
             let report = ivn_bench::pipeline::outputs_streaming(true, &opts);
-            let rates: Vec<f64> = report
+            report
                 .stage_ns
                 .iter()
                 .map(|&(_, ns, samples)| samples as f64 * 1e3 / (ns as f64).max(1.0))
-                .collect();
-            <[f64; 4]>::try_from(rates).expect("four streaming stages")
+                .collect()
         });
         let mut entries = Vec::new();
         for (stage, est) in names.iter().zip(msps) {

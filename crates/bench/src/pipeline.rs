@@ -25,19 +25,21 @@
 //! regenerated on its own, bit for bit ([`CarrierWindows`]), and a
 //! cheap closed-form bound on `|rx|` per window rules out all but the
 //! few windows near the CIB envelope peaks (11 of 977 at 1 MS/s). Then
-//! one full pass walks the same [`CarrierWindows`] from sample 0 in
-//! blocks, drives the harvester, hashes the received stream and takes
-//! device 0's running peak. The whole-buffer path ([`outputs_batch`]),
-//! which emits through the general-profile `TxBank::emit`, is kept for
-//! cross-checking: both produce identical [`PathOutputs`] — including a
-//! bit-exact FNV-1a hash of every received sample — at any block size
-//! or worker count (`tests/streaming_equivalence.rs`).
+//! one full pass folds the same [`CarrierWindows`] from sample 0: per
+//! sample, the carriers are superposed into `rx[k]`, which is digested
+//! and drives one harvester step, and device 0's carrier feeds its
+//! running peak — no per-device or rx buffer. The whole-buffer path
+//! ([`outputs_batch`]), which emits through the general-profile
+//! `TxBank::emit`, is kept for cross-checking: both produce identical
+//! [`PathOutputs`] — including a bit-exact FNV-1a hash of every received
+//! sample — at any block size (`tests/streaming_equivalence.rs`).
 
 use ivn_core::freqsel::expected_peak;
 use ivn_core::PAPER_OFFSETS_HZ;
 use ivn_dsp::block::{Footprint, PeakMeter, StreamHasher, DEFAULT_BLOCK};
 use ivn_dsp::complex::Complex64;
 use ivn_dsp::envelope;
+use ivn_dsp::rotor::LANES;
 use ivn_em::channel::ChannelEnsemble;
 use ivn_em::stream::BlockSuperposer;
 use ivn_harvester::powerup::{PowerUpOutcome, TagPowerProfile};
@@ -93,8 +95,8 @@ pub struct StreamOptions {
     pub sample_rate: Option<f64>,
     /// Samples per block; must be at least 1.
     pub block: usize,
-    /// Worker threads advancing the per-device carrier lanes of the
-    /// power pass.
+    /// Worker threads requested; no sample and no work depends on it
+    /// (the power pass is one per-sample loop on the calling thread).
     pub threads: usize,
     /// Append footprint/throughput diagnostics to the rendered output.
     pub stats: bool,
@@ -143,17 +145,17 @@ pub struct StreamReport {
     pub outputs: PathOutputs,
     /// Block size used.
     pub block: usize,
-    /// Worker threads used.
+    /// Worker threads requested ([`StreamOptions::threads`]; inert).
     pub threads: usize,
     /// Calibration resync windows regenerated, of all windows in the
     /// period: `(visited, total)`.
     pub calibration_windows: (usize, usize),
     /// Peak per-stage scratch sizes, samples.
     pub footprint: Vec<(&'static str, usize)>,
-    /// Wall-clock per stage over the power pass, (stage, ns, samples).
-    /// The `em` window is the superposition plus the rx digest and
-    /// device 0's running peak, fed from the superposer's sink: the FNV
-    /// chain is latency-bound, so that pass costs about the digest alone.
+    /// Wall-clock per timed stage, (stage, ns, samples): `em` is the
+    /// whole fused power pass (carriers, superposition, rx digest,
+    /// device 0's peak and the harvester step — the FNV chain is
+    /// latency-bound, so it costs about the digest alone), then `rfid`.
     pub stage_ns: Vec<(&'static str, u128, usize)>,
 }
 
@@ -296,8 +298,9 @@ impl WindowBound {
 /// window with the largest bound, the second regenerates every other
 /// window whose bound is not below `best` (or is NaN). A skipped window
 /// has every `|rx[k]|` below its bound, hence below a peak already seen,
-/// so the maximum is unchanged. Windows are regenerated in sub-blocks of
-/// at most `block` samples, so the search's buffers stay O(block).
+/// so the maximum is unchanged. Windows are folded like the power pass,
+/// in sub-blocks of at most `block` samples (one `sdr.emit_ns` span
+/// each); the fold holds one row of carriers, so memory stays O(1).
 // `!(bound < best)` is deliberate: a NaN bound must still be visited.
 #[allow(clippy::neg_cmp_op_on_partial_ord)]
 pub fn calibrate_peak(
@@ -312,16 +315,17 @@ pub fn calibrate_peak(
     let bound = WindowBound::new(&win, superposer.gains());
     let total = win.count();
     let mut meter = PeakMeter::new();
-    let mut rx = Vec::new();
     // Regenerates window `w` into the meter; returns the peak so far.
     let mut visit = |win: &mut CarrierWindows, w: usize| {
         let mut left = win.seek(w).len();
         while left > 0 {
             let take = block.max(1).min(left);
-            win.emit(take);
-            superposer.superpose_block(win.blocks(), &mut rx, |_, z| meter.observe_sample(z));
-            footprint.observe("sdr", win.peak_lane_footprint());
-            footprint.observe("em", rx.len());
+            let _span = ivn_runtime::span!("sdr.emit_ns");
+            ivn_runtime::obs_count!("sdr.emissions", 1);
+            win.fold(take, |_, carriers| {
+                meter.observe_sample(superposer.superpose(carriers.iter().copied()));
+            });
+            footprint.observe("sdr", take.min(LANES));
             left -= take;
         }
         meter.peak()
@@ -382,51 +386,36 @@ pub fn outputs_streaming(quick: bool, opts: &StreamOptions) -> StreamReport {
     // sits at POWER_MARGIN × the tag's wake threshold.
     let scale = POWER_MARGIN * p_req / (peak_amp * peak_amp);
 
-    // The one full pass — power + hash: stream the carrier-on period
-    // from sample 0 through the same `CarrierWindows` the calibration
-    // seeks in, drive the pump incrementally, digest every received
-    // sample, and take device 0's running peak for the single-antenna
-    // reference.
+    // The one full pass — power + hash: fold the carrier-on period from
+    // sample 0 and, per sample as it is superposed, digest it, fold
+    // device 0's carrier into the single-antenna peak and take one
+    // harvester step on |rx|²·scale (the whole-buffer oracle's op
+    // order). The byte-serial FNV chain is latency-bound, so the rest
+    // runs in its shadow. Timed as one stage, `em`; each block is one
+    // harvester charge run (one span, one step count).
     let mut hasher = StreamHasher::new();
     let mut single_meter = PeakMeter::new();
     let mut state = s
         .tag
         .begin_power_up(s.sample_rate)
         .with_trace_stride((s.n_samples / 32).max(1));
-    let (mut sdr_ns, mut em_ns, mut harv_ns) = (0u128, 0u128, 0u128);
-    {
-        let mut win = CarrierWindows::new(&s.bank, DRIVE, s.n_samples).with_threads(opts.threads);
-        let mut rx = Vec::new();
-        let mut left = s.n_samples;
-        while left > 0 {
-            let take = opts.block.min(left);
-            let t0 = Instant::now();
-            win.emit(take);
-            let t1 = Instant::now();
-            // The em window also digests every received sample and folds
-            // device 0's into the single-antenna peak, from the
-            // superposer's sink: the FNV chain is latency-bound, so the
-            // superposition's independent multiply-adds run in its
-            // shadow and the pass costs about the digest alone.
-            let single = win.block(0);
-            s.superposer.superpose_block(win.blocks(), &mut rx, |k, z| {
-                hasher.update_sample(z);
-                single_meter.observe_sample(single[k]);
-            });
-            let t2 = Instant::now();
-            // |rx|²·scale fused into the integrator: identical op order
-            // to materializing the power vector first (the whole-buffer
-            // oracle does exactly that), one less memory pass.
-            state.step_rx_block(&rx, scale);
-            let t3 = Instant::now();
-            sdr_ns += (t1 - t0).as_nanos();
-            em_ns += (t2 - t1).as_nanos();
-            harv_ns += (t3 - t2).as_nanos();
-            footprint.observe("sdr", win.peak_lane_footprint());
-            footprint.observe("em", rx.len());
-            footprint.observe("harvester", rx.len());
-            left -= take;
-        }
+    let mut em_ns = 0u128;
+    let mut win = CarrierWindows::new(&s.bank, DRIVE, s.n_samples);
+    let mut left = s.n_samples;
+    while left > 0 {
+        let take = opts.block.min(left);
+        let t0 = Instant::now();
+        state.charge(|pump| {
+            win.fold(take, |_, carriers| {
+                let rx = s.superposer.superpose(carriers.iter().copied());
+                hasher.update_sample(rx);
+                single_meter.observe_sample(carriers[0]);
+                pump.step(rx.norm_sqr() * scale);
+            })
+        });
+        em_ns += t0.elapsed().as_nanos();
+        footprint.observe("em", take.min(LANES));
+        left -= take;
     }
     let outcome = state.finish();
     let single_amp = single_meter.peak();
@@ -491,12 +480,7 @@ pub fn outputs_streaming(quick: bool, opts: &StreamOptions) -> StreamReport {
         threads: opts.threads,
         calibration_windows: (calibration.visited, calibration.total),
         footprint: footprint.entries().to_vec(),
-        stage_ns: vec![
-            ("sdr", sdr_ns, s.n_samples),
-            ("em", em_ns, s.n_samples),
-            ("harvester", harv_ns, s.n_samples),
-            ("rfid", rfid_ns, rfid_samples),
-        ],
+        stage_ns: vec![("em", em_ns, s.n_samples), ("rfid", rfid_ns, rfid_samples)],
     }
 }
 

@@ -174,6 +174,43 @@ impl PhasorRotor {
         out
     }
 
+    /// Emits the current row scaled by `gain` and rotates every
+    /// sub-lane by the stride rotator: 8 independent multiplies per row,
+    /// the auto-vectorized steady state. The caller keeps `pos`.
+    #[inline]
+    fn row_scaled(&mut self, gain: f64) -> [Complex64; LANES] {
+        let out = std::array::from_fn(|j| Complex64::new(self.lre[j], self.lim[j]) * gain);
+        for j in 0..LANES {
+            let re = self.lre[j] * self.srot_re - self.lim[j] * self.srot_im;
+            let im = self.lre[j] * self.srot_im + self.lim[j] * self.srot_re;
+            self.lre[j] = re;
+            self.lim[j] = im;
+        }
+        self.win_pos += LANES;
+        out
+    }
+
+    /// The next [`LANES`] phasors scaled by `gain` — the samples
+    /// [`PhasorRotor::fill_scaled`] would write, by the same ops and with
+    /// the resync at the same absolute index — for a caller that steps
+    /// the stream a row at a time.
+    ///
+    /// # Panics
+    /// Panics unless the rotor sits on a row boundary: a multiple of
+    /// [`LANES`] samples past sample 0 or the last seek.
+    #[inline]
+    pub fn next_row_scaled(&mut self, gain: f64) -> [Complex64; LANES] {
+        assert!(
+            self.win_pos.is_multiple_of(LANES),
+            "rotor is not on a row boundary"
+        );
+        if self.win_pos == self.resync {
+            self.resync_lanes();
+        }
+        self.pos += LANES as u64;
+        self.row_scaled(gain)
+    }
+
     /// Produces the next sample and advances (scalar convenience; the
     /// block API [`PhasorRotor::fill`] is the hot path).
     #[inline]
@@ -220,16 +257,7 @@ impl PhasorRotor {
             // Full rows: 8 independent multiplies per row — the
             // auto-vectorized steady state.
             while end - i >= LANES {
-                for j in 0..LANES {
-                    out[i + j] = Complex64::new(self.lre[j], self.lim[j]) * gain;
-                }
-                for j in 0..LANES {
-                    let re = self.lre[j] * self.srot_re - self.lim[j] * self.srot_im;
-                    let im = self.lre[j] * self.srot_im + self.lim[j] * self.srot_re;
-                    self.lre[j] = re;
-                    self.lim[j] = im;
-                }
-                self.win_pos += LANES;
+                out[i..i + LANES].copy_from_slice(&self.row_scaled(gain));
                 i += LANES;
             }
             // Trailing partial row (block ends mid-row).

@@ -6,9 +6,9 @@
 //! each antenna's channel at that antenna's own emission frequency —
 //! and then folds any number of aligned per-antenna sample blocks into
 //! the received superposition, block by block, with no per-call
-//! allocation. Blocks and whole buffers
-//! ([`BlockSuperposer::superpose_buffers`]) run the same sample-major
-//! loop, so the streaming and whole-buffer paths agree bit for bit.
+//! allocation. Single samples, blocks and whole buffers
+//! ([`BlockSuperposer::superpose_buffers`]) run the same loop
+//! ([`BlockSuperposer::superpose`]), so every path agrees bit for bit.
 
 use crate::channel::ChannelEnsemble;
 use ivn_dsp::buffer::IqBuffer;
@@ -59,16 +59,26 @@ impl BlockSuperposer {
         &self.gains
     }
 
+    /// One received sample, `Σ zᵢ·gᵢ` over one sample `zᵢ` per antenna
+    /// from `+0.0` in device order: the loop every path runs. Samples
+    /// past the number of gains are ignored; callers check the count once.
+    #[inline]
+    pub fn superpose(&self, lanes: impl IntoIterator<Item = Complex64>) -> Complex64 {
+        let mut acc = Complex64::ZERO;
+        for (z, &g) in lanes.into_iter().zip(&self.gains) {
+            acc += z * g;
+        }
+        acc
+    }
+
     /// Superposes one aligned block per antenna into `out` (cleared and
     /// refilled; capacity is reused across calls, so the steady state
     /// allocates nothing), handing each finished sample to
     /// `sink(k, out[k])` once, in ascending `k`.
     ///
-    /// Sample-major: `out[k]` starts from `+0.0` and adds `blockᵢ[k]·gᵢ`
-    /// in device order — per sample, the same op sequence as summing
-    /// whole devices into a zeroed buffer one after another. A sink that
-    /// digests samples (a serial, latency-bound chain) thus runs with
-    /// the independent multiply-adds in its shadow.
+    /// Sample-major: `out[k]` is [`Self::superpose`] of the blocks'
+    /// `k`-th samples, the per-sample op sequence of summing whole
+    /// devices into a zeroed buffer one after another.
     ///
     /// # Panics
     /// Panics if the number of blocks differs from the number of gains
@@ -87,17 +97,15 @@ impl BlockSuperposer {
             seen += 1;
         }
         assert_eq!(seen, self.gains.len(), "one block per antenna required");
+        let lanes = &lanes[..seen];
         let len = lanes[0].len();
         assert!(
-            lanes[..seen].iter().all(|l| l.len() == len),
+            lanes.iter().all(|l| l.len() == len),
             "block length mismatch"
         );
         out.clear();
         out.extend((0..len).map(|k| {
-            let mut acc = Complex64::ZERO;
-            for (lane, &g) in lanes.iter().zip(&self.gains) {
-                acc += lane[k] * g;
-            }
+            let acc = self.superpose(lanes.iter().map(|l| l[k]));
             sink(k, acc);
             acc
         }));

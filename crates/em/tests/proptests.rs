@@ -12,6 +12,9 @@ use ivn_em::stream::BlockSuperposer;
 use ivn_runtime::prop::{any, Strategy};
 use ivn_runtime::rng::{Rng, StdRng};
 use ivn_runtime::{prop_assert, prop_assert_eq, props};
+use ivn_sdr::bank::TxBank;
+use ivn_sdr::clock::ClockDistribution;
+use ivn_sdr::stream::CarrierWindows;
 
 fn medium() -> impl Strategy<Value = Medium> {
     (1.0f64..85.0, 0.0f64..3.0).prop_map(|(e, s)| Medium::new("prop", e, s))
@@ -53,6 +56,21 @@ fn device_major(gains: &[Complex64], blocks: &[Vec<Complex64>]) -> Vec<Complex64
     }
     acc
 }
+
+/// One complex gain, weighted toward `±0.0` parts (so a product of
+/// `-0.0` is common) and otherwise drawn like [`raw_f64`].
+fn channel_gain(rng: &mut StdRng) -> Complex64 {
+    let part = |rng: &mut StdRng| {
+        if rng.random::<bool>() {
+            f64::from_bits(if rng.random::<bool>() { 1 << 63 } else { 0 })
+        } else {
+            raw_f64(rng)
+        }
+    };
+    Complex64::new(part(rng), part(rng))
+}
+
+const OFFSETS: [f64; 10] = [0., 7., 20., 49., 68., 73., 90., 113., 121., 137.];
 
 props! {
     cases = 96;
@@ -167,6 +185,63 @@ props! {
                 "{} devices, sample {}: {:?} vs {:?}", n_ant, k, x, y);
             prop_assert_eq!(j, k);
             prop_assert_eq!((z.re.to_bits(), z.im.to_bits()), (x.re.to_bits(), x.im.to_bits()));
+        }
+    }
+
+    fn fused_fold_is_carrier_blocks_then_superpose_block_bit_for_bit(
+        seed in any::<u64>(), n_ant in 1usize..11, len_sel in 0usize..7,
+        free_running in any::<bool>()) {
+        // The streaming power pass: `CarrierWindows::fold` hands each
+        // sample's carriers to `superpose` as they are stepped. The
+        // reference emits whole per-device blocks, every resync window
+        // from its own `seek`, and superposes them after the fact.
+        let len = [0usize, 1, 7, 8, 1023, 1025, 4096][len_sel];
+        let mut rng = StdRng::seed_from_u64(seed);
+        let clock = if free_running {
+            ClockDistribution::free_running()
+        } else {
+            ClockDistribution::octoclock()
+        };
+        let bank = TxBank::new(&mut rng, n_ant, 915e6, 1e6, &OFFSETS[..n_ant], &clock);
+        let gains: Vec<Complex64> = (0..n_ant).map(|_| channel_gain(&mut rng)).collect();
+        let sup = BlockSuperposer::new(gains.clone());
+        let mut win = CarrierWindows::new(&bank, 0.05, 4096 * 3);
+        let w = rng.random_range(0..win.count() - len.div_ceil(1024));
+        let start = win.seek(w).start;
+
+        let blocks: Vec<Vec<Complex64>> = (0..n_ant)
+            .map(|i| {
+                let mut block = vec![Complex64::ZERO; len];
+                for (c, chunk) in block.chunks_mut(1024).enumerate() {
+                    let mut rotor = win.rotor(i).clone();
+                    rotor.seek((start + 1024 * c) as u64);
+                    rotor.fill_scaled(chunk, win.gain(i));
+                }
+                block
+            })
+            .collect();
+        let mut want = Vec::new();
+        sup.superpose_block(blocks.iter().map(|b| b.as_slice()), &mut want, |_, _| {});
+        let reference = device_major(&gains, &blocks);
+
+        // Folded in two calls split at a random point, so a call can end
+        // and the next resume mid-row.
+        let cut = rng.random_range(0..=len);
+        let mut sunk = Vec::new();
+        for n in [cut, len - cut] {
+            win.fold(n, |k, carriers| {
+                sunk.push((k, sup.superpose(carriers.iter().copied()), carriers[0]));
+            });
+        }
+        prop_assert_eq!(sunk.len(), len);
+        for (j, &(k, rx, dev0)) in sunk.iter().enumerate() {
+            prop_assert_eq!(k, start + j);
+            let (x, r) = (want[j], reference[j]);
+            prop_assert!(same(rx.re, x.re) && same(rx.im, x.im) && same(rx.re, r.re) && same(rx.im, r.im),
+                "{} devices, sample {}: {:?} vs {:?} / {:?}", n_ant, k, rx, x, r);
+            let d = blocks[0][j];
+            prop_assert!((dev0.re.to_bits(), dev0.im.to_bits()) == (d.re.to_bits(), d.im.to_bits()),
+                "device 0 sample {}: {:?} vs {:?}", k, dev0, d);
         }
     }
 

@@ -26,13 +26,12 @@
 //!
 //! The pump step is an exact first-order recurrence
 //! `v' = target + (v − target)·α` with `α = exp(−dt/RC)` *constant per
-//! stream*, so one per-sample loop (`PowerUpState::step_samples`)
-//! hoists the exponential and the load term out of the iteration and
-//! makes the charge decision a branchless select. [`PowerUpState::step_block`]
-//! (received power) and [`PowerUpState::step_rx_block`] (complex rx,
-//! `|v|²·scale` fused inline) both run it, bit-identical to stepping
-//! `Rectifier::step` every sample (the preserved
-//! [`TagPowerProfile::power_up_oracle`]) at any block split.
+//! stream*, so one per-sample step ([`Pump::step`]) hoists the
+//! exponential and the load term and makes the charge decision a
+//! branchless select. [`PowerUpState::step_block`] loops it, and a caller
+//! with other per-sample work steps it in [`PowerUpState::charge`], both
+//! bit-identical to `Rectifier::step` every sample (the preserved
+//! [`TagPowerProfile::power_up_oracle`]) at any split.
 
 use crate::diode::DiodeModel;
 use crate::rectifier::Rectifier;
@@ -138,27 +137,29 @@ impl TagPowerProfile {
     }
 
     /// Starts a resumable power-up integration at `sample_rate`: feed
-    /// received-power blocks through [`PowerUpState::step_block`] (or
-    /// complex rx through [`PowerUpState::step_rx_block`]), then read
-    /// [`PowerUpState::finish`]. Pump voltage, peak tracking and the
-    /// wake timestamp all carry across block boundaries, so any block
-    /// split produces the same outcome as [`Self::power_up`].
+    /// received power through [`PowerUpState::step_block`] or
+    /// [`PowerUpState::charge`], then read [`PowerUpState::finish`].
+    /// Pump voltage, peak tracking and the wake timestamp carry across
+    /// calls, so any split produces the same outcome as [`Self::power_up`].
     pub fn begin_power_up(&self, sample_rate: f64) -> PowerUpState<'_> {
         assert!(sample_rate > 0.0, "sample rate must be positive");
         let dt = 1.0 / sample_rate;
         let alpha = self.rectifier.charge_alpha(dt, self.c_storage);
         PowerUpState {
-            profile: self,
             sample_rate,
-            alpha,
-            drain: self.i_chip * dt / self.c_storage,
-            stages_f: self.rectifier.stages as f64,
-            vth: self.rectifier.input_threshold(),
-            v: 0.0,
-            v_peak: 0.0,
-            awake_at: None,
-            n: 0,
-            trace_stride: 1,
+            pump: Pump {
+                profile: self,
+                stages_f: self.rectifier.stages as f64,
+                vth: self.rectifier.input_threshold(),
+                alpha,
+                drain: self.i_chip * dt / self.c_storage,
+                trace_stride: 1,
+                tracing: false,
+                v: 0.0,
+                v_peak: 0.0,
+                awake_at: None,
+                n: 0,
+            },
             crossing_counted: false,
         }
     }
@@ -188,25 +189,78 @@ impl TagPowerProfile {
 /// on the previous pump voltage and the current input amplitude), so
 /// carrying `v`, the running peak and the wake index across block
 /// boundaries reproduces the whole-buffer loop exactly: pushing the
-/// same envelope in blocks of 1 or 4096 yields bit-identical outcomes.
+/// same envelope in any split, or one sample per step, yields
+/// bit-identical outcomes.
 #[derive(Debug, Clone)]
 pub struct PowerUpState<'a> {
-    profile: &'a TagPowerProfile,
     sample_rate: f64,
+    pump: Pump<'a>,
+    crossing_counted: bool,
+}
+
+/// The integrator's per-sample state and the constants a step reads,
+/// lent out by [`PowerUpState::charge`]; [`Pump::step`] is the body of
+/// every integration loop.
+#[derive(Debug, Clone)]
+pub struct Pump<'a> {
+    profile: &'a TagPowerProfile,
+    stages_f: f64,
+    vth: f64,
     /// `exp(−dt/RC)`, hoisted: the same float [`Rectifier::step`] would
     /// recompute every sample.
     alpha: f64,
     /// Awake load subtraction per step, `i_chip·dt/C`.
     drain: f64,
-    stages_f: f64,
-    vth: f64,
+    trace_stride: usize,
+    /// Whether tracing was on when the charge run began.
+    tracing: bool,
     v: f64,
     v_peak: f64,
     awake_at: Option<usize>,
     /// Global sample index (drives the trace stride and wake timestamp).
     n: usize,
-    trace_stride: usize,
-    crossing_counted: bool,
+}
+
+impl Pump<'_> {
+    /// Integrates one sample of received power (watts): the reference
+    /// integrator's exact op sequence with `α` (and the load term)
+    /// hoisted.
+    ///
+    /// # Panics
+    /// Panics if `p` is negative or NaN.
+    #[inline]
+    pub fn step(&mut self, p: f64) {
+        assert!(p >= 0.0, "power must be non-negative");
+        let amp = (2.0 * p * self.profile.r_in).sqrt();
+        let target = (self.stages_f * (amp - self.vth)).max(0.0);
+        // Branchless select: in CIB steady state `target > v` flips
+        // almost every sample (the beat envelope oscillates around the
+        // settled voltage), so a branch here mispredicts constantly.
+        // Computing the charged value unconditionally and selecting
+        // costs two always-run flops but no pipeline flushes — and picks
+        // the identical bits either way.
+        let charged = target + (self.v - target) * self.alpha;
+        let mut v = if target > self.v { charged } else { self.v };
+        // The load current is decided *before* the step (the oracle
+        // passes `i_load` into `Rectifier::step`), so the wake sample
+        // itself draws nothing; subtracting a zero load and re-clamping
+        // is a bitwise no-op on v ≥ 0, so the asleep branch skips it.
+        if self.awake_at.is_some() {
+            v = (v - self.drain).max(0.0);
+        } else if v >= self.profile.v_operate {
+            self.awake_at = Some(self.n);
+        }
+        self.v = v;
+        self.v_peak = self.v_peak.max(v);
+        // Behind the run's tracing flag, so untraced steps skip it.
+        if self.tracing && self.n.is_multiple_of(self.trace_stride) {
+            ivn_runtime::trace_counter!(
+                "physics.harvested_charge_j",
+                0.5 * self.profile.c_storage * v * v
+            );
+        }
+        self.n += 1;
+    }
 }
 
 impl PowerUpState<'_> {
@@ -220,90 +274,39 @@ impl PowerUpState<'_> {
     /// Panics if `stride` is zero.
     pub fn with_trace_stride(mut self, stride: usize) -> Self {
         assert!(stride > 0, "trace stride must be positive");
-        self.trace_stride = stride;
+        self.pump.trace_stride = stride;
         self
     }
 
-    /// Integrates one block of received power (watts per sample).
-    ///
-    /// Bit-identical to [`TagPowerProfile::power_up_oracle`] over the
-    /// same samples: the loop performs the oracle's exact op sequence
-    /// with `α` (and the load term) hoisted out of the exponential.
+    /// Integrates one block of received power (watts per sample), one
+    /// [`Pump::step`] per sample in one [`Self::charge`] run:
+    /// bit-identical to [`TagPowerProfile::power_up_oracle`] over the
+    /// same samples.
     pub fn step_block(&mut self, power_block: &[f64]) {
-        let _span = ivn_runtime::span!("harvester.power_up_ns");
-        ivn_runtime::obs_count!("harvester.charge_steps", power_block.len());
-        self.step_samples(power_block.iter().copied());
+        self.charge(|pump| {
+            for &p in power_block {
+                pump.step(p);
+            }
+        });
     }
 
-    /// Integrates one block of complex rx samples, converting each to
-    /// received power as `|v|²·scale` inline.
-    ///
-    /// Bit-identical to materializing the power vector and calling
-    /// [`Self::step_block`] — the per-sample op order is the same, each
-    /// sample's power is computed independently — with one less memory
-    /// pass, which is what keeps streaming integration above the
-    /// 100 MS/s gate.
-    pub fn step_rx_block(&mut self, rx: &[ivn_dsp::Complex64], scale: f64) {
+    /// A charge run: lends `feed` the pump to step any number of samples
+    /// through [`Pump::step`]. One `harvester.power_up_ns` span (timing
+    /// any work `feed` interleaves) and one `harvester.charge_steps`
+    /// count per run, never per sample.
+    pub fn charge(&mut self, feed: impl FnOnce(&mut Pump<'_>)) {
         let _span = ivn_runtime::span!("harvester.power_up_ns");
-        ivn_runtime::obs_count!("harvester.charge_steps", rx.len());
-        self.step_samples(rx.iter().map(|&v| v.norm_sqr() * scale));
-    }
-
-    /// The shared per-sample integration loop: the oracle's exact op
-    /// sequence with `α` (and the load term) hoisted. Monomorphized per
-    /// sample source so the fused complex path pays no indirection.
-    #[inline]
-    fn step_samples(&mut self, samples: impl Iterator<Item = f64>) {
-        let r_in = self.profile.r_in;
-        let (stages_f, vth) = (self.stages_f, self.vth);
-        let (alpha, drain, v_op) = (self.alpha, self.drain, self.profile.v_operate);
-        let tracing = ivn_runtime::trace::enabled();
-        let (mut v, mut v_peak, mut awake_at, mut n) = (self.v, self.v_peak, self.awake_at, self.n);
-        for p in samples {
-            assert!(p >= 0.0, "power must be non-negative");
-            let amp = (2.0 * p * r_in).sqrt();
-            let target = (stages_f * (amp - vth)).max(0.0);
-            // Branchless select: in CIB steady state `target > v`
-            // flips almost every sample (the beat envelope oscillates
-            // around the settled voltage), so a branch here mispredicts
-            // constantly. Computing the charged value unconditionally
-            // and selecting costs two always-run flops but no pipeline
-            // flushes — and picks the identical bits either way.
-            let charged = target + (v - target) * alpha;
-            v = if target > v { charged } else { v };
-            // The load current is decided *before* the step (the oracle
-            // passes `i_load` into `Rectifier::step`), so the wake
-            // sample itself draws nothing; subtracting a zero load and
-            // re-clamping is a bitwise no-op on v ≥ 0, so the asleep
-            // branch skips it entirely.
-            if awake_at.is_some() {
-                v = (v - drain).max(0.0);
-            } else if v >= v_op {
-                awake_at = Some(n);
-            }
-            v_peak = v_peak.max(v);
-            // The stride check stays behind the enabled() load so the
-            // charge loop pays one relaxed load per step when tracing
-            // is off.
-            if tracing && n % self.trace_stride == 0 {
-                ivn_runtime::trace_counter!(
-                    "physics.harvested_charge_j",
-                    0.5 * self.profile.c_storage * v * v
-                );
-            }
-            n += 1;
-        }
-        self.v = v;
-        self.v_peak = v_peak;
-        self.awake_at = awake_at;
-        self.n = n;
+        let n = self.pump.n;
+        self.pump.tracing = ivn_runtime::trace::enabled();
+        feed(&mut self.pump);
+        ivn_runtime::obs_count!("harvester.charge_steps", self.pump.n - n);
     }
 
     /// Ends the stream (books the threshold-crossing observation once)
     /// and returns the outcome. Idempotent; the state can keep
     /// integrating afterwards if more samples arrive.
     pub fn finish(&mut self) -> PowerUpOutcome {
-        if self.awake_at.is_some() && !self.crossing_counted {
+        if self.pump.awake_at.is_some() && !self.crossing_counted {
             ivn_runtime::obs_count!("harvester.threshold_crossings", 1);
             self.crossing_counted = true;
         }
@@ -313,10 +316,10 @@ impl PowerUpState<'_> {
     /// The outcome as of the samples integrated so far.
     pub fn outcome(&self) -> PowerUpOutcome {
         PowerUpOutcome {
-            powered: self.awake_at.is_some(),
-            time_to_power_s: self.awake_at.map(|n| n as f64 / self.sample_rate),
-            peak_vdc: self.v_peak,
-            final_vdc: self.v,
+            powered: self.pump.awake_at.is_some(),
+            time_to_power_s: self.pump.awake_at.map(|n| n as f64 / self.sample_rate),
+            peak_vdc: self.pump.v_peak,
+            final_vdc: self.pump.v,
         }
     }
 }

@@ -1,14 +1,17 @@
-//! Property pin for the power-up integrator: both streaming entry
-//! points are **bit-identical** to `power_up_oracle` (the per-sample
-//! `Rectifier::step` loop) on any envelope, at any block split —
-//! `step_block` on received power, and `step_rx_block` on complex rx
-//! against the oracle run on `|rx|²·scale`.
+//! Property pin for the power-up integrator: every feeding is
+//! **bit-identical** to `power_up_oracle` (the per-sample
+//! `Rectifier::step` loop) on any envelope, at any split — `step_block`
+//! on received power, `Pump::step` inside `charge` runs on complex rx's
+//! `|rx|²·scale` (the streaming pipeline's fused pass), and per-sample
+//! feeding against per-block feeding, trace-stride probes included.
 
 use ivn_dsp::Complex64;
 use ivn_harvester::powerup::{PowerUpOutcome, TagPowerProfile};
 use ivn_runtime::prop::any;
 use ivn_runtime::props;
 use ivn_runtime::rng::{Rng, StdRng};
+use ivn_runtime::trace;
+use std::sync::Mutex;
 
 const FS: f64 = 1e6;
 
@@ -114,8 +117,78 @@ props! {
         let oracle = tag.power_up_oracle(&power, FS);
         let mut st = tag.begin_power_up(FS);
         for (i, end) in random_splits(&mut rng, rx.len()) {
-            st.step_rx_block(&rx[i..end], scale);
+            st.charge(|pump| {
+                for v in &rx[i..end] {
+                    pump.step(v.norm_sqr() * scale);
+                }
+            });
         }
-        assert_bitwise(&st.finish(), &oracle, "split rx blocks vs oracle");
+        assert_bitwise(&st.finish(), &oracle, "split rx charge runs vs oracle");
     }
+
+    /// Per-sample feeding — one `Pump::step` call per sample, across
+    /// charge runs cut at random points — equals per-block feeding under
+    /// another random split, bit for bit: wake index, peak, final
+    /// voltage and every trace-stride probe of the banked energy.
+    fn per_sample_feeding_equals_per_block_under_any_split(
+        seed in any::<u64>(), mini in any::<bool>(), stride_sel in 0usize..3,
+    ) {
+        let tag = profile(mini);
+        let env = expand(&runs_from_seed(seed));
+        let mut rng = StdRng::seed_from_u64(seed.rotate_left(9));
+        // Few enough probes that neither feeding overruns a trace track.
+        let stride = env.len() / 2000 + [1, 7, 1 + (rng.next_u64() % 4096) as usize][stride_sel];
+        let per_block = traced(|| {
+            let mut st = tag.begin_power_up(FS).with_trace_stride(stride);
+            for (i, end) in random_splits(&mut rng, env.len()) {
+                st.step_block(&env[i..end]);
+            }
+            st.finish()
+        });
+        let per_sample = traced(|| {
+            let mut st = tag.begin_power_up(FS).with_trace_stride(stride);
+            let mut at = 0;
+            for (_, end) in random_splits(&mut rng, env.len()) {
+                st.charge(|pump| {
+                    while at < end {
+                        pump.step(env[at]);
+                        at += 1;
+                    }
+                });
+            }
+            st.finish()
+        });
+        assert_bitwise(&per_sample.0, &per_block.0, "per sample vs per block");
+        assert_eq!(per_sample.1.len(), env.len().div_ceil(stride), "probe count");
+        assert_eq!(per_sample.1, per_block.1, "trace-stride probes");
+    }
+}
+
+/// Runs `f` with tracing on and returns its result with the bits of the
+/// `physics.harvested_charge_j` probes it emitted, in order. Tracing is
+/// process-global, so runs take one lock, and a marker counter names
+/// this thread's track among any other test's (a caller checks the probe
+/// count, which an overrun of that track would cut).
+fn traced(f: impl FnOnce() -> PowerUpOutcome) -> (PowerUpOutcome, Vec<u64>) {
+    static LOCK: Mutex<()> = Mutex::new(());
+    let _guard = LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    trace::reset();
+    trace::set_enabled(true);
+    trace::counter(trace::intern("powerup_props.track"), 0.0);
+    let out = f();
+    trace::set_enabled(false);
+    let snap = trace::snapshot();
+    let track = snap
+        .events
+        .iter()
+        .find(|e| e.name == "powerup_props.track")
+        .expect("marker event")
+        .track;
+    let probes = snap
+        .events
+        .iter()
+        .filter(|e| e.track == track && e.name == "physics.harvested_charge_j")
+        .map(|e| e.value.to_bits())
+        .collect();
+    (out, probes)
 }

@@ -24,9 +24,9 @@
 //! The workspace denies `unsafe`, so unlike rayon the pool cannot smuggle
 //! borrowed closures across threads: jobs must be `'static` and own their
 //! data ([`WorkerPool::map_move`] moves items through the pool and back).
-//! Call sites that only have borrowed data either clone it (campaign
-//! scenarios), move it (`CarrierWindows` lanes), or keep using the
-//! scoped spawning path in [`par`](crate::par).
+//! Call sites that only have borrowed data either clone it or move it
+//! (campaign scenarios, through `map_move`), or keep using the scoped
+//! spawning path in [`par`](crate::par).
 //!
 //! Nested dispatches from inside a pool worker run inline on that worker
 //! (a thread-local flag), so a pooled task may itself call pooled code

@@ -3,12 +3,13 @@
 //! [`CarrierWindows`] synthesizes the carrier-on (constant 1.0)
 //! emission of the whole bank — the only profile the pipeline's
 //! calibration and power pass stream — either window by window in any
-//! order (calibration) or sequentially from sample 0 (the power pass).
-//! Every other profile goes through the whole-buffer [`TxBank::emit`].
-//! Both take each device's rotor and PA gain from the bank and hand the
-//! rotor the output block itself with the gain
-//! ([`PhasorRotor::fill_scaled`]), so they agree bit for bit on the
-//! carrier-on profile and no libm call survives on the per-sample path.
+//! order (calibration) or sequentially from sample 0 (the power pass),
+//! handing each sample's carriers to a caller's fold as they are
+//! stepped. Every other profile goes through the whole-buffer
+//! [`TxBank::emit`]. Both take each device's rotor and PA gain from the
+//! bank and step the rotor with the gain ([`PhasorRotor::fill_scaled`]
+//! or its row form), so they agree bit for bit on the carrier-on
+//! profile and no libm call survives on the per-sample path.
 //!
 //! The rotator output differs from the textbook scalar path (one
 //! `sin_cos` per oscillator sample, the PA's polar round-trip) only by
@@ -19,58 +20,57 @@
 use crate::bank::TxBank;
 use ivn_dsp::complex::Complex64;
 use ivn_dsp::osc::Oscillator;
-use ivn_dsp::rotor::PhasorRotor;
-use ivn_runtime::pool::WorkerPool;
+use ivn_dsp::rotor::{PhasorRotor, LANES};
 use std::ops::Range;
 
+/// The most devices one [`CarrierWindows`] steps (its row is an array).
+const MAX_DEVICES: usize = 16;
+
 /// The bank's carrier-on emission — device `i` fed the constant-1.0
-/// profile — synthesized block by block, from sample 0 or from any
-/// resync window, bit for bit.
+/// profile — stepped sample by sample, from sample 0 or from any resync
+/// window, bit for bit.
 ///
 /// With a constant profile every lane reads level 1.0 at every output
 /// sample, inside the command and outside it alike, so the trigger
 /// shift drops out: lane `i`'s sample `k` is `rotorᵢ(k) · gᵢ`, with
 /// `gᵢ` the PA gain of level 1.0 — exactly what [`TxBank::emit`]
-/// produces for that profile. The rotor resyncs at
-/// fixed absolute indices, so [`CarrierWindows::seek`] to a window
-/// start followed by `emit` calls of any lengths reproduces the stream
-/// from that window on, in any order and any split. Memory is one
-/// output block per lane, sized by the caller's `emit` lengths.
+/// produces for that profile. The rotor resyncs at fixed absolute
+/// indices, so [`CarrierWindows::seek`] to a window start followed by
+/// [`CarrierWindows::fold`] calls of any lengths reproduces the stream
+/// from that window on, in any order and any split. Memory is one row
+/// of [`LANES`] samples per lane.
 #[derive(Debug, Clone)]
 pub struct CarrierWindows {
     lanes: Vec<WindowLane>,
     len: usize,
     window: usize,
-    threads: usize,
+    /// Absolute index of the next sample to step and hand out.
+    next: usize,
+    /// The row being handed out: `row[j][i]` is device `i`'s sample at offset `j`.
+    row: [[Complex64; MAX_DEVICES]; LANES],
 }
 
 #[derive(Debug, Clone)]
 struct WindowLane {
     rotor: PhasorRotor,
     gain: f64,
-    buf: Vec<Complex64>,
-}
-
-impl WindowLane {
-    /// Replaces the block with the lane's next `n` samples, rotor-filled
-    /// and scaled by the lane's gain in one pass. The block is resized,
-    /// not cleared: the fill overwrites every sample.
-    fn emit(&mut self, n: usize) {
-        self.buf.resize(n, Complex64::ZERO);
-        self.rotor.fill_scaled(&mut self.buf, self.gain);
-    }
 }
 
 impl CarrierWindows {
     /// The carrier-on emission of every device of `bank` at PA drive
-    /// `drive`, `len` samples long, positioned at sample 0, with lanes
-    /// advanced inline.
+    /// `drive`, `len` samples long, positioned at sample 0.
+    ///
+    /// # Panics
+    /// Panics if the bank has more than 16 devices.
     pub fn new(bank: &TxBank, drive: f64, len: usize) -> Self {
+        assert!(
+            bank.len() <= MAX_DEVICES,
+            "at most {MAX_DEVICES} devices per stream"
+        );
         let lanes: Vec<WindowLane> = (0..bank.len())
             .map(|i| WindowLane {
                 rotor: bank.rotor(i),
                 gain: bank.pa_gain(i, 1.0, drive),
-                buf: Vec::new(),
             })
             .collect();
         let window = lanes.first().map_or(1, |l| l.rotor.resync());
@@ -82,15 +82,9 @@ impl CarrierWindows {
             lanes,
             len,
             window,
-            threads: 1,
+            next: 0,
+            row: [[Complex64::ZERO; MAX_DEVICES]; LANES],
         }
-    }
-
-    /// Advances the lanes on `threads` workers of the global
-    /// [`WorkerPool`] (1 = inline). The samples do not depend on it.
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads;
-        self
     }
 
     /// Number of windows covering the `len` samples (the last may be
@@ -131,46 +125,55 @@ impl CarrierWindows {
         for lane in &mut self.lanes {
             lane.rotor.seek(range.start as u64);
         }
+        self.next = range.start;
         range
     }
 
-    /// Replaces every lane's block with its next `n` samples, continuing
-    /// from the last [`CarrierWindows::seek`] or `emit`. With more than
-    /// one thread the lanes are moved through the persistent
-    /// [`WorkerPool`] — the no-`unsafe` rule forbids lending `&mut`
-    /// state to pool threads, so ownership makes the round trip instead
-    /// — and come back in device order, so the blocks are bit-identical
-    /// at any worker count.
-    pub fn emit(&mut self, n: usize) {
-        let _span = ivn_runtime::span!("sdr.emit_ns");
-        ivn_runtime::obs_count!("sdr.emissions", 1);
-        if self.threads <= 1 || self.lanes.len() <= 1 {
-            for lane in &mut self.lanes {
-                lane.emit(n);
+    /// Hands the next `n` samples after the last [`CarrierWindows::seek`]
+    /// or `fold` to `f(k, carriers)` once each, in ascending absolute
+    /// index `k`, with `carriers[i]` device `i`'s sample `k`. Lanes are
+    /// stepped a row at a time (up to the next multiple of [`LANES`] or
+    /// the end of the call), bit-identical to [`TxBank::emit`] for any
+    /// split, so a caller's per-sample work runs between the steps.
+    ///
+    /// # Panics
+    /// Panics if the `n` samples run past the stream's `len`.
+    #[inline]
+    pub fn fold(&mut self, n: usize, mut f: impl FnMut(usize, &[Complex64])) {
+        let end = self.next + n;
+        assert!(end <= self.len, "fold past the end of the stream");
+        let devices = self.lanes.len();
+        let mut stepped = self.next;
+        for k in self.next..end {
+            if k == stepped {
+                stepped += self.step_row(k, end - k);
             }
-        } else {
-            let lanes = std::mem::take(&mut self.lanes);
-            self.lanes = WorkerPool::global().map_move(lanes, self.threads, move |_, mut lane| {
-                lane.emit(n);
-                lane
-            });
+            f(k, &self.row[k % LANES][..devices]);
         }
+        self.next = end;
     }
 
-    /// Every lane's current block, in device order.
-    pub fn blocks(&self) -> impl ExactSizeIterator<Item = &[Complex64]> {
-        self.lanes.iter().map(|l| l.buf.as_slice())
-    }
-
-    /// Device `i`'s current block.
-    pub fn block(&self, i: usize) -> &[Complex64] {
-        &self.lanes[i].buf
-    }
-
-    /// Largest per-lane block currently held, in samples — the
-    /// footprint probe for the sdr stage.
-    pub fn peak_lane_footprint(&self) -> usize {
-        self.lanes.iter().map(|l| l.buf.len()).max().unwrap_or(0)
+    /// Steps every lane from sample `from` to the end of its row, or
+    /// `want` samples if fewer (a partial row by `fill_scaled`); returns
+    /// the count.
+    fn step_row(&mut self, from: usize, want: usize) -> usize {
+        let at = from % LANES;
+        let m = (LANES - at).min(want);
+        for (i, lane) in self.lanes.iter_mut().enumerate() {
+            if m == LANES {
+                let col = lane.rotor.next_row_scaled(lane.gain);
+                for (row, z) in self.row.iter_mut().zip(col) {
+                    row[i] = z;
+                }
+            } else {
+                let mut col = [Complex64::ZERO; LANES];
+                lane.rotor.fill_scaled(&mut col[..m], lane.gain);
+                for (row, z) in self.row[at..at + m].iter_mut().zip(col) {
+                    row[i] = z;
+                }
+            }
+        }
+        m
     }
 }
 
@@ -219,28 +222,27 @@ mod tests {
     }
 
     #[test]
-    fn carrier_windows_aligned_and_identical_across_threads() {
-        // Every sequential block holds the same samples on every lane as
-        // the whole-buffer emission of the constant-1.0 profile, at any
-        // worker count and for a ragged last block.
+    fn fold_equals_bank_emit_at_any_split() {
+        // Every sample the fold hands over, at every chunk size (a ragged
+        // last chunk and chunks off the row grid included), holds the
+        // same carriers on every lane as the whole-buffer emission of the
+        // constant-1.0 profile, at its own absolute index.
         let b = bank(&ClockDistribution::octoclock(), 3);
         let profile = vec![1.0; 512];
         let reference: Vec<_> = (0..b.len()).map(|i| b.emit(i, &profile, 0.05)).collect();
-        for threads in [1usize, 2, 8] {
-            let mut win = CarrierWindows::new(&b, 0.05, profile.len()).with_threads(threads);
-            let mut at = 0;
-            while at < profile.len() {
-                let take = 100.min(profile.len() - at);
-                win.emit(take);
-                assert_eq!(win.blocks().len(), b.len());
-                for (i, got) in win.blocks().enumerate() {
-                    assert_eq!(
-                        got,
-                        &reference[i].samples()[at..at + take],
-                        "device {i} samples {at}.. at {threads} threads"
-                    );
-                }
-                at += take;
+        for chunk in [1usize, 7, 8, 100, 512] {
+            let mut win = CarrierWindows::new(&b, 0.05, profile.len());
+            let mut seen = 0;
+            while seen < profile.len() {
+                let take = chunk.min(profile.len() - seen);
+                win.fold(take, |k, carriers| {
+                    assert_eq!(k, seen, "chunk {chunk}");
+                    assert_eq!(carriers.len(), b.len());
+                    for (i, z) in carriers.iter().enumerate() {
+                        assert_eq!(*z, reference[i].samples()[k], "device {i} sample {k}");
+                    }
+                    seen += 1;
+                });
             }
         }
     }

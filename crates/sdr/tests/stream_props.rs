@@ -6,10 +6,11 @@
 //! - [`TxBank::emit`] fed any profile emits exactly `rotor(k) · g(level)`
 //!   per sample, where the reference rebuilds every sample on its own
 //!   from a [`PhasorRotor`] and the PA's `am_am`;
-//! - any window of [`CarrierWindows`], regenerated in any order and any
-//!   split, and the whole stream walked sequentially from sample 0 in
-//!   any chunk size, equal the same samples of [`TxBank::emit`] fed the
-//!   constant-1.0 profile, at any worker count.
+//! - any window of [`CarrierWindows`], folded in any order and any
+//!   split, and the whole stream folded sequentially from sample 0 in
+//!   any chunk size, hand over the same samples as [`TxBank::emit`] fed
+//!   the constant-1.0 profile, each at its own absolute index, once and
+//!   in order.
 
 use ivn_dsp::complex::Complex64;
 use ivn_dsp::rotor::{PhasorRotor, DEFAULT_RESYNC};
@@ -99,6 +100,28 @@ fn carrier_on(b: &TxBank, len: usize) -> Vec<Vec<Complex64>> {
         .collect()
 }
 
+/// Folds the next `n` samples into one block per lane, checking that
+/// the fold hands over indices `at..at + n` once each, in order.
+fn fold_blocks(win: &mut CarrierWindows, at: usize, n: usize) -> Vec<Vec<Complex64>> {
+    let mut blocks = vec![Vec::with_capacity(n); win.lanes()];
+    let mut next = at;
+    win.fold(n, |k, carriers| {
+        assert_eq!(k, next, "fold skipped or repeated an index");
+        assert_eq!(carriers.len(), blocks.len(), "one carrier per lane");
+        for (block, &z) in blocks.iter_mut().zip(carriers) {
+            block.push(z);
+        }
+        next += 1;
+    });
+    assert_eq!(
+        next,
+        at + n,
+        "fold handed over {} of {n} samples",
+        next - at
+    );
+    blocks
+}
+
 props! {
     cases = 24;
 
@@ -130,16 +153,15 @@ props! {
         let mut win = CarrierWindows::new(&b, DRIVE, len);
         prop_assert_eq!(win.count(), len.div_ceil(DEFAULT_RESYNC));
         let mut rng = StdRng::seed_from_u64(seed.rotate_left(17));
-        // Random windows in random order, each regenerated in random
-        // sub-blocks (the rotor's fill is split-invariant after a seek).
+        // Random windows in random order, each folded in random
+        // sub-blocks (a call can end and the next resume mid-row).
         for _ in 0..6 {
             let w = rng.random_range(0..win.count());
             let range = win.seek(w);
             let mut at = range.start;
             while at < range.end {
                 let take = rng.random_range(1..=range.end - at);
-                win.emit(take);
-                for (i, got) in win.blocks().enumerate() {
+                for (i, got) in fold_blocks(&mut win, at, take).iter().enumerate() {
                     prop_assert!(
                         same_bits(got, &streamed[i][at..at + take]),
                         "lane {} window {} samples {}..{}",
@@ -155,28 +177,24 @@ props! {
         seed in any::<u64>(), n_dev in 1usize..11, free_running in any::<bool>(),
         len in 1usize..9000, rate_sel in 0usize..4,
     ) {
-        // The power pass: a fresh `CarrierWindows` walked from sample 0
-        // by back-to-back `emit`s of a fixed chunk size, the last ragged.
+        // The power pass: a fresh `CarrierWindows` folded from sample 0
+        // by back-to-back calls of a fixed chunk size, the last ragged.
         let rate = [4096.0, 32e3, 100e3, 1e6][rate_sel];
         let b = bank(seed, n_dev, rate, free_running);
         let want = carrier_on(&b, len);
-        for chunk in [1usize, 7, 256, 4096] {
-            for threads in [1usize, 2, 8] {
-                let mut win = CarrierWindows::new(&b, DRIVE, len).with_threads(threads);
-                let mut at = 0;
-                while at < len {
-                    let take = chunk.min(len - at);
-                    win.emit(take);
-                    prop_assert_eq!(win.peak_lane_footprint(), take);
-                    for (i, got) in win.blocks().enumerate() {
-                        prop_assert!(
-                            same_bits(got, &want[i][at..at + take]),
-                            "lane {} samples {}..{} chunk {} at {} threads",
-                            i, at, at + take, chunk, threads
-                        );
-                    }
-                    at += take;
+        for chunk in [1usize, 7, 8, 256, 1025, 4096] {
+            let mut win = CarrierWindows::new(&b, DRIVE, len);
+            let mut at = 0;
+            while at < len {
+                let take = chunk.min(len - at);
+                for (i, got) in fold_blocks(&mut win, at, take).iter().enumerate() {
+                    prop_assert!(
+                        same_bits(got, &want[i][at..at + take]),
+                        "lane {} samples {}..{} chunk {}",
+                        i, at, at + take, chunk
+                    );
                 }
+                at += take;
             }
         }
     }
@@ -197,9 +215,9 @@ fn carrier_windows_cover_a_full_rate_period() {
         let want = b.emit(i, &profile, DRIVE);
         for w in 0..win.count() {
             let range = win.seek(w);
-            win.emit(range.len());
+            let got = fold_blocks(&mut win, range.start, range.len());
             assert!(
-                same_bits(win.block(i), &want.samples()[range]),
+                same_bits(&got[i], &want.samples()[range]),
                 "lane {i} window {w}"
             );
         }
@@ -211,4 +229,13 @@ fn carrier_windows_cover_a_full_rate_period() {
 fn carrier_windows_reject_seek_past_the_end() {
     let b = bank(1, 2, 4096.0, false);
     CarrierWindows::new(&b, DRIVE, 2048).seek(2);
+}
+
+#[test]
+#[should_panic(expected = "past the end")]
+fn carrier_windows_reject_a_fold_past_the_end() {
+    let b = bank(1, 2, 4096.0, false);
+    let mut win = CarrierWindows::new(&b, DRIVE, 2048);
+    win.seek(1);
+    win.fold(1025, |_, _| {});
 }

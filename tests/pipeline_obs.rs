@@ -1,4 +1,4 @@
-//! The streaming pipeline's sdr instrumentation.
+//! The streaming pipeline's sdr and harvester instrumentation.
 //!
 //! `obs::set_enabled(true)` flips a process-global flag, and the counts
 //! below are exact, so this check runs in its own test binary (its own
@@ -7,12 +7,14 @@
 use ivn_bench::pipeline::{outputs_streaming, StreamOptions};
 use ivn_runtime::obs;
 
-/// Every `CarrierWindows::emit` call — one per calibration sub-block and
-/// one per power-pass block — opens one `sdr.emit_ns` span and counts
-/// one `sdr.emissions`: perfbench's `pipeline.sdr.emit_all_passes_s`
-/// and `verify.sh`'s trace-span gate read them.
+/// Every calibration sub-block opens one `sdr.emit_ns` span and counts
+/// one `sdr.emissions`; the fused power pass opens none (perfbench's
+/// `pipeline.sdr.emit_all_passes_s` is the calibration pass, and
+/// `verify.sh`'s trace-span gate reads the span). The power pass books
+/// every sample as one harvester charge step, one `harvester.power_up_ns`
+/// span per block.
 #[test]
-fn streaming_pipeline_reports_sdr_emissions_for_both_passes() {
+fn streaming_pipeline_reports_calibration_emissions_and_every_charge_step() {
     obs::set_enabled(true);
     // 1e5 S/s: the calibration prunes (visits fewer windows than the
     // period holds). A 512-sample block splits every window, the short
@@ -31,17 +33,20 @@ fn streaming_pipeline_reports_sdr_emissions_for_both_passes() {
     let (visited, total) = report.calibration_windows;
     assert!(visited < total, "calibration visited {visited} of {total}");
     let calibration = 2 * visited as u64;
-    let power_pass = report.outputs.n_samples.div_ceil(opts.block) as u64;
     assert_eq!(
         metrics.counter("sdr.emissions"),
-        Some(calibration + power_pass),
-        "{visited} windows visited, {power_pass} power-pass blocks"
+        Some(calibration),
+        "{visited} windows visited"
     );
     let span = metrics.histogram("sdr.emit_ns").expect("sdr.emit_ns span");
-    assert_eq!(
-        span.count,
-        calibration + power_pass,
-        "one span per emission"
-    );
+    assert_eq!(span.count, calibration, "one span per emission");
     assert!(span.sum > 0, "sdr.emit_ns recorded no time");
+
+    let n = report.outputs.n_samples as u64;
+    let power_pass = n.div_ceil(opts.block as u64);
+    assert_eq!(metrics.counter("harvester.charge_steps"), Some(n));
+    let charge = metrics
+        .histogram("harvester.power_up_ns")
+        .expect("harvester.power_up_ns span");
+    assert_eq!(charge.count, power_pass, "one charge run per block");
 }
