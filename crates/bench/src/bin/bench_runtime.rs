@@ -1,9 +1,12 @@
 //! Runtime-layer benchmark: the Monte-Carlo thread sweep (scoped
 //! `par::ensemble_threads` at widths 1–8), the worker pool's dispatch
-//! cost, the instrumentation overhead, one workload per pipeline stage,
-//! streaming sample-path throughput, and campaign and inventory rates,
+//! cost, the instrumentation overhead, the `em` channel ensemble, `rfid`
+//! codec and `freqsel` objective stage workloads, the streaming
+//! pipeline's fused power pass, and campaign and inventory rates,
 //! written to `BENCH_runtime.json` (via the in-tree JSON layer) in the
-//! current directory.
+//! current directory. The sdr emitter and the Dickson pump are timed
+//! inside the power pass (`streaming.stages.stage=em`), the one place
+//! the program runs them on the sample path.
 //!
 //! Every gated number is taken one way: [`sentinel::measure`] (or
 //! [`sentinel::measure_columns`]) runs the workload for a fixed number of
@@ -154,26 +157,10 @@ fn batch_ns<T>(dispatch: impl Fn() -> T) -> f64 {
     ns / DISPATCH_BATCH as f64
 }
 
-/// One representative, seeded workload per pipeline stage. Each returns a
+/// One representative, seeded workload per timed stage. Each returns a
 /// value to `black_box` so nothing is optimized away.
 fn stage_workload(stage: &str, fast: bool) -> f64 {
     match stage {
-        "sdr" => {
-            // Bank synthesis + one device emission.
-            use ivn_sdr::bank::TxBank;
-            use ivn_sdr::clock::ClockDistribution;
-            let mut rng = StdRng::seed_from_u64(SEED);
-            let bank = TxBank::new(
-                &mut rng,
-                5,
-                915e6,
-                100e3,
-                &PAPER_OFFSETS_HZ[..5],
-                &ClockDistribution::octoclock(),
-            );
-            let profile = vec![1.0; if fast { 2_000 } else { 20_000 }];
-            bank.emit(0, &profile, 0.05).samples()[0].norm()
-        }
         "em" => {
             // Blind-channel ensemble evaluation across the CIB tones.
             use ivn_em::channel::ChannelEnsemble;
@@ -185,23 +172,10 @@ fn stage_workload(stage: &str, fast: bool) -> f64 {
                 .map(|c| c.norm_sqr())
                 .sum()
         }
-        "harvester" => {
-            // Dickson-pump power-up transient on a peaky envelope.
-            use ivn_harvester::powerup::TagPowerProfile;
-            let tag = TagPowerProfile::standard_tag();
-            let n = if fast { 10_000 } else { 100_000 };
-            let mut env = vec![0.0; n];
-            for chunk in env.chunks_mut(1_000) {
-                for v in chunk.iter_mut().take(10) {
-                    *v = 1e-2;
-                }
-            }
-            let out = tag.power_up(&env, 1e6);
-            out.peak_vdc
-        }
         "rfid" => {
             // Full downlink + uplink codec pass: PIE encode→rasterize→
-            // decode of a Query, then FM0 encode→decode of a reply.
+            // decode of a Query (378 samples), then FM0 encode→decode of
+            // a 96-bit reply (1 536 samples), per rep.
             use ivn_rfid::commands::Command;
             use ivn_rfid::fm0::Fm0;
             use ivn_rfid::pie::{decode_frame, encode_frame, rasterize, PieParams};
@@ -440,7 +414,7 @@ fn main() -> std::process::ExitCode {
 
     // Per-stage wall-clock breakdown. With --obs the stage runs also feed
     // the metric registry, so the report reflects exactly this work.
-    const STAGES: [&str; 5] = ["sdr", "em", "harvester", "rfid", "freqsel"];
+    const STAGES: [&str; 3] = ["em", "rfid", "freqsel"];
     if with_obs {
         obs::reset();
         obs::set_enabled(true);
@@ -469,9 +443,9 @@ fn main() -> std::process::ExitCode {
 
     // Streaming sample-path throughput: one full 1-second CIB period
     // through the block driver (100 kS/s in fast mode, 1 MS/s in full),
-    // per stage the report lists — the fused power pass under `em`, then
-    // `rfid`. Runs under the same obs state so the streaming spans land
-    // in the embedded report too.
+    // per stage the report lists — the fused power pass under `em`.
+    // Runs under the same obs state so the streaming spans land in the
+    // embedded report too.
     let streaming_json = {
         let opts = ivn_bench::pipeline::StreamOptions {
             sample_rate: Some(if fast { 1e5 } else { 1e6 }),
@@ -495,7 +469,6 @@ fn main() -> std::process::ExitCode {
         Json::obj([
             ("sample_rate", first.outputs.sample_rate.into()),
             ("block", first.block.into()),
-            ("threads", first.threads.into()),
             ("stages", Json::Arr(entries)),
         ])
     };

@@ -28,8 +28,8 @@
 //! {
 //!   "mode": "fast",
 //!   "metrics": [
-//!     {"path": "stages.stage=sdr.median_ns", "value": 14600, "band": "upper", "factor": 4.0},
-//!     {"path": "streaming.stages.stage=rfid.msps", "value": 100.0, "band": "lower", "factor": 1.0},
+//!     {"path": "stages.stage=rfid.median_ns", "value": 23900, "band": "upper", "factor": 4.0},
+//!     {"path": "streaming.stages.stage=em.msps", "value": 165.0, "band": "lower", "factor": 4.0},
 //!     {"path": "obs_overhead_ci95_pct.1", "value": 4.0, "band": "upper", "factor": 1.0}
 //!   ]
 //! }
@@ -516,9 +516,9 @@ mod tests {
                 timed += 1;
             }
         }
-        // serial, 5 stages, swap_eval, 2 streaming stages (the fused
-        // power pass under `em`, and `rfid`), dispatch, campaign,
-        // plan-share and 3 inventory policies.
-        assert_eq!(timed, 15, "every timed band reads a median with a CI");
+        // serial, 3 stages (em, rfid, freqsel), swap_eval, the fused
+        // power pass (streaming `em`), dispatch, campaign, plan-share
+        // and 3 inventory policies.
+        assert_eq!(timed, 12, "every timed band reads a median with a CI");
     }
 }

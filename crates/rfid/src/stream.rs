@@ -202,11 +202,6 @@ impl PieStreamDecoder {
         }
         result
     }
-
-    /// Samples scanned so far.
-    pub fn samples_seen(&self) -> usize {
-        self.n
-    }
 }
 
 /// Streaming FM0 decoder: carries the partial symbol across block
@@ -313,7 +308,7 @@ mod tests {
                 dec.push(chunk);
             }
             assert_eq!(dec.finish().expect("stream decode"), batch, "block {block}");
-            assert_eq!(dec.samples_seen(), env.len());
+            assert_eq!(dec.n, env.len());
             assert_eq!(dec.peak, 1.0);
         }
     }

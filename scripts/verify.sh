@@ -27,7 +27,7 @@ cargo run --release --offline -p ivn-bench --bin reproduce -- pipeline --quick -
 # trace_report --check parses through the in-tree JSON layer, requires a
 # non-empty traceEvents array, and verifies every B has a matching E.
 cargo run --release --offline -p ivn-bench --bin trace_report -- "$TRACE_OUT" --check
-for span in sdr.emit_ns em.ensemble_responses_ns harvester.power_up_ns rfid.pie_decode_ns freqsel.mc_eval_ns freqsel.kernel_batch_ns freqsel.kernel_fill physics.envelope_peak physics.harvested_charge_j; do
+for span in sdr.emit_ns em.ensemble_responses_ns harvester.power_up_ns rfid.pie_decode_ns rfid.fm0_decode_ns freqsel.mc_eval_ns freqsel.kernel_batch_ns freqsel.kernel_fill physics.envelope_peak physics.harvested_charge_j; do
     grep -q "\"$span\"" "$TRACE_OUT" || {
         echo "verify: FAIL — '$span' missing from $TRACE_OUT" >&2
         exit 1

@@ -1,10 +1,11 @@
-//! The streaming pipeline's sdr and harvester instrumentation.
+//! The streaming pipeline's sdr, harvester and rfid instrumentation.
 //!
 //! `obs::set_enabled(true)` flips a process-global flag, and the counts
 //! below are exact, so this check runs in its own test binary (its own
 //! process) where no sibling test records concurrently.
 
 use ivn_bench::pipeline::{outputs_streaming, StreamOptions};
+use ivn_rfid::commands::Command;
 use ivn_runtime::obs;
 
 /// Every calibration sub-block opens one `sdr.emit_ns` span and counts
@@ -12,7 +13,8 @@ use ivn_runtime::obs;
 /// `pipeline.sdr.emit_all_passes_s` is the calibration pass, and
 /// `verify.sh`'s trace-span gate reads the span). The power pass books
 /// every sample as one harvester charge step, one `harvester.power_up_ns`
-/// span per block.
+/// span per block. The period carries one reader query: one PIE Query
+/// decode and one 16-bit RN16 reply, however many samples it holds.
 #[test]
 fn streaming_pipeline_reports_calibration_emissions_and_every_charge_step() {
     obs::set_enabled(true);
@@ -49,4 +51,15 @@ fn streaming_pipeline_reports_calibration_emissions_and_every_charge_step() {
         .histogram("harvester.power_up_ns")
         .expect("harvester.power_up_ns span");
     assert_eq!(charge.count, power_pass, "one charge run per block");
+
+    let pie = metrics
+        .histogram("rfid.pie_decode_ns")
+        .expect("rfid.pie_decode_ns span");
+    assert_eq!(pie.count, 1, "one downlink Query per period");
+    let query_bits = Command::canonical_query().encode().len() as u64;
+    assert_eq!(
+        metrics.counter("rfid.pie_symbols_decoded"),
+        Some(query_bits)
+    );
+    assert_eq!(metrics.counter("rfid.fm0_symbols_decoded"), Some(16));
 }
