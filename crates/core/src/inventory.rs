@@ -8,8 +8,10 @@
 //! [`TagPopulation`](crate::scenario::TagPopulation) (count, spacing,
 //! coupling knobs) and a [`PolicySpec`]; [`InventoryExperiment`]
 //! resolves everything that is trial-invariant **once** — per-tag
-//! placements along the geometry axis, coupling gain factors, and the
-//! CIB frequency plan (through the global plan cache, so a fleet of
+//! placements along the geometry axis, coupling gain factors, the
+//! nominal budget's powered flags and capture model (its tables shared
+//! by every policy arm), and the CIB frequency plan (through the global
+//! plan cache, so a fleet of
 //! bodies sharing an array computes the plan one time) — and then runs
 //! trials through [`ivn_rfid::population::inventory_population`].
 //!
@@ -68,7 +70,10 @@ pub struct InventoryExperiment {
     spec: TagSpec,
     placements: Vec<Placement>,
     coupling: Vec<f64>,
-    nominal_powers: Vec<f64>,
+    /// Whether each tag powers on the nominal budget.
+    nominal_powered: Vec<bool>,
+    /// The capture model over the nominal budget (reseeded per trial).
+    nominal_capture: CaptureModel,
     policy: PolicySpec,
     max_rounds: usize,
     capture_db: f64,
@@ -116,11 +121,20 @@ impl InventoryExperiment {
             .map(|(p, c)| p.nominal_rx_power(&spec, eirp_w, cib.carrier_hz) * n2 * c)
             .collect();
         Ok(InventoryExperiment {
+            nominal_powered: (nominal_powers.iter())
+                .map(|&p| spec.power.can_power_at_peak(p))
+                .collect(),
+            // Each trial replaces the RNG with its own capture stream.
+            nominal_capture: CaptureModel::new(
+                nominal_powers,
+                *capture_db,
+                *fade_db,
+                StdRng::seed_from_u64(0),
+            ),
             cib,
             spec,
             placements,
             coupling,
-            nominal_powers,
             policy: policy.clone(),
             max_rounds: *max_rounds,
             capture_db: *capture_db,
@@ -159,9 +173,11 @@ impl InventoryExperiment {
                 self.cib.carrier_hz,
             );
             let peak = self.cib.received_peak_power(&trial.channels) * self.coupling[i];
-            self.push_tag(&mut tags, &mut powers, i, peak, tag_rng.random());
+            tags.push(self.tag(i, self.spec.power.can_power_at_peak(peak), tag_rng.random()));
+            powers.push(peak);
         }
-        self.run_protocol(rng, tags, powers)
+        let capture = CaptureModel::new(powers, self.capture_db, self.fade_db, rng.clone());
+        self.run_protocol(rng, tags, &capture)
     }
 
     /// One protocol-dominated trial: tags power from the precomputed
@@ -169,40 +185,24 @@ impl InventoryExperiment {
     /// protocol seeds and capture contests. Bit-deterministic per trial
     /// stream, ~µs per tag — the fleet-scale bench path.
     pub fn run_trial_nominal(&self, rng: &StdRng) -> InventoryRun {
-        let n = self.count();
-        let mut tags = Vec::with_capacity(n);
-        let mut powers = Vec::with_capacity(n);
-        for i in 0..n {
-            let mut tag_rng = rng.fork(i as u64);
-            self.push_tag(
-                &mut tags,
-                &mut powers,
-                i,
-                self.nominal_powers[i],
-                tag_rng.random(),
-            );
-        }
-        self.run_protocol(rng, tags, powers)
+        let tags = (self.nominal_powered.iter().enumerate())
+            .map(|(i, &on)| self.tag(i, on, rng.fork(i as u64).random()))
+            .collect();
+        self.run_protocol(rng, tags, &self.nominal_capture)
     }
 
-    fn push_tag(&self, tags: &mut Vec<Tag>, powers: &mut Vec<f64>, i: usize, peak: f64, seed: u64) {
+    fn tag(&self, i: usize, powered: bool, seed: u64) -> Tag {
         let mut tag = Tag::with_epc96(INVENTORY_EPC_BASE + i as u128, seed);
-        tag.set_powered(self.spec.power.can_power_at_peak(peak));
-        powers.push(peak);
-        tags.push(tag);
+        tag.set_powered(powered);
+        tag
     }
 
-    fn run_protocol(&self, rng: &StdRng, mut tags: Vec<Tag>, powers: Vec<f64>) -> InventoryRun {
+    fn run_protocol(&self, rng: &StdRng, mut tags: Vec<Tag>, cap: &CaptureModel) -> InventoryRun {
         let powered = tags.iter().filter(|t| t.is_powered()).count();
         let mut policy = self.policy.build();
-        let mut capture = (self.capture_db > 0.0).then(|| {
-            CaptureModel::new(
-                powers,
-                self.capture_db,
-                self.fade_db,
-                rng.fork(self.count() as u64),
-            )
-        });
+        // `cap`'s tables, with this trial's own capture stream.
+        let mut capture =
+            (self.capture_db > 0.0).then(|| cap.with_rng(rng.fork(self.count() as u64)));
         let out = inventory_population(
             policy.as_mut(),
             capture.as_mut(),
@@ -322,6 +322,65 @@ mod tests {
         );
         assert!(run.terminated);
         assert_eq!(run.inventoried, run.powered);
+    }
+
+    /// `run_trial_nominal` as each body ran it before `prepare` kept the
+    /// powered flags and the capture table: the nominal budget, the
+    /// tags and a fresh `CaptureModel::new` rebuilt per body.
+    fn nominal_trial_rebuilt(exp: &InventoryExperiment, rng: &StdRng) -> InventoryRun {
+        let n2 = (exp.cib.n() * exp.cib.n()) as f64;
+        let powers: Vec<f64> = (exp.placements.iter().zip(&exp.coupling))
+            .map(|(p, c)| p.nominal_rx_power(&exp.spec, exp.eirp_w, exp.cib.carrier_hz) * n2 * c)
+            .collect();
+        let mut tags: Vec<Tag> = (0..exp.count())
+            .map(|i| {
+                let seed = rng.fork(i as u64).random();
+                let mut tag = Tag::with_epc96(INVENTORY_EPC_BASE + i as u128, seed);
+                tag.set_powered(exp.spec.power.can_power_at_peak(powers[i]));
+                tag
+            })
+            .collect();
+        let powered = tags.iter().filter(|t| t.is_powered()).count();
+        let mut capture = (exp.capture_db > 0.0).then(|| {
+            let rng = rng.fork(exp.count() as u64);
+            CaptureModel::new(powers, exp.capture_db, exp.fade_db, rng)
+        });
+        let mut policy = exp.policy.build();
+        let out =
+            inventory_population(policy.as_mut(), capture.as_mut(), &mut tags, exp.max_rounds);
+        InventoryRun {
+            population: exp.count(),
+            powered,
+            inventoried: out.epcs.len(),
+            rounds: out.rounds.len(),
+            terminated: out.terminated,
+            slots: out.total_slots(),
+            collisions: out.total_collisions(),
+            captures: out.total_captures(),
+        }
+    }
+
+    #[test]
+    fn nominal_trials_equal_bodies_rebuilt_from_the_budget() {
+        let exp = prepared();
+        let root = StdRng::seed_from_u64(17);
+        let mut captures = 0;
+        for policy in PolicySpec::default_arms() {
+            let arm = exp.with_policy(policy.clone());
+            for body in 0..64 {
+                let rng = root.fork(body);
+                let run = arm.run_trial_nominal(&rng);
+                assert_eq!(
+                    run,
+                    nominal_trial_rebuilt(&arm, &rng),
+                    "{} body {body}",
+                    policy.name()
+                );
+                assert!(run.powered > 0 && run.powered < run.population, "{run:?}");
+                captures += run.captures;
+            }
+        }
+        assert!(captures > 0, "no body reached the capture model");
     }
 
     #[test]

@@ -709,7 +709,8 @@ impl FromJson for TagPopulation {
 /// the trait object, so a scenario file can pick any registered policy.
 #[derive(Debug, Clone, PartialEq)]
 pub enum PolicySpec {
-    /// The Gen2 adaptive Q-algorithm.
+    /// Per-slot Qfp ± C, read as Q at each Query (no mid-round
+    /// `QueryAdjust`).
     Adaptive {
         /// Initial Q.
         q0: u8,

@@ -6,8 +6,8 @@
 //! trait is that seam — [`crate::reader::Reader`] drives rounds through
 //! it, so a new policy is one impl in one file:
 //!
-//! * [`AdaptiveQ`] — the standard Gen2 Q-algorithm (floating Qfp ± C per
-//!   slot), exactly the behaviour the reader had before the seam existed;
+//! * [`AdaptiveQ`] — Qfp ± C per slot, read as Q only at each Query
+//!   (no mid-round `QueryAdjust`), as the reader had it before the seam;
 //! * [`FixedQ`] — a constant-frame baseline, the control arm every
 //!   adaptive policy is measured against;
 //! * [`SchouteQ`] — a frame-by-frame backlog estimator: Schoute's
@@ -20,10 +20,12 @@
 //! still be decoded if its received power exceeds the sum of the others
 //! by a threshold. Per-tag mean powers come from the link budget; a
 //! per-slot uniform fade (seeded from the `ivn-runtime` RNG, so rounds
-//! stay fork-deterministic) decides each contest.
+//! stay fork-deterministic) decides each contest, most of them by a
+//! log-domain certificate that needs no `powf`.
 
 use crate::reader::{QAlgorithm, RoundStats, SlotOutcome};
 use ivn_runtime::rng::{Rng, StdRng};
+use std::sync::Arc;
 
 /// A frame-sizing policy for Gen2 inventory rounds.
 ///
@@ -55,8 +57,8 @@ pub trait AntiCollision: std::fmt::Debug + Send {
     fn name(&self) -> &'static str;
 }
 
-/// The Gen2 adaptive Q-algorithm behind the [`AntiCollision`] seam:
-/// floating-point Qfp moves ±C per slot, clamped to [0, 15].
+/// Slot-reactive Q behind the [`AntiCollision`] seam: Qfp moves ±C per
+/// slot in [0, 15] and is read as Q only at each Query (no `QueryAdjust`).
 ///
 /// This is byte-for-byte the policy [`crate::reader::Reader`] applied
 /// before the seam existed; `Reader::new` still wraps a [`QAlgorithm`]
@@ -185,6 +187,9 @@ impl AntiCollision for SchouteQ {
     }
 }
 
+/// Largest `|ln w| + |k|` the log certificate takes (faded powers stay normal).
+const LN_POWER_MAX: f64 = 460.0;
+
 /// Capture-effect arbitration for multi-reply slots.
 ///
 /// Physically, colliding backscatter replies are not symmetric: the
@@ -196,20 +201,26 @@ impl AntiCollision for SchouteQ {
 /// round's outcomes depend only on the seeds, never on thread count.
 #[derive(Debug, Clone)]
 pub struct CaptureModel {
-    /// Mean received power per tag index, linear relative units.
-    powers: Vec<f64>,
-    /// Linear power ratio the winner must hold over the rest.
+    /// Mean received power `w` per tag index, linear relative units, with
+    /// `ln w` (+∞ past `LN_POWER_MAX`); [`with_rng`](Self::with_rng) shares it.
+    table: Arc<[(f64, f64)]>,
+    /// Linear power ratio the winner must hold over the rest, and its log.
     ratio_lin: f64,
+    ln_ratio: f64,
     /// Half-range of the per-reply uniform fade, dB.
     fade_db: f64,
     /// The largest fade factor, `10^(fade_db/10)`.
     fade_max: f64,
+    /// `k = fade_db·ln10/10`: a faded log power is `ln w + k·(2u − 1)`.
+    ln_fade: f64,
+    /// Most repliers the log certificate may decide (0: none).
+    cert_max_n: usize,
     rng: StdRng,
 }
 
-/// Relative slack of [`CaptureModel`]'s no-capture test: far above the
-/// few ulps by which `powf` and the products and sums of a contest can
-/// stray from their exact values.
+/// Slack of [`CaptureModel`]'s no-capture test and log certificate: far
+/// above the few ulps by which `powf`, `ln` and a contest's products and
+/// sums can stray from their exact values.
 const NO_CAPTURE_SLACK: f64 = 1e-9;
 
 impl CaptureModel {
@@ -217,28 +228,55 @@ impl CaptureModel {
     /// threshold in dB, a per-reply fade half-range in dB, and the
     /// (forked) RNG that decides each contest.
     pub fn new(powers: Vec<f64>, threshold_db: f64, fade_db: f64, rng: StdRng) -> Self {
+        let ratio_lin = 10f64.powf(threshold_db / 10.0);
+        let ln_fade = fade_db * std::f64::consts::LN_10 / 10.0;
+        let ln = |w: f64| Some(w.ln()).filter(|l| l.abs() + ln_fade.abs() <= LN_POWER_MAX);
+        let table = powers.iter().map(|&w| (w, ln(w).unwrap_or(f64::INFINITY)));
+        // `certify`'s rounding bound, 8ε(|ln w| + |k| + 1) + n(ratio + 1)ε,
+        // must stay under half the slack.
+        let log_err = 8.0 * f64::EPSILON * (LN_POWER_MAX + 1.0);
+        let n_max = (NO_CAPTURE_SLACK / 2.0 - log_err) / ((ratio_lin + 1.0) * f64::EPSILON);
+        // An unknown tag counts as `w = 1`, `ln w = 0`, so `|k|` must be in range too.
+        let k_ok = ln_fade.abs() <= LN_POWER_MAX;
         CaptureModel {
-            powers,
-            ratio_lin: 10f64.powf(threshold_db / 10.0),
+            table: table.collect(),
+            ratio_lin,
+            ln_ratio: ratio_lin.ln(),
             fade_db,
             fade_max: 10f64.powf(fade_db / 10.0),
+            ln_fade,
+            cert_max_n: if k_ok { n_max as usize } else { 0 },
             rng,
+        }
+    }
+
+    /// This model with its contests drawn from `rng`, sharing its tables.
+    pub fn with_rng(&self, rng: StdRng) -> Self {
+        CaptureModel {
+            rng,
+            ..self.clone()
         }
     }
 
     /// Arbitrates one multi-reply slot: returns the index *within
     /// `replier_tags`* of the captured reply, or `None` for a true
     /// collision. Draws exactly one fade per replier, in order.
-    ///
-    /// When the mean powers alone show that no draw of the fades could let
-    /// any replier capture, the fades are drawn and dropped and no `powf`
-    /// is taken: the same outcome and RNG state as the full contest.
     pub fn arbitrate(&mut self, replier_tags: &[usize]) -> Option<usize> {
+        self.contest(replier_tags).0
+    }
+
+    /// [`arbitrate`](Self::arbitrate), and which test decided it: 0 for
+    /// `never_captures`, 1 for `certify`, 2 for the fade loop, the one
+    /// evaluator (the others only decide early, with its outcome and RNG).
+    pub(crate) fn contest(&mut self, replier_tags: &[usize]) -> (Option<usize>, usize) {
         if self.never_captures(replier_tags) {
             for _ in replier_tags {
                 let _: f64 = self.rng.random();
             }
-            return None;
+            return (None, 0);
+        }
+        if let Some(outcome) = self.certify(replier_tags) {
+            return (outcome, 1);
         }
         let mut best = 0usize;
         let mut best_p = f64::NEG_INFINITY;
@@ -246,7 +284,7 @@ impl CaptureModel {
         for (k, &tag_idx) in replier_tags.iter().enumerate() {
             let u: f64 = self.rng.random();
             let fade = 10f64.powf(self.fade_db * (2.0 * u - 1.0) / 10.0);
-            let p = self.powers.get(tag_idx).copied().unwrap_or(1.0) * fade;
+            let p = self.table.get(tag_idx).map_or(1.0, |t| t.0) * fade;
             total += p;
             if p > best_p {
                 best_p = p;
@@ -254,7 +292,8 @@ impl CaptureModel {
             }
         }
         let rest = total - best_p;
-        (rest <= 0.0 || best_p >= self.ratio_lin * rest).then_some(best)
+        let won = rest <= 0.0 || best_p >= self.ratio_lin * rest;
+        (won.then_some(best), 2)
     }
 
     /// Whether the contest is lost before any fade is drawn. With mean
@@ -272,7 +311,7 @@ impl CaptureModel {
         }
         let (mut sum, mut max) = (0.0f64, 0.0f64);
         for &tag_idx in replier_tags {
-            let w = self.powers.get(tag_idx).copied().unwrap_or(1.0);
+            let w = self.table.get(tag_idx).map_or(1.0, |t| t.0);
             if !(w.is_finite() && w > 0.0) {
                 return false;
             }
@@ -283,6 +322,42 @@ impl CaptureModel {
         let rest_floor =
             (sum - max) / f * (1.0 - NO_CAPTURE_SLACK) - 2.0 * n * f64::EPSILON * f * sum;
         max * f * (1.0 + NO_CAPTURE_SLACK) < self.ratio_lin * rest_floor
+    }
+
+    /// The fade loop's outcome from log powers `Lᵢ = ln wᵢ + k·(2uᵢ − 1)`,
+    /// drawing its fades, or `None` (RNG untouched) when the top-two gap
+    /// `g = L_b − L₂` is within the slack `s` of a boundary: `g > s` fixes
+    /// the loop's argmax, `g < ln ratio − s` puts the winner below `ratio`
+    /// times the runner-up, and `g > ln ratio + ln(n−1) + s` puts it above
+    /// `ratio` times all `n − 1` others. Each `Lᵢ` is within
+    /// `4ε(|ln w| + |k| + 1)` of the loop's `ln pᵢ` (`powf`, `ln` within
+    /// 1 ulp), and the loop's sum and `ratio·rest` move its test by under
+    /// `n(ratio + 1)ε`; `cert_max_n` keeps both under `s/2`.
+    fn certify(&mut self, replier_tags: &[usize]) -> Option<Option<usize>> {
+        let n = replier_tags.len();
+        if !(2..=self.cert_max_n).contains(&n) {
+            return None;
+        }
+        let mut rng = self.rng.clone();
+        let (mut best, mut top, mut second) = (0, f64::NEG_INFINITY, f64::NEG_INFINITY);
+        for (k, &tag_idx) in replier_tags.iter().enumerate() {
+            let u: f64 = rng.random();
+            let l = self.table.get(tag_idx).map_or(0.0, |t| t.1) + self.ln_fade * (2.0 * u - 1.0);
+            if l > top {
+                (second, top, best) = (top, l, k);
+            } else {
+                second = second.max(l);
+            }
+        }
+        // A `ln w` off the table's range is +∞, and so is `top`.
+        let (gap, s) = (top - second, NO_CAPTURE_SLACK);
+        let lost = gap < self.ln_ratio - s;
+        let won = || gap > self.ln_ratio + ((n - 1) as f64).ln() + s;
+        if !(top < f64::INFINITY && gap > s && (lost || won())) {
+            return None;
+        }
+        self.rng = rng;
+        Some((!lost).then_some(best))
     }
 }
 
@@ -391,6 +466,30 @@ mod tests {
         let rng = StdRng::seed_from_u64(5);
         let mut tie = CaptureModel::new(vec![1.0, 1.0], 6.0, 0.0, rng);
         assert_eq!(tie.arbitrate(&[0, 1]), None);
+    }
+
+    #[test]
+    fn certificate_caps_follow_the_rounding_bound() {
+        let cap = |threshold_db, fade_db| {
+            CaptureModel::new(vec![1.0], threshold_db, fade_db, StdRng::seed_from_u64(1)).cert_max_n
+        };
+        // 6 dB: n(ratio + 1)ε stays under the slack for ~450 000 repliers.
+        assert!(
+            (400_000..500_000).contains(&cap(6.0, 3.0)),
+            "{}",
+            cap(6.0, 3.0)
+        );
+        // The cap shrinks as the ratio grows, and closes past ~60 dB.
+        assert!(cap(50.0, 3.0) < 30 && cap(50.0, 3.0) > 0);
+        assert_eq!(cap(70.0, 3.0), 0);
+        // A fade whose |k| leaves the table's range closes it for every
+        // contest, unknown tags included; so do non-finite settings.
+        assert!(cap(6.0, -1990.0) > 0);
+        assert_eq!(cap(6.0, 2000.0), 0);
+        assert_eq!(cap(6.0, -2000.0), 0);
+        assert_eq!(cap(f64::NAN, 3.0), 0);
+        assert_eq!(cap(6.0, f64::NAN), 0);
+        assert_eq!(cap(f64::INFINITY, 3.0), 0);
     }
 
     #[test]

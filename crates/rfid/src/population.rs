@@ -23,11 +23,11 @@
 //! one add to `RoundStats::empty`. The policy sees exactly the outcome
 //! sequence the broadcast reader would give it.
 //!
-//! The active tags are kept in an ascending index list, pruned at the
-//! top of each round of the tags the last round read, so a round never
-//! scans the rest of the population. A round over `A` active tags at
-//! frame size `2^Q` then costs O(A) for the pruning,
-//! O(A · ceil(Q/8)) for the draws and the sort, O(A) for the walk, plus
+//! The active tags are kept in an ascending index list; one pass at the
+//! top of each round prunes the tags the last round read and draws the
+//! others' slot keys, so a round never scans the rest of the population.
+//! A round over `A` active tags at frame size `2^Q` then costs O(A) for
+//! that pass, O(A · ceil(Q/8)) for the sort, O(A) for the walk, plus
 //! the policy's empty runs: O(1) each for [`FixedQ`] and [`SchouteQ`];
 //! [`AdaptiveQ`] stops stepping as soon as Qfp reaches its floor, so
 //! its empty steps are bounded by `Qfp/C` plus the collisions that
@@ -42,7 +42,10 @@
 //! * an empty run reaches the policy as `on_empty_slots(n)`, which every
 //!   policy implements as, or by default is, `n` single empty slots;
 //! * the sort is stable in tag order within a slot, so replies, RN16
-//!   draws and capture contests happen in broadcast order.
+//!   draws and capture contests happen in broadcast order;
+//! * how each capture contest was decided (mean powers, log certificate
+//!   or fade loop) reaches the `rfid.capture_never`, `_certified` and
+//!   `_exact` counters once per call.
 //!
 //! [`FixedQ`]: crate::anticollision::FixedQ
 //! [`SchouteQ`]: crate::anticollision::SchouteQ
@@ -90,6 +93,8 @@ pub fn inventory_population(
     let mut keys: Vec<u64> = Vec::new();
     let mut spare: Vec<u64> = Vec::new();
     let mut repliers: Vec<usize> = Vec::new();
+    // Capture contests by the test that decided them (`CaptureModel::contest`).
+    let mut decided = [0usize; 3];
 
     for _ in 0..max_rounds {
         if out.terminated {
@@ -97,12 +102,15 @@ pub fn inventory_population(
         }
         let q = policy.choose_q();
 
-        active.retain(|&i| tags[i as usize].fast_active());
         keys.clear();
-        for &i in &active {
-            let slot = tags[i as usize].fast_draw_slot(q);
-            keys.push(u64::from(slot) << 32 | u64::from(i));
-        }
+        active.retain(|&i| {
+            let tag = &mut tags[i as usize];
+            let live = tag.fast_active();
+            if live {
+                keys.push(u64::from(tag.fast_draw_slot(q)) << 32 | u64::from(i));
+            }
+            live
+        });
         sort_by_slot(&mut keys, &mut spare, q);
 
         let mut stats = RoundStats::default();
@@ -135,7 +143,9 @@ pub fn inventory_population(
                     Some(cap) => {
                         repliers.clear();
                         repliers.extend(group.iter().map(|&key| tag_of(key)));
-                        match cap.arbitrate(&repliers) {
+                        let (won, by) = cap.contest(&repliers);
+                        decided[by] += 1;
+                        match won {
                             Some(k) => {
                                 stats.captures += 1;
                                 read_tag(tags, repliers[k])
@@ -159,6 +169,9 @@ pub fn inventory_population(
             out.terminated = true;
         }
     }
+    ivn_runtime::obs_count!("rfid.capture_never", decided[0]);
+    ivn_runtime::obs_count!("rfid.capture_certified", decided[1]);
+    ivn_runtime::obs_count!("rfid.capture_exact", decided[2]);
     out
 }
 

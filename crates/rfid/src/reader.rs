@@ -3,8 +3,9 @@
 //! Drives rounds of Query/QueryRep against a population of tags,
 //! resolving slots into empty / single / collision outcomes. Frame
 //! sizing is delegated to an [`AntiCollision`] policy — the default
-//! [`Reader::new`] wraps the classic Gen2 [`QAlgorithm`] (floating-point
-//! Qfp, ±C steps) in [`crate::anticollision::AdaptiveQ`], bit-identical
+//! [`Reader::new`] wraps a [`QAlgorithm`] (floating-point Qfp, ±C
+//! steps per slot, read only at each Query) in
+//! [`crate::anticollision::AdaptiveQ`], bit-identical
 //! to the pre-seam behaviour; [`Reader::with_policy`] accepts any other
 //! impl. An optional [`CaptureModel`] adds capture-effect arbitration to
 //! multi-reply slots. The physical decoding happens elsewhere
@@ -116,7 +117,8 @@ pub struct Reader {
 }
 
 impl Reader {
-    /// Creates a reader with the classic Gen2 adaptive Q-algorithm.
+    /// Creates a reader whose Q follows a per-slot Qfp, read at each
+    /// Query (no mid-round `QueryAdjust`).
     pub fn new(session: Session, q_alg: QAlgorithm) -> Self {
         Self::with_policy(session, Box::new(q_alg.policy()))
     }
@@ -168,31 +170,15 @@ impl Reader {
     /// more = collision — unless an armed [`CaptureModel`] lets the
     /// strongest reply through.
     pub fn run_round(&mut self, tags: &mut [Tag]) -> (Vec<SlotOutcome>, RoundStats) {
-        let query = self.query();
         let n_slots = 1usize << self.q();
         let mut outcomes = Vec::with_capacity(n_slots);
         let mut stats = RoundStats::default();
-
-        // Slot 0: the Query itself.
-        let mut replies: Vec<(usize, u16)> = Vec::new();
-        for (i, tag) in tags.iter_mut().enumerate() {
-            if let TagReply::Rn16(rn) = tag.process(&query) {
-                replies.push((i, rn));
-            }
-        }
-        let outcome = self.resolve_slot(&replies, tags, &mut stats);
-        self.update_q(&outcome);
-        stats.tally(&outcome);
-        outcomes.push(outcome);
-
-        // Remaining slots via QueryRep.
-        for _ in 1..n_slots {
-            let rep = Command::QueryRep {
-                session: self.session,
-            };
+        // Slot 0 is the Query itself, every later slot a QueryRep.
+        let mut cmd = self.query();
+        for _ in 0..n_slots {
             let mut replies: Vec<(usize, u16)> = Vec::new();
             for (i, tag) in tags.iter_mut().enumerate() {
-                if let TagReply::Rn16(rn) = tag.process(&rep) {
+                if let TagReply::Rn16(rn) = tag.process(&cmd) {
                     replies.push((i, rn));
                 }
             }
@@ -200,6 +186,8 @@ impl Reader {
             self.update_q(&outcome);
             stats.tally(&outcome);
             outcomes.push(outcome);
+            let session = self.session;
+            cmd = Command::QueryRep { session };
         }
         self.policy.on_round_end(&stats);
         (outcomes, stats)

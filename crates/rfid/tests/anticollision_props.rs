@@ -258,3 +258,107 @@ props! {
         }
     }
 }
+
+/// One of the certificate's boundaries for [`boundary_contest`].
+#[derive(Debug, Clone, Copy)]
+enum Edge {
+    /// The top-two log gap near 0: the argmax is a near-tie.
+    Tie,
+    /// Near `ln ratio`, the rest beyond the runner-up negligible.
+    NoCapture,
+    /// Near `ln ratio + ln(n−1)`, all `n − 1` others level.
+    Capture,
+}
+
+/// Mean powers that put a contest of `n` repliers `0..n` on `edge`,
+/// read off the fades `rng` will draw: the winner's log power (faded)
+/// is 0 and the runner-up's sits `edge + δ` below it, `δ` within ±1e-6
+/// at any scale down to 10⁻¹⁷, or 0.
+fn boundary_contest(
+    draw: &mut StdRng,
+    rng: &StdRng,
+    n: usize,
+    edge: Edge,
+    ratio_lin: f64,
+    fade_db: f64,
+) -> Vec<f64> {
+    let k = fade_db * std::f64::consts::LN_10 / 10.0;
+    let mut peek = rng.clone();
+    let fades: Vec<f64> = (0..n)
+        .map(|_| k * (2.0 * peek.random::<f64>() - 1.0))
+        .collect();
+    let delta = match draw.random_range(0..3u32) {
+        0 => 0.0,
+        s => (2.0 * f64::from(s) - 3.0) * 10f64.powf(-draw.random_range(6.0..17.0)),
+    };
+    let others = (n.max(2) - 1) as f64;
+    let gap = delta
+        + match edge {
+            Edge::Tie => 0.0,
+            Edge::NoCapture => ratio_lin.ln(),
+            Edge::Capture => ratio_lin.ln() + others.ln(),
+        };
+    let winner = draw.random_range(0..n.max(1));
+    let runner_up = (winner + 1) % n.max(1);
+    (0..n)
+        .map(|i| {
+            let l = if i == winner {
+                0.0
+            } else if i == runner_up || !matches!(edge, Edge::NoCapture) {
+                -gap
+            } else {
+                -gap - 40.0
+            };
+            (l - fades[i]).exp()
+        })
+        .collect()
+}
+
+props! {
+    cases = 2048;
+
+    // The log certificate is exact at its own boundaries: contests whose
+    // top-two log gap sits within ±1e-6 of 0, of `ln ratio` and of
+    // `ln ratio + ln(n−1)` return what the full fade loop returns and
+    // leave the model as it leaves it. So do contests of 0 or 1
+    // repliers, unknown tag indices, zero, negative, infinite, NaN or
+    // extreme powers, negative fades, and thresholds high enough that
+    // the certificate's cap on `n` binds. Low thresholds let near-ties
+    // capture; high ones make the loop's sums round far enough to matter.
+    fn arbitrate_equals_the_fade_loop_on_certificate_boundaries(
+        seed in any::<u64>(),
+        edge in 0usize..3,
+        n in 0usize..40,
+        degenerate in any::<bool>(),
+        fade_db in -6.0f64..12.0
+    ) {
+        let mut draw = StdRng::seed_from_u64(seed);
+        let rng = draw.fork(1);
+        let n = if draw.random() { n % 4 } else { n };
+        let threshold_db = [-6.0..0.0, 0.0..12.0, 55.0..75.0][draw.random_range(0..3usize)].clone();
+        let threshold_db = draw.random_range(threshold_db);
+        // Now and then a fade so wide that `|k|` leaves the log table's range.
+        let fade_db = if draw.random_range(0..8u32) == 0 { fade_db * 400.0 } else { fade_db };
+        let ratio_lin = 10f64.powf(threshold_db / 10.0);
+        let edge = [Edge::Tie, Edge::NoCapture, Edge::Capture][edge];
+        let mut powers = boundary_contest(&mut draw, &rng, n, edge, ratio_lin, fade_db);
+        let mut tags: Vec<usize> = (0..n).collect();
+        if degenerate {
+            for i in 0..n {
+                match draw.random_range(0..6u32) {
+                    0 | 5 => tags[i] = n + draw.random_range(0..2usize),
+                    1 => powers[i] = [0.0, -1.0, f64::INFINITY, f64::NAN, 1e-310, 1.7e308]
+                        [draw.random_range(0..6usize)],
+                    _ => {}
+                }
+            }
+        }
+        let mut model = CaptureModel::new(powers.clone(), threshold_db, fade_db, rng.clone());
+        let mut loop_rng = rng;
+        let want = reference_arbitrate(&powers, ratio_lin, fade_db, &mut loop_rng, &tags);
+        let got = model.arbitrate(&tags);
+        prop_assert!(got == want, "{edge:?}: {got:?} != {want:?} for powers {powers:?}");
+        let expect = CaptureModel::new(powers, threshold_db, fade_db, loop_rng);
+        prop_assert_eq!(format!("{model:?}"), format!("{expect:?}"));
+    }
+}
