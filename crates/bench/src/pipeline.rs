@@ -10,15 +10,14 @@
 //! the reader's one query per CIB period. Under `--trace` this is the
 //! target that exercises every instrumented stage in a single timeline.
 //!
-//! ## Streaming vs batch
+//! ## One streaming driver
 //!
-//! The default driver is the **block-streaming** one: samples flow
-//! through the chain in fixed-size blocks (`ivn_dsp::block`), so
-//! per-stage memory is O(block) rather than O(fs) — a full
-//! 1-second CIB period at 1 MS/s runs in a few MB.
+//! Samples flow through the chain in fixed-size blocks
+//! (`ivn_dsp::block`), so per-stage memory is O(block) rather than
+//! O(fs) — a full 1-second CIB period at 1 MS/s runs in a few MB.
 //!
 //! The harvester's input is scaled so the received peak sits at
-//! `POWER_MARGIN` × the tag's wake power, so the exact peak of `|rx|`
+//! [`POWER_MARGIN`] × the tag's wake power, so the exact peak of `|rx|`
 //! must be known before the power pass starts. [`calibrate_peak`] finds
 //! it without synthesizing the period: the emitters' rotors resync from
 //! the closed-form phase every 1024 samples, so any such window can be
@@ -28,24 +27,27 @@
 //! one full pass folds the same [`CarrierWindows`] from sample 0: per
 //! sample, the carriers are superposed into `rx[k]`, which is digested
 //! and drives one harvester step, and device 0's carrier feeds its
-//! running peak — no per-device or rx buffer. The whole-buffer path
-//! ([`outputs_batch`]), which emits through the general-profile
-//! `TxBank::emit`, is kept for cross-checking: both produce identical
-//! [`PathOutputs`] — including a bit-exact FNV-1a hash of every received
-//! sample — at any block size (`tests/streaming_equivalence.rs`).
+//! running peak — no per-device or rx buffer.
+//!
+//! With the carrier-on profile the received stream is the analytic
+//! trial's tone sum, `rx[k] = Σᵢ cᵢ·e^{j2πfᵢk/fs}` with
+//! `cᵢ = hᵢ·gᵢ·rotorᵢ(0)`: a `CibEnvelope` sampled at `fs`.
+//! `tests/streaming_equivalence.rs` checks the stream, the calibrated
+//! peak and the wake time against that envelope, and pins the
+//! [`PathOutputs`] (the FNV-1a `rx_hash` of every received sample
+//! included) at every block size.
 
 use ivn_core::freqsel::expected_peak;
 use ivn_core::PAPER_OFFSETS_HZ;
 use ivn_dsp::block::{Footprint, PeakMeter, StreamHasher, DEFAULT_BLOCK};
 use ivn_dsp::complex::Complex64;
-use ivn_dsp::envelope;
 use ivn_dsp::rotor::LANES;
 use ivn_em::channel::ChannelEnsemble;
 use ivn_em::stream::BlockSuperposer;
 use ivn_harvester::powerup::{PowerUpOutcome, TagPowerProfile};
 use ivn_rfid::commands::Command;
 use ivn_rfid::fm0::Fm0;
-use ivn_rfid::pie::{decode_frame, encode_frame, rasterize, PieParams};
+use ivn_rfid::pie::{encode_frame, PieParams};
 use ivn_rfid::stream::{Fm0Decoder, PieStreamDecoder, RunRasterizer};
 use ivn_runtime::rng::{Rng, StdRng};
 use ivn_sdr::bank::TxBank;
@@ -57,10 +59,12 @@ const SEED: u64 = 42;
 const N_ANTENNAS: usize = 5;
 const CARRIER_HZ: f64 = 915e6;
 /// Headroom above the tag's required peak power when calibrating the
-/// received level (the "place the sensor inside range" step).
-const POWER_MARGIN: f64 = 2.0;
+/// received level (the "place the sensor inside range" step): the
+/// harvester sees `|rx|²` scaled so the calibrated peak is this many
+/// times [`TagPowerProfile::required_peak_power_watts`].
+pub const POWER_MARGIN: f64 = 2.0;
 /// PA drive for the carrier-on profile.
-const DRIVE: f64 = 0.05;
+pub const DRIVE: f64 = 0.05;
 /// Sample rate of the PIE downlink frame (envelope-level, not RF).
 const RFID_FS: f64 = 400e3;
 
@@ -114,9 +118,9 @@ impl Default for StreamOptions {
     }
 }
 
-/// Everything the sample path computes, in comparable form: the
-/// streaming and batch drivers must produce equal values (the received
-/// stream itself is compared through `rx_hash`).
+/// Everything the sample path computes, in comparable form (the
+/// received stream itself through `rx_hash`): a run is pinned by one
+/// value of this type.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PathOutputs {
     /// Sample rate of the CIB period, S/s.
@@ -160,24 +164,29 @@ pub struct StreamReport {
     pub stage_ns: Vec<(&'static str, u128, usize)>,
 }
 
-struct SharedSetup {
-    bank: TxBank,
-    superposer: BlockSuperposer,
-    tag: TagPowerProfile,
+/// The stages of one run of the sample path, as [`setup`] seeds them.
+pub struct Setup {
+    /// The synchronized transmitter bank.
+    pub bank: TxBank,
+    /// Each device's flat channel to the sensor, at its own emission
+    /// frequency.
+    pub superposer: BlockSuperposer,
+    /// The harvester the received power drives.
+    pub tag: TagPowerProfile,
     score: f64,
     rn16: Vec<bool>,
     sample_rate: f64,
     n_samples: usize,
 }
 
-/// Seeds the RNG and builds the stages both drivers share. RNG draw
-/// order (freqsel → bank → channels → RN16) is part of the output
-/// contract: the two paths must consume the stream identically.
+/// Seeds the RNG and builds the stages of one run. The RNG draw order
+/// (freqsel → bank → channels → RN16) is part of the output contract:
+/// `rx_hash` and every other [`PathOutputs`] field depend on it.
 ///
 /// # Panics
 /// Panics if a `sample_rate` override fails [`check_sample_rate`],
 /// before anything is synthesized.
-fn setup(quick: bool, sample_rate: Option<f64>) -> SharedSetup {
+pub fn setup(quick: bool, sample_rate: Option<f64>) -> Setup {
     if let Some(Err(e)) = sample_rate.map(check_sample_rate) {
         panic!("StreamOptions::sample_rate: {e}");
     }
@@ -209,7 +218,7 @@ fn setup(quick: bool, sample_rate: Option<f64>) -> SharedSetup {
     let superposer = BlockSuperposer::from_ensemble(&ens, |i| bank.emission_hz(i));
 
     let rn16: Vec<bool> = (0..16).map(|_| rng.random::<bool>()).collect();
-    SharedSetup {
+    Setup {
         bank,
         superposer,
         tag: TagPowerProfile::standard_tag(),
@@ -390,10 +399,10 @@ pub fn outputs_streaming(quick: bool, opts: &StreamOptions) -> StreamReport {
     // The one full pass — power + hash: fold the carrier-on period from
     // sample 0 and, per sample as it is superposed, digest it, fold
     // device 0's carrier into the single-antenna peak and take one
-    // harvester step on |rx|²·scale (the whole-buffer oracle's op
-    // order). The byte-serial FNV chain is latency-bound, so the rest
-    // runs in its shadow. Timed as one stage, `em`; each block is one
-    // harvester charge run (one span, one step count).
+    // harvester step on |rx|²·scale. The byte-serial FNV chain is
+    // latency-bound, so the rest runs in its shadow. Timed as one stage,
+    // `em`; each block is one harvester charge run (one span, one step
+    // count).
     let mut hasher = StreamHasher::new();
     let mut single_meter = PeakMeter::new();
     let mut state = s
@@ -465,59 +474,6 @@ pub fn outputs_streaming(quick: bool, opts: &StreamOptions) -> StreamReport {
         calibration_windows: (calibration.visited, calibration.total),
         footprint: footprint.entries().to_vec(),
         stage_ns: vec![("em", em_ns, s.n_samples)],
-    }
-}
-
-/// Runs the sample path with the original **whole-buffer** driver
-/// (O(fs) memory) — kept as the cross-check oracle for the streaming
-/// path.
-pub fn outputs_batch(quick: bool, sample_rate: Option<f64>) -> PathOutputs {
-    let s = setup(quick, sample_rate);
-    let profile = vec![1.0; s.n_samples];
-    let emissions = s.bank.emit_all(&profile, DRIVE);
-    // Calibrate from the running peak of device 0's emission (not just
-    // its first sample), so non-constant drive profiles calibrate
-    // correctly; identical op order to the streaming PeakMeter.
-    let mut single_meter = PeakMeter::new();
-    single_meter.observe_block(emissions[0].samples());
-    let single_amp = single_meter.peak();
-
-    let rx = s.superposer.superpose_buffers(&emissions);
-    let mut hasher = StreamHasher::new();
-    hasher.update_complex(rx.samples());
-    let env = rx.envelope();
-    let (_, peak_amp) = envelope::peak(&env).expect("non-empty envelope");
-
-    let tag = &s.tag;
-    let p_req = tag.required_peak_power_watts();
-    let scale = POWER_MARGIN * p_req / (peak_amp * peak_amp);
-    // |rx|²·scale straight from the complex samples — the identical op
-    // order to the streaming driver, so outcomes stay bit-equal.
-    let power: Vec<f64> = rx.samples().iter().map(|&v| v.norm_sqr() * scale).collect();
-    let outcome = tag.power_up(&power, s.sample_rate);
-
-    let bits = Command::canonical_query().encode();
-    let frame = rasterize(
-        &encode_frame(&bits, &PieParams::paper_defaults(), true),
-        RFID_FS,
-        0.0,
-    );
-    let downlink_ok = decode_frame(&frame, RFID_FS)
-        .map(|d| d == bits)
-        .unwrap_or(false);
-    let fm0 = Fm0::new(8);
-    let uplink_ok = fm0.decode(&fm0.encode(&s.rn16)) == s.rn16;
-
-    PathOutputs {
-        sample_rate: s.sample_rate,
-        n_samples: s.n_samples,
-        score: s.score,
-        single_amp,
-        peak_amp,
-        outcome,
-        downlink_ok,
-        uplink_ok,
-        rx_hash: hasher.digest(),
     }
 }
 
@@ -660,12 +616,5 @@ mod tests {
     #[should_panic(expected = "StreamOptions::sample_rate")]
     fn nan_sample_rate_is_rejected() {
         run_at_rate(f64::NAN);
-    }
-
-    #[test]
-    fn streaming_equals_batch_at_default_block() {
-        let stream = outputs_streaming(true, &StreamOptions::default());
-        let batch = outputs_batch(true, None);
-        assert_eq!(stream.outputs, batch);
     }
 }

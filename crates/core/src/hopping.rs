@@ -126,13 +126,16 @@ mod tests {
 
     #[test]
     fn flat_channel_stays_put_or_ties() {
-        use ivn_em::channel::FlatChannel;
         let mut rng = StdRng::seed_from_u64(6);
         let cib = CibConfig::paper_prototype_n(4);
+        // One zero-delay path: the same gain at every frequency.
         let channels: Vec<Box<dyn ChannelModel + Send + Sync>> = (0..4)
             .map(|_| {
-                Box::new(FlatChannel::random_phase(&mut rng, 1.0))
-                    as Box<dyn ChannelModel + Send + Sync>
+                let phase = rng.random::<f64>() * std::f64::consts::TAU;
+                Box::new(MultipathChannel::new(vec![Path {
+                    delay_s: 0.0,
+                    gain: Complex64::from_polar(1.0, phase),
+                }])) as Box<dyn ChannelModel + Send + Sync>
             })
             .collect();
         let decision = choose_center(&cib, &channels, &ism_hop_set());

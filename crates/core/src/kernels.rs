@@ -544,7 +544,7 @@ impl ToneSeries {
 ///
 /// # Panics
 /// Panics if the slices differ in length.
-pub(crate) fn curvature_bound(offsets_hz: &[f64], amps: &[f64]) -> f64 {
+pub fn curvature_bound(offsets_hz: &[f64], amps: &[f64]) -> f64 {
     assert_eq!(offsets_hz.len(), amps.len(), "offsets/amplitudes mismatch");
     let mut half = 0.0;
     for i in 0..offsets_hz.len() {

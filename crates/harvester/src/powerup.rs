@@ -348,8 +348,9 @@ mod tests {
         let mini = TagPowerProfile::miniature_tag();
         // Wake-up anchors: standard −10 dBm peak, miniature 0 dBm peak
         // (DESIGN.md §5). Static (diode-threshold) floors sit ~5 dB lower.
-        let std_req = ivn_dsp::units::watts_to_dbm(std_tag.required_peak_power_watts());
-        let mini_req = ivn_dsp::units::watts_to_dbm(mini.required_peak_power_watts());
+        let dbm = |w: f64| 10.0 * (w / 1e-3).log10();
+        let std_req = dbm(std_tag.required_peak_power_watts());
+        let mini_req = dbm(mini.required_peak_power_watts());
         assert!((std_req + 10.0).abs() < 0.3, "std {std_req}");
         assert!(mini_req.abs() < 0.3, "mini {mini_req}");
         assert!(std_tag.static_sensitivity_watts() < std_tag.required_peak_power_watts());

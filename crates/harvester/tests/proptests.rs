@@ -1,6 +1,6 @@
 //! Property-based tests for the energy-harvesting circuit models.
 
-use ivn_harvester::conduction::{conduction_angle, conduction_duty, cycle_average_current};
+use ivn_harvester::conduction::{conduction_angle, conduction_duty};
 use ivn_harvester::diode::DiodeModel;
 use ivn_harvester::powerup::TagPowerProfile;
 use ivn_harvester::rectifier::Rectifier;
@@ -41,13 +41,6 @@ props! {
     fn conduction_angle_monotone_in_drive(vth in 0.01f64..0.5,
                                           vs in 0.0f64..5.0, dv in 0.0f64..5.0) {
         prop_assert!(conduction_angle(vs + dv, vth) >= conduction_angle(vs, vth));
-    }
-
-    fn cycle_current_nonnegative_monotone(d in diode(), vs in 0.0f64..3.0, dv in 0.0f64..3.0) {
-        let i1 = cycle_average_current(&d, vs);
-        let i2 = cycle_average_current(&d, vs + dv);
-        prop_assert!(i1 >= 0.0);
-        prop_assert!(i2 >= i1 - 1e-12);
     }
 
     fn rectifier_output_nonnegative_and_linear_above_threshold(

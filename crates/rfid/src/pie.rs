@@ -57,11 +57,6 @@ impl PieParams {
         self.data0_s() + self.data1_s()
     }
 
-    /// The pivot interval separating 0s from 1s at the decoder: RTcal/2.
-    pub fn pivot_s(&self) -> f64 {
-        self.rtcal_s() / 2.0
-    }
-
     /// Total on-air duration of a payload of `zeros` data-0s and `ones`
     /// data-1s behind a preamble (`with_trcal` for Query frames).
     pub fn frame_duration_s(&self, zeros: usize, ones: usize, with_trcal: bool) -> f64 {
@@ -211,13 +206,6 @@ mod tests {
         let p = PieParams::paper_defaults();
         let d = p.frame_duration_s(11, 11, true);
         assert!(d > 4e-4 && d < 1.2e-3, "duration {d}");
-    }
-
-    #[test]
-    fn rtcal_and_pivot() {
-        let p = PieParams::paper_defaults();
-        assert!((p.rtcal_s() - 75e-6).abs() < 1e-12);
-        assert!((p.pivot_s() - 37.5e-6).abs() < 1e-12);
     }
 
     #[test]

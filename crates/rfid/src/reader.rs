@@ -87,11 +87,6 @@ pub struct InventoryOutcome {
 }
 
 impl InventoryOutcome {
-    /// Rounds needed to complete the inventory (`None` if it never did).
-    pub fn rounds_to_full(&self) -> Option<usize> {
-        self.terminated.then_some(self.rounds.len())
-    }
-
     /// Total protocol slots across all rounds.
     pub fn total_slots(&self) -> usize {
         self.rounds.iter().map(RoundStats::slots).sum()
@@ -359,7 +354,6 @@ mod tests {
         let out = reader.inventory_all(&mut tags, 50);
         assert_eq!(out.epcs.len(), 8, "inventoried {} of 8", out.epcs.len());
         assert!(out.terminated);
-        assert_eq!(out.rounds_to_full(), Some(out.rounds.len()));
         assert!(out.total_slots() >= 8);
     }
 
@@ -371,7 +365,6 @@ mod tests {
         let mut tags = make_tags(8);
         let out = reader.inventory_all(&mut tags, 5);
         assert!(!out.terminated);
-        assert_eq!(out.rounds_to_full(), None);
         assert_eq!(out.rounds.len(), 5);
         assert_eq!(out.total_collisions(), 5);
     }

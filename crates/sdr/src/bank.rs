@@ -3,13 +3,12 @@
 //! Models the paper's rack of N USRPs: one shared clock, one common
 //! command stream, and a per-device *soft* frequency offset Δfᵢ mixed into
 //! the baseband samples (because the PLL step is too coarse, §5a). The
-//! bank produces each device's equivalent-baseband emission; the channel
-//! compositor in `ivn-core` superposes them at the sensor.
+//! bank holds each device's rotor and PA;
+//! [`CarrierWindows`](crate::stream::CarrierWindows) synthesizes their
+//! carrier-on emission, and `ivn-em`'s superposer sums it at the sensor.
 
 use crate::clock::ClockDistribution;
 use crate::device::SdrDevice;
-use ivn_dsp::buffer::IqBuffer;
-use ivn_dsp::complex::Complex64;
 use ivn_dsp::rotor::PhasorRotor;
 use ivn_runtime::rng::Rng;
 
@@ -102,79 +101,23 @@ impl TxBank {
         )
     }
 
-    /// Device `i`'s PA as a signed real gain for profile level `level`
-    /// at `drive`: a unit phasor times this is the emitted sample.
-    pub(crate) fn pa_gain(&self, i: usize, level: f64, drive: f64) -> f64 {
-        let a = level * drive;
-        let g = self.devices[i].pa.am_am(a.abs());
-        if a.is_sign_negative() {
+    /// Device `i`'s PA at `drive` as a signed real gain: a unit phasor
+    /// times this is the emitted carrier sample.
+    pub(crate) fn pa_gain(&self, i: usize, drive: f64) -> f64 {
+        let g = self.devices[i].pa.am_am(drive.abs());
+        if drive.is_sign_negative() {
             -g
         } else {
             g
         }
     }
-
-    /// Generates device `i`'s emitted baseband for a shared amplitude
-    /// profile (the synchronized PIE command): the profile is delayed by
-    /// the device's trigger offset, mixed with the soft offset tone,
-    /// driven through the PA at `drive`, and stamped with the carrier
-    /// phase.
-    ///
-    /// `profile` holds one amplitude per sample (1.0 = full carrier); the
-    /// emission lasts `profile.len()` samples. Output sample `k` reads
-    /// the level at `k − shift` ([`TxBank::shift`]), and 1.0 outside the
-    /// profile: before and after the command the carrier stays on.
-    ///
-    /// One pass over the output, in runs of equal profile bits: the PA
-    /// reduces to one real gain per run, and the rotor fills the run
-    /// already scaled by it ([`PhasorRotor::fill_scaled`]) — no libm call
-    /// per sample. The fill is split-invariant, so the run boundaries do
-    /// not move a bit, and the carrier-on profile comes out exactly as
-    /// [`CarrierWindows`](crate::stream::CarrierWindows) streams it.
-    pub fn emit(&self, i: usize, profile: &[f64], drive: f64) -> IqBuffer {
-        let _span = ivn_runtime::span!("sdr.emit_ns");
-        ivn_runtime::obs_count!("sdr.emissions", 1);
-        let shift = self.shift(i);
-        let mut rotor = self.rotor(i);
-        let mut out = vec![Complex64::ZERO; profile.len()];
-        let mut k = 0;
-        while k < out.len() {
-            let (level, run) = profile_run(profile, k as i64 - shift, out.len() - k);
-            rotor.fill_scaled(&mut out[k..k + run], self.pa_gain(i, level, drive));
-            k += run;
-        }
-        IqBuffer::new(out, self.sample_rate)
-    }
-
-    /// Emits the whole bank for a shared profile: one buffer per device.
-    pub fn emit_all(&self, profile: &[f64], drive: f64) -> Vec<IqBuffer> {
-        (0..self.len())
-            .map(|i| self.emit(i, profile, drive))
-            .collect()
-    }
-}
-
-/// The profile level at index `idx` (1.0 outside the profile) and how
-/// many of the next `max` indices (≥ 1) read the same bits.
-fn profile_run(profile: &[f64], idx: i64, max: usize) -> (f64, usize) {
-    if idx < 0 {
-        return (1.0, max.min(idx.unsigned_abs() as usize));
-    }
-    let Some(rest) = profile.get(idx as usize..).filter(|r| !r.is_empty()) else {
-        return (1.0, max);
-    };
-    let bits = rest[0].to_bits();
-    let run = rest[..rest.len().min(max)]
-        .iter()
-        .take_while(|v| v.to_bits() == bits)
-        .count();
-    (rest[0], run)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ivn_dsp::envelope;
+    use crate::stream::CarrierWindows;
+    use ivn_dsp::complex::Complex64;
     use ivn_runtime::rng::StdRng;
 
     const PAPER_OFFSETS: [f64; 10] = [0., 7., 20., 49., 68., 73., 90., 113., 121., 137.];
@@ -198,16 +141,25 @@ mod tests {
         assert_eq!(b.emission_hz(3), 915e6 + 49.0);
     }
 
+    /// Every device's carrier-on emission of `len` samples at drive 0.05.
+    fn carrier_on(b: &TxBank, len: usize) -> Vec<Vec<Complex64>> {
+        let mut lanes = vec![Vec::with_capacity(len); b.len()];
+        CarrierWindows::new(b, 0.05, len).fold(len, |_, carriers| {
+            for (lane, &z) in lanes.iter_mut().zip(carriers) {
+                lane.push(z);
+            }
+        });
+        lanes
+    }
+
     #[test]
     fn emissions_are_distinct_tones() {
         let b = bank(3, 2);
-        let profile = vec![1.0; 1000];
-        let e = b.emit_all(&profile, 0.05);
+        let e = carrier_on(&b, 1000);
         // Device 1 runs 7 Hz above device 0: their phase difference drifts.
         let d01: Vec<f64> = e[0]
-            .samples()
             .iter()
-            .zip(e[1].samples())
+            .zip(&e[1])
             .map(|(a, b)| (*b * a.conj()).arg())
             .collect();
         // Phase drift across the second: ≈ 2π·7·t.
@@ -223,20 +175,18 @@ mod tests {
     fn superposition_peaks_above_single() {
         let mut rng = StdRng::seed_from_u64(3);
         let b = bank(5, 3);
-        let profile = vec![1.0; 100_000]; // one full second at 100 kS/s
-        let e = b.emit_all(&profile, 0.05);
         let gains: Vec<Complex64> = (0..5)
             .map(|_| Complex64::from_polar(1.0, rng.random::<f64>() * std::f64::consts::TAU))
             .collect();
-        let mut rx = vec![Complex64::ZERO; profile.len()];
-        for (buf, &g) in e.iter().zip(&gains) {
-            for (r, &x) in rx.iter_mut().zip(buf.samples()) {
-                *r += x * g;
+        // One full second at 100 kS/s.
+        let (mut peak, mut single_amp) = (0.0f64, 0.0);
+        CarrierWindows::new(&b, 0.05, 100_000).fold(100_000, |k, carriers| {
+            let rx: Complex64 = carriers.iter().zip(&gains).map(|(&x, &g)| x * g).sum();
+            peak = peak.max(rx.norm());
+            if k == 0 {
+                single_amp = carriers[0].norm();
             }
-        }
-        let env: Vec<f64> = rx.iter().map(|s| s.norm()).collect();
-        let single_amp = e[0].samples()[0].norm();
-        let (_, peak) = envelope::peak(&env).unwrap();
+        });
         // Over a full period of integer offsets the 5 tones align nearly
         // perfectly somewhere: peak ≈ 5× single amplitude.
         assert!(
@@ -245,22 +195,6 @@ mod tests {
             peak,
             single_amp
         );
-    }
-
-    #[test]
-    fn command_profile_is_synchronized() {
-        let b = bank(4, 4);
-        let mut profile = vec![1.0; 400];
-        for v in profile[100..120].iter_mut() {
-            *v = 0.0; // one notch
-        }
-        let e = b.emit_all(&profile, 0.05);
-        for buf in &e {
-            // Every device's envelope shows the notch at the same samples
-            // (trigger jitter ≪ sample period).
-            assert!(buf.samples()[110].norm() < 1e-9);
-            assert!(buf.samples()[90].norm() > 0.0);
-        }
     }
 
     #[test]

@@ -1,15 +1,13 @@
 //! Streaming bank emission and the trig oracle.
 //!
 //! [`CarrierWindows`] synthesizes the carrier-on (constant 1.0)
-//! emission of the whole bank — the only profile the pipeline's
+//! emission of the whole bank — the one profile the pipeline's
 //! calibration and power pass stream — either window by window in any
 //! order (calibration) or sequentially from sample 0 (the power pass),
 //! handing each sample's carriers to a caller's fold as they are
-//! stepped. Every other profile goes through the whole-buffer
-//! [`TxBank::emit`]. Both take each device's rotor and PA gain from the
-//! bank and step the rotor with the gain ([`PhasorRotor::fill_scaled`]
-//! or its row form), so they agree bit for bit on the carrier-on
-//! profile and no libm call survives on the per-sample path.
+//! stepped. Each lane takes its rotor and PA gain from the bank and
+//! steps the rotor with the gain ([`PhasorRotor::fill_scaled`] or its
+//! row form), so no libm call survives on the per-sample path.
 //!
 //! The rotator output differs from the textbook scalar path (one
 //! `sin_cos` per oscillator sample, the PA's polar round-trip) only by
@@ -33,8 +31,7 @@ const MAX_DEVICES: usize = 16;
 /// With a constant profile every lane reads level 1.0 at every output
 /// sample, inside the command and outside it alike, so the trigger
 /// shift drops out: lane `i`'s sample `k` is `rotorᵢ(k) · gᵢ`, with
-/// `gᵢ` the PA gain of level 1.0 — exactly what [`TxBank::emit`]
-/// produces for that profile. The rotor resyncs at fixed absolute
+/// `gᵢ` the PA gain at the drive. The rotor resyncs at fixed absolute
 /// indices, so [`CarrierWindows::seek`] to a window start followed by
 /// [`CarrierWindows::fold`] calls of any lengths reproduces the stream
 /// from that window on, in any order and any split. Memory is one row
@@ -70,7 +67,7 @@ impl CarrierWindows {
         let lanes: Vec<WindowLane> = (0..bank.len())
             .map(|i| WindowLane {
                 rotor: bank.rotor(i),
-                gain: bank.pa_gain(i, 1.0, drive),
+                gain: bank.pa_gain(i, drive),
             })
             .collect();
         let window = lanes.first().map_or(1, |l| l.rotor.resync());
@@ -109,7 +106,7 @@ impl CarrierWindows {
         &self.lanes[i].rotor
     }
 
-    /// Lane `i`'s real PA gain at level 1.0.
+    /// Lane `i`'s signed real PA gain at the drive.
     pub fn gain(&self, i: usize) -> f64 {
         self.lanes[i].gain
     }
@@ -133,8 +130,9 @@ impl CarrierWindows {
     /// or `fold` to `f(k, carriers)` once each, in ascending absolute
     /// index `k`, with `carriers[i]` device `i`'s sample `k`. Lanes are
     /// stepped a row at a time (up to the next multiple of [`LANES`] or
-    /// the end of the call), bit-identical to [`TxBank::emit`] for any
-    /// split, so a caller's per-sample work runs between the steps.
+    /// the end of the call), bit-identical to stepping each sample on its
+    /// own ([`PhasorRotor::next_sample`] times the gain) for any split, so
+    /// a caller's per-sample work runs between the steps.
     ///
     /// # Panics
     /// Panics if the `n` samples run past the stream's `len`.
@@ -179,8 +177,8 @@ impl CarrierWindows {
 
 /// The pre-rotor scalar emission path, kept as the trig oracle: one
 /// `sin_cos` per oscillator sample and the PA's polar round-trip
-/// (`atan2` + `sin_cos`), exactly as `TxBank::emit` computed before it
-/// went trig-free.
+/// (`atan2` + `sin_cos`), exactly as the bank's emitter computed before
+/// it went trig-free.
 ///
 /// This is deliberately *not* the production path — it exists so the
 /// equivalence suite can bound the rotator path's distance from the
@@ -219,32 +217,6 @@ mod tests {
     fn bank(clock: &ClockDistribution, seed: u64) -> TxBank {
         let mut rng = StdRng::seed_from_u64(seed);
         TxBank::new(&mut rng, 4, 915e6, 100e3, &OFFSETS, clock)
-    }
-
-    #[test]
-    fn fold_equals_bank_emit_at_any_split() {
-        // Every sample the fold hands over, at every chunk size (a ragged
-        // last chunk and chunks off the row grid included), holds the
-        // same carriers on every lane as the whole-buffer emission of the
-        // constant-1.0 profile, at its own absolute index.
-        let b = bank(&ClockDistribution::octoclock(), 3);
-        let profile = vec![1.0; 512];
-        let reference: Vec<_> = (0..b.len()).map(|i| b.emit(i, &profile, 0.05)).collect();
-        for chunk in [1usize, 7, 8, 100, 512] {
-            let mut win = CarrierWindows::new(&b, 0.05, profile.len());
-            let mut seen = 0;
-            while seen < profile.len() {
-                let take = chunk.min(profile.len() - seen);
-                win.fold(take, |k, carriers| {
-                    assert_eq!(k, seen, "chunk {chunk}");
-                    assert_eq!(carriers.len(), b.len());
-                    for (i, z) in carriers.iter().enumerate() {
-                        assert_eq!(*z, reference[i].samples()[k], "device {i} sample {k}");
-                    }
-                    seen += 1;
-                });
-            }
-        }
     }
 
     #[test]

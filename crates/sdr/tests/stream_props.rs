@@ -1,16 +1,11 @@
-//! Exactness suite for [`TxBank::emit`]'s run-length pass and for
-//! [`CarrierWindows`], the window-at-a-time regeneration of the
-//! carrier-on stream.
+//! Exactness suite for [`CarrierWindows`], the window-at-a-time
+//! regeneration of the carrier-on stream.
 //!
-//! Both are bit-level contracts, not tolerances:
-//! - [`TxBank::emit`] fed any profile emits exactly `rotor(k) · g(level)`
-//!   per sample, where the reference rebuilds every sample on its own
-//!   from a [`PhasorRotor`] and the PA's `am_am`;
-//! - any window of [`CarrierWindows`], folded in any order and any
-//!   split, and the whole stream folded sequentially from sample 0 in
-//!   any chunk size, hand over the same samples as [`TxBank::emit`] fed
-//!   the constant-1.0 profile, each at its own absolute index, once and
-//!   in order.
+//! A bit-level contract, not a tolerance: any window of
+//! [`CarrierWindows`], folded in any order and any split, and the whole
+//! stream folded sequentially from sample 0 in any chunk size, hand over
+//! the same samples as each device's rotor stepped one sample at a time
+//! times its PA gain, each at its own absolute index, once and in order.
 
 use ivn_dsp::complex::Complex64;
 use ivn_dsp::rotor::{PhasorRotor, DEFAULT_RESYNC};
@@ -51,53 +46,19 @@ fn same_bits(a: &[Complex64], b: &[Complex64]) -> bool {
             .all(|(x, y)| x.re.to_bits() == y.re.to_bits() && x.im.to_bits() == y.im.to_bits())
 }
 
-/// Device `i`'s emission rebuilt sample by sample: its own rotor, the
-/// profile level at `k − shift` (1.0 outside the command) and the PA's
-/// signed `am_am` gain for that level.
-fn per_sample_reference(b: &TxBank, i: usize, profile: &[f64], drive: f64) -> Vec<Complex64> {
+/// Device `i`'s carrier-on emission rebuilt sample by sample: its own
+/// [`PhasorRotor`], stepped once per sample, times the PA's `am_am`
+/// gain at the drive.
+fn carrier_on(b: &TxBank, i: usize, len: usize) -> Vec<Complex64> {
     let dev = b.device(i);
-    let shift = b.shift(i);
     let mut rotor = PhasorRotor::new(b.offsets_hz()[i], b.sample_rate(), dev.pll.initial_phase());
-    (0..profile.len())
-        .map(|k| {
-            let idx = k as i64 - shift;
-            let amp = if (0..profile.len() as i64).contains(&idx) {
-                profile[idx as usize]
-            } else {
-                1.0
-            };
-            let a = amp * drive;
-            let g = dev.pa.am_am(a.abs());
-            rotor.next_sample() * if a.is_sign_negative() { -g } else { g }
-        })
-        .collect()
+    let g = dev.pa.am_am(DRIVE);
+    (0..len).map(|_| rotor.next_sample() * g).collect()
 }
 
-/// A profile of runs: full carrier, 0.0 notches, intermediate and
-/// negative levels, with run lengths from 1 sample up.
-fn notched_profile(rng: &mut StdRng, n: usize) -> Vec<f64> {
-    let levels = [1.0, 0.0, 0.5, 1.0, 0.25, -0.75, 1.0];
-    let mut p = Vec::with_capacity(n);
-    while p.len() < n {
-        let level = levels[rng.random_range(0..levels.len())];
-        let run = if rng.random::<bool>() {
-            rng.random_range(1..4usize)
-        } else {
-            rng.random_range(1..900usize)
-        };
-        p.extend(std::iter::repeat_n(level, run.min(n - p.len())));
-    }
-    p
-}
-
-/// Every device's whole-buffer emission of the constant-1.0 profile —
-/// the general-profile path [`CarrierWindows`] must reproduce.
-fn carrier_on(b: &TxBank, len: usize) -> Vec<Vec<Complex64>> {
-    let profile = vec![1.0; len];
-    b.emit_all(&profile, DRIVE)
-        .iter()
-        .map(|e| e.samples().to_vec())
-        .collect()
+/// [`carrier_on`] for every device of the bank.
+fn bank_carrier_on(b: &TxBank, len: usize) -> Vec<Vec<Complex64>> {
+    (0..b.len()).map(|i| carrier_on(b, i, len)).collect()
 }
 
 /// Folds the next `n` samples into one block per lane, checking that
@@ -125,30 +86,13 @@ fn fold_blocks(win: &mut CarrierWindows, at: usize, n: usize) -> Vec<Vec<Complex
 props! {
     cases = 24;
 
-    fn run_length_emission_matches_per_sample_reconstruction(
-        seed in any::<u64>(), n_dev in 1usize..5, free_running in any::<bool>(),
-        len in 1usize..6000, rate_sel in 0usize..3,
-    ) {
-        let rate = [4096.0, 100e3, 1e6][rate_sel];
-        let b = bank(seed, n_dev, rate, free_running);
-        let mut rng = StdRng::seed_from_u64(seed ^ 0x5eed);
-        let profile = notched_profile(&mut rng, len);
-        for i in 0..b.len() {
-            let want = per_sample_reference(&b, i, &profile, DRIVE);
-            prop_assert!(
-                same_bits(b.emit(i, &profile, DRIVE).samples(), &want),
-                "device {} (shift {}) diverged", i, b.shift(i)
-            );
-        }
-    }
-
-    fn carrier_windows_match_bank_emit(
+    fn carrier_windows_match_per_sample_rotor(
         seed in any::<u64>(), n_dev in 2usize..11, free_running in any::<bool>(),
         len in 1usize..7000, rate_sel in 0usize..4,
     ) {
         let rate = [4096.0, 32e3, 100e3, 1e6][rate_sel];
         let b = bank(seed, n_dev, rate, free_running);
-        let streamed = carrier_on(&b, len);
+        let streamed = bank_carrier_on(&b, len);
 
         let mut win = CarrierWindows::new(&b, DRIVE, len);
         prop_assert_eq!(win.count(), len.div_ceil(DEFAULT_RESYNC));
@@ -173,7 +117,7 @@ props! {
         }
     }
 
-    fn sequential_carrier_windows_equal_bank_emit(
+    fn sequential_carrier_windows_equal_per_sample_rotor(
         seed in any::<u64>(), n_dev in 1usize..11, free_running in any::<bool>(),
         len in 1usize..9000, rate_sel in 0usize..4,
     ) {
@@ -181,7 +125,7 @@ props! {
         // by back-to-back calls of a fixed chunk size, the last ragged.
         let rate = [4096.0, 32e3, 100e3, 1e6][rate_sel];
         let b = bank(seed, n_dev, rate, free_running);
-        let want = carrier_on(&b, len);
+        let want = bank_carrier_on(&b, len);
         for chunk in [1usize, 7, 8, 256, 1025, 4096] {
             let mut win = CarrierWindows::new(&b, DRIVE, len);
             let mut at = 0;
@@ -203,23 +147,19 @@ props! {
 #[test]
 fn carrier_windows_cover_a_full_rate_period() {
     // A 1 MS/s period is 977 windows, the last one short; every lane of
-    // every window matches `TxBank::emit` of the constant-1.0 profile.
-    // The reference is emitted one device at a time, so memory holds one
-    // device's period, not the bank's.
+    // every window matches the per-sample rotor. The reference is built
+    // one device at a time, so memory holds one device's period, not the
+    // bank's.
     let b = bank(5, 5, 1e6, true);
     let len = 1_000_000;
     let mut win = CarrierWindows::new(&b, DRIVE, len);
     assert_eq!((win.range(0).len(), win.count()), (DEFAULT_RESYNC, 977));
-    let profile = vec![1.0; len];
     for i in 0..b.len() {
-        let want = b.emit(i, &profile, DRIVE);
+        let want = carrier_on(&b, i, len);
         for w in 0..win.count() {
             let range = win.seek(w);
             let got = fold_blocks(&mut win, range.start, range.len());
-            assert!(
-                same_bits(&got[i], &want.samples()[range]),
-                "lane {i} window {w}"
-            );
+            assert!(same_bits(&got[i], &want[range]), "lane {i} window {w}");
         }
     }
 }

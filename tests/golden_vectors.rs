@@ -80,7 +80,6 @@ fn pie_query_frame_duration_hand_computed() {
     assert!(approx(p.data0_s(), 25e-6));
     assert!(approx(p.data1_s(), 50e-6));
     assert!(approx(p.rtcal_s(), 75e-6));
-    assert!(approx(p.pivot_s(), 37.5e-6));
 }
 
 /// Rasterization at 400 kS/s: the empty frame-sync frame spans exactly
