@@ -12,32 +12,36 @@
 //!
 //! ## One streaming driver
 //!
-//! Samples flow through the chain in fixed-size blocks
-//! (`ivn_dsp::block`), so per-stage memory is O(block) rather than
-//! O(fs) — a full 1-second CIB period at 1 MS/s runs in a few MB.
+//! The period's samples stream through the `sdr` → `em` → `harvester`
+//! chain in fixed-size blocks (`ivn_dsp::block`), so per-stage memory is
+//! O(block) rather than O(fs) — a full 1-second CIB period at 1 MS/s
+//! runs in a few MB. The `rfid` round trip is one Query frame and one
+//! RN16 reply at a fixed 400 kS/s (378 and 256 samples at any rate),
+//! each coded and decoded whole.
+//!
+//! With the carrier-on profile the received stream is the analytic
+//! trial's tone sum, `rx[k] = Σᵢ cᵢ·e^{j2πfᵢk/fs}` with
+//! `cᵢ = hᵢ·gᵢ·rotorᵢ(0)`: a [`CibEnvelope`] sampled at `fs`.
+//! `tests/streaming_equivalence.rs` checks the stream, the calibrated
+//! peak and the wake time against that envelope, and pins the
+//! [`PathOutputs`] (the FNV-1a `rx_hash` of every received sample
+//! included) at every block size.
 //!
 //! The harvester's input is scaled so the received peak sits at
 //! [`POWER_MARGIN`] × the tag's wake power, so the exact peak of `|rx|`
 //! must be known before the power pass starts. [`calibrate_peak`] finds
 //! it without synthesizing the period: the emitters' rotors resync from
 //! the closed-form phase every 1024 samples, so any such window can be
-//! regenerated on its own, bit for bit ([`CarrierWindows`]), and a
-//! cheap closed-form bound on `|rx|` per window rules out all but the
-//! few windows near the CIB envelope peaks (11 of 977 at 1 MS/s). Then
-//! one full pass folds the same [`CarrierWindows`] from sample 0: per
-//! sample, the carriers are superposed into `rx[k]`, which is digested
-//! and drives one harvester step, and device 0's carrier feeds its
-//! running peak — no per-device or rx buffer.
-//!
-//! With the carrier-on profile the received stream is the analytic
-//! trial's tone sum, `rx[k] = Σᵢ cᵢ·e^{j2πfᵢk/fs}` with
-//! `cᵢ = hᵢ·gᵢ·rotorᵢ(0)`: a `CibEnvelope` sampled at `fs`.
-//! `tests/streaming_equivalence.rs` checks the stream, the calibrated
-//! peak and the wake time against that envelope, and pins the
-//! [`PathOutputs`] (the FNV-1a `rx_hash` of every received sample
-//! included) at every block size.
+//! regenerated on its own, bit for bit ([`CarrierWindows`]), and the
+//! envelope's Eq. 8 certificate bounds `|rx|` over each window, which
+//! rules out all but the few windows near the CIB envelope peaks (2 of
+//! 977 at 1 MS/s). Then one full pass folds the same [`CarrierWindows`]
+//! from sample 0: per sample, the carriers are superposed into `rx[k]`,
+//! which is digested and drives one harvester step, and device 0's
+//! carrier feeds its running peak — no per-device or rx buffer.
 
 use ivn_core::freqsel::expected_peak;
+use ivn_core::waveform::CibEnvelope;
 use ivn_core::PAPER_OFFSETS_HZ;
 use ivn_dsp::block::{Footprint, PeakMeter, StreamHasher, DEFAULT_BLOCK};
 use ivn_dsp::complex::Complex64;
@@ -47,8 +51,7 @@ use ivn_em::stream::BlockSuperposer;
 use ivn_harvester::powerup::{PowerUpOutcome, TagPowerProfile};
 use ivn_rfid::commands::Command;
 use ivn_rfid::fm0::Fm0;
-use ivn_rfid::pie::{encode_frame, PieParams};
-use ivn_rfid::stream::{Fm0Decoder, PieStreamDecoder, RunRasterizer};
+use ivn_rfid::pie::{decode_frame, encode_frame, rasterize, PieParams};
 use ivn_runtime::rng::{Rng, StdRng};
 use ivn_sdr::bank::TxBank;
 use ivn_sdr::clock::ClockDistribution;
@@ -153,7 +156,9 @@ pub struct StreamReport {
     /// Calibration resync windows regenerated, of all windows in the
     /// period: `(visited, total)`.
     pub calibration_windows: (usize, usize),
-    /// Peak per-stage scratch sizes, samples.
+    /// Peak scratch size of each streamed stage, samples: `sdr` (the
+    /// calibration windows) and `em` (the power pass). The rfid frame is
+    /// decoded whole, whatever the block size, so it has no entry.
     pub footprint: Vec<(&'static str, usize)>,
     /// Wall-clock per timed stage, (stage, ns, samples). The one stage
     /// is `em`, the whole fused power pass (carriers, superposition, rx
@@ -245,64 +250,18 @@ pub struct Calibration {
 /// few-ulp rounding of the phase, superposition and `hypot`.
 const BOUND_ROUNDING: f64 = 1e-6;
 
-/// Upper bound on `|rx[k]|` over each resync window of the carrier-on
-/// stream. With `cᵢ = hᵢ·gᵢ` (channel gain times PA gain) and window
-/// centre `k_c`, `rx[k] = Σ cᵢ·cis(θᵢ(k_c) + (k − k_c)Δᵢ)`; factoring out
-/// the common rotation `(k − k_c)Δ_mid` gives
-/// `|rx[k]| ≤ |Σ cᵢ·cis(θᵢ(k_c))| + Σ|cᵢ|·|Δᵢ − Δ_mid|·|k − k_c|`.
-struct WindowBound {
-    coef: Vec<Complex64>,
-    /// `Σ|cᵢ|·|Δᵢ − Δ_mid|`, per sample of distance from the centre.
-    slope: f64,
-    rounding: f64,
-}
-
-impl WindowBound {
-    fn new(win: &CarrierWindows, channel: &[Complex64]) -> Self {
-        assert_eq!(channel.len(), win.lanes(), "one channel gain per lane");
-        let coef: Vec<Complex64> = channel
-            .iter()
-            .enumerate()
-            .map(|(i, &h)| h * win.gain(i))
-            .collect();
-        let incs = (0..win.lanes()).map(|i| win.rotor(i).increment());
-        let (lo, hi) = incs
-            .clone()
-            .fold((f64::INFINITY, f64::NEG_INFINITY), |(lo, hi), d| {
-                (lo.min(d), hi.max(d))
-            });
-        let mid = 0.5 * (lo + hi);
-        let slope = coef
-            .iter()
-            .zip(incs)
-            .map(|(c, d)| c.norm() * (d - mid).abs())
-            .sum();
-        let rounding = BOUND_ROUNDING * coef.iter().map(|c| c.norm()).sum::<f64>();
-        WindowBound {
-            coef,
-            slope,
-            rounding,
-        }
-    }
-
-    /// The bound on window `w` (NaN if any input is NaN).
-    fn at(&self, win: &CarrierWindows, w: usize) -> f64 {
-        let r = win.range(w);
-        let half = r.len() / 2;
-        let centre = (r.start + half) as u64;
-        let mut sum = Complex64::ZERO;
-        for (i, &c) in self.coef.iter().enumerate() {
-            sum += c * Complex64::cis(win.rotor(i).ideal_phase(centre));
-        }
-        sum.norm() + self.slope * (half + 1) as f64 + self.rounding
-    }
-}
-
 /// The exact running peak of `|rx|` over `n_samples` of the carrier-on
 /// stream (`bank` at PA drive `drive` through `superposer`) —
 /// bit-identical to a [`PeakMeter`] over the whole streamed period —
-/// regenerating only the resync windows whose closed-form bound on
-/// `|rx|` can reach it.
+/// regenerating only the resync windows whose bound on `|rx|` can reach
+/// it.
+///
+/// The stream is the tone sum of the [`CibEnvelope`] with
+/// `cᵢ = hᵢ·gᵢ·e^{jθᵢ(0)}` (channel gain, PA gain, rotor phase at sample
+/// 0) on the bank's offsets, so a window centred on `t` with half-width
+/// `h` is bounded by [`CibEnvelope::keyed_bounds`]'s `hi` (the Eq. 8
+/// droop certificate) plus a rounding slack of `1e-6·Σ|cᵢ|`; a window the
+/// certificate does not cover is visited.
 ///
 /// Two sweeps, O(1) extra memory: the first seeds `best` from the
 /// window with the largest bound, the second regenerates every other
@@ -322,7 +281,22 @@ pub fn calibrate_peak(
     footprint: &mut Footprint,
 ) -> Calibration {
     let mut win = CarrierWindows::new(bank, drive, n_samples);
-    let bound = WindowBound::new(&win, superposer.gains());
+    let c: Vec<Complex64> = superposer
+        .gains()
+        .iter()
+        .enumerate()
+        .map(|(i, &h)| h * Complex64::from_polar(win.gain(i), win.rotor(i).ideal_phase(0)))
+        .collect();
+    let amps: Vec<f64> = c.iter().map(|z| z.norm()).collect();
+    let phases: Vec<f64> = c.iter().map(|z| z.arg()).collect();
+    let env = CibEnvelope::with_amplitudes(bank.offsets_hz(), &phases, &amps);
+    let (fs, rounding) = (bank.sample_rate(), BOUND_ROUNDING * env.ceiling());
+    let bound = |win: &CarrierWindows, w: usize| {
+        let r = win.range(w);
+        let centre = (r.start as f64 + r.len() as f64 / 2.0) / fs;
+        env.keyed_bounds(r.len(), centre, fs)
+            .map_or(f64::INFINITY, |(_, hi)| hi + rounding)
+    };
     let total = win.count();
     let mut meter = PeakMeter::new();
     // Regenerates window `w` into the meter; returns the peak so far.
@@ -342,9 +316,9 @@ pub fn calibrate_peak(
     };
     let (mut best, mut visited) = (0.0, 0);
     if total > 0 {
-        let mut top = (0, bound.at(&win, 0));
+        let mut top = (0, bound(&win, 0));
         for w in 1..total {
-            let b = bound.at(&win, w);
+            let b = bound(&win, w);
             if b > top.1 {
                 top = (w, b);
             }
@@ -352,7 +326,7 @@ pub fn calibrate_peak(
         best = visit(&mut win, top.0);
         visited = 1;
         for w in (0..total).filter(|&w| w != top.0) {
-            if !(bound.at(&win, w) < best) {
+            if !(bound(&win, w) < best) {
                 best = visit(&mut win, w);
                 visited += 1;
             }
@@ -430,33 +404,14 @@ pub fn outputs_streaming(quick: bool, opts: &StreamOptions) -> StreamReport {
     let outcome = state.finish();
     let single_amp = single_meter.peak();
 
-    // rfid: the period's one reader query. The PIE Query frame is
-    // stream-rasterized and edge-decoded block by block, then the FM0
-    // RN16 reply is decoded block by block. The rasterized peak is
-    // exactly 1.0 (full-level leading carrier), so the half-amplitude
-    // threshold is 0.5 — the same comparisons the whole-buffer decoder
-    // makes.
+    // rfid: the period's one reader query, a PIE Query frame rasterized
+    // and decoded whole, then the FM0 RN16 reply.
     let bits = Command::canonical_query().encode();
     let runs = encode_frame(&bits, &PieParams::paper_defaults(), true);
-    let mut raster = RunRasterizer::new(runs, RFID_FS, 0.0);
-    let mut dec = PieStreamDecoder::new(0.5, RFID_FS);
-    let mut frame = Vec::new();
-    loop {
-        frame.clear();
-        if raster.fill(&mut frame, opts.block) == 0 {
-            break;
-        }
-        dec.push(&frame);
-        footprint.observe("rfid", frame.len());
-    }
-    let downlink_ok = dec.finish().is_ok_and(|d| d == bits);
-
+    let downlink_ok =
+        decode_frame(&rasterize(&runs, RFID_FS, 0.0), RFID_FS).is_ok_and(|d| d == bits);
     let fm0 = Fm0::new(8);
-    let mut up = Fm0Decoder::new(fm0);
-    for chunk in fm0.encode(&s.rn16).chunks(opts.block) {
-        up.push(chunk);
-    }
-    let uplink_ok = up.finish() == s.rn16;
+    let uplink_ok = fm0.decode(&fm0.encode(&s.rn16)) == s.rn16;
 
     StreamReport {
         outputs: PathOutputs {

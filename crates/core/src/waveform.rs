@@ -223,12 +223,15 @@ impl CibEnvelope {
         out
     }
 
-    /// Bounds `(lo, hi)` on every unit-level sample of
-    /// [`Self::keyed_window`] for a `len`-sample profile keyed on `t_peak`
-    /// at `rate` S/s, without synthesizing it (`kernels::window_bounds`,
-    /// whose doc derives the bound, over the half-width
-    /// `len/rate/2`, padded by 10⁻⁹ of itself for the rounding of the
-    /// window's instants); `None` when the tones are not certifiable.
+    /// Bounds `(lo, hi)` on the envelope over a `len`-sample window
+    /// centred on `t_peak` at `rate` S/s, without synthesizing it
+    /// (`kernels::window_bounds`, whose doc derives the bound, over the
+    /// half-width `len/rate/2`, padded by 10⁻⁹ of itself for the rounding
+    /// of the window's instants); `None` when the tones are not
+    /// certifiable. It bounds every unit-level sample of
+    /// [`Self::keyed_window`] for a `len`-sample profile keyed on
+    /// `t_peak`, and the sample path's calibration bounds each resync
+    /// window of its streamed tone sum with it.
     ///
     /// This is Eq. 8 turned into a certificate: `lo > hi/2` is Eq. 7's
     /// fluctuation below `α = 0.5` over the whole window, the tolerance

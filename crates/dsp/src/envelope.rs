@@ -2,16 +2,8 @@
 //!
 //! The entire CIB idea revolves around the time-varying envelope of a
 //! multi-tone sum: what the harvester sees is its peak. This module
-//! supplies the peak search and the parabolic refinement the envelope
-//! kernels use to locate that peak between grid points.
-
-/// Global maximum of a real sequence with its index; `None` if empty.
-pub fn peak(env: &[f64]) -> Option<(usize, f64)> {
-    env.iter()
-        .copied()
-        .enumerate()
-        .max_by(|a, b| a.1.total_cmp(&b.1))
-}
+//! supplies the parabolic refinement the envelope kernels use to locate
+//! that peak between grid points.
 
 /// Three-point parabolic peak interpolation.
 ///
@@ -39,13 +31,6 @@ pub fn parabolic_peak(ym: f64, y0: f64, yp: f64) -> (f64, f64) {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn peak_finds_the_maximum() {
-        let env = [0.1, 0.9, 0.3, 0.05, 0.4];
-        assert_eq!(peak(&env), Some((1, 0.9)));
-        assert_eq!(peak(&[] as &[f64]), None);
-    }
 
     #[test]
     fn parabolic_peak_recovers_vertex() {

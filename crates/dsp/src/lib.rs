@@ -2,8 +2,8 @@
 //!
 //! This crate provides every signal-processing primitive used by the IVN
 //! (In-Vivo Networking) reproduction: complex arithmetic, unit conversions,
-//! IQ sample buffers, oscillators, phasor rotors, the inverse FFT, envelope
-//! peak search, correlation, noise generation, streaming block primitives, and
+//! oscillators, phasor rotors, the inverse FFT, parabolic envelope peak
+//! refinement, correlation, noise generation, streaming block primitives, and
 //! the descriptive statistics used by every experiment.
 //!
 //! Design follows the event-driven, allocation-conscious style of embedded
@@ -24,7 +24,6 @@
 //! ```
 
 pub mod block;
-pub mod buffer;
 pub mod complex;
 pub mod correlate;
 pub mod envelope;

@@ -113,12 +113,6 @@ impl PhasorRotor {
         rotor
     }
 
-    /// Per-sample phase increment Δ, radians.
-    #[inline]
-    pub fn increment(&self) -> f64 {
-        self.inc
-    }
-
     /// Resync window length, samples.
     #[inline]
     pub fn resync(&self) -> usize {

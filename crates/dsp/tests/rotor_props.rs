@@ -70,7 +70,7 @@ props! {
         // that re-seeded the lanes inconsistently would show up as a
         // phase step at the window edge.
         let mut r = PhasorRotor::with_resync(freq, 1e5, phase0, resync);
-        let inc = r.increment();
+        let inc = TAU * freq / 1e5;
         let mut out = vec![Complex64::ZERO; 40 * LANES.max(resync)];
         r.fill(&mut out);
         for (k, pair) in out.windows(2).enumerate() {

@@ -56,15 +56,22 @@ impl Fm0 {
 
     /// Decodes baseband samples back into bits. Accepts any amplitude
     /// scale and either polarity; requires sample alignment (the reader's
-    /// correlator provides the offset).
-    ///
-    /// Thin wrapper over the streaming [`crate::stream::Fm0Decoder`]
-    /// (one maximal block), so batch and block-wise decode agree bit
-    /// for bit — including discarding a trailing partial symbol.
+    /// correlator provides the offset). A trailing partial symbol is
+    /// dropped.
     pub fn decode(&self, samples: &[f64]) -> Vec<bool> {
-        let mut dec = crate::stream::Fm0Decoder::new(*self);
-        dec.push(samples);
-        dec.finish()
+        let _span = ivn_runtime::span!("rfid.fm0_decode_ns");
+        let half = self.samples_per_half;
+        let bits: Vec<bool> = samples
+            .chunks_exact(self.samples_per_symbol())
+            .map(|sym| {
+                let first: f64 = sym[..half].iter().sum();
+                let second: f64 = sym[half..].iter().sum();
+                // Same sign across halves → data-1; flip → data-0.
+                first.signum() == second.signum()
+            })
+            .collect();
+        ivn_runtime::obs_count!("rfid.fm0_symbols_decoded", bits.len());
+        bits
     }
 
     /// Samples per full symbol.
@@ -127,8 +134,11 @@ mod tests {
         let fm0 = Fm0::new(3);
         for pattern in 0..256u32 {
             let bits: Vec<bool> = (0..8).map(|i| (pattern >> i) & 1 == 1).collect();
-            let wave = fm0.encode(&bits);
+            let mut wave = fm0.encode(&bits);
             assert_eq!(fm0.decode(&wave), bits, "pattern {pattern:08b}");
+            // A trailing partial symbol is dropped.
+            wave.extend_from_slice(&[1.0; 5]);
+            assert_eq!(fm0.decode(&wave), bits, "pattern {pattern:08b} + 5");
         }
     }
 

@@ -35,7 +35,6 @@ pub mod link;
 pub mod pie;
 pub mod population;
 pub mod reader;
-pub mod stream;
 pub mod tag;
 
 /// The paper's 12-bit FM0 preamble bit pattern, `110100100011` (§6.2).

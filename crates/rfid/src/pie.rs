@@ -102,14 +102,20 @@ pub fn encode_frame(bits: &[bool], p: &PieParams, with_trcal: bool) -> LevelRuns
 }
 
 /// Rasterizes level runs to an amplitude profile (1.0 high / `low_level`
-/// low) at `sample_rate`.
+/// low) at `sample_rate`: each run ends at the sample nearest its edge
+/// time, accumulated run by run.
 ///
-/// Thin wrapper over the streaming [`crate::stream::RunRasterizer`]
-/// (one maximal block), so the batch and block paths agree bit for bit.
+/// # Panics
+/// Panics on a non-positive sample rate.
 pub fn rasterize(runs: &LevelRuns, sample_rate: f64, low_level: f64) -> Vec<f64> {
-    let mut src = crate::stream::RunRasterizer::new(runs.clone(), sample_rate, low_level);
+    assert!(sample_rate > 0.0);
     let mut out = Vec::new();
-    while src.fill(&mut out, usize::MAX) > 0 {}
+    let mut t_edge = 0.0;
+    for &(high, dur) in runs {
+        t_edge += dur;
+        let end = (t_edge * sample_rate).round() as usize;
+        out.resize(end.max(out.len()), if high { 1.0 } else { low_level });
+    }
     out
 }
 
@@ -145,12 +151,11 @@ pub fn decode_frame(envelope: &[f64], sample_rate: f64) -> Result<Vec<bool>, Pie
 /// [`decode_frame`] without its span and obs counters, for a decode that
 /// belongs to no traced operation (one taken once, at set-up).
 ///
-/// Whole-buffer decode delegating to the streaming edge detector
-/// ([`crate::stream::PieStreamDecoder`]) as one maximal block — the two
-/// paths share every comparison, so they agree bit for bit. The peak
-/// (for the half-amplitude threshold) is folded over the full envelope
-/// first, exactly as before; a streaming caller supplies the threshold
-/// from its own running peak instead.
+/// Two passes over the envelope: a peak fold for the half-amplitude
+/// threshold, then an edge scan that hops from threshold crossing to
+/// threshold crossing. A sample is high iff `v > peak/2`, so a NaN sample
+/// is low, and the scan starts in the first sample's own level, so the
+/// first sample is never an edge.
 pub fn decode_frame_unobserved(envelope: &[f64], sample_rate: f64) -> Result<Vec<bool>, PieError> {
     if envelope.len() < 8 {
         return Err(PieError::TooShort);
@@ -159,15 +164,43 @@ pub fn decode_frame_unobserved(envelope: &[f64], sample_rate: f64) -> Result<Vec
     if peak <= 0.0 {
         return Err(PieError::NoPreamble);
     }
-    let mut dec = crate::stream::PieStreamDecoder::new(peak * 0.5, sample_rate);
-    dec.push(envelope);
-    dec.classify()
+    let thr = peak * 0.5;
+    // Falling edges mark notch starts. With the leading carrier, edge 0
+    // is the delimiter itself; the interval edge1→edge2 spans the RTcal
+    // symbol, which self-calibrates the decoder.
+    let mut edges = Vec::new();
+    let mut high = envelope[0] > thr;
+    let mut i = 0;
+    while i < envelope.len() {
+        let mut rest = envelope[i..].iter();
+        // The fall test is the exact complement of the rise test.
+        #[allow(clippy::neg_cmp_op_on_partial_ord)]
+        let flip = if high {
+            rest.position(|&v| !(v > thr))
+        } else {
+            rest.position(|&v| v > thr)
+        };
+        let Some(off) = flip else { break };
+        if high {
+            edges.push(i + off);
+        }
+        high = !high;
+        i += off + 1;
+    }
+    if edges.len() < 3 {
+        return Err(PieError::NoPreamble);
+    }
+    let dt = 1.0 / sample_rate;
+    let intervals: Vec<f64> = edges
+        .windows(2)
+        .map(|w| (w[1] - w[0]) as f64 * dt)
+        .collect();
+    classify_intervals(&intervals)
 }
 
-/// Classifies notch intervals into bits — the self-calibrating back end
-/// shared by [`decode_frame`] and the streaming
-/// [`crate::stream::PieStreamDecoder`].
-pub(crate) fn classify_intervals(intervals: &[f64]) -> Result<Vec<bool>, PieError> {
+/// Classifies notch intervals into bits: the self-calibrating back end
+/// of [`decode_frame_unobserved`].
+fn classify_intervals(intervals: &[f64]) -> Result<Vec<bool>, PieError> {
     // intervals[0] = delimiter + data-0 − PW (composite), intervals[1] = RTcal.
     let composite = intervals[0];
     let rtcal = intervals[1];
@@ -219,17 +252,25 @@ mod tests {
             let env = rasterize(&runs, FS, 0.0);
             let decoded = decode_frame(&env, FS).expect("decode");
             assert_eq!(decoded, bits, "trcal={with_trcal}");
+            // A leading low sample is never an edge: counting it would
+            // make the leading carrier the first interval.
+            let led: Vec<f64> = std::iter::once(0.0).chain(env).collect();
+            assert_eq!(decode_frame(&led, FS).unwrap(), bits, "leading low");
         }
     }
 
     #[test]
     fn roundtrip_with_partial_modulation_depth() {
-        // 80 % depth: notches go to 0.2, decoder thresholds at half.
+        // 80 % depth: notches go to 0.2, decoder thresholds at half. NaN
+        // notches decode the same: the peak fold skips them and the edge
+        // scan reads them as low.
         let p = PieParams::paper_defaults();
         let bits = vec![false, true, true, false, true];
         let runs = encode_frame(&bits, &p, true);
-        let env = rasterize(&runs, FS, 0.2);
-        assert_eq!(decode_frame(&env, FS).unwrap(), bits);
+        for low in [0.2, f64::NAN] {
+            let env = rasterize(&runs, FS, low);
+            assert_eq!(decode_frame(&env, FS).unwrap(), bits, "low {low}");
+        }
     }
 
     #[test]

@@ -4,7 +4,6 @@ use ivn_rfid::commands::{Command, DivideRatio, Session, TagEncoding};
 use ivn_rfid::crc::{append_crc16, append_crc5, check_crc16, check_crc5};
 use ivn_rfid::fm0::Fm0;
 use ivn_rfid::pie::{decode_frame, encode_frame, rasterize, PieParams};
-use ivn_rfid::stream::{Fm0Decoder, PieStreamDecoder, RunRasterizer};
 use ivn_rfid::tag::{Tag, TagReply};
 use ivn_runtime::prop::{any, vec as pvec, Just, Strategy};
 use ivn_runtime::{prop_assert, prop_assert_eq, prop_oneof, props};
@@ -129,48 +128,5 @@ props! {
         } else {
             prop_assert!(false, "no RN16 at Q=0");
         }
-    }
-
-    fn run_rasterizer_matches_batch(bits in pvec(any::<bool>(), 0..32),
-                                    with_trcal in any::<bool>(), block in 1usize..64) {
-        let p = PieParams::paper_defaults();
-        let runs = encode_frame(&bits, &p, with_trcal);
-        let batch = rasterize(&runs, 2e6, 0.1);
-        let mut src = RunRasterizer::new(runs, 2e6, 0.1);
-        let mut out = Vec::new();
-        while src.fill(&mut out, block) > 0 {}
-        prop_assert_eq!(out, batch);
-    }
-
-    fn pie_stream_decode_matches_batch(bits in pvec(any::<bool>(), 0..48),
-                                       with_trcal in any::<bool>(), depth in 0.6f64..1.0,
-                                       block in 1usize..96) {
-        // Rasterized PIE frames peak at exactly 1.0 (the carrier-on runs),
-        // so a fixed 0.5 threshold makes the streaming decoder's comparisons
-        // identical to decode_frame's peak-relative ones.
-        let p = PieParams::paper_defaults();
-        let runs = encode_frame(&bits, &p, with_trcal);
-        let env = rasterize(&runs, 2e6, 1.0 - depth);
-        let batch = decode_frame(&env, 2e6);
-        let mut dec = PieStreamDecoder::new(0.5, 2e6);
-        for chunk in env.chunks(block) {
-            dec.push(chunk);
-        }
-        prop_assert_eq!(dec.finish(), batch);
-    }
-
-    fn fm0_stream_decode_matches_batch(bits in pvec(any::<bool>(), 1..48),
-                                       spb in 1usize..6, extra in 0usize..8,
-                                       block in 1usize..64) {
-        let fm0 = Fm0::new(spb);
-        let mut wave = fm0.encode(&bits);
-        // A trailing partial symbol must be discarded by both paths.
-        wave.extend(std::iter::repeat_n(1.0, extra % fm0.samples_per_symbol()));
-        let batch = fm0.decode(&wave);
-        let mut dec = Fm0Decoder::new(fm0);
-        for chunk in wave.chunks(block) {
-            dec.push(chunk);
-        }
-        prop_assert_eq!(dec.finish(), batch);
     }
 }

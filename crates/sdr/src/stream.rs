@@ -223,17 +223,22 @@ mod tests {
     fn free_running_lanes_advance_at_the_nominal_offset() {
         // `ClockDistribution::residual_ppm_rms` is not simulated: a
         // free-running bank differs from an Octoclock one only in
-        // trigger slop, and every lane's rotor steps by exactly
-        // TAU·offset/fs. Applying the ppm error must change this test.
+        // trigger slop, and every lane's rotor is the one at exactly the
+        // nominal offset. Applying the ppm error must change this test.
         let b = bank(&ClockDistribution::free_running(), 9);
         let win = CarrierWindows::new(&b, 0.05, 1);
         for (i, &f) in OFFSETS.iter().enumerate() {
-            let want = std::f64::consts::TAU * f / b.sample_rate();
-            assert_eq!(
-                win.rotor(i).increment().to_bits(),
-                want.to_bits(),
-                "lane {i}"
-            );
+            let phase0 = b.device(i).pll.initial_phase();
+            let mut want = [Complex64::ZERO; 64];
+            PhasorRotor::new(f, b.sample_rate(), phase0).fill(&mut want);
+            let mut got = [Complex64::ZERO; 64];
+            win.rotor(i).clone().fill(&mut got);
+            let bits = |z: &[Complex64]| {
+                z.iter()
+                    .map(|c| (c.re.to_bits(), c.im.to_bits()))
+                    .collect::<Vec<_>>()
+            };
+            assert_eq!(bits(&got), bits(&want), "lane {i}");
         }
     }
 }

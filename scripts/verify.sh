@@ -21,13 +21,22 @@ RUSTDOCFLAGS="-D warnings" cargo doc --offline --no-deps --workspace
 echo "==> clippy: whole workspace lint clean (rustc's dead_code included)"
 cargo clippy --offline --workspace --all-targets --no-deps -- -D warnings
 
-echo "==> test-only pub fns: every one is allowlisted with its reason"
+echo "==> test-only pub fns and unreached modules: every one is allowlisted with its reason"
 # rustc's dead_code cannot see a `pub fn` whose only callers are tests.
-# The scan is textual: a name counts as called if it appears on any
-# non-comment line of the program (crates/*/src outside `#[cfg(test)]`
-# items, src/, examples/, perfbench/src) other than its own `fn` line.
+# The scan is textual over the program: crates/*/src outside
+# `#[cfg(test)]` items, src/, examples/ and perfbench/src, without
+# comment lines. It makes three checks:
+# - a `pub fn`'s name appears on a program line other than its own `fn`
+#   line;
+# - each crates/*/src module file is named (`m::…` or `use …m`) by a
+#   program line of another file;
+# - each top-level `pub fn` of module `m` is named `m::name`, imported
+#   from `m`, or called in its own file.
+# The last two catch a module or free fn whose name is also some
+# method's (`new`, `peak`), which the first lets through.
 # Each allowlisted name is a reference or harness a test relies on:
-#   btree_set        props! strategy the crate test suites draw from
+#   any, btree_set, vec  props! strategies the crate test suites draw from
+#   prop             the props! harness module, named only by those suites and its own macro
 #   draw_phases      CrnKernel's draws, which kernel_props rebuilds reference scores from
 #   emit_oracle      trig oracle the CarrierWindows rotor path is bounded against
 #   from_values      registry-free histogram, the reference Report merges are checked against
@@ -38,24 +47,44 @@ echo "==> test-only pub fns: every one is allowlisted with its reason"
 #   power_up         whole-envelope wrapper the harvester and cross-crate props drive
 #   power_up_oracle  reference integrator for every PowerUpState feeding
 #   static_sensitivity_watts  analytic floor the power-up integrator is checked against
-ALLOWED="btree_set draw_phases emit_oracle from_values gain_factor inventory_all reflect_baseband set_capture power_up power_up_oracle static_sensitivity_watts"
-CORPUS=target/verify_program.rs
+ALLOWED="any btree_set draw_phases emit_oracle from_values gain_factor inventory_all prop reflect_baseband set_capture power_up power_up_oracle static_sensitivity_watts vec"
+SRC=target/verify_program
+rm -rf "$SRC"
+mkdir -p "$SRC"
 for f in $(find crates/*/src src examples perfbench/src -name '*.rs' | sort); do
+    g="$SRC/$(echo "$f" | tr / _)"
     awk '/^#\[cfg\(test\)\]/ { skip = 1; next }
          skip && /^}/ { skip = 0; next }
-         !skip && !/^[[:space:]]*\/\//' "$f"
-done > "$CORPUS"
+         !skip && !/^[[:space:]]*\/\//' "$f" > "$g"
+    # One `use` statement per line, however rustfmt wrapped it.
+    tr '\n' ' ' < "$g" | { grep -oE '\buse [^;]*;' || true; } > "${g%.rs}.use"
+done
+CORPUS=target/verify_program.rs
+cat "$SRC"/*.rs > "$CORPUS"
 unlisted=""
+flag() { case " $ALLOWED " in *" $1 "*) ;; *) unlisted="$unlisted $2" ;; esac; }
 for name in $(grep -oE '^[[:space:]]*pub fn [a-z_0-9]+' "$CORPUS" | awk '{print $3}' | sort -u); do
-    if ! grep -E "\\b$name\\b" "$CORPUS" | grep -vqE "fn $name\\b"; then
-        case " $ALLOWED " in *" $name "*) ;; *) unlisted="$unlisted $name" ;; esac
+    grep -E "\\b$name\\b" "$CORPUS" | grep -vqE "fn $name\\b" || flag "$name" "$name"
+done
+for f in $(find crates/*/src -name '*.rs' ! -path '*/bin/*' | sort); do
+    g="$SRC/$(echo "$f" | tr / _)"
+    m=$(basename "$f" .rs)
+    [ "$m" = mod ] && m=$(basename "$(dirname "$f")")
+    if [ "$m" = lib ]; then
+        m="(crate|ivn_$(echo "$f" | cut -d/ -f2))"
+    else
+        grep -lE "\\b$m::|\\buse [^;]*\\b$m\\b" "$SRC"/* | grep -vqxE "${g%.rs}\\.(rs|use)" || flag "$m" "$f"
     fi
+    for name in $(grep -oE '^pub fn [a-z_0-9]+' "$g" | awk '{print $3}'); do
+        grep -qE "\\b$m::([^;]*[{ ,])?$name\\b" "$SRC"/* && continue
+        grep -E "\\b$name\\(" "$g" | grep -vqE "fn $name\\b" || flag "$name" "$m::$name"
+    done
 done
 if [ -n "$unlisted" ]; then
-    echo "verify: FAIL — pub fn with no caller outside tests:$unlisted (delete it, or allowlist it with its reason)" >&2
+    echo "verify: FAIL — unreached outside tests:$unlisted (delete it, or allowlist it with its reason)" >&2
     exit 1
 fi
-echo "every test-only pub fn is allowlisted"
+echo "every test-only pub fn and unreached module is allowlisted"
 
 echo "==> trace round trip: reproduce --trace → in-tree JSON parse → balance check"
 TRACE_OUT=target/verify_trace.json
